@@ -227,8 +227,8 @@ func (a Adaptive) run(spec RunSpec, app *guide.App, bud des.Budget) (Result, err
 type Result struct {
 	App string
 	// Policy is the canonical policy key (PolicySpec.Key), e.g. "Full".
-	Policy string
-	CPUs   int
+	Policy  string
+	CPUs    int
 	Elapsed des.Time
 	// CreateAndInstrument is filled for Dynamic runs (Figure 9).
 	CreateAndInstrument des.Time

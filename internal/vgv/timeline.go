@@ -19,10 +19,26 @@ const (
 	glyphRegion = '~'
 )
 
+// glyphPriority decides which glyph a bucket shows when intervals overlap
+// it: the region wiggle wins (it is "superimposed"), then MPI activity,
+// then plain function bars.
+var glyphPriority = [128]int8{glyphIdle: 0, glyphFunc: 1, glyphAPI: 2, glyphRegion: 3}
+
 // interval is one [from, to) span with a category.
 type interval struct {
 	from, to des.Time
-	kind     rune
+	kind     byte
+}
+
+// timelineLane is one lane's open-interval depths and finished intervals.
+type timelineLane struct {
+	funcDepth   int
+	funcFrom    des.Time
+	apiDepth    int
+	apiFrom     des.Time
+	regionDepth int
+	regionFrom  des.Time
+	ivs         []interval
 }
 
 // RenderTimeline draws the trace as an ASCII time-line, one row per
@@ -42,26 +58,10 @@ func RenderTimeline(col *vt.Collector, w io.Writer, width int) error {
 	}
 
 	// Build per-lane interval sets from the event stream.
-	type laneState struct {
-		funcDepth   int
-		funcFrom    des.Time
-		apiDepth    int
-		apiFrom     des.Time
-		regionDepth int
-		regionFrom  des.Time
-		ivs         []interval
-	}
-	lanes := make(map[laneKey]*laneState)
-	get := func(k laneKey) *laneState {
-		ls, ok := lanes[k]
-		if !ok {
-			ls = &laneState{}
-			lanes[k] = ls
-		}
-		return ls
-	}
-	for _, e := range events {
-		ls := get(laneKey{rank: e.Rank, tid: e.TID})
+	lanes := newLaneCache[timelineLane]()
+	for i := range events {
+		e := &events[i]
+		ls := lanes.get(e)
 		switch e.Kind {
 		case vt.Enter:
 			if ls.funcDepth == 0 {
@@ -102,8 +102,8 @@ func RenderTimeline(col *vt.Collector, w io.Writer, width int) error {
 		}
 	}
 
-	keys := make([]laneKey, 0, len(lanes))
-	for k := range lanes {
+	keys := make([]laneKey, 0, len(lanes.m))
+	for k := range lanes.m {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -124,30 +124,26 @@ func RenderTimeline(col *vt.Collector, w io.Writer, width int) error {
 		}
 		return b
 	}
-	// Priority when intervals overlap a bucket: the region wiggle wins
-	// (it is "superimposed"), then MPI activity, then plain function bars.
-	priority := map[rune]int{glyphIdle: 0, glyphFunc: 1, glyphAPI: 2, glyphRegion: 3}
 
-	fmt.Fprintf(w, "time-line %v .. %v (%d columns, %v/column)\n",
+	ew := &errWriter{w: w}
+	ew.printf("time-line %v .. %v (%d columns, %v/column)\n",
 		start, end, width, span/des.Time(width))
+	row := make([]byte, width)
 	for _, k := range keys {
-		row := make([]rune, width)
 		for i := range row {
 			row[i] = glyphIdle
 		}
-		for _, iv := range lanes[k].ivs {
+		for _, iv := range lanes.m[k].ivs {
 			lo, hi := bucket(iv.from), bucket(iv.to)
 			for b := lo; b <= hi; b++ {
-				if priority[iv.kind] > priority[row[b]] {
+				if glyphPriority[iv.kind] > glyphPriority[row[b]] {
 					row[b] = iv.kind
 				}
 			}
 		}
-		if _, err := fmt.Fprintf(w, "r%02d/t%02d |%s|\n", k.rank, k.tid, string(row)); err != nil {
-			return err
-		}
+		ew.printf("r%02d/t%02d |%s|\n", k.rank, k.tid, row)
 	}
-	fmt.Fprintf(w, "legend: %c function  %c MPI  %c OpenMP region (wiggle)  %c idle\n",
+	ew.printf("legend: %c function  %c MPI  %c OpenMP region (wiggle)  %c idle\n",
 		glyphFunc, glyphAPI, glyphRegion, glyphIdle)
-	return nil
+	return ew.err
 }

@@ -1,6 +1,7 @@
 package vt
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"testing"
@@ -65,19 +66,45 @@ func BenchmarkCollectorEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectorWriteTrace measures the dump path end to end.
-func BenchmarkCollectorWriteTrace(b *testing.B) {
-	b.ReportAllocs()
+// benchDumpCollector is the dump benchmarks' input: 8 ranks of 2048
+// events each, with a two-entry function table per rank.
+func benchDumpCollector() *Collector {
 	col := NewCollector()
 	for r := 0; r < 8; r++ {
 		col.AddFuncTable(int32(r), map[int32]string{0: "main", 1: "solve"})
 		col.Append(mkBatch(int32(r), 0, 2048))
 	}
+	return col
+}
+
+// BenchmarkCollectorWriteTrace measures the dump path end to end.
+func BenchmarkCollectorWriteTrace(b *testing.B) {
+	b.ReportAllocs()
+	col := benchDumpCollector()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := col.WriteTrace(io.Discard); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkReadTrace measures parsing BenchmarkCollectorWriteTrace's dump
+// back into a collector.
+func BenchmarkReadTrace(b *testing.B) {
+	b.ReportAllocs()
+	var dump bytes.Buffer
+	if err := benchDumpCollector().WriteTrace(&dump); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(dump.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		col, err := ReadTrace(bytes.NewReader(dump.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		col.Release()
 	}
 }
 

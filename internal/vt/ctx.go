@@ -443,7 +443,7 @@ func (c *Ctx) faultEvent(ec image.ExecCtx, detail string) {
 	c.inj.Record(ec.Now(), fault.KindOverflow, c.node, int(c.rank), detail)
 }
 
-/// Begin is VT_begin: charge the table lookup; if the symbol is active,
+// Begin is VT_begin: charge the table lookup; if the symbol is active,
 // record a timestamped Enter event.
 func (c *Ctx) Begin(ec image.ExecCtx, id int32) {
 	if !c.ready {

@@ -8,12 +8,15 @@ package vt
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"dynprof/internal/des"
 )
@@ -62,10 +65,10 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", k)
 }
 
-// kindFromString inverts String; ok is false for unknown mnemonics.
-func kindFromString(s string) (Kind, bool) {
+// kindFromBytes inverts String; ok is false for unknown mnemonics.
+func kindFromBytes(b []byte) (Kind, bool) {
 	for k, n := range kindNames {
-		if n == s {
+		if n == string(b) {
 			return Kind(k), true
 		}
 	}
@@ -182,14 +185,21 @@ func (col *Collector) Release() {
 
 // AddFuncTable registers rank's id-to-name function table.
 func (col *Collector) AddFuncTable(rank int32, names map[int32]string) {
-	t, ok := col.funcs[rank]
-	if !ok {
-		t = make(map[int32]string, len(names))
-		col.funcs[rank] = t
-	}
+	t := col.funcTable(rank, len(names))
 	for id, n := range names {
 		t[id] = n
 	}
+}
+
+// funcTable returns rank's function table, creating it with room for hint
+// entries.
+func (col *Collector) funcTable(rank int32, hint int) map[int32]string {
+	t, ok := col.funcs[rank]
+	if !ok {
+		t = make(map[int32]string, hint)
+		col.funcs[rank] = t
+	}
+	return t
 }
 
 // Append merges a rank's event buffer into the trace. The batch is copied
@@ -205,6 +215,12 @@ func (col *Collector) Append(events []Event) {
 	}
 	start := len(col.store)
 	col.store = append(col.store, events...)
+	col.carve(start)
+}
+
+// carve partitions the arena entries from start on into segments, as
+// Append describes, and lets a spilling collector stream its arena out.
+func (col *Collector) carve(start int) {
 	for i := start; i < len(col.store); {
 		j := i + 1
 		for j < len(col.store) && col.store[j].At >= col.store[j-1].At {
@@ -366,9 +382,13 @@ func (col *Collector) Ranks() []int32 {
 //	# vgvtrace 1
 //	FUNC <rank> <id> <name>
 //	EVT <ns> <rank> <tid> <kind> <id> <a> <b>
+//
+// Each record is formatted into one reused line buffer with strconv
+// appends, so the dump allocates nothing per record.
 func (col *Collector) WriteTrace(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "# vgvtrace 1"); err != nil {
+	bw := bufio.NewWriterSize(w, 64<<10)
+	line := make([]byte, 0, 128)
+	if _, err := bw.WriteString("# vgvtrace 1\n"); err != nil {
 		return err
 	}
 	for _, rank := range col.Ranks() {
@@ -379,69 +399,176 @@ func (col *Collector) WriteTrace(w io.Writer) error {
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		for _, id := range ids {
-			if _, err := fmt.Fprintf(bw, "FUNC %d %d %s\n", rank, id, t[id]); err != nil {
+			line = append(line[:0], "FUNC "...)
+			line = strconv.AppendInt(line, int64(rank), 10)
+			line = append(line, ' ')
+			line = strconv.AppendInt(line, int64(id), 10)
+			line = append(line, ' ')
+			line = append(line, t[id]...)
+			line = append(line, '\n')
+			if _, err := bw.Write(line); err != nil {
 				return err
 			}
 		}
 	}
-	for _, e := range col.Events() {
-		if _, err := fmt.Fprintf(bw, "EVT %d %d %d %s %d %d %d\n",
-			int64(e.At), e.Rank, e.TID, e.Kind, e.ID, e.A, e.B); err != nil {
+	events := col.Events()
+	for i := range events {
+		if _, err := bw.Write(appendEventLine(line[:0], &events[i])); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
+// appendEventLine appends e's EVT record, newline included, to b.
+func appendEventLine(b []byte, e *Event) []byte {
+	b = append(b, "EVT "...)
+	b = strconv.AppendInt(b, int64(e.At), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(e.Rank), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(e.TID), 10)
+	b = append(b, ' ')
+	b = append(b, e.Kind.String()...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(e.ID), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, e.A, 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, e.B, 10)
+	return append(b, '\n')
+}
+
 // ReadTrace parses a trace produced by WriteTrace.
+//
+// A line's fields are what strings.Fields makes of it. Lines of ASCII
+// bytes — every EVT line WriteTrace produces — are split in place on the
+// scanner's buffer and their decimals parsed without allocating; a line
+// holding any byte >= 0x80 is split by strings.Fields itself, so Unicode
+// whitespace separates fields there. Ranks, thread ids and function ids
+// must fit in int32. Events are appended straight into the collector's
+// arena.
 func ReadTrace(r io.Reader) (*Collector, error) {
 	col := NewCollector()
-	var evs []Event
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	var fields [][]byte
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		fields = splitFields(fields[:0], sc.Bytes())
+		if len(fields) == 0 || fields[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(text)
-		switch fields[0] {
-		case "FUNC":
-			if len(fields) < 4 {
-				return nil, fmt.Errorf("vt: trace line %d: short FUNC record", line)
-			}
-			rank, err1 := strconv.Atoi(fields[1])
-			id, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("vt: trace line %d: bad FUNC ids", line)
-			}
-			col.AddFuncTable(int32(rank), map[int32]string{int32(id): strings.Join(fields[3:], " ")})
-		case "EVT":
-			if len(fields) != 8 {
-				return nil, fmt.Errorf("vt: trace line %d: EVT needs 8 fields, has %d", line, len(fields))
-			}
-			var nums [7]int64
-			for i, f := range []string{fields[1], fields[2], fields[3], fields[5], fields[6], fields[7]} {
-				v, err := strconv.ParseInt(f, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("vt: trace line %d: %v", line, err)
-				}
-				nums[i] = v
-			}
-			kind, ok := kindFromString(fields[4])
-			if !ok {
-				return nil, fmt.Errorf("vt: trace line %d: unknown kind %q", line, fields[4])
-			}
-			evs = append(evs, Event{
-				At: des.Time(nums[0]), Rank: int32(nums[1]), TID: int32(nums[2]),
-				Kind: kind, ID: int32(nums[3]), A: nums[4], B: nums[5],
-			})
-		default:
-			return nil, fmt.Errorf("vt: trace line %d: unknown record %q", line, fields[0])
+		if err := col.parseRecord(fields, line); err != nil {
+			col.Release()
+			return nil, err
 		}
 	}
-	col.Append(evs)
+	col.carve(0)
 	return col, sc.Err()
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitFields appends line's whitespace-separated fields to dst. ASCII
+// fields alias line; a line with a non-ASCII byte goes through
+// strings.Fields.
+func splitFields(dst [][]byte, line []byte) [][]byte {
+	n, start := len(dst), -1
+	for i, c := range line {
+		switch {
+		case c >= utf8.RuneSelf:
+			dst = dst[:n]
+			for _, f := range strings.Fields(string(line)) {
+				dst = append(dst, []byte(f))
+			}
+			return dst
+		case asciiSpace[c]:
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
+}
+
+// parseRecord applies one FUNC or EVT record to col.
+func (col *Collector) parseRecord(fields [][]byte, line int) error {
+	switch string(fields[0]) {
+	case "FUNC":
+		if len(fields) < 4 {
+			return fmt.Errorf("vt: trace line %d: short FUNC record", line)
+		}
+		rank, err1 := parseDecimal(fields[1])
+		id, err2 := parseDecimal(fields[2])
+		if err1 != nil || err2 != nil {
+			return fmt.Errorf("vt: trace line %d: bad FUNC ids", line)
+		}
+		if !fitsInt32(rank) || !fitsInt32(id) {
+			return fmt.Errorf("vt: trace line %d: FUNC ids out of int32 range", line)
+		}
+		col.funcTable(int32(rank), 0)[int32(id)] = string(bytes.Join(fields[3:], []byte{' '}))
+	case "EVT":
+		if len(fields) != 8 {
+			return fmt.Errorf("vt: trace line %d: EVT needs 8 fields, has %d", line, len(fields))
+		}
+		var nums [6]int64
+		for i, f := range [6][]byte{fields[1], fields[2], fields[3], fields[5], fields[6], fields[7]} {
+			v, err := parseDecimal(f)
+			if err != nil {
+				return fmt.Errorf("vt: trace line %d: %v", line, err)
+			}
+			nums[i] = v
+		}
+		if !fitsInt32(nums[1]) || !fitsInt32(nums[2]) || !fitsInt32(nums[3]) {
+			return fmt.Errorf("vt: trace line %d: EVT rank/tid/id out of int32 range", line)
+		}
+		kind, ok := kindFromBytes(fields[4])
+		if !ok {
+			return fmt.Errorf("vt: trace line %d: unknown kind %q", line, fields[4])
+		}
+		col.store = append(col.store, Event{
+			At: des.Time(nums[0]), Rank: int32(nums[1]), TID: int32(nums[2]),
+			Kind: kind, ID: int32(nums[3]), A: nums[4], B: nums[5],
+		})
+	default:
+		return fmt.Errorf("vt: trace line %d: unknown record %q", line, fields[0])
+	}
+	return nil
+}
+
+// fitsInt32 reports whether v fits an int32 record field.
+func fitsInt32(v int64) bool { return v >= math.MinInt32 && v <= math.MaxInt32 }
+
+// parseDecimal is strconv.ParseInt(string(b), 10, 64) without the
+// allocation on the common input: an optional '-' and at most 18 digits,
+// which cannot overflow. Anything else goes to strconv, so the accepted
+// syntax and the error values are exactly ParseInt's.
+func parseDecimal(b []byte) (int64, error) {
+	digits := b
+	if len(digits) > 0 && digits[0] == '-' {
+		digits = digits[1:]
+	}
+	if len(digits) == 0 || len(digits) > 18 {
+		return strconv.ParseInt(string(b), 10, 64)
+	}
+	var v int64
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return strconv.ParseInt(string(b), 10, 64)
+		}
+		v = v*10 + int64(c-'0')
+	}
+	if len(digits) < len(b) {
+		v = -v
+	}
+	return v, nil
 }

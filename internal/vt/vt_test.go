@@ -320,9 +320,18 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 		"EVT x 0 0 enter 0 0 0",
 		"EVT 1 0 0 notakind 0 0 0",
 		"FUNC 1 2",
+		// Ranks, thread ids and function ids are int32 on the wire too.
+		"FUNC 4294967296 0 main",
+		"FUNC 0 -2147483649 main",
+		"EVT 1 4294967296 0 enter 0 0 0",
+		"EVT 1 0 2147483648 enter 0 0 0",
+		"EVT 1 0 0 enter -4294967296 0 0",
 	} {
-		if _, err := ReadTrace(strings.NewReader(bad)); err == nil {
+		_, err := ReadTrace(strings.NewReader("# vgvtrace 1\n" + bad + "\n"))
+		if err == nil {
 			t.Errorf("ReadTrace(%q) accepted", bad)
+		} else if !strings.Contains(err.Error(), "line 2:") {
+			t.Errorf("ReadTrace(%q) error %q lacks the line number", bad, err)
 		}
 	}
 }

@@ -6,7 +6,12 @@ set -eux
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)"
 go test ./...
+
+# Fuzz smoke: the textual trace parser must agree with its reference
+# oracle (same accepted inputs, errors and collectors) on mutated input.
+go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 10s ./internal/vt/
 
 # Short -race pass over the parallel cell runner.
 go test -race -run 'TestParallel|TestCellCache|TestRunner' ./internal/exp/
