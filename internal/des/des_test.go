@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -308,14 +309,16 @@ func TestSemaphore(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	s := NewScheduler(1)
 	g := NewGate("never", false)
+	box := NewMailbox(s, "box")
 	s.Spawn("stuck", func(p *Proc) { p.Await(g) })
+	s.Spawn("rx", func(p *Proc) { p.Recv(box) })
 	err := s.Run()
 	de, ok := err.(*DeadlockError)
 	if !ok {
 		t.Fatalf("Run() = %v, want DeadlockError", err)
 	}
-	if len(de.Blocked) != 1 {
-		t.Fatalf("blocked = %v", de.Blocked)
+	if want := []string{"stuck (await never)", "rx (recv box)"}; !reflect.DeepEqual(de.Blocked, want) {
+		t.Fatalf("blocked = %q, want %q", de.Blocked, want)
 	}
 }
 

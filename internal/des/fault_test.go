@@ -1,6 +1,9 @@
 package des
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // TestRecvTimeoutExpires: a receiver with nothing inbound resumes after
 // exactly the timeout with ok=false.
@@ -116,5 +119,79 @@ func TestKillRecvBlocked(t *testing.T) {
 	s.At(2*Millisecond, func() { m.Put("to the dead") })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKillSelf: a Proc that kills itself unwinds at once, like a crash at
+// that instruction — code after the Kill never runs, its deferred cleanup
+// does, and the rest of the simulation carries on undisturbed.
+func TestKillSelf(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s := NewScheduler(1)
+		var after, unwound bool
+		var bystander int
+		s.Spawn("suicide", func(p *Proc) {
+			defer func() { unwound = true }()
+			p.Advance(Millisecond)
+			s.Kill(p)
+			after = true
+		})
+		s.Spawn("bystander", func(p *Proc) {
+			for i := 0; i < 3; i++ {
+				p.Advance(Millisecond)
+				bystander++
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Error(err)
+		}
+		if after || !unwound {
+			t.Errorf("self-Kill: code after Kill ran=%v, deferred cleanup ran=%v", after, unwound)
+		}
+		if bystander != 3 {
+			t.Errorf("bystander advanced %d times, want 3", bystander)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("self-Kill hung the scheduler")
+	}
+}
+
+// TestKillFromProc: one Proc may kill another — parked or not yet started —
+// and keep running itself.
+func TestKillFromProc(t *testing.T) {
+	s := NewScheduler(1)
+	var progress int
+	victim := s.Spawn("victim", func(p *Proc) {
+		for {
+			p.Advance(Millisecond)
+			progress++
+		}
+	})
+	var unstarted *Proc
+	var killerDone bool
+	s.Spawn("killer", func(p *Proc) {
+		p.Advance(2500 * Microsecond)
+		unstarted = s.Spawn("unstarted", func(*Proc) { t.Error("killed Proc must never start") })
+		s.Kill(victim)
+		s.Kill(unstarted)
+		p.Advance(5 * Millisecond)
+		killerDone = true
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if progress != 2 {
+		t.Errorf("victim advanced %d times, want 2 then frozen", progress)
+	}
+	if !killerDone {
+		t.Error("killer did not run to completion after its Kills")
+	}
+	if !victim.Killed() || !unstarted.Killed() {
+		t.Error("killed Procs must report Killed")
 	}
 }

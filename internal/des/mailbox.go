@@ -30,7 +30,12 @@ func (m *Mailbox) Len() int { return len(m.queue) }
 func (m *Mailbox) Put(v any) {
 	if len(m.waiters) > 0 {
 		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
+		m.waiters[0] = nil
+		if len(m.waiters) == 1 {
+			m.waiters = m.waiters[:0] // keep the capacity for the next waiter
+		} else {
+			m.waiters = m.waiters[1:]
+		}
 		w.value, w.ready = v, true
 		w.p.wake()
 		return
@@ -51,13 +56,16 @@ func (p *Proc) Recv(m *Mailbox) any {
 		m.queue = m.queue[1:]
 		return v
 	}
-	w := &mboxWaiter{p: p}
+	w := &p.recvWait
+	*w = mboxWaiter{p: p}
 	m.waiters = append(m.waiters, w)
-	p.park("recv " + m.name)
+	p.park("recv ", m.name)
 	if !w.ready {
 		panic("des: mailbox waiter resumed without a value")
 	}
-	return w.value
+	v := w.value
+	w.value = nil
+	return v
 }
 
 // RecvTimeout blocks p until a message is available or d of virtual time
@@ -85,7 +93,7 @@ func (p *Proc) RecvTimeout(m *Mailbox, d Time) (v any, ok bool) {
 		}
 		w.p.wake()
 	})
-	p.park("recv-timeout " + m.name)
+	p.park("recv-timeout ", m.name)
 	if w.ready {
 		return w.value, true
 	}

@@ -130,3 +130,62 @@ func BenchmarkProcPingPong(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkProcSpawn measures one short-lived Proc's whole life: spawn,
+// start, one Advance, exit — the pattern of the session server's
+// per-session Procs. Each Proc spawns its successor before exiting; the
+// chain restarts on a fresh Scheduler every 1024 Procs so the Scheduler's
+// Proc list stays bounded.
+func BenchmarkProcSpawn(b *testing.B) {
+	b.ReportAllocs()
+	for left := b.N; left > 0; {
+		batch := min(left, 1024)
+		left -= batch
+		s := NewScheduler(1)
+		var body func(p *Proc)
+		body = func(p *Proc) {
+			p.Advance(Microsecond)
+			if batch--; batch > 0 {
+				s.Spawn("session", body)
+			}
+		}
+		s.Spawn("session", body)
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkClusterRound measures one windowed round of an 8-shard Cluster
+// on 2 host workers. In every shard two Procs ping-pong a token through
+// Mailboxes, five round trips per window — 160 Proc switches per round in
+// all — and a shard's Procs are resumed from whichever worker claims the
+// shard that round.
+func BenchmarkClusterRound(b *testing.B) {
+	const shards, window = 8, 10 * Microsecond
+	b.ReportAllocs()
+	c := NewCluster(shards, window, 1, WithHostParallelism(2))
+	for i := 0; i < shards; i++ {
+		s := c.Shard(i)
+		ab, ba := NewMailbox(s, "ab"), NewMailbox(s, "ba")
+		trips := 5 * b.N
+		s.Spawn("ping", func(p *Proc) {
+			for k := 0; k < trips; k++ {
+				ab.Put(k)
+				p.Recv(ba)
+				p.Advance(Microsecond)
+			}
+		})
+		s.Spawn("pong", func(p *Proc) {
+			for k := 0; k < trips; k++ {
+				v := p.Recv(ab)
+				p.Advance(Microsecond)
+				ba.Put(v)
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := c.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

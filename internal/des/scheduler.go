@@ -155,6 +155,7 @@ type Scheduler struct {
 	budget   Budget
 	executed uint64
 	fatal    *ProcPanicError
+	running  *Proc // the Proc being resumed, nil in event context
 
 	// Sharding state (see shard.go). All three are zero for a standalone
 	// Scheduler, whose behaviour is completely unchanged.
@@ -173,7 +174,7 @@ type ProcPanicError struct {
 	// Value is the original panic value, unmodified.
 	Value any
 	// Stack is the panicking goroutine's stack, captured at the point of
-	// recovery (before the Proc goroutine unwound).
+	// recovery (before the Proc unwound).
 	Stack []byte
 }
 
@@ -252,15 +253,16 @@ func (s *Scheduler) popNext() event {
 }
 
 // Stop makes Run return after the current event completes. Parked Procs are
-// aborted so their goroutines exit.
+// aborted so their coroutines finish.
 func (s *Scheduler) Stop() { s.stopped = true }
 
 // Kill terminates one Proc immediately, modelling a process crash: the
-// Proc's goroutine unwinds and exits, and it never runs again. Pending
-// wake-ups for the Proc become no-ops. Kill must be called from event
-// context (an At/After callback), where no Proc is mid-step; every live
-// Proc is then parked on its resume channel, so the handshake below
-// cannot deadlock. Killing an already-finished Proc is a no-op.
+// Proc unwinds and finishes, and it never runs again. Pending wake-ups for
+// the Proc become no-ops. Killing a parked (or never-started) Proc resumes
+// it just long enough to unwind, so Kill may be called from event context
+// or from inside another Proc. A Proc that kills itself unwinds at once,
+// as if it had crashed at that instruction: Kill does not return to it.
+// Killing an already-finished Proc is a no-op.
 //
 // A killed Proc that was waiting on a Mailbox stays in that mailbox's
 // waiter list; a message later routed to it is consumed and dropped,
@@ -270,8 +272,10 @@ func (s *Scheduler) Kill(p *Proc) {
 		return
 	}
 	p.killed = true
-	p.resume <- resumeMsg{abort: true}
-	<-p.parked
+	if p == s.running {
+		panic(errAborted)
+	}
+	s.resume(p)
 }
 
 // DeadlockError is returned by Run when the event queue drains while some
@@ -338,14 +342,14 @@ func (s *Scheduler) DrainUntil(done func() bool) error {
 }
 
 // Finish tears the simulation down after a final Drain: every parked Proc
-// is aborted so its goroutine exits, and a *DeadlockError reports any
+// is aborted so its coroutine finishes, and a *DeadlockError reports any
 // non-daemon Procs that were still blocked with nothing left to wake them
 // (unless Stop was called, which makes blocked Procs expected).
 func (s *Scheduler) Finish() error {
 	var blocked []string
 	for _, p := range s.procs {
 		if !p.done && p.started && !p.daemon {
-			blocked = append(blocked, fmt.Sprintf("%s (%s)", p.name, p.blockedOn))
+			blocked = append(blocked, p.blockedReport())
 		}
 	}
 	s.abortAll()
@@ -361,16 +365,15 @@ func (s *Scheduler) Finish() error {
 // Executed reports the number of events executed so far.
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
-// abortAll resumes every parked proc with the abort flag so its goroutine
-// unwinds and exits. Used on the Stop, deadlock, budget-exhaustion and
-// fatal-panic paths (the last re-raising the Proc's *ProcPanicError after
-// teardown) so the process does not leak goroutines.
+// abortAll resumes every unfinished Proc with its killed flag set so it
+// unwinds and its coroutine finishes. Used on the Stop, deadlock,
+// budget-exhaustion and fatal-panic paths (the last re-raising the Proc's
+// *ProcPanicError after teardown) so the process does not leak goroutines.
 func (s *Scheduler) abortAll() {
 	for _, p := range s.procs {
 		for !p.done {
 			p.killed = true
-			p.resume <- resumeMsg{abort: true}
-			<-p.parked
+			s.resume(p)
 		}
 	}
 }

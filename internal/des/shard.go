@@ -272,7 +272,7 @@ func (c *Cluster) Run() error {
 	for _, s := range c.shards {
 		for _, p := range s.procs {
 			if !p.done && p.started && !p.daemon {
-				blocked = append(blocked, fmt.Sprintf("%s (%s)", p.name, p.blockedOn))
+				blocked = append(blocked, p.blockedReport())
 			}
 		}
 	}

@@ -37,7 +37,7 @@ func (p *Proc) Await(g *Gate) {
 		return
 	}
 	g.waiters = append(g.waiters, p)
-	p.park("await " + g.name)
+	p.park("await ", g.name)
 }
 
 // Barrier is a reusable n-party synchronisation point. All parties leave at
@@ -70,7 +70,7 @@ func (p *Proc) Arrive(b *Barrier) {
 		return
 	}
 	b.waiters = append(b.waiters, p)
-	p.park("barrier " + b.name)
+	p.park("barrier ", b.name)
 }
 
 // Semaphore is a counting semaphore with FIFO wake-up order.
@@ -106,5 +106,5 @@ func (p *Proc) Acquire(s *Semaphore) {
 		return
 	}
 	s.waiters = append(s.waiters, p)
-	p.park("acquire " + s.name)
+	p.park("acquire ", s.name)
 }

@@ -141,3 +141,46 @@ func TestCrashStopsProcess(t *testing.T) {
 	}
 	pr.Crash() // idempotent on event-free post-run state
 }
+
+// TestCrashFromOwnThread: a thread may crash its own process. The crash
+// takes effect at that instruction — the caller never resumes — yet every
+// other thread is still killed and WaitExit is still released.
+func TestCrashFromOwnThread(t *testing.T) {
+	// The budget turns a team thread that escaped the crash into a
+	// LivelockError instead of a hang.
+	s := des.NewScheduler(1, des.WithBudget(des.Budget{MaxVirtual: des.Second}))
+	cfg := machine.MustNew("ibm-power3")
+	pr := NewProcess(s, cfg, "victim", 0, 0, testImage(t, "f"))
+	var teamSteps int
+	var afterCrash bool
+	pr.Start(func(th *Thread) {
+		pr.SpawnThread(func(team *Thread) {
+			for {
+				team.Work(mcyc)
+				team.Sync()
+				teamSteps++
+			}
+		})
+		th.Work(3*mcyc + mcyc/2)
+		th.Sync()
+		pr.Crash()
+		afterCrash = true
+	})
+	waited := false
+	s.Spawn("observer", func(p *des.Proc) {
+		pr.WaitExit(p)
+		waited = true
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if afterCrash {
+		t.Error("the crashing thread resumed after Crash")
+	}
+	if teamSteps != 3 {
+		t.Errorf("team thread computed %d steps after crash at 3.5ms, want 3", teamSteps)
+	}
+	if !waited || !pr.Crashed() {
+		t.Errorf("WaitExit released=%v, Crashed=%v; want both", waited, pr.Crashed())
+	}
+}

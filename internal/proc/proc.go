@@ -116,22 +116,32 @@ func (pr *Process) Exited() bool { return pr.exited || pr.crashed }
 func (pr *Process) Crashed() bool { return pr.crashed }
 
 // Crash kills the process immediately, modelling a rank dying: every
-// thread's goroutine unwinds and the process never computes or
-// communicates again. WaitExit callers are released (the process is gone
-// either way). Crash must be called from event context, like des.Kill.
+// thread's Proc unwinds and the process never computes or communicates
+// again. WaitExit callers are released (the process is gone either way).
+// Crash may be called from event context or from inside any Proc. A thread
+// crashing its own process is killed last, after the process is marked
+// gone, since killing the running Proc unwinds it at once.
 func (pr *Process) Crash() {
 	if pr.crashed || pr.exited {
 		return
 	}
 	pr.crashed = true
+	var self *des.Proc
 	for _, t := range pr.threads {
 		if !t.dead {
 			t.dead = true
+			if t.p.Running() {
+				self = t.p
+				continue
+			}
 			pr.s.Kill(t.p)
 		}
 	}
 	pr.checkAllStopped()
 	pr.exitGate.Set(true)
+	if self != nil {
+		pr.s.Kill(self)
+	}
 }
 
 // SetBreakpointHandler installs fn to be invoked when any thread executes

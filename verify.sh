@@ -1,7 +1,10 @@
 #!/bin/sh
-# verify.sh — the repository's tier-1 gate plus a race pass over the
-# experiment harness (exp.Runner's worker pool is the only real
-# concurrency in the repo; the DES itself is sequential by design).
+# verify.sh — the repository's tier-1 gate plus race passes over every
+# layer with real host concurrency: exp.Runner's worker pool, des.Cluster's
+# window workers (which resume Procs from whichever worker claims a shard),
+# the session server's connection readers and the fault machinery, followed
+# by byte-identity smokes of the CLIs. Within one Scheduler, the DES stays
+# sequential: one Proc or event runs at a time.
 set -eux
 
 go build ./...
@@ -25,10 +28,11 @@ go test -race -run 'TestSupervised|TestStore|TestFailure|TestRetry' ./internal/e
 # replay, give-up rollback).
 go test -race ./internal/fault/ ./internal/dpcl/
 
-# Race pass over the sharded scheduler (des.Cluster's window workers are
-# real host concurrency) and the scale cells driving it, including the
-# spilling trace collectors.
-go test -race -run 'TestCluster|TestSingleShardMatchesSerial|TestCast' ./internal/des/
+# Race pass over the whole DES package: des.Cluster's window workers are
+# real host concurrency, and Kill, abort and panic teardown must stay
+# race-free when Procs are resumed from different workers. Then the scale
+# cells driving the cluster, including the spilling trace collectors.
+go test -race ./internal/des/
 go test -race -run 'TestScale|TestSpill' ./internal/exp/ ./internal/vt/
 
 # Race pass over the multi-tenant session server: the protocol bridge's
