@@ -6,15 +6,12 @@
 //	experiments -all              # everything (sequentially: several minutes)
 //	experiments -all -parallel 8  # same bytes, one cell per worker
 //	experiments -fig7a -fig9      # selected figures
+//	experiments -faults -adapt    # any registered figure by its ID (see -h)
 //	experiments -table2 -table3   # tables only
-//	experiments -faults           # fault-injection sweep
 //	experiments -fig7a -csv       # CSV output
 //	experiments -fig7a -max-cpus 8  # truncate the CPU sweep
 //	experiments -all -jsonl cells.jsonl -progress  # observable run
 //	experiments -scale -shards 8 -spill-dir spill -scale-stats  # 1k-16k rank sweep on the sharded DES
-//	experiments -tenants              # multi-tenant server: latency percentiles at 100-10k sessions
-//	experiments -adapt                # adaptive controller: overhead/retention vs budget on all kernels
-//	experiments -compact              # trace bytes/event at Full: verbatim vs redundancy-suppressed
 //
 // Sweeps are supervised: a cell that panics, livelocks past the -max-events/
 // -max-virtual DES budget, or exceeds -cell-timeout of host time is retried
@@ -59,21 +56,6 @@ func run() error {
 		table1   = flag.Bool("table1", false, "Table 1: dynprof commands")
 		table2   = flag.Bool("table2", false, "Table 2: the ASCI kernel applications")
 		table3   = flag.Bool("table3", false, "Table 3: the instrumentation policies")
-		fig7a    = flag.Bool("fig7a", false, "Figure 7(a): Smg98 execution times")
-		fig7b    = flag.Bool("fig7b", false, "Figure 7(b): Sppm execution times")
-		fig7c    = flag.Bool("fig7c", false, "Figure 7(c): Sweep3d execution times")
-		fig7d    = flag.Bool("fig7d", false, "Figure 7(d): Umt98 execution times")
-		fig8a    = flag.Bool("fig8a", false, "Figure 8(a): VT_confsync on IBM")
-		fig8b    = flag.Bool("fig8b", false, "Figure 8(b): statistics write on IBM")
-		fig8c    = flag.Bool("fig8c", false, "Figure 8(c): VT_confsync on IA32")
-		fig9     = flag.Bool("fig9", false, "Figure 9: time to create and instrument")
-		hybrid   = flag.Bool("hybrid", false, "Section 5.1 hybrid: dynamically inserted confsync points")
-		faults   = flag.Bool("faults", false, "fault-injection sweep: run and confsync cost vs fault intensity")
-		scale    = flag.Bool("scale", false, "scale sweep: instrumented kernels at 1k/4k/16k ranks on the sharded DES")
-		tenants  = flag.Bool("tenants", false, "tenants sweep: control-op latency percentiles at 100/1k/10k concurrent sessions")
-		adapt    = flag.Bool("adapt", false, "adapt sweep: achieved overhead and retained events vs perturbation budget on all four kernels")
-		recoverF = flag.Bool("recover", false, "recover sweep: reconvergence latency, lost-event fraction, and co-tenant impact vs daemon MTBF")
-		compactF = flag.Bool("compact", false, "compact sweep: trace bytes per event at Full instrumentation, verbatim vs redundancy-suppressed")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		maxCPUs  = flag.Int("max-cpus", 0, "truncate CPU sweeps (0 = the paper's full range)")
 		seed     = flag.Uint64("seed", exp.DefaultSeed, "simulation seed")
@@ -97,6 +79,11 @@ func run() error {
 		memProfile = flag.String("memprofile", "", "write an allocation profile at exit to this file")
 		execTrace  = flag.String("trace", "", "write a runtime execution trace of the sweep to this file")
 	)
+	figures := exp.FigureFlags()
+	requested := make([]*bool, len(figures))
+	for i, f := range figures {
+		requested[i] = flag.Bool(f.ID, false, f.Usage)
+	}
 	flag.Parse()
 
 	if *cpuProfile != "" {
@@ -208,19 +195,14 @@ func run() error {
 		return err
 	}
 
-	if *all || *table1 {
-		if err := emitTable(exp.RenderTable1); err != nil {
-			return err
-		}
-	}
-	if *all || *table2 {
-		if err := emitTable(exp.RenderTable2); err != nil {
-			return err
-		}
-	}
-	if *all || *table3 {
-		if err := emitTable(exp.RenderTable3); err != nil {
-			return err
+	for _, t := range []struct {
+		on     bool
+		render func(io.Writer) error
+	}{{*table1, exp.RenderTable1}, {*table2, exp.RenderTable2}, {*table3, exp.RenderTable3}} {
+		if *all || t.on {
+			if err := emitTable(t.render); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -228,28 +210,9 @@ func run() error {
 	// work-list through one Runner call so cells shared between figures
 	// run exactly once.
 	var ids []string
-	for _, f := range []struct {
-		on bool
-		id string
-	}{
-		{*all || *fig7a, "fig7a"},
-		{*all || *fig7b, "fig7b"},
-		{*all || *fig7c, "fig7c"},
-		{*all || *fig7d, "fig7d"},
-		{*all || *fig8a, "fig8a"},
-		{*all || *fig8b, "fig8b"},
-		{*all || *fig8c, "fig8c"},
-		{*all || *fig9, "fig9"},
-		{*hybrid, "hybrid"},
-		{*faults, "faults"},
-		{*scale, "scale"},
-		{*tenants, "tenants"},
-		{*adapt, "adapt"},
-		{*recoverF, "recover"},
-		{*compactF, "compact"},
-	} {
-		if f.on {
-			ids = append(ids, f.id)
+	for i, f := range figures {
+		if *requested[i] || (*all && f.InAll) {
+			ids = append(ids, f.ID)
 		}
 	}
 	if len(ids) > 0 {

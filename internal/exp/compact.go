@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"dynprof/internal/apps"
 	"dynprof/internal/des"
+	"dynprof/internal/fault"
 	"dynprof/internal/guide"
 	"dynprof/internal/machine"
 	"dynprof/internal/vt"
@@ -15,8 +17,9 @@ import (
 // storing events verbatim versus with online redundancy suppression
 // (vt.NewCompactCollector). The plotted metric is trace bytes per event —
 // the budget the compact format shrinks. Collector host time is measured
-// separately by the microbenchmarks in internal/vt (scripts/bench.sh
-// compact): host timings are nondeterministic and would break the
+// separately by the microbenchmarks in internal/vt and end to end by the
+// figures workload of bench/ (bash bench/run.sh -workload figures): host
+// timings are nondeterministic and would break the
 // byte-identical-at-any-parallelism contract every figure obeys.
 
 // compactApps lists the kernels of the compact figure, in presentation
@@ -64,7 +67,9 @@ func (s CompactSpec) Key() string {
 		n.App, n.Procs, n.Compact, n.Machine.Name, n.Seed, argsKey(n.Args), faultKey(n.Machine))
 }
 
-func (s CompactSpec) runCell(bud des.Budget) (any, error) { return runCompactCell(s, bud) }
+func (s CompactSpec) runCell(bud des.Budget) (cellResult, error) { return runCompactCell(s, bud) }
+
+func (CompactSpec) decode(b json.RawMessage) (cellResult, error) { return decodeAs[CompactResult](b) }
 
 // CompactResult is one measured compact cell. Every field is a pure
 // function of the simulation (no host timings), so the figure stays
@@ -84,6 +89,11 @@ type CompactResult struct {
 	// repeat records among them.
 	Records int
 	Repeats int
+}
+
+// stats reports the trace event count as the cell's event count.
+func (r CompactResult) stats() (des.Time, uint64, []fault.Event) {
+	return r.Elapsed, uint64(r.TraceEvents), nil
 }
 
 // BytesPerEvent is the figure's plotted metric.
@@ -143,9 +153,8 @@ func runCompactCell(spec CompactSpec, bud des.Budget) (CompactResult, error) {
 // planCompact enumerates the compact figure: bytes per trace event for the
 // verbatim and the suppressing collector, per kernel (x = 1-based kernel
 // index in compactApps order).
-func planCompact(opts Options) *figurePlan {
+func planCompact(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
-		ID:     "compact",
 		Title:  "Trace bytes per event at Full instrumentation",
 		XLabel: "Kernel",
 		YLabel: "Bytes/event",
@@ -162,19 +171,13 @@ func planCompact(opts Options) *figurePlan {
 			plan.cells = append(plan.cells, planCell{
 				series: si,
 				cpus:   ki + 1,
-				desc:   fmt.Sprintf("compact %s/%s", app, mode.label),
 				spec: CompactSpec{
 					App: app, Compact: mode.compact,
 					Machine: opts.Machine, Seed: opts.seed(),
 				},
-				value: func(v any) float64 { return v.(CompactResult).BytesPerEvent() },
+				value: func(v cellResult) float64 { return v.(CompactResult).BytesPerEvent() },
 			})
 		}
 	}
-	return plan
-}
-
-// CompactFigure reproduces the compact figure (see planCompact).
-func CompactFigure(opts Options) (*Figure, error) {
-	return NewRunner(opts).runPlan(planCompact(opts))
+	return plan, nil
 }

@@ -115,15 +115,11 @@ func TestCompactStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	got, ok := st2.Get("compact|test")
+	got, ok := storedAs[CompactResult](t, st2, "compact|test")
 	if !ok {
 		t.Fatal("record not found after reopen")
 	}
-	res, isCompact := got.(CompactResult)
-	if !isCompact {
-		t.Fatalf("round-tripped value is %T", got)
-	}
-	if res != want {
+	if res := got.(CompactResult); res != want {
 		t.Errorf("round-trip mismatch: got %+v want %+v", res, want)
 	}
 }

@@ -165,46 +165,33 @@ func cpusFor(app *guide.App) []int {
 	}
 }
 
-// fig7Panels maps each application to its Figure 7 panel letter.
-var fig7Panels = map[string]string{"smg98": "a", "sppm": "b", "sweep3d": "c", "umt98": "d"}
-
 // planFig7 enumerates one panel of Figure 7: the execution time of every
 // instrumentation policy across the processor sweep for the named
 // application.
-func planFig7(appName string, opts Options) (*figurePlan, error) {
-	app, err := apps.Get(appName)
-	if err != nil {
-		return nil, err
-	}
-	plan := &figurePlan{fig: &Figure{
-		ID:     "fig7" + fig7Panels[appName],
-		Title:  fmt.Sprintf("Execution time of instrumented versions of %s", app.Name),
-		XLabel: "CPUs",
-		YLabel: "Time (s)",
-	}}
-	for si, p := range PoliciesFor(app) {
-		plan.fig.Series = append(plan.fig.Series, Series{Label: p.String()})
-		for _, cpus := range opts.cap(cpusFor(app)) {
-			plan.cells = append(plan.cells, planCell{
-				series: si,
-				cpus:   cpus,
-				desc:   fmt.Sprintf("%s/%s/%d CPUs", appName, p, cpus),
-				spec:   RunSpec{App: appName, Policy: p, CPUs: cpus, Machine: opts.Machine, Seed: opts.seed()},
-				value:  func(v any) float64 { return v.(Result).Elapsed.Seconds() },
-			})
+func planFig7(appName string) func(Options) (*figurePlan, error) {
+	return func(opts Options) (*figurePlan, error) {
+		app, err := apps.Get(appName)
+		if err != nil {
+			return nil, err
 		}
+		plan := &figurePlan{fig: &Figure{
+			Title:  fmt.Sprintf("Execution time of instrumented versions of %s", app.Name),
+			XLabel: "CPUs",
+			YLabel: "Time (s)",
+		}}
+		for si, p := range PoliciesFor(app) {
+			plan.fig.Series = append(plan.fig.Series, Series{Label: p.String()})
+			for _, cpus := range opts.cap(cpusFor(app)) {
+				plan.cells = append(plan.cells, planCell{
+					series: si,
+					cpus:   cpus,
+					spec:   RunSpec{App: appName, Policy: p, CPUs: cpus, Machine: opts.Machine, Seed: opts.seed()},
+					value:  func(v cellResult) float64 { return v.(Result).Elapsed.Seconds() },
+				})
+			}
+		}
+		return plan, nil
 	}
-	return plan, nil
-}
-
-// Fig7 reproduces one panel of Figure 7 (see planFig7). It runs through a
-// fresh Runner honouring opts.Parallelism.
-func Fig7(appName string, opts Options) (*Figure, error) {
-	plan, err := planFig7(appName, opts)
-	if err != nil {
-		return nil, err
-	}
-	return NewRunner(opts).runPlan(plan)
 }
 
 // confSyncCPUs is the processor sweep of Figure 8 (a) and (b).
@@ -214,13 +201,12 @@ var confSyncCPUs = []int{2, 4, 8, 16, 32, 64, 128, 256, 512}
 var ia32CPUs = []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 
 // confSyncValue extracts the plotted mean from a probe cell result.
-func confSyncValue(v any) float64 { return v.(ConfSyncResult).Mean.Seconds() }
+func confSyncValue(v cellResult) float64 { return v.(ConfSyncResult).Mean.Seconds() }
 
 // planFig8a enumerates Figure 8(a): VT_confsync cost on the IBM system
 // with and without configuration changes, averaged over 16 calls.
-func planFig8a(opts Options) *figurePlan {
+func planFig8a(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
-		ID:     "fig8a",
 		Title:  "Time for VT_confsync on IBM",
 		XLabel: "Number of Processors",
 		YLabel: "Time (s)",
@@ -234,25 +220,18 @@ func planFig8a(opts Options) *figurePlan {
 			plan.cells = append(plan.cells, planCell{
 				series: si,
 				cpus:   cpus,
-				desc:   fmt.Sprintf("fig8a %s/%d CPUs", variant.label, cpus),
 				spec:   ConfSyncSpec{Machine: opts.Machine, CPUs: cpus, Changes: variant.changes, Seed: opts.seed()},
 				value:  confSyncValue,
 			})
 		}
 	}
-	return plan
-}
-
-// Fig8a reproduces Figure 8(a) (see planFig8a).
-func Fig8a(opts Options) (*Figure, error) {
-	return NewRunner(opts).runPlan(planFig8a(opts))
+	return plan, nil
 }
 
 // planFig8b enumerates Figure 8(b): VT_confsync used to synchronise
 // runtime generation of statistical data on the IBM system.
-func planFig8b(opts Options) *figurePlan {
+func planFig8b(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
-		ID:     "fig8b",
 		Title:  "Time to write statistics on IBM",
 		XLabel: "Number of Processors",
 		YLabel: "Time (s)",
@@ -262,26 +241,19 @@ func planFig8b(opts Options) *figurePlan {
 		plan.cells = append(plan.cells, planCell{
 			series: 0,
 			cpus:   cpus,
-			desc:   fmt.Sprintf("fig8b %d CPUs", cpus),
 			spec:   ConfSyncSpec{Machine: opts.Machine, CPUs: cpus, WriteStats: true, Seed: opts.seed()},
 			value:  confSyncValue,
 		})
 	}
-	return plan
-}
-
-// Fig8b reproduces Figure 8(b) (see planFig8b).
-func Fig8b(opts Options) (*Figure, error) {
-	return NewRunner(opts).runPlan(planFig8b(opts))
+	return plan, nil
 }
 
 // planFig8c enumerates Figure 8(c): VT_confsync on the Intel IA32 Linux
 // cluster, demonstrating "that the synchronization API has similar
 // behavior between two different processor architectures".
-func planFig8c(opts Options) *figurePlan {
+func planFig8c(opts Options) (*figurePlan, error) {
 	mach := machine.MustNew("ia32-linux")
 	plan := &figurePlan{fig: &Figure{
-		ID:     "fig8c",
 		Title:  "Time for VT_confsync on IA32",
 		XLabel: "Number of Processors",
 		YLabel: "Time (s)",
@@ -291,17 +263,11 @@ func planFig8c(opts Options) *figurePlan {
 		plan.cells = append(plan.cells, planCell{
 			series: 0,
 			cpus:   cpus,
-			desc:   fmt.Sprintf("fig8c %d CPUs", cpus),
 			spec:   ConfSyncSpec{Machine: mach, CPUs: cpus, Seed: opts.seed()},
 			value:  confSyncValue,
 		})
 	}
-	return plan
-}
-
-// Fig8c reproduces Figure 8(c) (see planFig8c).
-func Fig8c(opts Options) (*Figure, error) {
-	return NewRunner(opts).runPlan(planFig8c(opts))
+	return plan, nil
 }
 
 // fig9Args shrinks each application's deck: Figure 9 measures dynprof's
@@ -319,7 +285,6 @@ var fig9Args = map[string]map[string]int{
 // stays flat: "there is only a single OpenMP process to instrument".
 func planFig9(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
-		ID:     "fig9",
 		Title:  "Time to create and instrument",
 		XLabel: "CPUs",
 		YLabel: "Time (s)",
@@ -334,30 +299,19 @@ func planFig9(opts Options) (*figurePlan, error) {
 			plan.cells = append(plan.cells, planCell{
 				series: si,
 				cpus:   cpus,
-				desc:   fmt.Sprintf("fig9 %s/%d", name, cpus),
 				spec:   RunSpec{App: name, Policy: Dynamic, CPUs: cpus, Machine: opts.Machine, Args: fig9Args[name], Seed: opts.seed()},
-				value:  func(v any) float64 { return v.(Result).CreateAndInstrument.Seconds() },
+				value:  func(v cellResult) float64 { return v.(Result).CreateAndInstrument.Seconds() },
 			})
 		}
 	}
 	return plan, nil
 }
 
-// Fig9 reproduces Figure 9 (see planFig9).
-func Fig9(opts Options) (*Figure, error) {
-	plan, err := planFig9(opts)
-	if err != nil {
-		return nil, err
-	}
-	return NewRunner(opts).runPlan(plan)
-}
-
 // planHybrid enumerates the Section 5.1 hybrid comparison: Sppm runs with
 // and without dynamically inserted VT_confsync safe points, across a
 // small processor sweep.
-func planHybrid(opts Options) *figurePlan {
+func planHybrid(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
-		ID:     "hybrid",
 		Title:  "Hybrid: dynamically inserted VT_confsync points (Sppm)",
 		XLabel: "CPUs",
 		YLabel: "Time (s)",
@@ -371,18 +325,12 @@ func planHybrid(opts Options) *figurePlan {
 			plan.cells = append(plan.cells, planCell{
 				series: si,
 				cpus:   cpus,
-				desc:   fmt.Sprintf("hybrid %s/%d CPUs", variant.label, cpus),
 				spec:   HybridSpec{WithPoints: variant.points, CPUs: cpus, Machine: opts.Machine, Seed: opts.seed()},
-				value:  func(v any) float64 { return v.(HybridResult).Elapsed.Seconds() },
+				value:  func(v cellResult) float64 { return v.(HybridResult).Elapsed.Seconds() },
 			})
 		}
 	}
-	return plan
-}
-
-// Hybrid reproduces the Section 5.1 hybrid comparison (see planHybrid).
-func Hybrid(opts Options) (*Figure, error) {
-	return NewRunner(opts).runPlan(planHybrid(opts))
+	return plan, nil
 }
 
 // faultRates is the sweep of the fault-injection figure, in percent.
@@ -409,9 +357,8 @@ func faultPlanAt(pct int) *fault.Plan {
 // planFaults enumerates the fault-injection sweep: the execution time of
 // an instrumented application run and the VT_confsync cost as the fault
 // intensity grows. The x coordinate is the intensity in percent.
-func planFaults(opts Options) *figurePlan {
+func planFaults(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
-		ID:     "faults",
 		Title:  "Instrumented run and VT_confsync under injected faults",
 		XLabel: "Fault intensity (%)",
 		YLabel: "Time (s)",
@@ -423,22 +370,15 @@ func planFaults(opts Options) *figurePlan {
 		plan.cells = append(plan.cells, planCell{
 			series: 0,
 			cpus:   pct,
-			desc:   fmt.Sprintf("faults app/%d%%", pct),
 			spec:   RunSpec{App: "smg98", Policy: Full, CPUs: 8, Machine: mach, Seed: opts.seed()},
-			value:  func(v any) float64 { return v.(Result).Elapsed.Seconds() },
+			value:  func(v cellResult) float64 { return v.(Result).Elapsed.Seconds() },
 		})
 		plan.cells = append(plan.cells, planCell{
 			series: 1,
 			cpus:   pct,
-			desc:   fmt.Sprintf("faults confsync/%d%%", pct),
 			spec:   ConfSyncSpec{Machine: mach, CPUs: 32, Changes: 8, Seed: opts.seed()},
 			value:  confSyncValue,
 		})
 	}
-	return plan
-}
-
-// Faults reproduces the fault-injection sweep (see planFaults).
-func Faults(opts Options) (*Figure, error) {
-	return NewRunner(opts).runPlan(planFaults(opts))
+	return plan, nil
 }

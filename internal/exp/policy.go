@@ -58,12 +58,6 @@ const (
 	Dynamic StaticPolicy = "Dynamic"
 )
 
-// Policy is the pre-PolicySpec name of StaticPolicy.
-//
-// Deprecated: kept as an alias for one release; use StaticPolicy (or the
-// PolicySpec interface) instead.
-type Policy = StaticPolicy
-
 // String names the policy as Table 3 does.
 func (p StaticPolicy) String() string { return string(p) }
 
@@ -169,11 +163,6 @@ func (p StaticPolicy) run(spec RunSpec, app *guide.App, bud des.Budget) (Result,
 	return res, nil
 }
 
-// BuildOptsFor maps a policy to its compile-time configuration.
-//
-// Deprecated: call PolicySpec.BuildOpts directly.
-func BuildOptsFor(app *guide.App, p Policy) guide.BuildOpts { return p.BuildOpts(app) }
-
 // Adaptive is the feedback policy the paper could only gesture at: the
 // target is fully instrumented, a sync point is dynamically inserted at
 // the application's declared safe point, and the internal/adapt controller
@@ -238,6 +227,8 @@ type Result struct {
 	// empty when the machine carries no fault plan.
 	Faults []fault.Event
 }
+
+func (r Result) stats() (des.Time, uint64, []fault.Event) { return r.Elapsed, 0, r.Faults }
 
 // runDynamic measures the Dynamic policy: dynprof spawns the target,
 // instruments the application's subset before the main computation (via

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -19,10 +20,6 @@ import (
 // after each restart, what fraction of probe trace events the crash
 // windows cost, and how much collateral latency the recovery traffic adds
 // to control operations that themselves succeeded.
-//
-// Like "scale", "tenants", and "adapt", the figure is addressable on
-// demand (cmd/experiments -recover) but deliberately absent from
-// FigureIDs(), so the default sweep and its goldens are unchanged.
 
 // Defaults for RecoverSpec's zero fields.
 const (
@@ -125,7 +122,9 @@ func (s RecoverSpec) Key() string {
 		n.Machine.Name, n.Seed)
 }
 
-func (s RecoverSpec) runCell(bud des.Budget) (any, error) { return runRecoverCell(s, bud) }
+func (s RecoverSpec) runCell(bud des.Budget) (cellResult, error) { return runRecoverCell(s, bud) }
+
+func (RecoverSpec) decode(b json.RawMessage) (cellResult, error) { return decodeAs[RecoverResult](b) }
 
 // RecoverResult is one measured recover cell. Every field is
 // deterministic: both runs are single-scheduler simulations, so the result
@@ -168,6 +167,10 @@ type RecoverResult struct {
 	// restarts, replays; per-message loss and retry events are summarised
 	// by Drops and Retries instead of stored).
 	Faults []fault.Event
+}
+
+func (r RecoverResult) stats() (des.Time, uint64, []fault.Event) {
+	return r.Elapsed, r.Events, r.Faults
 }
 
 // RunRecover executes one recover cell without a budget.
@@ -371,9 +374,8 @@ func runRecoverCell(spec RecoverSpec, bud des.Budget) (RecoverResult, error) {
 // planRecover enumerates the recover figure: recovery metrics across the
 // daemon-MTBF sweep. All series share one cell per x — the Runner dedups
 // them by spec key, so each sweep point simulates exactly once.
-func planRecover(opts Options) *figurePlan {
+func planRecover(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
-		ID:     "recover",
 		Title:  "Crash recovery vs daemon MTBF (multi-tenant server)",
 		XLabel: "Daemon MTBF (s)",
 		YLabel: "Reconvergence (s) / ratio",
@@ -394,17 +396,11 @@ func planRecover(opts Options) *figurePlan {
 			plan.cells = append(plan.cells, planCell{
 				series: si,
 				cpus:   mtbf,
-				desc:   fmt.Sprintf("recover %s/mtbf=%ds", sr.label, mtbf),
 				spec: RecoverSpec{MTBF: des.Time(mtbf) * des.Second,
 					Machine: opts.Machine, Seed: opts.seed()},
-				value: func(v any) float64 { return sr.value(v.(RecoverResult)) },
+				value: func(v cellResult) float64 { return sr.value(v.(RecoverResult)) },
 			})
 		}
 	}
-	return plan
-}
-
-// Recover reproduces the recover figure (see planRecover).
-func Recover(opts Options) (*Figure, error) {
-	return NewRunner(opts).runPlan(planRecover(opts))
+	return plan, nil
 }

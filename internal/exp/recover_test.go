@@ -101,14 +101,11 @@ func TestRecoverStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	got, ok := st2.Get("recover|test")
+	got, ok := storedAs[RecoverResult](t, st2, "recover|test")
 	if !ok {
 		t.Fatal("record not found after reopen")
 	}
-	res, isRecover := got.(RecoverResult)
-	if !isRecover {
-		t.Fatalf("round-tripped value is %T", got)
-	}
+	res := got.(RecoverResult)
 	if res.Crashes != want.Crashes || res.ReconvergeP50 != want.ReconvergeP50 ||
 		res.LostFrac != want.LostFrac || res.Events != want.Events {
 		t.Errorf("round-trip mismatch: got %+v want %+v", res, want)

@@ -11,74 +11,6 @@ import (
 	"dynprof/internal/fault"
 )
 
-// planCell is one schedulable cell of a figure: the spec to execute and
-// where its extracted value lands in the assembled figure.
-type planCell struct {
-	series int    // index into fig.Series
-	cpus   int    // x coordinate of the produced point
-	desc   string // human-readable cell label for error wrapping
-	spec   cellSpec
-	value  func(any) float64 // extracts the plotted value from the result
-}
-
-// figurePlan is a figure skeleton (ID, labels, empty series) plus its
-// cell work-list in presentation order.
-type figurePlan struct {
-	fig   *Figure
-	cells []planCell
-}
-
-// FigureIDs lists the figure identifiers the Runner can enumerate, in
-// presentation order.
-func FigureIDs() []string {
-	return []string{"fig7a", "fig7b", "fig7c", "fig7d", "fig8a", "fig8b", "fig8c", "fig9", "hybrid", "faults"}
-}
-
-// planFor builds the cell work-list of one figure.
-func planFor(id string, opts Options) (*figurePlan, error) {
-	switch id {
-	case "fig7a":
-		return planFig7("smg98", opts)
-	case "fig7b":
-		return planFig7("sppm", opts)
-	case "fig7c":
-		return planFig7("sweep3d", opts)
-	case "fig7d":
-		return planFig7("umt98", opts)
-	case "fig8a":
-		return planFig8a(opts), nil
-	case "fig8b":
-		return planFig8b(opts), nil
-	case "fig8c":
-		return planFig8c(opts), nil
-	case "fig9":
-		return planFig9(opts)
-	case "hybrid":
-		return planHybrid(opts), nil
-	case "faults":
-		return planFaults(opts), nil
-	case "scale":
-		// Addressable on demand but deliberately absent from FigureIDs():
-		// the default sweep and its goldens are unchanged by the scale
-		// figure's existence.
-		return planScale(opts), nil
-	case "tenants":
-		// Also on demand only, for the same reason as "scale".
-		return planTenants(opts), nil
-	case "adapt":
-		// Also on demand only, for the same reason as "scale".
-		return planAdapt(opts), nil
-	case "recover":
-		// Also on demand only, for the same reason as "scale".
-		return planRecover(opts), nil
-	case "compact":
-		// Also on demand only, for the same reason as "scale".
-		return planCompact(opts), nil
-	default:
-		return nil, fmt.Errorf("exp: unknown figure %q (have %v)", id, FigureIDs())
-	}
-}
-
 // Metrics is a snapshot of a Runner's cumulative counters.
 type Metrics struct {
 	// Cells is the number of cells requested (including cache hits).
@@ -162,10 +94,9 @@ type CellEvent struct {
 
 // cacheEntry is one memoized cell execution.
 type cacheEntry struct {
-	val      any
+	val      cellResult
 	err      error
 	wall     time.Duration
-	virt     des.Time
 	attempts int
 	stored   bool // served from the persistent store
 }
@@ -234,15 +165,6 @@ func (r *Runner) Figures(ids ...string) ([]*Figure, error) {
 	return r.runPlans(plans)
 }
 
-// runPlan executes a single pre-built plan.
-func (r *Runner) runPlan(plan *figurePlan) (*Figure, error) {
-	figs, err := r.runPlans([]*figurePlan{plan})
-	if err != nil {
-		return nil, err
-	}
-	return figs[0], nil
-}
-
 // runPlans is the scheduling core: dedup the combined work-list against
 // the memo cache, drain it through the worker pool, then assemble every
 // figure (and emit cell events) in deterministic order.
@@ -265,12 +187,15 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 			if _, ok := r.cache[k]; ok {
 				continue
 			}
-			if r.opts.Store != nil {
-				if v, ok := r.opts.Store.Get(k); ok {
-					r.cache[k] = &cacheEntry{val: v, virt: virtualOf(v), stored: true}
-					storeHits++
-					continue
-				}
+			e, err := r.fromStore(c.spec)
+			if err != nil {
+				r.mu.Unlock()
+				return nil, err
+			}
+			if e != nil {
+				r.cache[k] = e
+				storeHits++
+				continue
 			}
 			queued[k] = true
 			jobs = append(jobs, c.spec)
@@ -303,7 +228,7 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 				for spec := range jobCh {
 					t0 := time.Now()
 					val, err, attempts := superviseCell(spec, r.opts)
-					e := &cacheEntry{val: val, err: err, wall: time.Since(t0), virt: virtualOf(val), attempts: attempts}
+					e := &cacheEntry{val: val, err: err, wall: time.Since(t0), attempts: attempts}
 					var putErr error
 					if err == nil && r.opts.Store != nil {
 						putErr = r.opts.Store.Put(spec.Key(), val)
@@ -312,7 +237,7 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 					r.cache[spec.Key()] = e
 					r.met.Runs++
 					r.met.Busy += e.wall
-					r.met.Virtual += e.virt
+					r.met.Virtual += e.simTime()
 					r.met.Retries += attempts - 1
 					if err != nil {
 						r.met.Failures++
@@ -356,7 +281,7 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 			e := r.cache[k]
 			r.mu.Unlock()
 			if e == nil {
-				return nil, fmt.Errorf("exp: %s: cell %q missing after run", c.desc, k)
+				return nil, fmt.Errorf("exp: %s: cell %q missing after run", p.fig.ID, k)
 			}
 			fresh := queued[k] && !emitted[k]
 			ev := CellEvent{
@@ -366,7 +291,7 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 				Key:      k,
 				CacheHit: !fresh,
 				StoreHit: e.stored,
-				SimS:     e.virt.Seconds(),
+				SimS:     e.simTime().Seconds(),
 			}
 			if fresh {
 				ev.WallMS = float64(e.wall) / float64(time.Millisecond)
@@ -388,8 +313,7 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 				ev.Error = e.err.Error()
 			} else {
 				ev.Value = c.value(e.val)
-				ev.Faults = faultsOf(e.val)
-				ev.Events = eventsOf(e.val)
+				_, ev.Events, ev.Faults = e.val.stats()
 				p.fig.Series[c.series].Points = append(p.fig.Series[c.series].Points, Point{CPUs: c.cpus, Value: ev.Value})
 			}
 			if r.opts.OnCell != nil {
@@ -409,63 +333,6 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 	return figs, nil
 }
 
-// virtualOf extracts the simulated time a cell result covered.
-func virtualOf(val any) des.Time {
-	switch v := val.(type) {
-	case Result:
-		return v.Elapsed
-	case ConfSyncResult:
-		return v.Mean
-	case HybridResult:
-		return v.Elapsed
-	case ScaleResult:
-		return v.Elapsed
-	case TenantsResult:
-		return v.Elapsed
-	case AdaptResult:
-		return v.Elapsed
-	case RecoverResult:
-		return v.Elapsed
-	case CompactResult:
-		return v.Elapsed
-	}
-	return 0
-}
-
-// eventsOf extracts a cell result's DES event count, when reported.
-func eventsOf(val any) uint64 {
-	switch v := val.(type) {
-	case ScaleResult:
-		return v.Events
-	case TenantsResult:
-		return v.Events
-	case AdaptResult:
-		return v.Events
-	case RecoverResult:
-		return v.Events
-	case CompactResult:
-		return uint64(v.TraceEvents)
-	}
-	return 0
-}
-
-// faultsOf extracts a cell result's fault-event stream.
-func faultsOf(val any) []fault.Event {
-	switch v := val.(type) {
-	case Result:
-		return v.Faults
-	case ConfSyncResult:
-		return v.Faults
-	case HybridResult:
-		return v.Faults
-	case AdaptResult:
-		return v.Faults
-	case RecoverResult:
-		return v.Faults
-	}
-	return nil
-}
-
 // Run executes spec through the Runner's memo cache: a spec whose key has
 // already run (in any prior Run or Figures call) returns the cached
 // result without re-simulating.
@@ -477,28 +344,10 @@ func (r *Runner) Run(spec RunSpec) (Result, error) {
 	return v.(Result), nil
 }
 
-// RunConfSync is the memoized form of the package-level RunConfSync.
-func (r *Runner) RunConfSync(spec ConfSyncSpec) (ConfSyncResult, error) {
-	v, err := r.runMemo(spec)
-	if err != nil {
-		return ConfSyncResult{}, err
-	}
-	return v.(ConfSyncResult), nil
-}
-
-// RunHybrid is the memoized form of the package-level RunHybrid.
-func (r *Runner) RunHybrid(spec HybridSpec) (HybridResult, error) {
-	v, err := r.runMemo(spec)
-	if err != nil {
-		return HybridResult{}, err
-	}
-	return v.(HybridResult), nil
-}
-
 // runMemo serves one spec through the cache (then the persistent store),
 // executing it under supervision on a miss. Unlike figure assembly, the
 // single-spec path returns the failure as an error.
-func (r *Runner) runMemo(spec cellSpec) (any, error) {
+func (r *Runner) runMemo(spec cellSpec) (cellResult, error) {
 	k := spec.Key()
 	r.mu.Lock()
 	r.met.Cells++
@@ -508,14 +357,16 @@ func (r *Runner) runMemo(spec cellSpec) (any, error) {
 		return e.val, e.err
 	}
 	r.mu.Unlock()
-	if r.opts.Store != nil {
-		if v, ok := r.opts.Store.Get(k); ok {
-			r.mu.Lock()
-			r.cache[k] = &cacheEntry{val: v, virt: virtualOf(v), stored: true}
-			r.met.StoreHits++
-			r.mu.Unlock()
-			return v, nil
-		}
+	e, err := r.fromStore(spec)
+	if err != nil {
+		return nil, err
+	}
+	if e != nil {
+		r.mu.Lock()
+		r.cache[k] = e
+		r.met.StoreHits++
+		r.mu.Unlock()
+		return e.val, nil
 	}
 	t0 := time.Now()
 	val, err, attempts := superviseCell(spec, r.opts)
@@ -524,17 +375,45 @@ func (r *Runner) runMemo(spec cellSpec) (any, error) {
 			return val, putErr
 		}
 	}
-	e := &cacheEntry{val: val, err: err, wall: time.Since(t0), virt: virtualOf(val), attempts: attempts}
+	e = &cacheEntry{val: val, err: err, wall: time.Since(t0), attempts: attempts}
 	r.mu.Lock()
 	r.cache[k] = e
 	r.met.Runs++
 	r.met.Busy += e.wall
 	r.met.Wall += e.wall
-	r.met.Virtual += e.virt
+	r.met.Virtual += e.simTime()
 	r.met.Retries += attempts - 1
 	if err != nil {
 		r.met.Failures++
 	}
 	r.mu.Unlock()
 	return val, err
+}
+
+// fromStore serves spec from the persistent store: nil when there is no
+// store or it lacks the key, an error when the journaled record does not
+// decode as the spec's result type (resuming would silently lose it).
+func (r *Runner) fromStore(spec cellSpec) (*cacheEntry, error) {
+	if r.opts.Store == nil {
+		return nil, nil
+	}
+	raw, ok := r.opts.Store.Get(spec.Key())
+	if !ok {
+		return nil, nil
+	}
+	v, err := spec.decode(raw)
+	if err != nil {
+		return nil, fmt.Errorf("exp: store: record %q: %w", spec.Key(), err)
+	}
+	return &cacheEntry{val: v, stored: true}, nil
+}
+
+// simTime is the simulated time the entry's result covered (0 when a
+// failed attempt left no result).
+func (e *cacheEntry) simTime() des.Time {
+	if e.val == nil {
+		return 0
+	}
+	virt, _, _ := e.val.stats()
+	return virt
 }

@@ -265,7 +265,7 @@ func TestUtilizationZeroGuard(t *testing.T) {
 // TestHybridFigureShape: the hybrid figure carries both variants and the
 // confsync-points runs stay close to plain (the Section 5.1 claim).
 func TestHybridFigureShape(t *testing.T) {
-	fig, err := Hybrid(Options{MaxCPUs: 4})
+	fig, err := NewRunner(Options{MaxCPUs: 4}).Figure("hybrid")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 
 	"dynprof/internal/des"
+	"dynprof/internal/fault"
 	"dynprof/internal/machine"
 	"dynprof/internal/vt"
 )
@@ -126,7 +128,9 @@ func (s ScaleSpec) Key() string {
 		n.App, n.Ranks, n.Shards, n.Iters, n.Machine.Name, n.Seed, faultKey(n.Machine))
 }
 
-func (s ScaleSpec) runCell(bud des.Budget) (any, error) { return runScaleCell(s, bud) }
+func (s ScaleSpec) runCell(bud des.Budget) (cellResult, error) { return runScaleCell(s, bud) }
+
+func (ScaleSpec) decode(b json.RawMessage) (cellResult, error) { return decodeAs[ScaleResult](b) }
 
 // ScaleResult is one measured scale cell. Every field is deterministic
 // for a fixed (seed, shard count); Elapsed, TraceEvents and TraceBytes
@@ -146,6 +150,8 @@ type ScaleResult struct {
 	// without a spill directory).
 	SpilledEvents int
 }
+
+func (r ScaleResult) stats() (des.Time, uint64, []fault.Event) { return r.Elapsed, r.Events, nil }
 
 // RunScale executes one scale cell without a budget.
 func RunScale(spec ScaleSpec) (ScaleResult, error) { return runScaleCell(spec, des.Budget{}) }
@@ -429,9 +435,8 @@ func runClusterScheduler(c *des.Cluster) (err error) {
 
 // planScale enumerates the scale figure: the virtual completion time of
 // each skeleton across the rank sweep on the sharded DES.
-func planScale(opts Options) *figurePlan {
+func planScale(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
-		ID:     "scale",
 		Title:  "Instrumented kernels at scale (sharded DES)",
 		XLabel: "Ranks",
 		YLabel: "Time (s)",
@@ -442,20 +447,14 @@ func planScale(opts Options) *figurePlan {
 			plan.cells = append(plan.cells, planCell{
 				series: si,
 				cpus:   ranks,
-				desc:   fmt.Sprintf("scale %s/%d ranks", app, ranks),
 				spec: ScaleSpec{
 					App: app, Ranks: ranks,
 					Shards: opts.Shards, Machine: opts.Machine, Seed: opts.seed(),
 					SpillDir: opts.SpillDir, SpillThreshold: opts.SpillThreshold,
 				},
-				value: func(v any) float64 { return v.(ScaleResult).Elapsed.Seconds() },
+				value: func(v cellResult) float64 { return v.(ScaleResult).Elapsed.Seconds() },
 			})
 		}
 	}
-	return plan
-}
-
-// Scale reproduces the scale figure (see planScale).
-func Scale(opts Options) (*Figure, error) {
-	return NewRunner(opts).runPlan(planScale(opts))
+	return plan, nil
 }

@@ -123,7 +123,7 @@ func TestScaleSpill(t *testing.T) {
 }
 
 // TestScaleStoreRoundTrip persists a scale result and reloads it through
-// the journal, covering the new storeRecord arm.
+// the journal, decoding it through ScaleSpec.
 func TestScaleStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
@@ -146,9 +146,13 @@ func TestScaleStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	got, ok := st2.Get(spec.Key())
+	raw, ok := st2.Get(spec.Key())
 	if !ok {
 		t.Fatal("scale record lost across reload")
+	}
+	got, err := spec.decode(raw)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, res) {
 		t.Errorf("reloaded %+v, want %+v", got, res)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -41,13 +42,31 @@ const (
 // itself inside a fresh deterministic simulation.
 type cellSpec interface {
 	// Key canonicalises the spec: two specs with equal keys describe the
-	// same deterministic run and may share one execution.
+	// same deterministic run and may share one execution. It starts with
+	// "<kind>|", the kind naming the result type (and its journal field).
 	Key() string
 	// runCell executes the cell under a DES budget (zero = unlimited) and
 	// returns its typed result. The budget is harness configuration, not
 	// spec identity: it never feeds the key, because a budget that is not
 	// hit leaves the run byte-identical.
-	runCell(bud des.Budget) (any, error)
+	runCell(bud des.Budget) (cellResult, error)
+	// decode rebuilds the spec's typed result from its journaled JSON.
+	decode(raw json.RawMessage) (cellResult, error)
+}
+
+// cellResult is the contract every typed cell result implements: what
+// the Runner reports for a finished cell besides its plotted value.
+type cellResult interface {
+	// stats returns the simulated time the cell covered, its event count
+	// (0 when the result reports none) and its fault-event stream.
+	stats() (virt des.Time, events uint64, faults []fault.Event)
+}
+
+// decodeAs decodes a journaled result of type T.
+func decodeAs[T cellResult](raw json.RawMessage) (cellResult, error) {
+	var v T
+	err := json.Unmarshal(raw, &v)
+	return v, err
 }
 
 // RunSpec is a first-class descriptor of one experiment cell: a single
@@ -114,7 +133,9 @@ func (s RunSpec) Key() string {
 		name, s.policy().Key(), s.CPUs, s.machine().Name, argsKey(s.Args), s.Seed, faultKey(s.machine()))
 }
 
-func (s RunSpec) runCell(bud des.Budget) (any, error) { return runSpecCell(s, bud) }
+func (s RunSpec) runCell(bud des.Budget) (cellResult, error) { return runSpecCell(s, bud) }
+
+func (RunSpec) decode(b json.RawMessage) (cellResult, error) { return decodeAs[Result](b) }
 
 // argsKey renders an input deck in sorted-key order.
 func argsKey(args map[string]int) string {
@@ -198,7 +219,9 @@ func (s ConfSyncSpec) Key() string {
 		n.CPUs, n.Reps, n.NFuncs, n.Changes, n.WriteStats, n.Machine.Name, n.Seed, faultKey(n.Machine))
 }
 
-func (s ConfSyncSpec) runCell(bud des.Budget) (any, error) { return runConfSyncCell(s, bud) }
+func (s ConfSyncSpec) runCell(bud des.Budget) (cellResult, error) { return runConfSyncCell(s, bud) }
+
+func (ConfSyncSpec) decode(b json.RawMessage) (cellResult, error) { return decodeAs[ConfSyncResult](b) }
 
 // ConfSyncResult is one measured ConfSync probe.
 type ConfSyncResult struct {
@@ -208,6 +231,9 @@ type ConfSyncResult struct {
 	// Faults is the probe run's fault-event stream (empty without a plan).
 	Faults []fault.Event
 }
+
+// stats reports the per-call Mean as the cell's simulated time.
+func (r ConfSyncResult) stats() (des.Time, uint64, []fault.Event) { return r.Mean, 0, r.Faults }
 
 // RunConfSync executes one VT_confsync probe cell.
 func RunConfSync(spec ConfSyncSpec) (ConfSyncResult, error) {
@@ -313,7 +339,9 @@ func (s HybridSpec) Key() string {
 		n.WithPoints, n.CPUs, n.Machine.Name, argsKey(n.Args), n.Seed, faultKey(n.Machine))
 }
 
-func (s HybridSpec) runCell(bud des.Budget) (any, error) { return runHybridCell(s, bud) }
+func (s HybridSpec) runCell(bud des.Budget) (cellResult, error) { return runHybridCell(s, bud) }
+
+func (HybridSpec) decode(b json.RawMessage) (cellResult, error) { return decodeAs[HybridResult](b) }
 
 // HybridResult is one measured hybrid run.
 type HybridResult struct {
@@ -325,6 +353,8 @@ type HybridResult struct {
 	// Faults is the run's fault-event stream (empty without a plan).
 	Faults []fault.Event
 }
+
+func (r HybridResult) stats() (des.Time, uint64, []fault.Event) { return r.Elapsed, 0, r.Faults }
 
 // RunHybrid executes one hybrid cell: dynprof spawns Sppm, optionally
 // plants the confsync safe point, starts the target and detaches.

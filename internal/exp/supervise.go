@@ -167,14 +167,14 @@ func runScheduler(s *des.Scheduler) (err error) {
 
 // attemptOutcome carries one attempt's result out of its goroutine.
 type attemptOutcome struct {
-	val any
+	val cellResult
 	err error
 }
 
 // runAttempt executes one supervised attempt of a cell: the execution runs
 // on its own goroutine behind a recover barrier, and a wall-clock watchdog
 // (when Options.CellTimeout is set) abandons attempts that wedge the host.
-func runAttempt(spec cellSpec, opts Options) (any, error) {
+func runAttempt(spec cellSpec, opts Options) (cellResult, error) {
 	ch := make(chan attemptOutcome, 1)
 	go func() {
 		defer func() {
@@ -202,7 +202,7 @@ func runAttempt(spec cellSpec, opts Options) (any, error) {
 // superviseCell executes one cell under the supervision policy: bounded
 // retry with exponential backoff for retryable failures, fail-fast for
 // deterministic ones. attempts reports how many executions were made.
-func superviseCell(spec cellSpec, opts Options) (val any, err error, attempts int) {
+func superviseCell(spec cellSpec, opts Options) (val cellResult, err error, attempts int) {
 	limit := opts.maxAttempts()
 	for attempts = 1; ; attempts++ {
 		val, err = runAttempt(spec, opts)

@@ -107,12 +107,21 @@ func supervisedPlan(apps ...*guide.App) *figurePlan {
 		cells = append(cells, planCell{
 			series: i,
 			cpus:   1,
-			desc:   fmt.Sprintf("%s/1", a.Name),
 			spec:   RunSpec{AppDef: a, Policy: None, CPUs: 1, Seed: DefaultSeed},
-			value:  func(v any) float64 { return v.(Result).Elapsed.Seconds() },
+			value:  func(v cellResult) float64 { return v.(Result).Elapsed.Seconds() },
 		})
 	}
 	return &figurePlan{fig: fig, cells: cells}
+}
+
+// runHandPlan assembles one hand-built plan through the Runner's
+// scheduling core.
+func runHandPlan(r *Runner, plan *figurePlan) (*Figure, error) {
+	figs, err := r.runPlans([]*figurePlan{plan})
+	if err != nil {
+		return nil, err
+	}
+	return figs[0], nil
 }
 
 // TestSupervisedLivelockRetryDeterminism: a cell that livelocks at attempt
@@ -129,7 +138,7 @@ func TestSupervisedLivelockRetryDeterminism(t *testing.T) {
 			MaxAttempts:  2,
 			RetryBackoff: time.Millisecond,
 		})
-		fig, err := r.runPlan(plan)
+		fig, err := runHandPlan(r, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +174,7 @@ func TestSupervisedPanicFailureDeterminism(t *testing.T) {
 	run := func(parallelism int) (*Figure, Metrics, string) {
 		plan := supervisedPlan(panicTestApp("explodes"), healthyTestApp("steady"))
 		r := NewRunner(Options{Parallelism: parallelism, MaxAttempts: 3, RetryBackoff: time.Millisecond})
-		fig, err := r.runPlan(plan)
+		fig, err := runHandPlan(r, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +240,7 @@ func TestSupervisedSweepAcceptance(t *testing.T) {
 		RetryBackoff: time.Millisecond,
 		OnCell:       func(ev CellEvent) { evs = append(evs, ev) },
 	})
-	fig, err := r.runPlan(plan)
+	fig, err := runHandPlan(r, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +285,7 @@ func TestSupervisedSweepAcceptance(t *testing.T) {
 	}
 
 	// Healthy cells are untouched by their neighbours' failures.
-	clean, err := NewRunner(Options{Parallelism: 2}).runPlan(
+	clean, err := runHandPlan(NewRunner(Options{Parallelism: 2}),
 		supervisedPlan(healthyTestApp("steady"), healthyTestApp("steady2")))
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
 
 	"dynprof/internal/des"
+	"dynprof/internal/fault"
 	"dynprof/internal/machine"
 	"dynprof/internal/serve"
 )
@@ -116,7 +118,9 @@ func (s TenantsSpec) Key() string {
 		n.Machine.Name, n.Seed, faultKey(n.Machine))
 }
 
-func (s TenantsSpec) runCell(bud des.Budget) (any, error) { return runTenantsCell(s, bud) }
+func (s TenantsSpec) runCell(bud des.Budget) (cellResult, error) { return runTenantsCell(s, bud) }
+
+func (TenantsSpec) decode(b json.RawMessage) (cellResult, error) { return decodeAs[TenantsResult](b) }
 
 // TenantsResult is one measured tenants cell. Every field is
 // deterministic: the cell is a single-scheduler simulation, so the result
@@ -142,6 +146,8 @@ type TenantsResult struct {
 	// TraceBytes is the trace volume attributed to completed sessions.
 	TraceBytes int64
 }
+
+func (r TenantsResult) stats() (des.Time, uint64, []fault.Event) { return r.Elapsed, r.Events, nil }
 
 // RunTenants executes one tenants cell without a budget.
 func RunTenants(spec TenantsSpec) (TenantsResult, error) {
@@ -277,9 +283,8 @@ func runTenantsCell(spec TenantsSpec, bud des.Budget) (TenantsResult, error) {
 // planTenants enumerates the tenants figure: latency percentiles across
 // the session sweep. The three series share one cell per x — the Runner
 // dedups them by spec key, so each sweep point simulates exactly once.
-func planTenants(opts Options) *figurePlan {
+func planTenants(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
-		ID:     "tenants",
 		Title:  "Control-op latency vs concurrent sessions (multi-tenant server)",
 		XLabel: "Sessions",
 		YLabel: "Latency (s)",
@@ -299,16 +304,10 @@ func planTenants(opts Options) *figurePlan {
 			plan.cells = append(plan.cells, planCell{
 				series: si,
 				cpus:   n,
-				desc:   fmt.Sprintf("tenants %s/%d sessions", pct.label, n),
 				spec:   TenantsSpec{Sessions: n, Machine: opts.Machine, Seed: opts.seed()},
-				value:  func(v any) float64 { return pct.value(v.(TenantsResult)) },
+				value:  func(v cellResult) float64 { return pct.value(v.(TenantsResult)) },
 			})
 		}
 	}
-	return plan
-}
-
-// Tenants reproduces the tenants figure (see planTenants).
-func Tenants(opts Options) (*Figure, error) {
-	return NewRunner(opts).runPlan(planTenants(opts))
+	return plan, nil
 }

@@ -64,11 +64,11 @@ func TestTenantsCell(t *testing.T) {
 // identical — the tenants cells are single-scheduler simulations, so host
 // concurrency only schedules whole cells.
 func TestTenantsFigureParallelismInvariance(t *testing.T) {
-	seq, err := Tenants(Options{MaxCPUs: 100, Parallelism: 1})
+	seq, err := NewRunner(Options{MaxCPUs: 100, Parallelism: 1}).Figure("tenants")
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Tenants(Options{MaxCPUs: 100, Parallelism: 8})
+	par, err := NewRunner(Options{MaxCPUs: 100, Parallelism: 8}).Figure("tenants")
 	if err != nil {
 		t.Fatal(err)
 	}

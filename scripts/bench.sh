@@ -10,27 +10,14 @@
 #                                 `benchstat old/tier1.txt new/tier1.txt`),
 #                                 and OUTDIR/bench.json holds the parsed
 #                                 numbers.
-#   scripts/bench.sh -s           smoke: one iteration of a small subset,
-#                                 no files written. Run from verify.sh so a
-#                                 broken benchmark fails the gate.
-#   scripts/bench.sh parse F...   parse benchstat-style text files to a
-#                                 JSON array on stdout (used to assemble
-#                                 BENCH_PR5.json-style before/after files).
-#   scripts/bench.sh tenants      multi-tenant session-server sweep
-#                                 (100/1k/10k sessions), emitting
-#                                 OUTDIR/BENCH_PR7.json with latency
-#                                 percentiles and per-cell wall times.
-#   scripts/bench.sh recover      crash-recovery sweep (daemon MTBF
-#                                 2/5/10/20s), emitting OUTDIR/BENCH_PR9.json
-#                                 with reconvergence latency percentiles,
-#                                 lost-event fraction, co-tenant latency
-#                                 impact and per-cell wall times.
-#   scripts/bench.sh compact      trace-compaction sweep: bytes/event at
-#                                 Full instrumentation on all four kernels
-#                                 (verbatim vs redundancy-suppressed) plus
-#                                 the collector encode/decode/dump
-#                                 microbenchmarks, emitting
-#                                 OUTDIR/BENCH_PR10.json.
+#   scripts/bench.sh -s           smoke: one iteration of every benchmark
+#                                 under internal/ plus the cheapest
+#                                 figure-level cell, no files written. Run
+#                                 from verify.sh so a broken benchmark
+#                                 fails the gate.
+#
+# The end-to-end benchmark (figure set, scale, tenants and trace workloads
+# with per-layer attribution) is bench/: `bash bench/run.sh -workload W`.
 #
 # Environment:
 #   OUTDIR      where full-mode output goes (default: bench.out)
@@ -55,256 +42,13 @@ parse_bench() {
     }' "$@" | jq -s .
 }
 
-if [ "${1:-}" = "parse" ]; then
-    shift
-    parse_bench "$@"
-    exit 0
-fi
-
-if [ "${1:-}" = "scale" ]; then
-    # Scale mode: the sharded-DES rank sweep (1k/4k/16k, Smg98 + Sweep3d)
-    # at shards=1 vs shards=$SHARDS, emitting OUTDIR/BENCH_PR6.json with
-    # per-cell wall times, the shards speedup, aggregate events/sec and
-    # peak RSS. Cells run with -parallel 1 so the comparison isolates the
-    # DES sharding from the Runner's own cell parallelism; the sharded
-    # pass also spills trace arenas to exercise the bounded-memory path.
-    OUTDIR=${OUTDIR:-bench.out}
-    SHARDS=${SHARDS:-8}
-    mkdir -p "$OUTDIR"
-
-    echo "bench.sh: scale sweep, shards=1 baseline" >&2
-    go run ./cmd/experiments -scale -parallel 1 -shards 1 \
-        -jsonl "$OUTDIR/scale_shards1.jsonl" -scale-stats \
-        > /dev/null 2> "$OUTDIR/scale_shards1.stats"
-    echo "bench.sh: scale sweep, shards=$SHARDS with spill" >&2
-    go run ./cmd/experiments -scale -parallel 1 -shards "$SHARDS" \
-        -spill-dir "$OUTDIR/spill" -spill-threshold 16384 \
-        -jsonl "$OUTDIR/scale_sharded.jsonl" -scale-stats \
-        > /dev/null 2> "$OUTDIR/scale_sharded.stats"
-
-    # "scale-stats: events=N wall=W events_per_sec=E peak_rss_kb=R" -> JSON
-    parse_stats() {
-        grep '^scale-stats:' "$1" | tr ' ' '\n' | grep '=' | \
-            jq -Rn '[inputs | split("=") | {(.[0]): (.[1] | tonumber? // .)}] | add'
-    }
-
-    jq -n \
-        --arg date "$(date +%Y-%m-%d)" \
-        --arg go "$(go env GOVERSION)" \
-        --arg goos "$(go env GOOS)" \
-        --arg goarch "$(go env GOARCH)" \
-        --argjson shards "$SHARDS" \
-        --argjson ncpu "$(getconf _NPROCESSORS_ONLN)" \
-        --argjson s1 "$(parse_stats "$OUTDIR/scale_shards1.stats")" \
-        --argjson sN "$(parse_stats "$OUTDIR/scale_sharded.stats")" \
-        --slurpfile a "$OUTDIR/scale_shards1.jsonl" \
-        --slurpfile b "$OUTDIR/scale_sharded.jsonl" \
-        '{pr: 6,
-          title: "Sharded DES scale sweep with streaming trace spill",
-          date: $date, go: $go, goos: $goos, goarch: $goarch, host_cpus: $ncpu,
-          commands: [
-            "experiments -scale -parallel 1 -shards 1 -scale-stats",
-            "experiments -scale -parallel 1 -shards \($shards) -spill-dir spill -scale-stats"
-          ],
-          shards: $shards,
-          aggregate: {shards1: $s1, sharded: $sN},
-          cells: [ $a[] | . as $x |
-            ($b[] | select(.series == $x.series and .cpus == $x.cpus)) as $y |
-            {series: $x.series, ranks: $x.cpus, events: $x.events,
-             sim_s: $x.sim_s,
-             wall_ms_shards1: ($x.wall_ms | round),
-             wall_ms_sharded: ($y.wall_ms | round),
-             speedup: (if $y.wall_ms > 0
-                       then (($x.wall_ms / $y.wall_ms) * 100 | round / 100)
-                       else null end)} ]}' \
-        > "$OUTDIR/BENCH_PR6.json"
-    echo "bench.sh: wrote $OUTDIR/BENCH_PR6.json" >&2
-    jq . "$OUTDIR/BENCH_PR6.json"
-    exit 0
-fi
-
-if [ "${1:-}" = "tenants" ]; then
-    # Tenants mode: the multi-tenant session-server sweep (100/1k/10k
-    # concurrent sessions against 16 resident jobs), emitting
-    # OUTDIR/BENCH_PR7.json with per-cell control-op latency percentiles
-    # (virtual time) and host wall time. Cells run with -parallel 1 so the
-    # wall times are per-cell, not pool-interleaved.
-    OUTDIR=${OUTDIR:-bench.out}
-    mkdir -p "$OUTDIR"
-
-    echo "bench.sh: tenants sweep (100/1k/10k sessions)" >&2
-    go run ./cmd/experiments -tenants -parallel 1 \
-        -jsonl "$OUTDIR/tenants.jsonl" > "$OUTDIR/tenants.txt"
-
-    jq -n \
-        --arg date "$(date +%Y-%m-%d)" \
-        --arg go "$(go env GOVERSION)" \
-        --arg goos "$(go env GOOS)" \
-        --arg goarch "$(go env GOARCH)" \
-        --argjson ncpu "$(getconf _NPROCESSORS_ONLN)" \
-        --slurpfile a "$OUTDIR/tenants.jsonl" \
-        '{pr: 7,
-          title: "Multi-tenant session server: control-op latency vs concurrent sessions",
-          date: $date, go: $go, goos: $goos, goarch: $goarch, host_cpus: $ncpu,
-          commands: ["experiments -tenants -parallel 1"],
-          cells: [ $a[] | select(.series == "p50") | . as $x |
-            {sessions: $x.cpus,
-             p50_s: $x.value,
-             p95_s: ($a[] | select(.series == "p95" and .cpus == $x.cpus) | .value),
-             p99_s: ($a[] | select(.series == "p99" and .cpus == $x.cpus) | .value),
-             sim_s: $x.sim_s,
-             wall_ms: ([$a[] | select(.cpus == $x.cpus and (.cache_hit | not))
-                        | .wall_ms] | add | round)} ]}' \
-        > "$OUTDIR/BENCH_PR7.json"
-    echo "bench.sh: wrote $OUTDIR/BENCH_PR7.json" >&2
-    jq . "$OUTDIR/BENCH_PR7.json"
-    exit 0
-fi
-
-if [ "${1:-}" = "recover" ]; then
-    # Recover mode: the crash-recovery sweep (64 sessions on 32 resident
-    # jobs, every node's daemon crashed at each multiple of the MTBF with
-    # 5% control-message loss layered on top), emitting OUTDIR/BENCH_PR9.json
-    # with per-MTBF reconvergence latency percentiles, the probe-event
-    # fraction the crash windows cost, and the collateral latency seen by
-    # co-tenant control operations that themselves succeeded. Cells run
-    # with -parallel 1 so the wall times are per-cell.
-    OUTDIR=${OUTDIR:-bench.out}
-    mkdir -p "$OUTDIR"
-
-    echo "bench.sh: recover sweep (daemon MTBF 2/5/10/20s)" >&2
-    go run ./cmd/experiments -recover -parallel 1 \
-        -jsonl "$OUTDIR/recover.jsonl" > "$OUTDIR/recover.txt"
-
-    jq -n \
-        --arg date "$(date +%Y-%m-%d)" \
-        --arg go "$(go env GOVERSION)" \
-        --arg goos "$(go env GOOS)" \
-        --arg goarch "$(go env GOARCH)" \
-        --argjson ncpu "$(getconf _NPROCESSORS_ONLN)" \
-        --slurpfile a "$OUTDIR/recover.jsonl" \
-        '{pr: 9,
-          title: "Control-plane fault tolerance: recovery metrics vs daemon MTBF",
-          date: $date, go: $go, goos: $goos, goarch: $goarch, host_cpus: $ncpu,
-          commands: ["experiments -recover -parallel 1"],
-          cells: [ $a[] | select(.series == "reconverge-p50") | . as $x |
-            {mtbf_s: $x.cpus,
-             reconverge_p50_s: $x.value,
-             reconverge_p95_s: ($a[] | select(.series == "reconverge-p95" and .cpus == $x.cpus) | .value),
-             lost_frac: ($a[] | select(.series == "lost-frac" and .cpus == $x.cpus) | .value),
-             cotenant_p95_ratio: ($a[] | select(.series == "cotenant-p95-ratio" and .cpus == $x.cpus) | .value),
-             sim_s: $x.sim_s,
-             wall_ms: ([$a[] | select(.cpus == $x.cpus and (.cache_hit | not))
-                        | .wall_ms] | add | round)} ]}' \
-        > "$OUTDIR/BENCH_PR9.json"
-    echo "bench.sh: wrote $OUTDIR/BENCH_PR9.json" >&2
-    jq . "$OUTDIR/BENCH_PR9.json"
-    exit 0
-fi
-
-if [ "${1:-}" = "compact" ]; then
-    # Compact mode: the trace-volume sweep (all four kernels at Full
-    # instrumentation, verbatim vs redundancy-suppressed collector) plus
-    # the collector microbenchmarks that carry the host-time half of the
-    # story (online encode cost per batch, raw encode/decode throughput,
-    # and the trace dump: text formatting vs compact block copy-out on an
-    # identical workload). Cells run with -parallel 1 so the wall times
-    # are per-cell.
-    OUTDIR=${OUTDIR:-bench.out}
-    BENCHTIME=${BENCHTIME:-1s}
-    mkdir -p "$OUTDIR"
-
-    echo "bench.sh: compact sweep (4 kernels, verbatim vs suppressed)" >&2
-    go run ./cmd/experiments -compact -parallel 1 \
-        -jsonl "$OUTDIR/compact.jsonl" > "$OUTDIR/compact.txt"
-
-    echo "bench.sh: collector encode/decode/dump microbenchmarks" >&2
-    go test -run NONE \
-        -bench 'BenchmarkCollectorAppend$|BenchmarkCollectorAppendCompact|BenchmarkCompactEncode|BenchmarkCompactDecode|BenchmarkCollectorWriteTrace|BenchmarkCollectorWriteCompactTrace' \
-        -benchtime "$BENCHTIME" -benchmem -timeout 10m ./internal/vt/ \
-        | tee "$OUTDIR/compact_micro.txt" >&2
-
-    jq -n \
-        --arg date "$(date +%Y-%m-%d)" \
-        --arg go "$(go env GOVERSION)" \
-        --arg goos "$(go env GOOS)" \
-        --arg goarch "$(go env GOARCH)" \
-        --argjson ncpu "$(getconf _NPROCESSORS_ONLN)" \
-        --slurpfile a "$OUTDIR/compact.jsonl" \
-        --argjson micro "$(parse_bench "$OUTDIR/compact_micro.txt")" \
-        '["smg98", "sppm", "sweep3d", "umt98"] as $apps |
-         {pr: 10,
-          title: "Online trace redundancy suppression: bytes/event and collector host time",
-          date: $date, go: $go, goos: $goos, goarch: $goarch, host_cpus: $ncpu,
-          commands: [
-            "experiments -compact -parallel 1",
-            "go test -bench Collector|Compact ./internal/vt/"
-          ],
-          kernels: [ $a[] | select(.series == "verbatim") | . as $x |
-            ($a[] | select(.series == "compact" and .cpus == $x.cpus)) as $y |
-            {kernel: $apps[$x.cpus - 1],
-             events: $x.events,
-             verbatim_bytes_per_event: $x.value,
-             compact_bytes_per_event: $y.value,
-             reduction_x: (if $y.value > 0
-                           then ($x.value / $y.value * 100 | round / 100)
-                           else null end),
-             sim_s: $x.sim_s,
-             wall_ms: (($x.wall_ms + $y.wall_ms) | round)} ],
-          collector: $micro}' \
-        > "$OUTDIR/BENCH_PR10.json"
-    echo "bench.sh: wrote $OUTDIR/BENCH_PR10.json" >&2
-    jq . "$OUTDIR/BENCH_PR10.json"
-    exit 0
-fi
-
-if [ "${1:-}" = "adapt" ]; then
-    # Adapt mode: the budget-5% adaptive cells (the feedback controller
-    # riding VT_confsync epochs on all four kernels), emitting
-    # OUTDIR/BENCH_PR8.json with per-kernel controller epoch cost,
-    # achieved overhead and retention at the budget, and recorded
-    # instrumentation events per host second.
-    OUTDIR=${OUTDIR:-bench.out}
-    BENCHTIME=${BENCHTIME:-2x}
-    mkdir -p "$OUTDIR"
-
-    echo "bench.sh: adapt sweep (budget 5% on all four kernels)" >&2
-    go test -run NONE -bench BenchmarkAdapt -benchtime "$BENCHTIME" \
-        -timeout 10m . | tee "$OUTDIR/adapt.txt" >&2
-
-    parse_bench "$OUTDIR/adapt.txt" | jq \
-        --arg date "$(date +%Y-%m-%d)" \
-        --arg go "$(go env GOVERSION)" \
-        --arg goos "$(go env GOOS)" \
-        --arg goarch "$(go env GOARCH)" \
-        --argjson ncpu "$(getconf _NPROCESSORS_ONLN)" \
-        '{pr: 8,
-          title: "Adaptive instrumentation: controller epoch cost and retention at budget 5%",
-          date: $date, go: $go, goos: $goos, goarch: $goarch, host_cpus: $ncpu,
-          commands: ["go test -bench BenchmarkAdapt ."],
-          budget: 0.05,
-          cells: [ .[] |
-            {kernel: (.name | split("/")[1] | split("-")[0]),
-             epochs: .epochs,
-             sim_s: .sim_s,
-             epoch_cost_ms: .ms_epoch,
-             overhead_pct: .overhead_pct,
-             retained_pct: .retained_pct,
-             events_per_sec: (.events_s | round),
-             wall_ms: (.ns_op / 1e6 | round)} ]}' \
-        > "$OUTDIR/BENCH_PR8.json"
-    echo "bench.sh: wrote $OUTDIR/BENCH_PR8.json" >&2
-    jq . "$OUTDIR/BENCH_PR8.json"
-    exit 0
-fi
-
 if [ "${1:-}" = "-s" ]; then
-    # Smoke: prove the benchmarks still compile and run. One iteration,
-    # fastest cells only; output is discarded, failure propagates.
-    go test -run NONE -bench 'BenchmarkFig7aSmg98/None/1cpu' \
+    # Smoke: prove the benchmarks still compile and run. One iteration;
+    # output is discarded, failure propagates.
+    go test -run '^$' -bench 'BenchmarkFig7aSmg98/None/1cpu' \
         -benchtime 1x -benchmem -timeout 5m . > /dev/null
-    go test -run NONE -bench 'BenchmarkScheduler|BenchmarkProc|BenchmarkCollector' \
-        -benchtime 10ms -benchmem -timeout 5m ./internal/des/ ./internal/vt/ > /dev/null
+    go test -run '^$' -bench . -benchtime 1x -benchmem -timeout 5m \
+        ./internal/... > /dev/null
     echo "bench.sh: smoke OK"
     exit 0
 fi

@@ -12,6 +12,10 @@ go vet ./...
 test -z "$(gofmt -l .)"
 go test ./...
 
+# The benchmark module (bench/) imports internal/exp from outside: its own
+# tests catch an API change that breaks it.
+go -C bench test ./...
+
 # Fuzz smoke: the textual trace parser must agree with its reference
 # oracle (same accepted inputs, errors and collectors) on mutated input.
 go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 10s ./internal/vt/
@@ -19,9 +23,9 @@ go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 10s ./internal/vt/
 # Short -race pass over the parallel cell runner.
 go test -race -run 'TestParallel|TestCellCache|TestRunner' ./internal/exp/
 
-# Race pass over the supervision layer (watchdog goroutines, retry loop)
-# and the persistent result store.
-go test -race -run 'TestSupervised|TestStore|TestFailure|TestRetry' ./internal/exp/
+# Race pass over the supervision layer (watchdog goroutines, retry loop),
+# the persistent result store and the figure registry.
+go test -race -run 'TestSupervised|TestStore|TestFailure|TestRetry|TestRegistered|TestSynthetic' ./internal/exp/
 
 # Race pass over the fault injector and the DPCL retry/backoff path,
 # including the crash-recovery machinery (daemon incarnations, ledger
@@ -76,23 +80,10 @@ cmp "$smoke/baseline.txt" "$smoke/resumed.txt"
     -spill-dir "$smoke/spill" -spill-threshold 1024 > "$smoke/scale8.txt"
 cmp "$smoke/scale1.txt" "$smoke/scale8.txt"
 
-# Tenants smoke: the 100-session cell of the multi-tenant sweep (admission
-# queueing, fair daemon scheduling, two quota evictions) must render the
-# same bytes at any host parallelism.
-"$smoke/experiments" -tenants -max-cpus 100 -parallel 1 > "$smoke/tenants1.txt"
-"$smoke/experiments" -tenants -max-cpus 100 -parallel 8 > "$smoke/tenants8.txt"
-cmp "$smoke/tenants1.txt" "$smoke/tenants8.txt"
-
 # Race pass over the adaptive controller (pure unit tests plus the serve
 # integration already covered above) and the adapt/policy cells.
 go test -race ./internal/adapt/
 go test -race -run 'TestAdaptConvergence|TestAdaptSpecKey|TestPolicySpecKeys' ./internal/exp/
-
-# Adapt smoke: the budget-sweep figure (feedback controller over all four
-# kernels) must render the same bytes at any host parallelism.
-"$smoke/experiments" -adapt -parallel 1 > "$smoke/adapt1.txt"
-"$smoke/experiments" -adapt -parallel 8 > "$smoke/adapt8.txt"
-cmp "$smoke/adapt1.txt" "$smoke/adapt8.txt"
 
 # Race pass over the crash-recovery paths: leased sessions and automatic
 # probe-state repair in the server, including the 100-session
@@ -101,26 +92,26 @@ cmp "$smoke/adapt1.txt" "$smoke/adapt8.txt"
 go test -race -run 'TestLease|TestRecoverSmoke|TestProtoSeqAndResume|TestEvictIdempotent' ./internal/serve/
 go test -race -run 'TestRecoverCell|TestRecoverStoreRoundTrip' ./internal/exp/
 
-# Recover smoke: the crash-recovery figure (daemon-MTBF sweep of the
-# multi-tenant server) must render the same bytes at any host parallelism.
-"$smoke/experiments" -recover -parallel 1 > "$smoke/recover1.txt"
-"$smoke/experiments" -recover -parallel 8 > "$smoke/recover8.txt"
-cmp "$smoke/recover1.txt" "$smoke/recover8.txt"
-
 # Race pass over the trace-compaction paths: the compact encoder/decoder,
 # the byte-budget overflow policies, the version-checked spill file, and
 # the per-kernel VGV equivalence suite.
 go test -race -run 'TestCompact|TestByteBudget|TestSpillRejects|TestReadTraceAuto' \
     ./internal/vt/ ./internal/vgv/ ./internal/exp/
 
-# Compact smoke 1: the compaction figure (bytes/event at Full on all four
-# kernels) must render the same bytes at any host parallelism — encoded
-# sizes are a pure function of the simulated event stream.
-"$smoke/experiments" -compact -parallel 1 > "$smoke/compact1.txt"
-"$smoke/experiments" -compact -parallel 8 > "$smoke/compact8.txt"
-cmp "$smoke/compact1.txt" "$smoke/compact8.txt"
+# Parallelism smokes: each on-demand sweep must render the same bytes at
+# any host parallelism — the 100-session tenants cell (admission queueing,
+# fair daemon scheduling, two quota evictions), the adapt budget sweep
+# (feedback controller over all four kernels), the recover daemon-MTBF
+# sweep, and the compact bytes/event figure (encoded sizes are a pure
+# function of the simulated event stream).
+for args in "-tenants -max-cpus 100" -adapt -recover -compact; do
+    name=$(echo "$args" | tr -dc 'a-z0-9')
+    "$smoke/experiments" $args -parallel 1 > "$smoke/$name.1.txt"
+    "$smoke/experiments" $args -parallel 8 > "$smoke/$name.8.txt"
+    cmp "$smoke/$name.1.txt" "$smoke/$name.8.txt"
+done
 
-# Compact smoke 2: end to end through the CLIs, a suppressed run's compact
+# Compact smoke: end to end through the CLIs, a suppressed run's compact
 # binary trace must decode to the same analysis bytes as a verbatim run's
 # textual trace (vgv sniffs the format).
 go build -o "$smoke/dynprof" ./cmd/dynprof
