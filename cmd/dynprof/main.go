@@ -51,7 +51,7 @@ func run() error {
 	machName := flag.String("machine", "ibm", "machine preset: ibm or ia32")
 	seed := flag.Uint64("seed", 2003, "simulation seed")
 	trace := flag.String("trace", "", "write the run's trace to this file")
-	traceCompact := flag.Bool("trace-compact", false, "collect the trace with online redundancy suppression and write -trace in the compact binary format (vgv reads both)")
+	traceCompact := flag.Bool("trace-compact", false, "write -trace in the compact binary format (vgv reads both) and print the trace's compact-encoding summary")
 	report := flag.Bool("report", false, "print a postmortem profile after the run")
 	budget := flag.Float64("budget", 0, "adaptive perturbation budget as a fraction (e.g. 0.05); 0 disables the controller")
 	epoch := flag.Int("epoch", 1, "adaptive mode: sync-point crossings per controller epoch")
@@ -80,18 +80,17 @@ func run() error {
 			return err
 		}
 		return serveJobs(ln, serve.Config{
-			Machine:      mach,
-			MaxSessions:  *maxSessions,
-			MaxQueue:     *maxQueue,
-			Lease:        des.Time(*lease),
-			CompactTrace: *traceCompact,
+			Machine:     mach,
+			MaxSessions: *maxSessions,
+			MaxQueue:    *maxQueue,
+			Lease:       des.Time(*lease),
 			DefaultQuota: serve.Quota{
 				MaxProbes:     *maxProbes,
 				MaxTraceBytes: *maxTrace,
 				MaxCtrlPerSec: *maxOps,
 			},
 			Output: os.Stdout,
-		}, *seed, *procs, args)
+		}, *traceCompact, *seed, *procs, args)
 	}
 	if len(args) < 4 {
 		return fmt.Errorf("usage: dynprof [flags] <stdin> <stdout> <timefile> <target> [key=val ...]")
@@ -148,10 +147,6 @@ func run() error {
 		return err
 	}
 
-	var col *vt.Collector
-	if *traceCompact {
-		col = vt.NewCompactCollector()
-	}
 	s := des.NewScheduler(*seed)
 	var ss *core.Session
 	var rt *adapt.Runtime
@@ -163,7 +158,6 @@ func run() error {
 			BuildOpts: guide.BuildOpts{TraceMPI: true, TraceOMP: true},
 			Procs:     *procs,
 			Args:      deck,
-			Collector: col,
 			Output:    out,
 			Files:     files,
 		})
@@ -252,8 +246,9 @@ func run() error {
 
 // serveJobs runs the multi-tenant session server: one synthetic resident
 // job per name, each on its own node range, serving the line protocol on
-// ln until a client issues shutdown.
-func serveJobs(ln net.Listener, cfg serve.Config, seed uint64, procs int, jobs []string) error {
+// ln until a client issues shutdown. With compactSummary it reports the
+// jobs' combined trace compact-encoding counters at shutdown.
+func serveJobs(ln net.Listener, cfg serve.Config, compactSummary bool, seed uint64, procs int, jobs []string) error {
 	defer ln.Close()
 	if len(jobs) == 0 {
 		return fmt.Errorf("usage: dynprof -serve ADDR [flags] <job> [job ...]")
@@ -272,7 +267,7 @@ func serveJobs(ln net.Listener, cfg serve.Config, seed uint64, procs int, jobs [
 	fmt.Fprintf(os.Stderr,
 		"dynprof: served %d sessions (%d evicted, %d suspended, %d resumed, %d lease-expired); %d probe-state recoveries\n",
 		st.Admitted, st.Evicted, st.Suspended, st.Resumed, st.Expired, len(sv.Recoveries()))
-	if cfg.CompactTrace {
+	if compactSummary {
 		var agg vt.CompactStats
 		for _, name := range sv.Jobs() {
 			cs := sv.Job(name).Guide().Collector().CompactStats()

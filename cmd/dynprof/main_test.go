@@ -109,7 +109,7 @@ func TestServeSmoke(t *testing.T) {
 			MaxSessions:  4,
 			MaxQueue:     -1,
 			DefaultQuota: serve.Quota{MaxProbes: 8},
-		}, 2003, 4, []string{"smg98"})
+		}, false, 2003, 4, []string{"smg98"})
 	}()
 	c, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {

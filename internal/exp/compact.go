@@ -13,10 +13,10 @@ import (
 )
 
 // This file implements the hidden "compact" figure: the trace-volume cost
-// of Full instrumentation across the four ASCI kernels, with the collector
-// storing events verbatim versus with online redundancy suppression
-// (vt.NewCompactCollector). The plotted metric is trace bytes per event —
-// the budget the compact format shrinks. Collector host time is measured
+// of Full instrumentation across the four ASCI kernels, with the trace
+// stored verbatim versus in the compact encoding with redundancy
+// suppression (vt.Collector.CompactStats). The plotted metric is trace
+// bytes per event — the budget the compact format shrinks. Collector host time is measured
 // separately by the microbenchmarks in internal/vt and end to end by the
 // figures workload of bench/ (bash bench/run.sh -workload figures): host
 // timings are nondeterministic and would break the
@@ -36,7 +36,8 @@ type CompactSpec struct {
 	App string
 	// Procs is the job size (0 = DefaultCompactProcs).
 	Procs int
-	// Compact selects the redundancy-suppressing collector.
+	// Compact measures the trace's compact encoding instead of its
+	// verbatim volume.
 	Compact bool
 	// Args overrides the application deck (nil = fig9Args' small deck).
 	Args map[string]int
@@ -84,9 +85,9 @@ type CompactResult struct {
 	// under suppression.
 	TraceEvents int
 	TraceBytes  int
-	// Records and Repeats count the encoded ops a suppressing collector
-	// stored (zero verbatim): Records total, Repeats the parameterized
-	// repeat records among them.
+	// Records and Repeats count the encoded ops of a compact cell (zero
+	// verbatim): Records total, Repeats the parameterized repeat records
+	// among them.
 	Records int
 	Repeats int
 }
@@ -109,8 +110,8 @@ func RunCompact(spec CompactSpec) (CompactResult, error) {
 	return runCompactCell(spec, des.Budget{})
 }
 
-// runCompactCell runs one kernel at Full instrumentation into the
-// requested collector flavour and measures the trace volume.
+// runCompactCell runs one kernel at Full instrumentation and measures the
+// trace volume in the requested representation.
 func runCompactCell(spec CompactSpec, bud des.Budget) (CompactResult, error) {
 	spec = spec.norm()
 	res := CompactResult{App: spec.App, Compact: spec.Compact}
@@ -123,9 +124,6 @@ func runCompactCell(spec CompactSpec, bud des.Budget) (CompactResult, error) {
 		return res, err
 	}
 	col := vt.NewCollector()
-	if spec.Compact {
-		col = vt.NewCompactCollector()
-	}
 	defer col.Release()
 	s := des.NewScheduler(spec.Seed, des.WithBudget(bud))
 	j, err := guide.Launch(s, spec.Machine, bin, guide.LaunchOpts{
@@ -144,6 +142,7 @@ func runCompactCell(spec CompactSpec, bud des.Budget) (CompactResult, error) {
 	res.TraceBytes = col.Bytes()
 	if spec.Compact {
 		st := col.CompactStats()
+		res.TraceBytes = st.Bytes
 		res.Records = st.Records
 		res.Repeats = st.Repeats
 	}

@@ -172,41 +172,34 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 	start := time.Now()
 
 	// Enumerate: one job per spec key that is neither cached, served by
-	// the persistent store, nor already queued in this call.
+	// the persistent store, nor already queued in this call (a repeat of
+	// a queued key counts as a cache hit).
 	var jobs []cellSpec
 	queued := make(map[string]bool)
-	total, storeHits := 0, 0
+	total := 0
 	r.mu.Lock()
 	for _, p := range plans {
 		for _, c := range p.cells {
 			total++
 			k := c.spec.Key()
 			if queued[k] {
+				r.met.Cells++
+				r.met.CacheHits++
 				continue
 			}
-			if _, ok := r.cache[k]; ok {
-				continue
-			}
-			e, err := r.fromStore(c.spec)
+			e, err := r.lookup(c.spec)
 			if err != nil {
 				r.mu.Unlock()
 				return nil, err
 			}
-			if e != nil {
-				r.cache[k] = e
-				storeHits++
-				continue
+			if e == nil {
+				queued[k] = true
+				jobs = append(jobs, c.spec)
 			}
-			queued[k] = true
-			jobs = append(jobs, c.spec)
 		}
 	}
-	hits := total - len(jobs) - storeHits
-	r.met.Cells += total
-	r.met.CacheHits += hits
-	r.met.StoreHits += storeHits
 	// Progress reports store hits as cached: neither re-executes.
-	done, served := hits+storeHits, hits+storeHits
+	done, served := total-len(jobs), total-len(jobs)
 	r.mu.Unlock()
 	if r.opts.Progress != nil && total > 0 {
 		r.opts.Progress(done, total, served)
@@ -226,22 +219,8 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 			go func() {
 				defer wg.Done()
 				for spec := range jobCh {
-					t0 := time.Now()
-					val, err, attempts := superviseCell(spec, r.opts)
-					e := &cacheEntry{val: val, err: err, wall: time.Since(t0), attempts: attempts}
-					var putErr error
-					if err == nil && r.opts.Store != nil {
-						putErr = r.opts.Store.Put(spec.Key(), val)
-					}
+					_, putErr := r.execute(spec)
 					r.mu.Lock()
-					r.cache[spec.Key()] = e
-					r.met.Runs++
-					r.met.Busy += e.wall
-					r.met.Virtual += e.simTime()
-					r.met.Retries += attempts - 1
-					if err != nil {
-						r.met.Failures++
-					}
 					if putErr != nil && storeErr == nil {
 						storeErr = putErr
 					}
@@ -335,59 +314,70 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 
 // Run executes spec through the Runner's memo cache: a spec whose key has
 // already run (in any prior Run or Figures call) returns the cached
-// result without re-simulating.
+// result without re-simulating. Unlike figure assembly, a failed run is
+// returned as an error.
 func (r *Runner) Run(spec RunSpec) (Result, error) {
-	v, err := r.runMemo(spec)
+	r.mu.Lock()
+	e, err := r.lookup(spec)
+	r.mu.Unlock()
 	if err != nil {
 		return Result{}, err
 	}
-	return v.(Result), nil
+	if e == nil {
+		var putErr error
+		e, putErr = r.execute(spec)
+		r.mu.Lock()
+		r.met.Wall += e.wall
+		r.mu.Unlock()
+		if putErr != nil {
+			return Result{}, putErr
+		}
+	}
+	if e.err != nil {
+		return Result{}, e.err
+	}
+	return e.val.(Result), nil
 }
 
-// runMemo serves one spec through the cache (then the persistent store),
-// executing it under supervision on a miss. Unlike figure assembly, the
-// single-spec path returns the failure as an error.
-func (r *Runner) runMemo(spec cellSpec) (cellResult, error) {
+// lookup counts one requested cell and serves it from the memo cache,
+// then the persistent store; nil means the spec must execute. The caller
+// holds r.mu.
+func (r *Runner) lookup(spec cellSpec) (*cacheEntry, error) {
 	k := spec.Key()
-	r.mu.Lock()
 	r.met.Cells++
 	if e, ok := r.cache[k]; ok {
 		r.met.CacheHits++
-		r.mu.Unlock()
-		return e.val, e.err
+		return e, nil
 	}
-	r.mu.Unlock()
 	e, err := r.fromStore(spec)
-	if err != nil {
-		return nil, err
-	}
 	if e != nil {
-		r.mu.Lock()
 		r.cache[k] = e
 		r.met.StoreHits++
-		r.mu.Unlock()
-		return e.val, nil
 	}
+	return e, err
+}
+
+// execute runs spec under supervision, journals a success to the
+// persistent store, and memoizes the entry with its run counters. putErr
+// reports a journal write that failed.
+func (r *Runner) execute(spec cellSpec) (e *cacheEntry, putErr error) {
 	t0 := time.Now()
 	val, err, attempts := superviseCell(spec, r.opts)
-	if err == nil && r.opts.Store != nil {
-		if putErr := r.opts.Store.Put(k, val); putErr != nil {
-			return val, putErr
-		}
-	}
 	e = &cacheEntry{val: val, err: err, wall: time.Since(t0), attempts: attempts}
+	if err == nil && r.opts.Store != nil {
+		putErr = r.opts.Store.Put(spec.Key(), val)
+	}
 	r.mu.Lock()
-	r.cache[k] = e
+	defer r.mu.Unlock()
+	r.cache[spec.Key()] = e
 	r.met.Runs++
 	r.met.Busy += e.wall
-	r.met.Wall += e.wall
 	r.met.Virtual += e.simTime()
 	r.met.Retries += attempts - 1
 	if err != nil {
 		r.met.Failures++
 	}
-	r.mu.Unlock()
-	return val, err
+	return e, putErr
 }
 
 // fromStore serves spec from the persistent store: nil when there is no

@@ -11,7 +11,6 @@ import (
 	"dynprof/internal/dpcl"
 	"dynprof/internal/guide"
 	"dynprof/internal/machine"
-	"dynprof/internal/vt"
 )
 
 // Admission and eviction sentinels, matched with errors.Is.
@@ -62,10 +61,6 @@ type Config struct {
 	Lease des.Time
 	// Output receives tool messages from all sessions (nil: discarded).
 	Output io.Writer
-	// CompactTrace gives every resident job a redundancy-suppressing
-	// collector (vt.NewCompactCollector): tenant probe traffic is stored
-	// in the compact encoding, bounding server-side trace memory.
-	CompactTrace bool
 }
 
 // Stats counts the server's admission and lifecycle decisions.
@@ -265,11 +260,7 @@ func (sv *Server) RegisterResident(name string, procs int, hot []string) (*Job, 
 	// Place consecutive jobs on disjoint node ranges, like a batch
 	// scheduler: tenants of different jobs then contend only for their own
 	// job's daemons, not one hot node-0 lane.
-	lopts := guide.LaunchOpts{Procs: procs, Node: sv.nextNode}
-	if sv.cfg.CompactTrace {
-		lopts.Collector = vt.NewCompactCollector()
-	}
-	job, err := guide.Launch(sv.s, sv.cfg.Machine, bin, lopts)
+	job, err := guide.Launch(sv.s, sv.cfg.Machine, bin, guide.LaunchOpts{Procs: procs, Node: sv.nextNode})
 	if err != nil {
 		return nil, err
 	}

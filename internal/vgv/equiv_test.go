@@ -2,6 +2,7 @@ package vgv
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"testing"
 
@@ -12,11 +13,12 @@ import (
 	"dynprof/internal/vt"
 )
 
-// The compact trace format's contract is that suppression is invisible to
-// analysis: every VGV rendering of a suppressed+compacted trace — directly,
-// after a spill cycle, and after a write/decode round trip through the
-// binary trace file — must be byte-identical to the verbatim collector's.
-// This suite enforces that per kernel at Full instrumentation.
+// A trace has one in-memory representation (the collector's arena) and is
+// encoded in compact blocks only where it leaves memory, so the encoding
+// must be invisible to analysis: every VGV rendering — directly, after a
+// forced spill cycle, after a round trip through the binary trace file and
+// after one through the textual trace file — must be byte-identical. This
+// suite enforces that per kernel at Full instrumentation.
 
 var equivKernels = []struct {
 	app   string
@@ -102,44 +104,36 @@ func compareRenderings(t *testing.T, label string, want, got map[string][]byte) 
 	}
 }
 
+// readBack reads a trace file written by write back into a collector.
+func readBack(t *testing.T, write func(io.Writer) error) *vt.Collector {
+	t.Helper()
+	var file bytes.Buffer
+	if err := write(&file); err != nil {
+		t.Fatal(err)
+	}
+	col, err := vt.ReadTraceAuto(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col
+}
+
 func TestCompactVGVEquivalence(t *testing.T) {
 	for _, k := range equivKernels {
 		t.Run(k.app, func(t *testing.T) {
-			verbatim := runKernel(t, k.app, k.args, k.procs, nil)
-			defer verbatim.Release()
-			want := renderAll(t, verbatim)
-			if verbatim.Len() == 0 {
-				t.Fatal("verbatim run collected no events")
+			mem := runKernel(t, k.app, k.args, k.procs, nil)
+			defer mem.Release()
+			want := renderAll(t, mem)
+			if mem.Len() == 0 {
+				t.Fatal("run collected no events")
 			}
-
-			compact := vt.NewCompactCollector()
-			defer compact.Release()
-			runKernel(t, k.app, k.args, k.procs, compact)
-			wantCompact := renderAll(t, compact)
-			compareRenderings(t, "compact", want, wantCompact)
-			if st := compact.CompactStats(); st.Bytes >= st.VerbatimBytes() {
+			if st := mem.CompactStats(); st.Bytes >= st.VerbatimBytes() {
 				t.Errorf("no suppression: %d encoded vs %d verbatim bytes", st.Bytes, st.VerbatimBytes())
 			}
 
-			// Write/decode round trip through the binary trace file: same
-			// collector contents, so every artifact — the raw trace dump
-			// included — must be byte-identical.
-			var file bytes.Buffer
-			if err := compact.WriteCompactTrace(&file); err != nil {
-				t.Fatal(err)
-			}
-			decoded, err := vt.ReadTraceAuto(bytes.NewReader(file.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer decoded.Release()
-			compareRenderings(t, "decoded", wantCompact, renderAll(t, decoded))
-
-			// Spilling compact collector: same contract with the resident
-			// budget forced through the version-2 spill file.
-			spilling := vt.NewCompactCollector()
+			spilling := vt.NewCollector()
 			defer spilling.Release()
-			if err := spilling.SpillTo(filepath.Join(t.TempDir(), "equiv.cspill"), 256); err != nil {
+			if err := spilling.SpillTo(filepath.Join(t.TempDir(), "equiv.spill"), 256); err != nil {
 				t.Fatal(err)
 			}
 			runKernel(t, k.app, k.args, k.procs, spilling)
@@ -150,6 +144,14 @@ func TestCompactVGVEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			compareRenderings(t, "spilling", want, renderAll(t, spilling))
+
+			fromBinary := readBack(t, mem.WriteCompactTrace)
+			defer fromBinary.Release()
+			compareRenderings(t, "binary file", want, renderAll(t, fromBinary))
+
+			fromText := readBack(t, mem.WriteTrace)
+			defer fromText.Release()
+			compareRenderings(t, "text file", want, renderAll(t, fromText))
 		})
 	}
 }

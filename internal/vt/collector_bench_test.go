@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"path/filepath"
 	"testing"
 
 	"dynprof/internal/des"
@@ -114,24 +115,26 @@ func benchLoopBatch(n int) []Event {
 	return loopBatch(0, 0, 0, (n+3)/4)[:n]
 }
 
-// BenchmarkCollectorAppendCompact is BenchmarkCollectorAppend against a
-// compact collector: the encode cost paid online per flush batch. The
-// bytes/event metric is the suppression ratio on loop-shaped input.
-func BenchmarkCollectorAppendCompact(b *testing.B) {
+// BenchmarkCollectorSpill is BenchmarkCollectorAppend against a spilling
+// collector: every 16th batch crosses the threshold, and the arena is
+// encoded, one block per batch, and written out. The bytes/event metric
+// is the suppression ratio on loop-shaped input.
+func BenchmarkCollectorSpill(b *testing.B) {
 	b.ReportAllocs()
 	batch := benchLoopBatch(256)
+	col := NewCollector()
+	defer col.Release()
+	if err := col.SpillTo(filepath.Join(b.TempDir(), "bench.spill"), 16*len(batch)); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
-	col := NewCompactCollector()
 	for i := 0; i < b.N; i++ {
-		if col.Len() > 1<<20 {
-			b.StopTimer()
-			col.Release()
-			col = NewCompactCollector()
-			b.StartTimer()
-		}
 		col.Append(batch)
 	}
 	b.StopTimer()
+	if err := col.SpillErr(); err != nil {
+		b.Fatal(err)
+	}
 	if st := col.CompactStats(); st.EventsIn > 0 {
 		b.ReportMetric(float64(st.Bytes)/float64(st.EventsIn), "bytes/event")
 	}
@@ -173,15 +176,11 @@ func BenchmarkCompactDecode(b *testing.B) {
 }
 
 // BenchmarkCollectorWriteCompactTrace is the compact dump path against
-// BenchmarkCollectorWriteTrace's exact workload — the collector host-time
-// comparison in BENCH_PR10.json (text formatting vs block copy-out).
+// BenchmarkCollectorWriteTrace's exact workload: every batch is encoded at
+// write time (text formatting vs block encoding).
 func BenchmarkCollectorWriteCompactTrace(b *testing.B) {
 	b.ReportAllocs()
-	col := NewCompactCollector()
-	for r := 0; r < 8; r++ {
-		col.AddFuncTable(int32(r), map[int32]string{0: "main", 1: "solve"})
-		col.Append(mkBatch(int32(r), 0, 2048))
-	}
+	col := benchDumpCollector()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := col.WriteCompactTrace(io.Discard); err != nil {

@@ -2,9 +2,11 @@ package vt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 
@@ -20,12 +22,12 @@ import (
 // repeat record instead of N verbatim events, with exact reconstruction on
 // decode.
 //
-// A compact collector (NewCompactCollector) stores encoded blocks instead
-// of verbatim events. One block encodes one Append batch (or one sealed
-// per-thread unit, see ctx.go):
+// The encoding is applied where the trace leaves memory: spill files and
+// binary trace files hold one block per Collector Append batch, while the
+// collector itself keeps the verbatim arena (event.go).
 //
-//	block   := op*                      (the event count travels out of band:
-//	                                     blockRef in memory, frame on disk)
+//	block   := op*                      (the event count travels out of band,
+//	                                     in the frame header)
 //	op      := literal | repeat
 //	literal := tag [kind] id dAt [dRank dTid] [A B]
 //	repeat  := 0x80|patternLen  uvarint(copies)
@@ -59,9 +61,14 @@ const (
 	// raw on every occurrence.
 	maxDirectID = 1 << 16
 
-	// encodeChunkEvents sizes the blocks WriteCompact carves a verbatim
-	// collector's arena into.
+	// encodeChunkEvents sizes the batches ReadTrace records for a textual
+	// trace, which carries no batch boundaries of its own.
 	encodeChunkEvents = 4096
+
+	// maxEventBytes is the longest encoding the decoder accepts for one
+	// event: a literal's tag byte plus seven varints. A frame claiming
+	// more block bytes than count*maxEventBytes is impossible.
+	maxEventBytes = 1 + 7*binary.MaxVarintLen64
 )
 
 // Literal tag bits.
@@ -95,9 +102,9 @@ func (e *FormatError) Error() string {
 	return fmt.Sprintf("vt: %s: %s", e.What, e.Detail)
 }
 
-// CompactStats summarises a compact collector's suppression: how many
-// events went in, how many encoded records (literal plus repeat ops) came
-// out, and the encoded byte volume against the verbatim baseline.
+// CompactStats summarises a collector's compact encoding: how many events
+// went in, how many encoded records (literal plus repeat ops) came out, and
+// the encoded byte volume against the verbatim baseline.
 type CompactStats struct {
 	// EventsIn is the number of events appended to the collector.
 	EventsIn int
@@ -107,6 +114,14 @@ type CompactStats struct {
 	Repeats int
 	// Bytes is the encoded payload volume, resident and spilled.
 	Bytes int
+}
+
+// add counts one encoded block of count events.
+func (st *CompactStats) add(count, bytes, recs, reps int) {
+	st.EventsIn += count
+	st.Records += recs
+	st.Repeats += reps
+	st.Bytes += bytes
 }
 
 // VerbatimBytes is the volume the same events occupy at the fixed
@@ -124,172 +139,54 @@ func (st CompactStats) Ratio() float64 {
 	return float64(st.VerbatimBytes()) / float64(st.Bytes)
 }
 
-// blockRef locates one encoded block in the collector's byte arena.
-type blockRef struct {
-	off, end int // carena[off:end]
-	count    int // events encoded in the block
-}
-
-// Pools recycling compact-mode state across simulation cells, alongside
-// eventBufPool: Release returns the byte arena, the encoder (dictionary
-// map included) and the decoder scratch so sweeps stay zero-growth.
+// Pools recycling the encoder (dictionary map and block scratch included)
+// and the decoder scratch across collectors.
 var (
-	byteArenaPool = sync.Pool{New: func() any { return new([]byte) }}
-	encoderPool   = sync.Pool{New: func() any { return new(encoder) }}
-	decoderPool   = sync.Pool{New: func() any { return new(decoder) }}
+	encoderPool = sync.Pool{New: func() any { return new(encoder) }}
+	decoderPool = sync.Pool{New: func() any { return new(decoder) }}
 )
 
-// NewCompactCollector returns a collector with online redundancy
-// suppression enabled: Append encodes every batch into the compact block
-// format, Bytes reports the encoded volume, and SpillTo writes version-2
-// frames. The merged Events view, WriteTrace and the analysis paths are
-// byte-identical to a verbatim collector fed the same batches; only the
-// storage representation differs. Suppression is opt-in per collector —
-// NewCollector keeps the verbatim arena.
-func NewCompactCollector() *Collector {
-	col := NewCollector()
-	col.compact = true
-	col.carena = (*byteArenaPool.Get().(*[]byte))[:0]
-	col.enc = encoderPool.Get().(*encoder)
-	col.enc.reset()
-	return col
+// CompactStats returns the suppression counters of the trace's compact
+// encoding, one block per Append batch: spilled batches are counted when
+// they spill, resident ones are encoded here. The result is cached until
+// the next Append.
+func (col *Collector) CompactStats() CompactStats {
+	if !col.statsOK {
+		var st CompactStats
+		if col.spill != nil {
+			st = col.spill.stats
+		}
+		col.eachBlock(func(count int, block []byte, recs, reps int) {
+			st.add(count, len(block), recs, reps)
+		})
+		col.stats, col.statsOK = st, true
+	}
+	return col.stats
 }
 
-// Compact reports whether the collector suppresses redundancy (encoded
-// blocks) rather than storing events verbatim.
-func (col *Collector) Compact() bool { return col.compact }
-
-// CompactStats returns the collector's suppression counters (zero for a
-// verbatim collector).
-func (col *Collector) CompactStats() CompactStats { return col.stats }
-
-// encodeBlockTo encodes evs as one compact block appended to dst, using
-// the collector's pooled encoder. Callers own the returned buffer; the
-// block is NOT added to the collector (see ctx.go's sealed units).
-func (col *Collector) encodeBlockTo(dst []byte, evs []Event) (out []byte, recs, reps int) {
-	return col.enc.encodeBlock(dst, evs)
-}
-
-// appendCompact is Append for a compact collector: carve the batch into
-// non-decreasing-time segments exactly as the verbatim path does (segment
-// indices are event positions, so the merge semantics are unchanged), then
-// store the encoded block. A pre-encoded frame (adopted from a trace file
-// or a sealed per-thread unit) is copied verbatim instead of re-encoded;
-// recs/reps then carry the frame's op counts.
-func (col *Collector) appendCompact(events []Event, frame []byte, recs, reps int) {
-	base := col.count
-	for i := 0; i < len(events); {
-		j := i + 1
-		for j < len(events) && events[j].At >= events[j-1].At {
-			j++
-		}
-		if n := len(col.segs); n > 0 && i == 0 && base > 0 && events[0].At >= col.lastAt {
-			col.segs[n-1].end = base + j
-		} else {
-			col.segs = append(col.segs, segRange{start: base + i, end: base + j})
-		}
-		i = j
+// eachBlock encodes every resident Append batch, in insertion order, as one
+// compact block with a pooled encoder and hands it to fn. The block is
+// scratch, valid only during the call.
+func (col *Collector) eachBlock(fn func(count int, block []byte, recs, reps int)) {
+	enc := encoderPool.Get().(*encoder)
+	defer encoderPool.Put(enc)
+	start := 0
+	for _, end := range col.batches {
+		var recs, reps int
+		enc.scratch, recs, reps = enc.encodeBlock(enc.scratch[:0], col.store[start:end])
+		fn(end-start, enc.scratch, recs, reps)
+		start = end
 	}
-	off := len(col.carena)
-	if frame != nil {
-		col.carena = append(col.carena, frame...)
-	} else {
-		col.carena, recs, reps = col.enc.encodeBlock(col.carena, events)
-	}
-	col.blocks = append(col.blocks, blockRef{off: off, end: len(col.carena), count: len(events)})
-	col.count += len(events)
-	col.lastAt = events[len(events)-1].At
-	col.stats.EventsIn += len(events)
-	col.stats.Records += recs
-	col.stats.Repeats += reps
-	col.stats.Bytes += len(col.carena) - off
-	if col.spill != nil {
-		col.spill.maybeSpill(col)
-	}
-}
-
-// adoptSealed appends a pre-encoded single-thread unit: its events are
-// consecutive records of one thread, so times are non-decreasing and the
-// whole unit is one segment — only the boundary times are needed to carve
-// it. This is the mid-run flush path for byte-budgeted buffers (ctx.go).
-func (col *Collector) adoptSealed(frame []byte, count int, firstAt, lastAt des.Time, recs, reps int) {
-	if count == 0 {
-		return
-	}
-	base := col.count
-	if n := len(col.segs); n > 0 && base > 0 && firstAt >= col.lastAt {
-		col.segs[n-1].end = base + count
-	} else {
-		col.segs = append(col.segs, segRange{start: base, end: base + count})
-	}
-	off := len(col.carena)
-	col.carena = append(col.carena, frame...)
-	col.blocks = append(col.blocks, blockRef{off: off, end: len(col.carena), count: count})
-	col.count += count
-	col.lastAt = lastAt
-	col.stats.EventsIn += count
-	col.stats.Records += recs
-	col.stats.Repeats += reps
-	col.stats.Bytes += len(frame)
-	if col.spill != nil {
-		col.spill.maybeSpill(col)
-	}
-}
-
-// decodedCombined reconstructs the full insertion-ordered event stream of
-// a compact collector — spilled prefix plus resident blocks — into the
-// pooled decode scratch, together with the matching segment list, for
-// merge-on-read. On a spill read failure the sticky error is set and only
-// the resident events are returned, like the verbatim path.
-func (col *Collector) decodedCombined() ([]Event, []segRange) {
-	spilled := 0
-	if col.spill != nil {
-		spilled = col.spill.count
-	}
-	if col.decoded == nil {
-		col.decoded = (*eventBufPool.Get().(*[]Event))[:0]
-	}
-	buf := col.decoded[:0]
-	if spilled > 0 {
-		var err error
-		buf, err = col.spill.decodeAll(buf)
-		if err != nil {
-			col.spill.err = err
-			buf, spilled = buf[:0], 0
-		}
-	}
-	dec := decoderPool.Get().(*decoder)
-	for _, b := range col.blocks {
-		var err error
-		buf, _, _, err = dec.block(col.carena[b.off:b.end], b.count, buf)
-		if err != nil {
-			// Resident blocks were encoded by this collector: failing to
-			// decode one is memory corruption or an encoder bug, not an
-			// input error.
-			panic(err)
-		}
-	}
-	decoderPool.Put(dec)
-	col.decoded = buf
-	segs := make([]segRange, 0, len(col.segs)+8)
-	if spilled > 0 {
-		for _, seg := range col.spill.segs {
-			segs = append(segs, segRange{start: seg.start, end: seg.end})
-		}
-	}
-	for _, seg := range col.segs {
-		segs = append(segs, segRange{start: spilled + seg.start, end: spilled + seg.end})
-	}
-	return buf, segs
 }
 
 // encoder turns event batches into compact blocks. The id dictionary is a
 // direct-index map (ids are small dense ints) reset in O(ids assigned) per
-// block; encoders are pooled across collectors via Release.
+// block; encoders are pooled via encoderPool.
 type encoder struct {
 	idIdx    []int32 // id -> dictionary index + 1; 0 = unassigned
 	assigned []int32 // ids assigned in the current block, for cheap reset
 	dictN    int
+	scratch  []byte // block buffer reused by eachBlock
 }
 
 // reset clears the per-block dictionary.
@@ -478,7 +375,9 @@ func (d *decoder) block(src []byte, count int, dst []Event) (out []Event, recs, 
 			if !ok {
 				return corrupt("truncated repeat record")
 			}
-			if l == 0 || copies == 0 || len(dst)-blockStart < l || n+int(copies)*l > count {
+			// copies is checked as unsigned before any conversion: a
+			// huge value must not wrap past the count bound.
+			if l == 0 || copies == 0 || len(dst)-blockStart < l || copies > uint64((count-n)/l) {
 				return corrupt("repeat record out of range")
 			}
 			for c := uint64(0); c < copies; c++ {
@@ -573,12 +472,11 @@ func (d *decoder) block(src []byte, count int, dst []Event) (out []Event, recs, 
 //	frame* where frame := uvarint count, uvarint blockLen, block
 const traceMagic = "VGVC"
 
-// WriteCompactTrace writes the trace in the compact binary format. A
-// compact collector's blocks (resident and spilled) are copied without
-// re-encoding; a verbatim collector's arena is encoded in insertion-order
-// chunks. Reading the file back reconstructs a collector whose merged
-// Events view — and therefore every VGV rendering — is byte-identical to
-// the source's.
+// WriteCompactTrace writes the trace in the compact binary format, one
+// frame per Append batch: spilled frames are copied from the spill file,
+// resident batches are encoded here. Reading the file back reconstructs a
+// collector whose merged Events view — and therefore every VGV rendering —
+// is byte-identical to the source's.
 func (col *Collector) WriteCompactTrace(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString(traceMagic)
@@ -606,68 +504,85 @@ func (col *Collector) WriteCompactTrace(w io.Writer) error {
 	}
 
 	writeU(uint64(col.Len()))
-	if col.compact {
-		// The spill file already holds framed blocks: stream its payload.
-		if col.spill != nil && col.spill.count > 0 {
-			if err := col.spill.copyFrames(bw); err != nil {
-				return err
-			}
-		}
-		for _, b := range col.blocks {
-			writeU(uint64(b.count))
-			writeU(uint64(b.end - b.off))
-			bw.Write(col.carena[b.off:b.end])
-		}
-		return bw.Flush()
-	}
-	// Verbatim source: encode the insertion-ordered stream in chunks.
-	store := col.store
 	if col.spill != nil && col.spill.count > 0 {
-		store, _ = col.spill.combined(col)
-		if err := col.spill.err; err != nil {
+		if err := col.spill.copyFrames(bw); err != nil {
 			return err
 		}
 	}
-	enc := encoderPool.Get().(*encoder)
-	defer encoderPool.Put(enc)
-	var frame []byte
-	for off := 0; off < len(store); off += encodeChunkEvents {
-		end := off + encodeChunkEvents
-		if end > len(store) {
-			end = len(store)
-		}
-		frame = frame[:0]
-		frame, _, _ = enc.encodeBlock(frame, store[off:end])
-		writeU(uint64(end - off))
-		writeU(uint64(len(frame)))
-		bw.Write(frame)
-	}
+	col.eachBlock(func(count int, block []byte, _, _ int) {
+		writeU(uint64(count))
+		writeU(uint64(len(block)))
+		bw.Write(block)
+	})
 	return bw.Flush()
 }
 
-// ReadCompactTrace parses a trace produced by WriteCompactTrace into a
-// compact collector, adopting the file's blocks without re-encoding. An
-// unrecognised magic or version is rejected with *FormatError.
+// ReadCompactTrace parses a trace produced by WriteCompactTrace, appending
+// each decoded frame to the collector as one batch, so writing the result
+// with WriteCompactTrace reproduces the file. An unrecognised magic or
+// version, or a structurally impossible file, is rejected with
+// *FormatError.
 func ReadCompactTrace(r io.Reader) (*Collector, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReader(r)
 	}
-	var hdr [5]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, &FormatError{What: "compact trace", Version: -1, Detail: "truncated header"}
-	}
-	if string(hdr[:4]) != traceMagic {
-		return nil, &FormatError{What: "compact trace", Version: -1, Detail: "bad magic"}
-	}
-	if hdr[4] != CompactVersion {
-		return nil, &FormatError{What: "compact trace", Version: int(hdr[4])}
+	col, total, err := readCompactHeader(br)
+	if err != nil {
+		return nil, err
 	}
 	corrupt := func(detail string) (*Collector, error) {
+		col.Release()
 		return nil, &FormatError{What: "compact trace", Version: -1, Detail: detail}
 	}
+	dec := decoderPool.Get().(*decoder)
+	defer decoderPool.Put(dec)
+	var frame bytes.Buffer
+	var scratch []Event
+	for decoded := uint64(0); decoded < total; {
+		count, err := binary.ReadUvarint(br)
+		if err != nil {
+			return corrupt("truncated frame header")
+		}
+		blen, err := binary.ReadUvarint(br)
+		if err != nil || count == 0 || count > total-decoded || count > math.MaxInt/maxEventBytes || blen > count*maxEventBytes {
+			return corrupt("bad frame header")
+		}
+		// The buffer grows only as bytes arrive, so a length the input
+		// cannot back never turns into an allocation.
+		frame.Reset()
+		if _, err := io.CopyN(&frame, br, int64(blen)); err != nil {
+			return corrupt("truncated frame")
+		}
+		scratch, _, _, err = dec.block(frame.Bytes(), int(count), scratch[:0])
+		if err != nil {
+			col.Release()
+			return nil, err
+		}
+		col.Append(scratch)
+		decoded += count
+	}
+	return col, nil
+}
 
-	col := NewCompactCollector()
+// readCompactHeader reads a binary trace file's header and function tables
+// into a fresh collector, returning it with the file's claimed event total.
+func readCompactHeader(br *bufio.Reader) (*Collector, uint64, error) {
+	var hdr [5]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, 0, &FormatError{What: "compact trace", Version: -1, Detail: "truncated header"}
+	}
+	if string(hdr[:4]) != traceMagic {
+		return nil, 0, &FormatError{What: "compact trace", Version: -1, Detail: "bad magic"}
+	}
+	if hdr[4] != CompactVersion {
+		return nil, 0, &FormatError{What: "compact trace", Version: int(hdr[4])}
+	}
+	col := NewCollector()
+	corrupt := func(detail string) (*Collector, uint64, error) {
+		col.Release()
+		return nil, 0, &FormatError{What: "compact trace", Version: -1, Detail: detail}
+	}
 	nRanks, err := binary.ReadUvarint(br)
 	if err != nil {
 		return corrupt("truncated rank count")
@@ -681,7 +596,7 @@ func ReadCompactTrace(r io.Reader) (*Collector, error) {
 		if err != nil {
 			return corrupt("truncated function count")
 		}
-		table := make(map[int32]string, nFuncs)
+		table := col.funcTable(int32(rank), 0)
 		for f := uint64(0); f < nFuncs; f++ {
 			id, err := binary.ReadVarint(br)
 			if err != nil {
@@ -697,43 +612,12 @@ func ReadCompactTrace(r io.Reader) (*Collector, error) {
 			}
 			table[int32(id)] = string(name)
 		}
-		col.AddFuncTable(int32(rank), table)
 	}
-
 	total, err := binary.ReadUvarint(br)
 	if err != nil {
 		return corrupt("truncated event count")
 	}
-	dec := decoderPool.Get().(*decoder)
-	defer decoderPool.Put(dec)
-	var frame []byte
-	var scratch []Event
-	for decoded := uint64(0); decoded < total; {
-		count, err := binary.ReadUvarint(br)
-		if err != nil {
-			return corrupt("truncated frame header")
-		}
-		blen, err := binary.ReadUvarint(br)
-		if err != nil || count == 0 || decoded+count > total {
-			return corrupt("bad frame header")
-		}
-		if uint64(cap(frame)) < blen {
-			frame = make([]byte, blen)
-		}
-		frame = frame[:blen]
-		if _, err := io.ReadFull(br, frame); err != nil {
-			return corrupt("truncated frame")
-		}
-		scratch = scratch[:0]
-		var recs, reps int
-		scratch, recs, reps, err = dec.block(frame, int(count), scratch)
-		if err != nil {
-			return nil, err
-		}
-		col.appendCompact(scratch, frame, recs, reps)
-		decoded += count
-	}
-	return col, nil
+	return col, total, nil
 }
 
 // ReadTraceAuto reads a trace in either supported format, sniffing the

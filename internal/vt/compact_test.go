@@ -1,7 +1,9 @@
 package vt
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -9,7 +11,6 @@ import (
 	"testing"
 
 	"dynprof/internal/des"
-	"dynprof/internal/fault"
 )
 
 // loopBatch models the redundant trace a loop nest emits: iters repetitions
@@ -111,51 +112,73 @@ func TestCompactDecoderRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestCompactCollectorMatchesVerbatim drives identical interleaved batches
-// into a verbatim and a compact collector and requires identical merged
-// views, lengths and trace bytes out.
+// writeCompact returns col's binary trace file.
+func writeCompact(t *testing.T, col *Collector) []byte {
+	t.Helper()
+	var file bytes.Buffer
+	if err := col.WriteCompactTrace(&file); err != nil {
+		t.Fatal(err)
+	}
+	return file.Bytes()
+}
+
+// TestCompactCollectorMatchesVerbatim round-trips interleaved batches
+// through the binary trace file and requires the decoded collector to
+// reproduce the source's merged view, length, textual trace and encoding
+// counters.
 func TestCompactCollectorMatchesVerbatim(t *testing.T) {
 	plain := NewCollector()
 	defer plain.Release()
-	compact := NewCompactCollector()
-	defer compact.Release()
-	for _, col := range []*Collector{plain, compact} {
-		fillBatches(col, 20, 50)
-		col.Append(loopBatch(0, 0, 1000, 50))
-		col.Append(loopBatch(1, 1, 980, 50))
+	fillBatches(plain, 20, 50)
+	plain.Append(loopBatch(0, 0, 1000, 50))
+	plain.Append(loopBatch(1, 1, 980, 50))
+	back, err := ReadCompactTrace(bytes.NewReader(writeCompact(t, plain)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if plain.Len() != compact.Len() {
-		t.Fatalf("Len diverges: %d vs %d", plain.Len(), compact.Len())
+	defer back.Release()
+	if plain.Len() != back.Len() || plain.Bytes() != back.Bytes() {
+		t.Fatalf("Len/Bytes diverge: %d/%d vs %d/%d", plain.Len(), plain.Bytes(), back.Len(), back.Bytes())
 	}
-	if !reflect.DeepEqual(plain.Events(), compact.Events()) {
-		t.Fatal("merged views diverge between verbatim and compact collectors")
+	if !reflect.DeepEqual(plain.Events(), back.Events()) {
+		t.Fatal("merged views diverge across the binary round trip")
 	}
 	var pw, cw bytes.Buffer
 	if err := plain.WriteTrace(&pw); err != nil {
 		t.Fatal(err)
 	}
-	if err := compact.WriteTrace(&cw); err != nil {
+	if err := back.WriteTrace(&cw); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(pw.Bytes(), cw.Bytes()) {
-		t.Fatal("textual traces diverge between verbatim and compact collectors")
+		t.Fatal("textual traces diverge across the binary round trip")
 	}
-	st := compact.CompactStats()
-	if st.EventsIn != compact.Len() || st.Records == 0 || st.Bytes != compact.Bytes() {
-		t.Errorf("inconsistent stats: %+v (len %d, bytes %d)", st, compact.Len(), compact.Bytes())
+	st := plain.CompactStats()
+	if st.EventsIn != plain.Len() || st.Records == 0 || st.Repeats == 0 {
+		t.Errorf("inconsistent stats: %+v (len %d)", st, plain.Len())
 	}
-	if compact.Bytes() >= plain.Bytes() {
-		t.Errorf("compact bytes %d not below verbatim %d", compact.Bytes(), plain.Bytes())
+	if st.Bytes >= plain.Bytes() {
+		t.Errorf("compact bytes %d not below verbatim %d", st.Bytes, plain.Bytes())
+	}
+	if got := back.CompactStats(); got != st {
+		t.Errorf("decoded collector's stats %+v, source's %+v", got, st)
+	}
+	plain.Append(loopBatch(2, 0, 5000, 10))
+	if got := plain.CompactStats(); got.EventsIn != plain.Len() {
+		t.Errorf("stats not refreshed by Append: %d events in, len %d", got.EventsIn, plain.Len())
 	}
 }
 
+// TestCompactSpillEquivalence: a spilling collector encodes the same
+// blocks at spill time that a resident one encodes on demand, so its
+// merged view and encoding counters equal the resident collector's.
 func TestCompactSpillEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	plain := NewCollector()
 	defer plain.Release()
-	spilling := NewCompactCollector()
+	spilling := NewCollector()
 	defer spilling.Release()
-	if err := spilling.SpillTo(filepath.Join(dir, "trace.cspill"), 128); err != nil {
+	if err := spilling.SpillTo(filepath.Join(dir, "trace.spill"), 128); err != nil {
 		t.Fatal(err)
 	}
 	for _, col := range []*Collector{plain, spilling} {
@@ -172,24 +195,21 @@ func TestCompactSpillEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(spilling.Events(), plain.Events()) {
-		t.Fatal("merged views diverge between compact-spilling and verbatim collectors")
+		t.Fatal("merged views diverge between spilling and resident collectors")
 	}
-	if spilling.Bytes() >= plain.Bytes() {
-		t.Errorf("compact spilling bytes %d not below verbatim %d", spilling.Bytes(), plain.Bytes())
+	if got, want := spilling.CompactStats(), plain.CompactStats(); got != want {
+		t.Errorf("spilling stats %+v, resident %+v", got, want)
 	}
 }
 
 // TestSpillRejectsUnknownVersion corrupts the spill header's version byte
 // under a live collector and requires the read path to surface a typed
-// *FormatError instead of misparsing.
+// *FormatError instead of misparsing. Version 1, the retired format of
+// fixed 40-byte records, is rejected like any other.
 func TestSpillRejectsUnknownVersion(t *testing.T) {
-	for _, compact := range []bool{false, true} {
-		dir := t.TempDir()
+	for _, version := range []byte{1, 99} {
 		col := NewCollector()
-		if compact {
-			col = NewCompactCollector()
-		}
-		path := filepath.Join(dir, "trace.spill")
+		path := filepath.Join(t.TempDir(), "trace.spill")
 		if err := col.SpillTo(path, 64); err != nil {
 			t.Fatal(err)
 		}
@@ -201,46 +221,60 @@ func TestSpillRejectsUnknownVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.WriteAt([]byte{99}, int64(len(spillMagic))); err != nil {
+		if _, err := f.WriteAt([]byte{version}, int64(len(spillMagic))); err != nil {
 			t.Fatal(err)
 		}
 		f.Close()
 		col.Events()
 		var fe *FormatError
 		if err := col.SpillErr(); !errors.As(err, &fe) {
-			t.Errorf("compact=%v: got %v, want *FormatError", compact, err)
-		} else if fe.Version != 99 {
-			t.Errorf("compact=%v: reported version %d, want 99", compact, fe.Version)
+			t.Errorf("version %d: got %v, want *FormatError", version, err)
+		} else if fe.Version != int(version) {
+			t.Errorf("version %d: reported version %d", version, fe.Version)
 		}
 		col.Release()
 	}
 }
 
+// TestCompactTraceFileRoundTrip writes a binary trace file from an
+// Appended collector ("verbatim") and from one read back from such a file
+// ("compact"). Reading the file back must reproduce the textual trace, and
+// writing the read-back collector again must reproduce the file byte for
+// byte.
 func TestCompactTraceFileRoundTrip(t *testing.T) {
+	build := func() *Collector {
+		col := NewCollector()
+		fillBatches(col, 20, 50)
+		col.Append(loopBatch(0, 0, 2000, 60))
+		return col
+	}
 	for _, src := range []struct {
 		name string
 		mk   func() *Collector
 	}{
-		{"verbatim", NewCollector},
-		{"compact", NewCompactCollector},
+		{"verbatim", build},
+		{"compact", func() *Collector {
+			col := build()
+			defer col.Release()
+			back, err := ReadCompactTrace(bytes.NewReader(writeCompact(t, col)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return back
+		}},
 	} {
 		t.Run(src.name, func(t *testing.T) {
 			col := src.mk()
 			defer col.Release()
-			fillBatches(col, 20, 50)
-			col.Append(loopBatch(0, 0, 2000, 60))
 			var want bytes.Buffer
 			if err := col.WriteTrace(&want); err != nil {
 				t.Fatal(err)
 			}
-			var file bytes.Buffer
-			if err := col.WriteCompactTrace(&file); err != nil {
-				t.Fatal(err)
+			file := writeCompact(t, col)
+			if len(file) >= want.Len() {
+				t.Errorf("compact file %d bytes not below textual %d", len(file), want.Len())
 			}
-			if file.Len() >= want.Len() {
-				t.Errorf("compact file %d bytes not below textual %d", file.Len(), want.Len())
-			}
-			back, err := ReadTraceAuto(bytes.NewReader(file.Bytes()))
+			back, err := ReadTraceAuto(bytes.NewReader(file))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,30 +286,38 @@ func TestCompactTraceFileRoundTrip(t *testing.T) {
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Fatal("trace read back from compact file diverges from the source")
 			}
+			if !bytes.Equal(writeCompact(t, back), file) {
+				t.Fatal("rewriting the read-back collector does not reproduce the file")
+			}
 		})
 	}
 }
 
+// TestCompactTraceFileSpilledSource: a spilling collector's file — spilled
+// frames copied from disk, resident batches encoded at write time — is
+// byte-identical to a resident collector's fed the same batches.
 func TestCompactTraceFileSpilledSource(t *testing.T) {
-	dir := t.TempDir()
-	col := NewCompactCollector()
+	col := NewCollector()
 	defer col.Release()
-	if err := col.SpillTo(filepath.Join(dir, "t.cspill"), 100); err != nil {
+	if err := col.SpillTo(filepath.Join(t.TempDir(), "t.spill"), 120); err != nil {
 		t.Fatal(err)
 	}
+	plain := NewCollector()
+	defer plain.Release()
 	fillBatches(col, 20, 50)
-	if col.Spilled() == 0 {
-		t.Fatal("no events spilled")
+	fillBatches(plain, 20, 50)
+	if col.Spilled() == 0 || col.Resident() == 0 {
+		t.Fatalf("want events both spilled and resident, have %d and %d", col.Spilled(), col.Resident())
+	}
+	file := writeCompact(t, col)
+	if !bytes.Equal(file, writeCompact(t, plain)) {
+		t.Fatal("spilled source's file diverges from the resident source's")
 	}
 	var want bytes.Buffer
 	if err := col.WriteTrace(&want); err != nil {
 		t.Fatal(err)
 	}
-	var file bytes.Buffer
-	if err := col.WriteCompactTrace(&file); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCompactTrace(bytes.NewReader(file.Bytes()))
+	back, err := ReadCompactTrace(bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,19 +327,15 @@ func TestCompactTraceFileSpilledSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("trace read back from a spilled compact source diverges")
+		t.Fatal("trace read back from a spilled source diverges")
 	}
 }
 
 func TestCompactTraceRejectsUnknownVersion(t *testing.T) {
-	col := NewCompactCollector()
+	col := NewCollector()
 	defer col.Release()
 	fillBatches(col, 2, 10)
-	var file bytes.Buffer
-	if err := col.WriteCompactTrace(&file); err != nil {
-		t.Fatal(err)
-	}
-	raw := file.Bytes()
+	raw := writeCompact(t, col)
 	raw[4] = 99
 	var fe *FormatError
 	if _, err := ReadCompactTrace(bytes.NewReader(raw)); !errors.As(err, &fe) {
@@ -307,6 +345,27 @@ func TestCompactTraceRejectsUnknownVersion(t *testing.T) {
 	}
 	if _, err := ReadTraceAuto(bytes.NewReader(raw)); !errors.As(err, &fe) {
 		t.Fatalf("ReadTraceAuto: got %v, want *FormatError", err)
+	}
+}
+
+// craftedTraces are binary trace files that once crashed or hung the
+// reader; each must be rejected with *FormatError.
+var craftedTraces = map[string][]byte{
+	// 0 ranks, 1 event, then a frame of 1 event claiming a 2^62-byte
+	// block: the reader allocated the claimed length up front.
+	"frame length": append([]byte("VGVC\x02\x00\x01\x01"), binary.AppendUvarint(nil, 1<<62)...),
+	// 0 ranks, 2 events, one 14-byte frame of 2 events: a literal (new
+	// id 0 at time 0), then a repeat of length 1 with 2^63 copies, which
+	// wrapped past the count check and expanded without bound.
+	"repeat count": append([]byte("VGVC\x02\x00\x02\x02\x0e\x40\x00\x00\x81"), binary.AppendUvarint(nil, 1<<63)...),
+}
+
+func TestReadCompactTraceRejectsCraftedInputs(t *testing.T) {
+	for name, raw := range craftedTraces {
+		var fe *FormatError
+		if _, err := ReadTraceAuto(bytes.NewReader(raw)); !errors.As(err, &fe) {
+			t.Errorf("%s: got %v, want *FormatError", name, err)
+		}
 	}
 }
 
@@ -328,116 +387,58 @@ func TestReadTraceAutoTextual(t *testing.T) {
 	}
 }
 
-// driveLoop fires iters Enter/Exit pairs for two functions through the
-// Ctx's probes, advancing simulated time by a fixed step.
-func driveLoop(c *Ctx, ec *fakeEC, iters int) {
-	f := c.FuncDef("solve")
-	g := c.FuncDef("kernel")
-	c.Initialize(nil)
-	for i := 0; i < iters; i++ {
-		for _, id := range []int32{f, g} {
-			c.Begin(ec, id)
-			ec.now += 10
-			c.End(ec, id)
-			ec.now += 5
-		}
-	}
-}
-
-func TestByteBudgetFlushEarly(t *testing.T) {
-	col := NewCompactCollector()
-	defer col.Release()
-	c := NewCtx(Options{Collector: col, BufferBytes: 256, Overflow: fault.OverflowFlushEarly})
-	ec := &fakeEC{}
-	driveLoop(c, ec, 4000)
-	c.Flush()
-	if c.Overflows() == 0 {
-		t.Fatal("no overflows despite tiny byte budget")
-	}
-	if c.MidRunFlushes() == 0 {
-		t.Fatal("flush-early produced no mid-run flushes")
-	}
-	if got := col.Len(); got != 16000 {
-		t.Fatalf("flush-early lost events: %d of 16000", got)
-	}
-	// The same probes through a verbatim collector must yield the same
-	// merged trace: budget pressure changes when data moves, not what is
-	// recorded.
-	ref := NewCollector()
-	defer ref.Release()
-	rc := NewCtx(Options{Collector: ref})
-	driveLoop(rc, &fakeEC{}, 4000)
-	rc.Flush()
-	if !reflect.DeepEqual(col.Events(), ref.Events()) {
-		t.Fatal("flush-early trace diverges from unbudgeted reference")
-	}
-}
-
-func TestByteBudgetDropOldest(t *testing.T) {
-	col := NewCompactCollector()
-	defer col.Release()
-	c := NewCtx(Options{Collector: col, BufferBytes: 256, Overflow: fault.OverflowDropOldest})
-	ec := &fakeEC{}
-	driveLoop(c, ec, 4000)
-	c.Flush()
-	if c.Overflows() == 0 {
-		t.Fatal("no overflows despite tiny byte budget")
-	}
-	if got := col.Len(); got == 0 || got >= 16000 {
-		t.Fatalf("drop-oldest kept %d events, want a non-empty strict subset", got)
-	}
-	// The retained suffix must still decode exactly.
-	evs := col.Events()
-	for i := 1; i < len(evs); i++ {
-		if evs[i].At < evs[i-1].At {
-			t.Fatal("retained events not time-ordered")
-		}
-	}
-}
-
-func TestByteBudgetDisableProbe(t *testing.T) {
-	col := NewCompactCollector()
-	defer col.Release()
-	c := NewCtx(Options{Collector: col, BufferBytes: 256, Overflow: fault.OverflowDisableProbe})
-	ec := &fakeEC{}
-	driveLoop(c, ec, 4000)
-	c.Flush()
-	if c.Overflows() == 0 {
-		t.Fatal("no overflows despite tiny byte budget")
-	}
-	if c.Active(0) || c.Active(1) {
-		t.Fatal("disable-probe left probes active under budget pressure")
-	}
-}
-
-// TestByteBudgetVerbatimDegrade: a byte budget on a verbatim collector
-// must behave as an event cap.
-func TestByteBudgetVerbatimDegrade(t *testing.T) {
-	col := NewCollector()
-	defer col.Release()
-	c := NewCtx(Options{Collector: col, BufferBytes: 10 * EventBytes, Overflow: fault.OverflowDropOldest})
-	ec := &fakeEC{}
-	driveLoop(c, ec, 100)
-	c.Flush()
-	if got := col.Len(); got != 10 {
-		t.Fatalf("verbatim degrade kept %d events, want 10", got)
-	}
-}
-
-// TestCompactReleaseRecycles verifies the suppression state actually
-// returns to the pools: a release/new cycle at steady state must not grow
-// the heap per iteration.
+// TestCompactReleaseRecycles verifies the arena and the encoder return to
+// the pools: a release/new cycle at steady state must not grow the heap
+// per iteration.
 func TestCompactReleaseRecycles(t *testing.T) {
 	evs := loopBatch(0, 0, 0, 200)
 	grow := testing.AllocsPerRun(50, func() {
-		col := NewCompactCollector()
+		col := NewCollector()
 		col.Append(evs)
+		_ = col.CompactStats()
 		_ = col.Events()
 		col.Release()
 	})
 	// A handful of fixed-size allocations per cycle (Collector struct,
-	// maps, blockRef headers) is fine; per-event growth is not.
+	// maps, segment and batch headers) is fine; per-event growth is not.
 	if grow > 40 {
 		t.Errorf("release/new cycle allocates %.0f objects; pools not recycling", grow)
 	}
+}
+
+// FuzzReadCompactTrace requires the binary trace reader to reject bad
+// input only through *FormatError, never by panicking, and every accepted
+// input to survive a WriteCompactTrace round trip with its Events intact.
+// The seed corpus (testdata/fuzz/FuzzReadCompactTrace) holds files written
+// from the test fixtures plus the crafted inputs above.
+func FuzzReadCompactTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, input []byte) {
+		// A valid file can describe more events than memory holds (a
+		// repeat record expands without limit), so the harness, not the
+		// reader, bounds the claimed total.
+		if _, total, err := readCompactHeader(bufio.NewReader(bytes.NewReader(input))); err == nil && total > 1<<16 {
+			t.Skip("claims more events than the harness decodes")
+		}
+		col, err := ReadCompactTrace(bytes.NewReader(input))
+		if err != nil {
+			var fe *FormatError
+			if !errors.As(err, &fe) {
+				t.Fatalf("rejected with %T %v, want *FormatError", err, err)
+			}
+			return
+		}
+		defer col.Release()
+		var file bytes.Buffer
+		if err := col.WriteCompactTrace(&file); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCompactTrace(&file)
+		if err != nil {
+			t.Fatalf("rewritten file rejected: %v", err)
+		}
+		defer back.Release()
+		if !reflect.DeepEqual(back.Events(), col.Events()) {
+			t.Fatal("Events diverge across the WriteCompactTrace round trip")
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"dynprof/internal/des"
 	"dynprof/internal/fault"
 	"dynprof/internal/image"
 )
@@ -64,8 +63,6 @@ type Ctx struct {
 	bytes   int
 
 	bufCap    int
-	bufBytes  int
-	units     map[int32]*threadUnits
 	overflow  fault.OverflowPolicy
 	inj       *fault.Injector
 	node      int
@@ -102,12 +99,6 @@ type Options struct {
 	// arrives, the Overflow policy decides what gives. Zero means
 	// unbounded (no overflow faults).
 	BufferEvents int
-	// BufferBytes models the same hard cap in bytes rather than events.
-	// With a compact (redundancy-suppressing) collector the budget is
-	// charged against sealed, encoded units, so suppression stretches the
-	// same bytes over more events; with a verbatim collector it degrades
-	// to an event cap of BufferBytes/EventBytes. Zero means unbounded.
-	BufferBytes int
 	// Overflow selects the policy applied when a capped buffer fills.
 	Overflow fault.OverflowPolicy
 	// Faults, when non-nil, receives a structured fault event each time
@@ -129,18 +120,6 @@ func NewCtx(opts Options) *Ctx {
 	if opts.Config != nil {
 		cfg = opts.Config.Clone()
 	}
-	bufCap, bufBytes := opts.BufferEvents, 0
-	if opts.BufferBytes > 0 {
-		if opts.Collector.Compact() {
-			bufBytes = opts.BufferBytes
-		} else if bufCap == 0 {
-			// Verbatim collector: a byte budget is an event budget.
-			bufCap = opts.BufferBytes / EventBytes
-			if bufCap < 1 {
-				bufCap = 1
-			}
-		}
-	}
 	return &Ctx{
 		rank:      int32(opts.Rank),
 		col:       opts.Collector,
@@ -149,8 +128,7 @@ func NewCtx(opts Options) *Ctx {
 		traceOMP:  opts.TraceOMP,
 		countOnly: opts.CountOnly,
 		flushAt:   opts.FlushThreshold,
-		bufCap:    bufCap,
-		bufBytes:  bufBytes,
+		bufCap:    opts.BufferEvents,
 		overflow:  opts.Overflow,
 		inj:       opts.Faults,
 		node:      opts.Node,
@@ -223,12 +201,6 @@ func (c *Ctx) record(ec image.ExecCtx, k Kind, id int32, a, b int64) {
 		return
 	}
 	tid := int32(ec.ThreadID())
-	if c.bufBytes > 0 {
-		c.recordUnit(ec, tid, Event{
-			At: ec.Now(), Rank: c.rank, TID: tid, Kind: k, ID: id, A: a, B: b,
-		})
-		return
-	}
 	if c.bufCap > 0 && len(c.buffers[tid]) >= c.bufCap && !c.overflowed(ec, tid, k, id) {
 		return
 	}
@@ -248,148 +220,6 @@ func (c *Ctx) record(ec image.ExecCtx, k Kind, id int32, a, b int64) {
 // MidRunFlushes reports how many times a full buffer was drained before
 // program termination.
 func (c *Ctx) MidRunFlushes() int { return c.midFlush }
-
-// sealChunkEvents is the unsealed tail length at which a byte-budgeted
-// thread buffer compresses its tail into a sealed unit (see threadUnits).
-const sealChunkEvents = 128
-
-// encUnit is one sealed, compressed run of a thread's buffer: a compact
-// block (format in compact.go) plus the metadata the collector needs to
-// adopt it without decoding.
-type encUnit struct {
-	frame   []byte
-	count   int
-	firstAt des.Time
-	lastAt  des.Time
-	recs    int
-	reps    int
-}
-
-// threadUnits is a thread's byte-budgeted trace buffer: an unsealed tail
-// of raw events that is compressed into sealed units every
-// sealChunkEvents, so the overflow budget (Options.BufferBytes) is charged
-// in encoded bytes — redundancy suppression stretches the same budget over
-// proportionally more events.
-type threadUnits struct {
-	sealed []encUnit
-	bytes  int // total sealed frame bytes, charged against the budget
-	raw    []Event
-}
-
-// events is the buffered event count, sealed and raw.
-func (tu *threadUnits) events() int {
-	n := len(tu.raw)
-	for _, u := range tu.sealed {
-		n += u.count
-	}
-	return n
-}
-
-// recordUnit is record for byte-budgeted buffers (BufferBytes with a
-// compact collector): seal the tail when it is long enough to compress,
-// apply the overflow policy against the encoded-byte budget, then buffer
-// the event.
-func (c *Ctx) recordUnit(ec image.ExecCtx, tid int32, ev Event) {
-	tu := c.units[tid]
-	if tu == nil {
-		if c.units == nil {
-			c.units = make(map[int32]*threadUnits)
-		}
-		tu = &threadUnits{}
-		c.units[tid] = tu
-	}
-	if len(tu.raw) >= sealChunkEvents {
-		c.seal(tu)
-	}
-	if tu.bytes >= c.bufBytes && !c.unitOverflow(ec, tu, tid, ev.Kind, ev.ID) {
-		return
-	}
-	tu.raw = append(tu.raw, ev)
-	if c.flushAt > 0 && tu.events() >= c.flushAt {
-		// Mid-run buffer flush: the thread pays for draining its own
-		// buffer to the trace sink.
-		ec.Charge(int64(tu.events()) * flushCyclesPerEvent)
-		c.drainUnits(tu)
-		c.midFlush++
-	}
-}
-
-// seal compresses the unsealed tail into a sealed unit using the
-// collector's pooled encoder (the Ctx runs on its DES shard's single host
-// thread, like every other collector access).
-func (c *Ctx) seal(tu *threadUnits) {
-	if len(tu.raw) == 0 {
-		return
-	}
-	frame, recs, reps := c.col.encodeBlockTo(nil, tu.raw)
-	tu.sealed = append(tu.sealed, encUnit{
-		frame:   frame,
-		count:   len(tu.raw),
-		firstAt: tu.raw[0].At,
-		lastAt:  tu.raw[len(tu.raw)-1].At,
-		recs:    recs,
-		reps:    reps,
-	})
-	tu.bytes += len(frame)
-	tu.raw = tu.raw[:0]
-}
-
-// drainUnits moves the whole buffer — sealed units first, then the raw
-// tail — to the collector. Sealed units are adopted without re-encoding.
-func (c *Ctx) drainUnits(tu *threadUnits) {
-	for i := range tu.sealed {
-		u := &tu.sealed[i]
-		c.col.adoptSealed(u.frame, u.count, u.firstAt, u.lastAt, u.recs, u.reps)
-		u.frame = nil
-	}
-	tu.sealed = tu.sealed[:0]
-	tu.bytes = 0
-	if len(tu.raw) > 0 {
-		c.col.Append(tu.raw)
-		tu.raw = tu.raw[:0]
-	}
-}
-
-// unitOverflow applies the configured overflow policy when thread tid's
-// sealed bytes have reached the budget and event (k, id) wants in. It
-// reports whether the arriving event should still be buffered.
-func (c *Ctx) unitOverflow(ec image.ExecCtx, tu *threadUnits, tid int32, k Kind, id int32) bool {
-	c.overflows++
-	switch c.overflow {
-	case fault.OverflowFlushEarly:
-		n := tu.events()
-		ec.Charge(int64(n) * flushCyclesPerEvent)
-		c.drainUnits(tu)
-		c.midFlush++
-		c.faultEvent(ec, fmt.Sprintf("thread %d trace budget full (%d events compressed): flushed early", tid, n))
-		return true
-	case fault.OverflowDropOldest:
-		dropped := 0
-		for len(tu.sealed) > 0 && tu.bytes >= c.bufBytes {
-			u := tu.sealed[0]
-			tu.bytes -= len(u.frame)
-			dropped += u.count
-			copy(tu.sealed, tu.sealed[1:])
-			tu.sealed[len(tu.sealed)-1] = encUnit{}
-			tu.sealed = tu.sealed[:len(tu.sealed)-1]
-		}
-		if c.dropNoted == nil {
-			c.dropNoted = make(map[int32]bool)
-		}
-		if !c.dropNoted[tid] {
-			c.dropNoted[tid] = true
-			c.faultEvent(ec, fmt.Sprintf("thread %d trace budget full: dropping oldest compressed units (%d events)", tid, dropped))
-		}
-		return true
-	case fault.OverflowDisableProbe:
-		if (k == Enter || k == Exit) && id >= 0 && int(id) < len(c.active) && c.active[id] {
-			c.active[id] = false
-			c.faultEvent(ec, fmt.Sprintf("thread %d trace budget full: disabled probe %s", tid, c.names[id]))
-		}
-		return false
-	}
-	return true
-}
 
 // overflowed applies the configured overflow policy when thread tid's
 // buffer is full and the event (k, id) wants in. It reports whether the
@@ -596,11 +426,8 @@ func (c *Ctx) Flush() {
 		table[int32(id)] = n
 	}
 	c.col.AddFuncTable(c.rank, table)
-	tids := make([]int32, 0, len(c.buffers)+len(c.units))
+	tids := make([]int32, 0, len(c.buffers))
 	for tid := range c.buffers {
-		tids = append(tids, tid)
-	}
-	for tid := range c.units {
 		tids = append(tids, tid)
 	}
 	// Deterministic flush order.
@@ -612,11 +439,6 @@ func (c *Ctx) Flush() {
 		}
 	}
 	for _, tid := range tids {
-		if tu, ok := c.units[tid]; ok {
-			c.drainUnits(tu)
-			delete(c.units, tid)
-			continue
-		}
 		c.col.Append(c.buffers[tid])
 		delete(c.buffers, tid)
 	}

@@ -105,31 +105,26 @@ type segRange struct{ start, end int }
 // non-decreasing, so a whole batch is usually one segment). The merged,
 // time-ordered view is produced by a k-way merge over the segments and
 // cached until the next Append, so Events/Bytes/dump paths stop re-copying
-// and re-sorting the world on every call.
+// and re-sorting the world on every call. The arena is the only in-memory
+// representation; the compact block encoding (compact.go) is applied only
+// where the trace leaves memory — spill files and binary trace files — one
+// block per Append batch.
 type Collector struct {
-	funcs map[int32]map[int32]string // rank -> id -> name
-	store []Event                    // arena, insertion order; recycled via Release
-	segs  []segRange
+	funcs   map[int32]map[int32]string // rank -> id -> name
+	store   []Event                    // arena, insertion order; recycled via Release
+	segs    []segRange
+	batches []int // store index where each resident Append batch ends
 
 	merged  []Event // cached merged view; valid while mergedN == len(store)
 	mergedN int
+
+	stats   CompactStats // cached CompactStats result; valid while statsOK
+	statsOK bool
 
 	// spill, when non-nil, streams the arena to disk whenever it exceeds
 	// the configured threshold, bounding resident trace memory (see
 	// spill.go and SpillTo).
 	spill *spillSink
-
-	// Compact mode (see compact.go): events are stored as encoded blocks
-	// in carena instead of verbatim in store; segs then hold event
-	// positions rather than store indices.
-	compact bool
-	carena  []byte
-	blocks  []blockRef
-	count   int      // events resident in compact mode
-	lastAt  des.Time // last appended event's time, for the tail-extend check
-	enc     *encoder
-	decoded []Event // pooled decode scratch backing the merged view
-	stats   CompactStats
 }
 
 // eventBufPool recycles collector arenas across simulation cells: a
@@ -147,36 +142,17 @@ func NewCollector() *Collector {
 	}
 }
 
-// Release returns the collector's arena — and, in compact mode, the byte
-// arena, the encoder with its suppression dictionary, and the decode
-// scratch — to the shared pools, and deletes any spill file. The caller
-// declares that neither the collector nor any slice obtained from Events
-// will be used again.
+// Release returns the collector's arena to the shared pool and deletes any
+// spill file. The caller declares that neither the collector nor any slice
+// obtained from Events will be used again.
 func (col *Collector) Release() {
 	if col.store != nil {
 		buf := col.store[:0]
 		eventBufPool.Put(&buf)
 	}
-	col.store, col.segs, col.merged = nil, nil, nil
+	col.store, col.segs, col.batches, col.merged = nil, nil, nil, nil
 	col.mergedN = -1
-	if col.carena != nil {
-		b := col.carena[:0]
-		byteArenaPool.Put(&b)
-		col.carena = nil
-	}
-	if col.enc != nil {
-		encoderPool.Put(col.enc)
-		col.enc = nil
-	}
-	if col.decoded != nil {
-		d := col.decoded[:0]
-		eventBufPool.Put(&d)
-		col.decoded = nil
-	}
-	col.blocks = nil
-	col.count, col.lastAt = 0, 0
-	col.compact = false
-	col.stats = CompactStats{}
+	col.stats, col.statsOK = CompactStats{}, false
 	if col.spill != nil {
 		col.spill.close()
 		col.spill = nil
@@ -202,25 +178,24 @@ func (col *Collector) funcTable(rank int32, hint int) map[int32]string {
 	return t
 }
 
-// Append merges a rank's event buffer into the trace. The batch is copied
-// into the arena and carved into non-decreasing-time segments; a batch that
-// continues the previous segment's timeline extends it in place.
+// Append merges a rank's event buffer into the trace as one batch. The
+// batch is copied into the arena and carved into non-decreasing-time
+// segments; a batch that continues the previous segment's timeline extends
+// it in place.
 func (col *Collector) Append(events []Event) {
 	if len(events) == 0 {
 		return
 	}
-	if col.compact {
-		col.appendCompact(events, nil, 0, 0)
-		return
-	}
 	start := len(col.store)
 	col.store = append(col.store, events...)
+	col.batches = append(col.batches, len(col.store))
 	col.carve(start)
 }
 
 // carve partitions the arena entries from start on into segments, as
 // Append describes, and lets a spilling collector stream its arena out.
 func (col *Collector) carve(start int) {
+	col.statsOK = false
 	for i := start; i < len(col.store); {
 		j := i + 1
 		for j < len(col.store) && col.store[j].At >= col.store[j-1].At {
@@ -242,36 +217,22 @@ func (col *Collector) carve(start int) {
 // rank/tid/insertion order). The view is cached between Appends; callers
 // must treat it as read-only.
 func (col *Collector) Events() []Event {
-	if col.mergedN != col.residentLen() {
+	if col.mergedN != len(col.store) {
 		col.rebuildMerged()
 	}
 	return col.merged
-}
-
-// residentLen is the number of events held in memory: arena entries for a
-// verbatim collector, encoded-block event counts for a compact one.
-func (col *Collector) residentLen() int {
-	if col.compact {
-		return col.count
-	}
-	return len(col.store)
 }
 
 // rebuildMerged recomputes the cached time-ordered view. Each segment is
 // already sorted by (At, insertion index) — times non-decreasing, indices
 // strictly increasing — so a k-way merge keyed on (At, cursor index)
 // reproduces exactly the stable sort of the insertion-ordered stream. A
-// spilling collector first restores the on-disk prefix (see spill.go); the
-// merge then runs over disk and arena segments together. A compact
-// collector first decodes its blocks (and spilled frames) into the pooled
-// scratch — segment boundaries are positions where time decreases, so the
-// decoded stream merges exactly like the verbatim one.
+// spilling collector first decodes the on-disk prefix (see spill.go); the
+// merge then runs over disk and arena segments together.
 func (col *Collector) rebuildMerged() {
-	col.mergedN = col.residentLen()
+	col.mergedN = len(col.store)
 	store, segs := col.store, col.segs
-	if col.compact {
-		store, segs = col.decodedCombined()
-	} else if col.spill != nil && col.spill.count > 0 {
+	if col.spill != nil && col.spill.count > 0 {
 		store, segs = col.spill.combined(col)
 	}
 	switch len(segs) {
@@ -342,22 +303,17 @@ func mergeSegs(store []Event, segs []segRange) []Event {
 
 // Len reports the number of collected events, spilled ones included.
 func (col *Collector) Len() int {
-	n := col.residentLen()
+	n := len(col.store)
 	if col.spill != nil {
 		n += col.spill.count
 	}
 	return n
 }
 
-// Bytes reports the trace's size: the fixed per-event record size for a
-// verbatim collector, the encoded payload volume (resident and spilled)
-// for a compact one.
-func (col *Collector) Bytes() int {
-	if col.compact {
-		return col.stats.Bytes
-	}
-	return col.Len() * EventBytes
-}
+// Bytes reports the trace's size at the fixed per-event record size, the
+// trace-volume accounting the paper uses. CompactStats reports the encoded
+// volume.
+func (col *Collector) Bytes() int { return col.Len() * EventBytes }
 
 // FuncName resolves a function id in rank's table.
 func (col *Collector) FuncName(rank, id int32) string {
@@ -447,7 +403,7 @@ func appendEventLine(b []byte, e *Event) []byte {
 // holding any byte >= 0x80 is split by strings.Fields itself, so Unicode
 // whitespace separates fields there. Ranks, thread ids and function ids
 // must fit in int32. Events are appended straight into the collector's
-// arena.
+// arena, one batch per encodeChunkEvents events.
 func ReadTrace(r io.Reader) (*Collector, error) {
 	col := NewCollector()
 	sc := bufio.NewScanner(r)
@@ -464,6 +420,12 @@ func ReadTrace(r io.Reader) (*Collector, error) {
 			col.Release()
 			return nil, err
 		}
+	}
+	for end := encodeChunkEvents; end < len(col.store); end += encodeChunkEvents {
+		col.batches = append(col.batches, end)
+	}
+	if len(col.store) > 0 {
+		col.batches = append(col.batches, len(col.store))
 	}
 	col.carve(0)
 	return col, sc.Err()

@@ -5,45 +5,35 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"dynprof/internal/des"
 )
 
 // This file adds a streaming spill sink to the Collector, bounding the
 // resident memory of very large traces (10k+ rank sweeps). Whenever the
-// in-memory arena grows past a threshold, the whole arena — every segment,
-// in global insertion order — is appended to an on-disk file and the arena
-// is reset. Because the arena is always spilled in full, the file is
-// exactly the insertion-ordered prefix of the event stream, and the
-// resident events are exactly its suffix; the merged time-ordered view is
-// reconstructed on read by the same stable k-way merge that serves the
-// in-memory path, over disk and arena segments together.
+// in-memory arena grows past a threshold, the whole arena — every Append
+// batch, in global insertion order — is encoded as compact frames
+// (`uvarint count, uvarint blockLen, block`, one block per batch; block
+// format in compact.go), appended to an on-disk file, and the arena is
+// reset. Because the arena is always spilled in full, the file is exactly
+// the insertion-ordered prefix of the event stream, and the resident events
+// are exactly its suffix; the merged time-ordered view is reconstructed on
+// read by decoding the frames and running the same stable k-way merge that
+// serves the in-memory path, over disk and arena segments together.
 //
-// Every spill file opens with a 5-byte header, "VTSP" plus a format
-// version, so a reader confronted with a file from a different revision
-// fails with a typed *FormatError instead of silently misparsing records:
-//
-//	version 1: fixed 40-byte little-endian records (verbatim collectors)
-//	version 2: compact frames `uvarint count, uvarint blockLen, block`
-//	           (compact collectors; block format in compact.go)
+// Every spill file opens with a 5-byte header, "VTSP" plus the format
+// version (CompactVersion), so a reader confronted with a file from a
+// different revision — such as the retired version 1 of fixed 40-byte
+// records — fails with a typed *FormatError instead of misparsing it.
 //
 // The sink follows the experiment store's durability discipline: each
-// spill batch is flushed and fsynced before Append returns. Version-1
-// records are fixed-size, so a torn final record (crash mid-spill) is
-// detectable from the payload length; version-2 frames are length-
-// prefixed, so truncation is caught by the frame walk.
-
-// spillRecBytes is the on-disk size of one version-1 spilled event record.
-const spillRecBytes = 40
+// spill batch is flushed and fsynced before Append returns. Frames are
+// length-prefixed, so a torn final frame (crash mid-spill) is caught by the
+// frame walk.
 
 // spillMagic opens every spill file, followed by the format version byte.
 const spillMagic = "VTSP"
 
 // spillHdrBytes is the header size: magic plus version.
 const spillHdrBytes = len(spillMagic) + 1
-
-// spillVerbatimVersion is the fixed-record spill format version.
-const spillVerbatimVersion = 1
 
 // spillSeg is one time-sorted segment of the spill file, in global record
 // indices.
@@ -54,24 +44,22 @@ type spillSink struct {
 	f         *os.File
 	path      string
 	threshold int
-	version   byte
-	count     int // records on disk
-	bytes     int // payload bytes on disk, header excluded
+	count     int          // events on disk
+	bytes     int          // payload bytes on disk, header excluded
+	stats     CompactStats // suppression counters of the spilled frames
 	segs      []spillSeg
 	err       error // sticky first I/O failure
 	buf       []byte
 }
 
 // SpillTo arms the collector's spill sink: once more than thresholdEvents
-// events are resident, the arena is streamed to a file at path (created or
-// truncated here) and resident memory drops back to zero. A verbatim
-// collector writes version-1 fixed records; a compact collector writes its
-// encoded blocks as version-2 frames, so the on-disk budget shrinks with
-// the suppression ratio. Len, Bytes, Events and WriteTrace are unaffected
-// by spilling apart from memory cost; Release deletes the file. I/O
-// failures after arming are sticky and reported by SpillErr — the
-// collector keeps counting but the merged view is no longer
-// reconstructable.
+// events are resident, the arena is encoded and streamed to a file at path
+// (created or truncated here) and resident memory drops back to zero, so
+// the on-disk budget shrinks with the suppression ratio. Len, Bytes,
+// Events and WriteTrace are unaffected by spilling apart from memory cost;
+// Release deletes the file. I/O failures after arming are sticky and
+// reported by SpillErr — the collector keeps counting but the merged view
+// is no longer reconstructable.
 func (col *Collector) SpillTo(path string, thresholdEvents int) error {
 	if thresholdEvents <= 0 {
 		return fmt.Errorf("vt: spill threshold must be positive, got %d", thresholdEvents)
@@ -83,17 +71,12 @@ func (col *Collector) SpillTo(path string, thresholdEvents int) error {
 	if err != nil {
 		return fmt.Errorf("vt: spill: %w", err)
 	}
-	version := byte(spillVerbatimVersion)
-	if col.compact {
-		version = CompactVersion
-	}
-	hdr := append([]byte(spillMagic), version)
-	if _, err := f.Write(hdr); err != nil {
+	if _, err := f.Write(append([]byte(spillMagic), CompactVersion)); err != nil {
 		f.Close()
 		os.Remove(path)
 		return fmt.Errorf("vt: spill: %w", err)
 	}
-	col.spill = &spillSink{f: f, path: path, threshold: thresholdEvents, version: version}
+	col.spill = &spillSink{f: f, path: path, threshold: thresholdEvents}
 	return nil
 }
 
@@ -107,7 +90,7 @@ func (col *Collector) Spilled() int {
 
 // Resident reports how many events are held in memory (the arena suffix
 // not yet spilled).
-func (col *Collector) Resident() int { return col.residentLen() }
+func (col *Collector) Resident() int { return len(col.store) }
 
 // SpillErr reports the first spill I/O failure, if any.
 func (col *Collector) SpillErr() error {
@@ -120,29 +103,18 @@ func (col *Collector) SpillErr() error {
 // maybeSpill streams the arena to disk if it has outgrown the threshold.
 // Called at the end of every Append.
 func (s *spillSink) maybeSpill(col *Collector) {
-	if s.err != nil || col.residentLen() < s.threshold {
+	if s.err != nil || len(col.store) < s.threshold {
 		return
 	}
-	var payload []byte
-	if col.compact {
-		// One frame per resident block: the encoded bytes move to disk
-		// without being touched.
-		buf := s.buf[:0]
-		for _, b := range col.blocks {
-			buf = binary.AppendUvarint(buf, uint64(b.count))
-			buf = binary.AppendUvarint(buf, uint64(b.end-b.off))
-			buf = append(buf, col.carena[b.off:b.end]...)
-		}
-		s.buf, payload = buf, buf
-	} else {
-		if cap(s.buf) < spillRecBytes*len(col.store) {
-			s.buf = make([]byte, spillRecBytes*len(col.store))
-		}
-		payload = s.buf[:spillRecBytes*len(col.store)]
-		for i := range col.store {
-			putSpillRec(payload[i*spillRecBytes:], &col.store[i])
-		}
-	}
+	payload := s.buf[:0]
+	st := s.stats
+	col.eachBlock(func(count int, block []byte, recs, reps int) {
+		payload = binary.AppendUvarint(payload, uint64(count))
+		payload = binary.AppendUvarint(payload, uint64(len(block)))
+		payload = append(payload, block...)
+		st.add(count, len(block), recs, reps)
+	})
+	s.buf = payload
 	if _, err := s.f.Write(payload); err != nil {
 		s.err = fmt.Errorf("vt: spill: %w", err)
 		return
@@ -156,22 +128,20 @@ func (s *spillSink) maybeSpill(col *Collector) {
 	for _, seg := range col.segs {
 		s.segs = append(s.segs, spillSeg{start: s.count + seg.start, end: s.count + seg.end})
 	}
-	s.count += col.residentLen()
+	s.count += len(col.store)
 	s.bytes += len(payload)
+	s.stats = st
 	col.store = col.store[:0]
 	col.segs = col.segs[:0]
-	col.carena = col.carena[:0]
-	col.blocks = col.blocks[:0]
-	col.count = 0
+	col.batches = col.batches[:0]
 	col.merged = nil
 	col.mergedN = -1
 }
 
-// checkHeader validates the spill file's magic and version against what
-// this sink wrote, returning a *FormatError on mismatch. It guards every
-// read path so a file swapped or truncated underneath the collector — or
-// one written by a different format revision — is rejected rather than
-// misparsed.
+// checkHeader validates the spill file's magic and version, returning a
+// *FormatError on mismatch. It guards every read path so a file swapped or
+// truncated underneath the collector — or one written by a different
+// format revision — is rejected rather than misparsed.
 func (s *spillSink) checkHeader() error {
 	var hdr [spillHdrBytes]byte
 	if _, err := s.f.ReadAt(hdr[:], 0); err != nil {
@@ -180,23 +150,23 @@ func (s *spillSink) checkHeader() error {
 	if string(hdr[:len(spillMagic)]) != spillMagic {
 		return &FormatError{What: "spill file", Version: -1, Detail: "bad magic"}
 	}
-	if hdr[len(spillMagic)] != s.version {
+	if hdr[len(spillMagic)] != CompactVersion {
 		return &FormatError{What: "spill file", Version: int(hdr[len(spillMagic)])}
 	}
 	return nil
 }
 
-// combined restores the full insertion-ordered store — disk prefix plus
-// resident suffix — and the matching segment list, for merge-on-read. On a
-// read failure the sticky error is set and only the resident events are
-// returned.
+// combined restores the full insertion-ordered store — decoded disk prefix
+// plus resident suffix — and the matching segment list, for merge-on-read.
+// On a read failure the sticky error is set and only the resident events
+// are returned.
 func (s *spillSink) combined(col *Collector) ([]Event, []segRange) {
-	all := make([]Event, s.count+len(col.store))
-	if err := s.readAll(all[:s.count]); err != nil {
+	all, err := s.decodeAll(make([]Event, 0, s.count+len(col.store)))
+	if err != nil {
 		s.err = err
 		return col.store, col.segs
 	}
-	copy(all[s.count:], col.store)
+	all = append(all, col.store...)
 	segs := make([]segRange, 0, len(s.segs)+len(col.segs))
 	for _, seg := range s.segs {
 		segs = append(segs, segRange{start: seg.start, end: seg.end})
@@ -207,24 +177,8 @@ func (s *spillSink) combined(col *Collector) ([]Event, []segRange) {
 	return all, segs
 }
 
-// readAll decodes the whole version-1 spill payload into out
-// (len(out) == count).
-func (s *spillSink) readAll(out []Event) error {
-	if err := s.checkHeader(); err != nil {
-		return err
-	}
-	buf := make([]byte, spillRecBytes*len(out))
-	if _, err := s.f.ReadAt(buf, int64(spillHdrBytes)); err != nil {
-		return fmt.Errorf("vt: spill: %w", err)
-	}
-	for i := range out {
-		getSpillRec(buf[i*spillRecBytes:], &out[i])
-	}
-	return nil
-}
-
-// decodeAll appends the decoded events of the whole version-2 spill
-// payload to dst, walking its length-prefixed frames.
+// decodeAll appends the decoded events of the whole spill payload to dst,
+// walking its length-prefixed frames.
 func (s *spillSink) decodeAll(dst []Event) ([]Event, error) {
 	if err := s.checkHeader(); err != nil {
 		return dst, err
@@ -243,7 +197,7 @@ func (s *spillSink) decodeAll(dst []Event) ([]Event, error) {
 		}
 		p += n
 		blen, n := binary.Uvarint(payload[p:])
-		if n <= 0 || count == 0 || uint64(p+n)+blen > uint64(len(payload)) {
+		if n <= 0 || count == 0 || count > uint64(s.count-decoded) || blen > uint64(len(payload)-p-n) {
 			return dst, &FormatError{What: "spill file", Version: -1, Detail: "bad frame header"}
 		}
 		p += n
@@ -261,7 +215,7 @@ func (s *spillSink) decodeAll(dst []Event) ([]Event, error) {
 	return dst, nil
 }
 
-// copyFrames streams the version-2 spill payload — already framed — to w.
+// copyFrames streams the spill payload — already framed — to w.
 func (s *spillSink) copyFrames(w io.Writer) error {
 	if err := s.checkHeader(); err != nil {
 		return err
@@ -276,24 +230,4 @@ func (s *spillSink) copyFrames(w io.Writer) error {
 func (s *spillSink) close() {
 	s.f.Close()
 	os.Remove(s.path)
-}
-
-func putSpillRec(b []byte, e *Event) {
-	binary.LittleEndian.PutUint64(b[0:], uint64(e.At))
-	binary.LittleEndian.PutUint32(b[8:], uint32(e.Rank))
-	binary.LittleEndian.PutUint32(b[12:], uint32(e.TID))
-	binary.LittleEndian.PutUint32(b[16:], uint32(e.Kind))
-	binary.LittleEndian.PutUint32(b[20:], uint32(e.ID))
-	binary.LittleEndian.PutUint64(b[24:], uint64(e.A))
-	binary.LittleEndian.PutUint64(b[32:], uint64(e.B))
-}
-
-func getSpillRec(b []byte, e *Event) {
-	e.At = des.Time(binary.LittleEndian.Uint64(b[0:]))
-	e.Rank = int32(binary.LittleEndian.Uint32(b[8:]))
-	e.TID = int32(binary.LittleEndian.Uint32(b[12:]))
-	e.Kind = Kind(binary.LittleEndian.Uint32(b[16:]))
-	e.ID = int32(binary.LittleEndian.Uint32(b[20:]))
-	e.A = int64(binary.LittleEndian.Uint64(b[24:]))
-	e.B = int64(binary.LittleEndian.Uint64(b[32:]))
 }

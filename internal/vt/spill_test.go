@@ -157,14 +157,3 @@ func TestSpillToValidates(t *testing.T) {
 		t.Error("unwritable path must surface an error")
 	}
 }
-
-func TestSpillRecordRoundTrip(t *testing.T) {
-	in := Event{At: -5, Rank: 3, TID: 1, Kind: MsgRecv, ID: -7, A: 1 << 40, B: -9}
-	var b [spillRecBytes]byte
-	putSpillRec(b[:], &in)
-	var out Event
-	getSpillRec(b[:], &out)
-	if in != out {
-		t.Errorf("round trip: %+v != %+v", out, in)
-	}
-}

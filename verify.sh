@@ -16,9 +16,12 @@ go test ./...
 # tests catch an API change that breaks it.
 go -C bench test ./...
 
-# Fuzz smoke: the textual trace parser must agree with its reference
-# oracle (same accepted inputs, errors and collectors) on mutated input.
+# Fuzz smokes: the textual trace parser must agree with its reference
+# oracle (same accepted inputs, errors and collectors) on mutated input;
+# the binary trace reader must reject bad input only with *FormatError and
+# round-trip whatever it accepts.
 go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 10s ./internal/vt/
+go test -run '^$' -fuzz '^FuzzReadCompactTrace$' -fuzztime 10s ./internal/vt/
 
 # Short -race pass over the parallel cell runner.
 go test -race -run 'TestParallel|TestCellCache|TestRunner' ./internal/exp/
@@ -93,9 +96,9 @@ go test -race -run 'TestLease|TestRecoverSmoke|TestProtoSeqAndResume|TestEvictId
 go test -race -run 'TestRecoverCell|TestRecoverStoreRoundTrip' ./internal/exp/
 
 # Race pass over the trace-compaction paths: the compact encoder/decoder,
-# the byte-budget overflow policies, the version-checked spill file, and
-# the per-kernel VGV equivalence suite.
-go test -race -run 'TestCompact|TestByteBudget|TestSpillRejects|TestReadTraceAuto' \
+# the version-checked spill file, and the per-kernel VGV equivalence
+# suite.
+go test -race -run 'TestCompact|TestSpillRejects|TestReadTraceAuto' \
     ./internal/vt/ ./internal/vgv/ ./internal/exp/
 
 # Parallelism smokes: each on-demand sweep must render the same bytes at
@@ -111,9 +114,9 @@ for args in "-tenants -max-cpus 100" -adapt -recover -compact; do
     cmp "$smoke/$name.1.txt" "$smoke/$name.8.txt"
 done
 
-# Compact smoke: end to end through the CLIs, a suppressed run's compact
-# binary trace must decode to the same analysis bytes as a verbatim run's
-# textual trace (vgv sniffs the format).
+# Compact smoke: end to end through the CLIs, a run's compact binary trace
+# must decode to the same analysis bytes as the same run's textual trace
+# (vgv sniffs the format).
 go build -o "$smoke/dynprof" ./cmd/dynprof
 go build -o "$smoke/vgv" ./cmd/vgv
 printf 'start\nquit\n' | "$smoke/dynprof" -procs 4 -trace "$smoke/v.vgv" \
