@@ -31,6 +31,9 @@ func myApp() *guide.App {
 		Subset:      []string{"cg_Iterate"},
 		DefaultArgs: map[string]int{"n": 4096, "iters": 50},
 		Main: func(c *guide.Ctx) {
+			// Resolve each function's call-gate handle once per process.
+			fMatVec, fDot, fAxpy := c.Fn("cg_MatVec"), c.Fn("cg_Dot"), c.Fn("cg_Axpy")
+			fHalo, fIterate := c.Fn("cg_Halo"), c.Fn("cg_Iterate")
 			c.MPI.Init()
 			n := c.Arg("n", 1024)
 			x := make([]float64, n)
@@ -39,29 +42,29 @@ func myApp() *guide.App {
 				r[i] = 1
 			}
 			for it := 0; it < c.Arg("iters", 10); it++ {
-				c.Call("cg_Iterate", func() {
-					c.Call("cg_Halo", func() {
+				c.Call(fIterate, func() {
+					c.Call(fHalo, func() {
 						right := (c.MPI.Rank() + 1) % c.MPI.Size()
 						left := (c.MPI.Rank() + c.MPI.Size() - 1) % c.MPI.Size()
 						if c.MPI.Size() > 1 {
 							c.MPI.Sendrecv(right, 1, 8*64, nil, left, 1)
 						}
 					})
-					c.Call("cg_MatVec", func() {
+					c.Call(fMatVec, func() {
 						for i := 1; i < n-1; i++ {
 							x[i] = 2*r[i] - 0.5*(r[i-1]+r[i+1])
 						}
 						c.T.Work(int64(6 * n))
 					})
 					var dot float64
-					c.Call("cg_Dot", func() {
+					c.Call(fDot, func() {
 						for i := range x {
 							dot += x[i] * r[i]
 						}
 						dot = c.MPI.AllreduceF64(mpi.Sum, dot)
 						c.T.Work(int64(2 * n))
 					})
-					c.Call("cg_Axpy", func() {
+					c.Call(fAxpy, func() {
 						alpha := 1.0 / (1.0 + dot)
 						for i := range r {
 							r[i] -= alpha * x[i]

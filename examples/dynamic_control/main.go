@@ -26,10 +26,11 @@ func main() {
 		Lang:  guide.MPIC,
 		Funcs: []guide.Func{{Name: "solve_step", Size: 40}, {Name: "diagnose", Size: 20}},
 		Main: func(c *guide.Ctx) {
+			solveStep, diagnose := c.Fn("solve_step"), c.Fn("diagnose")
 			c.MPI.Init()
 			for i := 0; i < 6; i++ {
-				c.Call("solve_step", func() { c.T.Work(3_000_000) })
-				c.Call("diagnose", func() { c.T.Work(500_000) })
+				c.Call(solveStep, func() { c.T.Work(3_000_000) })
+				c.Call(diagnose, func() { c.T.Work(500_000) })
 				// The safe point: no messages in flight here.
 				c.VT.ConfSync(c.MPI, false, nil)
 			}

@@ -28,12 +28,12 @@ type Box struct {
 // density is the defining performance characteristic of Smg98.
 
 func (k *kernel) indexCopy(a Index) (out Index) {
-	k.call("smg_IndexCopy", func() { out = a; k.work(24) })
+	k.call(smgIndexCopy, func() { out = a; k.work(24) })
 	return
 }
 
 func (k *kernel) indexAdd(a, b Index) (out Index) {
-	k.call("smg_IndexAdd", func() {
+	k.call(smgIndexAdd, func() {
 		out = Index{a[0] + b[0], a[1] + b[1], a[2] + b[2]}
 		k.work(30)
 	})
@@ -41,7 +41,7 @@ func (k *kernel) indexAdd(a, b Index) (out Index) {
 }
 
 func (k *kernel) indexShift(a Index, dim, by int) (out Index) {
-	k.call("smg_IndexShift", func() {
+	k.call(smgIndexShift, func() {
 		out = a
 		out[dim] += by
 		k.work(26)
@@ -50,7 +50,7 @@ func (k *kernel) indexShift(a Index, dim, by int) (out Index) {
 }
 
 func (k *kernel) indexMin(a, b Index) (out Index) {
-	k.call("smg_IndexMin", func() {
+	k.call(smgIndexMin, func() {
 		for d := 0; d < 3; d++ {
 			if a[d] < b[d] {
 				out[d] = a[d]
@@ -64,7 +64,7 @@ func (k *kernel) indexMin(a, b Index) (out Index) {
 }
 
 func (k *kernel) indexMax(a, b Index) (out Index) {
-	k.call("smg_IndexMax", func() {
+	k.call(smgIndexMax, func() {
 		for d := 0; d < 3; d++ {
 			if a[d] > b[d] {
 				out[d] = a[d]
@@ -78,17 +78,17 @@ func (k *kernel) indexMax(a, b Index) (out Index) {
 }
 
 func (k *kernel) indexEqual(a, b Index) (eq bool) {
-	k.call("smg_IndexEqual", func() { eq = a == b; k.work(22) })
+	k.call(smgIndexEqual, func() { eq = a == b; k.work(22) })
 	return
 }
 
 func (k *kernel) boxCreate(min, max Index) (b Box) {
-	k.call("smg_BoxCreate", func() { b = Box{Min: min, Max: max}; k.work(32) })
+	k.call(smgBoxCreate, func() { b = Box{Min: min, Max: max}; k.work(32) })
 	return
 }
 
 func (k *kernel) boxVolume(b Box) (v int) {
-	k.call("smg_BoxVolume", func() {
+	k.call(smgBoxVolume, func() {
 		v = 1
 		for d := 0; d < 3; d++ {
 			ext := b.Max[d] - b.Min[d] + 1
@@ -103,7 +103,7 @@ func (k *kernel) boxVolume(b Box) (v int) {
 }
 
 func (k *kernel) boxNumPlanes(b Box) (n int) {
-	k.call("smg_BoxNumPlanes", func() {
+	k.call(smgBoxNumPlanes, func() {
 		n = b.Max[2] - b.Min[2] + 1
 		if n < 0 {
 			n = 0
@@ -114,7 +114,7 @@ func (k *kernel) boxNumPlanes(b Box) (n int) {
 }
 
 func (k *kernel) boxGrow(b Box, by int) (out Box) {
-	k.call("smg_BoxGrow", func() {
+	k.call(smgBoxGrow, func() {
 		out = b
 		for d := 0; d < 3; d++ {
 			out.Min[d] -= by
@@ -126,7 +126,7 @@ func (k *kernel) boxGrow(b Box, by int) (out Box) {
 }
 
 func (k *kernel) boxShrink(b Box, by int) (out Box) {
-	k.call("smg_BoxShrink", func() {
+	k.call(smgBoxShrink, func() {
 		out = b
 		for d := 0; d < 3; d++ {
 			out.Min[d] += by
@@ -138,7 +138,7 @@ func (k *kernel) boxShrink(b Box, by int) (out Box) {
 }
 
 func (k *kernel) boxShiftPos(b Box, dim, by int) (out Box) {
-	k.call("smg_BoxShiftPos", func() {
+	k.call(smgBoxShiftPos, func() {
 		out = b
 		out.Min[dim] += by
 		out.Max[dim] += by
@@ -148,7 +148,7 @@ func (k *kernel) boxShiftPos(b Box, dim, by int) (out Box) {
 }
 
 func (k *kernel) boxShiftNeg(b Box, dim, by int) (out Box) {
-	k.call("smg_BoxShiftNeg", func() {
+	k.call(smgBoxShiftNeg, func() {
 		out = b
 		out.Min[dim] -= by
 		out.Max[dim] -= by
@@ -158,7 +158,7 @@ func (k *kernel) boxShiftNeg(b Box, dim, by int) (out Box) {
 }
 
 func (k *kernel) boxIntersect(a, b Box) (out Box, ok bool) {
-	k.call("smg_BoxIntersect", func() {
+	k.call(smgBoxIntersect, func() {
 		for d := 0; d < 3; d++ {
 			lo, hi := a.Min[d], a.Max[d]
 			if b.Min[d] > lo {
@@ -180,7 +180,7 @@ func (k *kernel) boxIntersect(a, b Box) (out Box, ok bool) {
 }
 
 func (k *kernel) boxContains(b Box, idx Index) (in bool) {
-	k.call("smg_BoxContains", func() {
+	k.call(smgBoxContains, func() {
 		in = true
 		for d := 0; d < 3; d++ {
 			if idx[d] < b.Min[d] || idx[d] > b.Max[d] {
@@ -195,7 +195,7 @@ func (k *kernel) boxContains(b Box, idx Index) (in bool) {
 
 // boxPlane is the xy-plane of b at local z index kz.
 func (k *kernel) boxPlane(b Box, kz int) (out Box) {
-	k.call("smg_BoxPlane", func() {
+	k.call(smgBoxPlane, func() {
 		out = b
 		out.Min[2] = b.Min[2] + kz
 		out.Max[2] = out.Min[2]
@@ -205,7 +205,7 @@ func (k *kernel) boxPlane(b Box, kz int) (out Box) {
 }
 
 func (k *kernel) boxCoarsenZ(b Box) (out Box) {
-	k.call("smg_BoxCoarsenZ", func() {
+	k.call(smgBoxCoarsenZ, func() {
 		out = b
 		out.Max[2] = b.Min[2] + (b.Max[2]-b.Min[2])/2
 		k.work(34)
@@ -214,7 +214,7 @@ func (k *kernel) boxCoarsenZ(b Box) (out Box) {
 }
 
 func (k *kernel) boxRefineZ(b Box) (out Box) {
-	k.call("smg_BoxRefineZ", func() {
+	k.call(smgBoxRefineZ, func() {
 		out = b
 		out.Max[2] = b.Min[2] + 2*(b.Max[2]-b.Min[2]) + 1
 		k.work(34)
@@ -225,7 +225,7 @@ func (k *kernel) boxRefineZ(b Box) (out Box) {
 // boxCheck validates a box's invariants; a cheap but frequently called
 // sanity routine in debug-friendly numerical codes.
 func (k *kernel) boxCheck(b Box) {
-	k.call("smg_BoxCheck", func() {
+	k.call(smgBoxCheck, func() {
 		for d := 0; d < 3; d++ {
 			if b.Max[d] < b.Min[d]-1 {
 				panic(fmt.Sprintf("smg98: degenerate box %+v", b))

@@ -19,7 +19,7 @@ type commHandle struct {
 const ghostTag = 71
 
 func (k *kernel) neighborRank(dir int) (r int) {
-	k.call("smg_NeighborRank", func() {
+	k.call(smgNeighborRank, func() {
 		r = k.rank + dir
 		if r < 0 || r >= k.size {
 			r = -1
@@ -30,12 +30,12 @@ func (k *kernel) neighborRank(dir int) (r int) {
 }
 
 func (k *kernel) commPlaneBytes(pkg *commPkg) (b int) {
-	k.call("smg_CommPlaneBytes", func() { b = 8 * pkg.nx * pkg.nz; k.work(20) })
+	k.call(smgCommPlaneBytes, func() { b = 8 * pkg.nx * pkg.nz; k.work(20) })
 	return
 }
 
 func (k *kernel) commPkgCreate(nx, nz int) (pkg *commPkg) {
-	k.call("smg_CommPkgCreate", func() {
+	k.call(smgCommPkgCreate, func() {
 		pkg = &commPkg{
 			nx: nx, nz: nz,
 			lo: k.neighborRank(-1), hi: k.neighborRank(+1),
@@ -48,7 +48,7 @@ func (k *kernel) commPkgCreate(nx, nz int) (pkg *commPkg) {
 }
 
 func (k *kernel) commPkgDestroy(pkg *commPkg) {
-	k.call("smg_CommPkgDestroy", func() {
+	k.call(smgCommPkgDestroy, func() {
 		pkg.bufLoOut, pkg.bufHiOut = nil, nil
 		k.work(40)
 	})
@@ -56,7 +56,7 @@ func (k *kernel) commPkgDestroy(pkg *commPkg) {
 
 // packPlaneLow serialises the j=0 xz-plane for the low neighbour.
 func (k *kernel) packPlaneLow(pkg *commPkg, v *Vector) {
-	k.call("smg_PackPlaneLow", func() {
+	k.call(smgPackPlaneLow, func() {
 		for kz := 0; kz < pkg.nz; kz++ {
 			for i := 0; i < pkg.nx; i++ {
 				pkg.bufLoOut[kz*pkg.nx+i] = v.At(i, 0, kz)
@@ -68,7 +68,7 @@ func (k *kernel) packPlaneLow(pkg *commPkg, v *Vector) {
 
 // packPlaneHigh serialises the j=ny-1 xz-plane for the high neighbour.
 func (k *kernel) packPlaneHigh(pkg *commPkg, v *Vector) {
-	k.call("smg_PackPlaneHigh", func() {
+	k.call(smgPackPlaneHigh, func() {
 		for kz := 0; kz < pkg.nz; kz++ {
 			for i := 0; i < pkg.nx; i++ {
 				pkg.bufHiOut[kz*pkg.nx+i] = v.At(i, v.ny-1, kz)
@@ -80,7 +80,7 @@ func (k *kernel) packPlaneHigh(pkg *commPkg, v *Vector) {
 
 // unpackPlaneLow writes the low neighbour's plane into the j=-1 ghosts.
 func (k *kernel) unpackPlaneLow(pkg *commPkg, v *Vector, buf []float64) {
-	k.call("smg_UnpackPlaneLow", func() {
+	k.call(smgUnpackPlaneLow, func() {
 		for kz := 0; kz < pkg.nz; kz++ {
 			for i := 0; i < pkg.nx; i++ {
 				v.Set(i, -1, kz, buf[kz*pkg.nx+i])
@@ -92,7 +92,7 @@ func (k *kernel) unpackPlaneLow(pkg *commPkg, v *Vector, buf []float64) {
 
 // unpackPlaneHigh writes the high neighbour's plane into the j=ny ghosts.
 func (k *kernel) unpackPlaneHigh(pkg *commPkg, v *Vector, buf []float64) {
-	k.call("smg_UnpackPlaneHigh", func() {
+	k.call(smgUnpackPlaneHigh, func() {
 		for kz := 0; kz < pkg.nz; kz++ {
 			for i := 0; i < pkg.nx; i++ {
 				v.Set(i, v.ny, kz, buf[kz*pkg.nx+i])
@@ -103,7 +103,7 @@ func (k *kernel) unpackPlaneHigh(pkg *commPkg, v *Vector, buf []float64) {
 }
 
 func (k *kernel) postRecvLow(pkg *commPkg) (req *mpi.Request) {
-	k.call("smg_PostRecvLow", func() {
+	k.call(smgPostRecvLow, func() {
 		if pkg.lo >= 0 {
 			req = k.m.Irecv(pkg.lo, ghostTag)
 		}
@@ -113,7 +113,7 @@ func (k *kernel) postRecvLow(pkg *commPkg) (req *mpi.Request) {
 }
 
 func (k *kernel) postRecvHigh(pkg *commPkg) (req *mpi.Request) {
-	k.call("smg_PostRecvHigh", func() {
+	k.call(smgPostRecvHigh, func() {
 		if pkg.hi >= 0 {
 			req = k.m.Irecv(pkg.hi, ghostTag)
 		}
@@ -123,7 +123,7 @@ func (k *kernel) postRecvHigh(pkg *commPkg) (req *mpi.Request) {
 }
 
 func (k *kernel) sendPlaneLow(pkg *commPkg) {
-	k.call("smg_SendPlaneLow", func() {
+	k.call(smgSendPlaneLow, func() {
 		if pkg.lo >= 0 {
 			k.m.Send(pkg.lo, ghostTag, 8*len(pkg.bufLoOut), mpi.CopyF64s(pkg.bufLoOut))
 		}
@@ -132,7 +132,7 @@ func (k *kernel) sendPlaneLow(pkg *commPkg) {
 }
 
 func (k *kernel) sendPlaneHigh(pkg *commPkg) {
-	k.call("smg_SendPlaneHigh", func() {
+	k.call(smgSendPlaneHigh, func() {
 		if pkg.hi >= 0 {
 			k.m.Send(pkg.hi, ghostTag, 8*len(pkg.bufHiOut), mpi.CopyF64s(pkg.bufHiOut))
 		}
@@ -141,7 +141,7 @@ func (k *kernel) sendPlaneHigh(pkg *commPkg) {
 }
 
 func (k *kernel) waitRecvLow(pkg *commPkg, v *Vector, h *commHandle) {
-	k.call("smg_WaitRecvLow", func() {
+	k.call(smgWaitRecvLow, func() {
 		if h.reqLo != nil {
 			// A nil payload is a degraded exchange (crashed neighbour):
 			// keep the stale ghost plane.
@@ -154,7 +154,7 @@ func (k *kernel) waitRecvLow(pkg *commPkg, v *Vector, h *commHandle) {
 }
 
 func (k *kernel) waitRecvHigh(pkg *commPkg, v *Vector, h *commHandle) {
-	k.call("smg_WaitRecvHigh", func() {
+	k.call(smgWaitRecvHigh, func() {
 		if h.reqHi != nil {
 			if buf, ok := k.m.Wait(h.reqHi).Payload.([]float64); ok {
 				k.unpackPlaneHigh(pkg, v, buf)
@@ -166,7 +166,7 @@ func (k *kernel) waitRecvHigh(pkg *commPkg, v *Vector, h *commHandle) {
 
 // commHandleCreate posts both receives for an exchange.
 func (k *kernel) commHandleCreate(pkg *commPkg) (h *commHandle) {
-	k.call("smg_CommHandleCreate", func() {
+	k.call(smgCommHandleCreate, func() {
 		h = &commHandle{reqLo: k.postRecvLow(pkg), reqHi: k.postRecvHigh(pkg)}
 		k.work(30)
 	})
@@ -175,7 +175,7 @@ func (k *kernel) commHandleCreate(pkg *commPkg) (h *commHandle) {
 
 // commHandleFinalize completes an exchange.
 func (k *kernel) commHandleFinalize(pkg *commPkg, v *Vector, h *commHandle) {
-	k.call("smg_CommHandleFinalize", func() {
+	k.call(smgCommHandleFinalize, func() {
 		k.waitRecvLow(pkg, v, h)
 		k.waitRecvHigh(pkg, v, h)
 		k.work(30)
@@ -184,7 +184,7 @@ func (k *kernel) commHandleFinalize(pkg *commPkg, v *Vector, h *commHandle) {
 
 // exchangeBegin posts receives and sends both boundary planes.
 func (k *kernel) exchangeBegin(pkg *commPkg, v *Vector) (h *commHandle) {
-	k.call("smg_ExchangeBegin", func() {
+	k.call(smgExchangeBegin, func() {
 		h = k.commHandleCreate(pkg)
 		k.packPlaneLow(pkg, v)
 		k.packPlaneHigh(pkg, v)
@@ -196,21 +196,21 @@ func (k *kernel) exchangeBegin(pkg *commPkg, v *Vector) (h *commHandle) {
 
 // exchangeEnd completes the exchange into v's ghost planes.
 func (k *kernel) exchangeEnd(pkg *commPkg, v *Vector, h *commHandle) {
-	k.call("smg_ExchangeEnd", func() {
+	k.call(smgExchangeEnd, func() {
 		k.commHandleFinalize(pkg, v, h)
 	})
 }
 
 // exchangeGhost is the full ghost-plane swap with both Y neighbours.
 func (k *kernel) exchangeGhost(pkg *commPkg, v *Vector) {
-	k.call("smg_ExchangeGhost", func() {
+	k.call(smgExchangeGhost, func() {
 		h := k.exchangeBegin(pkg, v)
 		k.exchangeEnd(pkg, v, h)
 	})
 }
 
 func (k *kernel) globalSum(x float64) (sum float64) {
-	k.call("smg_GlobalSum", func() {
+	k.call(smgGlobalSum, func() {
 		sum = k.m.AllreduceF64(mpi.Sum, x)
 		k.work(30)
 	})
@@ -218,7 +218,7 @@ func (k *kernel) globalSum(x float64) (sum float64) {
 }
 
 func (k *kernel) globalMax(x float64) (max float64) {
-	k.call("smg_GlobalMax", func() {
+	k.call(smgGlobalMax, func() {
 		max = k.m.AllreduceF64(mpi.Max, x)
 		k.work(30)
 	})

@@ -16,24 +16,24 @@ type timer struct {
 }
 
 func (k *kernel) timerCreate(name string) (t *timer) {
-	k.call("smg_TimerCreate", func() { t = &timer{name: name}; k.work(50) })
+	k.call(smgTimerCreate, func() { t = &timer{name: name}; k.work(50) })
 	return
 }
 
 func (k *kernel) wallClock() (now float64) {
-	k.call("smg_WallClock", func() { now = k.m.Wtime(); k.work(26) })
+	k.call(smgWallClock, func() { now = k.m.Wtime(); k.work(26) })
 	return
 }
 
 func (k *kernel) timerStart(t *timer) {
-	k.call("smg_TimerStart", func() {
+	k.call(smgTimerStart, func() {
 		t.started = k.wallClock()
 		t.running = true
 	})
 }
 
 func (k *kernel) timerStop(t *timer) {
-	k.call("smg_TimerStop", func() {
+	k.call(smgTimerStop, func() {
 		if t.running {
 			t.total += k.wallClock() - t.started
 			t.running = false
@@ -42,17 +42,17 @@ func (k *kernel) timerStop(t *timer) {
 }
 
 func (k *kernel) timerReset(t *timer) {
-	k.call("smg_TimerReset", func() { t.total, t.running = 0, false; k.work(22) })
+	k.call(smgTimerReset, func() { t.total, t.running = 0, false; k.work(22) })
 }
 
 func (k *kernel) timerElapsed(t *timer) (e float64) {
-	k.call("smg_TimerElapsed", func() { e = t.total; k.work(20) })
+	k.call(smgTimerElapsed, func() { e = t.total; k.work(20) })
 	return
 }
 
 // timerMax reduces a timer across ranks (slowest rank defines the phase).
 func (k *kernel) timerMax(t *timer) (e float64) {
-	k.call("smg_TimerMax", func() {
+	k.call(smgTimerMax, func() {
 		e = k.m.AllreduceF64(mpi.Max, k.timerElapsed(t))
 		k.work(30)
 	})
@@ -60,7 +60,7 @@ func (k *kernel) timerMax(t *timer) (e float64) {
 }
 
 func (k *kernel) timerReport(t *timer) (line string) {
-	k.call("smg_TimerReport", func() {
+	k.call(smgTimerReport, func() {
 		line = fmt.Sprintf("%s %.6f", t.name, k.timerMax(t))
 		k.work(120)
 	})
@@ -75,7 +75,7 @@ type params struct {
 }
 
 func (k *kernel) defaultParams() (p params) {
-	k.call("smg_DefaultParams", func() {
+	k.call(smgDefaultParams, func() {
 		p = params{nx: 18, ny: 18, nz: 32, maxIters: 6, tol: 1e-6}
 		k.work(60)
 	})
@@ -83,12 +83,12 @@ func (k *kernel) defaultParams() (p params) {
 }
 
 func (k *kernel) argLookup(name string, def int) (v int) {
-	k.call("smg_ArgLookup", func() { v = k.c.Arg(name, def); k.work(36) })
+	k.call(smgArgLookup, func() { v = k.c.Arg(name, def); k.work(36) })
 	return
 }
 
 func (k *kernel) parseDim(p *params) {
-	k.call("smg_ParseDim", func() {
+	k.call(smgParseDim, func() {
 		p.nx = k.argLookup("nx", p.nx)
 		p.ny = k.argLookup("ny", p.ny)
 		p.nz = k.argLookup("nz", p.nz)
@@ -96,13 +96,13 @@ func (k *kernel) parseDim(p *params) {
 }
 
 func (k *kernel) parseIters(p *params) {
-	k.call("smg_ParseIters", func() {
+	k.call(smgParseIters, func() {
 		p.maxIters = k.argLookup("iters", p.maxIters)
 	})
 }
 
 func (k *kernel) parseTol(p *params) {
-	k.call("smg_ParseTol", func() {
+	k.call(smgParseTol, func() {
 		if t := k.argLookup("tolexp", 0); t > 0 {
 			p.tol = math.Pow(10, -float64(t))
 		}
@@ -111,7 +111,7 @@ func (k *kernel) parseTol(p *params) {
 }
 
 func (k *kernel) checkParams(p *params) {
-	k.call("smg_CheckParams", func() {
+	k.call(smgCheckParams, func() {
 		if p.nx < 2 || p.ny < 2 || p.nz < 4 {
 			panic(fmt.Sprintf("smg98: input too small: %+v", *p))
 		}
@@ -123,7 +123,7 @@ func (k *kernel) checkParams(p *params) {
 }
 
 func (k *kernel) inputSummary(p *params) (s string) {
-	k.call("smg_InputSummary", func() {
+	k.call(smgInputSummary, func() {
 		s = fmt.Sprintf("(%d x %d x %d) x %d ranks", p.nx, p.ny*k.size, p.nz, k.size)
 		k.work(140)
 	})
@@ -132,7 +132,7 @@ func (k *kernel) inputSummary(p *params) (s string) {
 
 // readInput assembles the input deck from the launch arguments.
 func (k *kernel) readInput() (p params) {
-	k.call("smg_ReadInput", func() {
+	k.call(smgReadInput, func() {
 		p = k.defaultParams()
 		k.parseDim(&p)
 		k.parseIters(&p)
@@ -148,47 +148,47 @@ type runLog struct {
 }
 
 func (k *kernel) logCreate() (lg *runLog) {
-	k.call("smg_LogCreate", func() { lg = &runLog{}; k.work(40) })
+	k.call(smgLogCreate, func() { lg = &runLog{}; k.work(40) })
 	return
 }
 
 func (k *kernel) logAppend(lg *runLog, line string) {
-	k.call("smg_LogAppend", func() {
+	k.call(smgLogAppend, func() {
 		lg.lines = append(lg.lines, line)
 		k.work(60)
 	})
 }
 
 func (k *kernel) logBanner(lg *runLog, p *params) {
-	k.call("smg_LogBanner", func() {
+	k.call(smgLogBanner, func() {
 		k.logAppend(lg, "SMG98 semicoarsening multigrid")
 		k.logAppend(lg, k.inputSummary(p))
 	})
 }
 
 func (k *kernel) logResidual(lg *runLog, it int, norm float64) {
-	k.call("smg_LogResidual", func() {
+	k.call(smgLogResidual, func() {
 		k.logAppend(lg, fmt.Sprintf("cycle %d rnorm %.3e", it, norm))
 	})
 }
 
 func (k *kernel) logFlush(lg *runLog) (n int) {
-	k.call("smg_LogFlush", func() { n = len(lg.lines); k.work(int64(20 * len(lg.lines))) })
+	k.call(smgLogFlush, func() { n = len(lg.lines); k.work(int64(20 * len(lg.lines))) })
 	return
 }
 
 func (k *kernel) logClose(lg *runLog) {
-	k.call("smg_LogClose", func() { lg.lines = nil; k.work(24) })
+	k.call(smgLogClose, func() { lg.lines = nil; k.work(24) })
 }
 
 func (k *kernel) statsInit() (st *solveStats) {
-	k.call("smg_StatsInit", func() { st = &solveStats{}; k.work(36) })
+	k.call(smgStatsInit, func() { st = &solveStats{}; k.work(36) })
 	return
 }
 
 // statsConvFactor is the last cycle's residual reduction factor.
 func (k *kernel) statsConvFactor(st *solveStats) (f float64) {
-	k.call("smg_StatsConvFactor", func() {
+	k.call(smgStatsConvFactor, func() {
 		n := len(st.history)
 		switch {
 		case n >= 2 && st.history[n-2] != 0:
@@ -205,7 +205,7 @@ func (k *kernel) statsConvFactor(st *solveStats) (f float64) {
 
 // statsAvgConvFactor is the geometric-mean reduction over the solve.
 func (k *kernel) statsAvgConvFactor(st *solveStats) (f float64) {
-	k.call("smg_StatsAvgConvFactor", func() {
+	k.call(smgStatsAvgConvFactor, func() {
 		if st.iters > 0 && st.initial > 0 && st.final > 0 {
 			f = math.Pow(st.final/st.initial, 1/float64(st.iters))
 		}
@@ -216,7 +216,7 @@ func (k *kernel) statsAvgConvFactor(st *solveStats) (f float64) {
 
 // normHistoryRatio is the residual-history ratio between two cycles.
 func (k *kernel) normHistoryRatio(st *solveStats, a, b int) (r float64) {
-	k.call("smg_NormHistoryRatio", func() {
+	k.call(smgNormHistoryRatio, func() {
 		if a >= 0 && b >= 0 && a < len(st.history) && b < len(st.history) && st.history[a] != 0 {
 			r = st.history[b] / st.history[a]
 		}
@@ -226,7 +226,7 @@ func (k *kernel) normHistoryRatio(st *solveStats, a, b int) (r float64) {
 }
 
 func (k *kernel) statsFinalize(st *solveStats, lg *runLog) {
-	k.call("smg_StatsFinalize", func() {
+	k.call(smgStatsFinalize, func() {
 		k.logAppend(lg, fmt.Sprintf("iters %d final %.3e conv %.3f last %.3f span %.3f",
 			st.iters, st.final, k.statsAvgConvFactor(st), k.statsConvFactor(st),
 			k.normHistoryRatio(st, 0, len(st.history)-1)))
@@ -234,14 +234,14 @@ func (k *kernel) statsFinalize(st *solveStats, lg *runLog) {
 }
 
 func (k *kernel) reportMemory(levels []*level, lg *runLog) {
-	k.call("smg_ReportMemory", func() {
+	k.call(smgReportMemory, func() {
 		k.logAppend(lg, fmt.Sprintf("memory %d bytes", k.memoryEstimate(levels)))
 	})
 }
 
 // commVolume totals the per-sweep ghost traffic across the hierarchy.
 func (k *kernel) commVolume(levels []*level) (bytes int) {
-	k.call("smg_CommVolume", func() {
+	k.call(smgCommVolume, func() {
 		for _, l := range levels {
 			bytes += 2 * k.commPlaneBytes(l.pkg)
 		}
@@ -251,7 +251,7 @@ func (k *kernel) commVolume(levels []*level) (bytes int) {
 }
 
 func (k *kernel) reportComm(levels []*level, lg *runLog) {
-	k.call("smg_ReportComm", func() {
+	k.call(smgReportComm, func() {
 		planes := 0
 		for _, l := range levels {
 			planes += k.boxNumPlanes(k.gridLocalExtents(l.g))
@@ -261,7 +261,7 @@ func (k *kernel) reportComm(levels []*level, lg *runLog) {
 }
 
 func (k *kernel) reportTimers(ts []*timer, lg *runLog) {
-	k.call("smg_ReportTimers", func() {
+	k.call(smgReportTimers, func() {
 		for _, t := range ts {
 			k.logAppend(lg, k.timerReport(t))
 		}
@@ -269,13 +269,13 @@ func (k *kernel) reportTimers(ts []*timer, lg *runLog) {
 }
 
 func (k *kernel) runHeader(lg *runLog) {
-	k.call("smg_RunHeader", func() {
+	k.call(smgRunHeader, func() {
 		k.logAppend(lg, fmt.Sprintf("rank %d of %d", k.rank, k.size))
 	})
 }
 
 func (k *kernel) finalReport(st *solveStats, lg *runLog) (lines int) {
-	k.call("smg_FinalReport", func() {
+	k.call(smgFinalReport, func() {
 		k.statsFinalize(st, lg)
 		lines = k.logFlush(lg)
 	})
@@ -284,20 +284,20 @@ func (k *kernel) finalReport(st *solveStats, lg *runLog) (lines int) {
 
 // syncRanks is the benchmark's explicit phase barrier.
 func (k *kernel) syncRanks() {
-	k.call("smg_SyncRanks", func() {
+	k.call(smgSyncRanks, func() {
 		k.m.Barrier()
 		k.work(24)
 	})
 }
 
 func (k *kernel) randSeed() (s int) {
-	k.call("smg_RandSeed", func() { s = 1664525*k.rank + 1013904223; k.work(30) })
+	k.call(smgRandSeed, func() { s = 1664525*k.rank + 1013904223; k.work(30) })
 	return
 }
 
 // procTopology reports the 1-D decomposition neighbours.
 func (k *kernel) procTopology() (lo, hi int) {
-	k.call("smg_ProcTopology", func() {
+	k.call(smgProcTopology, func() {
 		lo = k.neighborRank(-1)
 		hi = k.neighborRank(+1)
 	})
@@ -306,7 +306,7 @@ func (k *kernel) procTopology() (lo, hi int) {
 
 // loadBalanceCheck verifies every rank owns the same volume.
 func (k *kernel) loadBalanceCheck(g *grid) (balanced bool) {
-	k.call("smg_LoadBalanceCheck", func() {
+	k.call(smgLoadBalanceCheck, func() {
 		mine := float64(k.gridVolume(g))
 		max := k.globalMax(mine)
 		balanced = max == mine
@@ -317,7 +317,7 @@ func (k *kernel) loadBalanceCheck(g *grid) (balanced bool) {
 
 // flopsEstimate prices one V-cycle in floating-point operations.
 func (k *kernel) flopsEstimate(levels []*level) (flops int) {
-	k.call("smg_FlopsEstimate", func() {
+	k.call(smgFlopsEstimate, func() {
 		for _, l := range levels {
 			flops += 12 * k.gridVolume(l.g)
 		}
@@ -328,18 +328,18 @@ func (k *kernel) flopsEstimate(levels []*level) (flops int) {
 
 // iterationBudget caps the cycle count from the input deck.
 func (k *kernel) iterationBudget(p *params) (n int) {
-	k.call("smg_IterationBudget", func() { n = p.maxIters; k.work(20) })
+	k.call(smgIterationBudget, func() { n = p.maxIters; k.work(20) })
 	return
 }
 
 func (k *kernel) versionString() (v string) {
-	k.call("smg_VersionString", func() { v = "smg98-sim 1.0"; k.work(28) })
+	k.call(smgVersionString, func() { v = "smg98-sim 1.0"; k.work(28) })
 	return
 }
 
 // exitCheck synchronises and validates the final state before MPI_Finalize.
 func (k *kernel) exitCheck(levels []*level) {
-	k.call("smg_ExitCheck", func() {
+	k.call(smgExitCheck, func() {
 		if !k.vectorCheckFinite(levels[0].x) {
 			panic("smg98: non-finite solution at exit")
 		}
@@ -350,7 +350,7 @@ func (k *kernel) exitCheck(levels []*level) {
 // driverMain is the benchmark's main after MPI_Init: read input, set the
 // problem up, solve, and report.
 func (k *kernel) driverMain() (st *solveStats) {
-	k.call("smg_DriverMain", func() {
+	k.call(smgDriverMain, func() {
 		lg := k.logCreate()
 		k.runHeader(lg)
 		_ = k.versionString()

@@ -12,7 +12,7 @@ type matrix struct {
 }
 
 func (k *kernel) matrixCreate(g *grid, st *Stencil) (m *matrix) {
-	k.call("smg_MatrixCreate", func() {
+	k.call(smgMatrixCreate, func() {
 		m = &matrix{st: st, g: g}
 		k.work(90)
 	})
@@ -20,7 +20,7 @@ func (k *kernel) matrixCreate(g *grid, st *Stencil) (m *matrix) {
 }
 
 func (k *kernel) matrixInitialize(m *matrix) {
-	k.call("smg_MatrixInitialize", func() {
+	k.call(smgMatrixInitialize, func() {
 		m.assembled = false
 		k.work(60)
 	})
@@ -28,21 +28,21 @@ func (k *kernel) matrixInitialize(m *matrix) {
 
 // matrixSetConstantEntries installs the stencil coefficients.
 func (k *kernel) matrixSetConstantEntries(m *matrix, st *Stencil) {
-	k.call("smg_MatrixSetConstantEntries", func() {
+	k.call(smgMatrixSetConstantEntries, func() {
 		m.st = st
 		k.work(70)
 	})
 }
 
 func (k *kernel) matrixSetBoundary(m *matrix) {
-	k.call("smg_MatrixSetBoundary", func() {
+	k.call(smgMatrixSetBoundary, func() {
 		m.boundary = true
 		k.work(50)
 	})
 }
 
 func (k *kernel) matrixAssemble(m *matrix) {
-	k.call("smg_MatrixAssemble", func() {
+	k.call(smgMatrixAssemble, func() {
 		if m.st == nil {
 			panic("smg98: assembling matrix without entries")
 		}
@@ -52,22 +52,22 @@ func (k *kernel) matrixAssemble(m *matrix) {
 }
 
 func (k *kernel) matrixGrid(m *matrix) (g *grid) {
-	k.call("smg_MatrixGrid", func() { g = m.g; k.work(18) })
+	k.call(smgMatrixGrid, func() { g = m.g; k.work(18) })
 	return
 }
 
 func (k *kernel) matrixStencil(m *matrix) (st *Stencil) {
-	k.call("smg_MatrixStencil", func() { st = m.st; k.work(18) })
+	k.call(smgMatrixStencil, func() { st = m.st; k.work(18) })
 	return
 }
 
 func (k *kernel) matrixNumGhost(m *matrix) (n int) {
-	k.call("smg_MatrixNumGhost", func() { n = 1; k.work(18) })
+	k.call(smgMatrixNumGhost, func() { n = 1; k.work(18) })
 	return
 }
 
 func (k *kernel) matrixVolume(m *matrix) (n int) {
-	k.call("smg_MatrixVolume", func() {
+	k.call(smgMatrixVolume, func() {
 		n = k.stencilSize(k.matrixStencil(m)) * k.gridVolume(k.matrixGrid(m))
 		k.work(24)
 	})
@@ -75,19 +75,19 @@ func (k *kernel) matrixVolume(m *matrix) (n int) {
 }
 
 func (k *kernel) matrixEntryCount(m *matrix) (n int) {
-	k.call("smg_MatrixEntryCount", func() { n = k.matrixVolume(m); k.work(18) })
+	k.call(smgMatrixEntryCount, func() { n = k.matrixVolume(m); k.work(18) })
 	return
 }
 
 // matrixDiagonal exposes the operator's diagonal coefficient.
 func (k *kernel) matrixDiagonal(m *matrix) (d float64) {
-	k.call("smg_MatrixDiagonal", func() { d = k.stencilDiagonal(m.st); k.work(20) })
+	k.call(smgMatrixDiagonal, func() { d = k.stencilDiagonal(m.st); k.work(20) })
 	return
 }
 
 // matrixApplyPlane applies the operator on one plane: out = A x |_kz.
 func (k *kernel) matrixApplyPlane(m *matrix, out, x *Vector, kz int) {
-	k.call("smg_MatrixApplyPlane", func() {
+	k.call(smgMatrixApplyPlane, func() {
 		k.stencilApplyPlane(m.st, out, x, kz)
 	})
 }
@@ -95,7 +95,7 @@ func (k *kernel) matrixApplyPlane(m *matrix, out, x *Vector, kz int) {
 // matrixRowSumPlane sums one plane's stencil rows — a setup-time sanity
 // quantity (row sums vanish for a pure Laplacian away from boundaries).
 func (k *kernel) matrixRowSumPlane(m *matrix, kz int) (sum float64) {
-	k.call("smg_MatrixRowSumPlane", func() {
+	k.call(smgMatrixRowSumPlane, func() {
 		per := m.st.center + 4*m.st.cxy + 2*m.st.cz
 		sum = per * float64(m.g.nx*m.g.ny)
 		k.work(48)
@@ -106,7 +106,7 @@ func (k *kernel) matrixRowSumPlane(m *matrix, kz int) (sum float64) {
 // matrixSymmetryCheck verifies the constant-stencil operator is symmetric
 // (trivially true here, but the benchmark checks anyway).
 func (k *kernel) matrixSymmetryCheck(m *matrix) (ok bool) {
-	k.call("smg_MatrixSymmetryCheck", func() {
+	k.call(smgMatrixSymmetryCheck, func() {
 		ok = m.st.cxy == m.st.cxy && m.st.cz == m.st.cz
 		k.work(60)
 	})
@@ -114,7 +114,7 @@ func (k *kernel) matrixSymmetryCheck(m *matrix) (ok bool) {
 }
 
 func (k *kernel) matrixFrobeniusLocal(m *matrix) (f float64) {
-	k.call("smg_MatrixFrobeniusLocal", func() {
+	k.call(smgMatrixFrobeniusLocal, func() {
 		per := m.st.center*m.st.center + 4*m.st.cxy*m.st.cxy + 2*m.st.cz*m.st.cz
 		f = per * float64(k.gridVolume(m.g))
 		k.work(80)
@@ -124,7 +124,7 @@ func (k *kernel) matrixFrobeniusLocal(m *matrix) (f float64) {
 
 // matrixFrobenius is the global Frobenius norm of the operator.
 func (k *kernel) matrixFrobenius(m *matrix) (f float64) {
-	k.call("smg_MatrixFrobenius", func() {
+	k.call(smgMatrixFrobenius, func() {
 		f = math.Sqrt(k.globalSum(k.matrixFrobeniusLocal(m)))
 		k.work(40)
 	})
@@ -133,7 +133,7 @@ func (k *kernel) matrixFrobenius(m *matrix) (f float64) {
 
 // matrixConditionEstimate is a crude diagonal-based condition estimate.
 func (k *kernel) matrixConditionEstimate(m *matrix) (c float64) {
-	k.call("smg_MatrixConditionEstimate", func() {
+	k.call(smgMatrixConditionEstimate, func() {
 		d := math.Abs(k.matrixDiagonal(m))
 		off := 4*m.st.cxy + 2*m.st.cz
 		c = (d + off) / math.Max(d-off, 1e-12)
@@ -143,14 +143,14 @@ func (k *kernel) matrixConditionEstimate(m *matrix) (c float64) {
 }
 
 func (k *kernel) matrixScale(m *matrix, a float64) {
-	k.call("smg_MatrixScale", func() {
+	k.call(smgMatrixScale, func() {
 		m.st = &Stencil{center: m.st.center * a, cxy: m.st.cxy * a, cz: m.st.cz * a}
 		k.work(44)
 	})
 }
 
 func (k *kernel) matrixCopy(m *matrix) (out *matrix) {
-	k.call("smg_MatrixCopy", func() {
+	k.call(smgMatrixCopy, func() {
 		st := *m.st
 		out = &matrix{st: &st, g: m.g, assembled: m.assembled, boundary: m.boundary}
 		k.work(70)
@@ -160,7 +160,7 @@ func (k *kernel) matrixCopy(m *matrix) (out *matrix) {
 
 // matrixCoarsen builds the next level's assembled operator.
 func (k *kernel) matrixCoarsen(m *matrix, cg *grid) (out *matrix) {
-	k.call("smg_MatrixCoarsen", func() {
+	k.call(smgMatrixCoarsen, func() {
 		out = k.matrixCreate(cg, k.stencilCoarsenZ(m.st))
 		k.matrixInitialize(out)
 		k.matrixAssemble(out)
@@ -170,7 +170,7 @@ func (k *kernel) matrixCoarsen(m *matrix, cg *grid) (out *matrix) {
 }
 
 func (k *kernel) matrixDestroy(m *matrix) {
-	k.call("smg_MatrixDestroy", func() {
+	k.call(smgMatrixDestroy, func() {
 		m.st, m.g = nil, nil
 		k.work(36)
 	})
@@ -178,7 +178,7 @@ func (k *kernel) matrixDestroy(m *matrix) {
 
 // matrixCheck runs the assembled-operator validation suite.
 func (k *kernel) matrixCheck(m *matrix) {
-	k.call("smg_MatrixCheck", func() {
+	k.call(smgMatrixCheck, func() {
 		if !m.assembled {
 			panic("smg98: matrix used before assembly")
 		}

@@ -24,7 +24,7 @@ type level struct {
 }
 
 func (k *kernel) gridCreate(nx, ny, nz int) (g *grid) {
-	k.call("smg_GridCreate", func() {
+	k.call(smgGridCreate, func() {
 		lo := k.indexCopy(Index{0, k.rank * ny, 0})
 		hi := k.indexAdd(lo, Index{nx - 1, ny - 1, nz - 1})
 		g = &grid{
@@ -38,23 +38,23 @@ func (k *kernel) gridCreate(nx, ny, nz int) (g *grid) {
 }
 
 func (k *kernel) gridLocalExtents(g *grid) (b Box) {
-	k.call("smg_GridLocalExtents", func() { b = g.local; k.work(24) })
+	k.call(smgGridLocalExtents, func() { b = g.local; k.work(24) })
 	return
 }
 
 func (k *kernel) gridGlobalSize(g *grid) (n int) {
-	k.call("smg_GridGlobalSize", func() { n = g.nx * g.globalNY * g.nz; k.work(26) })
+	k.call(smgGridGlobalSize, func() { n = g.nx * g.globalNY * g.nz; k.work(26) })
 	return
 }
 
 func (k *kernel) gridVolume(g *grid) (n int) {
-	k.call("smg_GridVolume", func() { n = g.nx * g.ny * g.nz; k.work(22) })
+	k.call(smgGridVolume, func() { n = g.nx * g.ny * g.nz; k.work(22) })
 	return
 }
 
 // gridCoarsenZ builds the next (z-semicoarsened) grid.
 func (k *kernel) gridCoarsenZ(g *grid) (out *grid) {
-	k.call("smg_GridCoarsenZ", func() {
+	k.call(smgGridCoarsenZ, func() {
 		out = &grid{
 			local:    k.boxCoarsenZ(g.local),
 			globalNY: g.globalNY,
@@ -67,7 +67,7 @@ func (k *kernel) gridCoarsenZ(g *grid) (out *grid) {
 
 // gridNumLevels is the depth of the hierarchy: semicoarsen z until 2 planes.
 func (k *kernel) gridNumLevels(g *grid) (n int) {
-	k.call("smg_GridNumLevels", func() {
+	k.call(smgGridNumLevels, func() {
 		nz := g.nz
 		n = 1
 		for nz > 2 {
@@ -80,7 +80,7 @@ func (k *kernel) gridNumLevels(g *grid) (n int) {
 }
 
 func (k *kernel) gridCheck(g *grid) {
-	k.call("smg_GridCheck", func() {
+	k.call(smgGridCheck, func() {
 		if g.nx <= 0 || g.ny <= 0 || g.nz <= 0 {
 			panic(fmt.Sprintf("smg98: bad grid %+v", g))
 		}
@@ -89,7 +89,7 @@ func (k *kernel) gridCheck(g *grid) {
 }
 
 func (k *kernel) levelCreate(g *grid, idx int, st *Stencil) (l *level) {
-	k.call("smg_LevelCreate", func() {
+	k.call(smgLevelCreate, func() {
 		l = &level{g: g, st: st, idx: idx}
 		l.mat = k.matrixCreate(g, st)
 		k.matrixInitialize(l.mat)
@@ -102,7 +102,7 @@ func (k *kernel) levelCreate(g *grid, idx int, st *Stencil) (l *level) {
 }
 
 func (k *kernel) levelVectorsCreate(l *level) {
-	k.call("smg_LevelVectorsCreate", func() {
+	k.call(smgLevelVectorsCreate, func() {
 		l.x = k.vectorCreate(l.g.nx, l.g.ny, l.g.nz)
 		l.b = k.vectorCreate(l.g.nx, l.g.ny, l.g.nz)
 		l.r = k.vectorCreate(l.g.nx, l.g.ny, l.g.nz)
@@ -116,12 +116,12 @@ func (k *kernel) levelVectorsCreate(l *level) {
 
 // gridPlaneSize is the xz ghost-plane extent exchanged with neighbours.
 func (k *kernel) gridPlaneSize(g *grid) (n int) {
-	k.call("smg_GridPlaneSize", func() { n = g.nx * g.nz; k.work(22) })
+	k.call(smgGridPlaneSize, func() { n = g.nx * g.nz; k.work(22) })
 	return
 }
 
 func (k *kernel) levelCommCreate(l *level) {
-	k.call("smg_LevelCommCreate", func() {
+	k.call(smgLevelCommCreate, func() {
 		// The neighbour ghost regions are the local box shifted one cell
 		// across each Y face.
 		ext := k.gridLocalExtents(l.g)
@@ -137,7 +137,7 @@ func (k *kernel) levelCommCreate(l *level) {
 }
 
 func (k *kernel) levelDestroy(l *level) {
-	k.call("smg_LevelDestroy", func() {
+	k.call(smgLevelDestroy, func() {
 		k.commPkgDestroy(l.pkg)
 		k.matrixDestroy(l.mat)
 		l.x, l.b, l.r, l.tmp = nil, nil, nil, nil
@@ -148,7 +148,7 @@ func (k *kernel) levelDestroy(l *level) {
 // setupStencils builds the per-level operators from the finest 7-point
 // Laplacian by repeated semicoarsening.
 func (k *kernel) setupStencils(n int) (sts []*Stencil) {
-	k.call("smg_SetupStencils", func() {
+	k.call(smgSetupStencils, func() {
 		st := k.stencilCreate(-6, 1, 1)
 		if !k.stencilCheck(st) {
 			panic("smg98: bad fine-grid stencil")
@@ -165,7 +165,7 @@ func (k *kernel) setupStencils(n int) (sts []*Stencil) {
 
 // interpWeightAt gives the linear z-interpolation weight for parity p.
 func (k *kernel) interpWeightAt(p int) (w float64) {
-	k.call("smg_InterpWeightAt", func() {
+	k.call(smgInterpWeightAt, func() {
 		if p == 0 {
 			w = 1.0
 		} else {
@@ -178,7 +178,7 @@ func (k *kernel) interpWeightAt(p int) (w float64) {
 
 // restrictWeightAt gives the full-weighting z coefficient at offset d.
 func (k *kernel) restrictWeightAt(d int) (w float64) {
-	k.call("smg_RestrictWeightAt", func() {
+	k.call(smgRestrictWeightAt, func() {
 		if d == 0 {
 			w = 0.5
 		} else {
@@ -191,7 +191,7 @@ func (k *kernel) restrictWeightAt(d int) (w float64) {
 
 // setupInterp precomputes the interpolation weights for a level.
 func (k *kernel) setupInterp(l *level) (weights [2]float64) {
-	k.call("smg_SetupInterp", func() {
+	k.call(smgSetupInterp, func() {
 		weights[0] = k.interpWeightAt(0)
 		weights[1] = k.interpWeightAt(1)
 		k.work(30)
@@ -201,7 +201,7 @@ func (k *kernel) setupInterp(l *level) (weights [2]float64) {
 
 // setupRestrict precomputes the restriction weights for a level.
 func (k *kernel) setupRestrict(l *level) (weights [2]float64) {
-	k.call("smg_SetupRestrict", func() {
+	k.call(smgSetupRestrict, func() {
 		weights[0] = k.restrictWeightAt(0)
 		weights[1] = k.restrictWeightAt(1)
 		k.work(30)
@@ -212,7 +212,7 @@ func (k *kernel) setupRestrict(l *level) (weights [2]float64) {
 // setupRAP attaches the coarse operator to level l+1 (semicoarsened
 // Galerkin analogue).
 func (k *kernel) setupRAP(fine, coarse *level) {
-	k.call("smg_SetupRAP", func() {
+	k.call(smgSetupRAP, func() {
 		coarse.mat = k.matrixCoarsen(fine.mat, coarse.g)
 		coarse.st = k.matrixStencil(coarse.mat)
 		k.work(80)
@@ -221,7 +221,7 @@ func (k *kernel) setupRAP(fine, coarse *level) {
 
 // setupRHS fills the finest right-hand side with a deterministic source.
 func (k *kernel) setupRHS(l *level) {
-	k.call("smg_SetupRHS", func() {
+	k.call(smgSetupRHS, func() {
 		k.vectorSetSeeded(l.b, k.rank*7919+11)
 		k.vectorScale(l.b, 1.0/float64(k.gridGlobalSize(l.g)))
 	})
@@ -230,14 +230,14 @@ func (k *kernel) setupRHS(l *level) {
 // setupInitialGuess seeds the finest solution vector with noise plus a
 // fraction of the source.
 func (k *kernel) setupInitialGuess(l *level) {
-	k.call("smg_SetupInitialGuess", func() {
+	k.call(smgSetupInitialGuess, func() {
 		k.vectorSetSeeded(l.x, k.rank*104729+3)
 		k.vectorAxpy(l.x, 0.1, l.b)
 	})
 }
 
 func (k *kernel) setupWorkspace(l *level) {
-	k.call("smg_SetupWorkspace", func() {
+	k.call(smgSetupWorkspace, func() {
 		k.vectorSetConstant(l.tmp, 0)
 		k.vectorGhostClear(l.x)
 	})
@@ -246,7 +246,7 @@ func (k *kernel) setupWorkspace(l *level) {
 // setupBoundary imposes homogeneous Dirichlet conditions (ghosts zeroed)
 // over the grown ghost region.
 func (k *kernel) setupBoundary(l *level) {
-	k.call("smg_SetupBoundary", func() {
+	k.call(smgSetupBoundary, func() {
 		ext := k.gridLocalExtents(l.g)
 		ghost := k.boxGrow(ext, 1)
 		k.boxCheck(ghost)
@@ -258,7 +258,7 @@ func (k *kernel) setupBoundary(l *level) {
 }
 
 func (k *kernel) partitionGrid(nx, ny, nz int) (ok bool) {
-	k.call("smg_PartitionGrid", func() {
+	k.call(smgPartitionGrid, func() {
 		ok = nx > 0 && ny > 0 && nz >= 4
 		k.work(90)
 	})
@@ -266,7 +266,7 @@ func (k *kernel) partitionGrid(nx, ny, nz int) (ok bool) {
 }
 
 func (k *kernel) validatePartition(g *grid) {
-	k.call("smg_ValidatePartition", func() {
+	k.call(smgValidatePartition, func() {
 		local := k.gridLocalExtents(g)
 		if k.boxVolume(local) != k.gridVolume(g) {
 			panic("smg98: partition volume mismatch")
@@ -285,7 +285,7 @@ func (k *kernel) validatePartition(g *grid) {
 }
 
 func (k *kernel) dataSize(levels []*level) (words int) {
-	k.call("smg_DataSize", func() {
+	k.call(smgDataSize, func() {
 		for _, l := range levels {
 			words += 4 * k.vectorVolume(l.x)
 		}
@@ -295,7 +295,7 @@ func (k *kernel) dataSize(levels []*level) (words int) {
 }
 
 func (k *kernel) memoryEstimate(levels []*level) (bytes int) {
-	k.call("smg_MemoryEstimate", func() {
+	k.call(smgMemoryEstimate, func() {
 		bytes = 8 * k.dataSize(levels)
 		k.work(30)
 	})
@@ -304,7 +304,7 @@ func (k *kernel) memoryEstimate(levels []*level) (bytes int) {
 
 // hierarchyCreate builds the full multigrid hierarchy.
 func (k *kernel) hierarchyCreate(nx, ny, nz int) (levels []*level) {
-	k.call("smg_HierarchyCreate", func() {
+	k.call(smgHierarchyCreate, func() {
 		if !k.partitionGrid(nx, ny, nz) {
 			panic("smg98: invalid partition")
 		}
@@ -334,7 +334,7 @@ func (k *kernel) hierarchyCreate(nx, ny, nz int) (levels []*level) {
 // initCoefficients scales operators for the problem's diffusion constant
 // (unit here, but the copy/scale path is exercised as the benchmark does).
 func (k *kernel) initCoefficients(levels []*level) {
-	k.call("smg_InitCoefficients", func() {
+	k.call(smgInitCoefficients, func() {
 		for _, l := range levels {
 			if k.stencilSize(l.st) != 7 {
 				panic("smg98: unexpected stencil size")
@@ -349,7 +349,7 @@ func (k *kernel) initCoefficients(levels []*level) {
 
 // checkSetup validates the constructed hierarchy.
 func (k *kernel) checkSetup(levels []*level) {
-	k.call("smg_CheckSetup", func() {
+	k.call(smgCheckSetup, func() {
 		if len(levels) == 0 {
 			panic("smg98: empty hierarchy")
 		}
@@ -375,7 +375,7 @@ func (k *kernel) checkSetup(levels []*level) {
 
 // finalizeSetup completes the setup phase with a world synchronisation.
 func (k *kernel) finalizeSetup(levels []*level) {
-	k.call("smg_FinalizeSetup", func() {
+	k.call(smgFinalizeSetup, func() {
 		k.memoryEstimate(levels)
 		k.m.Barrier()
 		k.work(40)
@@ -384,7 +384,7 @@ func (k *kernel) finalizeSetup(levels []*level) {
 
 // problemSetup is the whole setup phase: hierarchy, RHS, guess, boundary.
 func (k *kernel) problemSetup(nx, ny, nz int) (levels []*level) {
-	k.call("smg_ProblemSetup", func() {
+	k.call(smgProblemSetup, func() {
 		levels = k.hierarchyCreate(nx, ny, nz)
 		k.initCoefficients(levels)
 		k.setupRHS(levels[0])
@@ -401,7 +401,7 @@ func (k *kernel) problemSetup(nx, ny, nz int) (levels []*level) {
 
 // problemDestroy tears the hierarchy down.
 func (k *kernel) problemDestroy(levels []*level) {
-	k.call("smg_ProblemDestroy", func() {
+	k.call(smgProblemDestroy, func() {
 		for _, l := range levels {
 			k.levelDestroy(l)
 		}

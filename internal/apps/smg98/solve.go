@@ -5,7 +5,7 @@ import "math"
 // relaxWeight is the damped-Jacobi weight per level (slightly stronger
 // damping on coarse levels).
 func (k *kernel) relaxWeight(l *level) (w float64) {
-	k.call("smg_RelaxWeight", func() {
+	k.call(smgRelaxWeight, func() {
 		w = 0.8
 		if l.idx > 0 {
 			w = 0.7
@@ -17,7 +17,7 @@ func (k *kernel) relaxWeight(l *level) (w float64) {
 
 // planeBoxAt computes the xy-plane box of level l at z index kz.
 func (k *kernel) planeBoxAt(l *level, kz int) (b Box) {
-	k.call("smg_PlaneBoxAt", func() {
+	k.call(smgPlaneBoxAt, func() {
 		min := k.indexShift(Index{0, 0, 0}, 2, kz)
 		full := k.boxCreate(min, Index{l.g.nx - 1, l.g.ny - 1, l.g.nz - 1})
 		b = k.boxPlane(full, 0)
@@ -27,7 +27,7 @@ func (k *kernel) planeBoxAt(l *level, kz int) (b Box) {
 
 // planeOffsets derives the neighbour offsets used by a plane update.
 func (k *kernel) planeOffsets() (offs [6]Index) {
-	k.call("smg_PlaneOffsets", func() {
+	k.call(smgPlaneOffsets, func() {
 		for e := 1; e < 7; e++ {
 			offs[e-1] = k.stencilOffset(e)
 		}
@@ -37,7 +37,7 @@ func (k *kernel) planeOffsets() (offs [6]Index) {
 
 // planeCoeffs loads the stencil coefficients for a plane sweep.
 func (k *kernel) planeCoeffs(l *level) (center, cxy, cz float64) {
-	k.call("smg_PlaneCoeffs", func() {
+	k.call(smgPlaneCoeffs, func() {
 		center = k.stencilCoeffCenter(l.st)
 		cxy = k.stencilCoeffXY(l.st)
 		cz = k.stencilCoeffZ(l.st)
@@ -48,7 +48,7 @@ func (k *kernel) planeCoeffs(l *level) (center, cxy, cz float64) {
 // relaxPlaneInterior is the hot damped-Jacobi update of one plane's
 // interior points, writing into tmp.
 func (k *kernel) relaxPlaneInterior(l *level, kz int, w, center, cxy, cz float64) {
-	k.call("smg_RelaxPlaneInterior", func() {
+	k.call(smgRelaxPlaneInterior, func() {
 		x, b, tmp := l.x, l.b, l.tmp
 		xd, bd, td := x.data, b.data, tmp.data
 		inv := 1.0 / center
@@ -77,7 +77,7 @@ func (k *kernel) relaxPlaneInterior(l *level, kz int, w, center, cxy, cz float64
 // relaxPlaneBoundary updates the plane's x and y edge points (which touch
 // domain boundary or ghost values).
 func (k *kernel) relaxPlaneBoundary(l *level, kz int, w, center, cxy, cz float64) {
-	k.call("smg_RelaxPlaneBoundary", func() {
+	k.call(smgRelaxPlaneBoundary, func() {
 		x, b, tmp := l.x, l.b, l.tmp
 		inv := 1.0 / center
 		update := func(i, j int) {
@@ -100,7 +100,7 @@ func (k *kernel) relaxPlaneBoundary(l *level, kz int, w, center, cxy, cz float64
 
 // updateSolutionPlane commits a relaxed plane from tmp back into x.
 func (k *kernel) updateSolutionPlane(l *level, kz int) {
-	k.call("smg_UpdateSolutionPlane", func() {
+	k.call(smgUpdateSolutionPlane, func() {
 		k.vectorPlaneCopy(l.x, l.tmp, kz)
 	})
 }
@@ -108,7 +108,7 @@ func (k *kernel) updateSolutionPlane(l *level, kz int) {
 // applyBCPlane enforces the Dirichlet condition on a plane's rim (the
 // ghost cells outside the global domain stay zero).
 func (k *kernel) applyBCPlane(l *level, kz int) {
-	k.call("smg_ApplyBCPlane", func() {
+	k.call(smgApplyBCPlane, func() {
 		x := l.x
 		if k.rank == 0 {
 			for i := -1; i <= x.nx; i++ {
@@ -126,7 +126,7 @@ func (k *kernel) applyBCPlane(l *level, kz int) {
 
 // relaxPlane relaxes one z-plane: coefficients, interior, boundary, commit.
 func (k *kernel) relaxPlane(l *level, kz int, w float64) {
-	k.call("smg_RelaxPlane", func() {
+	k.call(smgRelaxPlane, func() {
 		pb := k.planeBoxAt(l, kz)
 		k.boxCheck(pb)
 		center, cxy, cz := k.planeCoeffs(l)
@@ -141,7 +141,7 @@ func (k *kernel) relaxPlane(l *level, kz int, w float64) {
 // relaxSweep performs one plane-by-plane damped-Jacobi sweep with a fresh
 // ghost exchange.
 func (k *kernel) relaxSweep(l *level) {
-	k.call("smg_RelaxSweep", func() {
+	k.call(smgRelaxSweep, func() {
 		k.exchangeGhost(l.pkg, l.x)
 		w := k.relaxWeight(l)
 		planes := k.boxNumPlanes(k.gridLocalExtents(l.g))
@@ -153,7 +153,7 @@ func (k *kernel) relaxSweep(l *level) {
 
 // relax performs n relaxation sweeps on a level.
 func (k *kernel) relax(l *level, sweeps int) {
-	k.call("smg_Relax", func() {
+	k.call(smgRelax, func() {
 		for s := 0; s < sweeps; s++ {
 			k.relaxSweep(l)
 		}
@@ -162,16 +162,16 @@ func (k *kernel) relax(l *level, sweeps int) {
 
 // preRelax and postRelax are the down- and up-cycle smoother stages.
 func (k *kernel) preRelax(l *level) {
-	k.call("smg_PreRelax", func() { k.relax(l, 1) })
+	k.call(smgPreRelax, func() { k.relax(l, 1) })
 }
 
 func (k *kernel) postRelax(l *level) {
-	k.call("smg_PostRelax", func() { k.relax(l, 1) })
+	k.call(smgPostRelax, func() { k.relax(l, 1) })
 }
 
 // residualPlane computes r = b - A x on one plane.
 func (k *kernel) residualPlane(l *level, kz int) {
-	k.call("smg_ResidualPlane", func() {
+	k.call(smgResidualPlane, func() {
 		k.matrixApplyPlane(l.mat, l.r, l.x, kz)
 		x, b, r := l.x, l.b, l.r
 		for j := 0; j < x.ny; j++ {
@@ -187,7 +187,7 @@ func (k *kernel) residualPlane(l *level, kz int) {
 
 // residual computes the full residual with current ghosts.
 func (k *kernel) residual(l *level) {
-	k.call("smg_Residual", func() {
+	k.call(smgResidual, func() {
 		k.exchangeGhost(l.pkg, l.x)
 		_ = k.planeOffsets()
 		for kz := 0; kz < l.g.nz; kz++ {
@@ -198,7 +198,7 @@ func (k *kernel) residual(l *level) {
 
 // residualNorm is the global L2 norm of the current residual.
 func (k *kernel) residualNorm(l *level) (n float64) {
-	k.call("smg_ResidualNorm", func() {
+	k.call(smgResidualNorm, func() {
 		k.residual(l)
 		n = k.vectorNorm(l.r)
 	})
@@ -207,7 +207,7 @@ func (k *kernel) residualNorm(l *level) (n float64) {
 
 // zeroCoarse clears a coarse level's solution before the correction solve.
 func (k *kernel) zeroCoarse(l *level) {
-	k.call("smg_ZeroCoarse", func() {
+	k.call(smgZeroCoarse, func() {
 		k.vectorClear(l.x)
 	})
 }
@@ -215,7 +215,7 @@ func (k *kernel) zeroCoarse(l *level) {
 // restrictPlane full-weights fine residual planes 2kz-1..2kz+1 into the
 // coarse right-hand side plane kz.
 func (k *kernel) restrictPlane(fine, coarse *level, kz int) {
-	k.call("smg_RestrictPlane", func() {
+	k.call(smgRestrictPlane, func() {
 		w0 := k.restrictWeightAt(0)
 		w1 := k.restrictWeightAt(1)
 		fz := 2 * kz
@@ -244,7 +244,7 @@ func (k *kernel) restrictPlane(fine, coarse *level, kz int) {
 
 // restrictResidual moves the fine residual down one level.
 func (k *kernel) restrictResidual(fine, coarse *level) {
-	k.call("smg_Restrict", func() {
+	k.call(smgRestrict, func() {
 		for kz := 0; kz < coarse.g.nz; kz++ {
 			k.restrictPlane(fine, coarse, kz)
 		}
@@ -254,7 +254,7 @@ func (k *kernel) restrictResidual(fine, coarse *level) {
 
 // interpPlaneEven adds the coarse correction directly at even fine planes.
 func (k *kernel) interpPlaneEven(fine, coarse *level, kz int) {
-	k.call("smg_InterpPlaneEven", func() {
+	k.call(smgInterpPlaneEven, func() {
 		w := k.interpWeightAt(0)
 		cx, fx := coarse.x, fine.x
 		cd, fd := cx.data, fx.data
@@ -271,7 +271,7 @@ func (k *kernel) interpPlaneEven(fine, coarse *level, kz int) {
 
 // interpPlaneOdd interpolates between coarse planes at odd fine planes.
 func (k *kernel) interpPlaneOdd(fine, coarse *level, kz int) {
-	k.call("smg_InterpPlaneOdd", func() {
+	k.call(smgInterpPlaneOdd, func() {
 		w := k.interpWeightAt(1)
 		cx, fx := coarse.x, fine.x
 		fz := 2*kz + 1
@@ -298,7 +298,7 @@ func (k *kernel) interpPlaneOdd(fine, coarse *level, kz int) {
 
 // interpAdd prolongates the coarse correction into the fine solution.
 func (k *kernel) interpAdd(fine, coarse *level) {
-	k.call("smg_InterpAdd", func() {
+	k.call(smgInterpAdd, func() {
 		refined := k.boxRefineZ(k.gridLocalExtents(coarse.g))
 		k.boxCheck(refined)
 		for kz := 0; kz < coarse.g.nz; kz++ {
@@ -311,7 +311,7 @@ func (k *kernel) interpAdd(fine, coarse *level) {
 // coarseSolve iterates the smoother on the coarsest level until its local
 // system is well resolved.
 func (k *kernel) coarseSolve(l *level) {
-	k.call("smg_CoarseSolve", func() {
+	k.call(smgCoarseSolve, func() {
 		k.relax(l, 4)
 		// Norm and plane-energy checks keep the coarse solve honest.
 		_ = k.vectorInnerProd(l.x, l.x)
@@ -321,7 +321,7 @@ func (k *kernel) coarseSolve(l *level) {
 
 // levelDown moves the state from level i to i+1 during the down-cycle.
 func (k *kernel) levelDown(levels []*level, i int) {
-	k.call("smg_LevelDown", func() {
+	k.call(smgLevelDown, func() {
 		k.preRelax(levels[i])
 		k.residual(levels[i])
 		k.restrictResidual(levels[i], levels[i+1])
@@ -330,7 +330,7 @@ func (k *kernel) levelDown(levels []*level, i int) {
 
 // levelUp applies the correction from level i+1 back at level i.
 func (k *kernel) levelUp(levels []*level, i int) {
-	k.call("smg_LevelUp", func() {
+	k.call(smgLevelUp, func() {
 		k.interpAdd(levels[i], levels[i+1])
 		k.postRelax(levels[i])
 	})
@@ -338,7 +338,7 @@ func (k *kernel) levelUp(levels []*level, i int) {
 
 // cycleDown is the descending half of the V-cycle.
 func (k *kernel) cycleDown(levels []*level) {
-	k.call("smg_CycleDown", func() {
+	k.call(smgCycleDown, func() {
 		for i := 0; i+1 < len(levels); i++ {
 			k.levelDown(levels, i)
 		}
@@ -347,7 +347,7 @@ func (k *kernel) cycleDown(levels []*level) {
 
 // cycleUp is the ascending half of the V-cycle.
 func (k *kernel) cycleUp(levels []*level) {
-	k.call("smg_CycleUp", func() {
+	k.call(smgCycleUp, func() {
 		for i := len(levels) - 2; i >= 0; i-- {
 			k.levelUp(levels, i)
 		}
@@ -356,7 +356,7 @@ func (k *kernel) cycleUp(levels []*level) {
 
 // vCycle is one full multigrid V-cycle.
 func (k *kernel) vCycle(levels []*level) {
-	k.call("smg_VCycle", func() {
+	k.call(smgVCycle, func() {
 		k.cycleDown(levels)
 		k.coarseSolve(levels[len(levels)-1])
 		k.cycleUp(levels)
@@ -365,7 +365,7 @@ func (k *kernel) vCycle(levels []*level) {
 
 // convergenceCheck compares the residual norm against the target.
 func (k *kernel) convergenceCheck(norm, norm0, tol float64) (done bool) {
-	k.call("smg_ConvergenceCheck", func() {
+	k.call(smgConvergenceCheck, func() {
 		done = norm <= tol*norm0 || norm == 0 || math.IsNaN(norm)
 		k.work(30)
 	})
@@ -374,12 +374,12 @@ func (k *kernel) convergenceCheck(norm, norm0, tol float64) (done bool) {
 
 // iterationUpdate advances the solver's iteration state.
 func (k *kernel) iterationUpdate(it *int) {
-	k.call("smg_IterationUpdate", func() { *it++; k.work(20) })
+	k.call(smgIterationUpdate, func() { *it++; k.work(20) })
 }
 
 // logIteration records a cycle's residual in the norm history.
 func (k *kernel) logIteration(st *solveStats, it int, norm float64) {
-	k.call("smg_LogIteration", func() {
+	k.call(smgLogIteration, func() {
 		st.history = append(st.history, norm)
 		k.work(40)
 	})
@@ -388,7 +388,7 @@ func (k *kernel) logIteration(st *solveStats, it int, norm float64) {
 // errorEstimate derives a cheap max-norm error indicator: the residual
 // scaled by the diagonal, with the boundary plane double-weighted.
 func (k *kernel) errorEstimate(l *level) (e float64) {
-	k.call("smg_ErrorEstimate", func() {
+	k.call(smgErrorEstimate, func() {
 		k.vectorCopy(l.tmp, l.r)
 		k.vectorPlaneAxpy(l.tmp, 1.0, l.r, 0)
 		k.vectorScale(l.tmp, 1.0/6.0)
@@ -408,7 +408,7 @@ type solveStats struct {
 // solve runs V-cycles until convergence or maxIters — the solver phase
 // whose functions make up the paper's 62-function subset.
 func (k *kernel) solve(levels []*level, maxIters int, tol float64) (st *solveStats) {
-	k.call("smg_Solve", func() {
+	k.call(smgSolve, func() {
 		st = k.statsInit()
 		fine := levels[0]
 		st.initial = k.residualNorm(fine)

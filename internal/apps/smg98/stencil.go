@@ -10,7 +10,7 @@ type Stencil struct {
 }
 
 func (k *kernel) stencilCreate(center, cxy, cz float64) (st *Stencil) {
-	k.call("smg_StencilCreate", func() {
+	k.call(smgStencilCreate, func() {
 		st = &Stencil{center: center, cxy: cxy, cz: cz}
 		k.work(48)
 	})
@@ -18,13 +18,13 @@ func (k *kernel) stencilCreate(center, cxy, cz float64) (st *Stencil) {
 }
 
 func (k *kernel) stencilSize(st *Stencil) (n int) {
-	k.call("smg_StencilSize", func() { n = 7; k.work(18) })
+	k.call(smgStencilSize, func() { n = 7; k.work(18) })
 	return
 }
 
 // stencilOffset returns the grid offset of stencil entry e.
 func (k *kernel) stencilOffset(e int) (off Index) {
-	k.call("smg_StencilOffset", func() {
+	k.call(smgStencilOffset, func() {
 		offsets := [7]Index{
 			{0, 0, 0}, {-1, 0, 0}, {1, 0, 0},
 			{0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1},
@@ -36,22 +36,22 @@ func (k *kernel) stencilOffset(e int) (off Index) {
 }
 
 func (k *kernel) stencilCoeffCenter(st *Stencil) (c float64) {
-	k.call("smg_StencilCoeffCenter", func() { c = st.center; k.work(18) })
+	k.call(smgStencilCoeffCenter, func() { c = st.center; k.work(18) })
 	return
 }
 
 func (k *kernel) stencilCoeffXY(st *Stencil) (c float64) {
-	k.call("smg_StencilCoeffXY", func() { c = st.cxy; k.work(18) })
+	k.call(smgStencilCoeffXY, func() { c = st.cxy; k.work(18) })
 	return
 }
 
 func (k *kernel) stencilCoeffZ(st *Stencil) (c float64) {
-	k.call("smg_StencilCoeffZ", func() { c = st.cz; k.work(18) })
+	k.call(smgStencilCoeffZ, func() { c = st.cz; k.work(18) })
 	return
 }
 
 func (k *kernel) stencilDiagonal(st *Stencil) (d float64) {
-	k.call("smg_StencilDiagonal", func() { d = st.center; k.work(20) })
+	k.call(smgStencilDiagonal, func() { d = st.center; k.work(20) })
 	return
 }
 
@@ -59,7 +59,7 @@ func (k *kernel) stencilDiagonal(st *Stencil) (d float64) {
 // semicoarsening analogue of the Galerkin product: z coupling halves,
 // center rebalances.
 func (k *kernel) stencilCoarsenZ(st *Stencil) (out *Stencil) {
-	k.call("smg_StencilCoarsenZ", func() {
+	k.call(smgStencilCoarsenZ, func() {
 		cz := st.cz / 2
 		out = &Stencil{
 			center: -(4*st.cxy + 2*cz),
@@ -73,7 +73,7 @@ func (k *kernel) stencilCoarsenZ(st *Stencil) (out *Stencil) {
 
 // stencilApplyPlane computes out(plane kz) = A x restricted to plane kz.
 func (k *kernel) stencilApplyPlane(st *Stencil, out, x *Vector, kz int) {
-	k.call("smg_StencilApplyPlane", func() {
+	k.call(smgStencilApplyPlane, func() {
 		xd, od := x.data, out.data
 		center, cxy, cz := st.center, st.cxy, st.cz
 		for j := 0; j < x.ny; j++ {
@@ -98,7 +98,7 @@ func (k *kernel) stencilApplyPlane(st *Stencil, out, x *Vector, kz int) {
 
 // stencilCheck validates operator sanity (diagonal dominance sign).
 func (k *kernel) stencilCheck(st *Stencil) (ok bool) {
-	k.call("smg_StencilCheck", func() {
+	k.call(smgStencilCheck, func() {
 		ok = st.center < 0 && st.cxy > 0 && st.cz >= 0
 		k.work(26)
 	})

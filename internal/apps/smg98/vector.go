@@ -24,7 +24,7 @@ func (v *Vector) At(i, j, kz int) float64 { return v.data[v.off(i, j, kz)] }
 func (v *Vector) Set(i, j, kz int, x float64) { v.data[v.off(i, j, kz)] = x }
 
 func (k *kernel) vectorCreate(nx, ny, nz int) (v *Vector) {
-	k.call("smg_VectorCreate", func() {
+	k.call(smgVectorCreate, func() {
 		v = &Vector{
 			nx: nx, ny: ny, nz: nz,
 			sx: nx + 2, sy: (nx + 2) * (ny + 2),
@@ -36,7 +36,7 @@ func (k *kernel) vectorCreate(nx, ny, nz int) (v *Vector) {
 }
 
 func (k *kernel) vectorInitialize(v *Vector) {
-	k.call("smg_VectorInitialize", func() {
+	k.call(smgVectorInitialize, func() {
 		for i := range v.data {
 			v.data[i] = 0
 		}
@@ -45,7 +45,7 @@ func (k *kernel) vectorInitialize(v *Vector) {
 }
 
 func (k *kernel) vectorSetConstant(v *Vector, x float64) {
-	k.call("smg_VectorSetConstant", func() {
+	k.call(smgVectorSetConstant, func() {
 		for kz := 0; kz < v.nz; kz++ {
 			for j := 0; j < v.ny; j++ {
 				base := v.off(0, j, kz)
@@ -59,14 +59,14 @@ func (k *kernel) vectorSetConstant(v *Vector, x float64) {
 }
 
 func (k *kernel) vectorCopy(dst, src *Vector) {
-	k.call("smg_VectorCopy", func() {
+	k.call(smgVectorCopy, func() {
 		copy(dst.data, src.data)
 		k.work(int64(len(src.data) / 4))
 	})
 }
 
 func (k *kernel) vectorClear(v *Vector) {
-	k.call("smg_VectorClear", func() {
+	k.call(smgVectorClear, func() {
 		for i := range v.data {
 			v.data[i] = 0
 		}
@@ -75,7 +75,7 @@ func (k *kernel) vectorClear(v *Vector) {
 }
 
 func (k *kernel) vectorScale(v *Vector, a float64) {
-	k.call("smg_VectorScale", func() {
+	k.call(smgVectorScale, func() {
 		for i := range v.data {
 			v.data[i] *= a
 		}
@@ -84,7 +84,7 @@ func (k *kernel) vectorScale(v *Vector, a float64) {
 }
 
 func (k *kernel) vectorAxpy(y *Vector, a float64, x *Vector) {
-	k.call("smg_VectorAxpy", func() {
+	k.call(smgVectorAxpy, func() {
 		for i := range y.data {
 			y.data[i] += a * x.data[i]
 		}
@@ -93,7 +93,7 @@ func (k *kernel) vectorAxpy(y *Vector, a float64, x *Vector) {
 }
 
 func (k *kernel) vectorLocalDot(a, b *Vector) (dot float64) {
-	k.call("smg_VectorLocalDot", func() {
+	k.call(smgVectorLocalDot, func() {
 		for kz := 0; kz < a.nz; kz++ {
 			for j := 0; j < a.ny; j++ {
 				base := a.off(0, j, kz)
@@ -109,7 +109,7 @@ func (k *kernel) vectorLocalDot(a, b *Vector) (dot float64) {
 
 // vectorInnerProd is a global inner product: local dot plus an Allreduce.
 func (k *kernel) vectorInnerProd(a, b *Vector) (dot float64) {
-	k.call("smg_VectorInnerProd", func() {
+	k.call(smgVectorInnerProd, func() {
 		local := k.vectorLocalDot(a, b)
 		dot = k.globalSum(local)
 	})
@@ -117,7 +117,7 @@ func (k *kernel) vectorInnerProd(a, b *Vector) (dot float64) {
 }
 
 func (k *kernel) vectorLocalMaxAbs(v *Vector) (m float64) {
-	k.call("smg_VectorLocalMaxAbs", func() {
+	k.call(smgVectorLocalMaxAbs, func() {
 		for kz := 0; kz < v.nz; kz++ {
 			for j := 0; j < v.ny; j++ {
 				base := v.off(0, j, kz)
@@ -134,7 +134,7 @@ func (k *kernel) vectorLocalMaxAbs(v *Vector) (m float64) {
 }
 
 func (k *kernel) vectorMaxAbs(v *Vector) (m float64) {
-	k.call("smg_VectorMaxAbs", func() {
+	k.call(smgVectorMaxAbs, func() {
 		local := k.vectorLocalMaxAbs(v)
 		m = k.globalMax(local)
 	})
@@ -143,7 +143,7 @@ func (k *kernel) vectorMaxAbs(v *Vector) (m float64) {
 
 // vectorPlaneCopy copies plane kz of src into plane kz of dst.
 func (k *kernel) vectorPlaneCopy(dst, src *Vector, kz int) {
-	k.call("smg_VectorPlaneCopy", func() {
+	k.call(smgVectorPlaneCopy, func() {
 		for j := 0; j < dst.ny; j++ {
 			d := dst.off(0, j, kz)
 			s := src.off(0, j, kz)
@@ -154,7 +154,7 @@ func (k *kernel) vectorPlaneCopy(dst, src *Vector, kz int) {
 }
 
 func (k *kernel) vectorPlaneClear(v *Vector, kz int) {
-	k.call("smg_VectorPlaneClear", func() {
+	k.call(smgVectorPlaneClear, func() {
 		for j := 0; j < v.ny; j++ {
 			base := v.off(0, j, kz)
 			for i := 0; i < v.nx; i++ {
@@ -166,7 +166,7 @@ func (k *kernel) vectorPlaneClear(v *Vector, kz int) {
 }
 
 func (k *kernel) vectorPlaneAxpy(y *Vector, a float64, x *Vector, kz int) {
-	k.call("smg_VectorPlaneAxpy", func() {
+	k.call(smgVectorPlaneAxpy, func() {
 		for j := 0; j < y.ny; j++ {
 			yb := y.off(0, j, kz)
 			xb := x.off(0, j, kz)
@@ -179,7 +179,7 @@ func (k *kernel) vectorPlaneAxpy(y *Vector, a float64, x *Vector, kz int) {
 }
 
 func (k *kernel) vectorPlaneDot(a, b *Vector, kz int) (dot float64) {
-	k.call("smg_VectorPlaneDot", func() {
+	k.call(smgVectorPlaneDot, func() {
 		for j := 0; j < a.ny; j++ {
 			ab := a.off(0, j, kz)
 			bb := b.off(0, j, kz)
@@ -193,7 +193,7 @@ func (k *kernel) vectorPlaneDot(a, b *Vector, kz int) (dot float64) {
 }
 
 func (k *kernel) vectorGhostClear(v *Vector) {
-	k.call("smg_VectorGhostClear", func() {
+	k.call(smgVectorGhostClear, func() {
 		// Clear the Y ghost planes (the exchanged ones).
 		for kz := -1; kz <= v.nz; kz++ {
 			for _, j := range []int{-1, v.ny} {
@@ -210,7 +210,7 @@ func (k *kernel) vectorGhostClear(v *Vector) {
 // vectorSetSeeded fills the interior with a deterministic pseudo-random
 // pattern (the benchmark's reproducible initial guess).
 func (k *kernel) vectorSetSeeded(v *Vector, seed int) {
-	k.call("smg_VectorSetSeeded", func() {
+	k.call(smgVectorSetSeeded, func() {
 		state := uint64(seed)*2654435761 + 12345
 		for kz := 0; kz < v.nz; kz++ {
 			for j := 0; j < v.ny; j++ {
@@ -226,13 +226,13 @@ func (k *kernel) vectorSetSeeded(v *Vector, seed int) {
 }
 
 func (k *kernel) vectorVolume(v *Vector) (n int) {
-	k.call("smg_VectorVolume", func() { n = v.nx * v.ny * v.nz; k.work(20) })
+	k.call(smgVectorVolume, func() { n = v.nx * v.ny * v.nz; k.work(20) })
 	return
 }
 
 // vectorCheckFinite guards against numerical blow-up.
 func (k *kernel) vectorCheckFinite(v *Vector) (ok bool) {
-	k.call("smg_VectorCheckFinite", func() {
+	k.call(smgVectorCheckFinite, func() {
 		ok = true
 		for _, x := range v.data {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -247,7 +247,7 @@ func (k *kernel) vectorCheckFinite(v *Vector) (ok bool) {
 
 // vectorNorm is the global L2 norm.
 func (k *kernel) vectorNorm(v *Vector) (n float64) {
-	k.call("smg_VectorNorm", func() {
+	k.call(smgVectorNorm, func() {
 		n = math.Sqrt(k.vectorInnerProd(v, v))
 		k.work(60)
 	})

@@ -43,12 +43,12 @@ type kernel struct {
 	time float64
 }
 
-func (k *kernel) call(name string, fn func()) { k.c.Call(name, fn) }
-func (k *kernel) work(cycles int64)           { k.c.T.Work(cycles) }
+func (k *kernel) call(f guide.Fn, fn func()) { k.c.Call(f, fn) }
+func (k *kernel) work(cycles int64)          { k.c.T.Work(cycles) }
 
 // readDeck parses the input: per-rank zone counts and step budget.
 func (k *kernel) readDeck() (nx, ny, nz, steps int) {
-	k.call("sppm_ReadDeck", func() {
+	k.call(sppmReadDeck, func() {
 		nx = k.c.Arg("nx", 12)
 		ny = k.c.Arg("ny", 12)
 		nz = k.c.Arg("nz", 12)
@@ -63,7 +63,7 @@ func (k *kernel) readDeck() (nx, ny, nz, steps int) {
 
 // initHydro sets a shocked-sphere initial condition.
 func (k *kernel) initHydro(nx, ny, nz int) {
-	k.call("sppm_InitHydro", func() {
+	k.call(sppmInitHydro, func() {
 		n := nx * ny * (nz + 2)
 		k.st = &state{
 			nx: nx, ny: ny, nz: nz,
@@ -98,7 +98,7 @@ func (k *kernel) initHydro(nx, ny, nz int) {
 // One of the seven hot functions; it is called per pencil on gathered
 // primitives, not per zone, as the vectorised original does.
 func (k *kernel) eos(rho, mom, en []float64, p, cs []float64) {
-	k.call("sppm_EOS", func() {
+	k.call(sppmEOS, func() {
 		for i := range rho {
 			kin := 0.5 * mom[i] * mom[i] / rho[i]
 			pr := (gamma - 1) * (en[i] - kin)
@@ -132,7 +132,7 @@ func newPencil(n int) *pencil {
 // interpolate computes limited slopes along the pencil (the PPM
 // reconstruction stage). Hot.
 func (k *kernel) interpolate(pc *pencil) {
-	k.call("sppm_Interpolate", func() {
+	k.call(sppmInterpolate, func() {
 		minmod := func(a, b float64) float64 {
 			if a*b <= 0 {
 				return 0
@@ -154,7 +154,7 @@ func (k *kernel) interpolate(pc *pencil) {
 
 // riemannSolve computes Rusanov interface fluxes along the pencil. Hot.
 func (k *kernel) riemannSolve(pc *pencil) {
-	k.call("sppm_RiemannSolve", func() {
+	k.call(sppmRiemannSolve, func() {
 		n := len(pc.frho)
 		for f := 0; f < n; f++ {
 			l, r := f, f+1
@@ -182,7 +182,7 @@ func (k *kernel) riemannSolve(pc *pencil) {
 
 // fluxUpdate applies the conservative update along the pencil. Hot.
 func (k *kernel) fluxUpdate(pc *pencil, dt float64) {
-	k.call("sppm_FluxUpdate", func() {
+	k.call(sppmFluxUpdate, func() {
 		n := len(pc.frho) - 1
 		for i := 0; i < n; i++ {
 			pc.rho[i+1] -= dt * (pc.frho[i+1] - pc.frho[i])
@@ -206,7 +206,7 @@ func (k *kernel) sweepPencil(pc *pencil, dt float64) {
 
 // sweepX performs the X-direction sweep over all (j,k) pencils. Hot.
 func (k *kernel) sweepX(dt float64) {
-	k.call("sppm_SweepX", func() {
+	k.call(sppmSweepX, func() {
 		st := k.st
 		pc := newPencil(st.nx)
 		for kz := 0; kz < st.nz; kz++ {
@@ -231,7 +231,7 @@ func (k *kernel) sweepX(dt float64) {
 
 // sweepY performs the Y-direction sweep. Hot.
 func (k *kernel) sweepY(dt float64) {
-	k.call("sppm_SweepY", func() {
+	k.call(sppmSweepY, func() {
 		st := k.st
 		pc := newPencil(st.ny)
 		for kz := 0; kz < st.nz; kz++ {
@@ -258,7 +258,7 @@ func (k *kernel) sweepY(dt float64) {
 
 // sweepZ performs the Z-direction sweep using exchanged ghost planes. Hot.
 func (k *kernel) sweepZ(dt float64) {
-	k.call("sppm_SweepZ", func() {
+	k.call(sppmSweepZ, func() {
 		st := k.st
 		pc := newPencil(st.nz)
 		for j := 0; j < st.ny; j++ {
@@ -296,7 +296,7 @@ func (k *kernel) ghostVars() [][]float64 {
 
 // packGhost serialises a boundary plane (kz = 0 or nz-1).
 func (k *kernel) packGhost(kz int) (buf []float64) {
-	k.call("sppm_PackGhost", func() {
+	k.call(sppmPackGhost, func() {
 		st := k.st
 		vars := k.ghostVars()
 		buf = make([]float64, 0, len(vars)*st.nx*st.ny)
@@ -313,7 +313,7 @@ func (k *kernel) packGhost(kz int) (buf []float64) {
 
 // unpackGhost fills a ghost plane (kz = -1 or nz) from a received buffer.
 func (k *kernel) unpackGhost(kz int, buf []float64) {
-	k.call("sppm_UnpackGhost", func() {
+	k.call(sppmUnpackGhost, func() {
 		st := k.st
 		pos := 0
 		for _, v := range k.ghostVars() {
@@ -329,7 +329,7 @@ func (k *kernel) unpackGhost(kz int, buf []float64) {
 
 // applyBC fills ghost planes at the global domain edges by reflection.
 func (k *kernel) applyBC() {
-	k.call("sppm_ApplyBC", func() {
+	k.call(sppmApplyBC, func() {
 		st := k.st
 		if k.rank == 0 {
 			for _, v := range k.ghostVars() {
@@ -355,7 +355,7 @@ const ghostTag = 31
 
 // exchangeBoundary swaps Z ghost planes with both neighbours.
 func (k *kernel) exchangeBoundary() {
-	k.call("sppm_ExchangeBoundary", func() {
+	k.call(sppmExchangeBoundary, func() {
 		st := k.st
 		lo, hi := k.rank-1, k.rank+1
 		bytes := 8 * 3 * st.nx * st.ny
@@ -390,7 +390,7 @@ func (k *kernel) exchangeBoundary() {
 
 // courantLimit computes the rank-local stable timestep.
 func (k *kernel) courantLimit() (dt float64) {
-	k.call("sppm_CourantLimit", func() {
+	k.call(sppmCourantLimit, func() {
 		st := k.st
 		maxS := 1e-10
 		for kz := 0; kz < st.nz; kz++ {
@@ -420,7 +420,7 @@ func (k *kernel) courantLimit() (dt float64) {
 
 // timestep agrees a global dt (minimum over ranks).
 func (k *kernel) timestep() (dt float64) {
-	k.call("sppm_Timestep", func() {
+	k.call(sppmTimestep, func() {
 		local := k.courantLimit()
 		dt = k.m.AllreduceF64(mpi.Min, local)
 		k.dt = dt
@@ -431,7 +431,7 @@ func (k *kernel) timestep() (dt float64) {
 
 // globalDiagnostics reduces total mass and energy (conservation check).
 func (k *kernel) globalDiagnostics() (mass, energy float64) {
-	k.call("sppm_GlobalDiagnostics", func() {
+	k.call(sppmGlobalDiagnostics, func() {
 		st := k.st
 		var lm, le float64
 		for kz := 0; kz < st.nz; kz++ {
@@ -452,7 +452,7 @@ func (k *kernel) globalDiagnostics() (mass, energy float64) {
 
 // checkState validates positivity after a step.
 func (k *kernel) checkState() {
-	k.call("sppm_CheckState", func() {
+	k.call(sppmCheckState, func() {
 		st := k.st
 		for kz := 0; kz < st.nz; kz++ {
 			for j := 0; j < st.ny; j++ {
@@ -470,7 +470,7 @@ func (k *kernel) checkState() {
 
 // stepDriver advances one full dimension-split step.
 func (k *kernel) stepDriver() {
-	k.call("sppm_StepDriver", func() {
+	k.call(sppmStepDriver, func() {
 		dt := k.timestep()
 		k.exchangeBoundary()
 		k.sweepX(dt)
@@ -482,12 +482,12 @@ func (k *kernel) stepDriver() {
 }
 
 func (k *kernel) initTimers() (t0 float64) {
-	k.call("sppm_InitTimers", func() { t0 = k.m.Wtime(); k.work(300) })
+	k.call(sppmInitTimers, func() { t0 = k.m.Wtime(); k.work(300) })
 	return
 }
 
 func (k *kernel) reportTimers(t0 float64) (elapsed float64) {
-	k.call("sppm_ReportTimers", func() {
+	k.call(sppmReportTimers, func() {
 		elapsed = k.m.AllreduceF64(mpi.Max, k.m.Wtime()-t0)
 		k.work(400)
 	})
@@ -496,7 +496,7 @@ func (k *kernel) reportTimers(t0 float64) (elapsed float64) {
 
 // finish prints the run summary and synchronises before teardown.
 func (k *kernel) finish(mass, energy float64, steps int) {
-	k.call("sppm_Finish", func() {
+	k.call(sppmFinish, func() {
 		_ = fmt.Sprintf("sppm: %d steps t=%.4f mass=%.4f energy=%.4f", steps, k.time, mass, energy)
 		k.m.Barrier()
 		k.st = nil
@@ -506,7 +506,7 @@ func (k *kernel) finish(mass, energy float64, steps int) {
 
 // runMain is the benchmark body between MPI_Init and MPI_Finalize.
 func (k *kernel) runMain() {
-	k.call("sppm_Main", func() {
+	k.call(sppmMain, func() {
 		nx, ny, nz, steps := k.readDeck()
 		k.initHydro(nx, ny, nz)
 		t0 := k.initTimers()
@@ -519,20 +519,34 @@ func (k *kernel) runMain() {
 	})
 }
 
-// funcTable is Sppm's 22-function table.
-func funcTable() []guide.Func {
-	f := func(name string, size int) guide.Func { return guide.Func{Name: name, Size: size} }
-	return []guide.Func{
-		f("sppm_Main", 40), f("sppm_ReadDeck", 24), f("sppm_InitHydro", 60),
-		f("sppm_EOS", 46), f("sppm_Interpolate", 52), f("sppm_RiemannSolve", 88),
-		f("sppm_FluxUpdate", 44), f("sppm_SweepX", 90), f("sppm_SweepY", 90),
-		f("sppm_SweepZ", 96), f("sppm_PackGhost", 30), f("sppm_UnpackGhost", 30),
-		f("sppm_ApplyBC", 36), f("sppm_ExchangeBoundary", 42), f("sppm_CourantLimit", 56),
-		f("sppm_Timestep", 26), f("sppm_GlobalDiagnostics", 40), f("sppm_CheckState", 28),
-		f("sppm_StepDriver", 30), f("sppm_InitTimers", 16), f("sppm_ReportTimers", 20),
-		f("sppm_Finish", 26),
-	}
-}
+// funcs is Sppm's 22-function table.
+var funcs guide.FuncTable
+
+// Call-gate handles, one per function, in table order.
+var (
+	sppmMain              = funcs.Add("sppm_Main", 40)
+	sppmReadDeck          = funcs.Add("sppm_ReadDeck", 24)
+	sppmInitHydro         = funcs.Add("sppm_InitHydro", 60)
+	sppmEOS               = funcs.Add("sppm_EOS", 46)
+	sppmInterpolate       = funcs.Add("sppm_Interpolate", 52)
+	sppmRiemannSolve      = funcs.Add("sppm_RiemannSolve", 88)
+	sppmFluxUpdate        = funcs.Add("sppm_FluxUpdate", 44)
+	sppmSweepX            = funcs.Add("sppm_SweepX", 90)
+	sppmSweepY            = funcs.Add("sppm_SweepY", 90)
+	sppmSweepZ            = funcs.Add("sppm_SweepZ", 96)
+	sppmPackGhost         = funcs.Add("sppm_PackGhost", 30)
+	sppmUnpackGhost       = funcs.Add("sppm_UnpackGhost", 30)
+	sppmApplyBC           = funcs.Add("sppm_ApplyBC", 36)
+	sppmExchangeBoundary  = funcs.Add("sppm_ExchangeBoundary", 42)
+	sppmCourantLimit      = funcs.Add("sppm_CourantLimit", 56)
+	sppmTimestep          = funcs.Add("sppm_Timestep", 26)
+	sppmGlobalDiagnostics = funcs.Add("sppm_GlobalDiagnostics", 40)
+	sppmCheckState        = funcs.Add("sppm_CheckState", 28)
+	sppmStepDriver        = funcs.Add("sppm_StepDriver", 30)
+	sppmInitTimers        = funcs.Add("sppm_InitTimers", 16)
+	sppmReportTimers      = funcs.Add("sppm_ReportTimers", 20)
+	sppmFinish            = funcs.Add("sppm_Finish", 26)
+)
 
 // App returns the Sppm application definition: "Sppm has 22 functions, 7
 // of which are responsible for the majority of the computation"; the
@@ -541,7 +555,7 @@ func App() *guide.App {
 	return &guide.App{
 		Name:  "sppm",
 		Lang:  guide.MPIF77,
-		Funcs: funcTable(),
+		Funcs: funcs.Funcs(),
 		// The 7 most important functions by inclusive time: the per-step
 		// sweep drivers and timestep control. The per-pencil kernels
 		// (EOS/Interpolate/RiemannSolve/FluxUpdate) carry the call volume

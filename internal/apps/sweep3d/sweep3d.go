@@ -45,15 +45,15 @@ type kernel struct {
 	src    []float64
 }
 
-func (k *kernel) call(name string, fn func()) { k.c.Call(name, fn) }
-func (k *kernel) work(cycles int64)           { k.c.T.Work(cycles) }
+func (k *kernel) call(f guide.Fn, fn func()) { k.c.Call(f, fn) }
+func (k *kernel) work(cycles int64)          { k.c.T.Work(cycles) }
 
 func (k *kernel) idx(i, j, kz int) int { return (kz*k.ny+j)*k.nx + i }
 
 // readInput loads the fixed global problem (strong scaling: "the input to
 // Sweep3d specifies the global problem size").
 func (k *kernel) readInput() (iters int) {
-	k.call("sweep_ReadInput", func() {
+	k.call(sweepReadInput, func() {
 		k.gnx = k.c.Arg("nx", 64)
 		k.ny = k.c.Arg("ny", 24)
 		k.nz = k.c.Arg("nz", 24)
@@ -66,7 +66,7 @@ func (k *kernel) readInput() (iters int) {
 
 // decompGrid slices the global X extent across ranks.
 func (k *kernel) decompGrid() {
-	k.call("sweep_DecompGrid", func() {
+	k.call(sweepDecompGrid, func() {
 		if k.gnx%k.size != 0 {
 			panic(fmt.Sprintf("sweep3d: nx=%d not divisible by %d ranks", k.gnx, k.size))
 		}
@@ -78,7 +78,7 @@ func (k *kernel) decompGrid() {
 
 // initGeom allocates the flux moments and source arrays.
 func (k *kernel) initGeom() {
-	k.call("sweep_InitGeom", func() {
+	k.call(sweepInitGeom, func() {
 		n := k.nx * k.ny * k.nz
 		k.phi = make([]float64, n)
 		k.phiOld = make([]float64, n)
@@ -90,7 +90,7 @@ func (k *kernel) initGeom() {
 // initAngles builds the level-symmetric-like quadrature: three ordinates
 // per octant, eight octants.
 func (k *kernel) initAngles() {
-	k.call("sweep_InitAngles", func() {
+	k.call(sweepInitAngles, func() {
 		base := []direction{
 			{mu: 0.868890, eta: 0.350021, xi: 0.350021, w: 1.0 / 24},
 			{mu: 0.350021, eta: 0.868890, xi: 0.350021, w: 1.0 / 24},
@@ -119,7 +119,7 @@ func (k *kernel) initAngles() {
 
 // initSource seeds the external source (uniform with a central hot spot).
 func (k *kernel) initSource() {
-	k.call("sweep_InitSource", func() {
+	k.call(sweepInitSource, func() {
 		for kz := 0; kz < k.nz; kz++ {
 			for j := 0; j < k.ny; j++ {
 				for i := 0; i < k.nx; i++ {
@@ -138,7 +138,7 @@ func (k *kernel) initSource() {
 
 // fluxInit zeroes the scalar flux before the first source iteration.
 func (k *kernel) fluxInit() {
-	k.call("sweep_FluxInit", func() {
+	k.call(sweepFluxInit, func() {
 		for i := range k.phi {
 			k.phi[i] = 0
 		}
@@ -148,7 +148,7 @@ func (k *kernel) fluxInit() {
 
 // sourceUpdate folds the latest scalar flux into the emission density.
 func (k *kernel) sourceUpdate() {
-	k.call("sweep_SourceUpdate", func() {
+	k.call(sweepSourceUpdate, func() {
 		copy(k.phiOld, k.phi)
 		for i := range k.src {
 			k.src[i] = k.q + k.sigS*k.phi[i]
@@ -193,7 +193,7 @@ func (k *kernel) downstream(mu float64) int {
 // recvBoundary obtains the incoming X-face angular flux for one ordinate
 // (a ny x nz plane), from upstream or the vacuum condition.
 func (k *kernel) recvBoundary(d direction) (in []float64) {
-	k.call("sweep_RecvBoundary", func() {
+	k.call(sweepRecvBoundary, func() {
 		if up := k.upstream(d.mu); up >= 0 {
 			in, _ = k.m.Recv(up, sweepTag).Payload.([]float64)
 		}
@@ -209,7 +209,7 @@ func (k *kernel) recvBoundary(d direction) (in []float64) {
 
 // sendBoundary forwards the outgoing X-face flux downstream.
 func (k *kernel) sendBoundary(d direction, out []float64) {
-	k.call("sweep_SendBoundary", func() {
+	k.call(sweepSendBoundary, func() {
 		if down := k.downstream(d.mu); down >= 0 {
 			k.m.Send(down, sweepTag, 8*len(out), mpi.CopyF64s(out))
 		}
@@ -221,7 +221,7 @@ func (k *kernel) sendBoundary(d direction, out []float64) {
 // block for one ordinate — Sweep3d's big inner kernel. It returns the
 // outgoing X-face flux.
 func (k *kernel) sweepBlock(d direction, in []float64) (out []float64) {
-	k.call("sweep_SweepBlock", func() {
+	k.call(sweepSweepBlock, func() {
 		nx, ny, nz := k.nx, k.ny, k.nz
 		// Traversal order follows the ordinate's signs.
 		xi0, xi1, xs := 0, nx, 1
@@ -281,7 +281,7 @@ func (k *kernel) sweepBlock(d direction, in []float64) (out []float64) {
 
 // octantSweep pipelines all ordinates of one octant through the rank row.
 func (k *kernel) octantSweep(oct int) {
-	k.call("sweep_OctantSweep", func() {
+	k.call(sweepOctantSweep, func() {
 		for a := 0; a < 3; a++ {
 			d := k.angles[oct*3+a]
 			in := k.recvBoundary(d)
@@ -293,7 +293,7 @@ func (k *kernel) octantSweep(oct int) {
 
 // octants runs the eight octant sweeps of one source iteration.
 func (k *kernel) octants() {
-	k.call("sweep_Octants", func() {
+	k.call(sweepOctants, func() {
 		for oct := 0; oct < 8; oct++ {
 			k.octantSweep(oct)
 		}
@@ -302,7 +302,7 @@ func (k *kernel) octants() {
 
 // fluxAccumulate folds boundary leakage into the running balance tally.
 func (k *kernel) fluxAccumulate() (total float64) {
-	k.call("sweep_FluxAccumulate", func() {
+	k.call(sweepFluxAccumulate, func() {
 		for _, p := range k.phi {
 			total += p
 		}
@@ -313,7 +313,7 @@ func (k *kernel) fluxAccumulate() (total float64) {
 
 // fluxNorm is the local max flux change between source iterations.
 func (k *kernel) fluxNorm() (d float64) {
-	k.call("sweep_FluxNorm", func() {
+	k.call(sweepFluxNorm, func() {
 		for i := range k.phi {
 			if e := math.Abs(k.phi[i] - k.phiOld[i]); e > d {
 				d = e
@@ -326,7 +326,7 @@ func (k *kernel) fluxNorm() (d float64) {
 
 // convergenceTest reduces the flux change globally.
 func (k *kernel) convergenceTest() (delta float64) {
-	k.call("sweep_ConvergenceTest", func() {
+	k.call(sweepConvergenceTest, func() {
 		delta = k.m.AllreduceF64(mpi.Max, k.fluxNorm())
 		k.work(500)
 	})
@@ -335,7 +335,7 @@ func (k *kernel) convergenceTest() (delta float64) {
 
 // globalBalance verifies particle balance across ranks.
 func (k *kernel) globalBalance() (total float64) {
-	k.call("sweep_GlobalBalance", func() {
+	k.call(sweepGlobalBalance, func() {
 		total = k.m.AllreduceF64(mpi.Sum, k.fluxAccumulate())
 		k.work(500)
 	})
@@ -344,7 +344,7 @@ func (k *kernel) globalBalance() (total float64) {
 
 // iterationDriver runs source iterations to convergence or the budget.
 func (k *kernel) iterationDriver(iters int) (delta float64, done int) {
-	k.call("sweep_IterationDriver", func() {
+	k.call(sweepIterationDriver, func() {
 		for it := 0; it < iters; it++ {
 			k.sourceUpdate()
 			k.octants()
@@ -359,7 +359,7 @@ func (k *kernel) iterationDriver(iters int) (delta float64, done int) {
 }
 
 func (k *kernel) timerReport(t0 float64) (elapsed float64) {
-	k.call("sweep_TimerReport", func() {
+	k.call(sweepTimerReport, func() {
 		elapsed = k.m.AllreduceF64(mpi.Max, k.m.Wtime()-t0)
 		k.work(600)
 	})
@@ -367,14 +367,14 @@ func (k *kernel) timerReport(t0 float64) (elapsed float64) {
 }
 
 func (k *kernel) output(balance float64, iters int) {
-	k.call("sweep_Output", func() {
+	k.call(sweepOutput, func() {
 		_ = fmt.Sprintf("sweep3d: %d iters balance %.5f", iters, balance)
 		k.work(3_000)
 	})
 }
 
 func (k *kernel) cleanup() {
-	k.call("sweep_Cleanup", func() {
+	k.call(sweepCleanup, func() {
 		k.m.Barrier()
 		k.phi, k.phiOld, k.src = nil, nil, nil
 		k.work(500)
@@ -383,7 +383,7 @@ func (k *kernel) cleanup() {
 
 // runMain is the benchmark body between MPI_Init and MPI_Finalize.
 func (k *kernel) runMain() {
-	k.call("sweep_Main", func() {
+	k.call(sweepMain, func() {
 		iters := k.readInput()
 		k.decompGrid()
 		k.initGeom()
@@ -399,19 +399,33 @@ func (k *kernel) runMain() {
 	})
 }
 
-// funcTable is Sweep3d's 21-function table.
-func funcTable() []guide.Func {
-	f := func(name string, size int) guide.Func { return guide.Func{Name: name, Size: size} }
-	return []guide.Func{
-		f("sweep_Main", 48), f("sweep_ReadInput", 30), f("sweep_DecompGrid", 24),
-		f("sweep_InitGeom", 36), f("sweep_InitAngles", 44), f("sweep_InitSource", 40),
-		f("sweep_FluxInit", 20), f("sweep_IterationDriver", 36), f("sweep_SourceUpdate", 34),
-		f("sweep_Octants", 22), f("sweep_OctantSweep", 30), f("sweep_RecvBoundary", 28),
-		f("sweep_SweepBlock", 160), f("sweep_SendBoundary", 26), f("sweep_FluxAccumulate", 24),
-		f("sweep_FluxNorm", 26), f("sweep_ConvergenceTest", 22), f("sweep_GlobalBalance", 22),
-		f("sweep_TimerReport", 20), f("sweep_Output", 18), f("sweep_Cleanup", 16),
-	}
-}
+// funcs is Sweep3d's 21-function table.
+var funcs guide.FuncTable
+
+// Call-gate handles, one per function, in table order.
+var (
+	sweepMain            = funcs.Add("sweep_Main", 48)
+	sweepReadInput       = funcs.Add("sweep_ReadInput", 30)
+	sweepDecompGrid      = funcs.Add("sweep_DecompGrid", 24)
+	sweepInitGeom        = funcs.Add("sweep_InitGeom", 36)
+	sweepInitAngles      = funcs.Add("sweep_InitAngles", 44)
+	sweepInitSource      = funcs.Add("sweep_InitSource", 40)
+	sweepFluxInit        = funcs.Add("sweep_FluxInit", 20)
+	sweepIterationDriver = funcs.Add("sweep_IterationDriver", 36)
+	sweepSourceUpdate    = funcs.Add("sweep_SourceUpdate", 34)
+	sweepOctants         = funcs.Add("sweep_Octants", 22)
+	sweepOctantSweep     = funcs.Add("sweep_OctantSweep", 30)
+	sweepRecvBoundary    = funcs.Add("sweep_RecvBoundary", 28)
+	sweepSweepBlock      = funcs.Add("sweep_SweepBlock", 160)
+	sweepSendBoundary    = funcs.Add("sweep_SendBoundary", 26)
+	sweepFluxAccumulate  = funcs.Add("sweep_FluxAccumulate", 24)
+	sweepFluxNorm        = funcs.Add("sweep_FluxNorm", 26)
+	sweepConvergenceTest = funcs.Add("sweep_ConvergenceTest", 22)
+	sweepGlobalBalance   = funcs.Add("sweep_GlobalBalance", 22)
+	sweepTimerReport     = funcs.Add("sweep_TimerReport", 20)
+	sweepOutput          = funcs.Add("sweep_Output", 18)
+	sweepCleanup         = funcs.Add("sweep_Cleanup", 16)
+)
 
 // App returns the Sweep3d application definition. "Sweep3d has 21
 // functions and the Dynamic version instruments all 21 of these", so the
@@ -422,7 +436,7 @@ func App() *guide.App {
 	app := &guide.App{
 		Name:        "sweep3d",
 		Lang:        guide.MPIF77,
-		Funcs:       funcTable(),
+		Funcs:       funcs.Funcs(),
 		DefaultArgs: map[string]int{"nx": 64, "ny": 24, "nz": 24, "iters": 4},
 		// Every rank updates the source once per outer iteration before
 		// the wavefront sweeps begin.

@@ -61,14 +61,14 @@ type kernel struct {
 
 // call routes through the master thread's gate; calls inside parallel
 // regions use tcall with the executing team thread.
-func (k *kernel) call(name string, fn func())                  { k.c.T.Call(name, fn) }
-func (k *kernel) tcall(t *proc.Thread, name string, fn func()) { t.Call(name, fn) }
-func (k *kernel) work(cycles int64)                            { k.c.T.Work(cycles) }
+func (k *kernel) call(f guide.Fn, fn func())                  { k.c.Call(f, fn) }
+func (k *kernel) tcall(t *proc.Thread, f guide.Fn, fn func()) { t.Call(k.c.Sym(f), fn) }
+func (k *kernel) work(cycles int64)                           { k.c.T.Work(cycles) }
 
 // --- input deck ---------------------------------------------------------
 
 func (k *kernel) parseArgs() (zones, angles, iters int) {
-	k.call("umt_ParseArgs", func() {
+	k.call(umtParseArgs, func() {
 		zones = k.c.Arg("zones", 320)
 		angles = k.c.Arg("angles", 24)
 		iters = k.c.Arg("iters", 4)
@@ -78,7 +78,7 @@ func (k *kernel) parseArgs() (zones, angles, iters int) {
 }
 
 func (k *kernel) checkDeck(zones, angles, iters int) {
-	k.call("umt_CheckDeck", func() {
+	k.call(umtCheckDeck, func() {
 		if zones < 16 || angles < 8 || iters < 1 {
 			panic(fmt.Sprintf("umt98: bad deck: zones=%d angles=%d iters=%d", zones, angles, iters))
 		}
@@ -87,7 +87,7 @@ func (k *kernel) checkDeck(zones, angles, iters int) {
 }
 
 func (k *kernel) inputDeck() (zones, angles, iters int) {
-	k.call("umt_InputDeck", func() {
+	k.call(umtInputDeck, func() {
 		zones, angles, iters = k.parseArgs()
 		k.checkDeck(zones, angles, iters)
 	})
@@ -99,7 +99,7 @@ func (k *kernel) inputDeck() (zones, angles, iters int) {
 // meshGen builds a deterministic pseudo-unstructured mesh: a jittered
 // lattice of polyhedral zones with 4-8 faces each.
 func (k *kernel) meshGen(n int) {
-	k.call("umt_MeshGen", func() {
+	k.call(umtMeshGen, func() {
 		k.msh = &mesh{zones: make([]zone, n)}
 		k.meshNodes(n)
 		k.meshZones(n)
@@ -113,7 +113,7 @@ func (k *kernel) meshGen(n int) {
 // meshNodes lays out jittered node positions (zone centroids derive from
 // them).
 func (k *kernel) meshNodes(n int) {
-	k.call("umt_MeshNodes", func() {
+	k.call(umtMeshNodes, func() {
 		state := uint64(12345)
 		for i := range k.msh.zones {
 			z := &k.msh.zones[i]
@@ -129,7 +129,7 @@ func (k *kernel) meshNodes(n int) {
 
 // meshZones assigns volumes and materials.
 func (k *kernel) meshZones(n int) {
-	k.call("umt_MeshZones", func() {
+	k.call(umtMeshZones, func() {
 		for i := range k.msh.zones {
 			z := &k.msh.zones[i]
 			z.volume = k.zoneVolume(i)
@@ -140,7 +140,7 @@ func (k *kernel) meshZones(n int) {
 }
 
 func (k *kernel) zoneVolume(i int) (v float64) {
-	k.call("umt_ZoneVolume", func() {
+	k.call(umtZoneVolume, func() {
 		v = 1.0 + 0.25*math.Sin(float64(i)*0.7)
 		k.work(60)
 	})
@@ -148,7 +148,7 @@ func (k *kernel) zoneVolume(i int) (v float64) {
 }
 
 func (k *kernel) zoneCentroid(i int) (c [3]float64) {
-	k.call("umt_ZoneCentroid", func() {
+	k.call(umtZoneCentroid, func() {
 		c = k.msh.zones[i].centroid
 		k.work(30)
 	})
@@ -156,7 +156,7 @@ func (k *kernel) zoneCentroid(i int) (c [3]float64) {
 }
 
 func (k *kernel) materialAssign(i int) (m int) {
-	k.call("umt_MaterialAssign", func() {
+	k.call(umtMaterialAssign, func() {
 		m = 0
 		if i%5 == 0 {
 			m = 1
@@ -169,7 +169,7 @@ func (k *kernel) materialAssign(i int) (m int) {
 // buildAdjacency links each zone to 4-8 pseudo-random neighbours with a
 // bias toward nearby ids (an unstructured connectivity pattern).
 func (k *kernel) buildAdjacency() {
-	k.call("umt_BuildAdjacency", func() {
+	k.call(umtBuildAdjacency, func() {
 		n := len(k.msh.zones)
 		state := uint64(777)
 		for i := range k.msh.zones {
@@ -191,7 +191,7 @@ func (k *kernel) buildAdjacency() {
 }
 
 func (k *kernel) faceAreas() {
-	k.call("umt_FaceAreas", func() {
+	k.call(umtFaceAreas, func() {
 		for i := range k.msh.zones {
 			z := &k.msh.zones[i]
 			z.areas = make([]float64, len(z.faces))
@@ -204,7 +204,7 @@ func (k *kernel) faceAreas() {
 }
 
 func (k *kernel) boundaryFaces() {
-	k.call("umt_BoundaryFaces", func() {
+	k.call(umtBoundaryFaces, func() {
 		count := 0
 		for i := range k.msh.zones {
 			for _, nb := range k.msh.zones[i].faces {
@@ -219,7 +219,7 @@ func (k *kernel) boundaryFaces() {
 }
 
 func (k *kernel) meshValidate() {
-	k.call("umt_MeshValidate", func() {
+	k.call(umtMeshValidate, func() {
 		for i := range k.msh.zones {
 			z := &k.msh.zones[i]
 			if z.volume <= 0 || len(z.faces) < 4 {
@@ -236,7 +236,7 @@ func (k *kernel) meshValidate() {
 // reorderZones builds the sweep ordering (ascending projected centroid —
 // a stand-in for the real topological sort per ordinate).
 func (k *kernel) reorderZones() {
-	k.call("umt_ReorderZones", func() {
+	k.call(umtReorderZones, func() {
 		n := len(k.msh.zones)
 		k.msh.order = make([]int, n)
 		for i := range k.msh.order {
@@ -253,7 +253,7 @@ func (k *kernel) reorderZones() {
 }
 
 func (k *kernel) sweepOrder() (order []int) {
-	k.call("umt_SweepOrder", func() {
+	k.call(umtSweepOrder, func() {
 		order = k.msh.order
 		k.work(40)
 	})
@@ -261,7 +261,7 @@ func (k *kernel) sweepOrder() (order []int) {
 }
 
 func (k *kernel) meshStats() (zones, faces int) {
-	k.call("umt_MeshStats", func() {
+	k.call(umtMeshStats, func() {
 		zones = len(k.msh.zones)
 		for i := range k.msh.zones {
 			faces += len(k.msh.zones[i].faces)
@@ -274,7 +274,7 @@ func (k *kernel) meshStats() (zones, faces int) {
 // --- angle sets and material data ---------------------------------------
 
 func (k *kernel) angleSetInit(n int) {
-	k.call("umt_AngleSetInit", func() {
+	k.call(umtAngleSetInit, func() {
 		k.angles = make([]direction, n)
 		for a := range k.angles {
 			theta := math.Pi * (float64(a) + 0.5) / float64(n)
@@ -291,7 +291,7 @@ func (k *kernel) angleSetInit(n int) {
 }
 
 func (k *kernel) angleWeights() {
-	k.call("umt_AngleWeights", func() {
+	k.call(umtAngleWeights, func() {
 		w := 1.0 / float64(len(k.angles))
 		for a := range k.angles {
 			k.angles[a].w = w
@@ -301,7 +301,7 @@ func (k *kernel) angleWeights() {
 }
 
 func (k *kernel) crossSections() {
-	k.call("umt_CrossSections", func() {
+	k.call(umtCrossSections, func() {
 		k.sigT = []float64{1.0, 2.5}
 		k.sigS = []float64{0.5, 0.9}
 		k.work(400)
@@ -309,7 +309,7 @@ func (k *kernel) crossSections() {
 }
 
 func (k *kernel) sourceInit() {
-	k.call("umt_SourceInit", func() {
+	k.call(umtSourceInit, func() {
 		k.src = make([]float64, len(k.msh.zones))
 		for i := range k.src {
 			k.src[i] = 1.0
@@ -322,7 +322,7 @@ func (k *kernel) sourceInit() {
 }
 
 func (k *kernel) fluxAlloc() {
-	k.call("umt_FluxAlloc", func() {
+	k.call(umtFluxAlloc, func() {
 		n := len(k.msh.zones)
 		k.phi = make([]float64, n)
 		k.phiOld = make([]float64, n)
@@ -331,7 +331,7 @@ func (k *kernel) fluxAlloc() {
 }
 
 func (k *kernel) scratchAlloc() {
-	k.call("umt_ScratchAlloc", func() {
+	k.call(umtScratchAlloc, func() {
 		k.phiT = make([][]float64, k.rt.NumThreads())
 		for t := range k.phiT {
 			k.phiT[t] = make([]float64, len(k.msh.zones))
@@ -341,7 +341,7 @@ func (k *kernel) scratchAlloc() {
 }
 
 func (k *kernel) threadSetup() {
-	k.call("umt_ThreadSetup", func() {
+	k.call(umtThreadSetup, func() {
 		k.blocks = 4
 		k.logLine(fmt.Sprintf("team of %d threads", k.rt.NumThreads()))
 		k.work(600)
@@ -352,7 +352,7 @@ func (k *kernel) threadSetup() {
 
 // faceFlux gathers upstream angular flux into a block of zones. Hot.
 func (k *kernel) faceFlux(t *proc.Thread, psi []float64, lo, hi int, d direction) (in []float64) {
-	k.tcall(t, "umt_FaceFlux", func() {
+	k.tcall(t, umtFaceFlux, func() {
 		in = make([]float64, hi-lo)
 		for oi := lo; oi < hi; oi++ {
 			z := &k.msh.zones[k.msh.order[oi]]
@@ -372,7 +372,7 @@ func (k *kernel) faceFlux(t *proc.Thread, psi []float64, lo, hi int, d direction
 // zoneSolve computes the angular flux for a block of zones in sweep
 // order (upwind closure against the gathered incoming flux). Hot.
 func (k *kernel) zoneSolve(t *proc.Thread, psi []float64, lo, hi int, d direction, in []float64) {
-	k.tcall(t, "umt_ZoneSolve", func() {
+	k.tcall(t, umtZoneSolve, func() {
 		for oi := lo; oi < hi; oi++ {
 			zi := k.msh.order[oi]
 			z := &k.msh.zones[zi]
@@ -390,7 +390,7 @@ func (k *kernel) zoneSolve(t *proc.Thread, psi []float64, lo, hi int, d directio
 // fluxAccum folds one ordinate's angular flux into the thread-local
 // scalar flux tally. Hot.
 func (k *kernel) fluxAccum(t *proc.Thread, tid int, psi []float64, d direction) {
-	k.tcall(t, "umt_FluxAccum", func() {
+	k.tcall(t, umtFluxAccum, func() {
 		buf := k.phiT[tid]
 		for i, p := range psi {
 			buf[i] += d.w * p
@@ -401,7 +401,7 @@ func (k *kernel) fluxAccum(t *proc.Thread, tid int, psi []float64, d direction) 
 
 // sweepAngle processes one ordinate: block-wise gather, solve, tally. Hot.
 func (k *kernel) sweepAngle(t *proc.Thread, tid, a int) {
-	k.tcall(t, "umt_SweepAngle", func() {
+	k.tcall(t, umtSweepAngle, func() {
 		d := k.angles[a]
 		n := len(k.msh.zones)
 		psi := make([]float64, n)
@@ -420,7 +420,7 @@ func (k *kernel) sweepAngle(t *proc.Thread, tid, a int) {
 
 // angleLoop is the threaded sweep over the ordinate set. Hot.
 func (k *kernel) angleLoop(t *proc.Thread, tid int) {
-	k.tcall(t, "umt_AngleLoop", func() {
+	k.tcall(t, umtAngleLoop, func() {
 		lo, hi := omp.ForStatic(0, len(k.angles), tid, k.rt.NumThreads())
 		for a := lo; a < hi; a++ {
 			k.sweepAngle(t, tid, a)
@@ -430,7 +430,7 @@ func (k *kernel) angleLoop(t *proc.Thread, tid int) {
 
 // scatterSource rebuilds the emission density from the latest flux. Hot.
 func (k *kernel) scatterSource() {
-	k.call("umt_ScatterSource", func() {
+	k.call(umtScatterSource, func() {
 		for i := range k.src {
 			m := k.msh.zones[i].material
 			base := 1.0
@@ -447,7 +447,7 @@ func (k *kernel) scatterSource() {
 
 // regionDriver runs one threaded sweep region and reduces the tallies.
 func (k *kernel) regionDriver() {
-	k.call("umt_RegionDriver", func() {
+	k.call(umtRegionDriver, func() {
 		copy(k.phiOld, k.phi)
 		for i := range k.phi {
 			k.phi[i] = 0
@@ -471,7 +471,7 @@ func (k *kernel) regionDriver() {
 }
 
 func (k *kernel) convergenceNorm() (d float64) {
-	k.call("umt_ConvergenceNorm", func() {
+	k.call(umtConvergenceNorm, func() {
 		for i := range k.phi {
 			if e := math.Abs(k.phi[i] - k.phiOld[i]); e > d {
 				d = e
@@ -483,12 +483,12 @@ func (k *kernel) convergenceNorm() (d float64) {
 }
 
 func (k *kernel) converged(d float64) (ok bool) {
-	k.call("umt_Converged", func() { ok = d < 1e-9; k.work(30) })
+	k.call(umtConverged, func() { ok = d < 1e-9; k.work(30) })
 	return
 }
 
 func (k *kernel) energyTally() (e float64) {
-	k.call("umt_EnergyTally", func() {
+	k.call(umtEnergyTally, func() {
 		for i, p := range k.phi {
 			e += p * k.msh.zones[i].volume
 		}
@@ -498,7 +498,7 @@ func (k *kernel) energyTally() (e float64) {
 }
 
 func (k *kernel) balanceCheck() {
-	k.call("umt_BalanceCheck", func() {
+	k.call(umtBalanceCheck, func() {
 		if k.energyTally() <= 0 {
 			panic("umt98: no energy in the system")
 		}
@@ -508,7 +508,7 @@ func (k *kernel) balanceCheck() {
 }
 
 func (k *kernel) validate() {
-	k.call("umt_Validate", func() {
+	k.call(umtValidate, func() {
 		for i, p := range k.phi {
 			if p < 0 || math.IsNaN(p) {
 				panic(fmt.Sprintf("umt98: bad flux at zone %d: %v", i, p))
@@ -520,7 +520,7 @@ func (k *kernel) validate() {
 
 // iterDriver runs source iterations.
 func (k *kernel) iterDriver(iters int) (done int) {
-	k.call("umt_IterDriver", func() {
+	k.call(umtIterDriver, func() {
 		for it := 0; it < iters; it++ {
 			k.regionDriver()
 			k.scatterSource()
@@ -534,28 +534,28 @@ func (k *kernel) iterDriver(iters int) (done int) {
 }
 
 func (k *kernel) timerStart() (t0 float64) {
-	k.call("umt_TimerStart", func() { t0 = k.c.T.Now().Seconds(); k.work(200) })
+	k.call(umtTimerStart, func() { t0 = k.c.T.Now().Seconds(); k.work(200) })
 	return
 }
 
 func (k *kernel) timerStop(t0 float64) (el float64) {
-	k.call("umt_TimerStop", func() { el = k.c.T.Now().Seconds() - t0; k.work(200) })
+	k.call(umtTimerStop, func() { el = k.c.T.Now().Seconds() - t0; k.work(200) })
 	return
 }
 
 func (k *kernel) timerReport(el float64) {
-	k.call("umt_TimerReport", func() {
+	k.call(umtTimerReport, func() {
 		_ = fmt.Sprintf("umt98: %.4fs on %d threads", el, k.rt.NumThreads())
 		k.work(1_200)
 	})
 }
 
 func (k *kernel) logLine(s string) {
-	k.call("umt_LogLine", func() { _ = len(s); k.work(150) })
+	k.call(umtLogLine, func() { _ = len(s); k.work(150) })
 }
 
 func (k *kernel) memReport() (bytes int) {
-	k.call("umt_MemReport", func() {
+	k.call(umtMemReport, func() {
 		bytes = 8 * (len(k.phi)*2 + len(k.src) + len(k.phiT)*len(k.phi))
 		k.logLine(fmt.Sprintf("memory %d bytes", bytes))
 		k.work(400)
@@ -564,7 +564,7 @@ func (k *kernel) memReport() (bytes int) {
 }
 
 func (k *kernel) output(iters int) {
-	k.call("umt_Output", func() {
+	k.call(umtOutput, func() {
 		sum := 0.0
 		for _, p := range k.phi {
 			sum += p
@@ -575,7 +575,7 @@ func (k *kernel) output(iters int) {
 }
 
 func (k *kernel) cleanup() {
-	k.call("umt_Cleanup", func() {
+	k.call(umtCleanup, func() {
 		k.phiT = nil
 		k.work(300)
 	})
@@ -583,7 +583,7 @@ func (k *kernel) cleanup() {
 
 // runMain is the benchmark body (after VT_init in main).
 func (k *kernel) runMain() {
-	k.call("umt_Main", func() {
+	k.call(umtMain, func() {
 		k.logLine("UMT98 Boltzmann transport, unstructured mesh")
 		zones, angles, iters := k.inputDeck()
 		k.meshGen(zones)
@@ -609,35 +609,63 @@ func (k *kernel) runMain() {
 	})
 }
 
-// funcTable is Umt98's 44-function table.
-func funcTable() []guide.Func {
-	f := func(name string, size int) guide.Func { return guide.Func{Name: name, Size: size} }
-	return []guide.Func{
-		f("umt_Main", 50), f("umt_InputDeck", 16),
-		f("umt_ParseArgs", 18), f("umt_CheckDeck", 14), f("umt_MeshGen", 30),
-		f("umt_MeshNodes", 26), f("umt_MeshZones", 22), f("umt_ZoneVolume", 12),
-		f("umt_ZoneCentroid", 10), f("umt_MaterialAssign", 10), f("umt_BuildAdjacency", 34),
-		f("umt_FaceAreas", 20), f("umt_BoundaryFaces", 16), f("umt_MeshValidate", 18),
-		f("umt_ReorderZones", 24), f("umt_SweepOrder", 8), f("umt_MeshStats", 12),
-		f("umt_AngleSetInit", 28), f("umt_AngleWeights", 12), f("umt_CrossSections", 10),
-		f("umt_SourceInit", 16), f("umt_FluxAlloc", 12), f("umt_ScratchAlloc", 14),
-		f("umt_ThreadSetup", 10), f("umt_FaceFlux", 36), f("umt_ZoneSolve", 42),
-		f("umt_FluxAccum", 20), f("umt_SweepAngle", 30), f("umt_AngleLoop", 18),
-		f("umt_ScatterSource", 22), f("umt_RegionDriver", 32), f("umt_ConvergenceNorm", 18),
-		f("umt_Converged", 8), f("umt_EnergyTally", 16),
-		f("umt_BalanceCheck", 12), f("umt_Validate", 14),
-		f("umt_IterDriver", 20), f("umt_TimerStart", 8), f("umt_TimerStop", 8),
-		f("umt_TimerReport", 10), f("umt_LogLine", 8), f("umt_MemReport", 12),
-		f("umt_Output", 12), f("umt_Cleanup", 8),
-	}
-}
+// funcs is Umt98's 44-function table.
+var funcs guide.FuncTable
+
+// Call-gate handles, one per function, in table order.
+var (
+	umtMain            = funcs.Add("umt_Main", 50)
+	umtInputDeck       = funcs.Add("umt_InputDeck", 16)
+	umtParseArgs       = funcs.Add("umt_ParseArgs", 18)
+	umtCheckDeck       = funcs.Add("umt_CheckDeck", 14)
+	umtMeshGen         = funcs.Add("umt_MeshGen", 30)
+	umtMeshNodes       = funcs.Add("umt_MeshNodes", 26)
+	umtMeshZones       = funcs.Add("umt_MeshZones", 22)
+	umtZoneVolume      = funcs.Add("umt_ZoneVolume", 12)
+	umtZoneCentroid    = funcs.Add("umt_ZoneCentroid", 10)
+	umtMaterialAssign  = funcs.Add("umt_MaterialAssign", 10)
+	umtBuildAdjacency  = funcs.Add("umt_BuildAdjacency", 34)
+	umtFaceAreas       = funcs.Add("umt_FaceAreas", 20)
+	umtBoundaryFaces   = funcs.Add("umt_BoundaryFaces", 16)
+	umtMeshValidate    = funcs.Add("umt_MeshValidate", 18)
+	umtReorderZones    = funcs.Add("umt_ReorderZones", 24)
+	umtSweepOrder      = funcs.Add("umt_SweepOrder", 8)
+	umtMeshStats       = funcs.Add("umt_MeshStats", 12)
+	umtAngleSetInit    = funcs.Add("umt_AngleSetInit", 28)
+	umtAngleWeights    = funcs.Add("umt_AngleWeights", 12)
+	umtCrossSections   = funcs.Add("umt_CrossSections", 10)
+	umtSourceInit      = funcs.Add("umt_SourceInit", 16)
+	umtFluxAlloc       = funcs.Add("umt_FluxAlloc", 12)
+	umtScratchAlloc    = funcs.Add("umt_ScratchAlloc", 14)
+	umtThreadSetup     = funcs.Add("umt_ThreadSetup", 10)
+	umtFaceFlux        = funcs.Add("umt_FaceFlux", 36)
+	umtZoneSolve       = funcs.Add("umt_ZoneSolve", 42)
+	umtFluxAccum       = funcs.Add("umt_FluxAccum", 20)
+	umtSweepAngle      = funcs.Add("umt_SweepAngle", 30)
+	umtAngleLoop       = funcs.Add("umt_AngleLoop", 18)
+	umtScatterSource   = funcs.Add("umt_ScatterSource", 22)
+	umtRegionDriver    = funcs.Add("umt_RegionDriver", 32)
+	umtConvergenceNorm = funcs.Add("umt_ConvergenceNorm", 18)
+	umtConverged       = funcs.Add("umt_Converged", 8)
+	umtEnergyTally     = funcs.Add("umt_EnergyTally", 16)
+	umtBalanceCheck    = funcs.Add("umt_BalanceCheck", 12)
+	umtValidate        = funcs.Add("umt_Validate", 14)
+	umtIterDriver      = funcs.Add("umt_IterDriver", 20)
+	umtTimerStart      = funcs.Add("umt_TimerStart", 8)
+	umtTimerStop       = funcs.Add("umt_TimerStop", 8)
+	umtTimerReport     = funcs.Add("umt_TimerReport", 10)
+	umtLogLine         = funcs.Add("umt_LogLine", 8)
+	umtMemReport       = funcs.Add("umt_MemReport", 12)
+	umtOutput          = funcs.Add("umt_Output", 12)
+	umtCleanup         = funcs.Add("umt_Cleanup", 8)
+)
 
 // App returns the Umt98 application definition.
 func App() *guide.App {
 	return &guide.App{
 		Name:  "umt98",
 		Lang:  guide.OMPF77,
-		Funcs: funcTable(),
+		Funcs: funcs.Funcs(),
 		// The 6 functions responsible for most of the functionality and
 		// the majority of the (inclusive) execution time: the sweep and
 		// iteration drivers. The per-block kernels (ZoneSolve/FaceFlux/

@@ -30,10 +30,10 @@ func toyMPI() *guide.App {
 		DefaultArgs: map[string]int{"iters": 6},
 		Main: func(c *guide.Ctx) {
 			c.MPI.Init()
-			c.Call("toy_setup", func() { c.T.Work(40_000) })
+			c.Call(c.Fn("toy_setup"), func() { c.T.Work(40_000) })
 			for i := 0; i < c.Arg("iters", 1); i++ {
-				c.Call("toy_compute", func() { c.T.Work(150_000) })
-				c.Call("toy_exchange", func() { c.MPI.Barrier() })
+				c.Call(c.Fn("toy_compute"), func() { c.T.Work(150_000) })
+				c.Call(c.Fn("toy_exchange"), func() { c.MPI.Barrier() })
 				if c.Arg("confsync", 0) != 0 {
 					c.VT.ConfSync(c.MPI, false, nil)
 				}
@@ -51,7 +51,7 @@ func toyOMP() *guide.App {
 		Main: func(c *guide.Ctx) {
 			for i := 0; i < 4; i++ {
 				c.OMP.Parallel(c.T, "loop", func(t *proc.Thread, id int) {
-					t.Call("omp_kernel", func() { t.Work(120_000) })
+					t.Call(c.Sym(c.Fn("omp_kernel")), func() { t.Work(120_000) })
 				})
 			}
 		},

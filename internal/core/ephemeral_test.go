@@ -23,10 +23,10 @@ func skewedApp() *guide.App {
 		DefaultArgs: map[string]int{"iters": 8000},
 		Main: func(c *guide.Ctx) {
 			c.MPI.Init()
-			c.Call("cold_setup", func() { c.T.Work(10_000) })
+			c.Call(c.Fn("cold_setup"), func() { c.T.Work(10_000) })
 			for i := 0; i < c.Arg("iters", 100); i++ {
-				c.Call("hot_kernel", func() { c.T.Work(400_000) })
-				c.Call("cold_logging", func() { c.T.Work(2_000) })
+				c.Call(c.Fn("hot_kernel"), func() { c.T.Work(400_000) })
+				c.Call(c.Fn("cold_logging"), func() { c.T.Work(2_000) })
 			}
 			c.MPI.Finalize()
 		},

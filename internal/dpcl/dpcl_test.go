@@ -49,8 +49,9 @@ func (r *rig) idle(until des.Time) {
 	for _, pr := range r.procs {
 		pr := pr
 		pr.Start(func(th *proc.Thread) {
+			hot := pr.Image().MustLookup("hot")
 			for th.Now() < until {
-				th.Call("hot", func() { th.Work(30_000) })
+				th.Call(hot, func() { th.Work(30_000) })
 			}
 		})
 	}

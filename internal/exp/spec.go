@@ -252,6 +252,7 @@ func runConfSyncCell(spec ConfSyncSpec, bud des.Budget) (ConfSyncResult, error) 
 	}
 	var total des.Time
 	app.Main = func(c *guide.Ctx) {
+		compute := c.Fn("cs_compute")
 		c.MPI.Init()
 		// Populate the library with a realistic function table and some
 		// statistics content.
@@ -261,7 +262,7 @@ func runConfSyncCell(spec ConfSyncSpec, bud des.Budget) (ConfSyncResult, error) 
 			c.VT.End(c.T, id)
 		}
 		for rep := 0; rep < spec.Reps; rep++ {
-			c.Call("cs_compute", func() { c.T.Work(400_000) })
+			c.Call(compute, func() { c.T.Work(400_000) })
 			if c.MPI.Rank() == 0 && spec.Changes > 0 {
 				chs := make([]vt.Change, spec.Changes)
 				for i := range chs {

@@ -24,7 +24,7 @@ func healthyTestApp(name string) *guide.App {
 		Funcs: []guide.Func{{Name: name + "_compute", Size: 20}},
 		Main: func(c *guide.Ctx) {
 			c.MPI.Init()
-			c.Call(name+"_compute", func() { c.T.Work(200_000) })
+			c.Call(c.Fn(name+"_compute"), func() { c.T.Work(200_000) })
 			c.MPI.Finalize()
 		},
 	}
@@ -45,7 +45,7 @@ func flakyTestApp(name string) *guide.App {
 					c.T.Work(1_000)
 				}
 			}
-			c.Call(name+"_compute", func() { c.T.Work(200_000) })
+			c.Call(c.Fn(name+"_compute"), func() { c.T.Work(200_000) })
 			c.MPI.Finalize()
 		},
 	}
@@ -91,7 +91,7 @@ func stallTestApp(name string, d time.Duration) *guide.App {
 		Main: func(c *guide.Ctx) {
 			c.MPI.Init()
 			time.Sleep(d)
-			c.Call(name+"_compute", func() { c.T.Work(200_000) })
+			c.Call(c.Fn(name+"_compute"), func() { c.T.Work(200_000) })
 			c.MPI.Finalize()
 		},
 	}

@@ -8,6 +8,10 @@
 package guide
 
 import (
+	"fmt"
+	"slices"
+
+	"dynprof/internal/image"
 	"dynprof/internal/mpi"
 	"dynprof/internal/omp"
 	"dynprof/internal/proc"
@@ -54,6 +58,29 @@ type Func struct {
 	Exits int
 }
 
+// Fn is a handle on one of an application's functions: its index in
+// App.Funcs. Code resolves a handle once — a kernel where it declares its
+// FuncTable, other code through Ctx.Fn — so the call gate does no name
+// lookup per call.
+type Fn int
+
+// FuncTable builds an application's function table and hands out one
+// handle per function, the way package flag defines flags:
+//
+//	var funcs guide.FuncTable
+//	var fSolve = funcs.Add("app_Solve", 40)
+type FuncTable struct{ funcs []Func }
+
+// Add appends a one-exit function whose body is size words long and
+// returns its handle.
+func (t *FuncTable) Add(name string, size int) Fn {
+	t.funcs = append(t.funcs, Func{Name: name, Size: size})
+	return Fn(len(t.funcs) - 1)
+}
+
+// Funcs returns a copy of the table, for App.Funcs.
+func (t *FuncTable) Funcs() []Func { return slices.Clone(t.funcs) }
+
 // Ctx is the per-process application context the compiled main receives:
 // the executing thread, the runtime the binary was linked against, and the
 // process's instrumentation library instance.
@@ -68,11 +95,28 @@ type Ctx struct {
 	VT *vt.Ctx
 	// Args carries the application input deck (problem size etc.).
 	Args map[string]int
+
+	syms []*image.Symbol // by Fn: the symbol of each App.Funcs entry
 }
 
 // Call traverses the call gate for a compiled function: probes patched or
-// compiled into name's entry/exit fire around body.
-func (c *Ctx) Call(name string, body func()) { c.T.Call(name, body) }
+// compiled into f's entry/exit fire around body.
+func (c *Ctx) Call(f Fn, body func()) { c.T.Call(c.syms[f], body) }
+
+// Sym returns f's symbol, for a gate a team thread traverses itself.
+func (c *Ctx) Sym(f Fn) *image.Symbol { return c.syms[f] }
+
+// Fn resolves a function name to its handle. It scans the function
+// table, so resolve once, not per call; it panics on a name the
+// application does not declare.
+func (c *Ctx) Fn(name string) Fn {
+	for i, s := range c.syms {
+		if s.Name == name {
+			return Fn(i)
+		}
+	}
+	panic(fmt.Sprintf("guide: application declares no function %q", name))
+}
 
 // Arg fetches an input-deck parameter with a default.
 func (c *Ctx) Arg(name string, def int) int {

@@ -38,6 +38,7 @@ type Binary struct {
 	opts     BuildOpts
 	template *image.Image
 	static   map[string]staticIDs
+	syms     []*image.Symbol // by Fn; shared by every clone of template
 }
 
 // runtime symbol sizes (words) — small library stubs in the image.
@@ -76,7 +77,8 @@ func Build(app *App, opts BuildOpts) (*Binary, error) {
 	}
 
 	static := make(map[string]staticIDs, len(app.Funcs))
-	for _, f := range app.Funcs {
+	syms := make([]*image.Symbol, len(app.Funcs))
+	for i, f := range app.Funcs {
 		exits := f.Exits
 		if exits == 0 {
 			exits = 1
@@ -88,11 +90,13 @@ func Build(app *App, opts BuildOpts) (*Binary, error) {
 			spec.EntrySnippets = []int64{ids.begin}
 			spec.ExitSnippets = []int64{ids.end}
 		}
-		if _, err := b.AddFunc(spec); err != nil {
+		sym, err := b.AddFunc(spec)
+		if err != nil {
 			return nil, fmt.Errorf("guide: compiling %s: %w", app.Name, err)
 		}
+		syms[i] = sym
 	}
-	return &Binary{app: app, opts: opts, template: b.Build(), static: static}, nil
+	return &Binary{app: app, opts: opts, template: b.Build(), static: static, syms: syms}, nil
 }
 
 // App returns the compiled application.

@@ -1,6 +1,7 @@
 package guide
 
 import (
+	"fmt"
 	"testing"
 
 	"dynprof/internal/des"
@@ -23,10 +24,10 @@ func toyMPIApp() *App {
 		DefaultArgs: map[string]int{"iters": 4},
 		Main: func(c *Ctx) {
 			c.MPI.Init()
-			c.Call("toy_setup", func() { c.T.Work(50_000) })
+			c.Call(c.Fn("toy_setup"), func() { c.T.Work(50_000) })
 			for i := 0; i < c.Arg("iters", 1); i++ {
-				c.Call("toy_compute", func() { c.T.Work(200_000) })
-				c.Call("toy_exchange", func() { c.MPI.Barrier() })
+				c.Call(c.Fn("toy_compute"), func() { c.T.Work(200_000) })
+				c.Call(c.Fn("toy_exchange"), func() { c.MPI.Barrier() })
 			}
 			c.MPI.Finalize()
 		},
@@ -276,5 +277,41 @@ func TestLangStrings(t *testing.T) {
 	}
 	if !MPIC.IsMPI() || OMPF77.IsMPI() {
 		t.Fatal("IsMPI wrong")
+	}
+}
+
+// TestFuncTableHandles: handles number the table in declaration order,
+// Funcs hands out a copy, and a launched process resolves each handle to
+// the symbol of its own function.
+func TestFuncTableHandles(t *testing.T) {
+	var tab FuncTable
+	solve, halo := tab.Add("t_solve", 40), tab.Add("t_halo", 12)
+	funcs := tab.Funcs()
+	if solve != 0 || halo != 1 || len(funcs) != 2 || funcs[halo] != (Func{Name: "t_halo", Size: 12}) {
+		t.Fatalf("handles %d, %d over table %v", solve, halo, funcs)
+	}
+	funcs[0].Name = "clobbered"
+	if tab.Funcs()[0].Name != "t_solve" {
+		t.Fatal("Funcs shares the table")
+	}
+	var resolved []string
+	app := &App{Name: "tab", Lang: MPIC, Funcs: tab.Funcs(), Main: func(c *Ctx) {
+		c.MPI.Init()
+		resolved = append(resolved, c.Sym(solve).Name, c.Sym(c.Fn("t_halo")).Name)
+		c.MPI.Finalize()
+	}}
+	bin, err := Build(app, BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := des.NewScheduler(5)
+	if _, err := Launch(s, machine.MustNew("ibm-power3"), bin, LaunchOpts{Procs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(resolved) != "[t_solve t_halo]" {
+		t.Fatalf("resolved %v", resolved)
 	}
 }

@@ -177,7 +177,7 @@ func (j *Job) launchMPI(n int, args map[string]int) error {
 		pr.Start(func(th *proc.Thread) {
 			th.Block(func(p *des.Proc) { p.Await(j.startGate) })
 			c := att.Bind(r, th)
-			j.bin.app.Main(&Ctx{T: th, MPI: c, VT: v, Args: args})
+			j.bin.app.Main(&Ctx{T: th, MPI: c, VT: v, Args: args, syms: j.bin.syms})
 		})
 	}
 	return nil
@@ -200,11 +200,11 @@ func (j *Job) launchOMP(threads int, args map[string]int) error {
 		// The Guide compiler statically inserts a call to VT_init at the
 		// beginning of main; its exit probe is where dynprof plants the
 		// OpenMP callback + spin (Section 3.4).
-		master.Call("VT_init", func() { v.Initialize(master) })
+		master.Call(img.MustLookup("VT_init"), func() { v.Initialize(master) })
 		start := master.Now()
 		suspAtStart := master.SuspendedTime()
 		rt := omp.New(pr, master, threads, att.OMPHooks())
-		j.bin.app.Main(&Ctx{T: master, OMP: rt, VT: v, Args: args})
+		j.bin.app.Main(&Ctx{T: master, OMP: rt, VT: v, Args: args, syms: j.bin.syms})
 		rt.Shutdown()
 		master.Sync()
 		j.ompElapsed = (master.Now() - start) - (master.SuspendedTime() - suspAtStart)

@@ -33,6 +33,7 @@ type Builder struct {
 	words         []isa.Word
 	syms          []*Symbol
 	symByName     map[string]*Symbol
+	regions       int
 	nextSnippetID int64
 }
 
@@ -66,7 +67,8 @@ func (b *Builder) AddFunc(spec FuncSpec) (*Symbol, error) {
 	if spec.BodyWords < 0 {
 		return nil, fmt.Errorf("image: function %q has negative body size", spec.Name)
 	}
-	sym := &Symbol{Name: spec.Name, Index: len(b.syms), Entry: Addr(len(b.words))}
+	sym := &Symbol{Name: spec.Name, Region: b.regions, Entry: Addr(len(b.words))}
+	b.regions += 1 + spec.Exits
 	b.words = append(b.words, isa.Word{Op: isa.Nop}) // entry probe slot
 	for _, id := range spec.EntrySnippets {
 		b.words = append(b.words, isa.Word{Op: isa.SnippetCall, Arg: id})
@@ -102,6 +104,6 @@ func (b *Builder) Build() *Image {
 		snippetNames:  make(map[int64]string),
 		nextSnippetID: b.nextSnippetID,
 		tramps:        make(map[Addr]*baseTramp),
-		progs:         make(map[Addr]*regionProg),
+		progs:         make([]*regionProg, b.regions),
 	}
 }

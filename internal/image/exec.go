@@ -38,7 +38,7 @@ type regionProg struct {
 // consumed by the instruction words; snippets charge their own additional
 // cost through ctx.
 func (img *Image) ExecEntry(sym *Symbol, ctx ExecCtx) int64 {
-	return img.exec(sym.Entry, ctx, sym.Name)
+	return img.exec(sym.Region, sym.Entry, ctx, sym.Name)
 }
 
 // ExecExit interprets a function's exit region — the exit probe slot and
@@ -47,72 +47,44 @@ func (img *Image) ExecExit(sym *Symbol, exitIndex int, ctx ExecCtx) int64 {
 	if exitIndex < 0 || exitIndex >= len(sym.Exits) {
 		panic(fmt.Sprintf("image %s: %s has no exit %d", img.name, sym.Name, exitIndex))
 	}
-	return img.exec(sym.Exits[exitIndex], ctx, sym.Name)
+	return img.exec(sym.Region+1+exitIndex, sym.Exits[exitIndex], ctx, sym.Name)
 }
 
-// exec runs the region starting at `at`, replaying its cached program when
-// one is current and compiling one otherwise. A snippet that patches the
-// image mid-replay (a dynamic-control safe point can suspend the thread
+// exec runs region r, which starts at `at`, replaying its cached program
+// when one is current and compiling one otherwise. A snippet that patches
+// the image mid-replay (a dynamic-control safe point can suspend the thread
 // while probes are installed) invalidates the program's generation; the
 // remainder of the region is then interpreted from the snippet's resume
 // address, exactly as the plain interpreter would continue.
-func (img *Image) exec(at Addr, ctx ExecCtx, fname string) int64 {
-	p, ok := img.progs[at]
-	if !ok || p.gen != img.gen {
-		return img.compile(at, ctx, fname)
+func (img *Image) exec(r int, at Addr, ctx ExecCtx, fname string) int64 {
+	p := img.progs[r]
+	if p == nil || p.gen != img.gen {
+		return img.compile(r, at, ctx, fname)
 	}
 	for i := range p.steps {
 		st := &p.steps[i]
 		st.fn(ctx)
 		if img.gen != p.gen {
-			return st.prefix + img.interp(st.resume, ctx, fname)
+			return st.prefix + img.walk(st.resume, ctx, fname, nil)
 		}
 	}
 	return p.total
 }
 
-// compile interprets the region once while recording its program. If a
-// snippet mutates the image mid-walk the recording is abandoned and the
-// rest of the region is interpreted directly.
-func (img *Image) compile(at Addr, ctx ExecCtx, fname string) int64 {
-	start := at
+// compile interprets region r once while recording its program. If a
+// snippet mutates the image during the walk, the program keeps the stale
+// generation it started with and is never replayed.
+func (img *Image) compile(r int, at Addr, ctx ExecCtx, fname string) int64 {
 	p := &regionProg{gen: img.gen}
-	var cycles int64
-	for step := 0; ; step++ {
-		if step >= maxSteps {
-			panic(fmt.Sprintf("image %s: runaway execution in %s at %d (jump cycle from bad patch?)", img.name, fname, at))
-		}
-		w := img.Word(at)
-		cycles += w.Cost()
-		switch w.Op {
-		case isa.Body, isa.Ret:
-			p.total = cycles
-			img.progs[start] = p
-			return cycles
-		case isa.Jmp:
-			at = Addr(w.Arg)
-		case isa.SnippetCall:
-			fn, ok := img.snippets[w.Arg]
-			if !ok {
-				panic(fmt.Sprintf("image %s: unbound snippet %d in %s", img.name, w.Arg, fname))
-			}
-			p.steps = append(p.steps, progStep{fn: fn, resume: at + 1, prefix: cycles})
-			fn(ctx)
-			if img.gen != p.gen {
-				return cycles + img.interp(at+1, ctx, fname)
-			}
-			at++
-		case isa.Illegal:
-			panic(fmt.Sprintf("image %s: illegal instruction at %d in %s (freed trampoline executed?)", img.name, at, fname))
-		default:
-			at++
-		}
-	}
+	p.total = img.walk(at, ctx, fname, p)
+	img.progs[r] = p
+	return p.total
 }
 
-// interp interprets words starting at addr until a Body or Ret terminator,
-// recording nothing: the fallback path after a mid-region patch.
-func (img *Image) interp(at Addr, ctx ExecCtx, fname string) int64 {
+// walk interprets words starting at `at` until a Body or Ret terminator,
+// recording each snippet call into p when p is non-nil. Words are read
+// live, so a snippet that mutates the image mid-walk is seen at once.
+func (img *Image) walk(at Addr, ctx ExecCtx, fname string, p *regionProg) int64 {
 	var cycles int64
 	for step := 0; ; step++ {
 		if step >= maxSteps {
@@ -129,6 +101,9 @@ func (img *Image) interp(at Addr, ctx ExecCtx, fname string) int64 {
 			fn, ok := img.snippets[w.Arg]
 			if !ok {
 				panic(fmt.Sprintf("image %s: unbound snippet %d in %s", img.name, w.Arg, fname))
+			}
+			if p != nil {
+				p.steps = append(p.steps, progStep{fn: fn, resume: at + 1, prefix: cycles})
 			}
 			fn(ctx)
 			at++

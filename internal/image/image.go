@@ -58,8 +58,9 @@ func (k PointKind) String() string {
 type Symbol struct {
 	// Name is the function's linkage name.
 	Name string
-	// Index is the symbol's position in the image's symbol table.
-	Index int
+	// Region numbers the symbol's probe regions densely across the image:
+	// the entry region is Region, exit i is Region+1+i.
+	Region int
 	// Entry is the address of the function's entry probe slot.
 	Entry Addr
 	// BodyAt is the address of the Body marker ending the prologue.
@@ -91,10 +92,10 @@ type Image struct {
 	heapWords int
 
 	// gen counts image mutations (patches, snippet rebinds); progs caches
-	// the compiled form of each executed probe region, valid only while its
-	// recorded generation matches gen.
+	// the compiled form of each executed probe region, indexed by region
+	// number and valid only while its recorded generation matches gen.
 	gen   uint64
-	progs map[Addr]*regionProg
+	progs []*regionProg
 }
 
 // mutated invalidates every compiled region program. Called on any change
@@ -214,7 +215,7 @@ func (img *Image) Clone() *Image {
 		nextSnippetID: img.nextSnippetID,
 		tramps:        make(map[Addr]*baseTramp, len(img.tramps)),
 		heapWords:     img.heapWords,
-		progs:         make(map[Addr]*regionProg),
+		progs:         make([]*regionProg, len(img.progs)),
 	}
 	for id, fn := range img.snippets {
 		c.snippets[id] = fn
@@ -346,9 +347,10 @@ func (img *Image) relinkChain(t *baseTramp) {
 
 // SetActive enables or disables the probe by flipping its mini-trampoline
 // payload between SnippetCall and Nop (the word stays in place, so
-// re-activation is cheap).
+// re-activation is cheap). On a removed probe it does nothing: its words
+// are freed.
 func (h *ProbeHandle) SetActive(active bool) {
-	if h.mini.active == active {
+	if h.mini.removed || h.mini.active == active {
 		return
 	}
 	h.mini.active = active

@@ -401,3 +401,180 @@ func TestOpcodeStrings(t *testing.T) {
 		t.Fatal("work cost wrong")
 	}
 }
+
+// TestRegionNumbering: regions are numbered densely in layout order, one
+// per entry and one per exit, and every clone gets a slot per region.
+func TestRegionNumbering(t *testing.T) {
+	img := buildTestImage(t)
+	a, b := img.MustLookup("alpha"), img.MustLookup("beta")
+	if a.Region != 0 || b.Region != 2 || len(img.progs) != 6 {
+		t.Fatalf("alpha region %d, beta region %d, %d program slots; want 0, 2, 6", a.Region, b.Region, len(img.progs))
+	}
+}
+
+// TestExitRegionsHaveOwnPrograms: each exit of a 3-exit function compiles
+// and replays its own program, so a replay never fires another exit's
+// probe.
+func TestExitRegionsHaveOwnPrograms(t *testing.T) {
+	img := buildTestImage(t)
+	b := img.MustLookup("beta")
+	var log []int
+	for e := 0; e < 3; e++ {
+		e := e
+		id := img.NewSnippetID()
+		img.BindSnippet(id, "exit", func(ctx ExecCtx) { log = append(log, e) })
+		h, err := img.InsertProbe(b, ExitPoint, e, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.SetActive(true)
+	}
+	order := []int{0, 1, 2, 2, 0, 1, 1, 2, 0}
+	costs := make(map[int]int64)
+	for _, e := range order {
+		cost := img.ExecExit(b, e, &fakeCtx{})
+		if prev, ok := costs[e]; ok && prev != cost {
+			t.Fatalf("exit %d replay cost %d, compiled cost %d", e, cost, prev)
+		}
+		costs[e] = cost
+	}
+	if fmt.Sprint(log) != fmt.Sprint(order) {
+		t.Fatalf("fired %v, want %v", log, order)
+	}
+	seen := make(map[*regionProg]bool)
+	for r := b.Region + 1; r <= b.Region+3; r++ {
+		p := img.progs[r]
+		if p == nil || len(p.steps) != 1 || seen[p] {
+			t.Fatalf("exit region %d: program %+v not its own", r, p)
+		}
+		seen[p] = true
+	}
+	if img.progs[b.Region] != nil {
+		t.Fatal("entry region compiled without being executed")
+	}
+}
+
+// TestCloneStartsWithEmptyPrograms: a clone's program table is its own,
+// sized for every region and empty; running either image leaves the
+// other's programs alone.
+func TestCloneStartsWithEmptyPrograms(t *testing.T) {
+	img := buildTestImage(t)
+	a := img.MustLookup("alpha")
+	img.ExecEntry(a, &fakeCtx{})
+	compiled, gen := img.progs[a.Region], img.gen
+	clone := img.Clone()
+	if len(clone.progs) != len(img.progs) {
+		t.Fatalf("clone has %d program slots, original %d", len(clone.progs), len(img.progs))
+	}
+	for r, p := range clone.progs {
+		if p != nil {
+			t.Fatalf("clone region %d starts with a program", r)
+		}
+	}
+	id := clone.NewSnippetID()
+	clone.BindSnippet(id, "s", func(ctx ExecCtx) {})
+	h, err := clone.InsertProbe(a, EntryPoint, 0, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.SetActive(true)
+	clone.ExecEntry(a, &fakeCtx{})
+	if img.progs[a.Region] != compiled || img.gen != gen {
+		t.Fatal("running the patched clone touched the original's programs")
+	}
+	if clone.progs[a.Region] == compiled {
+		t.Fatal("clone shares the original's program")
+	}
+}
+
+// selfPatchImage builds the test image with an active probe on alpha's
+// entry whose snippet, on its patchAt-th firing, activates a dormant
+// second probe: in alpha's own chain, or at beta's entry when other is
+// set. log records the firings.
+func selfPatchImage(t *testing.T, other bool, patchAt int) (*Image, *[]string) {
+	img := buildTestImage(t)
+	a, b := img.MustLookup("alpha"), img.MustLookup("beta")
+	log := new([]string)
+	bind := func(name string, fn func()) int64 {
+		id := img.NewSnippetID()
+		img.BindSnippet(id, name, func(ctx ExecCtx) {
+			*log = append(*log, name)
+			if fn != nil {
+				fn()
+			}
+		})
+		return id
+	}
+	var dormant *ProbeHandle
+	fired := 0
+	first, err := img.InsertProbe(a, EntryPoint, 0, bind("first", func() {
+		if fired++; fired == patchAt {
+			dormant.SetActive(true)
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.SetActive(true)
+	target := a
+	if other {
+		target = b
+	}
+	if dormant, err = img.InsertProbe(target, EntryPoint, 0, bind("second", nil)); err != nil {
+		t.Fatal(err)
+	}
+	return img, log
+}
+
+// TestMidReplayPatchFallsBack: a snippet that patches its own region, or
+// another one, in the middle of a replay (second firing) or of the walk
+// that compiles the region (first firing) leaves the walk exactly as the
+// plain interpreter would have it — same firings, same cycles — and the
+// next execution compiles afresh.
+func TestMidReplayPatchFallsBack(t *testing.T) {
+	for _, tc := range []struct {
+		other   bool
+		patchAt int
+	}{{false, 1}, {false, 2}, {true, 1}, {true, 2}} {
+		got, gotLog := selfPatchImage(t, tc.other, tc.patchAt)
+		want, wantLog := selfPatchImage(t, tc.other, tc.patchAt)
+		for i := 0; i < 4; i++ {
+			for _, name := range []string{"alpha", "beta"} {
+				sym := got.MustLookup(name)
+				c := got.ExecEntry(sym, &fakeCtx{})
+				w := want.walk(sym.Entry, &fakeCtx{}, name, nil)
+				if c != w {
+					t.Fatalf("%+v run %d %s: %d cycles, interpreter %d", tc, i, name, c, w)
+				}
+			}
+		}
+		if fmt.Sprint(*gotLog) != fmt.Sprint(*wantLog) {
+			t.Fatalf("%+v: fired %v, interpreter %v", tc, *gotLog, *wantLog)
+		}
+	}
+}
+
+// TestSetActiveOnRemovedProbeIsNoop: a removed probe's words are freed;
+// re-activating its stale handle must neither write them nor invalidate
+// the image's compiled programs.
+func TestSetActiveOnRemovedProbeIsNoop(t *testing.T) {
+	img := buildTestImage(t)
+	a := img.MustLookup("alpha")
+	id := img.NewSnippetID()
+	img.BindSnippet(id, "s", func(ctx ExecCtx) {})
+	keep, _ := img.InsertProbe(a, EntryPoint, 0, id)
+	keep.SetActive(true)
+	h, _ := img.InsertProbe(a, EntryPoint, 0, id)
+	h.SetActive(true)
+	if err := h.Remove(); err != nil {
+		t.Fatal(err)
+	}
+	img.ExecEntry(a, &fakeCtx{})
+	words, gen := append([]isa.Word(nil), img.words...), img.gen
+	for _, on := range []bool{true, false, true} {
+		h.SetActive(on)
+	}
+	if img.gen != gen || fmt.Sprint(img.words) != fmt.Sprint(words) {
+		t.Fatal("SetActive on a removed probe changed the image")
+	}
+}

@@ -114,8 +114,8 @@ func (c *Ctx) wrap(call string, fn func()) {
 // its probe points — the paper patches the end of MPI_Init), and falls
 // back to a plain call otherwise.
 func (c *Ctx) gateCall(name string, body func()) {
-	if _, ok := c.t.Process().Image().Lookup(name); ok {
-		c.t.Call(name, body)
+	if sym, ok := c.t.Process().Image().Lookup(name); ok {
+		c.t.Call(sym, body)
 		return
 	}
 	body()

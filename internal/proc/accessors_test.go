@@ -32,14 +32,14 @@ func TestAccessors(t *testing.T) {
 			t.Error("DES proc missing")
 		}
 		th.WorkTime(des.Millisecond)
-		th.Call("f", nil)
+		th.Call(symOf(th, "f"), nil)
 		if th.Calls() != 1 {
 			t.Errorf("calls = %d", th.Calls())
 		}
 		if th.CurrentFunction() != "" {
 			t.Errorf("outside any call but CurrentFunction = %q", th.CurrentFunction())
 		}
-		th.Call("f", func() {
+		th.Call(symOf(th, "f"), func() {
 			if th.CurrentFunction() != "f" || th.StackDepth() != 1 {
 				t.Errorf("stack wrong: %q depth %d", th.CurrentFunction(), th.StackDepth())
 			}

@@ -264,10 +264,10 @@ type Thread struct {
 	suspended des.Time
 	// calls counts call-gate traversals (used to rotate exit points).
 	calls int64
-	// stack is the live call stack of gate-traversed function names, the
-	// state a statistical sampler inspects ("recording the code location
+	// stack is the live call stack of gate-traversed functions, the state
+	// a statistical sampler inspects ("recording the code location
 	// currently executing at the time that the interval expires").
-	stack []string
+	stack []*image.Symbol
 }
 
 var _ image.ExecCtx = (*Thread)(nil)
@@ -415,21 +415,21 @@ func (t *Thread) CurrentFunction() string {
 	if len(t.stack) == 0 {
 		return ""
 	}
-	return t.stack[len(t.stack)-1]
+	return t.stack[len(t.stack)-1].Name
 }
 
 // StackDepth reports the thread's current call depth.
 func (t *Thread) StackDepth() int { return len(t.stack) }
 
-// Call traverses the call gate for the named function: interpret its entry
-// region (firing any probes), run body, then interpret one exit region.
-// Functions with several return points have them exercised round-robin.
-// A nil body models a leaf routine whose work was charged by the caller.
-func (t *Thread) Call(name string, body func()) {
+// Call traverses the call gate for sym, a symbol of the process image
+// resolved once by the caller: interpret its entry region (firing any
+// probes), run body, then interpret one exit region. Functions with
+// several return points have them exercised round-robin. A nil body
+// models a leaf routine whose work was charged by the caller.
+func (t *Thread) Call(sym *image.Symbol, body func()) {
 	t.SafePoint()
-	sym := t.proc.img.MustLookup(name)
 	t.calls++
-	t.stack = append(t.stack, name)
+	t.stack = append(t.stack, sym)
 	t.Charge(t.proc.img.ExecEntry(sym, t))
 	if body != nil {
 		body()

@@ -19,6 +19,9 @@ func testImage(t testing.TB, names ...string) *image.Image {
 	return b.Build()
 }
 
+// symOf resolves a function of th's process image for the call gate.
+func symOf(th *Thread, name string) *image.Symbol { return th.Process().Image().MustLookup(name) }
+
 func TestCallGateChargesTime(t *testing.T) {
 	s := des.NewScheduler(1)
 	cfg := machine.MustNew("ibm-power3")
@@ -26,7 +29,7 @@ func TestCallGateChargesTime(t *testing.T) {
 	pr := NewProcess(s, cfg, "p", 0, 0, img)
 	var elapsed des.Time
 	pr.Start(func(th *Thread) {
-		th.Call("f", func() { th.Work(375_000) }) // 1ms at 375 MHz
+		th.Call(symOf(th, "f"), func() { th.Work(375_000) }) // 1ms at 375 MHz
 		th.Sync()
 		elapsed = th.Now()
 	})
@@ -82,8 +85,8 @@ func TestNestedCallsFireProbesInOrder(t *testing.T) {
 	}
 	pr := NewProcess(s, cfg, "p", 0, 0, img)
 	pr.Start(func(th *Thread) {
-		th.Call("outer", func() {
-			th.Call("inner", nil)
+		th.Call(symOf(th, "outer"), func() {
+			th.Call(symOf(th, "inner"), nil)
 		})
 	})
 	if err := s.Run(); err != nil {
@@ -107,7 +110,7 @@ func TestSuspendResumeAtSafePoint(t *testing.T) {
 	var resumedAt des.Time
 	pr.Start(func(th *Thread) {
 		for i := 0; i < 100; i++ {
-			th.Call("f", func() { th.Work(20_000) })
+			th.Call(symOf(th, "f"), func() { th.Work(20_000) })
 		}
 		resumedAt = th.Now()
 	})
@@ -142,12 +145,12 @@ func TestSuspendCoversMultipleThreads(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			pr.SpawnThread(func(w *Thread) {
 				for k := 0; k < 50; k++ {
-					w.Call("f", func() { w.Work(20_000) })
+					w.Call(symOf(w, "f"), func() { w.Work(20_000) })
 				}
 			})
 		}
 		for i := 0; i < 50; i++ {
-			th.Call("f", func() { th.Work(20_000) })
+			th.Call(symOf(th, "f"), func() { th.Work(20_000) })
 		}
 	})
 	s.Spawn("ctl", func(p *des.Proc) {
@@ -248,7 +251,7 @@ func TestExitRotationCoversAllExits(t *testing.T) {
 	pr := NewProcess(s, cfg, "p", 0, 0, img)
 	pr.Start(func(th *Thread) {
 		for i := 0; i < 9; i++ {
-			th.Call("multi", nil)
+			th.Call(symOf(th, "multi"), nil)
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -271,7 +274,7 @@ func TestInstrCyclesAccounting(t *testing.T) {
 	pr := NewProcess(s, cfg, "p", 0, 0, img)
 	var instr int64
 	pr.Start(func(th *Thread) {
-		th.Call("f", nil)
+		th.Call(symOf(th, "f"), nil)
 		instr = th.InstrCycles()
 	})
 	if err := s.Run(); err != nil {

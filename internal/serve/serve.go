@@ -232,8 +232,7 @@ func residentApp(name string, hot []string, stop *des.Gate) *guide.App {
 					break
 				}
 				for i := range funcs {
-					f := funcs[i].Name
-					c.Call(f, func() { c.T.WorkTime(residentSlice) })
+					c.Call(guide.Fn(i), func() { c.T.WorkTime(residentSlice) })
 				}
 				c.MPI.Barrier()
 			}

@@ -56,8 +56,13 @@ func (a *MPIAdapter) MsgRecv(m *mpi.Ctx, src, tag, bytes int) {
 }
 
 // Initialized initialises the library inside MPI_Init, where Vampirtrace
-// sets up its own data structures.
-func (a *MPIAdapter) Initialized(m *mpi.Ctx) { a.C.Initialize(m.Thread()) }
+// sets up its own data structures, and resolves the ConfSync gates once.
+func (a *MPIAdapter) Initialized(m *mpi.Ctx) {
+	a.C.Initialize(m.Thread())
+	img := m.Thread().Process().Image()
+	a.C.syncSym, _ = img.Lookup("VT_confsync")
+	a.C.breakSym, _ = img.Lookup(BreakpointSymbol)
+}
 
 // Finalizing flushes the rank's buffers inside MPI_Finalize.
 func (a *MPIAdapter) Finalizing(m *mpi.Ctx) { a.C.Flush() }

@@ -53,35 +53,22 @@ func (c *Ctx) ConfSync(m *mpi.Ctx, writeStats bool, statsOut io.Writer) int {
 	n := 0
 	body := func() {
 		t.Work(confSyncBaseCycles)
+		var chs []Change
 		if m.Rank() == 0 {
 			// The breakpoint is itself an image symbol when the binary
 			// was built with dynamic-control support, so a tool can plant
 			// a real probe on it; otherwise it reduces to the handler.
-			if _, ok := t.Process().Image().Lookup(BreakpointSymbol); ok {
-				t.Call(BreakpointSymbol, func() { t.Breakpoint(BreakpointSymbol) })
+			if c.breakSym != nil {
+				t.Call(c.breakSym, func() { t.Breakpoint(BreakpointSymbol) })
 			} else {
 				t.Breakpoint(BreakpointSymbol)
 			}
-		}
-		var chs []Change
-		if m.Rank() == 0 {
 			chs = c.pending
 			c.pending = nil
 		}
 		wire := m.Bcast(0, 4+len(chs)*changeBytes, chs)
 		chs, _ = wire.([]Change)
-		if len(chs) > 0 {
-			t.Work(int64(len(chs)) * confApplyCyclesPerRule)
-			if err := c.ApplyChanges(chs); err != nil {
-				// A rejected batch still consumes the epoch: surface the bad
-				// changes on the fault stream and advance the generation so
-				// every rank stays in sync.
-				c.faultEvent(t, "confsync: "+err.Error())
-				c.gen++
-			}
-		} else {
-			c.gen++
-		}
+		c.endEpoch(t, chs)
 		n = len(chs)
 		if writeStats {
 			c.gatherStats(m, statsOut)
@@ -89,8 +76,8 @@ func (c *Ctx) ConfSync(m *mpi.Ctx, writeStats bool, statsOut io.Writer) int {
 		c.record(t, ConfSync, 0, c.gen, int64(n))
 		m.Barrier()
 	}
-	if _, ok := t.Process().Image().Lookup("VT_confsync"); ok {
-		t.Call("VT_confsync", body)
+	if c.syncSym != nil {
+		t.Call(c.syncSym, body)
 	} else {
 		body()
 	}
@@ -119,17 +106,25 @@ func (c *Ctx) LocalSync(t SyncPoint) int {
 	t.Breakpoint(BreakpointSymbol)
 	chs := c.pending
 	c.pending = nil
-	if len(chs) > 0 {
-		t.Work(int64(len(chs)) * confApplyCyclesPerRule)
-		if err := c.ApplyChanges(chs); err != nil {
-			c.faultEvent(t, "confsync: "+err.Error())
-			c.gen++
-		}
-	} else {
-		c.gen++
-	}
+	c.endEpoch(t, chs)
 	c.record(t, ConfSync, 0, c.gen, int64(len(chs)))
 	return len(chs)
+}
+
+// endEpoch applies a sync's distributed changes, charging t for the
+// rebuild, and advances the generation. A rejected batch still consumes
+// the epoch: the bad changes surface on the fault stream and the
+// generation advances, so every rank stays in sync.
+func (c *Ctx) endEpoch(t SyncPoint, chs []Change) {
+	if len(chs) == 0 {
+		c.gen++
+		return
+	}
+	t.Work(int64(len(chs)) * confApplyCyclesPerRule)
+	if err := c.ApplyChanges(chs); err != nil {
+		c.faultEvent(t, "confsync: "+err.Error())
+		c.gen++
+	}
 }
 
 // gatherStats collects per-function call counts to rank 0 and writes them.
@@ -167,7 +162,7 @@ func (c *Ctx) gatherStats(m *mpi.Ctx, out io.Writer) {
 func (c *Ctx) StatsSnapshot() []FuncStat {
 	out := make([]FuncStat, len(c.names))
 	for id, name := range c.names {
-		out[id] = FuncStat{Name: name, Calls: c.calls[id]}
+		out[id] = FuncStat{Name: name, Calls: c.fns[id].calls}
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package vt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dynprof/internal/fault"
@@ -44,20 +45,9 @@ type Ctx struct {
 	midFlush  int
 	ready     bool
 
-	names  []string
-	ids    map[string]int32
-	active []bool
-	calls  []int64 // per-function enter counts (runtime statistics)
-
-	// Per-probe cost accounting, maintained alongside calls: hits counts
-	// Begin/End firings regardless of activation (each pays at least the
-	// table lookup), recorded counts the events actually collected, and
-	// probeCycles accumulates every cycle the library charged through the
-	// probe (lookup + record). An adaptive controller reads these through
-	// CostSnapshot to attribute perturbation per function.
-	hits        []int64
-	recorded    []int64
-	probeCycles []int64
+	names []string
+	ids   map[string]int32
+	fns   []funcState // by function id
 
 	buffers map[int32][]Event
 	bytes   int
@@ -71,6 +61,23 @@ type Ctx struct {
 
 	gen     int64
 	pending []Change
+
+	syncSym, breakSym *image.Symbol // ConfSync gates, resolved in MPI_Init; nil if absent
+}
+
+// funcState is one registered function's activation and counters.
+type funcState struct {
+	// cfgOn is the activation the configuration rules derive; active,
+	// which Begin/End consult, may also have been switched off by
+	// overflow handling until the next sync.
+	cfgOn, active bool
+	calls         int64 // enter count (runtime statistics)
+	// Per-probe cost accounting: hits counts Begin/End firings regardless
+	// of activation (each pays at least the table lookup), recorded the
+	// events actually collected, and cycles every cycle the library charged
+	// through the probe (lookup + record). An adaptive controller reads
+	// them through CostSnapshot to attribute perturbation per function.
+	hits, recorded, cycles int64
 }
 
 // Options configures a library instance.
@@ -169,11 +176,8 @@ func (c *Ctx) FuncDef(name string) int32 {
 	id := int32(len(c.names))
 	c.ids[name] = id
 	c.names = append(c.names, name)
-	c.active = append(c.active, c.cfg.Active(name))
-	c.calls = append(c.calls, 0)
-	c.hits = append(c.hits, 0)
-	c.recorded = append(c.recorded, 0)
-	c.probeCycles = append(c.probeCycles, 0)
+	on := c.cfg.Active(name)
+	c.fns = append(c.fns, funcState{cfgOn: on, active: on})
 	return id
 }
 
@@ -189,10 +193,10 @@ func (c *Ctx) FuncName(id int32) string {
 func (c *Ctx) NumFuncs() int { return len(c.names) }
 
 // Active reports whether function id is currently recorded.
-func (c *Ctx) Active(id int32) bool { return c.active[id] }
+func (c *Ctx) Active(id int32) bool { return c.fns[id].active }
 
 // Calls reports the enter count accumulated for function id.
-func (c *Ctx) Calls(id int32) int64 { return c.calls[id] }
+func (c *Ctx) Calls(id int32) int64 { return c.fns[id].calls }
 
 // record appends an event to the calling thread's buffer.
 func (c *Ctx) record(ec image.ExecCtx, k Kind, id int32, a, b int64) {
@@ -253,8 +257,8 @@ func (c *Ctx) overflowed(ec image.ExecCtx, tid int32, k Kind, id int32) bool {
 		// Deactivate the offending probe so it stops producing data;
 		// events that have no probe to disable (message and region
 		// records) are discarded instead.
-		if (k == Enter || k == Exit) && id >= 0 && int(id) < len(c.active) && c.active[id] {
-			c.active[id] = false
+		if (k == Enter || k == Exit) && id >= 0 && int(id) < len(c.fns) && c.fns[id].active {
+			c.fns[id].active = false
 			c.faultEvent(ec, fmt.Sprintf("thread %d buffer full: disabled probe %s", tid, c.names[id]))
 		}
 		return false
@@ -275,38 +279,30 @@ func (c *Ctx) faultEvent(ec image.ExecCtx, detail string) {
 
 // Begin is VT_begin: charge the table lookup; if the symbol is active,
 // record a timestamped Enter event.
-func (c *Ctx) Begin(ec image.ExecCtx, id int32) {
-	if !c.ready {
-		return
-	}
-	ec.Charge(lookupCycles)
-	c.hits[id]++
-	c.probeCycles[id] += lookupCycles
-	if !c.active[id] {
-		return
-	}
-	ec.Charge(recordCycles)
-	c.probeCycles[id] += recordCycles
-	c.recorded[id]++
-	c.calls[id]++
-	c.record(ec, Enter, id, 0, 0)
-}
+func (c *Ctx) Begin(ec image.ExecCtx, id int32) { c.probe(ec, Enter, id) }
 
 // End is VT_end.
-func (c *Ctx) End(ec image.ExecCtx, id int32) {
+func (c *Ctx) End(ec image.ExecCtx, id int32) { c.probe(ec, Exit, id) }
+
+// probe is the body of Begin (k = Enter) and End (k = Exit).
+func (c *Ctx) probe(ec image.ExecCtx, k Kind, id int32) {
 	if !c.ready {
 		return
 	}
+	f := &c.fns[id]
 	ec.Charge(lookupCycles)
-	c.hits[id]++
-	c.probeCycles[id] += lookupCycles
-	if !c.active[id] {
+	f.hits++
+	f.cycles += lookupCycles
+	if !f.active {
 		return
 	}
 	ec.Charge(recordCycles)
-	c.probeCycles[id] += recordCycles
-	c.recorded[id]++
-	c.record(ec, Exit, id, 0, 0)
+	f.cycles += recordCycles
+	f.recorded++
+	if k == Enter {
+		f.calls++
+	}
+	c.record(ec, k, id, 0, 0)
 }
 
 // BeginSnippet returns an instrumentation snippet calling Begin for id —
@@ -352,13 +348,14 @@ func (e *UnknownFuncError) Error() string {
 // in the batch is applied and the generation does not advance. Prefix
 // patterns (trailing '*') are exempt — they legitimately match functions
 // registered later.
+//
+// Only the batch's rules are applied, in order, to cfgOn; as the last
+// matching rule wins, this equals re-matching every rule ever set. active
+// then takes cfgOn, re-enabling probes overflow handling disabled.
 func (c *Ctx) ApplyChanges(chs []Change) error {
 	var unknown []string
 	for _, ch := range chs {
-		if strings.HasSuffix(ch.Pattern, "*") {
-			continue
-		}
-		if _, ok := c.ids[ch.Pattern]; !ok {
+		if _, ok := c.ids[ch.Pattern]; !ok && !strings.HasSuffix(ch.Pattern, "*") {
 			unknown = append(unknown, ch.Pattern)
 		}
 	}
@@ -370,9 +367,19 @@ func (c *Ctx) ApplyChanges(chs []Change) error {
 	}
 	for _, ch := range chs {
 		c.cfg.Set(ch.Pattern, ch.Active)
+		prefix, ok := strings.CutSuffix(ch.Pattern, "*")
+		if !ok {
+			c.fns[c.ids[ch.Pattern]].cfgOn = ch.Active
+			continue
+		}
+		for id, name := range c.names {
+			if strings.HasPrefix(name, prefix) {
+				c.fns[id].cfgOn = ch.Active
+			}
+		}
 	}
-	for id, name := range c.names {
-		c.active[id] = c.cfg.Active(name)
+	for id := range c.fns {
+		c.fns[id].active = c.fns[id].cfgOn
 	}
 	c.gen++
 	return nil
@@ -404,14 +411,14 @@ func (pc ProbeCost) RemovableCycles() int64 { return pc.Cycles - pc.Hits*lookupC
 // per function within a sync epoch.
 func (c *Ctx) CostSnapshot() []ProbeCost {
 	out := make([]ProbeCost, len(c.names))
-	for id, name := range c.names {
+	for id, f := range c.fns {
 		out[id] = ProbeCost{
 			ID:       int32(id),
-			Name:     name,
-			Active:   c.active[id],
-			Hits:     c.hits[id],
-			Recorded: c.recorded[id],
-			Cycles:   c.probeCycles[id],
+			Name:     c.names[id],
+			Active:   f.active,
+			Hits:     f.hits,
+			Recorded: f.recorded,
+			Cycles:   f.cycles,
 		}
 	}
 	return out
@@ -430,14 +437,7 @@ func (c *Ctx) Flush() {
 	for tid := range c.buffers {
 		tids = append(tids, tid)
 	}
-	// Deterministic flush order.
-	for i := 0; i < len(tids); i++ {
-		for j := i + 1; j < len(tids); j++ {
-			if tids[j] < tids[i] {
-				tids[i], tids[j] = tids[j], tids[i]
-			}
-		}
-	}
+	slices.Sort(tids) // deterministic flush order
 	for _, tid := range tids {
 		c.col.Append(c.buffers[tid])
 		delete(c.buffers, tid)
