@@ -64,7 +64,7 @@ func run() error {
 		progress = flag.Bool("progress", false, "report cell progress and run metrics on stderr")
 
 		shards         = flag.Int("shards", 0, "DES shard count for -scale cells (0 = "+fmt.Sprint(exp.DefaultScaleShards)+"); results are fixed per shard count")
-		spillDir       = flag.String("spill-dir", "", "stream -scale trace arenas to spill files under DIR, bounding resident memory")
+		spillDir       = flag.String("spill-dir", "", "stream -scale trace stores to spill files under DIR, bounding resident memory")
 		spillThreshold = flag.Int("spill-threshold", 0, "per-shard resident events before a spill (0 = "+fmt.Sprint(exp.DefaultSpillThreshold)+")")
 		scaleStats     = flag.Bool("scale-stats", false, "report events/sec and peak RSS of the sweep on stderr")
 

@@ -74,9 +74,11 @@ func main() {
 
 	col := job.Collector()
 	counts := map[string]int{}
-	for _, e := range col.Events() {
-		if e.Kind == vt.Enter {
-			counts[col.FuncName(e.Rank, e.ID)]++
+	for _, ch := range col.Ordered().Chunks() {
+		for _, e := range ch {
+			if e.Kind == vt.Enter {
+				counts[col.FuncName(e.Rank, e.ID)]++
+			}
 		}
 	}
 	fmt.Printf("\nrecorded enters: solve_step=%d diagnose=%d (diagnose stops after stop 2)\n",

@@ -54,9 +54,11 @@ func main() {
 	fmt.Printf("sampling chose: %v\n", hot)
 	col := session.Job().Collector()
 	counts := map[string]int{}
-	for _, e := range col.Events() {
-		if e.Kind == vt.Enter {
-			counts[col.FuncName(e.Rank, e.ID)]++
+	for _, ch := range col.Ordered().Chunks() {
+		for _, e := range ch {
+			if e.Kind == vt.Enter {
+				counts[col.FuncName(e.Rank, e.ID)]++
+			}
 		}
 	}
 	for name, n := range counts {

@@ -58,17 +58,19 @@ quit
 	col := session.Job().Collector()
 	var first, last float64
 	counts := map[string]int{}
-	for _, e := range col.Events() {
-		if e.Kind != vt.Enter {
-			continue
-		}
-		counts[col.FuncName(e.Rank, e.ID)]++
-		at := e.At.Seconds()
-		if first == 0 || at < first {
-			first = at
-		}
-		if at > last {
-			last = at
+	for _, ch := range col.Ordered().Chunks() {
+		for _, e := range ch {
+			if e.Kind != vt.Enter {
+				continue
+			}
+			counts[col.FuncName(e.Rank, e.ID)]++
+			at := e.At.Seconds()
+			if first == 0 || at < first {
+				first = at
+			}
+			if at > last {
+				last = at
+			}
 		}
 	}
 	fmt.Printf("ephemeral snapshot covered virtual time %.2fs .. %.2fs (a %.2fs window)\n",

@@ -167,7 +167,7 @@ func TestSubsetConfigKeepsOnlySolverFunctions(t *testing.T) {
 	}
 	col := j.Collector()
 	seen := 0
-	for _, e := range col.Events() {
+	for _, e := range col.Ordered().AppendTo(nil) {
 		if e.Kind != vt.Enter && e.Kind != vt.Exit {
 			continue
 		}

@@ -149,7 +149,7 @@ func TestDynamicInstrumentationEndToEnd(t *testing.T) {
 	ss := runSession(t, toyMPI(), 4, "i toy_compute\ns\nq\n", nil, nil)
 	col := ss.Job().Collector()
 	enters := map[string]int{}
-	for _, e := range col.Events() {
+	for _, e := range col.Ordered().AppendTo(nil) {
 		if e.Kind == vt.Enter {
 			enters[col.FuncName(e.Rank, e.ID)]++
 		}
@@ -177,7 +177,7 @@ func TestDeferredInsertWaitsForCallback(t *testing.T) {
 	// happened during the spin, before the main loop.
 	col := ss.Job().Collector()
 	setups := 0
-	for _, e := range col.Events() {
+	for _, e := range col.Ordered().AppendTo(nil) {
 		if e.Kind == vt.Enter && col.FuncName(e.Rank, e.ID) == "toy_setup" {
 			setups++
 		}
@@ -189,7 +189,7 @@ func TestDeferredInsertWaitsForCallback(t *testing.T) {
 
 func TestRemoveCancelsPendingInsert(t *testing.T) {
 	ss := runSession(t, toyMPI(), 2, "i toy_setup\nr toy_setup\ns\nq\n", nil, nil)
-	for _, e := range ss.Job().Collector().Events() {
+	for _, e := range ss.Job().Collector().Ordered().AppendTo(nil) {
 		if e.Kind == vt.Enter {
 			t.Fatalf("cancelled insert still recorded %+v", e)
 		}
@@ -249,7 +249,7 @@ func TestMidRunInsert(t *testing.T) {
 	ss := runSession(t, toyMPI(), 2, "s\nw 2\ni toy_compute\nq\n", nil, args)
 	col := ss.Job().Collector()
 	enters := 0
-	for _, e := range col.Events() {
+	for _, e := range col.Ordered().AppendTo(nil) {
 		if e.Kind == vt.Enter {
 			enters++
 		}
@@ -271,7 +271,7 @@ func TestMidRunRemove(t *testing.T) {
 	}
 	col := ss.Job().Collector()
 	enters := 0
-	for _, e := range col.Events() {
+	for _, e := range col.Ordered().AppendTo(nil) {
 		if e.Kind == vt.Enter {
 			enters++
 		}
@@ -310,7 +310,7 @@ func TestOMPSession(t *testing.T) {
 	ss := runSession(t, toyOMP(), 4, "i omp_kernel\ns\nq\n", nil, nil)
 	col := ss.Job().Collector()
 	enters := 0
-	for _, e := range col.Events() {
+	for _, e := range col.Ordered().AppendTo(nil) {
 		if e.Kind == vt.Enter && col.FuncName(e.Rank, e.ID) == "omp_kernel" {
 			enters++
 		}
@@ -456,7 +456,7 @@ func TestQuitLeavesInstrumentationActive(t *testing.T) {
 	// active".
 	col := ss.Job().Collector()
 	enters := 0
-	for _, e := range col.Events() {
+	for _, e := range col.Ordered().AppendTo(nil) {
 		if e.Kind == vt.Enter {
 			enters++
 		}

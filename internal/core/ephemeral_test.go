@@ -98,7 +98,7 @@ func TestEphemeralProfileSnapshotsHotRegion(t *testing.T) {
 	// left the image pristine.
 	col := ss.Job().Collector()
 	enters := 0
-	for _, e := range col.Events() {
+	for _, e := range col.Ordered().AppendTo(nil) {
 		if e.Kind != vt.Enter {
 			continue
 		}
@@ -171,7 +171,7 @@ func TestAttachToRunningJob(t *testing.T) {
 	}
 	col := job.Collector()
 	enters := 0
-	for _, e := range col.Events() {
+	for _, e := range col.Ordered().AppendTo(nil) {
 		if e.Kind == vt.Enter {
 			enters++
 		}

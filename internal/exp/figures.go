@@ -107,7 +107,7 @@ type Options struct {
 	// DefaultScaleShards. Part of each cell's identity: results are
 	// bit-identical for a fixed shard count (and Elapsed for any).
 	Shards int
-	// SpillDir, when non-empty, streams scale-cell trace arenas to spill
+	// SpillDir, when non-empty, streams scale-cell trace stores to spill
 	// files under this directory, bounding resident trace memory.
 	SpillDir string
 	// SpillThreshold is the per-shard resident event count that triggers

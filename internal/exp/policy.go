@@ -149,7 +149,7 @@ func (p StaticPolicy) run(spec RunSpec, app *guide.App, bud des.Budget) (Result,
 	if err != nil {
 		return res, err
 	}
-	// The cell's trace collector dies with the cell: recycle its arena for
+	// The cell's trace collector dies with the cell: recycle its chunks for
 	// the next cell in the sweep.
 	defer j.Collector().Release()
 	if err := runScheduler(s); err != nil {

@@ -76,7 +76,7 @@ type ScaleSpec struct {
 	// Harness configuration — never part of the spec key, because none of
 	// it changes the simulated result.
 
-	// SpillDir, when non-empty, streams each shard collector's arena to a
+	// SpillDir, when non-empty, streams each shard collector's store to a
 	// spill file under this directory once it exceeds SpillThreshold
 	// resident events.
 	SpillDir string
@@ -343,7 +343,7 @@ func runScaleCell(spec ScaleSpec, bud des.Budget) (ScaleResult, error) {
 		des.WithClusterBudget(bud), des.WithHostParallelism(spec.HostParallelism))
 
 	// One trace collector per shard: appends stay shard-local (race-free
-	// and deterministic), and each arena spills independently.
+	// and deterministic), and each store spills independently.
 	cols := make([]*vt.Collector, smap.Shards())
 	defer func() {
 		for _, col := range cols {

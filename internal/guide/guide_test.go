@@ -103,7 +103,7 @@ func TestStaticInstrumentationRecordsEvents(t *testing.T) {
 	}
 	j := runJob(t, bin, 2)
 	var enters, exits int
-	for _, e := range j.Collector().Events() {
+	for _, e := range j.Collector().Ordered().AppendTo(nil) {
 		switch e.Kind {
 		case vt.Enter:
 			enters++
@@ -123,7 +123,7 @@ func TestNonePolicyRecordsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := runJob(t, bin, 2)
-	for _, e := range j.Collector().Events() {
+	for _, e := range j.Collector().Ordered().AppendTo(nil) {
 		if e.Kind == vt.Enter || e.Kind == vt.Exit {
 			t.Fatalf("uninstrumented binary recorded %+v", e)
 		}
@@ -166,7 +166,7 @@ func TestFullOffSlowerThanNoneButSilent(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range j.Collector().Events() {
+	for _, e := range j.Collector().Ordered().AppendTo(nil) {
 		if e.Kind == vt.Enter {
 			t.Fatal("Full-Off recorded an Enter event")
 		}
@@ -180,7 +180,7 @@ func TestSubsetConfigRecordsOnlySubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := runJob(t, bin, 2)
-	for _, e := range j.Collector().Events() {
+	for _, e := range j.Collector().Ordered().AppendTo(nil) {
 		if e.Kind == vt.Enter || e.Kind == vt.Exit {
 			if name := j.Collector().FuncName(e.Rank, e.ID); name != "toy_compute" {
 				t.Fatalf("non-subset function recorded: %s", name)
@@ -250,7 +250,7 @@ func TestOMPJobTracesRegions(t *testing.T) {
 	}
 	j := runJob(t, bin, 4)
 	forks := 0
-	for _, e := range j.Collector().Events() {
+	for _, e := range j.Collector().Ordered().AppendTo(nil) {
 		if e.Kind == vt.RegionFork {
 			forks++
 		}

@@ -42,7 +42,7 @@ var profileSink *Profile
 func BenchmarkAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	col := benchTrace()
-	col.Events()
+	col.Ordered().AppendTo(nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		profileSink = Analyze(col)

@@ -23,7 +23,7 @@ type refFrame struct {
 
 // refAnalyze is the reference Analyze.
 func refAnalyze(col *vt.Collector) *Profile {
-	events := col.Events()
+	events := col.Ordered().AppendTo(nil)
 	p := &Profile{}
 	stacks := make(map[laneKey][]refFrame)
 	agg := make(map[string]*FuncStat)
@@ -150,7 +150,7 @@ func refRenderTimeline(col *vt.Collector, w io.Writer, width int) error {
 	if width < 10 {
 		width = 10
 	}
-	events := col.Events()
+	events := col.Ordered().AppendTo(nil)
 	if len(events) == 0 {
 		_, err := fmt.Fprintln(w, "(empty trace)")
 		return err

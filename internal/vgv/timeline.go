@@ -47,56 +47,58 @@ func RenderTimeline(col *vt.Collector, w io.Writer, width int) error {
 	if width < 10 {
 		width = 10
 	}
-	events := col.Events()
-	if len(events) == 0 {
+	view := col.Ordered()
+	if view.Len() == 0 {
 		_, err := fmt.Fprintln(w, "(empty trace)")
 		return err
 	}
-	start, end := events[0].At, events[len(events)-1].At
+	start, end := view.Span()
 	if end == start {
 		end = start + 1
 	}
 
 	// Build per-lane interval sets from the event stream.
 	lanes := newLaneCache[timelineLane]()
-	for i := range events {
-		e := &events[i]
-		ls := lanes.get(e)
-		switch e.Kind {
-		case vt.Enter:
-			if ls.funcDepth == 0 {
-				ls.funcFrom = e.At
-			}
-			ls.funcDepth++
-		case vt.Exit:
-			if ls.funcDepth > 0 {
-				ls.funcDepth--
+	for _, events := range view.Chunks() {
+		for i := range events {
+			e := &events[i]
+			ls := lanes.get(e)
+			switch e.Kind {
+			case vt.Enter:
 				if ls.funcDepth == 0 {
-					ls.ivs = append(ls.ivs, interval{ls.funcFrom, e.At, glyphFunc})
+					ls.funcFrom = e.At
 				}
-			}
-		case vt.APIEnter:
-			if ls.apiDepth == 0 {
-				ls.apiFrom = e.At
-			}
-			ls.apiDepth++
-		case vt.APIExit:
-			if ls.apiDepth > 0 {
-				ls.apiDepth--
+				ls.funcDepth++
+			case vt.Exit:
+				if ls.funcDepth > 0 {
+					ls.funcDepth--
+					if ls.funcDepth == 0 {
+						ls.ivs = append(ls.ivs, interval{ls.funcFrom, e.At, glyphFunc})
+					}
+				}
+			case vt.APIEnter:
 				if ls.apiDepth == 0 {
-					ls.ivs = append(ls.ivs, interval{ls.apiFrom, e.At, glyphAPI})
+					ls.apiFrom = e.At
 				}
-			}
-		case vt.RegionEnter:
-			if ls.regionDepth == 0 {
-				ls.regionFrom = e.At
-			}
-			ls.regionDepth++
-		case vt.RegionExit:
-			if ls.regionDepth > 0 {
-				ls.regionDepth--
+				ls.apiDepth++
+			case vt.APIExit:
+				if ls.apiDepth > 0 {
+					ls.apiDepth--
+					if ls.apiDepth == 0 {
+						ls.ivs = append(ls.ivs, interval{ls.apiFrom, e.At, glyphAPI})
+					}
+				}
+			case vt.RegionEnter:
 				if ls.regionDepth == 0 {
-					ls.ivs = append(ls.ivs, interval{ls.regionFrom, e.At, glyphRegion})
+					ls.regionFrom = e.At
+				}
+				ls.regionDepth++
+			case vt.RegionExit:
+				if ls.regionDepth > 0 {
+					ls.regionDepth--
+					if ls.regionDepth == 0 {
+						ls.ivs = append(ls.ivs, interval{ls.regionFrom, e.At, glyphRegion})
+					}
 				}
 			}
 		}

@@ -181,7 +181,7 @@ func (a *analyzer) closeFrame(ls *stackLane, f frame, at des.Time) {
 
 // Analyze computes the profile of a collected trace.
 func Analyze(col *vt.Collector) *Profile {
-	events := col.Events()
+	view := col.Ordered()
 	p := &Profile{}
 	a := &analyzer{
 		col:    col,
@@ -193,47 +193,46 @@ func Analyze(col *vt.Collector) *Profile {
 	lanes := newLaneCache[stackLane]()
 	edges := make(map[[2]int32]*CommEdge)
 
-	if len(events) > 0 {
-		p.Start = events[0].At
-		p.End = events[len(events)-1].At
-	}
-	for i := range events {
-		e := &events[i]
-		ls := lanes.get(e)
-		if ls.ids == nil {
-			ls.ids = a.ranks[e.Rank]
+	p.Start, p.End = view.Span()
+	for _, events := range view.Chunks() {
+		for i := range events {
+			e := &events[i]
+			ls := lanes.get(e)
 			if ls.ids == nil {
-				ls.ids = make(map[int32]int32)
-				a.ranks[e.Rank] = ls.ids
+				ls.ids = a.ranks[e.Rank]
+				if ls.ids == nil {
+					ls.ids = make(map[int32]int32)
+					a.ranks[e.Rank] = ls.ids
+				}
 			}
-		}
-		switch e.Kind {
-		case vt.Enter, vt.APIEnter:
-			ls.stack = append(ls.stack, frame{fn: a.fn(e.Rank, ls.ids, e.ID), enterAt: e.At})
-		case vt.Exit, vt.APIExit:
-			s := ls.stack
-			if len(s) == 0 || s[len(s)-1].fn != a.fn(e.Rank, ls.ids, e.ID) {
-				// Orphan exit: instrumentation appeared mid-call, or the
-				// matching enter predates the probe's insertion.
-				p.Unbalanced++
-				continue
+			switch e.Kind {
+			case vt.Enter, vt.APIEnter:
+				ls.stack = append(ls.stack, frame{fn: a.fn(e.Rank, ls.ids, e.ID), enterAt: e.At})
+			case vt.Exit, vt.APIExit:
+				s := ls.stack
+				if len(s) == 0 || s[len(s)-1].fn != a.fn(e.Rank, ls.ids, e.ID) {
+					// Orphan exit: instrumentation appeared mid-call, or the
+					// matching enter predates the probe's insertion.
+					p.Unbalanced++
+					continue
+				}
+				f := s[len(s)-1]
+				ls.stack = s[:len(s)-1]
+				a.closeFrame(ls, f, e.At)
+			case vt.MsgSend:
+				p.Msgs.Sends++
+				p.Msgs.Bytes += e.B
+				key := [2]int32{e.Rank, int32(e.A)}
+				edge, ok := edges[key]
+				if !ok {
+					edge = &CommEdge{From: e.Rank, To: int32(e.A)}
+					edges[key] = edge
+				}
+				edge.Msgs++
+				edge.Bytes += e.B
+			case vt.MsgRecv:
+				p.Msgs.Recvs++
 			}
-			f := s[len(s)-1]
-			ls.stack = s[:len(s)-1]
-			a.closeFrame(ls, f, e.At)
-		case vt.MsgSend:
-			p.Msgs.Sends++
-			p.Msgs.Bytes += e.B
-			key := [2]int32{e.Rank, int32(e.A)}
-			edge, ok := edges[key]
-			if !ok {
-				edge = &CommEdge{From: e.Rank, To: int32(e.A)}
-				edges[key] = edge
-			}
-			edge.Msgs++
-			edge.Bytes += e.B
-		case vt.MsgRecv:
-			p.Msgs.Recvs++
 		}
 	}
 	// Close frames left open at trace end (probe removed before exit, or

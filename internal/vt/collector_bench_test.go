@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dynprof/internal/des"
+	"dynprof/internal/fault"
 )
 
 // mkBatch builds one rank's flush batch: times non-decreasing, as produced
@@ -23,45 +24,131 @@ func mkBatch(rank int32, start des.Time, n int) []Event {
 	return evs
 }
 
-// BenchmarkCollectorAppend measures merging flush batches into the
-// collector (the per-rank hot path at every mid-run flush and at
-// termination).
+// BenchmarkCollectorAppend measures handing flush batches of 256 events
+// to the collector (the per-rank hot path at every mid-run flush and at
+// termination): "copy" appends a caller's slice, "thread" a thread buffer
+// grown to the same batch, whose chunks the collector reuses.
 func BenchmarkCollectorAppend(b *testing.B) {
-	b.ReportAllocs()
 	batch := mkBatch(0, 0, 256)
-	b.ResetTimer()
-	col := NewCollector()
-	for i := 0; i < b.N; i++ {
-		if col.Len() > 1<<20 {
-			// Bound collector growth so the benchmark measures Append,
-			// not unbounded memory pressure.
-			b.StopTimer()
-			col = NewCollector()
-			b.StartTimer()
-		}
-		col.Append(batch)
+	for _, mode := range []string{"copy", "thread"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			var tb threadBuf
+			col := NewCollector()
+			for i := 0; i < b.N; i++ {
+				if col.Len() > 1<<20 {
+					// Bound collector growth so the benchmark measures
+					// Append, not unbounded memory pressure.
+					b.StopTimer()
+					col.Release()
+					col = NewCollector()
+					b.StartTimer()
+				}
+				if mode == "copy" {
+					col.Append(batch)
+					continue
+				}
+				for _, e := range batch {
+					tb.push(e)
+				}
+				col.appendThread(&tb)
+			}
+			col.Release()
+		})
 	}
 }
 
-// BenchmarkCollectorEvents measures the merged-view cost: ranks flush
-// per-rank buffers, then Events is called repeatedly (as the analysis,
-// trace-writer and render paths all do).
+// BenchmarkCollectorEvents measures building the ordered view: ranks flush
+// per-rank buffers, then one Ordered call runs the k-way merge that the
+// analysis, trace-writer and render paths all share.
 func BenchmarkCollectorEvents(b *testing.B) {
 	for _, ranks := range []int{4, 32} {
 		b.Run(fmt.Sprintf("%dranks", ranks), func(b *testing.B) {
 			b.ReportAllocs()
-			col := NewCollector()
+			batches := make([][]Event, 0, ranks*4)
 			for r := 0; r < ranks; r++ {
 				for batch := 0; batch < 4; batch++ {
-					col.Append(mkBatch(int32(r), des.Time(batch*512), 512))
+					batches = append(batches, mkBatch(int32(r), des.Time(batch*512), 512))
 				}
 			}
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				evs := col.Events()
-				if len(evs) != ranks*4*512 {
-					b.Fatalf("got %d events", len(evs))
+				b.StopTimer()
+				col := NewCollector()
+				for _, batch := range batches {
+					col.Append(batch)
 				}
+				b.StartTimer()
+				if n := col.Ordered().Len(); n != ranks*4*512 {
+					b.Fatalf("got %d events", n)
+				}
+				b.StopTimer()
+				col.Release()
+				b.StartTimer()
+			}
+		})
+	}
+}
+
+// BenchmarkRecordFlush measures the whole in-memory trace path per event:
+// VT_begin/VT_end probes record on four threads in lockstep, Flush hands
+// the buffers to the collector, and one pass reads the ordered view.
+// "flush0" buffers everything until Flush, as the trace workload does;
+// "flush8" drains each thread every 8 events, as the scale sweep does.
+func BenchmarkRecordFlush(b *testing.B) {
+	const threads, perThread = 4, 1 << 14
+	for _, flushAt := range []int{0, 8} {
+		b.Run(fmt.Sprintf("flush%d", flushAt), func(b *testing.B) {
+			b.ReportAllocs()
+			ecs := make([]*fakeEC, threads)
+			for i := range ecs {
+				ecs[i] = &fakeEC{tid: i}
+			}
+			for i := 0; i < b.N; i++ {
+				col := NewCollector()
+				c := NewCtx(Options{Rank: 0, Collector: col, FlushThreshold: flushAt})
+				c.Initialize(nil)
+				id := c.FuncDef("solve")
+				for step := 0; step < perThread/2; step++ {
+					for _, ec := range ecs {
+						ec.now += 10
+						c.Begin(ec, id)
+						ec.now += 5
+						c.End(ec, id)
+					}
+				}
+				c.Flush()
+				var sum des.Time
+				for _, ch := range col.Ordered().Chunks() {
+					for j := range ch {
+						sum += ch[j].At
+					}
+				}
+				if sum == 0 {
+					b.Fatal("empty trace")
+				}
+				col.Release()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*threads*perThread), "ns/event")
+		})
+	}
+}
+
+// BenchmarkDropOldest measures recording into a full, capped thread
+// buffer under OverflowDropOldest: every event discards the oldest one.
+// The cost per event must not grow with the cap.
+func BenchmarkDropOldest(b *testing.B) {
+	for _, capEvents := range []int{64, 8192} {
+		b.Run(fmt.Sprintf("cap%d", capEvents), func(b *testing.B) {
+			b.ReportAllocs()
+			col := NewCollector()
+			defer col.Release()
+			c := NewCtx(Options{Rank: 0, Collector: col, BufferEvents: capEvents, Overflow: fault.OverflowDropOldest})
+			c.Initialize(nil)
+			id := c.FuncDef("f")
+			ec := &fakeEC{}
+			for i := 0; i < b.N; i++ {
+				ec.now++
+				c.Begin(ec, id)
 			}
 		})
 	}

@@ -24,7 +24,7 @@ import (
 //
 // The encoding is applied where the trace leaves memory: spill files and
 // binary trace files hold one block per Collector Append batch, while the
-// collector itself keeps the verbatim arena (event.go).
+// collector itself keeps the verbatim chunk store (event.go, chunk.go).
 //
 //	block   := op*                      (the event count travels out of band,
 //	                                     in the frame header)
@@ -60,10 +60,6 @@ const (
 	// dictionary map; larger (or negative) ids are legal but re-encoded
 	// raw on every occurrence.
 	maxDirectID = 1 << 16
-
-	// encodeChunkEvents sizes the batches ReadTrace records for a textual
-	// trace, which carries no batch boundaries of its own.
-	encodeChunkEvents = 4096
 
 	// maxEventBytes is the longest encoding the decoder accepts for one
 	// event: a literal's tag byte plus seven varints. A frame claiming
@@ -165,17 +161,18 @@ func (col *Collector) CompactStats() CompactStats {
 }
 
 // eachBlock encodes every resident Append batch, in insertion order, as one
-// compact block with a pooled encoder and hands it to fn. The block is
+// compact block with a pooled encoder and hands it to fn. A batch that
+// spans several chunks is gathered into the encoder's event scratch first,
+// so the block is the same as for one contiguous slice. The block is
 // scratch, valid only during the call.
 func (col *Collector) eachBlock(fn func(count int, block []byte, recs, reps int)) {
 	enc := encoderPool.Get().(*encoder)
 	defer encoderPool.Put(enc)
-	start := 0
-	for _, end := range col.batches {
+	for _, b := range col.batches {
+		evs := col.store.contiguous(b.start, b.end, &enc.events)
 		var recs, reps int
-		enc.scratch, recs, reps = enc.encodeBlock(enc.scratch[:0], col.store[start:end])
-		fn(end-start, enc.scratch, recs, reps)
-		start = end
+		enc.scratch, recs, reps = enc.encodeBlock(enc.scratch[:0], evs)
+		fn(len(evs), enc.scratch, recs, reps)
 	}
 }
 
@@ -186,7 +183,8 @@ type encoder struct {
 	idIdx    []int32 // id -> dictionary index + 1; 0 = unassigned
 	assigned []int32 // ids assigned in the current block, for cheap reset
 	dictN    int
-	scratch  []byte // block buffer reused by eachBlock
+	scratch  []byte  // block buffer reused by eachBlock
+	events   []Event // gathers a batch that spans chunks, for eachBlock
 }
 
 // reset clears the per-block dictionary.
@@ -462,6 +460,22 @@ func (d *decoder) block(src []byte, count int, dst []Event) (out []Event, recs, 
 	return dst, recs, reps, nil
 }
 
+// decodeInto decodes one block of count events onto the end of c. A block
+// that fits the last chunk's free room (see chain.room) is decoded straight
+// into it; a larger one is decoded into *scratch, which the caller keeps
+// and reuses, and copied in. Either way c stays densely filled.
+func decodeInto(c *chain, dec *decoder, src []byte, count int, scratch *[]Event) error {
+	var err error
+	if last := c.room(); count <= cap(last)-len(last) {
+		(*c)[len(*c)-1], _, _, err = dec.block(src, count, last)
+		return err
+	}
+	if *scratch, _, _, err = dec.block(src, count, (*scratch)[:0]); err == nil {
+		c.copyIn(*scratch)
+	}
+	return err
+}
+
 // Binary trace-file format (version 2): the compact counterpart of the
 // textual "# vgvtrace 1" format, readable by ReadCompactTrace and sniffed
 // by ReadTraceAuto.
@@ -475,7 +489,7 @@ const traceMagic = "VGVC"
 // WriteCompactTrace writes the trace in the compact binary format, one
 // frame per Append batch: spilled frames are copied from the spill file,
 // resident batches are encoded here. Reading the file back reconstructs a
-// collector whose merged Events view — and therefore every VGV rendering —
+// collector whose ordered view — and therefore every VGV rendering —
 // is byte-identical to the source's.
 func (col *Collector) WriteCompactTrace(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -519,7 +533,8 @@ func (col *Collector) WriteCompactTrace(w io.Writer) error {
 
 // ReadCompactTrace parses a trace produced by WriteCompactTrace, appending
 // each decoded frame to the collector as one batch, so writing the result
-// with WriteCompactTrace reproduces the file. An unrecognised magic or
+// with WriteCompactTrace reproduces the file. Frames are decoded straight
+// into the collector's chunks (see decodeInto). An unrecognised magic or
 // version, or a structurally impossible file, is rejected with
 // *FormatError.
 func ReadCompactTrace(r io.Reader) (*Collector, error) {
@@ -554,12 +569,12 @@ func ReadCompactTrace(r io.Reader) (*Collector, error) {
 		if _, err := io.CopyN(&frame, br, int64(blen)); err != nil {
 			return corrupt("truncated frame")
 		}
-		scratch, _, _, err = dec.block(frame.Bytes(), int(count), scratch[:0])
-		if err != nil {
+		start := col.store.next()
+		if err := decodeInto(&col.store, dec, frame.Bytes(), int(count), &scratch); err != nil {
 			col.Release()
 			return nil, err
 		}
-		col.Append(scratch)
+		col.addBatch(start, int(count))
 		decoded += count
 	}
 	return col, nil
@@ -592,6 +607,9 @@ func readCompactHeader(br *bufio.Reader) (*Collector, uint64, error) {
 		if err != nil {
 			return corrupt("truncated rank id")
 		}
+		if !fitsInt32(rank) {
+			return corrupt("rank id out of int32 range")
+		}
 		nFuncs, err := binary.ReadUvarint(br)
 		if err != nil {
 			return corrupt("truncated function count")
@@ -601,6 +619,9 @@ func readCompactHeader(br *bufio.Reader) (*Collector, uint64, error) {
 			id, err := binary.ReadVarint(br)
 			if err != nil {
 				return corrupt("truncated function id")
+			}
+			if !fitsInt32(id) {
+				return corrupt("function id out of int32 range")
 			}
 			nameLen, err := binary.ReadUvarint(br)
 			if err != nil || nameLen > 1<<20 {

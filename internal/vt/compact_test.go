@@ -140,7 +140,7 @@ func TestCompactCollectorMatchesVerbatim(t *testing.T) {
 	if plain.Len() != back.Len() || plain.Bytes() != back.Bytes() {
 		t.Fatalf("Len/Bytes diverge: %d/%d vs %d/%d", plain.Len(), plain.Bytes(), back.Len(), back.Bytes())
 	}
-	if !reflect.DeepEqual(plain.Events(), back.Events()) {
+	if !reflect.DeepEqual(plain.Ordered().AppendTo(nil), back.Ordered().AppendTo(nil)) {
 		t.Fatal("merged views diverge across the binary round trip")
 	}
 	var pw, cw bytes.Buffer
@@ -194,7 +194,7 @@ func TestCompactSpillEquivalence(t *testing.T) {
 	if err := spilling.SpillErr(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(spilling.Events(), plain.Events()) {
+	if !reflect.DeepEqual(spilling.Ordered().AppendTo(nil), plain.Ordered().AppendTo(nil)) {
 		t.Fatal("merged views diverge between spilling and resident collectors")
 	}
 	if got, want := spilling.CompactStats(), plain.CompactStats(); got != want {
@@ -225,7 +225,7 @@ func TestSpillRejectsUnknownVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.Close()
-		col.Events()
+		col.Ordered()
 		var fe *FormatError
 		if err := col.SpillErr(); !errors.As(err, &fe) {
 			t.Errorf("version %d: got %v, want *FormatError", version, err)
@@ -382,7 +382,7 @@ func TestReadTraceAutoTextual(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Release()
-	if !reflect.DeepEqual(back.Events(), col.Events()) {
+	if !reflect.DeepEqual(back.Ordered().AppendTo(nil), col.Ordered().AppendTo(nil)) {
 		t.Fatal("textual auto-read diverges")
 	}
 }
@@ -396,7 +396,7 @@ func TestCompactReleaseRecycles(t *testing.T) {
 		col := NewCollector()
 		col.Append(evs)
 		_ = col.CompactStats()
-		_ = col.Events()
+		_ = col.Ordered()
 		col.Release()
 	})
 	// A handful of fixed-size allocations per cycle (Collector struct,
@@ -437,7 +437,7 @@ func FuzzReadCompactTrace(f *testing.F) {
 			t.Fatalf("rewritten file rejected: %v", err)
 		}
 		defer back.Release()
-		if !reflect.DeepEqual(back.Events(), col.Events()) {
+		if !reflect.DeepEqual(back.Ordered().AppendTo(nil), col.Ordered().AppendTo(nil)) {
 			t.Fatal("Events diverge across the WriteCompactTrace round trip")
 		}
 	})

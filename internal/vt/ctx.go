@@ -2,7 +2,6 @@ package vt
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"dynprof/internal/fault"
@@ -49,7 +48,7 @@ type Ctx struct {
 	ids   map[string]int32
 	fns   []funcState // by function id
 
-	buffers map[int32][]Event
+	buffers []threadBuf // by thread id
 	bytes   int
 
 	bufCap    int
@@ -57,7 +56,6 @@ type Ctx struct {
 	inj       *fault.Injector
 	node      int
 	overflows int
-	dropNoted map[int32]bool
 
 	gen     int64
 	pending []Change
@@ -140,7 +138,6 @@ func NewCtx(opts Options) *Ctx {
 		inj:       opts.Faults,
 		node:      opts.Node,
 		ids:       make(map[string]int32),
-		buffers:   make(map[int32][]Event),
 	}
 }
 
@@ -198,25 +195,87 @@ func (c *Ctx) Active(id int32) bool { return c.fns[id].active }
 // Calls reports the enter count accumulated for function id.
 func (c *Ctx) Calls(id int32) int64 { return c.fns[id].calls }
 
+// threadBuf is one thread's event buffer: a plain slice grown
+// geometrically up to one chunk (see grown), so a thread that flushes small
+// batches never pins a whole chunk, then a chain of pooled chunks that is
+// never regrown or copied — Append adopts the full ones.
+type threadBuf struct {
+	full [][]Event // full pooled chunks, oldest first
+	cur  []Event   // the piece being filled; a pooled chunk once cap is chunkEvents
+	// head counts events dropped from the front of the oldest piece
+	// (full[0], else cur) by OverflowDropOldest.
+	head      int
+	n         int  // events held
+	dropNoted bool // the drop-oldest fault was logged for this thread
+}
+
+// push appends e.
+func (tb *threadBuf) push(e Event) {
+	if len(tb.cur) == cap(tb.cur) {
+		tb.grow()
+	}
+	tb.cur = append(tb.cur, e)
+	tb.n++
+}
+
+// grow makes room in cur for one more event.
+func (tb *threadBuf) grow() {
+	switch {
+	case len(tb.full) == 0 && tb.head > 0 && 2*tb.head >= len(tb.cur):
+		// Mostly dropped from the front: compact in place. The move is
+		// paid once per head drops, so dropping stays O(1) amortised.
+		k := copy(tb.cur, tb.cur[tb.head:])
+		tb.cur, tb.head = tb.cur[:k], 0
+	case cap(tb.cur) == chunkEvents:
+		if tb.full == nil {
+			tb.full = make([][]Event, 0, chainHint)
+		}
+		tb.full = append(tb.full, tb.cur)
+		tb.cur = newChunk()
+	default:
+		tb.cur, tb.head = grown(tb.cur[tb.head:]), 0
+	}
+}
+
+// dropOldest discards the oldest buffered event.
+func (tb *threadBuf) dropOldest() {
+	tb.head++
+	tb.n--
+	switch {
+	case len(tb.full) > 0 && tb.head == len(tb.full[0]):
+		freeChunk(tb.full[0])
+		tb.full = append(tb.full[:0], tb.full[1:]...)
+		tb.head = 0
+	case len(tb.full) == 0 && tb.head == len(tb.cur):
+		tb.cur, tb.head = tb.cur[:0], 0
+	}
+}
+
+// buffer returns thread tid's buffer slot, extending the slot table.
+func (c *Ctx) buffer(tid int) *threadBuf {
+	if tid >= len(c.buffers) {
+		c.buffers = append(c.buffers, make([]threadBuf, tid+1-len(c.buffers))...)
+	}
+	return &c.buffers[tid]
+}
+
 // record appends an event to the calling thread's buffer.
 func (c *Ctx) record(ec image.ExecCtx, k Kind, id int32, a, b int64) {
 	c.bytes += EventBytes
 	if c.countOnly {
 		return
 	}
-	tid := int32(ec.ThreadID())
-	if c.bufCap > 0 && len(c.buffers[tid]) >= c.bufCap && !c.overflowed(ec, tid, k, id) {
+	tid := ec.ThreadID()
+	tb := c.buffer(tid)
+	if c.bufCap > 0 && tb.n >= c.bufCap && !c.overflowed(ec, tb, int32(tid), k, id) {
 		return
 	}
-	c.buffers[tid] = append(c.buffers[tid], Event{
-		At: ec.Now(), Rank: c.rank, TID: tid, Kind: k, ID: id, A: a, B: b,
-	})
-	if c.flushAt > 0 && len(c.buffers[tid]) >= c.flushAt {
+	tb.push(Event{At: ec.Now(), Rank: c.rank, TID: int32(tid), Kind: k, ID: id, A: a, B: b})
+	if c.flushAt > 0 && tb.n >= c.flushAt {
 		// Mid-run buffer flush: the thread pays for draining its own
 		// buffer to the trace sink.
-		ec.Charge(int64(len(c.buffers[tid])) * flushCyclesPerEvent)
-		c.col.Append(c.buffers[tid])
-		c.buffers[tid] = nil
+		ec.Charge(int64(tb.n) * flushCyclesPerEvent)
+		c.col.appendThread(tb)
 		c.midFlush++
 	}
 }
@@ -226,31 +285,26 @@ func (c *Ctx) record(ec image.ExecCtx, k Kind, id int32, a, b int64) {
 func (c *Ctx) MidRunFlushes() int { return c.midFlush }
 
 // overflowed applies the configured overflow policy when thread tid's
-// buffer is full and the event (k, id) wants in. It reports whether the
+// buffer tb is full and the event (k, id) wants in. It reports whether the
 // arriving event should still be appended.
-func (c *Ctx) overflowed(ec image.ExecCtx, tid int32, k Kind, id int32) bool {
+func (c *Ctx) overflowed(ec image.ExecCtx, tb *threadBuf, tid int32, k Kind, id int32) bool {
 	c.overflows++
 	switch c.overflow {
 	case fault.OverflowFlushEarly:
 		// Drain the full buffer to the collector, charging the thread
 		// for the I/O, then let the new event start a fresh buffer.
-		buf := c.buffers[tid]
-		ec.Charge(int64(len(buf)) * flushCyclesPerEvent)
-		c.col.Append(buf)
-		c.buffers[tid] = nil
+		n := tb.n
+		ec.Charge(int64(n) * flushCyclesPerEvent)
+		c.col.appendThread(tb)
 		c.midFlush++
-		c.faultEvent(ec, fmt.Sprintf("thread %d buffer full (%d events): flushed early", tid, len(buf)))
+		c.faultEvent(ec, fmt.Sprintf("thread %d buffer full (%d events): flushed early", tid, n))
 		return true
 	case fault.OverflowDropOldest:
-		buf := c.buffers[tid]
-		copy(buf, buf[1:])
-		c.buffers[tid] = buf[:len(buf)-1]
-		if c.dropNoted == nil {
-			c.dropNoted = make(map[int32]bool)
-		}
-		if !c.dropNoted[tid] {
-			c.dropNoted[tid] = true
-			c.faultEvent(ec, fmt.Sprintf("thread %d buffer full (%d events): dropping oldest", tid, len(buf)+1))
+		n := tb.n
+		tb.dropOldest()
+		if !tb.dropNoted {
+			tb.dropNoted = true
+			c.faultEvent(ec, fmt.Sprintf("thread %d buffer full (%d events): dropping oldest", tid, n+1))
 		}
 		return true
 	case fault.OverflowDisableProbe:
@@ -433,13 +487,12 @@ func (c *Ctx) Flush() {
 		table[int32(id)] = n
 	}
 	c.col.AddFuncTable(c.rank, table)
-	tids := make([]int32, 0, len(c.buffers))
-	for tid := range c.buffers {
-		tids = append(tids, tid)
-	}
-	slices.Sort(tids) // deterministic flush order
-	for _, tid := range tids {
-		c.col.Append(c.buffers[tid])
-		delete(c.buffers, tid)
+	for tid := range c.buffers { // ascending thread ids: a deterministic order
+		tb := &c.buffers[tid]
+		c.col.appendThread(tb)
+		if cap(tb.cur) == chunkEvents {
+			freeChunk(tb.cur)
+			tb.cur = nil
+		}
 	}
 }

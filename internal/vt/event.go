@@ -15,7 +15,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"unicode/utf8"
 
 	"dynprof/internal/des"
@@ -67,8 +66,13 @@ func (k Kind) String() string {
 
 // kindFromBytes inverts String; ok is false for unknown mnemonics.
 func kindFromBytes(b []byte) (Kind, bool) {
+	if len(b) == 0 {
+		return 0, false
+	}
 	for k, n := range kindNames {
-		if n == string(b) {
+		// Length and first byte tell the names apart, so at most one
+		// candidate reaches the full comparison.
+		if len(n) == len(b) && n[0] == b[0] && n == string(b) {
 			return Kind(k), true
 		}
 	}
@@ -91,67 +95,61 @@ type Event struct {
 	B    int64 // kind-specific: byte count
 }
 
-// segRange is one contiguous run of the collector's store with
-// non-decreasing timestamps. Segments tile the store exactly: every stored
-// event belongs to one segment, in insertion order.
+// segRange is a slot range of a chain (chunk.go). As a segment it is one
+// run of the store with non-decreasing timestamps; segments tile the store
+// exactly, in insertion order. As a batch it is one Append's events.
 type segRange struct{ start, end int }
 
 // Collector accumulates the trace of a whole run: per-rank function tables
 // and the merged event stream. All data collected at run time "is passed
 // through Vampirtrace and written to a trace file" at termination.
 //
-// Events are stored in one append-only arena in arrival order, partitioned
-// into time-sorted segments (per-thread flush batches arrive already
-// non-decreasing, so a whole batch is usually one segment). The merged,
-// time-ordered view is produced by a k-way merge over the segments and
-// cached until the next Append, so Events/Bytes/dump paths stop re-copying
-// and re-sorting the world on every call. The arena is the only in-memory
+// Events are stored in arrival order in a list of pooled chunks the
+// collector owns (chunk.go): Append adopts a batch's full chunks and copies
+// only a short or partial tail, so the store is never regrown. The store is
+// partitioned into time-sorted segments (per-thread flush batches arrive
+// already non-decreasing, so a whole batch is usually one segment). The
+// time-ordered view is produced by one k-way merge over the segments into
+// pooled chunks and shared by every reader until the next Append; a
+// one-segment store is its own view. The chunk store is the only in-memory
 // representation; the compact block encoding (compact.go) is applied only
 // where the trace leaves memory — spill files and binary trace files — one
 // block per Append batch.
 type Collector struct {
 	funcs   map[int32]map[int32]string // rank -> id -> name
-	store   []Event                    // arena, insertion order; recycled via Release
+	store   chain                      // resident events, insertion order; chunks owned
+	n       int                        // resident events
 	segs    []segRange
-	batches []int // store index where each resident Append batch ends
+	batches []segRange // slot range of each resident Append batch
+	lastAt  des.Time   // time of the last stored event, when len(segs) > 0
 
-	merged  []Event // cached merged view; valid while mergedN == len(store)
-	mergedN int
+	view    View  // cached ordered view; valid while viewOK
+	viewOK  bool  // no Append since view was built
+	viewOwn chain // chunks the cached view owns (merge output, decoded spill)
 
 	stats   CompactStats // cached CompactStats result; valid while statsOK
 	statsOK bool
 
-	// spill, when non-nil, streams the arena to disk whenever it exceeds
+	// spill, when non-nil, streams the store to disk whenever it exceeds
 	// the configured threshold, bounding resident trace memory (see
 	// spill.go and SpillTo).
 	spill *spillSink
 }
 
-// eventBufPool recycles collector arenas across simulation cells: a
-// Runner sweep builds and discards one Collector per cell, and reusing the
-// grown backing arrays removes that churn from the hot loop.
-var eventBufPool = sync.Pool{New: func() any { return new([]Event) }}
-
-// NewCollector returns an empty trace collector backed by a pooled arena.
+// NewCollector returns an empty trace collector. It holds no chunk until
+// its first event arrives.
 func NewCollector() *Collector {
-	buf := eventBufPool.Get().(*[]Event)
-	return &Collector{
-		funcs:   make(map[int32]map[int32]string),
-		store:   (*buf)[:0],
-		mergedN: -1,
-	}
+	return &Collector{funcs: make(map[int32]map[int32]string)}
 }
 
-// Release returns the collector's arena to the shared pool and deletes any
-// spill file. The caller declares that neither the collector nor any slice
-// obtained from Events will be used again.
+// Release returns the collector's chunks, its view's included, to the
+// shared pool and deletes any spill file. The caller declares that neither
+// the collector nor any View obtained from it will be used again.
 func (col *Collector) Release() {
-	if col.store != nil {
-		buf := col.store[:0]
-		eventBufPool.Put(&buf)
-	}
-	col.store, col.segs, col.batches, col.merged = nil, nil, nil, nil
-	col.mergedN = -1
+	col.store.release()
+	col.viewOwn.release()
+	col.n, col.segs, col.batches = 0, nil, nil
+	col.view, col.viewOK = View{}, false
 	col.stats, col.statsOK = CompactStats{}, false
 	if col.spill != nil {
 		col.spill.close()
@@ -179,131 +177,131 @@ func (col *Collector) funcTable(rank int32, hint int) map[int32]string {
 }
 
 // Append merges a rank's event buffer into the trace as one batch. The
-// batch is copied into the arena and carved into non-decreasing-time
-// segments; a batch that continues the previous segment's timeline extends
-// it in place.
+// events are copied into the store (the caller keeps events) and carved
+// into non-decreasing-time segments; a batch that continues the previous
+// segment's timeline extends it in place.
 func (col *Collector) Append(events []Event) {
 	if len(events) == 0 {
 		return
 	}
-	start := len(col.store)
-	col.store = append(col.store, events...)
-	col.batches = append(col.batches, len(col.store))
-	col.carve(start)
+	start := col.store.next()
+	col.store.copyIn(events)
+	col.addBatch(start, len(events))
 }
 
-// carve partitions the arena entries from start on into segments, as
-// Append describes, and lets a spilling collector stream its arena out.
-func (col *Collector) carve(start int) {
-	col.statsOK = false
-	for i := start; i < len(col.store); {
-		j := i + 1
-		for j < len(col.store) && col.store[j].At >= col.store[j-1].At {
-			j++
-		}
-		if n := len(col.segs); n > 0 && i > 0 && col.store[i].At >= col.store[i-1].At {
-			col.segs[n-1].end = j
-		} else {
-			col.segs = append(col.segs, segRange{start: i, end: j})
-		}
-		i = j
+// appendThread appends a thread buffer's events as one batch and empties
+// the buffer. The pooled chunks the buffer chained become the store's own;
+// only a head piece left by OverflowDropOldest and the partly filled
+// current chunk are copied, and the current chunk stays with the thread
+// for reuse.
+func (col *Collector) appendThread(tb *threadBuf) {
+	if tb.n == 0 {
+		return
 	}
+	start, cur := col.store.next(), tb.cur
+	if len(tb.full) > 0 {
+		if first := tb.full[0]; tb.head > 0 {
+			col.store.copyIn(first[tb.head:])
+			freeChunk(first)
+		} else {
+			start = len(col.store) << chunkShift
+			col.store = append(col.store, first)
+		}
+		col.store = append(col.store, tb.full[1:]...)
+	} else {
+		cur = cur[tb.head:]
+	}
+	col.store.copyIn(cur)
+	col.addBatch(start, tb.n)
+	clear(tb.full)
+	tb.full, tb.cur, tb.head, tb.n = tb.full[:0], tb.cur[:0], 0, 0
+}
+
+// addBatch registers the n events stored from slot start to the store's
+// end as one batch, invalidates the cached view and statistics, carves the
+// batch into segments and lets a spilling collector stream its store out.
+func (col *Collector) addBatch(start, n int) {
+	end := col.store.end()
+	col.batches = append(col.batches, segRange{start, end})
+	col.n += n
+	col.viewOK, col.viewOwn = false, nil // a View handed out stays readable
+	col.statsOK = false
+	col.carve(start, end)
 	if col.spill != nil {
 		col.spill.maybeSpill(col)
 	}
 }
 
-// Events returns the merged events sorted by timestamp (stable: ties keep
-// rank/tid/insertion order). The view is cached between Appends; callers
-// must treat it as read-only.
-func (col *Collector) Events() []Event {
-	if col.mergedN != len(col.store) {
-		col.rebuildMerged()
+// carve partitions the store's slot range [start, end) into segments, as
+// Append describes.
+func (col *Collector) carve(start, end int) {
+	prev := col.lastAt
+	if len(col.segs) == 0 {
+		col.segs = append(col.segs, segRange{start: start})
+		prev = col.store[start>>chunkShift][start&chunkMask].At
 	}
-	return col.merged
+	prevEnd := col.segs[len(col.segs)-1].end // slot after the previous event
+	for ci := start >> chunkShift; ci<<chunkShift < end; ci++ {
+		base, p := col.store.piece(ci, start, end)
+		for i := range p {
+			if p[i].At < prev {
+				if i > 0 {
+					prevEnd = base + i
+				}
+				col.segs[len(col.segs)-1].end = prevEnd
+				col.segs = append(col.segs, segRange{start: base + i})
+			}
+			prev = p[i].At
+		}
+		if len(p) > 0 {
+			prevEnd = base + len(p)
+		}
+	}
+	col.segs[len(col.segs)-1].end = end
+	col.lastAt = prev
 }
 
-// rebuildMerged recomputes the cached time-ordered view. Each segment is
-// already sorted by (At, insertion index) — times non-decreasing, indices
-// strictly increasing — so a k-way merge keyed on (At, cursor index)
-// reproduces exactly the stable sort of the insertion-ordered stream. A
-// spilling collector first decodes the on-disk prefix (see spill.go); the
-// merge then runs over disk and arena segments together.
-func (col *Collector) rebuildMerged() {
-	col.mergedN = len(col.store)
-	store, segs := col.store, col.segs
+// Ordered returns the events sorted by timestamp (stable: ties keep
+// insertion order). The k-way merge runs once per collector state: the
+// view is cached until the next Append and shared by every reader.
+func (col *Collector) Ordered() View {
+	if !col.viewOK {
+		col.rebuildView()
+	}
+	return col.view
+}
+
+// rebuildView recomputes the cached ordered view. A spilling collector
+// first decodes the on-disk prefix (see spill.go); the merge then runs
+// over disk and store segments together.
+func (col *Collector) rebuildView() {
+	col.viewOK = true
+	all, segs, decoded := col.store, col.segs, 0
 	if col.spill != nil && col.spill.count > 0 {
-		store, segs = col.spill.combined(col)
+		all, segs, decoded = col.spill.combined(col)
 	}
 	switch len(segs) {
 	case 0:
-		col.merged = nil
-		return
+		col.view, col.viewOwn = View{}, nil
 	case 1:
-		// Single timeline: the arena itself is the merged view. The full
-		// slice expression stops callers from appending into the arena.
-		s := segs[0]
-		col.merged = store[s.start:s.end:s.end]
-		return
-	}
-	col.merged = mergeSegs(store, segs)
-}
-
-// mergeSegs k-way merges time-sorted segments of store, keyed on
-// (At, cursor index), producing the stable time order of the insertion-
-// ordered stream.
-func mergeSegs(store []Event, segs []segRange) []Event {
-	cur := make([]int, len(segs))
-	heap := make([]int, 0, len(segs))
-	less := func(a, b int) bool {
-		ea, eb := &store[cur[a]], &store[cur[b]]
-		if ea.At != eb.At {
-			return ea.At < eb.At
+		// Single timeline: the chunks themselves are the view.
+		col.view = all.pieces(segs[0].start, segs[0].end)
+		col.viewOwn = all[:decoded:decoded]
+	default:
+		total := col.n
+		if decoded > 0 {
+			total += col.spill.count
 		}
-		return cur[a] < cur[b]
+		col.viewOwn = mergeSegs(all, segs, total)
+		col.view = View{chunks: col.viewOwn, n: total}
+		all = all[:decoded]
+		all.release()
 	}
-	siftDown := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= len(heap) {
-				return
-			}
-			if c+1 < len(heap) && less(heap[c+1], heap[c]) {
-				c++
-			}
-			if !less(heap[c], heap[i]) {
-				return
-			}
-			heap[i], heap[c] = heap[c], heap[i]
-			i = c
-		}
-	}
-	total := 0
-	for si, s := range segs {
-		cur[si] = s.start
-		heap = append(heap, si)
-		total += s.end - s.start
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	out := make([]Event, 0, total)
-	for len(heap) > 0 {
-		si := heap[0]
-		out = append(out, store[cur[si]])
-		cur[si]++
-		if cur[si] == segs[si].end {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		siftDown(0)
-	}
-	return out
 }
 
 // Len reports the number of collected events, spilled ones included.
 func (col *Collector) Len() int {
-	n := len(col.store)
+	n := col.n
 	if col.spill != nil {
 		n += col.spill.count
 	}
@@ -367,10 +365,11 @@ func (col *Collector) WriteTrace(w io.Writer) error {
 			}
 		}
 	}
-	events := col.Events()
-	for i := range events {
-		if _, err := bw.Write(appendEventLine(line[:0], &events[i])); err != nil {
-			return err
+	for _, ch := range col.Ordered().Chunks() {
+		for i := range ch {
+			if _, err := bw.Write(appendEventLine(line[:0], &ch[i])); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
@@ -402,16 +401,24 @@ func appendEventLine(b []byte, e *Event) []byte {
 // scanner's buffer and their decimals parsed without allocating; a line
 // holding any byte >= 0x80 is split by strings.Fields itself, so Unicode
 // whitespace separates fields there. Ranks, thread ids and function ids
-// must fit in int32. Events are appended straight into the collector's
-// arena, one batch per encodeChunkEvents events.
+// must fit in int32. EVT lines of the shape WriteTrace writes take a
+// one-pass fast path (parseEventLine). Events are parsed straight into the
+// collector's pooled chunks, one batch per chunk. A read or scan failure
+// (a line over 1 MiB, say) releases the collector and returns only the
+// error.
 func ReadTrace(r io.Reader) (*Collector, error) {
 	col := NewCollector()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	var fields [][]byte
+	var ev Event
 	line := 0
 	for sc.Scan() {
 		line++
+		if parseEventLine(sc.Bytes(), &ev) {
+			col.store.push(ev)
+			continue
+		}
 		fields = splitFields(fields[:0], sc.Bytes())
 		if len(fields) == 0 || fields[0][0] == '#' {
 			continue
@@ -421,14 +428,104 @@ func ReadTrace(r io.Reader) (*Collector, error) {
 			return nil, err
 		}
 	}
-	for end := encodeChunkEvents; end < len(col.store); end += encodeChunkEvents {
-		col.batches = append(col.batches, end)
+	if err := sc.Err(); err != nil {
+		col.Release()
+		return nil, err
 	}
-	if len(col.store) > 0 {
-		col.batches = append(col.batches, len(col.store))
+	for ci, ch := range col.store {
+		col.batches = append(col.batches, segRange{ci << chunkShift, ci<<chunkShift + len(ch)})
+		col.n += len(ch)
 	}
-	col.carve(0)
-	return col, sc.Err()
+	if col.n > 0 {
+		col.carve(0, col.store.end())
+	}
+	return col, nil
+}
+
+// Byte classes of the EVT fast path: one table lookup tells a separator
+// from a field byte and from a byte the fast path leaves to strings.Fields.
+const (
+	classField byte = iota
+	classSpace
+	classNonASCII
+)
+
+var byteClass = func() (t [256]byte) {
+	for c := range t {
+		switch {
+		case c >= utf8.RuneSelf:
+			t[c] = classNonASCII
+		case asciiSpace[c]:
+			t[c] = classSpace
+		}
+	}
+	return t
+}()
+
+// parseEventLine parses line into *e in one pass, tokenising and
+// converting together, when it is an EVT record of the shape WriteTrace
+// writes: ASCII only, "EVT" and seven fields, plain decimals of at most 18
+// digits with an optional '-', ids in int32 range and a known kind.
+// Anything else — a '+' sign, an overlong number, a stray byte — reports
+// false and is left to the general path, which accepts or rejects it as it
+// always did.
+func parseEventLine(line []byte, e *Event) bool {
+	i, n := 0, len(line)
+	for i < n && byteClass[line[i]] == classSpace {
+		i++
+	}
+	if n-i < 3 || line[i] != 'E' || line[i+1] != 'V' || line[i+2] != 'T' {
+		return false
+	}
+	i += 3
+	var nums [6]int64
+	for f, k := 0, 0; f < 7; f++ {
+		if i >= n || byteClass[line[i]] != classSpace {
+			return false
+		}
+		for i < n && byteClass[line[i]] == classSpace {
+			i++
+		}
+		start := i
+		if f == 3 {
+			for i < n && byteClass[line[i]] == classField {
+				i++
+			}
+			var ok bool
+			if e.Kind, ok = kindFromBytes(line[start:i]); !ok {
+				return false
+			}
+			continue
+		}
+		neg := i < n && line[i] == '-'
+		if neg {
+			i++
+			start++
+		}
+		var v int64
+		for i < n && line[i]-'0' < 10 {
+			v = v*10 + int64(line[i]-'0')
+			i++
+		}
+		if i == start || i-start > 18 {
+			return false
+		}
+		if neg {
+			v = -v
+		}
+		nums[k] = v
+		k++
+	}
+	for ; i < n; i++ {
+		if byteClass[line[i]] != classSpace {
+			return false
+		}
+	}
+	if !fitsInt32(nums[1]) || !fitsInt32(nums[2]) || !fitsInt32(nums[3]) {
+		return false
+	}
+	e.At, e.Rank, e.TID, e.ID, e.A, e.B = des.Time(nums[0]), int32(nums[1]), int32(nums[2]), int32(nums[3]), nums[4], nums[5]
+	return true
 }
 
 // asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
@@ -497,7 +594,7 @@ func (col *Collector) parseRecord(fields [][]byte, line int) error {
 		if !ok {
 			return fmt.Errorf("vt: trace line %d: unknown kind %q", line, fields[4])
 		}
-		col.store = append(col.store, Event{
+		col.store.push(Event{
 			At: des.Time(nums[0]), Rank: int32(nums[1]), TID: int32(nums[2]),
 			Kind: kind, ID: int32(nums[3]), A: nums[4], B: nums[5],
 		})

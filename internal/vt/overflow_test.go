@@ -70,7 +70,7 @@ func TestOverflowDropOldest(t *testing.T) {
 	if col.Len() != 5 {
 		t.Fatalf("kept %d events, want capacity 5", col.Len())
 	}
-	evs := col.Events()
+	evs := col.Ordered().AppendTo(nil)
 	if evs[0].At != 25*des.Millisecond || evs[4].At != 29*des.Millisecond {
 		t.Errorf("kept window [%v, %v], want the newest 5 events", evs[0].At, evs[4].At)
 	}

@@ -9,15 +9,16 @@ import (
 
 // This file adds a streaming spill sink to the Collector, bounding the
 // resident memory of very large traces (10k+ rank sweeps). Whenever the
-// in-memory arena grows past a threshold, the whole arena — every Append
+// in-memory store grows past a threshold, the whole store — every Append
 // batch, in global insertion order — is encoded as compact frames
 // (`uvarint count, uvarint blockLen, block`, one block per batch; block
-// format in compact.go), appended to an on-disk file, and the arena is
-// reset. Because the arena is always spilled in full, the file is exactly
-// the insertion-ordered prefix of the event stream, and the resident events
-// are exactly its suffix; the merged time-ordered view is reconstructed on
-// read by decoding the frames and running the same stable k-way merge that
-// serves the in-memory path, over disk and arena segments together.
+// format in compact.go), appended to an on-disk file, and the store's
+// chunks go back to the pool. Because the store is always spilled in full,
+// the file is exactly the insertion-ordered prefix of the event stream, and
+// the resident events are exactly its suffix; the merged time-ordered view
+// is reconstructed on read by decoding the frames into pooled chunks and
+// running the same stable k-way merge that serves the in-memory path, over
+// disk and store segments together.
 //
 // Every spill file opens with a 5-byte header, "VTSP" plus the format
 // version (CompactVersion), so a reader confronted with a file from a
@@ -39,7 +40,7 @@ const spillHdrBytes = len(spillMagic) + 1
 // indices.
 type spillSeg struct{ start, end int }
 
-// spillSink streams a Collector's arena to disk.
+// spillSink streams a Collector's store to disk.
 type spillSink struct {
 	f         *os.File
 	path      string
@@ -53,10 +54,10 @@ type spillSink struct {
 }
 
 // SpillTo arms the collector's spill sink: once more than thresholdEvents
-// events are resident, the arena is encoded and streamed to a file at path
+// events are resident, the store is encoded and streamed to a file at path
 // (created or truncated here) and resident memory drops back to zero, so
 // the on-disk budget shrinks with the suppression ratio. Len, Bytes,
-// Events and WriteTrace are unaffected by spilling apart from memory cost;
+// Ordered and WriteTrace are unaffected by spilling apart from memory cost;
 // Release deletes the file. I/O failures after arming are sticky and
 // reported by SpillErr — the collector keeps counting but the merged view
 // is no longer reconstructable.
@@ -88,9 +89,9 @@ func (col *Collector) Spilled() int {
 	return col.spill.count
 }
 
-// Resident reports how many events are held in memory (the arena suffix
+// Resident reports how many events are held in memory (the store suffix
 // not yet spilled).
-func (col *Collector) Resident() int { return len(col.store) }
+func (col *Collector) Resident() int { return col.n }
 
 // SpillErr reports the first spill I/O failure, if any.
 func (col *Collector) SpillErr() error {
@@ -100,10 +101,10 @@ func (col *Collector) SpillErr() error {
 	return col.spill.err
 }
 
-// maybeSpill streams the arena to disk if it has outgrown the threshold.
+// maybeSpill streams the store to disk if it has outgrown the threshold.
 // Called at the end of every Append.
 func (s *spillSink) maybeSpill(col *Collector) {
-	if s.err != nil || len(col.store) < s.threshold {
+	if s.err != nil || col.n < s.threshold {
 		return
 	}
 	payload := s.buf[:0]
@@ -123,19 +124,20 @@ func (s *spillSink) maybeSpill(col *Collector) {
 		s.err = fmt.Errorf("vt: spill: %w", err)
 		return
 	}
-	// The arena's segments become spill-file segments at the same relative
-	// positions, shifted past everything already on disk.
+	// The store's segments become spill-file segments in record indices,
+	// shifted past everything already on disk; the store's chunks go back
+	// to the pool.
 	for _, seg := range col.segs {
-		s.segs = append(s.segs, spillSeg{start: s.count + seg.start, end: s.count + seg.end})
+		n := col.store.count(seg.start, seg.end)
+		s.segs = append(s.segs, spillSeg{start: s.count, end: s.count + n})
+		s.count += n
 	}
-	s.count += len(col.store)
 	s.bytes += len(payload)
 	s.stats = st
-	col.store = col.store[:0]
+	col.store.release()
+	col.n = 0
 	col.segs = col.segs[:0]
 	col.batches = col.batches[:0]
-	col.merged = nil
-	col.mergedN = -1
 }
 
 // checkHeader validates the spill file's magic and version, returning a
@@ -156,63 +158,70 @@ func (s *spillSink) checkHeader() error {
 	return nil
 }
 
-// combined restores the full insertion-ordered store — decoded disk prefix
-// plus resident suffix — and the matching segment list, for merge-on-read.
-// On a read failure the sticky error is set and only the resident events
-// are returned.
-func (s *spillSink) combined(col *Collector) ([]Event, []segRange) {
-	all, err := s.decodeAll(make([]Event, 0, s.count+len(col.store)))
+// combined restores the full insertion-ordered store for merge-on-read:
+// the decoded disk prefix as fresh chunks followed by the resident store's
+// chunks, the matching segment list, and how many leading chunks were
+// decoded (and so belong to the caller). On a read failure the sticky
+// error is set and only the resident store is returned.
+func (s *spillSink) combined(col *Collector) (chain, []segRange, int) {
+	all, err := s.decodeAll()
 	if err != nil {
+		all.release()
 		s.err = err
-		return col.store, col.segs
+		return col.store, col.segs, 0
 	}
+	// Decoded chunks are densely filled, so a record index is its slot;
+	// resident slots shift past the decoded chunks.
+	decoded := len(all)
+	shift := decoded << chunkShift
 	all = append(all, col.store...)
 	segs := make([]segRange, 0, len(s.segs)+len(col.segs))
 	for _, seg := range s.segs {
 		segs = append(segs, segRange{start: seg.start, end: seg.end})
 	}
 	for _, seg := range col.segs {
-		segs = append(segs, segRange{start: s.count + seg.start, end: s.count + seg.end})
+		segs = append(segs, segRange{start: shift + seg.start, end: shift + seg.end})
 	}
-	return all, segs
+	return all, segs, decoded
 }
 
-// decodeAll appends the decoded events of the whole spill payload to dst,
-// walking its length-prefixed frames.
-func (s *spillSink) decodeAll(dst []Event) ([]Event, error) {
+// decodeAll decodes the whole spill payload, walking its length-prefixed
+// frames, into densely filled pooled chunks. On failure the chunks decoded
+// so far are returned with the error, for the caller to release.
+func (s *spillSink) decodeAll() (chain, error) {
 	if err := s.checkHeader(); err != nil {
-		return dst, err
+		return nil, err
 	}
 	payload := make([]byte, s.bytes)
 	if _, err := s.f.ReadAt(payload, int64(spillHdrBytes)); err != nil {
-		return dst, fmt.Errorf("vt: spill: %w", err)
+		return nil, fmt.Errorf("vt: spill: %w", err)
 	}
 	dec := decoderPool.Get().(*decoder)
 	defer decoderPool.Put(dec)
+	var all chain
+	var scratch []Event
 	decoded, p := 0, 0
 	for decoded < s.count {
 		count, n := binary.Uvarint(payload[p:])
 		if n <= 0 {
-			return dst, &FormatError{What: "spill file", Version: -1, Detail: "truncated frame header"}
+			return all, &FormatError{What: "spill file", Version: -1, Detail: "truncated frame header"}
 		}
 		p += n
 		blen, n := binary.Uvarint(payload[p:])
 		if n <= 0 || count == 0 || count > uint64(s.count-decoded) || blen > uint64(len(payload)-p-n) {
-			return dst, &FormatError{What: "spill file", Version: -1, Detail: "bad frame header"}
+			return all, &FormatError{What: "spill file", Version: -1, Detail: "bad frame header"}
 		}
 		p += n
-		var err error
-		dst, _, _, err = dec.block(payload[p:p+int(blen)], int(count), dst)
-		if err != nil {
-			return dst, err
+		if err := decodeInto(&all, dec, payload[p:p+int(blen)], int(count), &scratch); err != nil {
+			return all, err
 		}
 		p += int(blen)
 		decoded += int(count)
 	}
 	if p != len(payload) {
-		return dst, &FormatError{What: "spill file", Version: -1, Detail: "trailing bytes after final frame"}
+		return all, &FormatError{What: "spill file", Version: -1, Detail: "trailing bytes after final frame"}
 	}
-	return dst, nil
+	return all, nil
 }
 
 // copyFrames streams the spill payload — already framed — to w.

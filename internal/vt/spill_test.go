@@ -55,7 +55,7 @@ func TestSpillEquivalence(t *testing.T) {
 	if err := spilling.SpillErr(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(spilling.Events(), plain.Events()) {
+	if !reflect.DeepEqual(spilling.Ordered().AppendTo(nil), plain.Ordered().AppendTo(nil)) {
 		t.Error("merged views diverge between spilled and resident collectors")
 	}
 
@@ -105,11 +105,11 @@ func TestSpillAppendAfterReadKeepsOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	col.Append([]Event{{At: 10}, {At: 20}, {At: 30}, {At: 40}}) // spills
-	if got := col.Events(); len(got) != 4 {
+	if got := col.Ordered().AppendTo(nil); len(got) != 4 {
 		t.Fatalf("mid-run view: %d events", len(got))
 	}
 	col.Append([]Event{{At: 5}, {At: 35}}) // resident, interleaves with disk
-	got := col.Events()
+	got := col.Ordered().AppendTo(nil)
 	want := []des.Time{5, 10, 20, 30, 35, 40}
 	if len(got) != len(want) {
 		t.Fatalf("got %d events, want %d", len(got), len(want))

@@ -80,7 +80,7 @@ func checkReadersAgree(t *testing.T, input []byte) {
 	}
 	defer want.Release()
 	defer got.Release()
-	if !reflect.DeepEqual(got.Events(), want.Events()) {
+	if !reflect.DeepEqual(got.Ordered().AppendTo(nil), want.Ordered().AppendTo(nil)) {
 		t.Fatalf("ReadTrace(%q): events differ from the reference", input)
 	}
 	if !reflect.DeepEqual(got.funcs, want.funcs) {

@@ -35,7 +35,7 @@ func refWriteTrace(col *Collector, w io.Writer) error {
 			}
 		}
 	}
-	for _, e := range col.Events() {
+	for _, e := range col.Ordered().AppendTo(nil) {
 		if _, err := fmt.Fprintf(bw, "EVT %d %d %d %s %d %d %d\n",
 			int64(e.At), e.Rank, e.TID, e.Kind, e.ID, e.A, e.B); err != nil {
 			return err
@@ -47,7 +47,8 @@ func refWriteTrace(col *Collector, w io.Writer) error {
 // refFitsInt32 reports whether v fits an int32 record field.
 func refFitsInt32(v int64) bool { return v >= -1<<31 && v < 1<<31 }
 
-// refReadTrace is the reference ReadTrace, int32 range checks included.
+// refReadTrace is the reference ReadTrace, int32 range checks included. A
+// scan failure returns only the error, with no collector.
 func refReadTrace(r io.Reader) (*Collector, error) {
 	col := NewCollector()
 	var evs []Event
@@ -102,6 +103,10 @@ func refReadTrace(r io.Reader) (*Collector, error) {
 			return nil, fmt.Errorf("vt: trace line %d: unknown record %q", line, fields[0])
 		}
 	}
+	if err := sc.Err(); err != nil {
+		col.Release()
+		return nil, err
+	}
 	col.Append(evs)
-	return col, sc.Err()
+	return col, nil
 }

@@ -113,7 +113,7 @@ func TestBeginEndRecordWhenActive(t *testing.T) {
 	ec.now = 7 * des.Millisecond
 	c.End(ec, id)
 	c.Flush()
-	evs := col.Events()
+	evs := col.Ordered().AppendTo(nil)
 	if len(evs) != 2 {
 		t.Fatalf("events = %d", len(evs))
 	}
@@ -266,9 +266,9 @@ func TestTraceWriteReadRoundTrip(t *testing.T) {
 	if back.FuncName(0, id) != "compute" {
 		t.Fatalf("round-trip func name = %q", back.FuncName(0, id))
 	}
-	evs := back.Events()
-	if evs[0] != col.Events()[0] || evs[1] != col.Events()[1] {
-		t.Fatalf("round-trip events differ: %+v vs %+v", evs, col.Events())
+	evs, want := back.Ordered().AppendTo(nil), col.Ordered().AppendTo(nil)
+	if evs[0] != want[0] || evs[1] != want[1] {
+		t.Fatalf("round-trip events differ: %+v vs %+v", evs, want)
 	}
 }
 
@@ -297,7 +297,7 @@ func TestTraceRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		a, b := col.Events(), back.Events()
+		a, b := col.Ordered().AppendTo(nil), back.Ordered().AppendTo(nil)
 		if len(a) != len(b) {
 			return false
 		}
@@ -377,7 +377,7 @@ func TestMPIAdapterLogsTraffic(t *testing.T) {
 		}
 	})
 	var sends, recvs, apiEnters int
-	for _, e := range col.Events() {
+	for _, e := range col.Ordered().AppendTo(nil) {
 		switch e.Kind {
 		case MsgSend:
 			sends++
@@ -475,7 +475,7 @@ func TestConfSyncRecordsEvent(t *testing.T) {
 		v.ConfSync(c, false, nil)
 	})
 	count := 0
-	for _, e := range col.Events() {
+	for _, e := range col.Ordered().AppendTo(nil) {
 		if e.Kind == ConfSync {
 			count++
 		}
@@ -502,7 +502,7 @@ func TestOMPAdapterLogsRegions(t *testing.T) {
 	}
 	v.Flush()
 	var forks, joins, enters int
-	for _, e := range col.Events() {
+	for _, e := range col.Ordered().AppendTo(nil) {
 		switch e.Kind {
 		case RegionFork:
 			forks++

@@ -19,9 +19,12 @@ go -C bench test ./...
 # Fuzz smokes: the textual trace parser must agree with its reference
 # oracle (same accepted inputs, errors and collectors) on mutated input;
 # the binary trace reader must reject bad input only with *FormatError and
-# round-trip whatever it accepts.
+# round-trip whatever it accepts; the spill decoder must reject bad input
+# only with *FormatError, decode exactly the declared events into dense
+# chunks and allocate only what the input accounts for.
 go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 10s ./internal/vt/
 go test -run '^$' -fuzz '^FuzzReadCompactTrace$' -fuzztime 10s ./internal/vt/
+go test -run '^$' -fuzz '^FuzzSpillReader$' -fuzztime 10s ./internal/vt/
 
 # Short -race pass over the parallel cell runner.
 go test -race -run 'TestParallel|TestCellCache|TestRunner' ./internal/exp/
