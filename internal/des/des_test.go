@@ -197,6 +197,56 @@ func TestTryRecv(t *testing.T) {
 	}
 }
 
+// TestMailboxReleasesDeliveredValues: the queue's backing array does not
+// keep a delivered value alive, a drained queue reuses its slot, and a
+// timed-out waiter leaves no stale pointer behind.
+func TestMailboxReleasesDeliveredValues(t *testing.T) {
+	s := NewScheduler(1)
+	mb := NewMailbox(s, "mb")
+	one := NewMailbox(s, "one")
+	s.Spawn("drain", func(p *Proc) {
+		mb.Put(1)
+		mb.Put(2)
+		mb.Put(3)
+		backing := mb.queue[:cap(mb.queue)]
+		p.Recv(mb)
+		p.TryRecv(mb)
+		p.RecvTimeout(mb, Microsecond)
+		for i, v := range backing {
+			if v != nil {
+				t.Errorf("slot %d still holds delivered value %v", i, v)
+			}
+		}
+		// One message at a time: the second Put lands in the first's slot.
+		one.Put(1)
+		slot := &one.queue[0]
+		p.Recv(one)
+		one.Put(2)
+		if &one.queue[0] != slot {
+			t.Error("drained queue did not reuse its slot")
+		}
+		p.Recv(one)
+	})
+	for i, d := range []Time{Millisecond, 5 * Millisecond} {
+		s.Spawn(fmt.Sprintf("wait%d", i), func(p *Proc) {
+			p.Advance(Microsecond)
+			p.RecvTimeout(mb, d)
+		})
+	}
+	s.At(2*Millisecond, func() {
+		tail := mb.waiters[len(mb.waiters):cap(mb.waiters)]
+		for i, w := range tail {
+			if w != nil {
+				t.Errorf("vacated waiter slot %d still points at %s", i, w.p.Name())
+			}
+		}
+		mb.Put(5)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestGate(t *testing.T) {
 	s := NewScheduler(1)
 	g := NewGate("g", false)

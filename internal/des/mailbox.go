@@ -49,12 +49,25 @@ func (m *Mailbox) PutAfter(d Time, v any) {
 	m.s.After(d, func() { m.Put(v) })
 }
 
+// pop removes and returns the oldest queued message; the queue must be
+// non-empty. The vacated slot is cleared so the backing array does not keep
+// a delivered value alive, and an emptied queue rewinds to reuse its
+// capacity.
+func (m *Mailbox) pop() any {
+	v := m.queue[0]
+	m.queue[0] = nil
+	if len(m.queue) == 1 {
+		m.queue = m.queue[:0]
+	} else {
+		m.queue = m.queue[1:]
+	}
+	return v
+}
+
 // Recv blocks p until a message is available and returns it.
 func (p *Proc) Recv(m *Mailbox) any {
 	if len(m.queue) > 0 {
-		v := m.queue[0]
-		m.queue = m.queue[1:]
-		return v
+		return m.pop()
 	}
 	w := &p.recvWait
 	*w = mboxWaiter{p: p}
@@ -74,9 +87,7 @@ func (p *Proc) Recv(m *Mailbox) any {
 // event was scheduled first — the usual deterministic (time, seq) order.
 func (p *Proc) RecvTimeout(m *Mailbox, d Time) (v any, ok bool) {
 	if len(m.queue) > 0 {
-		v = m.queue[0]
-		m.queue = m.queue[1:]
-		return v, true
+		return m.pop(), true
 	}
 	w := &mboxWaiter{p: p}
 	m.waiters = append(m.waiters, w)
@@ -87,7 +98,10 @@ func (p *Proc) RecvTimeout(m *Mailbox, d Time) (v any, ok bool) {
 		w.expired = true
 		for i, x := range m.waiters {
 			if x == w {
-				m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
+				last := len(m.waiters) - 1
+				copy(m.waiters[i:], m.waiters[i+1:])
+				m.waiters[last] = nil
+				m.waiters = m.waiters[:last]
 				break
 			}
 		}
@@ -106,7 +120,5 @@ func (p *Proc) TryRecv(m *Mailbox) (v any, ok bool) {
 	if len(m.queue) == 0 {
 		return nil, false
 	}
-	v = m.queue[0]
-	m.queue = m.queue[1:]
-	return v, true
+	return m.pop(), true
 }

@@ -189,3 +189,52 @@ func BenchmarkClusterRound(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// wavefrontToken is the one token of a wavefront cluster; it counts the
+// hops it has made.
+type wavefrontToken struct{ hops int }
+
+// wavefront builds a shards-shard cluster whose only work is one token
+// handed from shard to shard: each shard's Proc receives it, computes for
+// a microsecond and casts it to the next shard a lookahead later, so every
+// round has exactly one busy shard and one cast. The shard holding the
+// token after stopAfter hops stops the run; 0 never stops.
+func wavefront(shards, workers, stopAfter int) *Cluster {
+	const look = 10 * Microsecond
+	c := NewCluster(shards, look, 1, WithHostParallelism(workers))
+	tok := &wavefrontToken{}
+	boxes := make([]*Mailbox, shards)
+	hand := make([]func(), shards) // hand[i] delivers the token to shard i
+	for i := range boxes {
+		box := NewMailbox(c.Shard(i), "token")
+		boxes[i], hand[i] = box, func() { box.Put(tok) }
+	}
+	for i := 0; i < shards; i++ {
+		s, next := c.Shard(i), (i+1)%shards
+		s.Spawn("stage", func(p *Proc) {
+			for {
+				t := p.Recv(boxes[i]).(*wavefrontToken)
+				if t.hops++; t.hops == stopAfter {
+					s.Stop()
+				}
+				p.Advance(Microsecond)
+				s.Cast(next, look, hand[next])
+			}
+		}).SetDaemon(true)
+	}
+	boxes[0].Put(tok)
+	return c
+}
+
+// BenchmarkClusterWavefront measures one round of an 8-shard Cluster on 2
+// host workers when a single shard has work: the shape of nearly every
+// round of the sweep3d wavefront. Compare BenchmarkClusterRound, where
+// every shard is busy.
+func BenchmarkClusterWavefront(b *testing.B) {
+	b.ReportAllocs()
+	c := wavefront(8, 2, b.N)
+	b.ResetTimer()
+	if err := c.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

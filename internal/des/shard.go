@@ -1,7 +1,9 @@
 package des
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,8 +20,8 @@ import (
 // lookahead is the interconnect wire latency — nothing crosses between
 // nodes faster than the network). Rounds are separated by a barrier at
 // which cross-shard casts are merged deterministically, so a run's result
-// depends only on the seed and the shard count, never on host scheduling
-// or the number of host workers.
+// depends only on the seed, the shard count and the lookahead, never on
+// host scheduling or the number of host workers.
 
 // castMsg is one cross-shard event awaiting delivery at the next barrier.
 // (src, idx) identify the message's deterministic position: idx is the
@@ -47,7 +49,12 @@ type Cluster struct {
 	lookahead Time
 	budget    Budget
 	workers   int
-	casts     []castMsg // barrier scratch, reused across rounds
+
+	// Round scratch, reused across rounds: the shards with work in the
+	// current window, their window reports, and the casts to deliver.
+	busy   []*Scheduler
+	status []windowStatus
+	casts  []castMsg
 }
 
 // ClusterOption configures a Cluster at construction time.
@@ -85,6 +92,8 @@ func NewCluster(shards int, lookahead Time, seed uint64, opts ...ClusterOption) 
 	}
 	root := NewRNG(seed)
 	c.shards = make([]*Scheduler, shards)
+	c.busy = make([]*Scheduler, 0, shards)
+	c.status = make([]windowStatus, shards)
 	for i := range c.shards {
 		s := NewScheduler(root.Uint64(), WithBudget(c.budget))
 		s.cluster = c
@@ -203,68 +212,12 @@ func (s *Scheduler) runWindow(limit Time) windowStatus {
 // a fixed seed and shard count, regardless of host parallelism.
 func (c *Cluster) Run() error {
 	for {
-		// The round starts at the earliest pending event anywhere.
-		t0, any := Time(0), false
-		for _, s := range c.shards {
-			if s.pending() > 0 && (!any || s.nextAt() < t0) {
-				t0, any = s.nextAt(), true
-			}
-		}
-		if !any {
+		t0, ok := c.earliest()
+		if !ok {
 			break
 		}
-		if c.budget.MaxVirtual > 0 && t0 > c.budget.MaxVirtual {
-			return c.livelocked()
-		}
-		if c.budget.MaxEvents > 0 && c.Executed() >= c.budget.MaxEvents {
-			return c.livelocked()
-		}
-
-		// Every cast generated during the round is at >= t0 + lookahead,
-		// so events before that limit are causally closed: shards may
-		// execute them in parallel.
-		res := c.runRound(t0 + c.lookahead)
-
-		// Deliver the round's casts in deterministic (at, src, idx) order,
-		// assigning fresh seqs on the destination shard.
-		c.casts = c.casts[:0]
-		for _, s := range c.shards {
-			c.casts = append(c.casts, s.outbox...)
-			s.outbox = s.outbox[:0]
-		}
-		sort.Slice(c.casts, func(i, j int) bool {
-			a, b := &c.casts[i], &c.casts[j]
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			if a.src != b.src {
-				return a.src < b.src
-			}
-			return a.idx < b.idx
-		})
-		for i := range c.casts {
-			m := &c.casts[i]
-			c.shards[m.to].schedule(m.at, nil, m.fn)
-			m.fn = nil
-		}
-
-		for i := range res {
-			if res[i].fatal != nil {
-				f := res[i].fatal
-				c.abortAll()
-				panic(f)
-			}
-		}
-		for i := range res {
-			if res[i].over {
-				return c.livelocked()
-			}
-		}
-		for _, s := range c.shards {
-			if s.stopped {
-				c.abortAll()
-				return nil
-			}
+		if end, err := c.round(t0); end {
+			return err
 		}
 	}
 
@@ -283,21 +236,108 @@ func (c *Cluster) Run() error {
 	return nil
 }
 
-// runRound executes one window on every shard, spreading shards over the
-// configured host workers. Each shard is touched by exactly one worker per
-// round and rounds are separated by the WaitGroup barrier, so shard state
-// needs no locking.
-func (c *Cluster) runRound(limit Time) []windowStatus {
-	res := make([]windowStatus, len(c.shards))
-	workers := c.workers
-	if workers > len(c.shards) {
-		workers = len(c.shards)
+// earliest reports the time of the earliest pending event on any shard;
+// ok is false once every shard has drained.
+func (c *Cluster) earliest() (t0 Time, ok bool) {
+	for _, s := range c.shards {
+		if s.pending() > 0 && (!ok || s.nextAt() < t0) {
+			t0, ok = s.nextAt(), true
+		}
 	}
+	return t0, ok
+}
+
+// round runs the window that starts at t0 and then the barrier that ends
+// it. end reports that the run is over, with err as Run's result.
+func (c *Cluster) round(t0 Time) (end bool, err error) {
+	if c.budget.MaxVirtual > 0 && t0 > c.budget.MaxVirtual {
+		return true, c.livelocked()
+	}
+	if c.budget.MaxEvents > 0 && c.Executed() >= c.budget.MaxEvents {
+		return true, c.livelocked()
+	}
+
+	// Every cast generated during the round is at >= t0 + lookahead, so
+	// events before that limit are causally closed: shards may execute
+	// them in parallel. Only shards with work before the limit need to
+	// run; a shard holding casts made outside any round joins them so its
+	// outbox is delivered at this barrier.
+	limit := t0 + c.lookahead
+	c.busy = c.busy[:0]
+	for _, s := range c.shards {
+		if (s.pending() > 0 && s.nextAt() < limit) || len(s.outbox) > 0 {
+			c.busy = append(c.busy, s)
+		}
+	}
+	c.runRound(limit)
+
+	// Deliver the round's casts in deterministic (at, src, idx) order,
+	// assigning fresh seqs on the destination shard. Every shard holding
+	// casts is busy, so the idle ones need not be visited.
+	c.casts = c.casts[:0]
+	for _, s := range c.busy {
+		c.casts = append(c.casts, s.outbox...)
+		clear(s.outbox)
+		s.outbox = s.outbox[:0]
+	}
+	if len(c.casts) > 1 {
+		slices.SortFunc(c.casts, castOrder)
+	}
+	for i := range c.casts {
+		m := &c.casts[i]
+		c.shards[m.to].schedule(m.at, nil, m.fn)
+		m.fn = nil
+	}
+
+	// busy is in shard order, so the lowest shard's panic is re-raised.
+	res := c.status[:len(c.busy)]
+	for i := range res {
+		if f := res[i].fatal; f != nil {
+			c.abortAll()
+			panic(f)
+		}
+	}
+	for i := range res {
+		if res[i].over {
+			return true, c.livelocked()
+		}
+	}
+	for _, s := range c.shards {
+		if s.stopped {
+			c.abortAll()
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// castOrder is the barrier's delivery order: by arrival time, then source
+// shard, then position in the source's outbox. (src, idx) is unique, so
+// the order is total and an unstable sort is deterministic.
+func castOrder(a, b castMsg) int {
+	if a.at != b.at {
+		return cmp.Compare(a.at, b.at)
+	}
+	if a.src != b.src {
+		return cmp.Compare(a.src, b.src)
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// runRound executes one window on every busy shard, recording shard
+// busy[i]'s report in status[i]. With at most one busy shard, or one host
+// worker, the windows run on the calling goroutine; otherwise they are
+// spread over the host workers. Each shard is touched by exactly one
+// worker per round and rounds are separated by the WaitGroup barrier, so
+// shard state needs no locking.
+func (c *Cluster) runRound(limit Time) {
+	busy, res := c.busy, c.status[:len(c.busy)]
+	workers := min(c.workers, len(busy))
 	if workers <= 1 {
-		for i, s := range c.shards {
+		for i, s := range busy {
 			res[i] = s.runWindow(limit)
 		}
-		return res
+		return
 	}
 	var next int64
 	var wg sync.WaitGroup
@@ -307,15 +347,14 @@ func (c *Cluster) runRound(limit Time) []windowStatus {
 			defer wg.Done()
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(c.shards) {
+				if i >= len(busy) {
 					return
 				}
-				res[i] = c.shards[i].runWindow(limit)
+				res[i] = busy[i].runWindow(limit)
 			}
 		}()
 	}
 	wg.Wait()
-	return res
 }
 
 // livelocked terminates an over-budget cluster run with an aggregate

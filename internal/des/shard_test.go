@@ -273,6 +273,26 @@ func TestClusterStop(t *testing.T) {
 	}
 }
 
+// TestClusterCastBeforeRun: a cast made before Run, from a shard with no
+// events of its own, is delivered at the first barrier.
+func TestClusterCastBeforeRun(t *testing.T) {
+	const look = 10 * Microsecond
+	c := NewCluster(2, look, 3)
+	box := NewMailbox(c.Shard(0), "early")
+	var at Time
+	c.Shard(0).Spawn("wait", func(p *Proc) {
+		p.Recv(box)
+		at = p.Now()
+	})
+	c.Shard(1).Cast(0, look, func() { box.Put(1) })
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if at != look {
+		t.Errorf("cast delivered at %v, want %v", at, look)
+	}
+}
+
 func TestNewClusterValidates(t *testing.T) {
 	for name, f := range map[string]func(){
 		"zero shards":    func() { NewCluster(0, Microsecond, 1) },
@@ -309,5 +329,130 @@ func BenchmarkClusterRing(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestSingleBusyRoundAllocatesNothing: once the round scratch has grown, a
+// round in which one shard runs and casts once allocates nothing — no
+// per-round status slice, no sort swapper, no worker goroutines.
+func TestSingleBusyRoundAllocatesNothing(t *testing.T) {
+	c := wavefront(8, 2, 0)
+	defer c.abortAll()
+	round := func() {
+		t0, ok := c.earliest()
+		if !ok {
+			t.Fatal("wavefront drained")
+		}
+		if end, err := c.round(t0); end {
+			t.Fatalf("wavefront ended: %v", err)
+		}
+	}
+	// The first round starts every shard's Proc; later rounds pass the
+	// token on. Warm up over a few laps so every buffer has its size.
+	for i := 0; i < 4*c.Shards(); i++ {
+		round()
+	}
+	round()
+	if len(c.busy) != 1 || len(c.casts) != 1 {
+		t.Fatalf("round had %d busy shards and %d casts, want 1 and 1", len(c.busy), len(c.casts))
+	}
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("single-busy round allocates %v times, want 0", n)
+	}
+}
+
+// mixedTrace runs a workload that alternates rounds with one busy shard
+// and rounds with every shard busy: a token circles the shards, and each
+// time it completes a lap shard 0 starts a ping-pong phase on every
+// shard that lasts several windows. It returns each shard's log, in shard
+// order, and how many rounds had one busy shard and how many had more.
+func mixedTrace(t *testing.T, workers int) (trace []string, single, multi int) {
+	t.Helper()
+	const shards, laps, trips = 4, 6, 5
+	look := 10 * Microsecond
+	c := NewCluster(shards, look, 11, WithHostParallelism(workers))
+	logs := make([][]string, shards)
+	ring := make([]*Mailbox, shards)
+	start := make([]*Mailbox, shards)
+	for i := 0; i < shards; i++ {
+		s := c.Shard(i)
+		ring[i], start[i] = NewMailbox(s, "ring"), NewMailbox(s, "start")
+		ab, ba := NewMailbox(s, "ab"), NewMailbox(s, "ba")
+		logf := func(p *Proc, format string, args ...any) {
+			logs[i] = append(logs[i], fmt.Sprintf("%d@%v ", i, p.Now())+fmt.Sprintf(format, args...))
+		}
+		s.Spawn("node", func(p *Proc) {
+			for {
+				v := p.Recv(ring[i]).(int)
+				logf(p, "token %d", v)
+				if v == laps*shards {
+					return
+				}
+				if i == 0 && v > 0 {
+					for j := 0; j < shards; j++ {
+						s.Cast(j, look+Time(j)*Microsecond, func() { start[j].Put(trips) })
+					}
+				}
+				p.Advance(Time(1+v%3) * Microsecond)
+				next := (i + 1) % shards
+				s.Cast(next, look+Time(v%5)*Microsecond, func() { ring[next].Put(v + 1) })
+			}
+		})
+		s.Spawn("ping", func(p *Proc) {
+			for {
+				n := p.Recv(start[i]).(int)
+				for k := 0; k < n; k++ {
+					ab.Put(k)
+					p.Recv(ba)
+					p.Advance(2 * Microsecond)
+				}
+				logf(p, "phase done")
+			}
+		})
+		s.Spawn("pong", func(p *Proc) {
+			for {
+				v := p.Recv(ab)
+				p.Advance(Time(3+i) * Microsecond)
+				ba.Put(v)
+			}
+		})
+		for _, p := range s.procs {
+			p.SetDaemon(true)
+		}
+	}
+	ring[0].Put(0)
+	defer c.abortAll()
+	for {
+		t0, ok := c.earliest()
+		if !ok {
+			break
+		}
+		if end, err := c.round(t0); end {
+			t.Fatalf("workers=%d: run ended early: %v", workers, err)
+		}
+		if len(c.busy) == 1 {
+			single++
+		} else {
+			multi++
+		}
+	}
+	for _, l := range logs {
+		trace = append(trace, l...)
+	}
+	return trace, single, multi
+}
+
+// TestClusterMixedRoundsDeterministic: rounds that run inline and rounds
+// that fan out over host workers interleave without changing any result.
+func TestClusterMixedRoundsDeterministic(t *testing.T) {
+	base, single, multi := mixedTrace(t, 1)
+	if single == 0 || multi == 0 {
+		t.Fatalf("workload ran %d single-busy and %d multi-busy rounds, want both", single, multi)
+	}
+	for _, workers := range []int{2, 8} {
+		got, _, _ := mixedTrace(t, workers)
+		if !reflect.DeepEqual(got, base) {
+			t.Errorf("workers=%d trace diverges:\n got %v\nwant %v", workers, got, base)
+		}
 	}
 }

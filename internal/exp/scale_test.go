@@ -39,22 +39,26 @@ func TestScaleShardCountInvariant(t *testing.T) {
 }
 
 // TestScaleDeterministicAcrossHostParallelism pins bit-identical results
-// for a fixed (seed, shard count) at any host worker count.
+// for a fixed (seed, shard count) at any host worker count. smg98 runs
+// mostly rounds with every shard busy, sweep3d's wavefront almost only
+// rounds with a single busy shard, so both round paths are covered.
 func TestScaleDeterministicAcrossHostParallelism(t *testing.T) {
-	spec := ScaleSpec{App: "smg98", Ranks: scaleTestRanks, Shards: 8, Seed: 7}
-	spec.HostParallelism = 1
-	serial, err := RunScale(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		spec.HostParallelism = workers
-		got, err := RunScale(spec)
+	for _, app := range scaleApps {
+		spec := ScaleSpec{App: app, Ranks: scaleTestRanks, Shards: 8, Seed: 7}
+		spec.HostParallelism = 1
+		serial, err := RunScale(spec)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("%s: %v", app, err)
 		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("workers=%d changed the result:\n  %+v\n  %+v", workers, got, serial)
+		for _, workers := range []int{2, 8} {
+			spec.HostParallelism = workers
+			got, err := RunScale(spec)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", app, workers, err)
+			}
+			if !reflect.DeepEqual(got, serial) {
+				t.Errorf("%s workers=%d changed the result:\n  %+v\n  %+v", app, workers, got, serial)
+			}
 		}
 	}
 }

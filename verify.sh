@@ -85,6 +85,11 @@ cmp "$smoke/baseline.txt" "$smoke/resumed.txt"
 "$smoke/experiments" -scale -max-cpus 1024 -shards 8 \
     -spill-dir "$smoke/spill" -spill-threshold 1024 > "$smoke/scale8.txt"
 cmp "$smoke/scale1.txt" "$smoke/scale8.txt"
+# The same sharded cells on one host thread: ScaleSpec.HostParallelism
+# defaults to GOMAXPROCS, so this runs every round on the calling
+# goroutine and must render the bytes of the parallel run.
+GOMAXPROCS=1 "$smoke/experiments" -scale -max-cpus 1024 -shards 8 > "$smoke/scale8ser.txt"
+cmp "$smoke/scale8.txt" "$smoke/scale8ser.txt"
 
 # Race pass over the adaptive controller (pure unit tests plus the serve
 # integration already covered above) and the adapt/policy cells.
