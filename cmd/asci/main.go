@@ -49,15 +49,7 @@ func run() error {
 	if !found {
 		return fmt.Errorf("unknown policy %q", *policyName)
 	}
-	// Legacy aliases predating the preset registry.
-	preset := *machName
-	switch preset {
-	case "ibm":
-		preset = "ibm-power3"
-	case "ia32":
-		preset = "ia32-linux"
-	}
-	mach, err := machine.New(preset)
+	mach, err := machine.New(*machName)
 	if err != nil {
 		return err
 	}

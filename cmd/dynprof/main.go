@@ -68,7 +68,7 @@ func run() error {
 	flag.Parse()
 	args := flag.Args()
 	if *serveAddr != "" {
-		mach, err := pickMachine(*machName)
+		mach, err := machine.New(*machName)
 		if err != nil {
 			return err
 		}
@@ -101,7 +101,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	mach, err := pickMachine(*machName)
+	mach, err := machine.New(*machName)
 	if err != nil {
 		return err
 	}
@@ -301,17 +301,6 @@ func crashPlan(nodes int, mtbf, restart time.Duration, waves int) *fault.Plan {
 		}
 	}
 	return plan
-}
-
-func pickMachine(name string) (*machine.Config, error) {
-	// Legacy aliases predating the preset registry.
-	switch name {
-	case "ibm":
-		name = "ibm-power3"
-	case "ia32":
-		name = "ia32-linux"
-	}
-	return machine.New(name)
 }
 
 // parseDeck parses key=val input-deck overrides.

@@ -32,18 +32,6 @@ func TestParseDeck(t *testing.T) {
 	}
 }
 
-func TestPickMachine(t *testing.T) {
-	if m, err := pickMachine("ibm"); err != nil || m.CPUsPerNode != 8 {
-		t.Fatalf("ibm preset: %v %v", m, err)
-	}
-	if m, err := pickMachine("ia32"); err != nil || m.Nodes != 16 {
-		t.Fatalf("ia32 preset: %v %v", m, err)
-	}
-	if _, err := pickMachine("cray"); err == nil {
-		t.Error("unknown machine accepted")
-	}
-}
-
 func TestLoadScriptFiles(t *testing.T) {
 	dir := t.TempDir()
 	sub := filepath.Join(dir, "subset.txt")
@@ -92,6 +80,33 @@ func TestUnknownScriptCommandFailsRun(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "frobnicate") {
 		t.Fatalf("error %q does not name the bad command", err)
+	}
+}
+
+// TestAdaptiveRunOnCrashPlan runs the adaptive controller on a system made
+// crashable by -daemon-mtbf, with the crash due long after the run ends:
+// the run must finish as it does fault-free, not deadlock on a breakpoint
+// stop whose resume the monitor's daemon refused.
+func TestAdaptiveRunOnCrashPlan(t *testing.T) {
+	dir := t.TempDir()
+	script := filepath.Join(dir, "script.txt")
+	if err := os.WriteFile(script, []byte("start\nquit\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "out.txt")
+	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	os.Args = []string{"dynprof", "-procs", "4", "-budget", "0.05", "-daemon-mtbf", "1h",
+		script, out, filepath.Join(dir, "timings.txt"),
+		"sweep3d", "nx=64", "ny=4", "nz=4", "iters=2"}
+	if err := run(); err != nil {
+		t.Fatalf("run() = %v", err)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), "target finished") || !strings.Contains(string(b), "adapt budget 0.05") {
+		t.Fatalf("output lacks the finished run's summary:\n%s", b)
 	}
 }
 

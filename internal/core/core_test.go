@@ -7,6 +7,7 @@ import (
 
 	"dynprof/internal/des"
 	"dynprof/internal/dpcl"
+	"dynprof/internal/fault"
 	"dynprof/internal/guide"
 	"dynprof/internal/image"
 	"dynprof/internal/machine"
@@ -364,7 +365,10 @@ func TestTimefileRecordsPhases(t *testing.T) {
 	}
 }
 
-func TestControlMonitorAppliesChanges(t *testing.T) {
+// runControlMonitor runs toyMPI on two ranks under a ControlMonitor whose
+// DPCL system models mach, deactivating toy_compute at the first stop.
+func runControlMonitor(t *testing.T, mach *machine.Config) (*ControlMonitor, *guide.Job) {
+	t.Helper()
 	s := des.NewScheduler(17)
 	app := toyMPI()
 	bin, err := guide.Build(app, guide.BuildOpts{StaticInstrument: true})
@@ -379,7 +383,7 @@ func TestControlMonitorAppliesChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := dpcl.NewSystem(s, machine.MustNew("ibm-power3"))
+	sys := dpcl.NewSystem(s, mach)
 	var monitor *ControlMonitor
 	s.Spawn("monitor", func(p *des.Proc) {
 		monitor = NewControlMonitor(p, sys, job)
@@ -396,15 +400,42 @@ func TestControlMonitorAppliesChanges(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if monitor.Hits() != 2*5/2 { // one stop per confsync iteration (rank 0 only): 5
-		if monitor.Hits() != 5 {
-			t.Fatalf("monitor hits = %d, want 5", monitor.Hits())
-		}
+	return monitor, job
+}
+
+func TestControlMonitorAppliesChanges(t *testing.T) {
+	monitor, job := runControlMonitor(t, machine.MustNew("ibm-power3"))
+	if monitor.Hits() != 5 { // one stop per confsync iteration (rank 0 only)
+		t.Fatalf("monitor hits = %d, want 5", monitor.Hits())
 	}
 	for r := 0; r < 2; r++ {
 		v := job.VT(r)
 		if v.Active(v.FuncDef("toy_compute")) {
 			t.Fatalf("rank %d: change not distributed", r)
+		}
+	}
+}
+
+// TestControlMonitorOnCrashPlan: a daemon crash plan makes the DPCL system
+// crashable, so its daemons track suspends. The monitor's resumes must
+// still release the breakpoint stops: with a crash due after the run, the
+// run must match the fault-free one's stops; with a restart window that
+// swallows a stop, it must still finish and distribute the change (an
+// untracked stop, or one credited to the dead daemon, got its resume
+// refused and deadlocked the run).
+func TestControlMonitorOnCrashPlan(t *testing.T) {
+	crashed := func(c fault.DaemonCrash) *machine.Config {
+		return machine.MustNew("ibm-power3", machine.WithFaults(&fault.Plan{DaemonCrashes: []fault.DaemonCrash{c}}))
+	}
+	clean, _ := runControlMonitor(t, machine.MustNew("ibm-power3"))
+	monitor, job := runControlMonitor(t, crashed(fault.DaemonCrash{Node: 0, At: 3600 * des.Second}))
+	if monitor.Hits() != clean.Hits() {
+		t.Fatalf("monitor hits = %d, want the fault-free run's %d", monitor.Hits(), clean.Hits())
+	}
+	_, midRun := runControlMonitor(t, crashed(fault.DaemonCrash{Node: 0, At: 80 * des.Millisecond, Restart: 200 * des.Millisecond}))
+	for _, j := range []*guide.Job{job, midRun} {
+		if v := j.VT(1); v.Active(v.FuncDef("toy_compute")) {
+			t.Fatal("change not distributed")
 		}
 	}
 }

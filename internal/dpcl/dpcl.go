@@ -456,18 +456,23 @@ func (d *commDaemon) nackStale(req *request) {
 func (d *commDaemon) trackSuspend(req *request) {
 	switch req.kind {
 	case "suspend":
-		if d.suspended == nil {
-			d.suspended = make(map[*proc.Process]int)
-		}
-		if d.suspended[req.target] == 0 {
-			d.suspOrder = append(d.suspOrder, req.target)
-		}
-		d.suspended[req.target]++
+		d.holdSuspend(req.target)
 	case "resume":
 		if d.suspended[req.target] > 0 {
 			d.suspended[req.target]--
 		}
 	}
+}
+
+// holdSuspend credits one suspend of pr to this daemon's balance.
+func (d *commDaemon) holdSuspend(pr *proc.Process) {
+	if d.suspended == nil {
+		d.suspended = make(map[*proc.Process]int)
+	}
+	if d.suspended[pr] == 0 {
+		d.suspOrder = append(d.suspOrder, pr)
+	}
+	d.suspended[pr]++
 }
 
 // releaseSuspends resumes every target this daemon still holds suspended,

@@ -19,7 +19,7 @@ type rig struct {
 	procs []*proc.Process
 }
 
-func newRig(t *testing.T, n int) *rig {
+func newRig(t testing.TB, n int) *rig {
 	t.Helper()
 	s := des.NewScheduler(99)
 	mach := machine.MustNew("ibm-power3")

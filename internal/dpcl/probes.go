@@ -199,7 +199,15 @@ func (cl *Client) WatchBreakpoints(procs []*proc.Process, symbol string) {
 			if name != symbol {
 				return
 			}
-			pr.RequestSuspend()
+			// Where daemons track suspends, the stop is credited to this
+			// client's daemon so it admits the resume (and releases the
+			// stop if it dies); with no live daemon the target runs on.
+			if !cl.sys.reclaim && !cl.sys.crashable {
+				pr.RequestSuspend()
+			} else if d := cl.daemonFor(pr); d != nil && !d.dead {
+				pr.RequestSuspend()
+				d.holdSuspend(pr)
+			}
 			cl.events.PutAfter(cl.sys.delay(), Event{Kind: "breakpoint", Tag: name, Rank: pr.Rank()})
 		})
 	}

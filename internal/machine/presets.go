@@ -19,6 +19,7 @@ var (
 		"ibm-power3": ibmPower3,
 		"ia32-linux": ia32Linux,
 	}
+	aliases = map[string]string{"ibm": "ibm-power3", "ia32": "ia32-linux"}
 )
 
 // New builds a machine from a registered preset refined by options:
@@ -27,12 +28,16 @@ var (
 //		machine.WithNodes(64),
 //		machine.WithFaults(plan))
 //
+// The short aliases "ibm" and "ia32" name the two paper platforms.
 // Unknown preset ids fail with the registered set listed. Options apply
 // in order to a fresh copy of the preset; the registry entry is never
 // mutated.
 func New(id string, opts ...Option) (*Config, error) {
 	presetMu.RLock()
 	build, ok := presets[id]
+	if !ok {
+		build, ok = presets[aliases[id]]
+	}
 	presetMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("machine: unknown preset %q (have %v)", id, Presets())

@@ -55,6 +55,25 @@ func TestNewOptions(t *testing.T) {
 	}
 }
 
+// TestNewAliases: the short names the CLIs' -machine flags accept resolve
+// to the paper's two presets.
+func TestNewAliases(t *testing.T) {
+	if m, err := New("ibm"); err != nil || *m != *ibmPower3() {
+		t.Fatalf("ibm alias: %v %v", m, err)
+	}
+	if m, err := New("ia32", WithNodes(4)); err != nil || m.Nodes != 4 || m.ClockHz != ia32Linux().ClockHz {
+		t.Fatalf("ia32 alias: %v %v", m, err)
+	}
+	if _, err := New("cray"); err == nil {
+		t.Error("unknown machine accepted")
+	}
+	for _, id := range Presets() {
+		if id == "ibm" || id == "ia32" {
+			t.Errorf("alias %q listed as a preset", id)
+		}
+	}
+}
+
 func TestNewUnknownPreset(t *testing.T) {
 	_, err := New("cray-t3e")
 	if err == nil || !strings.Contains(err.Error(), "cray-t3e") || !strings.Contains(err.Error(), "ibm-power3") {

@@ -12,7 +12,7 @@ import (
 )
 
 // runWorld executes body on n ranks of a fresh world and returns it.
-func runWorld(t *testing.T, n int, mk func(r int) Hooks, body func(c *Ctx)) *World {
+func runWorld(t testing.TB, n int, mk func(r int) Hooks, body func(c *Ctx)) *World {
 	t.Helper()
 	s := des.NewScheduler(7)
 	cfg := machine.MustNew("ibm-power3")

@@ -35,8 +35,10 @@ go test -race -run 'TestSupervised|TestStore|TestFailure|TestRetry|TestRegistere
 
 # Race pass over the fault injector and the DPCL retry/backoff path,
 # including the crash-recovery machinery (daemon incarnations, ledger
-# replay, give-up rollback).
+# replay, give-up rollback), and the breakpoint monitor on a crashable
+# system.
 go test -race ./internal/fault/ ./internal/dpcl/
+go test -race -run TestControlMonitor ./internal/core/
 
 # Race pass over the whole DES package: des.Cluster's window workers are
 # real host concurrency, and Kill, abort and panic teardown must stay
@@ -55,10 +57,11 @@ go test -race -run TestTenants ./internal/exp/
 # fault class enabled must terminate via timeout degradation.
 go test -run TestFaultSmoke ./internal/exp/
 
-# Benchmark smoke: one iteration of the regression benchmarks, so a
+# Benchmark smoke: one iteration of every layer microbenchmark, so a
 # benchmark that no longer compiles or panics fails the gate here rather
-# than in the next perf investigation.
-scripts/bench.sh -s
+# than in the next perf investigation. End-to-end numbers come from
+# bench/run.sh.
+go test -run '^$' -bench . -benchtime 1x -benchmem ./internal/...
 
 # Kill-and-resume smoke: SIGKILL a journaled sweep mid-run, resume it,
 # and require byte-identical output vs. an uninterrupted run. The kill is
