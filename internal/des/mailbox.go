@@ -19,7 +19,14 @@ type mboxWaiter struct {
 
 // NewMailbox creates an empty mailbox owned by s.
 func NewMailbox(s *Scheduler, name string) *Mailbox {
-	return &Mailbox{s: s, name: name}
+	m := MakeMailbox(s, name)
+	return &m
+}
+
+// MakeMailbox returns an empty mailbox owned by s as a value, for embedding
+// in a longer-lived struct. Copy it only while it is empty and unwaited.
+func MakeMailbox(s *Scheduler, name string) Mailbox {
+	return Mailbox{s: s, name: name}
 }
 
 // Len reports the number of queued (undelivered) messages.

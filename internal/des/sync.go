@@ -18,17 +18,19 @@ func (g *Gate) Open() bool { return g.open }
 // Waiting reports how many Procs are currently blocked on the gate.
 func (g *Gate) Waiting() int { return len(g.waiters) }
 
-// Set opens or closes the gate. Opening it wakes every waiter.
+// Set opens or closes the gate. Opening it wakes every waiter. Waking only
+// schedules the waiter's resume, so the waiter slice is emptied in place
+// and its capacity kept for the next Await.
 func (g *Gate) Set(open bool) {
 	g.open = open
 	if !open {
 		return
 	}
-	ws := g.waiters
-	g.waiters = nil
-	for _, p := range ws {
+	for i, p := range g.waiters {
 		p.wake()
+		g.waiters[i] = nil
 	}
+	g.waiters = g.waiters[:0]
 }
 
 // Await blocks p until the gate is open.

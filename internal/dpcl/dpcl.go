@@ -93,6 +93,13 @@ type System struct {
 	// patience widens every retransmission timeout (see SetRetryPatience);
 	// zero falls back to crashPatience on crashable systems only.
 	patience des.Time
+	// free is the request free list (see newRequest and recycle). It lives
+	// on the System rather than on each Client because sessions are short:
+	// a per-client list would leave most requests unrecycled.
+	free []*request
+	// reqBuf and procBuf lend scratch slices to control transactions.
+	reqBuf  scratch[*request]
+	procBuf scratch[*proc.Process]
 }
 
 // NewSystem starts DPCL on the machine (super daemons are materialised
@@ -243,6 +250,12 @@ type commDaemon struct {
 	// individual messages see jittered latency, but they cannot overtake
 	// one another (the connection is a stream).
 	lastArrive des.Time
+	// inflight holds the messages sent but not yet arrived, from inHead on.
+	// Because of lastArrive, arrival events fire in send order, so every
+	// arrival is the one cached arrive func taking the oldest message.
+	inflight []any
+	inHead   int
+	arrive   func()
 	// suspended tracks, per target, suspends this daemon applied minus
 	// resumes it applied (under SetSuspendReclaim or a crashable plan);
 	// suspOrder keeps release order deterministic.
@@ -264,11 +277,11 @@ func (d *commDaemon) deliver(m any) {
 	sys := d.sys
 	if req, isReq := m.(*request); isReq {
 		if sys.inj.CtrlLostAt(sys.s.Now()) {
-			sys.inj.Record(sys.s.Now(), fault.KindCtrlDrop, d.node, reqRank(req), req.kind+" request lost (outage)")
+			sys.inj.Record(sys.s.Now(), fault.KindCtrlDrop, d.node, reqRank(req), req.kind.String()+" request lost (outage)")
 			return
 		}
 		if sys.inj.DropCtrl() {
-			sys.inj.Record(sys.s.Now(), fault.KindCtrlDrop, d.node, reqRank(req), req.kind+" request lost")
+			sys.inj.Record(sys.s.Now(), fault.KindCtrlDrop, d.node, reqRank(req), req.kind.String()+" request lost")
 			return
 		}
 	}
@@ -277,7 +290,24 @@ func (d *commDaemon) deliver(m any) {
 		at = d.lastArrive
 	}
 	d.lastArrive = at
-	sys.s.At(at, func() { d.inbox.Put(m) })
+	if d.inHead > 0 && len(d.inflight) == cap(d.inflight) {
+		n := copy(d.inflight, d.inflight[d.inHead:])
+		clear(d.inflight[n:])
+		d.inflight, d.inHead = d.inflight[:n], 0
+	}
+	d.inflight = append(d.inflight, m)
+	sys.s.At(at, d.arrive)
+}
+
+// arriveNext moves the oldest in-flight message into the inbox.
+func (d *commDaemon) arriveNext() {
+	m := d.inflight[d.inHead]
+	d.inflight[d.inHead] = nil
+	d.inHead++
+	if d.inHead == len(d.inflight) {
+		d.inflight, d.inHead = d.inflight[:0], 0
+	}
+	d.inbox.Put(m)
 }
 
 // reqRank identifies a request's target rank for fault events.
@@ -308,19 +338,48 @@ func newCommDaemonIncarn(sys *System, node int, user string, incarn uint64) *com
 		incarn: incarn,
 		inbox:  des.NewMailbox(sys.s, fmt.Sprintf("dpcld.%d.%s%s", node, user, suffix)),
 	}
+	d.arrive = d.arriveNext
 	d.proc = sys.s.Spawn(fmt.Sprintf("dpcld@%d/%s%s", node, user, suffix), func(p *des.Proc) { d.serve(p) })
 	d.proc.SetDaemon(true)
 	return d
 }
 
-// request is one unit of work for a communication daemon.
+// reqKind names a request's daemon-side action.
+type reqKind uint8
+
+const (
+	kindInstall reqKind = iota
+	kindToggle
+	kindRemove
+	kindSuspend
+	kindResume
+)
+
+var kindNames = [...]string{"install", "toggle", "remove", "suspend", "resume"}
+
+func (k reqKind) String() string { return kindNames[k] }
+
+// request is one unit of work for a communication daemon. Requests come
+// from the System's free list (see newRequest); DESIGN.md describes who
+// owns a request at each step of its round trip.
 type request struct {
-	kind   string
+	kind   reqKind
 	target *proc.Process
-	run    func(p *des.Proc) // daemon-side action
 	cost   des.Time
-	reply  *des.Mailbox
-	tag    any
+	// run is the install action; every other kind is executed by
+	// commDaemon.execute from the typed fields below.
+	run func(p *des.Proc)
+	// probe and active parameterise toggles; probe alone, removes.
+	probe  *Probe
+	active bool
+	// err is a remove's daemon-side failure, read by collect.
+	err error
+	// wantReply marks an acknowledged request: the daemon acks into reply,
+	// and putAck (bound to this request once, at allocation) delivers it.
+	// An acknowledged suspend is a blocking one.
+	wantReply bool
+	reply     des.Mailbox
+	putAck    func()
 	// token is the request's idempotency token: the daemon executes each
 	// token at most once per incarnation, so retransmits and ledger
 	// replays can never double-install. Assigned by Client.post; ledger
@@ -337,6 +396,64 @@ type request struct {
 
 // shutdownReq stops a daemon loop (used on Client.Disconnect).
 type shutdownReq struct{}
+
+// newRequest takes a request of the given kind from the free list, or
+// allocates one with its reply mailbox and ack delivery bound to it.
+func (sys *System) newRequest(kind reqKind, cost des.Time) *request {
+	var req *request
+	if n := len(sys.free); n > 0 {
+		req = sys.free[n-1]
+		sys.free[n-1] = nil
+		sys.free = sys.free[:n-1]
+	} else {
+		req = &request{reply: des.MakeMailbox(sys.s, "dpcl.reply")}
+		req.putAck = func() { req.reply.Put(ackOK) }
+	}
+	req.kind, req.cost = kind, cost
+	return req
+}
+
+// recycle returns a finished request to the free list. The caller must be
+// its last owner: the client after collect for an acknowledged request,
+// the daemon after execution for an unacknowledged one. A system with a
+// fault injector never recycles: a retransmit can deliver the same
+// request, or its ack, after the transaction has ended, and a recycled
+// request would hand that stale message to a later transaction.
+func (sys *System) recycle(req *request) {
+	if sys.inj != nil {
+		return
+	}
+	req.target, req.run, req.probe, req.err = nil, nil, nil, nil
+	req.active, req.wantReply = false, false
+	req.token, req.expect, req.installed = 0, 0, nil
+	sys.free = append(sys.free, req)
+}
+
+// scratch is a free list of reusable slices. Each control transaction in
+// flight borrows its own, so transactions of different clients (and nested
+// ones) never share elements.
+type scratch[T any] struct{ free [][]T }
+
+// take borrows an empty slice (nil when none is free).
+func (sc *scratch[T]) take() []T {
+	n := len(sc.free)
+	if n == 0 {
+		return nil
+	}
+	b := sc.free[n-1]
+	sc.free[n-1] = nil
+	sc.free = sc.free[:n-1]
+	return b
+}
+
+// give returns a borrowed slice, dropping its element references.
+func (sc *scratch[T]) give(b []T) {
+	if cap(b) == 0 {
+		return
+	}
+	clear(b)
+	sc.free = append(sc.free, b[:0])
+}
 
 func (d *commDaemon) serve(p *des.Proc) {
 	// done dedups retransmitted and replayed requests by idempotency
@@ -371,19 +488,16 @@ func (d *commDaemon) serve(p *des.Proc) {
 		// without tracking a single controller keeps the count trivially
 		// balanced. The request is still acked below: resuming an
 		// unsuspended process is a no-op, not an error.
-		run := req.run
-		if req.kind == "resume" && (d.sys.reclaim || d.sys.crashable) && d.suspended[req.target] == 0 {
-			run = nil
-		}
+		skip := req.kind == kindResume && (d.sys.reclaim || d.sys.crashable) && d.suspended[req.target] == 0
 		if req.cost > 0 {
 			if g := d.sys.gate; g != nil {
-				g.Serve(p, d.node, d.user, req.kind, req.cost)
+				g.Serve(p, d.node, d.user, req.kind.String(), req.cost)
 			} else {
 				p.Advance(req.cost)
 			}
 		}
-		if run != nil {
-			run(p)
+		if !skip {
+			d.execute(p, req)
 		}
 		if req.installed != nil && d.sys.crashable {
 			if d.handles == nil {
@@ -403,10 +517,39 @@ func (d *commDaemon) serve(p *des.Proc) {
 			done[req.token] = true
 		}
 		d.ackTo(req)
+		if !req.wantReply {
+			d.sys.recycle(req)
+		}
 		if d.dying {
 			d.commitCrash()
 			return
 		}
+	}
+}
+
+// execute performs a request's daemon-side action. Handles are resolved at
+// execution time: a crash may have torn the original out and a replay
+// re-installed a fresh one.
+func (d *commDaemon) execute(p *des.Proc, req *request) {
+	pr := req.target
+	switch req.kind {
+	case kindInstall:
+		req.run(p)
+	case kindToggle:
+		if h := req.probe.hands[pr]; h != nil && !h.Removed() {
+			h.SetActive(req.active)
+		}
+	case kindRemove:
+		if h := req.probe.hands[pr]; h != nil && !h.Removed() { // else a daemon crash tore it out
+			req.err = h.Remove()
+		}
+	case kindSuspend:
+		pr.RequestSuspend()
+		if req.wantReply {
+			pr.WaitStopped(p)
+		}
+	case kindResume:
+		pr.Resume()
 	}
 }
 
@@ -440,14 +583,14 @@ func (d *commDaemon) nackStale(req *request) {
 	sys := d.sys
 	sys.inj.Record(sys.s.Now(), fault.KindCtrlStale, d.node, reqRank(req),
 		fmt.Sprintf("%s fenced (incarnation %d, daemon at %d)", req.kind, req.expect, d.incarn))
-	if req.reply == nil {
+	if !req.wantReply {
 		return
 	}
 	if sys.inj.CtrlLostAt(sys.s.Now()) || sys.inj.DropCtrl() {
-		sys.inj.Record(sys.s.Now(), fault.KindCtrlDrop, d.node, reqRank(req), req.kind+" stale nack lost")
+		sys.inj.Record(sys.s.Now(), fault.KindCtrlDrop, d.node, reqRank(req), req.kind.String()+" stale nack lost")
 		return
 	}
-	req.reply.PutAfter(sys.inj.ScaleCtrl(sys.delay()), ack{kind: req.kind, tag: req.tag, stale: true, incarn: d.incarn})
+	req.reply.PutAfter(sys.inj.ScaleCtrl(sys.delay()), ackStale)
 }
 
 // trackSuspend maintains the daemon's suspend balance per target (under
@@ -455,9 +598,9 @@ func (d *commDaemon) nackStale(req *request) {
 // map re-acks them without re-execution.
 func (d *commDaemon) trackSuspend(req *request) {
 	switch req.kind {
-	case "suspend":
+	case kindSuspend:
 		d.holdSuspend(req.target)
-	case "resume":
+	case kindResume:
 		if d.suspended[req.target] > 0 {
 			d.suspended[req.target]--
 		}
@@ -492,29 +635,27 @@ func (d *commDaemon) releaseSuspends() {
 // ackTo sends the acknowledgement back to the client with its own jitter;
 // under a fault plan the ack itself can be lost.
 func (d *commDaemon) ackTo(req *request) {
-	if req.reply == nil {
+	if !req.wantReply {
 		return
 	}
 	sys := d.sys
 	if sys.inj.CtrlLostAt(sys.s.Now()) {
-		sys.inj.Record(sys.s.Now(), fault.KindCtrlDrop, d.node, reqRank(req), req.kind+" ack lost (outage)")
+		sys.inj.Record(sys.s.Now(), fault.KindCtrlDrop, d.node, reqRank(req), req.kind.String()+" ack lost (outage)")
 		return
 	}
 	if sys.inj.DropCtrl() {
-		sys.inj.Record(sys.s.Now(), fault.KindCtrlDrop, d.node, reqRank(req), req.kind+" ack lost")
+		sys.inj.Record(sys.s.Now(), fault.KindCtrlDrop, d.node, reqRank(req), req.kind.String()+" ack lost")
 		return
 	}
-	req.reply.PutAfter(sys.inj.ScaleCtrl(sys.delay()), ack{kind: req.kind, tag: req.tag, incarn: d.incarn})
+	sys.s.After(sys.inj.ScaleCtrl(sys.delay()), req.putAck)
 }
 
-type ack struct {
-	kind string
-	tag  any
-	// stale marks a fencing nack: the daemon refused the request because
-	// it carried a previous incarnation's number.
-	stale  bool
-	incarn uint64
-}
+// ack is a daemon's reply to an acknowledged request. Only two values are
+// ever sent, both shared and immutable: ackOK, and ackStale, the fencing
+// nack for a request that carried a previous incarnation's number.
+type ack struct{ stale bool }
+
+var ackOK, ackStale any = ack{}, ack{stale: true}
 
 // Delay draws one jittered control-message latency — the per-node delivery
 // variance that makes DPCL asynchronous. Exposed so tools can model
@@ -618,13 +759,11 @@ func (cl *Client) daemonFor(pr *proc.Process) *commDaemon {
 }
 
 // post sends one request to pr's daemon with transmission jitter, charging
-// the client's marshalling cost. The returned mailbox receives the ack if
-// reply is true.
-func (cl *Client) post(p *des.Proc, pr *proc.Process, req *request, reply bool) *des.Mailbox {
+// the client's marshalling cost. With reply set, the daemon acknowledges
+// into req.reply and the caller must collect the request.
+func (cl *Client) post(p *des.Proc, pr *proc.Process, req *request, reply bool) {
 	p.Advance(cl.sys.mach.CyclesToTime(clientRequestCycles))
-	if reply {
-		req.reply = des.NewMailbox(cl.sys.s, "dpcl.reply")
-	}
+	req.wantReply = reply
 	req.target = pr
 	if req.token == 0 {
 		cl.nextToken++
@@ -636,11 +775,10 @@ func (cl *Client) post(p *des.Proc, pr *proc.Process, req *request, reply bool) 
 	// only reachable on crashable systems, where collects always time-bound.
 	d := cl.daemonFor(pr)
 	if d == nil {
-		return req.reply
+		return
 	}
 	req.expect = d.incarn
 	d.deliver(req)
-	return req.reply
 }
 
 // Retry policy for acknowledged requests on a faulted control path: the
@@ -664,12 +802,6 @@ const (
 // and fast retransmission is what recovers it.
 const crashPatience = 250 * des.Millisecond
 
-// pendingAck tracks one acknowledged request in flight.
-type pendingAck struct {
-	pr  *proc.Process
-	req *request
-}
-
 // maxFenceRounds bounds how many times one collect will reconcile and
 // re-post requests fenced by daemon restarts before giving up (each round
 // needs a fresh crash to land mid-transaction, so depth means a daemon
@@ -684,21 +816,36 @@ const maxFenceRounds = 8
 // the request) trigger a ledger reconcile, after which the fenced requests
 // are re-posted under the new incarnation — their idempotency tokens make
 // the re-post safe even if the original executed before the crash.
-func (cl *Client) collect(p *des.Proc, pending []pendingAck) error {
-	return cl.collectRound(p, pending, 0)
+//
+// A daemon-side failure recorded on a request (a failed remove) is
+// reported ahead of any transport error. collect owns the pending requests
+// once it is called and recycles them before returning.
+func (cl *Client) collect(p *des.Proc, pending []*request) error {
+	err := cl.collectRound(p, pending, 0)
+	for _, req := range pending {
+		if req.err != nil {
+			err = req.err
+			break
+		}
+	}
+	for _, req := range pending {
+		cl.sys.recycle(req)
+	}
+	return err
 }
 
-func (cl *Client) collectRound(p *des.Proc, pending []pendingAck, round int) error {
+func (cl *Client) collectRound(p *des.Proc, pending []*request, round int) error {
 	if cl.sys.inj == nil {
-		for _, pa := range pending {
-			p.Recv(pa.req.reply)
+		for _, req := range pending {
+			p.Recv(&req.reply)
 		}
 		return nil
 	}
 	var firstErr error
-	var fenced []pendingAck
-	for _, pa := range pending {
-		rto := cl.sys.inj.ScaleCtrl(retrySlackFactor*cl.sys.mach.DaemonLatency) + pa.req.cost
+	var fenced []*request
+	for _, req := range pending {
+		pr := req.target
+		rto := cl.sys.inj.ScaleCtrl(retrySlackFactor*cl.sys.mach.DaemonLatency) + req.cost
 		if cl.sys.patience > 0 {
 			rto += cl.sys.patience
 		} else if cl.sys.crashable {
@@ -706,27 +853,27 @@ func (cl *Client) collectRound(p *des.Proc, pending []pendingAck, round int) err
 		}
 		acked := false
 		for attempt := 0; attempt < retryAttempts; attempt++ {
-			if m, ok := p.RecvTimeout(pa.req.reply, rto<<attempt); ok {
-				if a, isAck := m.(ack); isAck && a.stale {
-					cl.noteStale(pa.pr)
-					fenced = append(fenced, pa)
+			if m, ok := p.RecvTimeout(&req.reply, rto<<attempt); ok {
+				if m == ackStale {
+					cl.noteStale(pr)
+					fenced = append(fenced, req)
 				}
 				acked = true
 				break
 			}
 			if attempt < retryAttempts-1 {
-				cl.sys.inj.Record(p.Now(), fault.KindCtrlRetry, pa.pr.Node(), pa.pr.Rank(),
-					fmt.Sprintf("%s retransmit #%d", pa.req.kind, attempt+1))
-				if d := cl.daemonFor(pa.pr); d != nil {
-					d.deliver(pa.req)
+				cl.sys.inj.Record(p.Now(), fault.KindCtrlRetry, pr.Node(), pr.Rank(),
+					fmt.Sprintf("%s retransmit #%d", req.kind, attempt+1))
+				if d := cl.daemonFor(pr); d != nil {
+					d.deliver(req)
 				}
 			}
 		}
 		if !acked {
-			cl.sys.inj.Record(p.Now(), fault.KindCtrlTimeout, pa.pr.Node(), pa.pr.Rank(),
-				fmt.Sprintf("%s gave up after %d attempts", pa.req.kind, retryAttempts))
+			cl.sys.inj.Record(p.Now(), fault.KindCtrlTimeout, pr.Node(), pr.Rank(),
+				fmt.Sprintf("%s gave up after %d attempts", req.kind, retryAttempts))
 			if firstErr == nil {
-				firstErr = &GiveUpError{Kind: pa.req.kind, Target: pa.pr.Name(), Attempts: retryAttempts}
+				firstErr = &GiveUpError{Kind: req.kind.String(), Target: pr.Name(), Attempts: retryAttempts}
 			}
 		}
 	}
@@ -737,13 +884,13 @@ func (cl *Client) collectRound(p *des.Proc, pending []pendingAck, round int) err
 		if _, err := cl.Reconcile(p); err != nil {
 			return err
 		}
-		for _, pa := range fenced {
-			d := cl.daemonFor(pa.pr)
+		for _, req := range fenced {
+			d := cl.daemonFor(req.target)
 			if d == nil {
 				continue // disconnected mid-collect; the retry budget drains it
 			}
-			pa.req.expect = d.incarn
-			d.deliver(pa.req)
+			req.expect = d.incarn
+			d.deliver(req)
 		}
 		return cl.collectRound(p, fenced, round+1)
 	}

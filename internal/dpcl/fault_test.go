@@ -157,3 +157,85 @@ func TestFaultFreeSystemHasNoInjector(t *testing.T) {
 		t.Error("fault-free system must have a nil injector")
 	}
 }
+
+// TestLateAcksNeverReachLaterTransactions pins the never-recycle rule for
+// faulted systems. The targets reach a safe point only every 20ms, so each
+// blocking suspend outlives the client's retransmit timer: the daemon
+// executes the suspend once, then re-acks every retransmit, and those
+// duplicate acks land after the transaction has returned. The last target
+// takes 120ms, past the whole retry budget, so its suspends give up
+// before their acks arrive. Were the requests recycled, a later
+// transaction would draw one whose mailbox still holds such an ack and
+// return before its own daemon had acted; so every transaction that
+// succeeds must find its action applied on every target.
+func TestLateAcksNeverReachLaterTransactions(t *testing.T) {
+	r := faultRig(t, 4, &fault.Plan{CtrlLossProb: 0.1})
+	r.sys.SetSuspendReclaim(true) // a lost resume is released at disconnect
+	const rounds = 12
+	for i, pr := range r.procs {
+		pr := pr
+		slice := r.mach.TimeToCycles(20 * des.Millisecond)
+		if i == len(r.procs)-1 {
+			slice = r.mach.TimeToCycles(120 * des.Millisecond)
+		}
+		pr.Start(func(th *proc.Thread) {
+			hot := pr.Image().MustLookup("hot")
+			for th.Now() < rounds*des.Second {
+				th.Call(hot, func() { th.Work(slice) })
+			}
+		})
+	}
+	var ok, failed int
+	r.s.Spawn("tool", func(p *des.Proc) {
+		cl := r.sys.Connect("u")
+		cl.Attach(p, r.procs)
+		probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, "n",
+			func(pr *proc.Process) image.Snippet { return func(ec image.ExecCtx) {} })
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		// check counts a transaction's outcome; a success must have
+		// applied the action on every target.
+		check := func(op string, err error, applied func(pr *proc.Process) bool) {
+			if err != nil {
+				failed++
+				return
+			}
+			ok++
+			for _, pr := range r.procs {
+				if h := probe.hands[pr]; !applied(pr) {
+					t.Errorf("%v: %s returned before %s's daemon acted (handle active %v)",
+						p.Now(), op, pr.Name(), h != nil && h.Active())
+				}
+			}
+		}
+		for i := 0; i < rounds; i++ {
+			check("suspend", cl.Suspend(p, r.procs, true), (*proc.Process).Suspended)
+			check("activate", cl.Activate(p, probe), func(pr *proc.Process) bool { return probe.hands[pr].Active() })
+			check("deactivate", cl.Deactivate(p, probe), func(pr *proc.Process) bool { return !probe.hands[pr].Active() })
+			cl.Resume(p, r.procs)
+			p.Advance(des.Second - p.Now()%des.Second)
+		}
+		cl.Disconnect()
+	})
+	if err := r.s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var retries int
+	for _, ev := range r.sys.Faults().Events() {
+		if ev.Kind == fault.KindCtrlRetry {
+			retries++
+		}
+	}
+	t.Logf("%d transactions succeeded, %d failed, %d retransmits", ok, failed, retries)
+	if retries < rounds {
+		t.Errorf("only %d retransmits: the plan no longer produces late duplicate acks", retries)
+	}
+	if ok == 0 || failed == 0 {
+		t.Errorf("%d transactions succeeded and %d gave up, want some of each", ok, failed)
+	}
+	if n := len(r.sys.free); n != 0 {
+		t.Errorf("faulted system recycled %d requests", n)
+	}
+}

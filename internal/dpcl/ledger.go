@@ -95,7 +95,8 @@ func (cl *Client) dropLedger(probe *Probe) {
 // report them; replays have nowhere to report and pass nil).
 func (cl *Client) installReq(e *ledgerEntry, pr *proc.Process, errs *[]error) *request {
 	probe := e.probe
-	req := &request{kind: "install", cost: installTime, token: e.tokens[pr]}
+	req := cl.sys.newRequest(kindInstall, installTime)
+	req.token = e.tokens[pr]
 	req.run = func(dp *des.Proc) {
 		img := pr.Image()
 		s, ok := img.Lookup(probe.Sym)
@@ -131,26 +132,25 @@ func (cl *Client) installReq(e *ledgerEntry, pr *proc.Process, errs *[]error) *r
 // on an already-failing control path. FIFO delivery guarantees each remove
 // arrives after any still-in-flight retransmit of the install it undoes.
 func (cl *Client) rollbackInstall(p *des.Proc, probe *Probe) {
-	targets := probe.targets()
+	targets := probe.targets(nil)
 	for round := 0; round < 4; round++ {
-		var pending []pendingAck
+		var pending []*request
 		for _, pr := range targets {
-			pr := pr
 			if h := probe.hands[pr]; h == nil || h.Removed() {
 				continue
 			}
-			req := &request{kind: "remove", cost: removeTime, run: func(dp *des.Proc) {
-				if h := probe.hands[pr]; h != nil && !h.Removed() {
-					h.Remove()
-				}
-			}}
+			req := cl.sys.newRequest(kindRemove, removeTime)
+			req.probe = probe
 			cl.post(p, pr, req, true)
-			pending = append(pending, pendingAck{pr: pr, req: req})
+			pending = append(pending, req)
 		}
 		if len(pending) == 0 {
 			break
 		}
 		cl.collectRound(p, pending, maxFenceRounds) // no reconcile recursion on the error path
+		for _, req := range pending {
+			cl.sys.recycle(req)
+		}
 	}
 	probe.hands = make(map[*proc.Process]*image.ProbeHandle)
 }
@@ -287,7 +287,7 @@ func (cl *Client) replayNode(p *des.Proc, node int) (int, error) {
 // (fresh token, no-op when the probe is already in the desired state) for
 // each of the entry's targets on the node.
 func (cl *Client) replayEntry(p *des.Proc, e *ledgerEntry, node int) (int, error) {
-	var pending []pendingAck
+	var pending []*request
 	count := 0
 	for _, pr := range e.procs {
 		if cl.nodes[pr] != node {
@@ -296,17 +296,12 @@ func (cl *Client) replayEntry(p *des.Proc, e *ledgerEntry, node int) (int, error
 		count++
 		req := cl.installReq(e, pr, nil)
 		cl.post(p, pr, req, true)
-		pending = append(pending, pendingAck{pr: pr, req: req})
+		pending = append(pending, req)
 
-		pr := pr
-		want := e.active
-		treq := &request{kind: "toggle", cost: toggleTime, run: func(dp *des.Proc) {
-			if h := e.probe.hands[pr]; h != nil && !h.Removed() {
-				h.SetActive(want)
-			}
-		}}
+		treq := cl.sys.newRequest(kindToggle, toggleTime)
+		treq.probe, treq.active = e.probe, e.active
 		cl.post(p, pr, treq, true)
-		pending = append(pending, pendingAck{pr: pr, req: treq})
+		pending = append(pending, treq)
 	}
 	if count == 0 {
 		return 0, nil

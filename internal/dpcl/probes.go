@@ -1,7 +1,8 @@
 package dpcl
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"dynprof/internal/des"
 	"dynprof/internal/image"
@@ -18,17 +19,16 @@ type Probe struct {
 	hands map[*proc.Process]*image.ProbeHandle
 }
 
-// targets returns the probe's patched processes in rank order: hands is
-// keyed by pointer, so posting requests straight off a map walk would make
-// per-request jitter draws — and with them the whole simulation — depend
-// on Go's randomised map iteration.
-func (probe *Probe) targets() []*proc.Process {
-	ts := make([]*proc.Process, 0, len(probe.hands))
+// targets appends the probe's patched processes to buf in rank order:
+// hands is keyed by pointer, so posting requests straight off a map walk
+// would make per-request jitter draws — and with them the whole simulation
+// — depend on Go's randomised map iteration.
+func (probe *Probe) targets(buf []*proc.Process) []*proc.Process {
 	for pr := range probe.hands {
-		ts = append(ts, pr)
+		buf = append(buf, pr)
 	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Rank() < ts[j].Rank() })
-	return ts
+	slices.SortFunc(buf, func(a, b *proc.Process) int { return cmp.Compare(a.Rank(), b.Rank()) })
+	return buf
 }
 
 // InstallProbe patches snippet code at sym's probe point in every target
@@ -50,15 +50,16 @@ func (cl *Client) InstallProbe(p *des.Proc, procs []*proc.Process,
 		hands: make(map[*proc.Process]*image.ProbeHandle, len(procs))}
 	e := cl.addLedger(probe, mk, procs)
 	var errs []error
-	var pending []pendingAck
+	pending := cl.sys.reqBuf.take()
 	for _, pr := range procs {
 		req := cl.installReq(e, pr, &errs)
 		cl.post(p, pr, req, true)
-		pending = append(pending, pendingAck{pr: pr, req: req})
+		pending = append(pending, req)
 	}
 	if err := cl.collect(p, pending); err != nil {
 		errs = append(errs, err)
 	}
+	cl.sys.reqBuf.give(pending)
 	if len(errs) > 0 {
 		cl.dropLedger(probe)
 		cl.rollbackInstall(p, probe)
@@ -85,20 +86,25 @@ func (cl *Client) toggle(p *des.Proc, probe *Probe, active bool) error {
 	if e := cl.byProbe[probe]; e != nil {
 		e.active = active
 	}
-	var pending []pendingAck
-	for _, pr := range probe.targets() {
-		pr := pr
-		req := &request{kind: "toggle", cost: toggleTime, run: func(dp *des.Proc) {
-			// Resolve the handle at execution time: a crash may have torn
-			// the original out and a replay re-installed a fresh one.
-			if h := probe.hands[pr]; h != nil && !h.Removed() {
-				h.SetActive(active)
-			}
-		}}
+	return cl.probeOp(p, probe, kindToggle, toggleTime, active)
+}
+
+// probeOp posts one acknowledged toggle or remove of probe to each of its
+// targets, in rank order, and collects the acks.
+func (cl *Client) probeOp(p *des.Proc, probe *Probe, kind reqKind, cost des.Time, active bool) error {
+	sys := cl.sys
+	targets := probe.targets(sys.procBuf.take())
+	pending := sys.reqBuf.take()
+	for _, pr := range targets {
+		req := sys.newRequest(kind, cost)
+		req.probe, req.active = probe, active
 		cl.post(p, pr, req, true)
-		pending = append(pending, pendingAck{pr: pr, req: req})
+		pending = append(pending, req)
 	}
-	return cl.collect(p, pending)
+	sys.procBuf.give(targets)
+	err := cl.collect(p, pending)
+	sys.reqBuf.give(pending)
+	return err
 }
 
 // Remove unlinks the probe from every process, restoring pristine code at
@@ -107,30 +113,9 @@ func (cl *Client) Remove(p *des.Proc, probe *Probe) error {
 	// Desired state first: drop the ledger entry before the removes go
 	// out, so a concurrent replay does not resurrect the probe.
 	cl.dropLedger(probe)
-	var errs []error
-	var pending []pendingAck
-	for _, pr := range probe.targets() {
-		pr := pr
-		req := &request{kind: "remove", cost: removeTime, run: func(dp *des.Proc) {
-			h := probe.hands[pr]
-			if h == nil || h.Removed() {
-				return // already gone (a daemon crash tore it out)
-			}
-			if err := h.Remove(); err != nil {
-				errs = append(errs, err)
-			}
-		}}
-		cl.post(p, pr, req, true)
-		pending = append(pending, pendingAck{pr: pr, req: req})
-	}
-	if err := cl.collect(p, pending); err != nil {
-		errs = append(errs, err)
-	}
-	probe.hands = make(map[*proc.Process]*image.ProbeHandle)
-	if len(errs) > 0 {
-		return errs[0]
-	}
-	return nil
+	err := cl.probeOp(p, probe, kindRemove, removeTime, false)
+	clear(probe.hands)
+	return err
 }
 
 // Suspend halts the target processes. With blocking set, it waits until
@@ -140,21 +125,24 @@ func (cl *Client) Remove(p *des.Proc, probe *Probe) error {
 // faulted control path swallowed the acknowledgements. Non-blocking
 // suspends are fire-and-forget and never error.
 func (cl *Client) Suspend(p *des.Proc, procs []*proc.Process, blocking bool) error {
-	var pending []pendingAck
+	return cl.control(p, procs, kindSuspend, suspendTime, blocking)
+}
+
+// control posts one suspend or resume to each of procs; acknowledged ones
+// are collected.
+func (cl *Client) control(p *des.Proc, procs []*proc.Process, kind reqKind, cost des.Time, acked bool) error {
+	sys := cl.sys
+	pending := sys.reqBuf.take()
 	for _, pr := range procs {
-		pr := pr
-		req := &request{kind: "suspend", cost: suspendTime, run: func(dp *des.Proc) {
-			pr.RequestSuspend()
-			if blocking {
-				pr.WaitStopped(dp)
-			}
-		}}
-		cl.post(p, pr, req, blocking)
-		if blocking {
-			pending = append(pending, pendingAck{pr: pr, req: req})
+		req := sys.newRequest(kind, cost)
+		cl.post(p, pr, req, acked)
+		if acked {
+			pending = append(pending, req)
 		}
 	}
-	return cl.collect(p, pending)
+	err := cl.collect(p, pending)
+	sys.reqBuf.give(pending)
+	return err
 }
 
 // Resume releases suspended target processes (unacknowledged, like the
@@ -165,21 +153,7 @@ func (cl *Client) Suspend(p *des.Proc, procs []*proc.Process, blocking bool) err
 // still gives up is abandoned silently — daemon teardown releases whatever
 // balance remains.
 func (cl *Client) Resume(p *des.Proc, procs []*proc.Process) {
-	reliable := cl.sys.crashable
-	var pending []pendingAck
-	for _, pr := range procs {
-		pr := pr
-		req := &request{kind: "resume", cost: resumeTime, run: func(dp *des.Proc) {
-			pr.Resume()
-		}}
-		cl.post(p, pr, req, reliable)
-		if reliable {
-			pending = append(pending, pendingAck{pr: pr, req: req})
-		}
-	}
-	if reliable {
-		_ = cl.collect(p, pending)
-	}
+	_ = cl.control(p, procs, kindResume, resumeTime, cl.sys.crashable)
 }
 
 // PostCallback delivers a DPCL_callback message from a target process to

@@ -20,21 +20,34 @@ import (
 // and when the lane is contended, waiting requests are served in weighted
 // round-robin order over users — a user with weight w gets up to w
 // consecutive requests per turn. Within a user, requests stay FIFO.
+//
+// In steady state Serve allocates nothing: gates and user queues are
+// recycled through free lists, and the rotation is rotated in place.
 type FairSched struct {
 	weights map[string]int
 	lanes   map[int]*lane
 	served  map[string]int
 	waits   map[string]des.Time
+	gates   []*des.Gate  // closed gates ready for reuse
+	spare   []*userQueue // retired, empty user queues ready for reuse
 }
 
-// lane is one node's service queue. Invariant: a user appears in rr if and
-// only if it has an entry in q (possibly drained-empty until pick retires
-// it at the head).
+// lane is one node's service queue. A user has an entry in q exactly while
+// it has queued requests, and then exactly one slot in rr. A user whose
+// queue drains loses its entry at once but keeps its drained slot in the
+// rotation until pick retires it at the head: a user who re-enqueues
+// before then is served from that slot, keeping its place.
 type lane struct {
 	busy bool
-	rr   []string               // round-robin order of users with queued work
-	q    map[string][]*des.Gate // per-user FIFO of waiting requests
-	left int                    // requests remaining in rr[0]'s quantum
+	rr   []*userQueue          // round-robin order of user slots
+	q    map[string]*userQueue // the slot of each user with queued work
+	left int                   // requests remaining in rr[0]'s quantum
+}
+
+// userQueue is one user's FIFO of waiting requests on a lane.
+type userQueue struct {
+	user  string
+	gates []*des.Gate
 }
 
 // NewFairSched creates a scheduler; every user starts with weight 1.
@@ -82,7 +95,7 @@ func (f *FairSched) Users() []string {
 func (f *FairSched) lane(node int) *lane {
 	ln, ok := f.lanes[node]
 	if !ok {
-		ln = &lane{q: make(map[string][]*des.Gate)}
+		ln = &lane{q: make(map[string]*userQueue)}
 		f.lanes[node] = ln
 	}
 	return ln
@@ -94,11 +107,13 @@ func (f *FairSched) lane(node int) *lane {
 func (f *FairSched) Serve(p *des.Proc, node int, user, kind string, cost des.Time) {
 	ln := f.lane(node)
 	if ln.busy {
-		g := des.NewGate("fair."+user, false)
+		g := f.gate()
 		f.enqueue(ln, user, g)
 		t0 := p.Now()
 		p.Await(g)
 		f.waits[user] += p.Now() - t0
+		g.Set(false) // pick has dequeued it; nobody else holds it now
+		f.gates = append(f.gates, g)
 	} else {
 		ln.busy = true
 	}
@@ -107,37 +122,93 @@ func (f *FairSched) Serve(p *des.Proc, node int, user, kind string, cost des.Tim
 	f.pick(ln)
 }
 
-func (f *FairSched) enqueue(ln *lane, user string, g *des.Gate) {
-	if _, ok := ln.q[user]; !ok {
-		ln.rr = append(ln.rr, user)
+// gate takes a closed gate from the free list.
+func (f *FairSched) gate() *des.Gate {
+	n := len(f.gates)
+	if n == 0 {
+		return des.NewGate("fair", false)
 	}
-	ln.q[user] = append(ln.q[user], g)
+	g := f.gates[n-1]
+	f.gates[n-1] = nil
+	f.gates = f.gates[:n-1]
+	return g
+}
+
+func (f *FairSched) enqueue(ln *lane, user string, g *des.Gate) {
+	uq := ln.q[user]
+	if uq == nil {
+		uq = ln.drainedSlot(user)
+		if uq == nil {
+			uq = f.newQueue(user)
+			ln.rr = append(ln.rr, uq)
+		}
+		ln.q[user] = uq
+	}
+	uq.gates = append(uq.gates, g)
+}
+
+// drainedSlot finds user's drained slot in the rotation, if pick has not
+// retired it yet. The caller has checked that user has no queued work.
+func (ln *lane) drainedSlot(user string) *userQueue {
+	for _, uq := range ln.rr {
+		if uq.user == user {
+			return uq
+		}
+	}
+	return nil
+}
+
+// newQueue takes an empty user queue from the free list.
+func (f *FairSched) newQueue(user string) *userQueue {
+	var uq *userQueue
+	if n := len(f.spare); n > 0 {
+		uq = f.spare[n-1]
+		f.spare[n-1] = nil
+		f.spare = f.spare[:n-1]
+	} else {
+		uq = &userQueue{}
+	}
+	uq.user = user
+	return uq
 }
 
 // pick hands the lane to the next request in WRR order, or marks it idle.
 func (f *FairSched) pick(ln *lane) {
 	for len(ln.rr) > 0 {
 		head := ln.rr[0]
-		hq := ln.q[head]
-		if len(hq) == 0 {
-			// Drained: retire the user from the rotation.
-			delete(ln.q, head)
-			ln.rr = ln.rr[1:]
+		if len(head.gates) == 0 {
+			// Drained slot: retire it from the rotation.
+			ln.rr = popFront(ln.rr)
+			head.user = ""
+			f.spare = append(f.spare, head)
 			ln.left = 0
 			continue
 		}
 		if ln.left <= 0 {
-			ln.left = f.weight(head)
+			ln.left = f.weight(head.user)
 		}
 		ln.left--
-		g := hq[0]
-		ln.q[head] = hq[1:]
-		if ln.left <= 0 && len(ln.rr) > 1 {
+		g := head.gates[0]
+		head.gates = popFront(head.gates)
+		if len(head.gates) == 0 {
+			delete(ln.q, head.user)
+		}
+		if n := len(ln.rr); ln.left <= 0 && n > 1 {
 			// Quantum spent: rotate the user to the back of the ring.
-			ln.rr = append(ln.rr[1:], head)
+			copy(ln.rr, ln.rr[1:])
+			ln.rr[n-1] = head
 		}
 		g.Set(true) // the woken request Advances, then picks again
 		return
 	}
 	ln.busy = false
+}
+
+// popFront drops s[0], shifting the rest down so the slice keeps its
+// capacity.
+func popFront[T any](s []T) []T {
+	n := copy(s, s[1:])
+	var zero T
+	s[n] = zero
+	return s[:n]
 }

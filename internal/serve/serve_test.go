@@ -13,36 +13,83 @@ import (
 )
 
 // TestFairSchedWeightedRoundRobin pins the WRR service order on one
-// contended lane: a weight-2 user gets two consecutive requests per turn,
-// a weight-1 user one, and within a user requests stay FIFO.
+// contended lane: a user with weight w gets up to w consecutive requests
+// per turn, and within a user requests stay FIFO. A user whose queue
+// drains loses its lane entry at once; if it re-enters before the
+// rotation reaches its old slot it is served from that slot, otherwise it
+// joins at the back. Each request costs 1ms, so a completion time names
+// its position in the order.
 func TestFairSchedWeightedRoundRobin(t *testing.T) {
-	s := des.NewScheduler(1)
-	f := serve.NewFairSched()
-	f.SetWeight("heavy", 2)
-	var order []string
-	submit := func(user string, n int) {
-		for i := 0; i < n; i++ {
-			s.Spawn(fmt.Sprintf("%s%d", user, i), func(p *des.Proc) {
-				f.Serve(p, 0, user, "install", des.Millisecond)
-				order = append(order, user)
-			})
-		}
+	type batch struct {
+		user string
+		n    int
+		at   des.Time
 	}
-	// heavy's first request grabs the idle lane; everything else queues.
-	submit("heavy", 6)
-	submit("light", 3)
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"heavy", "heavy", "heavy", "light", "heavy", "heavy", "light", "heavy", "light"}
-	if got := strings.Join(order, " "); got != strings.Join(want, " ") {
-		t.Fatalf("service order:\n got %s\nwant %s", got, strings.Join(want, " "))
-	}
-	if f.Served("heavy") != 6 || f.Served("light") != 3 {
-		t.Errorf("served counts heavy=%d light=%d", f.Served("heavy"), f.Served("light"))
-	}
-	if f.WaitTime("light") == 0 {
-		t.Error("light user never waited despite the contended lane")
+	cases := []struct {
+		name    string
+		weights map[string]int
+		batches []batch
+		want    string
+	}{{
+		// heavy's first request grabs the idle lane; everything else queues.
+		name:    "weights 2 and 1",
+		weights: map[string]int{"heavy": 2},
+		batches: []batch{{"heavy", 6, 0}, {"light", 3, 0}},
+		want:    "heavy heavy heavy light heavy heavy light heavy light",
+	}, {
+		// d drains when its first request starts (7ms) and re-enters at
+		// 9.5ms. b rotated behind d's drained slot at 9ms, so d is served
+		// from that slot (from 12ms) before b's next turn; joining at the back
+		// instead would have served b first.
+		name:    "weights 1, 2 and 3 with a re-entering user",
+		weights: map[string]int{"b": 2, "c": 3},
+		batches: []batch{{"a", 2, 0}, {"b", 5, 0}, {"c", 5, 0}, {"d", 1, 0},
+			{"d", 2, 9*des.Millisecond + des.Millisecond/2}},
+		want: "a a b b c c c d b b c c d b d",
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := des.NewScheduler(1)
+			f := serve.NewFairSched()
+			for u, w := range tc.weights {
+				f.SetWeight(u, w)
+			}
+			var order []string
+			submitted := make(map[string]int)
+			for _, b := range tc.batches {
+				submitted[b.user] += b.n
+				for i := 0; i < b.n; i++ {
+					s.Spawn(fmt.Sprintf("%s%d", b.user, i), func(p *des.Proc) {
+						p.Advance(b.at)
+						f.Serve(p, 0, b.user, "install", des.Millisecond)
+						order = append(order, b.user)
+						queued, _ := f.LaneEntries(0)
+						for u, n := range queued {
+							if n == 0 {
+								t.Errorf("at %v the lane holds an entry for %s with nothing queued", p.Now(), u)
+							}
+						}
+					})
+				}
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Join(order, " "); got != tc.want {
+				t.Fatalf("service order:\n got %s\nwant %s", got, tc.want)
+			}
+			for u, n := range submitted {
+				if f.Served(u) != n {
+					t.Errorf("served %s %d times, want %d", u, f.Served(u), n)
+				}
+			}
+			if queued, slots := f.LaneEntries(0); len(queued) != 0 || slots != 0 {
+				t.Errorf("idle lane holds entries %v and %d rotation slots", queued, slots)
+			}
+			if f.WaitTime(tc.batches[len(tc.batches)-1].user) == 0 {
+				t.Error("last user never waited despite the contended lane")
+			}
+		})
 	}
 }
 
