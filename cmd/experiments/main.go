@@ -251,8 +251,8 @@ func run() error {
 		if *progress {
 			m := runner.Metrics()
 			fmt.Fprintf(os.Stderr,
-				"cells=%d runs=%d cache-hits=%d store-hits=%d failures=%d retries=%d workers=%d wall=%s busy=%s virtual=%.1fs utilization=%.0f%%\n",
-				m.Cells, m.Runs, m.CacheHits, m.StoreHits, m.Failures, m.Retries, m.Workers,
+				"cells=%d runs=%d replays=%d cache-hits=%d store-hits=%d failures=%d retries=%d workers=%d wall=%s busy=%s virtual=%.1fs utilization=%.0f%%\n",
+				m.Cells, m.Runs, m.Replays, m.CacheHits, m.StoreHits, m.Failures, m.Retries, m.Workers,
 				m.Wall.Round(1e6), m.Busy.Round(1e6), m.Virtual.Seconds(), 100*m.Utilization())
 		}
 	}

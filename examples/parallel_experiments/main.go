@@ -81,7 +81,7 @@ func main() {
 		res.Elapsed.Seconds(), res.CreateAndInstrument.Seconds(), res.TraceBytes)
 
 	m := runner.Metrics()
-	fmt.Printf("\ncells=%d runs=%d cache-hits=%d workers=%d wall=%s virtual=%.2fs utilization=%.0f%%\n",
-		m.Cells, m.Runs, m.CacheHits, m.Workers, m.Wall.Round(1e6),
+	fmt.Printf("\ncells=%d runs=%d replays=%d cache-hits=%d workers=%d wall=%s virtual=%.2fs utilization=%.0f%%\n",
+		m.Cells, m.Runs, m.Replays, m.CacheHits, m.Workers, m.Wall.Round(1e6),
 		m.Virtual.Seconds(), 100*m.Utilization())
 }

@@ -19,6 +19,7 @@ import (
 	"dynprof/internal/image"
 	"dynprof/internal/machine"
 	"dynprof/internal/proc"
+	"dynprof/internal/tape"
 	"dynprof/internal/vt"
 )
 
@@ -44,6 +45,10 @@ type Config struct {
 	Collector *vt.Collector
 	// CountOnly drops trace event payloads (see guide.LaunchOpts).
 	CountOnly bool
+	// Tape records the target's application operations into a blank
+	// tape, or runs the target from a finished run's tape (see
+	// guide.LaunchOpts). The tool's own work is never on a tape.
+	Tape *tape.Tape
 	// Output receives tool messages (help text, errors); may be nil.
 	Output io.Writer
 	// Files holds the contents of script-visible files, keyed by name,
@@ -124,6 +129,7 @@ func NewSession(p *des.Proc, cfg Config) (*Session, error) {
 		Args:      cfg.Args,
 		Collector: cfg.Collector,
 		CountOnly: cfg.CountOnly,
+		Tape:      cfg.Tape,
 	})
 	if err != nil {
 		return nil, err

@@ -184,6 +184,15 @@ func (e *ProcPanicError) Error() string {
 	return fmt.Sprintf("des: panic in proc %q: %v", e.Proc, e.Value)
 }
 
+// Unwrap exposes the panic value when it is itself an error, so a typed
+// error a Proc panics with stays reachable through errors.As.
+func (e *ProcPanicError) Unwrap() error {
+	if err, ok := e.Value.(error); ok {
+		return err
+	}
+	return nil
+}
+
 // NewScheduler returns a Scheduler with its clock at zero, seeded with
 // seed and configured by opts (e.g. WithBudget).
 func NewScheduler(seed uint64, opts ...Option) *Scheduler {

@@ -11,6 +11,7 @@ import (
 	"dynprof/internal/fault"
 	"dynprof/internal/guide"
 	"dynprof/internal/machine"
+	"dynprof/internal/tape"
 )
 
 // Defaults for AdaptSpec's zero fields.
@@ -88,7 +89,19 @@ func (s AdaptSpec) Key() string {
 		n.App, n.Budget, n.Epoch, n.CPUs, n.Machine.Name, argsKey(n.Args), n.Seed, faultKey(n.Machine))
 }
 
-func (s AdaptSpec) runCell(bud des.Budget) (cellResult, error) { return runAdaptCell(s, bud) }
+func (s AdaptSpec) runCell(bud des.Budget) (cellResult, error) { return runAdaptCell(s, bud, nil) }
+
+func (s AdaptSpec) tapeKey() string {
+	n := s.norm()
+	if !n.Machine.FaultPlan().MovesTimeOnly() {
+		return ""
+	}
+	return tapeTuple(n.App, n.CPUs, n.Machine, n.Args, n.Seed)
+}
+
+func (s AdaptSpec) runTaped(bud des.Budget, tp *tape.Tape) (cellResult, error) {
+	return runAdaptCell(s, bud, tp)
+}
 
 func (AdaptSpec) decode(b json.RawMessage) (cellResult, error) { return decodeAs[AdaptResult](b) }
 
@@ -129,11 +142,12 @@ func (r AdaptResult) stats() (des.Time, uint64, []fault.Event) { return r.Elapse
 
 // RunAdapt executes one adaptive cell.
 func RunAdapt(spec AdaptSpec) (AdaptResult, error) {
-	return runAdaptCell(spec, des.Budget{})
+	return runAdaptCell(spec, des.Budget{}, nil)
 }
 
-// runAdaptCell is RunAdapt with a DES budget attached.
-func runAdaptCell(spec AdaptSpec, bud des.Budget) (AdaptResult, error) {
+// runAdaptCell is RunAdapt with a DES budget attached, recording into or
+// replaying from the application's tape tp (nil: live).
+func runAdaptCell(spec AdaptSpec, bud des.Budget, tp *tape.Tape) (AdaptResult, error) {
 	spec = spec.norm()
 	res := AdaptResult{App: spec.App, Budget: spec.Budget, CPUs: spec.CPUs}
 	app, err := apps.Get(spec.App)
@@ -141,7 +155,7 @@ func runAdaptCell(spec AdaptSpec, bud des.Budget) (AdaptResult, error) {
 		return res, err
 	}
 	r, sum, err := runAdaptiveSession(spec.Machine, app, spec.CPUs, spec.Args, spec.Seed, bud,
-		adapt.Config{Budget: spec.Budget, EpochEvery: spec.Epoch})
+		adapt.Config{Budget: spec.Budget, EpochEvery: spec.Epoch}, tp)
 	res.Faults = r.Faults
 	if err != nil {
 		return res, err
@@ -165,7 +179,7 @@ func runAdaptCell(spec AdaptSpec, bud des.Budget) (AdaptResult, error) {
 // and the adapt figure: a dynprof session over a fully instrumented
 // target, with the adapt controller attached before start. An aborted run
 // (budget trip, proc panic) tears the session down host-side.
-func runAdaptiveSession(mach *machine.Config, app *guide.App, cpus int, args map[string]int, seed uint64, bud des.Budget, cfg adapt.Config) (Result, adapt.Summary, error) {
+func runAdaptiveSession(mach *machine.Config, app *guide.App, cpus int, args map[string]int, seed uint64, bud des.Budget, cfg adapt.Config, tp *tape.Tape) (Result, adapt.Summary, error) {
 	res := Result{App: app.Name, CPUs: cpus}
 	s := des.NewScheduler(seed, des.WithBudget(bud))
 	var ss *core.Session
@@ -184,6 +198,7 @@ func runAdaptiveSession(mach *machine.Config, app *guide.App, cpus int, args map
 			Procs:     cpus,
 			Args:      args,
 			CountOnly: true,
+			Tape:      tp,
 		})
 		if sessErr != nil {
 			return

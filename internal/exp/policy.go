@@ -14,6 +14,7 @@ import (
 	"dynprof/internal/fault"
 	"dynprof/internal/guide"
 	"dynprof/internal/machine"
+	"dynprof/internal/tape"
 	"dynprof/internal/vt"
 )
 
@@ -33,8 +34,10 @@ type PolicySpec interface {
 	Description() string
 	// BuildOpts maps the policy to its compile-time configuration.
 	BuildOpts(app *guide.App) guide.BuildOpts
-	// run executes one experiment cell under this policy.
-	run(spec RunSpec, app *guide.App, bud des.Budget) (Result, error)
+	// run executes one experiment cell under this policy, recording into
+	// or replaying from the application's tape tp (nil: live; see
+	// guide.LaunchOpts.Tape).
+	run(spec RunSpec, app *guide.App, bud des.Budget, tp *tape.Tape) (Result, error)
 }
 
 // StaticPolicy is one of Table 3's five static instrumentation policies:
@@ -130,7 +133,7 @@ func (p StaticPolicy) BuildOpts(app *guide.App) guide.BuildOpts {
 // run executes one static-policy cell: Dynamic spawns dynprof to
 // instrument the subset at startup; every other policy is a plain
 // instrumented launch.
-func (p StaticPolicy) run(spec RunSpec, app *guide.App, bud des.Budget) (Result, error) {
+func (p StaticPolicy) run(spec RunSpec, app *guide.App, bud des.Budget, tp *tape.Tape) (Result, error) {
 	res := Result{App: app.Name, Policy: p.Key(), CPUs: spec.CPUs}
 	switch p {
 	case Full, FullOff, Subset, None, Dynamic:
@@ -138,14 +141,14 @@ func (p StaticPolicy) run(spec RunSpec, app *guide.App, bud des.Budget) (Result,
 		return res, fmt.Errorf("exp: unknown static policy %q", string(p))
 	}
 	if p == Dynamic {
-		return runDynamic(spec.machine(), app, spec.CPUs, spec.Args, spec.Seed, bud)
+		return runDynamic(spec.machine(), app, spec.CPUs, spec.Args, spec.Seed, bud, tp)
 	}
 	bin, err := guide.Build(app, p.BuildOpts(app))
 	if err != nil {
 		return res, err
 	}
 	s := des.NewScheduler(spec.Seed, des.WithBudget(bud))
-	j, err := guide.Launch(s, spec.machine(), bin, guide.LaunchOpts{Procs: spec.CPUs, Args: spec.Args, CountOnly: true})
+	j, err := guide.Launch(s, spec.machine(), bin, guide.LaunchOpts{Procs: spec.CPUs, Args: spec.Args, CountOnly: true, Tape: tp})
 	if err != nil {
 		return res, err
 	}
@@ -204,10 +207,10 @@ func (a Adaptive) BuildOpts(*guide.App) guide.BuildOpts {
 }
 
 // run executes one adaptive cell through the shared dynprof-session path.
-func (a Adaptive) run(spec RunSpec, app *guide.App, bud des.Budget) (Result, error) {
+func (a Adaptive) run(spec RunSpec, app *guide.App, bud des.Budget, tp *tape.Tape) (Result, error) {
 	n := a.norm()
 	res, _, err := runAdaptiveSession(spec.machine(), app, spec.CPUs, spec.Args, spec.Seed, bud,
-		adapt.Config{Budget: n.Budget, EpochEvery: n.Epoch})
+		adapt.Config{Budget: n.Budget, EpochEvery: n.Epoch}, tp)
 	res.Policy = a.Key()
 	return res, err
 }
@@ -234,7 +237,7 @@ func (r Result) stats() (des.Time, uint64, []fault.Event) { return r.Elapsed, 0,
 // instruments the application's subset before the main computation (via
 // insert-file, as Section 4.2 describes) and detaches. An aborted run
 // (budget trip, proc panic) tears the session down host-side.
-func runDynamic(mach *machine.Config, app *guide.App, cpus int, args map[string]int, seed uint64, bud des.Budget) (Result, error) {
+func runDynamic(mach *machine.Config, app *guide.App, cpus int, args map[string]int, seed uint64, bud des.Budget, tp *tape.Tape) (Result, error) {
 	res := Result{App: app.Name, Policy: Dynamic.Key(), CPUs: cpus}
 	s := des.NewScheduler(seed, des.WithBudget(bud))
 	script := "insert-file subset.list\nstart\nquit\n"
@@ -253,6 +256,7 @@ func runDynamic(mach *machine.Config, app *guide.App, cpus int, args map[string]
 			Args:      args,
 			CountOnly: true,
 			Files:     map[string]string{"subset.list": strings.Join(app.Subset, "\n")},
+			Tape:      tp,
 		})
 		if sessErr != nil {
 			return

@@ -17,6 +17,10 @@ type Metrics struct {
 	Cells int
 	// Runs is the number of specs actually executed.
 	Runs int
+	// Replays is the number of executed specs that replayed their
+	// application tuple's tape instead of recomputing the application
+	// (a subset of Runs).
+	Replays int
 	// CacheHits is the number of cells served from the in-memory memo
 	// cache.
 	CacheHits int
@@ -88,6 +92,9 @@ type CellEvent struct {
 	// Attempts is the number of execution attempts for freshly executed
 	// cells (0 when served from a cache or the store).
 	Attempts int `json:"attempts,omitempty"`
+	// Replayed marks a freshly executed cell that replayed its
+	// application tuple's tape; its values equal a live run's.
+	Replayed bool `json:"replayed,omitempty"`
 	// Error is a failed cell's final error message.
 	Error string `json:"error,omitempty"`
 }
@@ -99,10 +106,13 @@ type cacheEntry struct {
 	wall     time.Duration
 	attempts int
 	stored   bool // served from the persistent store
+	replayed bool // executed from its application tuple's tape
 }
 
 // Runner schedules experiment cells: it enumerates the work-list of any
-// set of figures, executes unique cells on a bounded worker pool,
+// set of figures, executes unique cells on a bounded worker pool (the
+// cells of one application tuple as one job that computes the application
+// once and replays it per policy, see tape.go),
 // memoizes results by spec key across figures and calls, and reassembles
 // each figure in deterministic order — parallel output is byte-identical
 // to sequential. Every execution is supervised (recover, wall-clock
@@ -205,39 +215,40 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 		r.opts.Progress(done, total, served)
 	}
 
-	// Execute: drain unique jobs through the bounded pool.
-	workers := r.parallelism()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	// Execute: drain the unique jobs, grouped by application tuple,
+	// through the bounded pool.
+	groups := groupJobs(jobs)
+	workers := min(r.parallelism(), len(groups))
 	var storeErr error
-	if len(jobs) > 0 {
-		jobCh := make(chan cellSpec)
+	cellDone := func(putErr error) {
+		r.mu.Lock()
+		if putErr != nil && storeErr == nil {
+			storeErr = putErr
+		}
+		done++
+		dn := done
+		prog := r.opts.Progress
+		r.mu.Unlock()
+		if prog != nil {
+			prog(dn, total, served)
+		}
+	}
+	if len(groups) > 0 {
+		groupCh := make(chan cellGroup)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for spec := range jobCh {
-					_, putErr := r.execute(spec)
-					r.mu.Lock()
-					if putErr != nil && storeErr == nil {
-						storeErr = putErr
-					}
-					done++
-					dn := done
-					prog := r.opts.Progress
-					r.mu.Unlock()
-					if prog != nil {
-						prog(dn, total, served)
-					}
+				for g := range groupCh {
+					r.runGroup(g, cellDone)
 				}
 			}()
 		}
-		for _, j := range jobs {
-			jobCh <- j
+		for _, g := range groups {
+			groupCh <- g
 		}
-		close(jobCh)
+		close(groupCh)
 		wg.Wait()
 	}
 	// A broken store means resume would silently lose results the user
@@ -275,6 +286,7 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 			if fresh {
 				ev.WallMS = float64(e.wall) / float64(time.Millisecond)
 				ev.Attempts = e.attempts
+				ev.Replayed = e.replayed
 			}
 			if e.err != nil {
 				p.fig.Series[c.series].Points = append(p.fig.Series[c.series].Points, Point{CPUs: c.cpus, Value: math.NaN()})
@@ -325,7 +337,7 @@ func (r *Runner) Run(spec RunSpec) (Result, error) {
 	}
 	if e == nil {
 		var putErr error
-		e, putErr = r.execute(spec)
+		e, putErr = r.execute(spec, spec.runCell, false)
 		r.mu.Lock()
 		r.met.Wall += e.wall
 		r.mu.Unlock()
@@ -357,13 +369,14 @@ func (r *Runner) lookup(spec cellSpec) (*cacheEntry, error) {
 	return e, err
 }
 
-// execute runs spec under supervision, journals a success to the
-// persistent store, and memoizes the entry with its run counters. putErr
-// reports a journal write that failed.
-func (r *Runner) execute(spec cellSpec) (e *cacheEntry, putErr error) {
+// execute runs spec (through run, which replayed says is a tape replay)
+// under supervision, journals a success to the persistent store, and
+// memoizes the entry with its run counters. putErr reports a journal
+// write that failed.
+func (r *Runner) execute(spec cellSpec, run func(des.Budget) (cellResult, error), replayed bool) (e *cacheEntry, putErr error) {
 	t0 := time.Now()
-	val, err, attempts := superviseCell(spec, r.opts)
-	e = &cacheEntry{val: val, err: err, wall: time.Since(t0), attempts: attempts}
+	val, err, attempts := superviseCell(run, r.opts)
+	e = &cacheEntry{val: val, err: err, wall: time.Since(t0), attempts: attempts, replayed: replayed}
 	if err == nil && r.opts.Store != nil {
 		putErr = r.opts.Store.Put(spec.Key(), val)
 	}
@@ -371,6 +384,9 @@ func (r *Runner) execute(spec cellSpec) (e *cacheEntry, putErr error) {
 	defer r.mu.Unlock()
 	r.cache[spec.Key()] = e
 	r.met.Runs++
+	if replayed {
+		r.met.Replays++
+	}
 	r.met.Busy += e.wall
 	r.met.Virtual += e.simTime()
 	r.met.Retries += attempts - 1

@@ -3,6 +3,7 @@ package exp
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -12,6 +13,7 @@ import (
 	"dynprof/internal/fault"
 	"dynprof/internal/guide"
 	"dynprof/internal/machine"
+	"dynprof/internal/tape"
 	"dynprof/internal/vt"
 )
 
@@ -133,7 +135,32 @@ func (s RunSpec) Key() string {
 		name, s.policy().Key(), s.CPUs, s.machine().Name, argsKey(s.Args), s.Seed, faultKey(s.machine()))
 }
 
-func (s RunSpec) runCell(bud des.Budget) (cellResult, error) { return runSpecCell(s, bud) }
+func (s RunSpec) runCell(bud des.Budget) (cellResult, error) { return runSpecCell(s, bud, nil) }
+
+// tapeKey: a registered kernel under any Table 3 policy or Adaptive, on a
+// machine whose faults only move time.
+func (s RunSpec) tapeKey() string {
+	if s.AppDef != nil {
+		return ""
+	}
+	switch p := s.policy().(type) {
+	case StaticPolicy:
+		if !slices.Contains(AllPolicies(), p) {
+			return "" // unknown policy: the live run reports it
+		}
+	case Adaptive:
+	default:
+		return ""
+	}
+	if !s.machine().FaultPlan().MovesTimeOnly() {
+		return ""
+	}
+	return tapeTuple(s.App, s.CPUs, s.machine(), s.Args, s.Seed)
+}
+
+func (s RunSpec) runTaped(bud des.Budget, tp *tape.Tape) (cellResult, error) {
+	return runSpecCell(s, bud, tp)
+}
 
 func (RunSpec) decode(b json.RawMessage) (cellResult, error) { return decodeAs[Result](b) }
 
@@ -162,17 +189,18 @@ func argsKey(args map[string]int) string {
 // Run executes one experiment cell described by spec and returns its
 // measurements. Every run happens inside a fresh scheduler, so concurrent
 // Run calls on distinct specs are safe.
-func Run(spec RunSpec) (Result, error) { return runSpecCell(spec, des.Budget{}) }
+func Run(spec RunSpec) (Result, error) { return runSpecCell(spec, des.Budget{}, nil) }
 
 // runSpecCell is Run with a DES budget attached (the Runner's supervised
 // path); a Proc panic surfaces as a *des.ProcPanicError return. Execution
-// is dispatched through the spec's PolicySpec.
-func runSpecCell(spec RunSpec, bud des.Budget) (Result, error) {
+// is dispatched through the spec's PolicySpec, recording into or replaying
+// from the application's tape tp (nil: live).
+func runSpecCell(spec RunSpec, bud des.Budget, tp *tape.Tape) (Result, error) {
 	app, err := spec.app()
 	if err != nil {
 		return Result{}, err
 	}
-	return spec.policy().run(spec, app, bud)
+	return spec.policy().run(spec, app, bud, tp)
 }
 
 // ConfSyncSpec describes one VT_confsync probe cell (Figure 8): the mean

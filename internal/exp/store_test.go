@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -369,4 +370,23 @@ func TestStoreUndecodableRecordFails(t *testing.T) {
 	if _, err := NewRunner(Options{Store: st}).Run(spec); err == nil {
 		t.Error("Run over an undecodable record must fail")
 	}
+}
+
+// FuzzLoadJournal: indexing arbitrary journal bytes never panics, reports
+// an intact prefix no longer than the input, and ignores a torn tail:
+// appending bytes with no newline leaves the index and the intact length
+// (or the error) unchanged.
+func FuzzLoadJournal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data, tail []byte) {
+		tail = bytes.ReplaceAll(tail, []byte("\n"), nil)
+		idx, intact, err := loadJournal("fuzz", data)
+		if err == nil && (intact < 0 || intact > len(data)) {
+			t.Fatalf("intact prefix %d of %d bytes", intact, len(data))
+		}
+		torn := append(slices.Clip(data), tail...)
+		idx2, intact2, err2 := loadJournal("fuzz", torn)
+		if (err == nil) != (err2 == nil) || intact2 != intact || !reflect.DeepEqual(idx2, idx) {
+			t.Fatalf("torn tail %q changed the load: (%d, %v) -> (%d, %v)", tail, intact, err, intact2, err2)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"sync/atomic"
 	"time"
 
 	"dynprof/internal/des"
@@ -149,11 +150,19 @@ func (o Options) retryBackoff(attempt int) time.Duration {
 	return d
 }
 
+// ranScheduler, when set, sees every cell's scheduler once its run has
+// returned, on the goroutine that ran it. Tests use it to count the DES
+// events a cell executed.
+var ranScheduler atomic.Pointer[func(*des.Scheduler)]
+
 // runScheduler drives one cell's scheduler, converting the typed
 // *des.ProcPanicError a Proc panic is re-raised as into an ordinary error
 // return; any other panic keeps unwinding (superviseCell catches it).
 func runScheduler(s *des.Scheduler) (err error) {
 	defer func() {
+		if f := ranScheduler.Load(); f != nil {
+			(*f)(s)
+		}
 		if r := recover(); r != nil {
 			pp, ok := r.(*des.ProcPanicError)
 			if !ok {
@@ -174,7 +183,7 @@ type attemptOutcome struct {
 // runAttempt executes one supervised attempt of a cell: the execution runs
 // on its own goroutine behind a recover barrier, and a wall-clock watchdog
 // (when Options.CellTimeout is set) abandons attempts that wedge the host.
-func runAttempt(spec cellSpec, opts Options) (cellResult, error) {
+func runAttempt(run func(des.Budget) (cellResult, error), opts Options) (cellResult, error) {
 	ch := make(chan attemptOutcome, 1)
 	go func() {
 		defer func() {
@@ -182,7 +191,7 @@ func runAttempt(spec cellSpec, opts Options) (cellResult, error) {
 				ch <- attemptOutcome{err: &CellPanicError{Value: r, Stack: debug.Stack()}}
 			}
 		}()
-		v, err := spec.runCell(opts.Budget)
+		v, err := run(opts.Budget)
 		ch <- attemptOutcome{val: v, err: err}
 	}()
 	if opts.CellTimeout <= 0 {
@@ -199,13 +208,13 @@ func runAttempt(spec cellSpec, opts Options) (cellResult, error) {
 	}
 }
 
-// superviseCell executes one cell under the supervision policy: bounded
-// retry with exponential backoff for retryable failures, fail-fast for
-// deterministic ones. attempts reports how many executions were made.
-func superviseCell(spec cellSpec, opts Options) (val cellResult, err error, attempts int) {
+// superviseCell executes one cell's run under the supervision policy:
+// bounded retry with exponential backoff for retryable failures, fail-fast
+// for deterministic ones. attempts reports how many executions were made.
+func superviseCell(run func(des.Budget) (cellResult, error), opts Options) (val cellResult, err error, attempts int) {
 	limit := opts.maxAttempts()
 	for attempts = 1; ; attempts++ {
-		val, err = runAttempt(spec, opts)
+		val, err = runAttempt(run, opts)
 		if err == nil || !Retryable(err) || attempts >= limit {
 			return val, err, attempts
 		}

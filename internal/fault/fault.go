@@ -190,6 +190,20 @@ func (pl *Plan) IsZero() bool {
 		pl.TraceBufEvents == 0
 }
 
+// MovesTimeOnly reports whether the plan can only move an application's
+// operations in time — slowed clocks, stalled nodes, delayed control
+// messages — and never change which operations it performs. A zero plan
+// moves nothing. Rank crashes change what survivors receive; the other
+// classes are excluded conservatively.
+func (pl *Plan) MovesTimeOnly() bool {
+	if pl.IsZero() {
+		return true
+	}
+	return len(pl.Crashes) == 0 && len(pl.DaemonCrashes) == 0 && len(pl.CtrlOutages) == 0 &&
+		len(pl.LinkDrops) == 0 && pl.CtrlLossProb == 0 && pl.DetectTimeout == 0 &&
+		pl.TraceBufEvents == 0
+}
+
 // Validate rejects plans that would corrupt virtual time or probability
 // draws: slowdown factors below 1, stalls with negative windows, loss
 // probabilities outside [0, 1].

@@ -39,6 +39,7 @@ type Binary struct {
 	template *image.Image
 	static   map[string]staticIDs
 	syms     []*image.Symbol // by Fn; shared by every clone of template
+	fnOf     []int32         // by symbol Region: the Fn, or -1 (see tape.Tape.Start)
 }
 
 // runtime symbol sizes (words) — small library stubs in the image.
@@ -96,7 +97,25 @@ func Build(app *App, opts BuildOpts) (*Binary, error) {
 		}
 		syms[i] = sym
 	}
-	return &Binary{app: app, opts: opts, template: b.Build(), static: static, syms: syms}, nil
+	img := b.Build()
+	return &Binary{app: app, opts: opts, template: img, static: static, syms: syms, fnOf: fnByRegion(img, syms)}, nil
+}
+
+// fnByRegion maps each symbol's entry Region to its function handle, -1
+// for the runtime symbols.
+func fnByRegion(img *image.Image, syms []*image.Symbol) []int32 {
+	n := 0
+	for _, s := range img.Symbols() {
+		n = max(n, s.Region+1+len(s.Exits))
+	}
+	fnOf := make([]int32, n)
+	for i := range fnOf {
+		fnOf[i] = -1
+	}
+	for f, s := range syms {
+		fnOf[s.Region] = int32(f)
+	}
+	return fnOf
 }
 
 // App returns the compiled application.

@@ -9,6 +9,7 @@ import (
 	"dynprof/internal/mpi"
 	"dynprof/internal/omp"
 	"dynprof/internal/proc"
+	"dynprof/internal/tape"
 	"dynprof/internal/vt"
 )
 
@@ -31,6 +32,15 @@ type LaunchOpts struct {
 	// jobs can occupy disjoint node ranges of one machine (MPI binaries
 	// only; OpenMP binaries always run on node 0).
 	Node int
+	// Tape, when non-nil, is an application tape (see package tape). A
+	// blank tape is started by the launch and records every process's
+	// application operations as the job runs; it is complete once the job
+	// has finished without error and its Err is nil. A recorded tape —
+	// from a finished run of the same application, input deck and size —
+	// runs every process in place of App.Main. Instrumentation, tracing,
+	// faults and message timing all still run live; a replay that
+	// diverges from its tape fails with a *tape.MismatchError panic.
+	Tape *tape.Tape
 }
 
 // Job is a launched (possibly held) run of a binary on the machine.
@@ -51,6 +61,9 @@ type Job struct {
 	countOnly  bool
 	startNode  int
 	ompElapsed des.Time
+
+	tape      *tape.Tape
+	replaying bool // tape drives the job; else it records into tape
 }
 
 // Launch places and starts (or holds) a run of bin with n processes.
@@ -58,6 +71,17 @@ func Launch(s *des.Scheduler, mach *machine.Config, bin *Binary, opts LaunchOpts
 	n := opts.Procs
 	if n <= 0 {
 		return nil, fmt.Errorf("guide: launch with %d processes", n)
+	}
+	replaying := false
+	if tp := opts.Tape; tp != nil {
+		replaying = tp.Len() > 0
+		if !replaying {
+			if err := tp.Start(bin.app.Name, n, bin.fnOf); err != nil {
+				return nil, err
+			}
+		} else if tp.App() != bin.app.Name || tp.Len() != n {
+			return nil, fmt.Errorf("guide: %s tape of %d threads cannot replay %s on %d", tp.App(), tp.Len(), bin.app.Name, n)
+		}
 	}
 	col := opts.Collector
 	if col == nil {
@@ -79,6 +103,8 @@ func Launch(s *des.Scheduler, mach *machine.Config, bin *Binary, opts LaunchOpts
 		released:  !opts.Hold,
 		countOnly: opts.CountOnly,
 		startNode: opts.Node,
+		tape:      opts.Tape,
+		replaying: replaying,
 	}
 	if plan := mach.FaultPlan(); !plan.IsZero() {
 		if err := plan.Validate(); err != nil {
@@ -177,7 +203,17 @@ func (j *Job) launchMPI(n int, args map[string]int) error {
 		pr.Start(func(th *proc.Thread) {
 			th.Block(func(p *des.Proc) { p.Await(j.startGate) })
 			c := att.Bind(r, th)
-			j.bin.app.Main(&Ctx{T: th, MPI: c, VT: v, Args: args, syms: j.bin.syms})
+			ctx := &Ctx{T: th, MPI: c, VT: v, Args: args, syms: j.bin.syms}
+			switch {
+			case j.replaying:
+				replayMain(ctx, j.tape, r)
+			case j.tape != nil:
+				th.SetTape(j.tape.Track(r))
+				j.bin.app.Main(ctx)
+				th.SetTape(nil)
+			default:
+				j.bin.app.Main(ctx)
+			}
 		})
 	}
 	return nil
@@ -204,7 +240,23 @@ func (j *Job) launchOMP(threads int, args map[string]int) error {
 		start := master.Now()
 		suspAtStart := master.SuspendedTime()
 		rt := omp.New(pr, master, threads, att.OMPHooks())
-		j.bin.app.Main(&Ctx{T: master, OMP: rt, VT: v, Args: args, syms: j.bin.syms})
+		ctx := &Ctx{T: master, OMP: rt, VT: v, Args: args, syms: j.bin.syms}
+		switch {
+		case j.replaying:
+			replayMain(ctx, j.tape, 0)
+		case j.tape != nil:
+			// Team thread i records track i; the master is thread 0.
+			team := pr.Threads()
+			for i, th := range team {
+				th.SetTape(j.tape.Track(i))
+			}
+			j.bin.app.Main(ctx)
+			for _, th := range team {
+				th.SetTape(nil)
+			}
+		default:
+			j.bin.app.Main(ctx)
+		}
 		rt.Shutdown()
 		master.Sync()
 		j.ompElapsed = (master.Now() - start) - (master.SuspendedTime() - suspAtStart)

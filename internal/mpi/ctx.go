@@ -5,6 +5,7 @@ import (
 
 	"dynprof/internal/des"
 	"dynprof/internal/proc"
+	"dynprof/internal/tape"
 )
 
 // Op is a reduction operator.
@@ -65,6 +66,7 @@ type Ctx struct {
 	hooks Hooks
 
 	collCount   int
+	irecvs      uint32 // application Irecvs posted, numbering their requests
 	initialized bool
 	finalized   bool
 	dead        bool
@@ -98,14 +100,33 @@ func (c *Ctx) Dead() bool { return c.dead }
 // MPI_Wtime.
 func (c *Ctx) Wtime() float64 { return c.t.Now().Seconds() }
 
-// wrap brackets an MPI call with the wrapper hooks.
+// wrap brackets an MPI call with the wrapper hooks. The call's body is
+// runtime work, so the thread's tape is muted across it.
 func (c *Ctx) wrap(call string, fn func()) {
+	c.t.Mute()
 	if c.hooks != nil {
 		c.hooks.Enter(c, call)
 	}
 	fn()
 	if c.hooks != nil {
 		c.hooks.Exit(c, call)
+	}
+	c.t.Unmute()
+}
+
+// record appends op to the rank's tape when the application itself made
+// the call (see proc.Thread.Tape).
+func (c *Ctx) record(op tape.Op) {
+	if tr := c.t.Tape(); tr != nil {
+		tr.Append(op)
+	}
+}
+
+// unrecordable marks a recording unreplayable when the application itself
+// makes a call outside the tape's vocabulary.
+func (c *Ctx) unrecordable(call string) {
+	if tr := c.t.Tape(); tr != nil {
+		tr.Unsupported(call)
 	}
 }
 
@@ -133,6 +154,9 @@ func (c *Ctx) Init() {
 	if c.initialized {
 		panic(fmt.Sprintf("mpi: rank %d called Init twice", c.rank))
 	}
+	c.record(tape.Op{Kind: tape.Init})
+	c.t.Mute()
+	defer c.t.Unmute()
 	c.gateCall("MPI_Init", func() {
 		c.t.Work(initStartupCycles)
 		c.initialized = true
@@ -156,6 +180,9 @@ func (c *Ctx) Finalize() {
 	c.ensureInit("MPI_Finalize")
 	c.finalizeStart = c.t.Now()
 	c.suspAtFinal = c.t.SuspendedTime()
+	c.record(tape.Op{Kind: tape.Finalize})
+	c.t.Mute()
+	defer c.t.Unmute()
 	c.gateCall("MPI_Finalize", func() {
 		if c.hooks != nil {
 			c.hooks.Finalizing(c)
@@ -196,6 +223,7 @@ func (c *Ctx) ensureInit(call string) {
 // numeric buffers.
 func (c *Ctx) Send(dst, tag, bytes int, payload any) {
 	c.ensureInit("MPI_Send")
+	c.record(tape.Op{Kind: tape.Send, A: int64(dst), B: int64(tag), C: int64(bytes)})
 	c.wrap("MPI_Send", func() { c.send(dst, tag, bytes, payload) })
 }
 
@@ -203,8 +231,12 @@ func (c *Ctx) Send(dst, tag, bytes int, payload any) {
 // arrives, and returns it.
 func (c *Ctx) Recv(src, tag int) Message {
 	c.ensureInit("MPI_Recv")
+	if src == AnySource || tag == AnyTag {
+		c.unrecordable("wildcard MPI_Recv")
+	}
 	var m Message
 	c.wrap("MPI_Recv", func() { m = c.recvCommon(src, tag) })
+	c.record(tape.Op{Kind: tape.Recv, A: int64(m.Src), B: int64(m.Tag), C: int64(m.Bytes)})
 	return m
 }
 
@@ -212,6 +244,7 @@ func (c *Ctx) Recv(src, tag int) Message {
 // receive — the deadlock-free exchange the kernels' ghost swaps use.
 func (c *Ctx) Sendrecv(dst, sendTag, bytes int, payload any, src, recvTag int) Message {
 	c.ensureInit("MPI_Sendrecv")
+	c.unrecordable("MPI_Sendrecv")
 	var m Message
 	c.wrap("MPI_Sendrecv", func() {
 		req := c.irecv(src, recvTag)
@@ -226,6 +259,7 @@ func (c *Ctx) Sendrecv(dst, sendTag, bytes int, payload any, src, recvTag int) M
 // overhead is charged.
 func (c *Ctx) Isend(dst, tag, bytes int, payload any) *Request {
 	c.ensureInit("MPI_Isend")
+	c.unrecordable("MPI_Isend")
 	var r *Request
 	c.wrap("MPI_Isend", func() {
 		c.send(dst, tag, bytes, payload)
@@ -237,8 +271,14 @@ func (c *Ctx) Isend(dst, tag, bytes int, payload any) *Request {
 // Irecv posts a non-blocking receive.
 func (c *Ctx) Irecv(src, tag int) *Request {
 	c.ensureInit("MPI_Irecv")
+	if src == AnySource || tag == AnyTag {
+		c.unrecordable("wildcard MPI_Irecv")
+	}
+	c.record(tape.Op{Kind: tape.Irecv, A: int64(src), B: int64(tag)})
 	var r *Request
 	c.wrap("MPI_Irecv", func() { r = c.irecv(src, tag) })
+	c.irecvs++
+	r.seq = c.irecvs
 	return r
 }
 
@@ -259,6 +299,11 @@ func (c *Ctx) Wait(r *Request) Message {
 	c.ensureInit("MPI_Wait")
 	var m Message
 	c.wrap("MPI_Wait", func() { m = c.wait(r) })
+	if r.seq == 0 {
+		c.unrecordable("MPI_Wait on a request not posted by MPI_Irecv")
+	} else {
+		c.record(tape.Op{Kind: tape.Wait, A: int64(c.irecvs - r.seq + 1), C: int64(m.Bytes)})
+	}
 	return m
 }
 
@@ -288,6 +333,7 @@ func (c *Ctx) wait(r *Request) Message {
 // Waitall completes all requests, returning received messages in order.
 func (c *Ctx) Waitall(reqs []*Request) []Message {
 	c.ensureInit("MPI_Waitall")
+	c.unrecordable("MPI_Waitall")
 	ms := make([]Message, len(reqs))
 	c.wrap("MPI_Waitall", func() {
 		for i, r := range reqs {
@@ -301,6 +347,7 @@ func (c *Ctx) Waitall(reqs []*Request) []Message {
 // the last arrival.
 func (c *Ctx) Barrier() {
 	c.ensureInit("MPI_Barrier")
+	c.record(tape.Op{Kind: tape.Barrier})
 	c.wrap("MPI_Barrier", func() {
 		c.enterCollective("barrier", 0, 0, nil, func(op *collectiveOp, w *World) {
 			floor := op.maxArrival() + w.hopCost(0)*des.Time(logCeil(op.n))
@@ -315,6 +362,7 @@ func (c *Ctx) Barrier() {
 // returns it. Non-root ranks pass their placeholder (ignored).
 func (c *Ctx) Bcast(root, bytes int, val any) any {
 	c.ensureInit("MPI_Bcast")
+	c.unrecordable("MPI_Bcast")
 	var out any
 	c.wrap("MPI_Bcast", func() {
 		out = c.enterCollective("bcast", root, bytes, val, func(op *collectiveOp, w *World) {
@@ -345,6 +393,7 @@ func (c *Ctx) Bcast(root, bytes int, val any) any {
 // caller is the root (and thus result is meaningful).
 func (c *Ctx) ReduceF64(o Op, root int, v float64) (result float64, ok bool) {
 	c.ensureInit("MPI_Reduce")
+	c.unrecordable("MPI_Reduce")
 	var out any
 	c.wrap("MPI_Reduce", func() {
 		out = c.enterCollective("reduce", root, 8, v, func(op *collectiveOp, w *World) {
@@ -369,6 +418,7 @@ func (c *Ctx) ReduceF64(o Op, root int, v float64) (result float64, ok bool) {
 // every rank.
 func (c *Ctx) AllreduceF64(o Op, v float64) float64 {
 	c.ensureInit("MPI_Allreduce")
+	c.record(tape.Op{Kind: tape.Allreduce, A: int64(o)})
 	var out any
 	c.wrap("MPI_Allreduce", func() {
 		out = c.enterCollective("allreduce", 0, 8, v, func(op *collectiveOp, w *World) {
@@ -386,6 +436,7 @@ func (c *Ctx) AllreduceF64(o Op, v float64) float64 {
 // AllreduceF64s reduces element-wise vectors of equal length on all ranks.
 func (c *Ctx) AllreduceF64s(o Op, v []float64) []float64 {
 	c.ensureInit("MPI_Allreduce")
+	c.unrecordable("vector MPI_Allreduce")
 	var out any
 	c.wrap("MPI_Allreduce", func() {
 		out = c.enterCollective("allreduce", 0, 8*len(v), CopyF64s(v), func(op *collectiveOp, w *World) {
@@ -421,6 +472,7 @@ func (c *Ctx) AllreduceF64s(o Op, v []float64) []float64 {
 // values indexed by rank.
 func (c *Ctx) Gather(root, bytes int, v any) (vals []any, ok bool) {
 	c.ensureInit("MPI_Gather")
+	c.unrecordable("MPI_Gather")
 	var out any
 	c.wrap("MPI_Gather", func() {
 		out = c.enterCollective("gather", root, bytes, v, func(op *collectiveOp, w *World) {

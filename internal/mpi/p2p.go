@@ -110,8 +110,11 @@ type Request struct {
 	c    *Ctx
 	kind string // "isend" or "irecv"
 	done bool
-	rw   *recvWait
-	msg  Message
+	// seq numbers the request among the rank's Irecvs, modulo 2^32 (0
+	// for other requests); 32 bits keep Request in its size class.
+	seq uint32
+	rw  *recvWait
+	msg Message
 }
 
 // send implements the shared sending path: charge sender overhead, then

@@ -10,6 +10,7 @@ import (
 
 	"dynprof/internal/des"
 	"dynprof/internal/proc"
+	"dynprof/internal/tape"
 )
 
 // Cost model (cycles) for runtime operations, sized for a late-90s SMP.
@@ -94,11 +95,18 @@ func (rt *Runtime) workerLoop(w *worker, t *proc.Thread) {
 			return
 		}
 		if rt.hooks != nil {
+			t.Mute()
 			rt.hooks.RegionEnter(t, rt.region, w.id)
+			t.Unmute()
 		}
 		w.fn(t, w.id)
+		if tr := t.Tape(); tr != nil {
+			tr.Append(tape.Op{Kind: tape.End})
+		}
 		if rt.hooks != nil {
+			t.Mute()
 			rt.hooks.RegionExit(t, rt.region, w.id)
+			t.Unmute()
 		}
 		t.Block(func(p *des.Proc) { p.Arrive(rt.join) })
 	}
@@ -121,6 +129,13 @@ func (rt *Runtime) Parallel(master *proc.Thread, region string, body func(t *pro
 	}
 	rt.inRegion = true
 	rt.region = region
+	// Only the body is the application's own work: the master's tape
+	// records the region, the body and its End, but not fork and join.
+	tr := master.Tape()
+	if tr != nil {
+		tr.Parallel(region)
+	}
+	master.Mute()
 	master.Sync()
 	if rt.hooks != nil {
 		rt.hooks.RegionFork(master, region)
@@ -134,7 +149,12 @@ func (rt *Runtime) Parallel(master *proc.Thread, region string, body func(t *pro
 	if rt.hooks != nil {
 		rt.hooks.RegionEnter(master, region, 0)
 	}
+	master.Unmute()
 	body(master, 0)
+	if tr != nil {
+		tr.Append(tape.Op{Kind: tape.End})
+	}
+	master.Mute()
 	if rt.hooks != nil {
 		rt.hooks.RegionExit(master, region, 0)
 	}
@@ -143,6 +163,7 @@ func (rt *Runtime) Parallel(master *proc.Thread, region string, body func(t *pro
 	if rt.hooks != nil {
 		rt.hooks.RegionJoin(master, region)
 	}
+	master.Unmute()
 	rt.inRegion = false
 }
 
@@ -151,12 +172,18 @@ func (rt *Runtime) TeamBarrier(t *proc.Thread) {
 	if !rt.inRegion {
 		panic("omp: TeamBarrier outside a parallel region")
 	}
+	if tr := t.Tape(); tr != nil {
+		tr.Unsupported("omp TeamBarrier")
+	}
 	t.Work(barrierCycles)
 	t.Block(func(p *des.Proc) { p.Arrive(rt.join) })
 }
 
 // Critical runs body under the named critical section's lock.
 func (rt *Runtime) Critical(t *proc.Thread, name string, body func()) {
+	if tr := t.Tape(); tr != nil {
+		tr.Unsupported("omp Critical")
+	}
 	sem, ok := rt.criticts[name]
 	if !ok {
 		sem = des.NewSemaphore("critical."+name, 1)

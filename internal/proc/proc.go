@@ -21,6 +21,7 @@ import (
 	"dynprof/internal/fault"
 	"dynprof/internal/image"
 	"dynprof/internal/machine"
+	"dynprof/internal/tape"
 )
 
 // syncBatchCycles bounds how many cycles a thread accumulates before it
@@ -254,6 +255,9 @@ type Thread struct {
 	id   int
 	p    *des.Proc
 	dead bool
+	// mute counts the runtime calls and probe executions in progress,
+	// whose work and gates are not the application's own (see Mute).
+	mute int32
 
 	// pending holds cycles charged but not yet flushed into virtual time.
 	pending int64
@@ -268,6 +272,9 @@ type Thread struct {
 	// a statistical sampler inspects ("recording the code location
 	// currently executing at the time that the interval expires").
 	stack []*image.Symbol
+
+	// tape, when non-nil, records the thread's application operations.
+	tape *tape.Track
 }
 
 var _ image.ExecCtx = (*Thread)(nil)
@@ -341,10 +348,36 @@ func (t *Thread) Work(cycles int64) {
 		panic("proc: negative work")
 	}
 	t.pending += cycles
+	if tr := t.Tape(); tr != nil {
+		tr.Append(tape.Op{Kind: tape.Work, A: cycles})
+	}
 	if t.pending >= syncBatchCycles {
 		t.Sync()
 	}
 }
+
+// SetTape makes the thread record its application operations — gates
+// and Work — into tr from now on; nil stops recording. The runtime layers
+// record their own entry points through Tape.
+func (t *Thread) SetTape(tr *tape.Track) { t.tape = tr }
+
+// Tape returns the track recording this thread's application operations:
+// nil when the thread is not recording, or is inside a runtime call or a
+// probe (see Mute).
+func (t *Thread) Tape() *tape.Track {
+	if t.mute > 0 {
+		return nil
+	}
+	return t.tape
+}
+
+// Mute suspends recording until the matching Unmute. Runtime entry points
+// bracket their bodies with it: the work and gates MPI_Init or a fork
+// performs on the application's behalf are not application operations.
+func (t *Thread) Mute() { t.mute++ }
+
+// Unmute ends one Mute.
+func (t *Thread) Unmute() { t.mute-- }
 
 // WorkTime adds a fixed duration of application activity (e.g. I/O).
 func (t *Thread) WorkTime(d des.Time) { t.Work(t.proc.cfg.TimeToCycles(d)) }
@@ -425,12 +458,21 @@ func (t *Thread) StackDepth() int { return len(t.stack) }
 // resolved once by the caller: interpret its entry region (firing any
 // probes), run body, then interpret one exit region. Functions with
 // several return points have them exercised round-robin. A nil body
-// models a leaf routine whose work was charged by the caller.
+// models a leaf routine whose work was charged by the caller. On a
+// recording thread the gate is taped by function handle; its probes run
+// muted, since what a snippet does (a confsync, a breakpoint) is the
+// tool's work, not the application's.
 func (t *Thread) Call(sym *image.Symbol, body func()) {
+	tr := t.Tape()
 	t.SafePoint()
 	t.calls++
 	t.stack = append(t.stack, sym)
+	if tr != nil {
+		tr.Enter(sym.Region)
+	}
+	t.mute++
 	t.Charge(t.proc.img.ExecEntry(sym, t))
+	t.mute--
 	if body != nil {
 		body()
 	}
@@ -438,7 +480,12 @@ func (t *Thread) Call(sym *image.Symbol, body func()) {
 	if len(sym.Exits) > 1 {
 		exit = int(t.calls) % len(sym.Exits)
 	}
+	t.mute++
 	t.Charge(t.proc.img.ExecExit(sym, exit, t))
+	t.mute--
+	if tr != nil {
+		tr.Append(tape.Op{Kind: tape.Exit})
+	}
 	t.stack = t.stack[:len(t.stack)-1]
 	if t.pending >= syncBatchCycles {
 		t.Sync()

@@ -519,3 +519,23 @@ func TestOMPAdapterLogsRegions(t *testing.T) {
 		t.Fatal("region name not in function table")
 	}
 }
+
+// FuzzParseConfig: the configuration parser never panics, and a config it
+// accepts holds exactly one rule per non-blank, non-comment line.
+func FuzzParseConfig(f *testing.F) {
+	f.Fuzz(func(t *testing.T, input string) {
+		cfg, err := ParseConfig(strings.NewReader(input))
+		if err != nil {
+			return
+		}
+		want := 0
+		for _, line := range strings.Split(input, "\n") {
+			if text := strings.TrimSpace(line); text != "" && !strings.HasPrefix(text, "#") {
+				want++
+			}
+		}
+		if cfg.Rules() != want {
+			t.Fatalf("accepted %q with %d rules, want one per directive line (%d)", input, cfg.Rules(), want)
+		}
+	})
+}

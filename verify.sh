@@ -21,10 +21,15 @@ go -C bench test ./...
 # the binary trace reader must reject bad input only with *FormatError and
 # round-trip whatever it accepts; the spill decoder must reject bad input
 # only with *FormatError, decode exactly the declared events into dense
-# chunks and allocate only what the input accounts for.
+# chunks and allocate only what the input accounts for; the VT
+# configuration parser must hold exactly one rule per directive line it
+# accepts; the result journal's loader must ignore any newline-free torn
+# tail.
 go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 10s ./internal/vt/
 go test -run '^$' -fuzz '^FuzzReadCompactTrace$' -fuzztime 10s ./internal/vt/
 go test -run '^$' -fuzz '^FuzzSpillReader$' -fuzztime 10s ./internal/vt/
+go test -run '^$' -fuzz '^FuzzParseConfig$' -fuzztime 10s ./internal/vt/
+go test -run '^$' -fuzz '^FuzzLoadJournal$' -fuzztime 10s ./internal/exp/
 
 # Short -race pass over the parallel cell runner.
 go test -race -run 'TestParallel|TestCellCache|TestRunner' ./internal/exp/
@@ -80,6 +85,15 @@ wait "$pid" 2>/dev/null || true
 "$smoke/experiments" -fig7a -fig8a -max-cpus 8 -cache-dir "$smoke/cache" \
     -resume > "$smoke/resumed.txt"
 cmp "$smoke/baseline.txt" "$smoke/resumed.txt"
+
+# Example smoke: every program under examples/ builds and runs to a zero
+# exit. parallel_experiments and resumable_sweep drive the Runner end to
+# end, including its tape replay and its recording-failure fallback.
+mkdir "$smoke/examples"
+go build -o "$smoke/examples/" ./examples/...
+for ex in "$smoke"/examples/*; do
+    "$ex" > /dev/null
+done
 
 # Scale smoke: the 1k-rank cells of the sharded sweep must render the
 # same bytes unsharded and sharded-with-spill (shard-count invariance of
