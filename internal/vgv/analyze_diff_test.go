@@ -178,3 +178,19 @@ func TestWritersReportWriteErrors(t *testing.T) {
 		}
 	}
 }
+
+// FuzzAnalyze parses fuzzed text with vt.ReadTrace and, for every trace it
+// accepts, requires Analyze and RenderTimeline to agree with the reference
+// implementations. The seed corpus in testdata/fuzz/FuzzAnalyze covers
+// negative ranks and thread ids, ids at the int32 limits, orphan exits and
+// lanes that change on every event.
+func FuzzAnalyze(f *testing.F) {
+	f.Fuzz(func(t *testing.T, input []byte) {
+		col, err := vt.ReadTrace(bytes.NewReader(input))
+		if err != nil {
+			return
+		}
+		defer col.Release()
+		checkMatchesReference(t, fmt.Sprintf("%q", input), col)
+	})
+}

@@ -58,11 +58,11 @@ func RenderTimeline(col *vt.Collector, w io.Writer, width int) error {
 	}
 
 	// Build per-lane interval sets from the event stream.
-	lanes := newLaneCache[timelineLane]()
+	lanes := newLaneTable[timelineLane, struct{}](view.Len())
 	for _, events := range view.Chunks() {
 		for i := range events {
 			e := &events[i]
-			ls := lanes.get(e)
+			ls, _ := lanes.get(e)
 			switch e.Kind {
 			case vt.Enter:
 				if ls.funcDepth == 0 {
@@ -104,15 +104,17 @@ func RenderTimeline(col *vt.Collector, w io.Writer, width int) error {
 		}
 	}
 
-	keys := make([]laneKey, 0, len(lanes.m))
-	for k := range lanes.m {
-		keys = append(keys, k)
+	rows := make([]int, len(lanes.keys))
+	for l := range rows {
+		rows[l] = l
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].rank != keys[j].rank {
-			return keys[i].rank < keys[j].rank
+	keys := lanes.keys
+	sort.Slice(rows, func(i, j int) bool {
+		a, b := keys[rows[i]], keys[rows[j]]
+		if a.rank != b.rank {
+			return a.rank < b.rank
 		}
-		return keys[i].tid < keys[j].tid
+		return a.tid < b.tid
 	})
 
 	span := end - start
@@ -131,11 +133,11 @@ func RenderTimeline(col *vt.Collector, w io.Writer, width int) error {
 	ew.printf("time-line %v .. %v (%d columns, %v/column)\n",
 		start, end, width, span/des.Time(width))
 	row := make([]byte, width)
-	for _, k := range keys {
+	for _, l := range rows {
 		for i := range row {
 			row[i] = glyphIdle
 		}
-		for _, iv := range lanes.m[k].ivs {
+		for _, iv := range lanes.lanes[l].ivs {
 			lo, hi := bucket(iv.from), bucket(iv.to)
 			for b := lo; b <= hi; b++ {
 				if glyphPriority[iv.kind] > glyphPriority[row[b]] {
@@ -143,7 +145,7 @@ func RenderTimeline(col *vt.Collector, w io.Writer, width int) error {
 				}
 			}
 		}
-		ew.printf("r%02d/t%02d |%s|\n", k.rank, k.tid, row)
+		ew.printf("r%02d/t%02d |%s|\n", keys[l].rank, keys[l].tid, row)
 	}
 	ew.printf("legend: %c function  %c MPI  %c OpenMP region (wiggle)  %c idle\n",
 		glyphFunc, glyphAPI, glyphRegion, glyphIdle)

@@ -68,37 +68,6 @@ type Profile struct {
 	CallGraph []CallEdge
 }
 
-// laneKey identifies one execution lane (process bar in the display).
-type laneKey struct {
-	rank int32
-	tid  int32
-}
-
-// laneCache maps lanes to per-lane state T and remembers the last lane it
-// returned, so a run of events on one lane costs one map lookup.
-type laneCache[T any] struct {
-	m    map[laneKey]*T
-	key  laneKey
-	last *T
-}
-
-func newLaneCache[T any]() *laneCache[T] { return &laneCache[T]{m: make(map[laneKey]*T)} }
-
-// get returns e's lane state, creating it on the lane's first event.
-func (c *laneCache[T]) get(e *vt.Event) *T {
-	if c.last != nil && c.key.rank == e.Rank && c.key.tid == e.TID {
-		return c.last
-	}
-	c.key = laneKey{rank: e.Rank, tid: e.TID}
-	ls, ok := c.m[c.key]
-	if !ok {
-		ls = new(T)
-		c.m[c.key] = ls
-	}
-	c.last = ls
-	return ls
-}
-
 // rootFn is the interned index of "(root)", the caller of every call made
 // outside an instrumented function.
 const rootFn = 0
@@ -111,11 +80,16 @@ type frame struct {
 	child   des.Time
 }
 
-// stackLane is one lane's analysis state: its call stack and its rank's
-// function id -> interned name table.
+// stackLane is one lane's analysis state: its call stack.
 type stackLane struct {
 	stack []frame
-	ids   map[int32]int32
+}
+
+// rankState is one rank's analysis state: its function id -> interned
+// name table and its message peer -> index into analyzer.comm table.
+type rankState struct {
+	fns   idTable
+	peers idTable
 }
 
 // analyzer is Analyze's working state. Function names are interned once
@@ -123,12 +97,13 @@ type stackLane struct {
 // that resolve to the same name share one index, as the name-keyed
 // profile requires.
 type analyzer struct {
-	col    *vt.Collector
-	byName map[string]int32
-	stats  []FuncStat                // by interned name; Calls > 0 marks a profiled function
-	ranks  map[int32]map[int32]int32 // rank -> function id -> interned name
-	calls  map[[2]int32]int          // (caller, callee) -> index into edges
-	edges  []CallEdge
+	col     *vt.Collector
+	lanes   *laneTable[stackLane, rankState]
+	byName  map[string]int32
+	stats   []FuncStat // by interned name; Calls > 0 marks a profiled function
+	callers []idTable  // by interned callee: interned caller -> index into edges
+	edges   []CallEdge
+	comm    []CommEdge
 }
 
 // intern returns name's index, adding it on first sight.
@@ -139,17 +114,18 @@ func (a *analyzer) intern(name string) int32 {
 	fn := int32(len(a.stats))
 	a.byName[name] = fn
 	a.stats = append(a.stats, FuncStat{Name: name})
+	a.callers = append(a.callers, idTable{})
 	return fn
 }
 
-// fn resolves function id of rank, whose table is ids, to its interned
-// name.
-func (a *analyzer) fn(rank int32, ids map[int32]int32, id int32) int32 {
-	if fn, ok := ids[id]; ok {
+// fn resolves e's function id, in the table rs of e's rank, to its
+// interned name.
+func (a *analyzer) fn(rs *rankState, e *vt.Event) int32 {
+	if fn, ok := rs.fns.get(e.ID); ok {
 		return fn
 	}
-	fn := a.intern(a.col.FuncName(rank, id))
-	ids[id] = fn
+	fn := a.intern(a.col.FuncName(e.Rank, e.ID))
+	rs.fns.put(e.ID, fn, &a.lanes.budget)
 	return fn
 }
 
@@ -168,15 +144,28 @@ func (a *analyzer) closeFrame(ls *stackLane, f frame, at des.Time) {
 		s[len(s)-1].child += inc
 		caller = s[len(s)-1].fn
 	}
-	key := [2]int32{caller, f.fn}
-	i, ok := a.calls[key]
+	i, ok := a.callers[f.fn].get(caller)
 	if !ok {
-		i = len(a.edges)
-		a.calls[key] = i
+		i = int32(len(a.edges))
+		a.callers[f.fn].put(caller, i, &a.lanes.budget)
 		a.edges = append(a.edges, CallEdge{Caller: a.stats[caller].Name, Callee: a.stats[f.fn].Name})
 	}
 	a.edges[i].Calls++
 	a.edges[i].Time += inc
+}
+
+// send charges one message of e's rank, whose state is rs, to its
+// communication edge.
+func (a *analyzer) send(rs *rankState, e *vt.Event) {
+	to := int32(e.A)
+	i, ok := rs.peers.get(to)
+	if !ok {
+		i = int32(len(a.comm))
+		rs.peers.put(to, i, &a.lanes.budget)
+		a.comm = append(a.comm, CommEdge{From: e.Rank, To: to})
+	}
+	a.comm[i].Msgs++
+	a.comm[i].Bytes += e.B
 }
 
 // Analyze computes the profile of a collected trace.
@@ -185,32 +174,22 @@ func Analyze(col *vt.Collector) *Profile {
 	p := &Profile{}
 	a := &analyzer{
 		col:    col,
+		lanes:  newLaneTable[stackLane, rankState](view.Len()),
 		byName: make(map[string]int32),
-		ranks:  make(map[int32]map[int32]int32),
-		calls:  make(map[[2]int32]int),
 	}
 	a.intern("(root)")
-	lanes := newLaneCache[stackLane]()
-	edges := make(map[[2]int32]*CommEdge)
 
 	p.Start, p.End = view.Span()
 	for _, events := range view.Chunks() {
 		for i := range events {
 			e := &events[i]
-			ls := lanes.get(e)
-			if ls.ids == nil {
-				ls.ids = a.ranks[e.Rank]
-				if ls.ids == nil {
-					ls.ids = make(map[int32]int32)
-					a.ranks[e.Rank] = ls.ids
-				}
-			}
+			ls, rs := a.lanes.get(e)
 			switch e.Kind {
 			case vt.Enter, vt.APIEnter:
-				ls.stack = append(ls.stack, frame{fn: a.fn(e.Rank, ls.ids, e.ID), enterAt: e.At})
+				ls.stack = append(ls.stack, frame{fn: a.fn(rs, e), enterAt: e.At})
 			case vt.Exit, vt.APIExit:
 				s := ls.stack
-				if len(s) == 0 || s[len(s)-1].fn != a.fn(e.Rank, ls.ids, e.ID) {
+				if len(s) == 0 || s[len(s)-1].fn != a.fn(rs, e) {
 					// Orphan exit: instrumentation appeared mid-call, or the
 					// matching enter predates the probe's insertion.
 					p.Unbalanced++
@@ -222,14 +201,7 @@ func Analyze(col *vt.Collector) *Profile {
 			case vt.MsgSend:
 				p.Msgs.Sends++
 				p.Msgs.Bytes += e.B
-				key := [2]int32{e.Rank, int32(e.A)}
-				edge, ok := edges[key]
-				if !ok {
-					edge = &CommEdge{From: e.Rank, To: int32(e.A)}
-					edges[key] = edge
-				}
-				edge.Msgs++
-				edge.Bytes += e.B
+				a.send(rs, e)
 			case vt.MsgRecv:
 				p.Msgs.Recvs++
 			}
@@ -237,8 +209,9 @@ func Analyze(col *vt.Collector) *Profile {
 	}
 	// Close frames left open at trace end (probe removed before exit, or
 	// the program ended inside the function). Lanes are independent and
-	// the aggregates are sums, so map order does not matter.
-	for _, ls := range lanes.m {
+	// the aggregates are sums, so lane order does not matter.
+	for l := range a.lanes.lanes {
+		ls := &a.lanes.lanes[l]
 		for s := ls.stack; len(s) > 0; s = ls.stack {
 			p.Unbalanced++
 			ls.stack = s[:len(s)-1]
@@ -266,9 +239,7 @@ func Analyze(col *vt.Collector) *Profile {
 		}
 		return p.CallGraph[i].Callee < p.CallGraph[j].Callee
 	})
-	for _, e := range edges {
-		p.Comm = append(p.Comm, *e)
-	}
+	p.Comm = a.comm
 	sort.Slice(p.Comm, func(i, j int) bool {
 		if p.Comm[i].Bytes != p.Comm[j].Bytes {
 			return p.Comm[i].Bytes > p.Comm[j].Bytes
@@ -278,8 +249,8 @@ func Analyze(col *vt.Collector) *Profile {
 		}
 		return p.Comm[i].To < p.Comm[j].To
 	})
-	p.Ranks = len(a.ranks)
-	p.Threads = len(lanes.m)
+	p.Ranks = len(a.lanes.ranks)
+	p.Threads = len(a.lanes.lanes)
 	return p
 }
 

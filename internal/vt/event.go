@@ -12,9 +12,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"dynprof/internal/des"
@@ -66,18 +68,24 @@ func (k Kind) String() string {
 
 // kindFromBytes inverts String; ok is false for unknown mnemonics.
 func kindFromBytes(b []byte) (Kind, bool) {
-	if len(b) == 0 {
+	if len(b) == 0 || len(b) >= len(kindByShape) || b[0] >= utf8.RuneSelf {
 		return 0, false
 	}
-	for k, n := range kindNames {
-		// Length and first byte tell the names apart, so at most one
-		// candidate reaches the full comparison.
-		if len(n) == len(b) && n[0] == b[0] && n == string(b) {
-			return Kind(k), true
-		}
-	}
-	return 0, false
+	k := kindByShape[len(b)][b[0]]
+	return k - 1, k > 0 && kindNames[k-1] == string(b)
 }
+
+// kindByShape indexes the kinds by their mnemonic's length and first byte,
+// which tell the mnemonics apart: the entry is the kind plus one, or zero.
+var kindByShape = func() (t [16][utf8.RuneSelf]Kind) {
+	for k, n := range kindNames {
+		if t[len(n)][n[0]] != 0 {
+			panic("vt: kind mnemonics " + n + " and " + kindNames[t[len(n)][n[0]]-1] + " share a length and first byte")
+		}
+		t[len(n)][n[0]] = Kind(k) + 1
+	}
+	return t
+}()
 
 // EventBytes is the on-disk size of one event record, used for the
 // trace-volume accounting that motivates the paper (data gathering "at the
@@ -337,8 +345,12 @@ func (col *Collector) Ranks() []int32 {
 //	FUNC <rank> <id> <name>
 //	EVT <ns> <rank> <tid> <kind> <id> <a> <b>
 //
-// Each record is formatted into one reused line buffer with strconv
-// appends, so the dump allocates nothing per record.
+// The FUNC header is written first, one reused line buffer per record.
+// The EVT records are formatted in parallel (pipeline.go): each chunk of
+// the ordered view is formatted into a reused byte buffer with strconv
+// appends, and the buffers are written in chunk order through one
+// bufio.Writer, so the dump allocates nothing per record. The first write
+// error stops the pipeline and is returned.
 func (col *Collector) WriteTrace(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 64<<10)
 	line := make([]byte, 0, 128)
@@ -365,15 +377,46 @@ func (col *Collector) WriteTrace(w io.Writer) error {
 			}
 		}
 	}
-	for _, ch := range col.Ordered().Chunks() {
-		for i := range ch {
-			if _, err := bw.Write(appendEventLine(line[:0], &ch[i])); err != nil {
-				return err
+	chunks := col.Ordered().Chunks()
+	err := runPipeline(&textPieces,
+		func(p *textPiece) bool {
+			if len(chunks) == 0 {
+				return false
 			}
-		}
+			p.evs, chunks = chunks[0], chunks[1:]
+			return true
+		},
+		func(p *textPiece) {
+			// Sized for a typical record, so the buffer is allocated
+			// once rather than regrown by doubling.
+			p.text = slices.Grow(p.text[:0], textLineHint*len(p.evs))
+			for i := range p.evs {
+				p.text = appendEventLine(p.text, &p.evs[i])
+			}
+		},
+		func(p *textPiece) error {
+			_, err := bw.Write(p.text)
+			return err
+		})
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }
+
+// textPiece is one item of WriteTrace's pipeline: a chunk of the ordered
+// view and its EVT records.
+type textPiece struct {
+	evs  []Event
+	text []byte
+}
+
+// textLineHint is the length of a typical EVT record, newline included:
+// the size hint of the codec's text buffers.
+const textLineHint = 48
+
+// textPieces recycles WriteTrace's pipeline slots and their buffers.
+var textPieces = sync.Pool{New: func() any { return newSlot(textPiece{}) }}
 
 // appendEventLine appends e's EVT record, newline included, to b.
 func appendEventLine(b []byte, e *Event) []byte {
@@ -397,38 +440,63 @@ func appendEventLine(b []byte, e *Event) []byte {
 // ReadTrace parses a trace produced by WriteTrace.
 //
 // A line's fields are what strings.Fields makes of it. Lines of ASCII
-// bytes — every EVT line WriteTrace produces — are split in place on the
-// scanner's buffer and their decimals parsed without allocating; a line
-// holding any byte >= 0x80 is split by strings.Fields itself, so Unicode
-// whitespace separates fields there. Ranks, thread ids and function ids
-// must fit in int32. EVT lines of the shape WriteTrace writes take a
-// one-pass fast path (parseEventLine). Events are parsed straight into the
-// collector's pooled chunks, one batch per chunk. A read or scan failure
-// (a line over 1 MiB, say) releases the collector and returns only the
-// error.
+// bytes — every EVT line WriteTrace produces — are split in place and
+// their decimals parsed without allocating; a line holding any byte >= 0x80
+// is split by strings.Fields itself, so Unicode whitespace separates fields
+// there. Ranks, thread ids and function ids must fit in int32.
+//
+// The parse is pipelined (pipeline.go). A bufio.Scanner splits the lines,
+// which are cut into blocks of textBlockLines lines; the EVT fast path
+// (parseEventLine) runs over each block in parallel; the blocks are then
+// applied in file order, fast-path events copied into the collector's
+// pooled chunks and every other line handed, with its line number, to the
+// general path (parseRecord). The collector is therefore built exactly
+// as a sequential parse would build it: one batch per chunk. The first
+// malformed line stops the parse with its error; a read or scan failure (a
+// line over 1 MiB, say) is reported after every line before it has been
+// applied. Either way the collector is released and only the error is
+// returned.
 func ReadTrace(r io.Reader) (*Collector, error) {
 	col := NewCollector()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	line, done := 0, false // lines scanned so far; Scan has reported false
 	var fields [][]byte
-	var ev Event
-	line := 0
-	for sc.Scan() {
-		line++
-		if parseEventLine(sc.Bytes(), &ev) {
-			col.store.push(ev)
-			continue
-		}
-		fields = splitFields(fields[:0], sc.Bytes())
-		if len(fields) == 0 || fields[0][0] == '#' {
-			continue
-		}
-		if err := col.parseRecord(fields, line); err != nil {
-			col.Release()
-			return nil, err
-		}
+	err := runPipeline(&textBlocks,
+		func(b *textBlock) bool {
+			b.text, b.ends, b.first = b.text[:0], b.ends[:0], line+1
+			// A Scanner that has stopped on an error hands out its buffered
+			// rest as a line if scanned again, so it is never scanned again.
+			for !done && len(b.ends) < textBlockLines && len(b.text) < textBlockBytes {
+				if done = !sc.Scan(); !done {
+					b.text = append(b.text, sc.Bytes()...)
+					b.ends = append(b.ends, len(b.text))
+				}
+			}
+			line += len(b.ends)
+			return len(b.ends) > 0
+		},
+		(*textBlock).parseFast,
+		func(b *textBlock) error {
+			next, start := 0, 0 // next fast-path event; first line not yet applied
+			for _, i := range b.slow {
+				col.store.copyIn(b.evs[next : next+i-start])
+				next, start = next+i-start, i+1
+				fields = splitFields(fields[:0], b.line(i))
+				if len(fields) == 0 || fields[0][0] == '#' {
+					continue
+				}
+				if err := col.parseRecord(fields, b.first+i); err != nil {
+					return err
+				}
+			}
+			col.store.copyIn(b.evs[next:b.nfast])
+			return nil
+		})
+	if err == nil {
+		err = sc.Err()
 	}
-	if err := sc.Err(); err != nil {
+	if err != nil {
 		col.Release()
 		return nil, err
 	}
@@ -440,6 +508,58 @@ func ReadTrace(r io.Reader) (*Collector, error) {
 		col.carve(0, col.store.end())
 	}
 	return col, nil
+}
+
+// A ReadTrace block ends after textBlockLines lines or once it holds
+// textBlockBytes bytes of text, so one block holds at most textBlockBytes
+// plus one line of at most 1 MiB.
+const (
+	textBlockLines = 1024
+	textBlockBytes = 64 << 10
+)
+
+// textBlock is one item of ReadTrace's pipeline: consecutive lines copied
+// out of the scanner, and what the EVT fast path made of them.
+type textBlock struct {
+	text  []byte  // the lines, back to back, without newlines
+	ends  []int   // end offset in text of each line
+	first int     // line number of the block's first line
+	evs   []Event // fast-path events, in line order (len textBlockLines)
+	nfast int     // events parsed into evs
+	slow  []int   // indices of the lines the fast path left to parseRecord
+}
+
+// textBlocks recycles ReadTrace's pipeline slots and their buffers, sized
+// for a block of typical lines.
+var textBlocks = sync.Pool{New: func() any {
+	return newSlot(textBlock{
+		text: make([]byte, 0, textBlockBytes+textLineHint),
+		ends: make([]int, 0, textBlockLines),
+		evs:  make([]Event, textBlockLines),
+	})
+}}
+
+// line returns the block's i-th line.
+func (b *textBlock) line(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = b.ends[i-1]
+	}
+	return b.text[start:b.ends[i]]
+}
+
+// parseFast runs parseEventLine over every line of b.
+func (b *textBlock) parseFast() {
+	b.nfast, b.slow = 0, b.slow[:0]
+	start := 0
+	for i, end := range b.ends {
+		if parseEventLine(b.text[start:end], &b.evs[b.nfast]) {
+			b.nfast++
+		} else {
+			b.slow = append(b.slow, i)
+		}
+		start = end
+	}
 }
 
 // Byte classes of the EVT fast path: one table lookup tells a separator

@@ -24,12 +24,20 @@ go -C bench test ./...
 # chunks and allocate only what the input accounts for; the VT
 # configuration parser must hold exactly one rule per directive line it
 # accepts; the result journal's loader must ignore any newline-free torn
-# tail.
+# tail; VGV's analysis of any textual trace ReadTrace accepts must equal
+# its reference oracle's.
 go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 10s ./internal/vt/
 go test -run '^$' -fuzz '^FuzzReadCompactTrace$' -fuzztime 10s ./internal/vt/
 go test -run '^$' -fuzz '^FuzzSpillReader$' -fuzztime 10s ./internal/vt/
 go test -run '^$' -fuzz '^FuzzParseConfig$' -fuzztime 10s ./internal/vt/
 go test -run '^$' -fuzz '^FuzzLoadJournal$' -fuzztime 10s ./internal/exp/
+go test -run '^$' -fuzz '^FuzzAnalyze$' -fuzztime 10s ./internal/vgv/
+
+# Race pass over the textual trace codec's block pipelines (a scanner
+# goroutine, GOMAXPROCS parse and format workers, in-order apply and
+# write, shutdown on error) and over VGV's analysis of what they read.
+go test -race -run 'TestReadTrace|TestWriteTrace|TestTextCodec|TestAnalyze|TestCompactVGVEquivalence' \
+    ./internal/vt/ ./internal/vgv/
 
 # Short -race pass over the parallel cell runner.
 go test -race -run 'TestParallel|TestCellCache|TestRunner' ./internal/exp/
@@ -151,3 +159,16 @@ printf 'start\nquit\n' | "$smoke/dynprof" -procs 4 -trace-compact \
 "$smoke/vgv" -trace "$smoke/v.vgv" > "$smoke/vgv_verbatim.txt"
 "$smoke/vgv" -trace "$smoke/c.vgv" > "$smoke/vgv_compact.txt"
 cmp "$smoke/vgv_verbatim.txt" "$smoke/vgv_compact.txt"
+# The textual codec and vgv run on GOMAXPROCS workers, so one host thread
+# must write the same trace file and render the same analysis bytes. The
+# iters=20 deck makes the trace span several read blocks and write chunks.
+GOMAXPROCS=1 "$smoke/vgv" -trace "$smoke/v.vgv" > "$smoke/vgv_serial.txt"
+cmp "$smoke/vgv_verbatim.txt" "$smoke/vgv_serial.txt"
+printf 'start\nquit\n' | "$smoke/dynprof" -procs 4 -trace "$smoke/p.vgv" \
+    - - "$smoke/tf3.txt" sweep3d nx=64 ny=4 nz=4 iters=20 > /dev/null
+printf 'start\nquit\n' | GOMAXPROCS=1 "$smoke/dynprof" -procs 4 -trace "$smoke/p1.vgv" \
+    - - "$smoke/tf4.txt" sweep3d nx=64 ny=4 nz=4 iters=20 > /dev/null
+cmp "$smoke/p.vgv" "$smoke/p1.vgv"
+"$smoke/vgv" -trace "$smoke/p.vgv" > "$smoke/vgv_p.txt"
+GOMAXPROCS=1 "$smoke/vgv" -trace "$smoke/p.vgv" > "$smoke/vgv_p1.txt"
+cmp "$smoke/vgv_p.txt" "$smoke/vgv_p1.txt"
