@@ -7,7 +7,6 @@ import (
 	"dynprof/internal/des"
 	"dynprof/internal/dpcl"
 	"dynprof/internal/guide"
-	"dynprof/internal/machine"
 	"dynprof/internal/vt"
 )
 
@@ -19,15 +18,11 @@ import (
 // resulting changes for distribution at that same crossing.
 type Runtime struct {
 	ctl    *Controller
+	meter  *Meter
 	job    *guide.Job
-	mach   *machine.Config
 	stride int // sync crossings per controller epoch
 
-	started   bool
 	crossings int // crossings since the last epoch boundary
-	prevNow   des.Time
-	prevSusp  []des.Time
-	prevCost  []map[string]vt.ProbeCost
 
 	// Cumulative accounting over measured epochs, for Summary.
 	overheads   []float64
@@ -54,9 +49,11 @@ func Attach(p *des.Proc, ss *core.Session, cfg Config) (*Runtime, error) {
 	job := ss.Job()
 	rt := &Runtime{
 		ctl:    NewController(cfg),
+		meter:  NewMeter(job),
 		job:    job,
-		mach:   job.Processes()[0].Config(),
 		stride: cfg.epochEvery(),
+		// The first crossing ends an epoch at once: it takes the baseline.
+		crossings: cfg.epochEvery() - 1,
 	}
 	m := core.NewControlMonitor(p, ss.System(), job)
 	p.Scheduler().Spawn("adapt-monitor", func(mp *des.Proc) {
@@ -67,21 +64,19 @@ func Attach(p *des.Proc, ss *core.Session, cfg Config) (*Runtime, error) {
 
 // decide services one epoch crossing. The first crossing only captures the
 // baseline (startup and instrumentation-phase cycles would otherwise
-// pollute the first measurement); every later crossing diffs against the
-// previous one, steps the controller, and returns the changes to stage.
+// pollute the first measurement); every stride-th crossing after it
+// measures the epoch since the previous one, steps the controller, and
+// returns the changes to stage.
 func (rt *Runtime) decide(dpcl.Event) []vt.Change {
-	if !rt.started {
-		rt.capture()
-		rt.started = true
-		return nil
-	}
 	if rt.crossings++; rt.crossings < rt.stride {
 		return nil
 	}
 	rt.crossings = 0
-	e := rt.measure()
+	e, ok := rt.measure()
+	if !ok {
+		return nil
+	}
 	d := rt.ctl.Step(e)
-	rt.capture()
 	rt.overheads = append(rt.overheads, rt.ctl.LastOverhead())
 	if d.Empty() {
 		return nil
@@ -98,69 +93,38 @@ func (rt *Runtime) decide(dpcl.Event) []vt.Change {
 	return chs
 }
 
-// capture snapshots per-rank cost counters and thread clocks as the next
-// epoch's baseline.
-func (rt *Runtime) capture() {
-	procs := rt.job.Processes()
-	rt.prevSusp = make([]des.Time, len(procs))
-	rt.prevCost = make([]map[string]vt.ProbeCost, len(procs))
-	for i, pr := range procs {
-		rt.prevSusp[i] = pr.Threads()[0].SuspendedTime()
-		snap := rt.job.VT(i).CostSnapshot()
-		m := make(map[string]vt.ProbeCost, len(snap))
-		for _, pc := range snap {
-			m[pc.Name] = pc
+// measure ends an epoch and aggregates its deltas across ranks into one
+// Epoch: every probe, in order of first appearance across (rank,
+// function id), Active as rank 0 sees it. It reports false for the first
+// epoch, which only takes the baseline.
+func (rt *Runtime) measure() (Epoch, bool) {
+	var order []string
+	agg := make(map[string]*Probe)
+	total, ok := rt.meter.Next(func(rank int, d vt.ProbeCost) {
+		p, seen := agg[d.Name]
+		if !seen {
+			p = &Probe{Name: d.Name}
+			agg[d.Name] = p
+			order = append(order, d.Name)
 		}
-		rt.prevCost[i] = m
-		if i == 0 {
-			rt.prevNow = pr.Threads()[0].Now()
+		if rank == 0 {
+			p.Active = d.Active
 		}
-	}
-}
-
-// measure diffs the current counters against the baseline and aggregates
-// across ranks into one Epoch. Probe order is deterministic: first
-// appearance across (rank, function-id) iteration.
-func (rt *Runtime) measure() Epoch {
-	procs := rt.job.Processes()
-	var (
-		order []string
-		agg   = make(map[string]*Probe)
-		total int64
-	)
-	for i, pr := range procs {
-		t := pr.Threads()[0]
-		elapsed := t.Now() - rt.prevNow
-		susp := t.SuspendedTime() - rt.prevSusp[i]
-		if susp > elapsed {
-			susp = elapsed
-		}
-		total += rt.mach.TimeToCycles(elapsed - susp)
-		for _, pc := range rt.job.VT(i).CostSnapshot() {
-			prev := rt.prevCost[i][pc.Name]
-			p, ok := agg[pc.Name]
-			if !ok {
-				p = &Probe{Name: pc.Name}
-				agg[pc.Name] = p
-				order = append(order, pc.Name)
-			}
-			if i == 0 {
-				p.Active = pc.Active
-			}
-			dHits := pc.Hits - prev.Hits
-			p.Hits += dHits
-			p.Cycles += pc.RemovableCycles() - prev.RemovableCycles()
-			rt.hits += dHits
-			rt.recorded += pc.Recorded - prev.Recorded
-			rt.floorCycles += pc.FloorCycles() - prev.FloorCycles()
-		}
+		p.Hits += d.Hits
+		p.Cycles += d.RemovableCycles()
+		rt.hits += d.Hits
+		rt.recorded += d.Recorded
+		rt.floorCycles += d.FloorCycles()
+	})
+	if !ok {
+		return Epoch{}, false
 	}
 	rt.totalCycles += total
 	e := Epoch{Total: total, Probes: make([]Probe, 0, len(order))}
 	for _, name := range order {
 		e.Probes = append(e.Probes, *agg[name])
 	}
-	return e
+	return e, true
 }
 
 // Summary reports the controller's outcome over the measured epochs.

@@ -53,14 +53,14 @@ func Commands() []CommandInfo {
 	}
 }
 
-// CommandNames lists the full command names of Table 1.
-var CommandNames = []string{"help", "insert", "remove", "insert-file", "remove-file", "start", "quit", "wait"}
-
 // Shortcuts maps each Table 1 shortcut to its full command name.
-var Shortcuts = map[string]string{
-	"h": "help", "i": "insert", "r": "remove", "if": "insert-file",
-	"rf": "remove-file", "s": "start", "q": "quit", "w": "wait",
-}
+var Shortcuts = func() map[string]string {
+	m := make(map[string]string)
+	for _, c := range Commands() {
+		m[c.Shortcut] = c.Name
+	}
+	return m
+}()
 
 // Exec runs one dynprof command line. It returns done=true after quit.
 func (ss *Session) Exec(p *des.Proc, line string) (done bool, err error) {

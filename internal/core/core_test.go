@@ -95,13 +95,17 @@ func runSession(t *testing.T, app *guide.App, procs int, script string, files ma
 
 func TestTable1Commands(t *testing.T) {
 	// Every command and shortcut of Table 1 must be recognised.
-	if len(CommandNames) != 8 {
-		t.Fatalf("command count = %d, want 8", len(CommandNames))
+	cmds := Commands()
+	if len(cmds) != 8 {
+		t.Fatalf("command count = %d, want 8", len(cmds))
+	}
+	if len(Shortcuts) != len(cmds) {
+		t.Errorf("%d shortcuts for %d commands", len(Shortcuts), len(cmds))
 	}
 	for sc, full := range Shortcuts {
 		found := false
-		for _, c := range CommandNames {
-			if c == full {
+		for _, c := range cmds {
+			if c.Name == full {
 				found = true
 			}
 		}

@@ -87,9 +87,6 @@ type System struct {
 	// gate, when non-nil, fair-schedules daemon service time between the
 	// users sharing each node (see ServeGate).
 	gate ServeGate
-	// reclaim makes a shutting-down comm daemon release the suspends it
-	// applied but never saw resumed (see SetSuspendReclaim).
-	reclaim bool
 	// patience widens every retransmission timeout (see SetRetryPatience);
 	// zero falls back to crashPatience on crashable systems only.
 	patience des.Time
@@ -122,16 +119,6 @@ func (sys *System) Faults() *fault.Injector { return sys.inj }
 // before daemons start serving costed requests; a nil g restores the
 // ungated single-tenant model.
 func (sys *System) SetServeGate(g ServeGate) { sys.gate = g }
-
-// SetSuspendReclaim controls whether a comm daemon, on shutdown, resumes
-// the target processes it suspended but never resumed. On a lossy control
-// path a client's unacknowledged resume can vanish, stranding a suspended
-// process; the daemon is node-local to the target, so its own bookkeeping
-// survives the lossy client link. Multi-tenant servers enable this so
-// evicting a faulted session cannot wedge the job for the remaining
-// tenants. Off by default: the single-tool model keeps DPCL's historical
-// semantics (and its exact event stream).
-func (sys *System) SetSuspendReclaim(on bool) { sys.reclaim = on }
 
 // SetRetryPatience widens every retransmission timeout by d. The default
 // timeout is derived from the control round trip plus the request's own
@@ -257,8 +244,7 @@ type commDaemon struct {
 	inHead   int
 	arrive   func()
 	// suspended tracks, per target, suspends this daemon applied minus
-	// resumes it applied (under SetSuspendReclaim or a crashable plan);
-	// suspOrder keeps release order deterministic.
+	// resumes it applied; suspOrder keeps release order deterministic.
 	suspended map[*proc.Process]int
 	suspOrder []*proc.Process
 	// handles tracks probes this incarnation installed, by idempotency
@@ -484,11 +470,10 @@ func (d *commDaemon) serve(p *des.Proc) {
 		// controller's window — and if that controller's blocking suspend is
 		// still parked in WaitStopped, zeroing the count strands it forever
 		// (the threads never stop once the window evaporates). Execute a
-		// resume only against this daemon's own tracked balance; on systems
-		// without tracking a single controller keeps the count trivially
-		// balanced. The request is still acked below: resuming an
-		// unsuspended process is a no-op, not an error.
-		skip := req.kind == kindResume && (d.sys.reclaim || d.sys.crashable) && d.suspended[req.target] == 0
+		// resume only against this daemon's own tracked balance. The
+		// request is still acked below: resuming an unsuspended process is a
+		// no-op, not an error.
+		skip := req.kind == kindResume && d.suspended[req.target] == 0
 		if req.cost > 0 {
 			if g := d.sys.gate; g != nil {
 				g.Serve(p, d.node, d.user, req.kind.String(), req.cost)
@@ -507,9 +492,7 @@ func (d *commDaemon) serve(p *des.Proc) {
 			d.handleOrder = append(d.handleOrder, req.token)
 			req.installed = nil
 		}
-		if d.sys.reclaim || d.sys.crashable {
-			d.trackSuspend(req)
-		}
+		d.trackSuspend(req)
 		if d.sys.inj != nil && req.token != 0 {
 			if done == nil {
 				done = make(map[uint64]bool)
@@ -593,8 +576,11 @@ func (d *commDaemon) nackStale(req *request) {
 	req.reply.PutAfter(sys.inj.ScaleCtrl(sys.delay()), ackStale)
 }
 
-// trackSuspend maintains the daemon's suspend balance per target (under
-// SetSuspendReclaim). Retransmitted requests never reach here: the done
+// trackSuspend maintains the daemon's suspend balance per target, so a
+// shutting-down daemon can release the suspends it applied but never saw
+// resumed: on a lossy control path a client's unacknowledged resume can
+// vanish, and the daemon, node-local to the target, still knows the
+// balance. Retransmitted requests never reach here: the done
 // map re-acks them without re-execution.
 func (d *commDaemon) trackSuspend(req *request) {
 	switch req.kind {

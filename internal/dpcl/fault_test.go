@@ -170,7 +170,6 @@ func TestFaultFreeSystemHasNoInjector(t *testing.T) {
 // succeeds must find its action applied on every target.
 func TestLateAcksNeverReachLaterTransactions(t *testing.T) {
 	r := faultRig(t, 4, &fault.Plan{CtrlLossProb: 0.1})
-	r.sys.SetSuspendReclaim(true) // a lost resume is released at disconnect
 	const rounds = 12
 	for i, pr := range r.procs {
 		pr := pr

@@ -40,7 +40,8 @@ var adaptArgs = map[string]map[string]int{
 
 // AdaptSpec describes one adaptive-instrumentation cell: a fully
 // instrumented kernel run under the internal/adapt feedback controller at
-// a given overhead budget.
+// a given overhead budget. It is the harness's one way to run a cell
+// under the controller; RunSpec takes only the static Table 3 policies.
 type AdaptSpec struct {
 	// App names a registered ASCI kernel.
 	App string
@@ -146,7 +147,10 @@ func RunAdapt(spec AdaptSpec) (AdaptResult, error) {
 }
 
 // runAdaptCell is RunAdapt with a DES budget attached, recording into or
-// replaying from the application's tape tp (nil: live).
+// replaying from the application's tape tp (nil: live): a dynprof session
+// over a fully instrumented target, with the adapt controller attached
+// before start. An aborted run (budget trip, proc panic) tears the session
+// down host-side.
 func runAdaptCell(spec AdaptSpec, bud des.Budget, tp *tape.Tape) (AdaptResult, error) {
 	spec = spec.norm()
 	res := AdaptResult{App: spec.App, Budget: spec.Budget, CPUs: spec.CPUs}
@@ -154,34 +158,7 @@ func runAdaptCell(spec AdaptSpec, bud des.Budget, tp *tape.Tape) (AdaptResult, e
 	if err != nil {
 		return res, err
 	}
-	r, sum, err := runAdaptiveSession(spec.Machine, app, spec.CPUs, spec.Args, spec.Seed, bud,
-		adapt.Config{Budget: spec.Budget, EpochEvery: spec.Epoch}, tp)
-	res.Faults = r.Faults
-	if err != nil {
-		return res, err
-	}
-	res.Elapsed = r.Elapsed
-	res.TraceBytes = r.TraceBytes
-	res.Epochs = sum.Epochs
-	res.Achieved = sum.Achieved
-	res.LastOverhead = sum.LastOverhead
-	res.Retained = sum.Retained
-	res.Floor = sum.Floor
-	res.ActiveProbes = sum.ActiveProbes
-	res.TotalProbes = sum.TotalProbes
-	res.Deactivated = sum.Deactivated
-	res.Reactivated = sum.Reactivated
-	res.Events = uint64(sum.Recorded)
-	return res, nil
-}
-
-// runAdaptiveSession is the shared execution path of the Adaptive policy
-// and the adapt figure: a dynprof session over a fully instrumented
-// target, with the adapt controller attached before start. An aborted run
-// (budget trip, proc panic) tears the session down host-side.
-func runAdaptiveSession(mach *machine.Config, app *guide.App, cpus int, args map[string]int, seed uint64, bud des.Budget, cfg adapt.Config, tp *tape.Tape) (Result, adapt.Summary, error) {
-	res := Result{App: app.Name, CPUs: cpus}
-	s := des.NewScheduler(seed, des.WithBudget(bud))
+	s := des.NewScheduler(spec.Seed, des.WithBudget(bud))
 	var ss *core.Session
 	var rt *adapt.Runtime
 	var sessErr error
@@ -192,18 +169,18 @@ func runAdaptiveSession(mach *machine.Config, app *guide.App, cpus int, args map
 	}()
 	s.Spawn("dynprof", func(p *des.Proc) {
 		ss, sessErr = core.NewSession(p, core.Config{
-			Machine:   mach,
+			Machine:   spec.Machine,
 			App:       app,
 			BuildOpts: guide.BuildOpts{TraceMPI: true, TraceOMP: true, StaticInstrument: true},
-			Procs:     cpus,
-			Args:      args,
+			Procs:     spec.CPUs,
+			Args:      spec.Args,
 			CountOnly: true,
 			Tape:      tp,
 		})
 		if sessErr != nil {
 			return
 		}
-		rt, sessErr = adapt.Attach(p, ss, cfg)
+		rt, sessErr = adapt.Attach(p, ss, adapt.Config{Budget: spec.Budget, EpochEvery: spec.Epoch})
 		if sessErr != nil {
 			return
 		}
@@ -215,18 +192,28 @@ func runAdaptiveSession(mach *machine.Config, app *guide.App, cpus int, args map
 			ss.Teardown()
 			res.Faults = ss.Faults()
 		}
-		return res, adapt.Summary{}, err
+		return res, err
 	}
 	if sessErr != nil {
-		return res, adapt.Summary{}, sessErr
+		return res, sessErr
 	}
 	res.Elapsed = ss.Job().MainElapsed()
-	res.CreateAndInstrument = ss.CreateAndInstrumentTime()
 	for i := range ss.Job().Processes() {
 		res.TraceBytes += ss.Job().VT(i).TraceBytes()
 	}
 	res.Faults = ss.Faults()
-	return res, rt.Summary(), nil
+	sum := rt.Summary()
+	res.Epochs = sum.Epochs
+	res.Achieved = sum.Achieved
+	res.LastOverhead = sum.LastOverhead
+	res.Retained = sum.Retained
+	res.Floor = sum.Floor
+	res.ActiveProbes = sum.ActiveProbes
+	res.TotalProbes = sum.TotalProbes
+	res.Deactivated = sum.Deactivated
+	res.Reactivated = sum.Reactivated
+	res.Events = uint64(sum.Recorded)
+	return res, nil
 }
 
 // planAdapt enumerates the adapt figure: for each kernel, the achieved

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// The paper's qualitative claims about Figures 7 and 9, as tolerance-bounded
+// The paper's qualitative claims about Figures 7, 8 and 9, as tolerance-bounded
 // assertions over the full CPU range at the default seed. The golden hashes
 // pin the exact bytes; these checks say which shape must survive an
 // intentional change to them.
@@ -24,15 +24,15 @@ var fidelity struct {
 	err  error
 }
 
-// fidelityFigures runs fig7a-d and fig9 at the paper's full CPU range,
-// once per test binary.
+// fidelityFigures runs fig7a-d, fig8a-c and fig9 at the paper's full CPU
+// range, once per test binary.
 func fidelityFigures(t *testing.T) map[string]*Figure {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("full-range figure sweep skipped in -short mode")
 	}
 	fidelity.once.Do(func() {
-		figs, err := NewRunner(Options{}).Figures("fig7a", "fig7b", "fig7c", "fig7d", "fig9")
+		figs, err := NewRunner(Options{}).Figures("fig7a", "fig7b", "fig7c", "fig7d", "fig8a", "fig8b", "fig8c", "fig9")
 		fidelity.figs, fidelity.err = make(map[string]*Figure, len(figs)), err
 		for _, f := range figs {
 			fidelity.figs[f.ID] = f
@@ -125,5 +125,65 @@ func TestFigure9Shape(t *testing.T) {
 					app, pts[i].Value, pts[i].CPUs, pts[i-1].Value, pts[i-1].CPUs)
 			}
 		}
+	}
+}
+
+// seriesPoints returns the points of f's series label, failing t when
+// the series has fewer than four.
+func seriesPoints(t *testing.T, f *Figure, label string) []Point {
+	t.Helper()
+	for _, s := range f.Series {
+		if s.Label == label {
+			if len(s.Points) < 4 {
+				t.Fatalf("%s %s: only %d points", f.ID, label, len(s.Points))
+			}
+			return s.Points
+		}
+	}
+	t.Fatalf("%s: no %s series", f.ID, label)
+	return nil
+}
+
+// TestFigure8Shape checks Figure 8's VT_confsync costs. On the IBM SP the
+// sync with and without staged changes and the statistics write all rise
+// strictly with the process count, and staging changes costs more than
+// not at every count. On the IA32 cluster the cost steps up with the
+// process count: it never falls and ends above where it starts.
+func TestFigure8Shape(t *testing.T) {
+	figs := fidelityFigures(t)
+	for _, c := range []struct{ id, label string }{
+		{"fig8a", "No Change"}, {"fig8a", "Changes"}, {"fig8b", "Statistics"},
+	} {
+		pts := seriesPoints(t, figs[c.id], c.label)
+		for i := 1; i < len(pts); i++ {
+			if pts[i].CPUs <= pts[i-1].CPUs || pts[i].Value <= pts[i-1].Value {
+				t.Errorf("%s %s: %.6f at %d CPUs after %.6f at %d; want a strictly rising line",
+					c.id, c.label, pts[i].Value, pts[i].CPUs, pts[i-1].Value, pts[i-1].CPUs)
+			}
+		}
+	}
+
+	noChange := seriesPoints(t, figs["fig8a"], "No Change")
+	changes := seriesPoints(t, figs["fig8a"], "Changes")
+	if len(changes) != len(noChange) {
+		t.Fatalf("fig8a: %d Changes points, %d No Change", len(changes), len(noChange))
+	}
+	for i, p := range changes {
+		if p.CPUs != noChange[i].CPUs || p.Value <= noChange[i].Value {
+			t.Errorf("fig8a at %d CPUs: Changes %.6f, No Change %.6f at %d; want Changes above",
+				p.CPUs, p.Value, noChange[i].Value, noChange[i].CPUs)
+		}
+	}
+
+	ia32 := seriesPoints(t, figs["fig8c"], "No Change")
+	for i := 1; i < len(ia32); i++ {
+		if ia32[i].Value < ia32[i-1].Value {
+			t.Errorf("fig8c: %.6f at %d CPUs after %.6f at %d; want a line that never falls",
+				ia32[i].Value, ia32[i].CPUs, ia32[i-1].Value, ia32[i-1].CPUs)
+		}
+	}
+	if first, last := ia32[0], ia32[len(ia32)-1]; last.Value <= first.Value {
+		t.Errorf("fig8c: ends at %.6f (%d CPUs), not above its start %.6f (%d CPUs)",
+			last.Value, last.CPUs, first.Value, first.CPUs)
 	}
 }

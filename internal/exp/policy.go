@@ -6,42 +6,21 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
-	"dynprof/internal/adapt"
 	"dynprof/internal/core"
 	"dynprof/internal/des"
 	"dynprof/internal/fault"
 	"dynprof/internal/guide"
-	"dynprof/internal/machine"
 	"dynprof/internal/tape"
 	"dynprof/internal/vt"
 )
 
-// PolicySpec is a first-class instrumentation policy: what Table 3 lists
-// as a closed enumeration is an open interface, so a policy can carry
-// parameters (Adaptive's budget) and its own execution strategy. The
-// interface is sealed — run is unexported because cell execution belongs
-// to the harness — but every policy is addressable by its canonical Key,
-// which feeds RunSpec.Key and the result journal exactly as the static
-// names always did.
-type PolicySpec interface {
-	// Key canonicalises the policy: two policies with equal keys describe
-	// the same deterministic run. Static policies use their Table 3 names
-	// ("Full", "Full-Off", ...), so pre-existing spec keys are unchanged.
-	Key() string
-	// Description reproduces (or extends) Table 3's description column.
-	Description() string
-	// BuildOpts maps the policy to its compile-time configuration.
-	BuildOpts(app *guide.App) guide.BuildOpts
-	// run executes one experiment cell under this policy, recording into
-	// or replaying from the application's tape tp (nil: live; see
-	// guide.LaunchOpts.Tape).
-	run(spec RunSpec, app *guide.App, bud des.Budget, tp *tape.Tape) (Result, error)
-}
-
 // StaticPolicy is one of Table 3's five static instrumentation policies:
-// the configuration is fixed before the run and never changes.
+// the configuration is fixed before the run and never changes. Adaptive
+// control, this repository's extension, is a cell kind of its own
+// (AdaptSpec), not a policy.
 type StaticPolicy string
 
 // The instrumentation policies of Table 3.
@@ -64,8 +43,7 @@ const (
 // String names the policy as Table 3 does.
 func (p StaticPolicy) String() string { return string(p) }
 
-// Key canonicalises the policy for spec keys; identical to the Table 3
-// name, so keys minted before the PolicySpec interface still match.
+// Key canonicalises the policy for spec keys: its Table 3 name.
 func (p StaticPolicy) Key() string { return string(p) }
 
 // Description reproduces Table 3's description column.
@@ -135,13 +113,11 @@ func (p StaticPolicy) BuildOpts(app *guide.App) guide.BuildOpts {
 // instrumented launch.
 func (p StaticPolicy) run(spec RunSpec, app *guide.App, bud des.Budget, tp *tape.Tape) (Result, error) {
 	res := Result{App: app.Name, Policy: p.Key(), CPUs: spec.CPUs}
-	switch p {
-	case Full, FullOff, Subset, None, Dynamic:
-	default:
+	if !slices.Contains(AllPolicies(), p) {
 		return res, fmt.Errorf("exp: unknown static policy %q", string(p))
 	}
 	if p == Dynamic {
-		return runDynamic(spec.machine(), app, spec.CPUs, spec.Args, spec.Seed, bud, tp)
+		return runDynamic(spec, app, bud, tp)
 	}
 	bin, err := guide.Build(app, p.BuildOpts(app))
 	if err != nil {
@@ -166,59 +142,10 @@ func (p StaticPolicy) run(spec RunSpec, app *guide.App, bud des.Budget, tp *tape
 	return res, nil
 }
 
-// Adaptive is the feedback policy the paper could only gesture at: the
-// target is fully instrumented, a sync point is dynamically inserted at
-// the application's declared safe point, and the internal/adapt controller
-// deactivates (and re-inserts) probes every epoch to hold the removable
-// instrumentation overhead at Budget.
-type Adaptive struct {
-	// Budget is the target removable-overhead fraction (e.g. 0.05).
-	Budget float64
-	// Epoch is the number of sync-point crossings folded into one
-	// controller epoch (0 = 1).
-	Epoch int
-}
-
-func (a Adaptive) norm() Adaptive {
-	if a.Epoch == 0 {
-		a.Epoch = 1
-	}
-	return a
-}
-
-// Key canonicalises the policy, parameters included: two Adaptive values
-// with the same budget and epoch length share cells.
-func (a Adaptive) Key() string {
-	n := a.norm()
-	return fmt.Sprintf("Adaptive(budget=%g,epoch=%d)", n.Budget, n.Epoch)
-}
-
-// String names the policy for labels and logs.
-func (a Adaptive) String() string { return a.Key() }
-
-// Description extends Table 3's column.
-func (a Adaptive) Description() string {
-	return fmt.Sprintf("All functions are statically instrumented; a feedback controller deactivates the most expensive probes each sync epoch to hold overhead at %.0f%%.", a.Budget*100)
-}
-
-// BuildOpts instruments everything: the controller needs probes to shed.
-func (a Adaptive) BuildOpts(*guide.App) guide.BuildOpts {
-	return guide.BuildOpts{TraceMPI: true, TraceOMP: true, StaticInstrument: true}
-}
-
-// run executes one adaptive cell through the shared dynprof-session path.
-func (a Adaptive) run(spec RunSpec, app *guide.App, bud des.Budget, tp *tape.Tape) (Result, error) {
-	n := a.norm()
-	res, _, err := runAdaptiveSession(spec.machine(), app, spec.CPUs, spec.Args, spec.Seed, bud,
-		adapt.Config{Budget: n.Budget, EpochEvery: n.Epoch}, tp)
-	res.Policy = a.Key()
-	return res, err
-}
-
 // Result is one measured run.
 type Result struct {
 	App string
-	// Policy is the canonical policy key (PolicySpec.Key), e.g. "Full".
+	// Policy is the Table 3 name of the run's policy, e.g. "Full".
 	Policy  string
 	CPUs    int
 	Elapsed des.Time
@@ -237,9 +164,9 @@ func (r Result) stats() (des.Time, uint64, []fault.Event) { return r.Elapsed, 0,
 // instruments the application's subset before the main computation (via
 // insert-file, as Section 4.2 describes) and detaches. An aborted run
 // (budget trip, proc panic) tears the session down host-side.
-func runDynamic(mach *machine.Config, app *guide.App, cpus int, args map[string]int, seed uint64, bud des.Budget, tp *tape.Tape) (Result, error) {
-	res := Result{App: app.Name, Policy: Dynamic.Key(), CPUs: cpus}
-	s := des.NewScheduler(seed, des.WithBudget(bud))
+func runDynamic(spec RunSpec, app *guide.App, bud des.Budget, tp *tape.Tape) (Result, error) {
+	res := Result{App: app.Name, Policy: Dynamic.Key(), CPUs: spec.CPUs}
+	s := des.NewScheduler(spec.Seed, des.WithBudget(bud))
 	script := "insert-file subset.list\nstart\nquit\n"
 	var ss *core.Session
 	var sessErr error
@@ -250,10 +177,10 @@ func runDynamic(mach *machine.Config, app *guide.App, cpus int, args map[string]
 	}()
 	s.Spawn("dynprof", func(p *des.Proc) {
 		ss, sessErr = core.NewSession(p, core.Config{
-			Machine:   mach,
+			Machine:   spec.machine(),
 			App:       app,
-			Procs:     cpus,
-			Args:      args,
+			Procs:     spec.CPUs,
+			Args:      spec.Args,
 			CountOnly: true,
 			Files:     map[string]string{"subset.list": strings.Join(app.Subset, "\n")},
 			Tape:      tp,

@@ -84,10 +84,8 @@ type RunSpec struct {
 	// of a registry lookup. Its Name feeds the spec key, so distinct
 	// custom apps must use distinct names for correct memoization.
 	AppDef *guide.App
-	// Policy is the instrumentation policy: a Table 3 static policy
-	// (Full, FullOff, ...) or any other PolicySpec such as Adaptive.
-	// nil selects Full, preserving the zero value's old meaning.
-	Policy PolicySpec
+	// Policy is the Table 3 instrumentation policy (zero = Full).
+	Policy StaticPolicy
 	// CPUs is the number of MPI ranks (or OpenMP threads).
 	CPUs int
 	// Machine is the simulated platform (nil = the IBM Power3 cluster).
@@ -116,9 +114,9 @@ func (s RunSpec) machine() *machine.Config {
 	return machine.MustNew("ibm-power3")
 }
 
-// policy resolves the instrumentation policy (nil = Full).
-func (s RunSpec) policy() PolicySpec {
-	if s.Policy == nil {
+// policy resolves the instrumentation policy (zero = Full).
+func (s RunSpec) policy() StaticPolicy {
+	if s.Policy == "" {
 		return Full
 	}
 	return s.Policy
@@ -137,23 +135,11 @@ func (s RunSpec) Key() string {
 
 func (s RunSpec) runCell(bud des.Budget) (cellResult, error) { return runSpecCell(s, bud, nil) }
 
-// tapeKey: a registered kernel under any Table 3 policy or Adaptive, on a
-// machine whose faults only move time.
+// tapeKey: a registered kernel under a Table 3 policy, on a machine whose
+// faults only move time.
 func (s RunSpec) tapeKey() string {
-	if s.AppDef != nil {
-		return ""
-	}
-	switch p := s.policy().(type) {
-	case StaticPolicy:
-		if !slices.Contains(AllPolicies(), p) {
-			return "" // unknown policy: the live run reports it
-		}
-	case Adaptive:
-	default:
-		return ""
-	}
-	if !s.machine().FaultPlan().MovesTimeOnly() {
-		return ""
+	if s.AppDef != nil || !slices.Contains(AllPolicies(), s.policy()) || !s.machine().FaultPlan().MovesTimeOnly() {
+		return "" // an unknown policy runs live, which reports it
 	}
 	return tapeTuple(s.App, s.CPUs, s.machine(), s.Args, s.Seed)
 }
@@ -192,9 +178,8 @@ func argsKey(args map[string]int) string {
 func Run(spec RunSpec) (Result, error) { return runSpecCell(spec, des.Budget{}, nil) }
 
 // runSpecCell is Run with a DES budget attached (the Runner's supervised
-// path); a Proc panic surfaces as a *des.ProcPanicError return. Execution
-// is dispatched through the spec's PolicySpec, recording into or replaying
-// from the application's tape tp (nil: live).
+// path); a Proc panic surfaces as a *des.ProcPanicError return. It records
+// into or replays from the application's tape tp (nil: live).
 func runSpecCell(spec RunSpec, bud des.Budget, tp *tape.Tape) (Result, error) {
 	app, err := spec.app()
 	if err != nil {

@@ -17,14 +17,25 @@ import (
 	"dynprof/internal/tape"
 )
 
-// tapePolicies are the policies the transparency test records under: the
-// five of Table 3 and one Adaptive budget.
-var tapePolicies = []PolicySpec{None, Full, FullOff, Subset, Dynamic, Adaptive{Budget: 0.05}}
+// tapeModes are the cells the transparency test records each tuple
+// under: the five policies of Table 3, then the adaptive controller at a
+// 5% budget on the tuple's own deck.
+func tapeModes(tuple RunSpec) []tapedSpec {
+	var out []tapedSpec
+	for _, p := range []StaticPolicy{None, Full, FullOff, Subset, Dynamic} {
+		spec := tuple
+		spec.Policy = p
+		out = append(out, spec)
+	}
+	// An empty deck is the kernel's default one, which the tuple runs, not
+	// the adapt sweep's.
+	return append(out, AdaptSpec{App: tuple.App, Budget: 0.05, CPUs: tuple.CPUs, Args: map[string]int{}, Seed: tuple.Seed})
+}
 
 // liveCell is one live cell run while recording its tape.
 type liveCell struct {
-	spec   RunSpec
-	res    Result
+	spec   tapedSpec
+	res    cellResult
 	events uint64
 	tape   *tape.Tape
 }
@@ -49,8 +60,8 @@ func tapeTuples() []RunSpec {
 
 // faultTuple is the faults figure's application tuple, run on the
 // fault-free machine and under the figure's three fault plans.
-func faultTuple() []RunSpec {
-	var out []RunSpec
+func faultTuple() []tapedSpec {
+	var out []tapedSpec
 	for _, pct := range faultRates {
 		m := machine.MustNew("ibm-power3").WithFaultPlan(faultPlanAt(pct))
 		out = append(out, RunSpec{App: "smg98", Policy: Full, CPUs: 8, Machine: m, Seed: DefaultSeed})
@@ -85,13 +96,13 @@ func goid() string {
 }
 
 // tapedCell runs spec recording a fresh tape, or replaying tp.
-func tapedCell(spec RunSpec, tp *tape.Tape) (liveCell, error) {
+func tapedCell(spec tapedSpec, tp *tape.Tape) (liveCell, error) {
 	if tp == nil {
 		tp = new(tape.Tape)
 	}
 	c := liveCell{spec: spec, tape: tp}
 	var err error
-	c.events = countEvents(func() { c.res, err = runSpecCell(spec, des.Budget{}, tp) })
+	c.events = countEvents(func() { c.res, err = spec.runTaped(des.Budget{}, tp) })
 	if err != nil {
 		return c, fmt.Errorf("%s: %w", spec.Key(), err)
 	}
@@ -99,7 +110,7 @@ func tapedCell(spec RunSpec, tp *tape.Tape) (liveCell, error) {
 }
 
 // runTapedCell is tapedCell failing t on an error.
-func runTapedCell(t *testing.T, spec RunSpec, tp *tape.Tape) liveCell {
+func runTapedCell(t *testing.T, spec tapedSpec, tp *tape.Tape) liveCell {
 	t.Helper()
 	c, err := tapedCell(spec, tp)
 	if err != nil {
@@ -122,15 +133,9 @@ func recordedCells(t *testing.T) [][]liveCell {
 		t.Skip("tape transparency sweep skipped in -short mode")
 	}
 	liveOnce.Do(func() {
-		var sets [][]RunSpec
+		var sets [][]tapedSpec
 		for _, tuple := range tapeTuples() {
-			var set []RunSpec
-			for _, p := range tapePolicies {
-				spec := tuple
-				spec.Policy = p
-				set = append(set, spec)
-			}
-			sets = append(sets, set)
+			sets = append(sets, tapeModes(tuple))
 		}
 		sets = append(sets, faultTuple())
 		liveSets = make([][]liveCell, len(sets))
@@ -156,9 +161,10 @@ func recordedCells(t *testing.T) [][]liveCell {
 
 // TestTapeTransparency is the gate replay rests on: instrumentation must
 // not change the application's own behaviour, so a tuple's tape must be
-// byte-identical under None, Full, Full-Off, Subset, Dynamic and Adaptive,
-// for all four kernels at 1, 4 and 16 CPUs (sweep3d from 2, umt98 up to
-// its node's 8), and under the faults figure's time-moving fault plans.
+// byte-identical under None, Full, Full-Off, Subset, Dynamic and the
+// adaptive controller, for all four kernels at 1, 4 and 16 CPUs (sweep3d
+// from 2, umt98 up to its node's 8), and under the faults figure's
+// time-moving fault plans.
 func TestTapeTransparency(t *testing.T) {
 	for _, set := range recordedCells(t) {
 		ref := set[0]
@@ -234,7 +240,7 @@ func TestTapeKeyEligibility(t *testing.T) {
 	if key == "" {
 		t.Fatal("a Full smg98 cell has no tape key")
 	}
-	for _, p := range []PolicySpec{None, FullOff, Subset, Dynamic, Adaptive{Budget: 0.1}} {
+	for _, p := range []StaticPolicy{None, FullOff, Subset, Dynamic} {
 		s := base
 		s.Policy = p
 		if got := s.tapeKey(); got != key {
@@ -304,10 +310,10 @@ func TestRunnerReplaysTupleGroups(t *testing.T) {
 // its event budget publishes no tape; the group's next cell records
 // instead and the rest replay it.
 func TestFailedRecordingLeavesNextCellToRecord(t *testing.T) {
-	spec := func(p PolicySpec) RunSpec { return RunSpec{App: "sppm", Policy: p, CPUs: 2, Seed: DefaultSeed} }
+	spec := func(p StaticPolicy) RunSpec { return RunSpec{App: "sppm", Policy: p, CPUs: 2, Seed: DefaultSeed} }
 	full := runTapedCell(t, spec(Full), nil)
 	var most uint64
-	for _, p := range []PolicySpec{None, Subset} {
+	for _, p := range []StaticPolicy{None, Subset} {
 		most = max(most, runTapedCell(t, spec(p), nil).events)
 	}
 	if most >= full.events {

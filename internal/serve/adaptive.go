@@ -5,28 +5,20 @@ import (
 
 	"dynprof/internal/adapt"
 	"dynprof/internal/des"
-	"dynprof/internal/guide"
-	"dynprof/internal/machine"
 	"dynprof/internal/vt"
 )
 
 // adaptive is a session's attached adaptive policy: the pure controller
-// plus the previous epoch's cost baseline over the resident job.
+// plus the epoch meter over the resident job.
 type adaptive struct {
-	ctl  *adapt.Controller
-	job  *guide.Job
-	mach *machine.Config
+	ctl   *adapt.Controller
+	meter *adapt.Meter
 
 	// watched is every function the controller has ever managed for this
 	// session (still measured after removal so re-insertion stays
 	// cost-informed); order fixes the deterministic epoch probe order.
 	watched map[string]bool
 	order   []string
-
-	started  bool
-	prevNow  des.Time
-	prevSusp []des.Time
-	prevCost []map[string]vt.ProbeCost
 }
 
 // EnableAdaptive attaches an adaptive deactivation policy to the session:
@@ -49,11 +41,9 @@ func (sn *Session) EnableAdaptive(cfg adapt.Config) error {
 	if cfg.Budget <= 0 {
 		return fmt.Errorf("serve: adaptive budget must be positive, got %g", cfg.Budget)
 	}
-	job := sn.jb.Guide()
 	sn.adaptive = &adaptive{
 		ctl:     adapt.NewController(cfg),
-		job:     job,
-		mach:    job.Processes()[0].Config(),
+		meter:   adapt.NewMeter(sn.jb.Guide()),
 		watched: make(map[string]bool),
 	}
 	return nil
@@ -96,13 +86,11 @@ func (sn *Session) AdaptStep(p *des.Proc) (adapt.Decision, error) {
 			ad.order = append(ad.order, f)
 		}
 	}
-	if !ad.started {
-		ad.capture()
-		ad.started = true
+	e, ok := ad.measure(active)
+	if !ok {
 		return none, nil
 	}
-	d := ad.ctl.Step(ad.measure(active))
-	ad.capture()
+	d := ad.ctl.Step(e)
 	if len(d.Deactivate) > 0 {
 		if err := sn.Remove(p, d.Deactivate...); err != nil {
 			return d, err
@@ -116,62 +104,28 @@ func (sn *Session) AdaptStep(p *des.Proc) (adapt.Decision, error) {
 	return d, nil
 }
 
-// capture snapshots per-rank cost counters and thread clocks as the next
-// epoch's baseline.
-func (ad *adaptive) capture() {
-	procs := ad.job.Processes()
-	ad.prevSusp = make([]des.Time, len(procs))
-	ad.prevCost = make([]map[string]vt.ProbeCost, len(procs))
-	for i, pr := range procs {
-		ad.prevSusp[i] = pr.Threads()[0].SuspendedTime()
-		snap := ad.job.VT(i).CostSnapshot()
-		m := make(map[string]vt.ProbeCost, len(snap))
-		for _, pc := range snap {
-			m[pc.Name] = pc
+// measure ends an epoch and aggregates the watched functions' deltas
+// across ranks into one Epoch, in watched order; active tells the
+// controller which probes this session currently holds. It reports false
+// for the first epoch, which only takes the baseline.
+func (ad *adaptive) measure(active map[string]bool) (adapt.Epoch, bool) {
+	agg := make(map[string]adapt.Probe, len(ad.order))
+	total, ok := ad.meter.Next(func(_ int, d vt.ProbeCost) {
+		if ad.watched[d.Name] {
+			pb := agg[d.Name]
+			pb.Hits += d.Hits
+			pb.Cycles += d.RemovableCycles()
+			agg[d.Name] = pb
 		}
-		ad.prevCost[i] = m
-		if i == 0 {
-			ad.prevNow = pr.Threads()[0].Now()
-		}
-	}
-}
-
-// measure diffs the watched functions' cost counters against the baseline
-// and aggregates across ranks into one Epoch; active tells the controller
-// which probes this session currently holds.
-func (ad *adaptive) measure(active map[string]bool) adapt.Epoch {
-	procs := ad.job.Processes()
-	agg := make(map[string]*adapt.Probe, len(ad.order))
-	var total int64
-	for i, pr := range procs {
-		t := pr.Threads()[0]
-		elapsed := t.Now() - ad.prevNow
-		susp := t.SuspendedTime() - ad.prevSusp[i]
-		if susp > elapsed {
-			susp = elapsed
-		}
-		total += ad.mach.TimeToCycles(elapsed - susp)
-		for _, pc := range ad.job.VT(i).CostSnapshot() {
-			if !ad.watched[pc.Name] {
-				continue
-			}
-			pb, ok := agg[pc.Name]
-			if !ok {
-				pb = &adapt.Probe{Name: pc.Name, Active: active[pc.Name]}
-				agg[pc.Name] = pb
-			}
-			prev := ad.prevCost[i][pc.Name]
-			pb.Hits += pc.Hits - prev.Hits
-			pb.Cycles += pc.RemovableCycles() - prev.RemovableCycles()
-		}
+	})
+	if !ok {
+		return adapt.Epoch{}, false
 	}
 	e := adapt.Epoch{Total: total, Probes: make([]adapt.Probe, 0, len(ad.order))}
 	for _, name := range ad.order {
-		if pb, ok := agg[name]; ok {
-			e.Probes = append(e.Probes, *pb)
-		} else {
-			e.Probes = append(e.Probes, adapt.Probe{Name: name, Active: active[name]})
-		}
+		pb := agg[name]
+		pb.Name, pb.Active = name, active[name]
+		e.Probes = append(e.Probes, pb)
 	}
-	return e
+	return e, true
 }

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"dynprof/internal/adapt"
@@ -12,12 +13,28 @@ import (
 // TestAdaptiveSessionSheds: a session with an adaptive policy over all
 // four hot functions converges under its budget by shedding probes, while
 // keeping at least one — the serve-side mirror of the exp convergence
-// test, driven through the quota-gated Insert/Remove path.
+// test, driven through the quota-gated Insert/Remove path. Every step's
+// decision and measured overhead is pinned exactly.
 func TestAdaptiveSessionSheds(t *testing.T) {
 	s, sv, done := newTestServer(t, 31, serve.Config{}, 1)
 	// The resident job's removable probe cost is a few cycles in hundreds
 	// of millions, so the shedding regime needs a micro-scale budget.
 	const budget = 1e-5
+	// The exact decision sequence and measured overheads: the baseline
+	// step, one shed of the two costliest probes, then holding inside the
+	// deadband.
+	wantSteps := []struct {
+		shed     []string
+		overhead float64
+	}{
+		{nil, 0},
+		{[]string{"smg_relax", "smg_exchange"}, 1.495e-05},
+		{nil, 7.640774456107252e-06},
+		{nil, 9.533333333333334e-06},
+		{nil, 7.8e-06},
+		{nil, 9.533333333333334e-06},
+		{nil, 7.8e-06},
+	}
 	var sn *serve.Session
 	var before int
 	s.Spawn("tuner", func(p *des.Proc) {
@@ -41,15 +58,17 @@ func TestAdaptiveSessionSheds(t *testing.T) {
 		if err := sn.EnableAdaptive(adapt.Config{Budget: budget}); err == nil {
 			t.Error("double EnableAdaptive succeeded")
 		}
-		for i := 0; i < 6; i++ {
-			if _, err := sn.AdaptStep(p); err != nil {
+		for i, want := range wantSteps {
+			d, err := sn.AdaptStep(p)
+			if err != nil {
 				t.Errorf("step %d: %v", i, err)
 				return
 			}
+			if !slices.Equal(d.Deactivate, want.shed) || len(d.Reactivate) != 0 || sn.AdaptOverhead() != want.overhead {
+				t.Errorf("step %d: decision %+v at overhead %v, want shed %v at %v",
+					i, d, sn.AdaptOverhead(), want.shed, want.overhead)
+			}
 			p.Advance(2 * des.Second)
-		}
-		if _, err := sn.AdaptStep(p); err != nil {
-			t.Errorf("final step: %v", err)
 		}
 		sn.Close(p)
 	})

@@ -151,10 +151,6 @@ func New(s *des.Scheduler, cfg Config) *Server {
 	sys := dpcl.NewSystem(s, cfg.Machine)
 	fair := NewFairSched()
 	sys.SetServeGate(fair)
-	// Evicting a faulted tenant must not leave the shared job wedged: a
-	// client whose (unacknowledged) resume was lost strands suspended ranks,
-	// so daemons release their own suspend balance when torn down.
-	sys.SetSuspendReclaim(true)
 	// Resident ranks reach safe points only every residentSlice of compute,
 	// so acks to suspend-bracketed requests can lag the round-trip-derived
 	// retransmission timeout by a full slice; widen it or a lossy-but-alive

@@ -448,6 +448,9 @@ func (d *decoder) block(src []byte, count int, dst []Event) (out []Event, recs, 
 			if !ok1 || !ok2 {
 				return corrupt("truncated A/B payload")
 			}
+			if !peerFits(ev.Kind, a) {
+				return corrupt("message peer out of int32 range")
+			}
 			ev.A, ev.B = a, b
 		}
 		dst = append(dst, ev)

@@ -585,7 +585,8 @@ var byteClass = func() (t [256]byte) {
 // parseEventLine parses line into *e in one pass, tokenising and
 // converting together, when it is an EVT record of the shape WriteTrace
 // writes: ASCII only, "EVT" and seven fields, plain decimals of at most 18
-// digits with an optional '-', ids in int32 range and a known kind.
+// digits with an optional '-', ids and message peers in int32 range and a
+// known kind.
 // Anything else — a '+' sign, an overlong number, a stray byte — reports
 // false and is left to the general path, which accepts or rejects it as it
 // always did.
@@ -641,7 +642,7 @@ func parseEventLine(line []byte, e *Event) bool {
 			return false
 		}
 	}
-	if !fitsInt32(nums[1]) || !fitsInt32(nums[2]) || !fitsInt32(nums[3]) {
+	if !fitsInt32(nums[1]) || !fitsInt32(nums[2]) || !fitsInt32(nums[3]) || !peerFits(e.Kind, nums[4]) {
 		return false
 	}
 	e.At, e.Rank, e.TID, e.ID, e.A, e.B = des.Time(nums[0]), int32(nums[1]), int32(nums[2]), int32(nums[3]), nums[4], nums[5]
@@ -714,6 +715,9 @@ func (col *Collector) parseRecord(fields [][]byte, line int) error {
 		if !ok {
 			return fmt.Errorf("vt: trace line %d: unknown kind %q", line, fields[4])
 		}
+		if !peerFits(kind, nums[4]) {
+			return fmt.Errorf("vt: trace line %d: EVT message peer out of int32 range", line)
+		}
 		col.store.push(Event{
 			At: des.Time(nums[0]), Rank: int32(nums[1]), TID: int32(nums[2]),
 			Kind: kind, ID: int32(nums[3]), A: nums[4], B: nums[5],
@@ -726,6 +730,10 @@ func (col *Collector) parseRecord(fields [][]byte, line int) error {
 
 // fitsInt32 reports whether v fits an int32 record field.
 func fitsInt32(v int64) bool { return v >= math.MinInt32 && v <= math.MaxInt32 }
+
+// peerFits reports whether a record's A field is in range for its kind: a
+// message's A is its peer rank, which must fit in int32 like Rank does.
+func peerFits(k Kind, a int64) bool { return (k != MsgSend && k != MsgRecv) || fitsInt32(a) }
 
 // parseDecimal is strconv.ParseInt(string(b), 10, 64) without the
 // allocation on the common input: an optional '-' and at most 18 digits,

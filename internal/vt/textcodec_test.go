@@ -2,6 +2,8 @@ package vt
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -21,7 +23,8 @@ var genNames = []string{
 
 // genTextCollector builds a random verbatim collector: every Kind
 // (occasionally an undefined one), unknown function ids, the same name
-// under several ids and ranks, negative and extreme A/B, out-of-order
+// under several ids and ranks, negative and extreme A/B (message peers
+// only to the int32 extremes, since a peer is a rank), out-of-order
 // batches that make several segments, and negative times.
 func genTextCollector(rng *rand.Rand) *Collector {
 	col := NewCollector()
@@ -55,6 +58,9 @@ func genTextCollector(rng *rand.Rand) *Collector {
 			}
 			if rng.Intn(8) == 0 {
 				evs[i].A = extremes[rng.Intn(len(extremes))]
+				if k == MsgSend || k == MsgRecv {
+					evs[i].A >>= 32 // a peer is a rank: the int32 extremes
+				}
 				evs[i].B = extremes[rng.Intn(len(extremes))]
 			}
 		}
@@ -146,6 +152,42 @@ func TestReadTraceGrammarMatchesReference(t *testing.T) {
 		"EVT 1 0 0 enter 0 0 0\n" + strings.Repeat("y", 1<<20+1),
 	} {
 		checkReadersAgree(t, []byte(in))
+	}
+}
+
+// TestReadersRejectOutOfRangePeer: a message's A is its peer rank, so a
+// send or recv whose peer lies outside int32 is rejected like an
+// out-of-range rank — by the text reader with the record's line number,
+// by the compact reader with a *FormatError — instead of reaching VGV,
+// which would charge the message to a truncated rank.
+func TestReadersRejectOutOfRangePeer(t *testing.T) {
+	const low = "EVT 1 0 0 send 0 -9223372036854775808 64\n"
+	const high = "EVT 2 0 0 send 0 4294967297 64\n"
+	for in, line := range map[string]int{
+		low + high:                               1,
+		"EVT 1 0 0 recv 0 2147483647 8\n" + high: 2,
+		"EVT 1 0 0 recv 0 -2147483649 8\n":       1,
+	} {
+		checkReadersAgree(t, []byte(in))
+		want := fmt.Sprintf("vt: trace line %d: EVT message peer out of int32 range", line)
+		if col, err := ReadTrace(strings.NewReader(in)); err == nil || err.Error() != want {
+			t.Errorf("ReadTrace(%q) = %v, %v; want error %q", in, col, err, want)
+		}
+	}
+	for _, peer := range []int64{math.MinInt64, 1<<32 + 1} {
+		for _, k := range []Kind{MsgSend, MsgRecv} {
+			col := NewCollector()
+			col.Append([]Event{{At: 1, Kind: k, A: peer, B: 64}})
+			var file bytes.Buffer
+			if err := col.WriteCompactTrace(&file); err != nil {
+				t.Fatal(err)
+			}
+			col.Release()
+			var fe *FormatError
+			if back, err := ReadCompactTrace(&file); !errors.As(err, &fe) {
+				t.Errorf("%s to peer %d: ReadCompactTrace = %v, %v; want a *FormatError", k, peer, back, err)
+			}
+		}
 	}
 }
 

@@ -47,8 +47,9 @@ func refWriteTrace(col *Collector, w io.Writer) error {
 // refFitsInt32 reports whether v fits an int32 record field.
 func refFitsInt32(v int64) bool { return v >= -1<<31 && v < 1<<31 }
 
-// refReadTrace is the reference ReadTrace, int32 range checks included. A
-// scan failure returns only the error, with no collector.
+// refReadTrace is the reference ReadTrace, int32 range checks on ranks,
+// thread ids, function ids and message peers included. A scan failure
+// returns only the error, with no collector.
 func refReadTrace(r io.Reader) (*Collector, error) {
 	col := NewCollector()
 	var evs []Event
@@ -94,6 +95,9 @@ func refReadTrace(r io.Reader) (*Collector, error) {
 			kind, ok := kindFromBytes([]byte(fields[4]))
 			if !ok {
 				return nil, fmt.Errorf("vt: trace line %d: unknown kind %q", line, fields[4])
+			}
+			if (kind == MsgSend || kind == MsgRecv) && !refFitsInt32(nums[4]) {
+				return nil, fmt.Errorf("vt: trace line %d: EVT message peer out of int32 range", line)
 			}
 			evs = append(evs, Event{
 				At: des.Time(nums[0]), Rank: int32(nums[1]), TID: int32(nums[2]),

@@ -7,6 +7,41 @@
 # sequential: one Proc or event runs at a time.
 set -eux
 
+# names REGEX PKG...: fail unless every |-separated alternative of the
+# -run or -fuzz regex REGEX names a test, benchmark or fuzz target in one of
+# the packages, so a renamed or deleted test cannot silently drop out of a
+# pass below.
+names() {
+    re=$1
+    shift
+    listed=$(go test -list . "$@")
+    for alt in $(echo "$re" | tr '|' ' '); do
+        if ! echo "$listed" | grep -Eq -- "$alt"; then
+            echo "verify.sh: -run/-fuzz alternative $alt names no test in $*" >&2
+            exit 1
+        fi
+    done
+}
+
+# run REGEX [FLAG...] PKG...: go test -run REGEX over the packages, after
+# names has checked REGEX against them.
+run() {
+    re=$1
+    shift
+    pkgs=
+    for a in "$@"; do
+        case $a in ./*) pkgs="$pkgs $a" ;; esac
+    done
+    names "$re" $pkgs
+    go test -run "$re" "$@"
+}
+
+# fuzz NAME PKG: ten seconds of the fuzz target NAME.
+fuzz() {
+    names "^$1\$" "$2"
+    go test -run '^$' -fuzz "^$1\$" -fuzztime 10s "$2"
+}
+
 go build ./...
 go vet ./...
 test -z "$(gofmt -l .)"
@@ -26,49 +61,49 @@ go -C bench test ./...
 # accepts; the result journal's loader must ignore any newline-free torn
 # tail; VGV's analysis of any textual trace ReadTrace accepts must equal
 # its reference oracle's.
-go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 10s ./internal/vt/
-go test -run '^$' -fuzz '^FuzzReadCompactTrace$' -fuzztime 10s ./internal/vt/
-go test -run '^$' -fuzz '^FuzzSpillReader$' -fuzztime 10s ./internal/vt/
-go test -run '^$' -fuzz '^FuzzParseConfig$' -fuzztime 10s ./internal/vt/
-go test -run '^$' -fuzz '^FuzzLoadJournal$' -fuzztime 10s ./internal/exp/
-go test -run '^$' -fuzz '^FuzzAnalyze$' -fuzztime 10s ./internal/vgv/
+fuzz FuzzReadTrace ./internal/vt/
+fuzz FuzzReadCompactTrace ./internal/vt/
+fuzz FuzzSpillReader ./internal/vt/
+fuzz FuzzParseConfig ./internal/vt/
+fuzz FuzzLoadJournal ./internal/exp/
+fuzz FuzzAnalyze ./internal/vgv/
 
 # Race pass over the textual trace codec's block pipelines (a scanner
 # goroutine, GOMAXPROCS parse and format workers, in-order apply and
 # write, shutdown on error) and over VGV's analysis of what they read.
-go test -race -run 'TestReadTrace|TestWriteTrace|TestTextCodec|TestAnalyze|TestCompactVGVEquivalence' \
-    ./internal/vt/ ./internal/vgv/
+run 'TestReadTrace|TestWriteTrace|TestTextCodec|TestAnalyze|TestCompactVGVEquivalence' \
+    -race ./internal/vt/ ./internal/vgv/
 
 # Short -race pass over the parallel cell runner.
-go test -race -run 'TestParallel|TestCellCache|TestRunner' ./internal/exp/
+run 'TestParallel|TestCellCache|TestRunner' -race ./internal/exp/
 
 # Race pass over the supervision layer (watchdog goroutines, retry loop),
 # the persistent result store and the figure registry.
-go test -race -run 'TestSupervised|TestStore|TestFailure|TestRetry|TestRegistered|TestSynthetic' ./internal/exp/
+run 'TestSupervised|TestStore|TestFailure|TestRetry|TestRegistered|TestSynthetic' -race ./internal/exp/
 
 # Race pass over the fault injector and the DPCL retry/backoff path,
 # including the crash-recovery machinery (daemon incarnations, ledger
 # replay, give-up rollback), and the breakpoint monitor on a crashable
 # system.
 go test -race ./internal/fault/ ./internal/dpcl/
-go test -race -run TestControlMonitor ./internal/core/
+run TestControlMonitor -race ./internal/core/
 
 # Race pass over the whole DES package: des.Cluster's window workers are
 # real host concurrency, and Kill, abort and panic teardown must stay
 # race-free when Procs are resumed from different workers. Then the scale
 # cells driving the cluster, including the spilling trace collectors.
 go test -race ./internal/des/
-go test -race -run 'TestScale|TestSpill' ./internal/exp/ ./internal/vt/
+run 'TestScale|TestSpill' -race ./internal/exp/ ./internal/vt/
 
 # Race pass over the multi-tenant session server: the protocol bridge's
 # per-connection reader goroutines are real host concurrency against the
 # DES loop, as is the CLI serve smoke.
 go test -race ./internal/serve/ ./cmd/dynprof/
-go test -race -run TestTenants ./internal/exp/
+run TestTenants -race ./internal/exp/
 
 # End-to-end fault smoke (guarded by -short elsewhere): a run with every
 # fault class enabled must terminate via timeout degradation.
-go test -run TestFaultSmoke ./internal/exp/
+run TestFaultSmoke ./internal/exp/
 
 # Benchmark smoke: one iteration of every layer microbenchmark, so a
 # benchmark that no longer compiles or panics fails the gate here rather
@@ -119,20 +154,20 @@ cmp "$smoke/scale8.txt" "$smoke/scale8ser.txt"
 # Race pass over the adaptive controller (pure unit tests plus the serve
 # integration already covered above) and the adapt/policy cells.
 go test -race ./internal/adapt/
-go test -race -run 'TestAdaptConvergence|TestAdaptSpecKey|TestPolicySpecKeys' ./internal/exp/
+run 'TestAdaptConvergence|TestAdaptSpecKey|TestStaticPolicyKeys' -race ./internal/exp/
 
 # Race pass over the crash-recovery paths: leased sessions and automatic
 # probe-state repair in the server, including the 100-session
 # crash-every-daemon smoke (zero lost sessions, probe state byte-identical
 # to the fault-free run), and the end-to-end recover cells.
-go test -race -run 'TestLease|TestRecoverSmoke|TestProtoSeqAndResume|TestEvictIdempotent' ./internal/serve/
-go test -race -run 'TestRecoverCell|TestRecoverStoreRoundTrip' ./internal/exp/
+run 'TestLease|TestRecoverSmoke|TestProtoSeqAndResume|TestEvictIdempotent' -race ./internal/serve/
+run 'TestRecoverCell|TestRecoverStoreRoundTrip' -race ./internal/exp/
 
 # Race pass over the trace-compaction paths: the compact encoder/decoder,
 # the version-checked spill file, and the per-kernel VGV equivalence
 # suite.
-go test -race -run 'TestCompact|TestSpillRejects|TestReadTraceAuto' \
-    ./internal/vt/ ./internal/vgv/ ./internal/exp/
+run 'TestCompact|TestSpillRejects|TestReadTraceAuto' \
+    -race ./internal/vt/ ./internal/vgv/ ./internal/exp/
 
 # Parallelism smokes: each on-demand sweep must render the same bytes at
 # any host parallelism — the 100-session tenants cell (admission queueing,
