@@ -155,7 +155,7 @@ func run() error {
 		ss, sessErr = core.NewSession(p, core.Config{
 			Machine:   mach,
 			App:       app,
-			BuildOpts: guide.BuildOpts{TraceMPI: true, TraceOMP: true},
+			BuildOpts: guide.BuildOpts{TraceAPI: true},
 			Procs:     *procs,
 			Args:      deck,
 			Output:    out,

@@ -34,7 +34,7 @@ func main() {
 		session, err = core.NewSession(p, core.Config{
 			Machine:   machine.MustNew("ibm-power3"),
 			App:       app,
-			BuildOpts: guide.BuildOpts{TraceMPI: true},
+			BuildOpts: guide.BuildOpts{TraceAPI: true},
 			Procs:     4,
 			Args:      map[string]int{"nx": 10, "ny": 10, "nz": 16, "iters": 3},
 			Files:     map[string]string{"subset.txt": strings.Join(app.Subset, "\n")},

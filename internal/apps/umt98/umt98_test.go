@@ -146,7 +146,7 @@ func TestInstrumentationOverheadNoticeable(t *testing.T) {
 }
 
 func TestRegionEventsTraced(t *testing.T) {
-	j := run(t, guide.BuildOpts{TraceOMP: true}, 4, tinyArgs)
+	j := run(t, guide.BuildOpts{TraceAPI: true}, 4, tinyArgs)
 	forks := 0
 	for _, e := range j.Collector().Ordered().AppendTo(nil) {
 		if e.Kind == vt.RegionFork {

@@ -10,23 +10,8 @@ import (
 	"dynprof/internal/machine"
 )
 
-// AttachSession attaches a dynprof instance to an application that is
-// already executing — the capability the paper's prototype deliberately
-// skipped ("while DPCL provides facilities to attach to an already
-// executing application, we restrict our prototype to the case of first
-// spawning and then instrumenting ... we do not foresee any difficult
-// issues in extending our tool"). This is that extension.
-//
-// Attachment requires the target to be past its tracing-library
-// initialisation on every process (the same safety constraint the spawn
-// path enforces with the Figure 6 callback): instrumentation inserted
-// before VT is ready could call into an uninitialised library.
-func AttachSession(p *des.Proc, mach *machine.Config, job *guide.Job, out io.Writer) (*Session, error) {
-	return AttachSessionWith(p, mach, job, AttachConfig{Output: out})
-}
-
-// AttachConfig parameterises AttachSessionWith for multi-tenant use. The
-// zero value reproduces AttachSession exactly.
+// AttachConfig parameterises AttachSessionWith. The zero value is the
+// single-tool attach: a private DPCL System, discarded output.
 type AttachConfig struct {
 	// System is the DPCL installation to connect through. Nil creates a
 	// private System, the single-tool model; a session server passes its
@@ -44,8 +29,17 @@ type AttachConfig struct {
 	OnTrace func(events int)
 }
 
-// AttachSessionWith is AttachSession with an explicit AttachConfig; see
-// AttachSession for the attachment semantics.
+// AttachSessionWith attaches a dynprof instance to an application that is
+// already executing — the capability the paper's prototype deliberately
+// skipped ("while DPCL provides facilities to attach to an already
+// executing application, we restrict our prototype to the case of first
+// spawning and then instrumenting ... we do not foresee any difficult
+// issues in extending our tool"). This is that extension.
+//
+// Attachment requires the target to be past its tracing-library
+// initialisation on every process (the same safety constraint the spawn
+// path enforces with the Figure 6 callback): instrumentation inserted
+// before VT is ready could call into an uninitialised library.
 func AttachSessionWith(p *des.Proc, mach *machine.Config, job *guide.Job, acfg AttachConfig) (*Session, error) {
 	out := acfg.Output
 	if out == nil {

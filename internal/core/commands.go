@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"dynprof/internal/des"
@@ -106,15 +105,14 @@ func (ss *Session) Exec(p *des.Proc, line string) (done bool, err error) {
 		ss.Quit(p)
 		return true, nil
 	case "wait":
-		secs := 1.0
+		d := des.Second
 		if len(args) > 0 {
-			v, err := strconv.ParseFloat(args[0], 64)
-			if err != nil || v < 0 {
+			var err error
+			if d, err = des.ParseSeconds(args[0], p.Now()); err != nil {
 				return false, fmt.Errorf("dynprof: bad wait duration %q", args[0])
 			}
-			secs = v
 		}
-		p.Advance(des.FromSeconds(secs))
+		p.Advance(d)
 		return false, nil
 	default:
 		return false, fmt.Errorf("dynprof: %w %q (try help)", ErrUnknownCommand, fields[0])
@@ -141,7 +139,9 @@ func (ss *Session) readFuncFiles(files []string) ([]string, error) {
 // RunScript feeds a command script to the session line by line ("to allow
 // users to write instrumentation scripts... a user can prepare a text file
 // that includes commands, and direct this file into dynprof"). It stops at
-// quit or end of input; a session still attached at end of input is quit.
+// quit, at end of input or at an unreadable line (one longer than
+// bufio.MaxScanTokenSize, returned as the scanner's error); a session
+// still attached then is quit.
 //
 // Command failures (a misspelled function name, a missing file) are
 // reported and the script carries on — the interactive model. An unknown
@@ -163,9 +163,6 @@ func (ss *Session) RunScript(p *des.Proc, r io.Reader) error {
 			return sc.Err()
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
 	ss.Quit(p)
-	return nil
+	return sc.Err()
 }

@@ -135,8 +135,18 @@ func TestTable1Commands(t *testing.T) {
 		if _, err := ss.Exec(p, "w 0.5"); err != nil {
 			t.Errorf("wait failed: %v", err)
 		}
-		if _, err := ss.Exec(p, "w notanumber"); err == nil {
-			t.Error("bad wait accepted")
+		// Non-finite durations, and durations whose end overflows the
+		// virtual clock, are refused rather than advancing it backwards.
+		for _, bad := range []string{"w notanumber", "w -1", "w NaN", "wait inf", "w -Inf", "w 1e300", "w 9.3e9"} {
+			if _, err := ss.Exec(p, bad); err == nil || !strings.Contains(err.Error(), "bad wait duration") {
+				t.Errorf("%q: err = %v, want a bad wait duration", bad, err)
+			}
+		}
+		if _, err := ss.Exec(p, "w 9e9"); err != nil {
+			t.Errorf("wait failed: %v", err)
+		}
+		if _, err := ss.Exec(p, "w 9e9"); err == nil {
+			t.Error("a wait past the end of the virtual clock was accepted")
 		}
 		ss.Quit(p)
 	})

@@ -20,7 +20,6 @@ import (
 	"dynprof/internal/machine"
 	"dynprof/internal/proc"
 	"dynprof/internal/tape"
-	"dynprof/internal/vt"
 )
 
 // CallbackTag identifies the DPCL_callback message the init-protocol
@@ -41,8 +40,6 @@ type Config struct {
 	Procs int
 	// Args overrides the application's input deck.
 	Args map[string]int
-	// Collector receives the run's trace (created if nil).
-	Collector *vt.Collector
 	// CountOnly drops trace event payloads (see guide.LaunchOpts).
 	CountOnly bool
 	// Tape records the target's application operations into a blank
@@ -127,7 +124,6 @@ func NewSession(p *des.Proc, cfg Config) (*Session, error) {
 		Procs:     cfg.Procs,
 		Hold:      true,
 		Args:      cfg.Args,
-		Collector: cfg.Collector,
 		CountOnly: cfg.CountOnly,
 		Tape:      cfg.Tape,
 	})

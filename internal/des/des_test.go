@@ -27,8 +27,8 @@ func TestTimeString(t *testing.T) {
 }
 
 func TestTimeSecondsRoundTrip(t *testing.T) {
-	if got := FromSeconds(1.5); got != 1500*Millisecond {
-		t.Fatalf("FromSeconds(1.5) = %v", got)
+	if got, err := ParseSeconds("1.5", 0); err != nil || got != 1500*Millisecond {
+		t.Fatalf("ParseSeconds(1.5) = %v, %v", got, err)
 	}
 	if got := (250 * Millisecond).Seconds(); got != 0.25 {
 		t.Fatalf("Seconds() = %v, want 0.25", got)

@@ -7,7 +7,11 @@
 // every simulation run bit-for-bit deterministic for a given seed.
 package des
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"strconv"
+)
 
 // Time is a point in virtual time, measured in virtual nanoseconds from the
 // start of the simulation. It is also used for durations.
@@ -27,8 +31,20 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Milliseconds reports t as a floating-point number of virtual milliseconds.
 func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) }
 
-// FromSeconds converts a floating-point number of seconds to a Time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
+// ParseSeconds parses s, a non-negative decimal number of seconds, into
+// a duration to be waited from virtual time now. It rejects NaN, the
+// infinities, and a duration whose end, now plus its nanoseconds, does
+// not fit a Time.
+func ParseSeconds(s string, now Time) (Time, error) {
+	secs, err := strconv.ParseFloat(s, 64)
+	ns := secs * float64(Second)
+	// float64(math.MaxInt64) rounds up to 2⁶³, so ns below it converts
+	// exactly into range; NaN fails every comparison.
+	if err != nil || !(ns >= 0 && ns < float64(math.MaxInt64)) || Time(ns) > math.MaxInt64-now {
+		return 0, fmt.Errorf("des: bad duration %q", s)
+	}
+	return Time(ns), nil
+}
 
 // String renders t with an auto-selected unit, e.g. "1.500ms".
 func (t Time) String() string {

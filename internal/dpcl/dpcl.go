@@ -271,7 +271,7 @@ func (d *commDaemon) deliver(m any) {
 			return
 		}
 	}
-	at := sys.s.Now() + sys.inj.ScaleCtrl(sys.delay())
+	at := sys.s.Now() + sys.inj.ScaleCtrl(sys.Delay())
 	if at < d.lastArrive {
 		at = d.lastArrive
 	}
@@ -573,7 +573,7 @@ func (d *commDaemon) nackStale(req *request) {
 		sys.inj.Record(sys.s.Now(), fault.KindCtrlDrop, d.node, reqRank(req), req.kind.String()+" stale nack lost")
 		return
 	}
-	req.reply.PutAfter(sys.inj.ScaleCtrl(sys.delay()), ackStale)
+	req.reply.PutAfter(sys.inj.ScaleCtrl(sys.Delay()), ackStale)
 }
 
 // trackSuspend maintains the daemon's suspend balance per target, so a
@@ -633,7 +633,7 @@ func (d *commDaemon) ackTo(req *request) {
 		sys.inj.Record(sys.s.Now(), fault.KindCtrlDrop, d.node, reqRank(req), req.kind.String()+" ack lost")
 		return
 	}
-	sys.s.After(sys.inj.ScaleCtrl(sys.delay()), req.putAck)
+	sys.s.After(sys.inj.ScaleCtrl(sys.Delay()), req.putAck)
 }
 
 // ack is a daemon's reply to an acknowledged request. Only two values are
@@ -650,8 +650,6 @@ var ackOK, ackStale any = ack{}, ack{stale: true}
 func (sys *System) Delay() des.Time {
 	return sys.rng.Jitter(sys.mach.DaemonLatency, sys.mach.DaemonJitter)
 }
-
-func (sys *System) delay() des.Time { return sys.Delay() }
 
 // Event is an asynchronous notification delivered to a client: a snippet
 // callback (DPCL_callback) or a breakpoint hit.
@@ -718,7 +716,7 @@ func (cl *Client) Attach(p *des.Proc, procs []*proc.Process) {
 		d, ok := sd.comms[cl.user]
 		if !ok {
 			// Round trip to the super daemon plus daemon creation.
-			p.Advance(cl.sys.delay())
+			p.Advance(cl.sys.Delay())
 			p.Advance(connectTime)
 			d = newCommDaemon(cl.sys, node, cl.user)
 			sd.comms[cl.user] = d

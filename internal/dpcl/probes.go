@@ -160,7 +160,7 @@ func (cl *Client) Resume(p *des.Proc, procs []*proc.Process) {
 // the client's event mailbox, with the usual daemon-path jitter. Snippets
 // running inside the application call this.
 func (cl *Client) PostCallback(tag string, rank int) {
-	cl.events.PutAfter(cl.sys.delay(), Event{Kind: "callback", Tag: tag, Rank: rank})
+	cl.events.PutAfter(cl.sys.Delay(), Event{Kind: "callback", Tag: tag, Rank: rank})
 }
 
 // WatchBreakpoints arranges for hits of the named breakpoint in any target
@@ -180,7 +180,7 @@ func (cl *Client) WatchBreakpoints(procs []*proc.Process, symbol string) {
 				pr.RequestSuspend()
 				d.holdSuspend(pr)
 			}
-			cl.events.PutAfter(cl.sys.delay(), Event{Kind: "breakpoint", Tag: name, Rank: pr.Rank()})
+			cl.events.PutAfter(cl.sys.Delay(), Event{Kind: "breakpoint", Tag: name, Rank: pr.Rank()})
 		})
 	}
 }

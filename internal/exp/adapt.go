@@ -158,50 +158,30 @@ func runAdaptCell(spec AdaptSpec, bud des.Budget, tp *tape.Tape) (AdaptResult, e
 	if err != nil {
 		return res, err
 	}
-	s := des.NewScheduler(spec.Seed, des.WithBudget(bud))
-	var ss *core.Session
+	cfg := core.Config{
+		Machine:   spec.Machine,
+		App:       app,
+		BuildOpts: guide.BuildOpts{TraceAPI: true, StaticInstrument: true},
+		Procs:     spec.CPUs,
+		Args:      spec.Args,
+		CountOnly: true,
+		Tape:      tp,
+	}
 	var rt *adapt.Runtime
-	var sessErr error
-	defer func() {
-		if ss != nil && ss.Job() != nil {
-			ss.Job().Collector().Release()
-		}
-	}()
-	s.Spawn("dynprof", func(p *des.Proc) {
-		ss, sessErr = core.NewSession(p, core.Config{
-			Machine:   spec.Machine,
-			App:       app,
-			BuildOpts: guide.BuildOpts{TraceMPI: true, TraceOMP: true, StaticInstrument: true},
-			Procs:     spec.CPUs,
-			Args:      spec.Args,
-			CountOnly: true,
-			Tape:      tp,
-		})
-		if sessErr != nil {
-			return
-		}
-		rt, sessErr = adapt.Attach(p, ss, adapt.Config{Budget: spec.Budget, EpochEvery: spec.Epoch})
-		if sessErr != nil {
-			return
+	body := func(p *des.Proc, ss *core.Session) (err error) {
+		if rt, err = adapt.Attach(p, ss, adapt.Config{Budget: spec.Budget, EpochEvery: spec.Epoch}); err != nil {
+			return err
 		}
 		ss.Start(p)
 		ss.Quit(p)
+		return nil
+	}
+	res.Faults, err = sessionCell(spec.Seed, bud, cfg, body, func(ss *core.Session) {
+		res.Elapsed, res.TraceBytes = ss.Job().MainElapsed(), traceBytes(ss.Job())
 	})
-	if err := runScheduler(s); err != nil {
-		if ss != nil {
-			ss.Teardown()
-			res.Faults = ss.Faults()
-		}
+	if err != nil {
 		return res, err
 	}
-	if sessErr != nil {
-		return res, sessErr
-	}
-	res.Elapsed = ss.Job().MainElapsed()
-	for i := range ss.Job().Processes() {
-		res.TraceBytes += ss.Job().VT(i).TraceBytes()
-	}
-	res.Faults = ss.Faults()
 	sum := rt.Summary()
 	res.Epochs = sum.Epochs
 	res.Achieved = sum.Achieved

@@ -9,7 +9,6 @@ import (
 	"dynprof/internal/fault"
 	"dynprof/internal/guide"
 	"dynprof/internal/machine"
-	"dynprof/internal/vt"
 )
 
 // This file implements the hidden "compact" figure: the trace-volume cost
@@ -119,34 +118,17 @@ func runCompactCell(spec CompactSpec, bud des.Budget) (CompactResult, error) {
 	if err != nil {
 		return res, err
 	}
-	bin, err := guide.Build(app, Full.BuildOpts(app))
-	if err != nil {
-		return res, err
-	}
-	col := vt.NewCollector()
-	defer col.Release()
-	s := des.NewScheduler(spec.Seed, des.WithBudget(bud))
-	j, err := guide.Launch(s, spec.Machine, bin, guide.LaunchOpts{
-		Procs:     spec.Procs,
-		Args:      spec.Args,
-		Collector: col,
+	opts := guide.LaunchOpts{Procs: spec.Procs, Args: spec.Args}
+	err = launchCell(spec.Seed, bud, spec.Machine, app, Full.BuildOpts(app), opts, func(j *guide.Job) error {
+		col := j.Collector()
+		res.Elapsed, res.TraceEvents, res.TraceBytes = j.MainElapsed(), col.Len(), col.Bytes()
+		if spec.Compact {
+			st := col.CompactStats()
+			res.TraceBytes, res.Records, res.Repeats = st.Bytes, st.Records, st.Repeats
+		}
+		return nil
 	})
-	if err != nil {
-		return res, err
-	}
-	if err := runScheduler(s); err != nil {
-		return res, err
-	}
-	res.Elapsed = j.MainElapsed()
-	res.TraceEvents = col.Len()
-	res.TraceBytes = col.Bytes()
-	if spec.Compact {
-		st := col.CompactStats()
-		res.TraceBytes = st.Bytes
-		res.Records = st.Records
-		res.Repeats = st.Repeats
-	}
-	return res, nil
+	return res, err
 }
 
 // planCompact enumerates the compact figure: bytes per trace event for the

@@ -92,7 +92,7 @@ func subsetConfig(app *guide.App) *vt.Config {
 
 // BuildOpts maps the policy to its compile-time configuration.
 func (p StaticPolicy) BuildOpts(app *guide.App) guide.BuildOpts {
-	opts := guide.BuildOpts{TraceMPI: true, TraceOMP: true}
+	opts := guide.BuildOpts{TraceAPI: true}
 	switch p {
 	case Full:
 		opts.StaticInstrument = true
@@ -119,27 +119,12 @@ func (p StaticPolicy) run(spec RunSpec, app *guide.App, bud des.Budget, tp *tape
 	if p == Dynamic {
 		return runDynamic(spec, app, bud, tp)
 	}
-	bin, err := guide.Build(app, p.BuildOpts(app))
-	if err != nil {
-		return res, err
-	}
-	s := des.NewScheduler(spec.Seed, des.WithBudget(bud))
-	j, err := guide.Launch(s, spec.machine(), bin, guide.LaunchOpts{Procs: spec.CPUs, Args: spec.Args, CountOnly: true, Tape: tp})
-	if err != nil {
-		return res, err
-	}
-	// The cell's trace collector dies with the cell: recycle its chunks for
-	// the next cell in the sweep.
-	defer j.Collector().Release()
-	if err := runScheduler(s); err != nil {
-		return res, err
-	}
-	res.Elapsed = j.MainElapsed()
-	for i := range j.Processes() {
-		res.TraceBytes += j.VT(i).TraceBytes()
-	}
-	res.Faults = j.Faults()
-	return res, nil
+	opts := guide.LaunchOpts{Procs: spec.CPUs, Args: spec.Args, CountOnly: true, Tape: tp}
+	err := launchCell(spec.Seed, bud, spec.machine(), app, p.BuildOpts(app), opts, func(j *guide.Job) error {
+		res.Elapsed, res.TraceBytes, res.Faults = j.MainElapsed(), traceBytes(j), j.Faults()
+		return nil
+	})
+	return res, err
 }
 
 // Result is one measured run.
@@ -166,45 +151,22 @@ func (r Result) stats() (des.Time, uint64, []fault.Event) { return r.Elapsed, 0,
 // (budget trip, proc panic) tears the session down host-side.
 func runDynamic(spec RunSpec, app *guide.App, bud des.Budget, tp *tape.Tape) (Result, error) {
 	res := Result{App: app.Name, Policy: Dynamic.Key(), CPUs: spec.CPUs}
-	s := des.NewScheduler(spec.Seed, des.WithBudget(bud))
-	script := "insert-file subset.list\nstart\nquit\n"
-	var ss *core.Session
-	var sessErr error
-	defer func() {
-		if ss != nil && ss.Job() != nil {
-			ss.Job().Collector().Release()
-		}
-	}()
-	s.Spawn("dynprof", func(p *des.Proc) {
-		ss, sessErr = core.NewSession(p, core.Config{
-			Machine:   spec.machine(),
-			App:       app,
-			Procs:     spec.CPUs,
-			Args:      spec.Args,
-			CountOnly: true,
-			Files:     map[string]string{"subset.list": strings.Join(app.Subset, "\n")},
-			Tape:      tp,
-		})
-		if sessErr != nil {
-			return
-		}
-		sessErr = ss.RunScript(p, strings.NewReader(script))
+	cfg := core.Config{
+		Machine:   spec.machine(),
+		App:       app,
+		Procs:     spec.CPUs,
+		Args:      spec.Args,
+		CountOnly: true,
+		Files:     map[string]string{"subset.list": strings.Join(app.Subset, "\n")},
+		Tape:      tp,
+	}
+	script := func(p *des.Proc, ss *core.Session) error {
+		return ss.RunScript(p, strings.NewReader("insert-file subset.list\nstart\nquit\n"))
+	}
+	var err error
+	res.Faults, err = sessionCell(spec.Seed, bud, cfg, script, func(ss *core.Session) {
+		res.Elapsed, res.CreateAndInstrument = ss.Job().MainElapsed(), ss.CreateAndInstrumentTime()
+		res.TraceBytes = traceBytes(ss.Job())
 	})
-	if err := runScheduler(s); err != nil {
-		if ss != nil {
-			ss.Teardown()
-			res.Faults = ss.Faults()
-		}
-		return res, err
-	}
-	if sessErr != nil {
-		return res, sessErr
-	}
-	res.Elapsed = ss.Job().MainElapsed()
-	res.CreateAndInstrument = ss.CreateAndInstrumentTime()
-	for i := range ss.Job().Processes() {
-		res.TraceBytes += ss.Job().VT(i).TraceBytes()
-	}
-	res.Faults = ss.Faults()
-	return res, nil
+	return res, err
 }

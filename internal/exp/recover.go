@@ -140,7 +140,7 @@ type RecoverResult struct {
 	// observed (one per session per crash of its node, when the repair
 	// replayed at least one probe).
 	Recoveries int
-	// ReconvergeP50/P95 are nearest-rank percentiles of the probe-state
+	// ReconvergeP50/P95 are percentiles (see percentile) of the probe-state
 	// reconvergence latency: restart notification to replayed ledger.
 	ReconvergeP50 des.Time
 	ReconvergeP95 des.Time
@@ -178,124 +178,47 @@ func RunRecover(spec RecoverSpec) (RecoverResult, error) {
 	return runRecoverCell(spec, des.Budget{})
 }
 
-// recoverRun is one execution of the workload (faulted or fault-free).
-type recoverRun struct {
-	sv         *serve.Server
-	samples    []des.Time
-	traceBytes int64
-	elapsed    des.Time
-	events     uint64
-}
-
-// runRecoverWorkload executes the session workload on one server. Sessions
-// arrive inside the tenant window, install one held function (the ledger
-// state that crash recovery must restore), cycle insert/remove on a
-// working function, then idle to the horizon and detach. Sessions evicted
-// by control-path give-ups bow out; everything else must succeed.
-func runRecoverWorkload(spec RecoverSpec, plan *fault.Plan, bud des.Budget) (*recoverRun, error) {
-	s := des.NewScheduler(spec.Seed, des.WithBudget(bud))
-	mach := spec.Machine
-	if plan != nil {
-		mach = mach.WithFaultPlan(plan)
-	} else {
-		mach = mach.WithFaultPlan(nil)
-	}
-	run := &recoverRun{sv: serve.New(s, serve.Config{Machine: mach})}
-	jobNames := make([]string, spec.Jobs)
-	for i := range jobNames {
-		jobNames[i] = fmt.Sprintf("job%02d", i)
-		if _, err := run.sv.RegisterResident(jobNames[i], spec.ProcsPerJob, nil); err != nil {
-			return nil, err
+// runRecoverWorkload executes the session workload on one server, with
+// the machine carrying plan (nil: fault-free). Sessions arrive inside the
+// tenant window, install one held function (the ledger state that crash
+// recovery must restore), cycle insert/remove on a working function, then
+// idle to the horizon and detach. Sessions evicted by control-path
+// give-ups bow out; everything else must succeed.
+func runRecoverWorkload(spec RecoverSpec, plan *fault.Plan, bud des.Budget) (*tenantLoad, error) {
+	cfg := serve.Config{Machine: spec.Machine.WithFaultPlan(plan)}
+	pop := tenantPop{kind: "recover", jobs: spec.Jobs, procs: spec.ProcsPerJob, sessions: spec.Sessions}
+	return tenantCell(spec.Seed, bud, cfg, pop, func(p *des.Proc, i int, sn *serve.Session) (bool, error) {
+		// An op that itself triggers the eviction returns the control-path
+		// give-up error, not ErrEvicted — so classify by session state.
+		failed := func(what string, err error) error {
+			if ev, _ := sn.Evicted(); ev || errors.Is(err, serve.ErrEvicted) {
+				return nil
+			}
+			return fmt.Errorf("exp: recover %s %s: %w", sn.User(), what, err)
 		}
-	}
-	defer func() {
-		for _, name := range jobNames {
-			if jb := run.sv.Job(name); jb != nil {
-				jb.Guide().Collector().Release()
+		hot := sn.Job().Hot()
+		held := hot[i/spec.Jobs%len(hot)]
+		work := hot[(i/spec.Jobs+1)%len(hot)]
+		if err := sn.Insert(p, held); err != nil {
+			return false, failed("hold", err)
+		}
+		for op := 0; op < spec.Ops; op += 2 {
+			p.Advance(tenantThink)
+			if err := sn.Insert(p, work); err != nil {
+				return false, failed("insert", err)
+			}
+			p.Advance(tenantThink)
+			if err := sn.Remove(p, work); err != nil {
+				return false, failed("remove", err)
 			}
 		}
-	}()
-
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
+		// Hold the installed function across the remaining crash waves.
+		if now := p.Now(); now < spec.Horizon {
+			p.Advance(spec.Horizon - now)
 		}
-	}
-	remaining := spec.Sessions
-	for i := 0; i < spec.Sessions; i++ {
-		i := i
-		user := fmt.Sprintf("u%05d", i)
-		jobName := jobNames[i%len(jobNames)]
-		s.Spawn(user, func(p *des.Proc) {
-			defer func() {
-				remaining--
-				if remaining == 0 {
-					run.sv.Shutdown()
-				}
-			}()
-			p.Advance(des.Time(i) * tenantWindow / des.Time(spec.Sessions))
-			sn, err := run.sv.Open(p, user, jobName, nil)
-			if err != nil {
-				fail(fmt.Errorf("exp: recover open %s: %w", user, err))
-				return
-			}
-			// An op that itself triggers the eviction returns the control-path
-			// give-up error, not ErrEvicted — so classify by session state.
-			bowedOut := func(err error) bool {
-				if errors.Is(err, serve.ErrEvicted) {
-					return true
-				}
-				ev, _ := sn.Evicted()
-				return ev
-			}
-			hot := sn.Job().Hot()
-			held := hot[i/len(jobNames)%len(hot)]
-			work := hot[(i/len(jobNames)+1)%len(hot)]
-			if err := sn.Insert(p, held); err != nil {
-				if !bowedOut(err) {
-					fail(fmt.Errorf("exp: recover %s hold: %w", user, err))
-				}
-				return
-			}
-			for op := 0; op < spec.Ops; op += 2 {
-				p.Advance(tenantThink)
-				if err := sn.Insert(p, work); err != nil {
-					if !bowedOut(err) {
-						fail(fmt.Errorf("exp: recover %s insert: %w", user, err))
-					}
-					return
-				}
-				p.Advance(tenantThink)
-				if err := sn.Remove(p, work); err != nil {
-					if !bowedOut(err) {
-						fail(fmt.Errorf("exp: recover %s remove: %w", user, err))
-					}
-					return
-				}
-			}
-			// Hold the installed function across the remaining crash waves.
-			if now := p.Now(); now < spec.Horizon {
-				p.Advance(spec.Horizon - now)
-			}
-			if ev, _ := sn.Evicted(); ev {
-				return
-			}
-			run.samples = append(run.samples, sn.Latencies()...)
-			run.traceBytes += sn.TraceBytes()
-			sn.Close(p)
-		})
-	}
-	if err := runScheduler(s); err != nil {
-		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	run.elapsed = s.Now()
-	run.events = s.Executed()
-	sort.Slice(run.samples, func(a, b int) bool { return run.samples[a] < run.samples[b] })
-	return run, nil
+		ev, _ := sn.Evicted()
+		return !ev, nil
+	})
 }
 
 // recoverPlan derives the cell's fault plan: every node hosting a resident

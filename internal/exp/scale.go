@@ -352,12 +352,14 @@ func runScaleCell(spec ScaleSpec, bud des.Budget) (ScaleResult, error) {
 			}
 		}
 	}()
+	if spec.SpillDir != "" {
+		if err := os.MkdirAll(spec.SpillDir, 0o755); err != nil {
+			return res, fmt.Errorf("exp: scale spill dir: %w", err)
+		}
+	}
 	for i := range cols {
 		cols[i] = vt.NewCollector()
 		if spec.SpillDir != "" {
-			if err := os.MkdirAll(spec.SpillDir, 0o755); err != nil {
-				return res, fmt.Errorf("exp: scale spill dir: %w", err)
-			}
 			path := filepath.Join(spec.SpillDir, fmt.Sprintf("scale_%s_r%d_s%d_i%d_seed%d.shard%d.spill",
 				spec.App, spec.Ranks, spec.Shards, spec.Iters, spec.Seed, i))
 			if err := cols[i].SpillTo(path, spec.SpillThreshold); err != nil {

@@ -293,25 +293,15 @@ func runConfSyncCell(spec ConfSyncSpec, bud des.Budget) (ConfSyncResult, error) 
 		}
 		c.MPI.Finalize()
 	}
-	bin, err := guide.Build(app, guide.BuildOpts{})
-	if err != nil {
-		return res, err
-	}
-	s := des.NewScheduler(spec.Seed, des.WithBudget(bud))
-	j, err := guide.Launch(s, spec.Machine, bin, guide.LaunchOpts{Procs: spec.CPUs, CountOnly: true})
-	if err != nil {
-		return res, err
-	}
-	defer j.Collector().Release()
-	if err := runScheduler(s); err != nil {
-		return res, err
-	}
-	if !j.Done() {
-		return res, fmt.Errorf("exp: confsync probe did not finish")
-	}
-	res.Mean = total / des.Time(spec.Reps)
-	res.Faults = j.Faults()
-	return res, nil
+	opts := guide.LaunchOpts{Procs: spec.CPUs, CountOnly: true}
+	err := launchCell(spec.Seed, bud, spec.Machine, app, guide.BuildOpts{}, opts, func(j *guide.Job) error {
+		if !j.Done() {
+			return fmt.Errorf("exp: confsync probe did not finish")
+		}
+		res.Mean, res.Faults = total/des.Time(spec.Reps), j.Faults()
+		return nil
+	})
+	return res, err
 }
 
 // defaultHybridArgs is the Section 5.1 hybrid deck: a short Sppm run.
@@ -386,45 +376,25 @@ func runHybridCell(spec HybridSpec, bud des.Budget) (HybridResult, error) {
 	if err != nil {
 		return res, err
 	}
-	s := des.NewScheduler(spec.Seed, des.WithBudget(bud))
-	var ss *core.Session
-	var sessErr error
-	defer func() {
-		if ss != nil && ss.Job() != nil {
-			ss.Job().Collector().Release()
-		}
-	}()
-	s.Spawn("dynprof", func(p *des.Proc) {
-		ss, sessErr = core.NewSession(p, core.Config{
-			Machine:   spec.Machine,
-			App:       app,
-			Procs:     spec.CPUs,
-			Args:      spec.Args,
-			CountOnly: true,
-		})
-		if sessErr != nil {
-			return
-		}
+	cfg := core.Config{
+		Machine:   spec.Machine,
+		App:       app,
+		Procs:     spec.CPUs,
+		Args:      spec.Args,
+		CountOnly: true,
+	}
+	body := func(p *des.Proc, ss *core.Session) error {
 		if spec.WithPoints {
-			if sessErr = ss.InsertConfSyncAt(p, "sppm_StepDriver"); sessErr != nil {
-				return
+			if err := ss.InsertConfSyncAt(p, "sppm_StepDriver"); err != nil {
+				return err
 			}
 		}
 		ss.Start(p)
 		ss.Quit(p)
+		return nil
+	}
+	res.Faults, err = sessionCell(spec.Seed, bud, cfg, body, func(ss *core.Session) {
+		res.Elapsed, res.CreateAndInstrument = ss.Job().MainElapsed(), ss.CreateAndInstrumentTime()
 	})
-	if err := runScheduler(s); err != nil {
-		if ss != nil {
-			ss.Teardown()
-			res.Faults = ss.Faults()
-		}
-		return res, err
-	}
-	if sessErr != nil {
-		return res, sessErr
-	}
-	res.Elapsed = ss.Job().MainElapsed()
-	res.CreateAndInstrument = ss.CreateAndInstrumentTime()
-	res.Faults = ss.Faults()
-	return res, nil
+	return res, err
 }

@@ -2,9 +2,7 @@ package exp
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"sort"
 
 	"dynprof/internal/des"
 	"dynprof/internal/fault"
@@ -134,7 +132,8 @@ type TenantsResult struct {
 	// Ops is the number of control operations sampled into the latency
 	// distribution (well-behaved sessions only).
 	Ops int
-	// P50/P95/P99 are nearest-rank percentiles of control-op latency.
+	// P50/P95/P99 are percentiles of control-op latency, taken as
+	// percentile does.
 	P50 des.Time
 	P95 des.Time
 	P99 des.Time
@@ -154,7 +153,10 @@ func RunTenants(spec TenantsSpec) (TenantsResult, error) {
 	return runTenantsCell(spec, des.Budget{})
 }
 
-// percentile returns the nearest-rank percentile of sorted samples.
+// percentile returns the sorted sample at index ⌊(n−1)·pct/100⌋ (0 for
+// no samples). This rounds down between ranks, so it is not the
+// nearest-rank percentile: for n=4 and pct=95 it returns index 2, where
+// nearest rank gives index 3.
 func percentile(sorted []des.Time, pct int) des.Time {
 	if len(sorted) == 0 {
 		return 0
@@ -171,112 +173,61 @@ func runTenantsCell(spec TenantsSpec, bud des.Budget) (TenantsResult, error) {
 	if spec.Sessions <= 0 {
 		return res, fmt.Errorf("exp: tenants cell needs at least one session, got %d", spec.Sessions)
 	}
-	s := des.NewScheduler(spec.Seed, des.WithBudget(bud))
 	queue := spec.QueueSlots
 	if queue == 0 {
 		queue = -1
 	}
-	sv := serve.New(s, serve.Config{
+	cfg := serve.Config{
 		Machine:      spec.Machine,
 		MaxSessions:  spec.MaxInFlight,
 		MaxQueue:     queue,
 		DefaultQuota: tenantQuota,
+	}
+	pop := tenantPop{kind: "tenants", jobs: spec.Jobs, procs: spec.ProcsPerJob, sessions: spec.Sessions}
+	load, err := tenantCell(spec.Seed, bud, cfg, pop, func(p *des.Proc, i int, sn *serve.Session) (bool, error) {
+		hot := sn.Job().Hot()
+		if spec.AbusePct > 0 && i%100 < spec.AbusePct {
+			// Pile up functions until the probe quota evicts us; the
+			// server removes our probes and frees our daemons.
+			for k := 0; k < len(hot); k++ {
+				if sn.Insert(p, hot[k]) != nil {
+					break
+				}
+				p.Advance(tenantThink)
+			}
+			if ev, _ := sn.Evicted(); !ev {
+				return false, fmt.Errorf("exp: tenants abuser %s was not evicted", sn.User())
+			}
+			return false, nil
+		}
+		for op := 0; op < spec.Ops; op += 2 {
+			f := hot[(i+op/2)%len(hot)]
+			if err := sn.Insert(p, f); err != nil {
+				return false, fmt.Errorf("exp: tenants %s insert: %w", sn.User(), err)
+			}
+			p.Advance(tenantThink)
+			if err := sn.Remove(p, f); err != nil {
+				return false, fmt.Errorf("exp: tenants %s remove: %w", sn.User(), err)
+			}
+			p.Advance(tenantThink)
+		}
+		return true, nil
 	})
-	jobNames := make([]string, spec.Jobs)
-	for i := range jobNames {
-		jobNames[i] = fmt.Sprintf("job%02d", i)
-		if _, err := sv.RegisterResident(jobNames[i], spec.ProcsPerJob, nil); err != nil {
-			return res, err
-		}
-	}
-	defer func() {
-		for _, name := range jobNames {
-			if jb := sv.Job(name); jb != nil {
-				jb.Guide().Collector().Release()
-			}
-		}
-	}()
-
-	var samples []des.Time
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	remaining := spec.Sessions
-	for i := 0; i < spec.Sessions; i++ {
-		i := i
-		user := fmt.Sprintf("u%05d", i)
-		jobName := jobNames[i%len(jobNames)]
-		abuser := spec.AbusePct > 0 && i%100 < spec.AbusePct
-		s.Spawn(user, func(p *des.Proc) {
-			defer func() {
-				remaining--
-				if remaining == 0 {
-					sv.Shutdown()
-				}
-			}()
-			p.Advance(des.Time(i) * tenantWindow / des.Time(spec.Sessions))
-			sn, err := sv.Open(p, user, jobName, nil)
-			if err != nil {
-				if errors.Is(err, serve.ErrRejected) {
-					return
-				}
-				fail(fmt.Errorf("exp: tenants open %s: %w", user, err))
-				return
-			}
-			hot := sn.Job().Hot()
-			if abuser {
-				// Pile up functions until the probe quota evicts us; the
-				// server removes our probes and frees our daemons.
-				for k := 0; k < len(hot); k++ {
-					if sn.Insert(p, hot[k]) != nil {
-						break
-					}
-					p.Advance(tenantThink)
-				}
-				if ev, _ := sn.Evicted(); !ev {
-					fail(fmt.Errorf("exp: tenants abuser %s was not evicted", user))
-				}
-				return
-			}
-			for op := 0; op < spec.Ops; op += 2 {
-				f := hot[(i+op/2)%len(hot)]
-				if err := sn.Insert(p, f); err != nil {
-					fail(fmt.Errorf("exp: tenants %s insert: %w", user, err))
-					return
-				}
-				p.Advance(tenantThink)
-				if err := sn.Remove(p, f); err != nil {
-					fail(fmt.Errorf("exp: tenants %s remove: %w", user, err))
-					return
-				}
-				p.Advance(tenantThink)
-			}
-			samples = append(samples, sn.Latencies()...)
-			res.TraceBytes += sn.TraceBytes()
-			sn.Close(p)
-		})
-	}
-	if err := runScheduler(s); err != nil {
+	if err != nil {
 		return res, err
 	}
-	if firstErr != nil {
-		return res, firstErr
-	}
-	st := sv.Stats()
+	st := load.sv.Stats()
 	res.Completed = st.Closed
 	res.Evicted = st.Evicted
 	res.Rejected = st.Rejected
 	res.Queued = st.Queued
-	res.Ops = len(samples)
-	sort.Slice(samples, func(a, b int) bool { return samples[a] < samples[b] })
-	res.P50 = percentile(samples, 50)
-	res.P95 = percentile(samples, 95)
-	res.P99 = percentile(samples, 99)
-	res.Elapsed = s.Now()
-	res.Events = s.Executed()
+	res.Ops = len(load.samples)
+	res.P50 = percentile(load.samples, 50)
+	res.P95 = percentile(load.samples, 95)
+	res.P99 = percentile(load.samples, 99)
+	res.TraceBytes = load.traceBytes
+	res.Elapsed = load.elapsed
+	res.Events = load.events
 	return res, nil
 }
 

@@ -112,7 +112,7 @@ func TestTenantsEvictionNeutrality(t *testing.T) {
 	}
 }
 
-// TestTenantsPercentile pins the nearest-rank indexing.
+// TestTenantsPercentile pins percentile's ⌊(n−1)·pct/100⌋ indexing.
 func TestTenantsPercentile(t *testing.T) {
 	if got := percentile(nil, 99); got != 0 {
 		t.Errorf("empty percentile = %v", got)

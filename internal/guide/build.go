@@ -19,10 +19,10 @@ type BuildOpts struct {
 	// read at library initialisation to deactivate symbols (Full-Off and
 	// Subset use it).
 	Config *vt.Config
-	// TraceMPI enables Vampirtrace's MPI wrapper logging.
-	TraceMPI bool
-	// TraceOMP enables Guidetrace parallel-region logging.
-	TraceOMP bool
+	// TraceAPI enables runtime-API logging: Vampirtrace's MPI wrapper
+	// events in an MPI binary, Guidetrace's parallel-region events in an
+	// OpenMP one.
+	TraceAPI bool
 }
 
 // staticIDs holds the snippet ids the compiler reserved for one function's

@@ -97,23 +97,28 @@ func TestBuildRequiresMain(t *testing.T) {
 }
 
 func TestStaticInstrumentationRecordsEvents(t *testing.T) {
-	bin, err := Build(toyMPIApp(), BuildOpts{StaticInstrument: true, TraceMPI: true})
+	bin, err := Build(toyMPIApp(), BuildOpts{StaticInstrument: true, TraceAPI: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	j := runJob(t, bin, 2)
-	var enters, exits int
+	// Every rank has its own library instance, and all of them record
+	// into the job's one collector.
+	if j.VT(0) == j.VT(1) || j.VT(0).Rank() != 0 || j.VT(1).Rank() != 1 {
+		t.Fatalf("ranks miswired: %p/%d %p/%d", j.VT(0), j.VT(0).Rank(), j.VT(1), j.VT(1).Rank())
+	}
+	var enters, exits [2]int
 	for _, e := range j.Collector().Ordered().AppendTo(nil) {
 		switch e.Kind {
 		case vt.Enter:
-			enters++
+			enters[e.Rank]++
 		case vt.Exit:
-			exits++
+			exits[e.Rank]++
 		}
 	}
 	// Per rank: 1 setup + 4 compute + 4 exchange = 9 enters.
-	if enters != 18 || exits != 18 {
-		t.Fatalf("enters=%d exits=%d, want 18/18", enters, exits)
+	if enters != [2]int{9, 9} || exits != [2]int{9, 9} {
+		t.Fatalf("enters=%v exits=%v per rank, want 9 each", enters, exits)
 	}
 }
 
@@ -180,12 +185,21 @@ func TestSubsetConfigRecordsOnlySubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := runJob(t, bin, 2)
+	var enters [2]int
 	for _, e := range j.Collector().Ordered().AppendTo(nil) {
 		if e.Kind == vt.Enter || e.Kind == vt.Exit {
 			if name := j.Collector().FuncName(e.Rank, e.ID); name != "toy_compute" {
 				t.Fatalf("non-subset function recorded: %s", name)
 			}
+			if e.Kind == vt.Enter {
+				enters[e.Rank]++
+			}
 		}
+	}
+	// The linked configuration reaches every rank: each still records
+	// its four toy_compute calls.
+	if enters != [2]int{4, 4} {
+		t.Fatalf("toy_compute enters per rank = %v, want 4 each", enters)
 	}
 }
 
@@ -222,7 +236,7 @@ func TestHoldAndRelease(t *testing.T) {
 }
 
 func TestOMPJobScalesDown(t *testing.T) {
-	bin, err := Build(toyOMPApp(), BuildOpts{TraceOMP: true})
+	bin, err := Build(toyOMPApp(), BuildOpts{TraceAPI: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +258,7 @@ func TestOMPJobScalesDown(t *testing.T) {
 }
 
 func TestOMPJobTracesRegions(t *testing.T) {
-	bin, err := Build(toyOMPApp(), BuildOpts{TraceOMP: true})
+	bin, err := Build(toyOMPApp(), BuildOpts{TraceAPI: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,6 +271,19 @@ func TestOMPJobTracesRegions(t *testing.T) {
 	}
 	if forks != 3 {
 		t.Fatalf("region forks = %d, want 3", forks)
+	}
+	// A count-only launch accounts the same trace volume but keeps no
+	// events.
+	s := des.NewScheduler(21)
+	counted, err := Launch(s, machine.MustNew("ibm-power3"), bin, LaunchOpts{Procs: 4, CountOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n, b := counted.Collector().Len(), counted.VT(0).TraceBytes(); n != 0 || b != j.VT(0).TraceBytes() || b == 0 {
+		t.Fatalf("count-only run kept %d events and %d bytes, want 0 and %d", n, b, j.VT(0).TraceBytes())
 	}
 }
 

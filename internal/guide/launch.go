@@ -23,8 +23,6 @@ type LaunchOpts struct {
 	Hold bool
 	// Args overrides entries of the application's default input deck.
 	Args map[string]int
-	// Collector receives the job's trace; one is created if nil.
-	Collector *vt.Collector
 	// CountOnly drops trace event payloads while keeping costs and
 	// statistics (for large experiment sweeps).
 	CountOnly bool
@@ -83,10 +81,6 @@ func Launch(s *des.Scheduler, mach *machine.Config, bin *Binary, opts LaunchOpts
 			return nil, fmt.Errorf("guide: %s tape of %d threads cannot replay %s on %d", tp.App(), tp.Len(), bin.app.Name, n)
 		}
 	}
-	col := opts.Collector
-	if col == nil {
-		col = vt.NewCollector()
-	}
 	args := make(map[string]int, len(bin.app.DefaultArgs)+len(opts.Args))
 	for k, v := range bin.app.DefaultArgs {
 		args[k] = v
@@ -98,7 +92,7 @@ func Launch(s *des.Scheduler, mach *machine.Config, bin *Binary, opts LaunchOpts
 		bin:       bin,
 		s:         s,
 		mach:      mach,
-		col:       col,
+		col:       vt.NewCollector(),
 		startGate: des.NewGate(bin.app.Name+".start", !opts.Hold),
 		released:  !opts.Hold,
 		countOnly: opts.CountOnly,
@@ -159,29 +153,24 @@ func (j *Job) scheduleFaults() {
 	}
 }
 
-// attachOpts translates the binary's build options and the machine's
-// fault plan into vt.Attach options.
-func (j *Job) attachOpts(mpiJob bool) []vt.AttachOption {
-	opts := []vt.AttachOption{vt.WithCollector(j.col)}
-	if j.bin.opts.Config != nil {
-		opts = append(opts, vt.WithConfig(j.bin.opts.Config))
-	}
-	if j.countOnly {
-		opts = append(opts, vt.WithCountOnly())
-	}
-	if mpiJob && j.bin.opts.TraceMPI {
-		opts = append(opts, vt.WithTraceMPI())
-	}
-	if !mpiJob && j.bin.opts.TraceOMP {
-		opts = append(opts, vt.WithTraceOMP())
+// vtOptions configures the library instance of the process on node that
+// runs as rank: the binary's linked configuration and API tracing, the
+// launch's count-only mode and the fault plan's trace-buffer cap, all on
+// the job's collector.
+func (j *Job) vtOptions(rank, node int) vt.Options {
+	o := vt.Options{
+		Rank:      rank,
+		Config:    j.bin.opts.Config,
+		Collector: j.col,
+		TraceAPI:  j.bin.opts.TraceAPI,
+		CountOnly: j.countOnly,
+		Node:      node,
 	}
 	if j.inj != nil {
-		if plan := j.inj.Plan(); plan.TraceBufEvents > 0 {
-			opts = append(opts, vt.WithBuffer(plan.TraceBufEvents, plan.Overflow))
-		}
-		opts = append(opts, vt.WithFaults(j.inj))
+		plan := j.inj.Plan()
+		o.BufferEvents, o.Overflow, o.Faults = plan.TraceBufEvents, plan.Overflow, j.inj
 	}
-	return opts
+	return o
 }
 
 func (j *Job) launchMPI(n int, args map[string]int) error {
@@ -192,17 +181,16 @@ func (j *Job) launchMPI(n int, args map[string]int) error {
 	j.place = place
 	j.world = mpi.NewWorld(j.s, place)
 	j.world.SetFaults(j.inj)
-	att := vt.Attach(j.world, j.attachOpts(true)...)
 	for r := 0; r < n; r++ {
 		r := r
-		v := att.Ctx(r)
+		v := vt.NewCtx(j.vtOptions(r, place.NodeOf(r)))
 		j.vts = append(j.vts, v)
 		img := j.bin.loadImage(v)
 		pr := proc.NewProcess(j.s, j.mach, fmt.Sprintf("%s.%d", j.bin.app.Name, r), r, place.NodeOf(r), img)
 		j.procs = append(j.procs, pr)
 		pr.Start(func(th *proc.Thread) {
 			th.Block(func(p *des.Proc) { p.Await(j.startGate) })
-			c := att.Bind(r, th)
+			c := j.world.Register(r, th, &vt.MPIAdapter{C: v})
 			ctx := &Ctx{T: th, MPI: c, VT: v, Args: args, syms: j.bin.syms}
 			switch {
 			case j.replaying:
@@ -225,8 +213,7 @@ func (j *Job) launchOMP(threads int, args map[string]int) error {
 		return err
 	}
 	j.place = place
-	att := vt.AttachLocal(0, j.attachOpts(false)...)
-	v := att.Ctx(0)
+	v := vt.NewCtx(j.vtOptions(0, 0))
 	j.vts = append(j.vts, v)
 	img := j.bin.loadImage(v)
 	pr := proc.NewProcess(j.s, j.mach, j.bin.app.Name, 0, 0, img)
@@ -239,7 +226,7 @@ func (j *Job) launchOMP(threads int, args map[string]int) error {
 		master.Call(img.MustLookup("VT_init"), func() { v.Initialize(master) })
 		start := master.Now()
 		suspAtStart := master.SuspendedTime()
-		rt := omp.New(pr, master, threads, att.OMPHooks())
+		rt := omp.New(pr, master, threads, &vt.OMPAdapter{C: v})
 		ctx := &Ctx{T: master, OMP: rt, VT: v, Args: args, syms: j.bin.syms}
 		switch {
 		case j.replaying:

@@ -40,7 +40,7 @@ func runTaped(tb testing.TB, app string, procs int, lo guide.LaunchOpts) error {
 }
 
 // none is the None policy's build.
-var none = guide.BuildOpts{TraceMPI: true, TraceOMP: true}
+var none = guide.BuildOpts{TraceAPI: true}
 
 // record runs app under None and returns its tape.
 func record(tb testing.TB, app string, procs int) *tape.Tape {

@@ -174,9 +174,6 @@ func (w *World) degrade(op *collectiveOp) {
 // Size reports the number of ranks in the world.
 func (w *World) Size() int { return w.place.Size() }
 
-// Placement returns the rank-to-node placement.
-func (w *World) Placement() *machine.Placement { return w.place }
-
 // Register binds rank r to its executing thread and tracing hooks,
 // returning the rank's MPI context. Each rank must be registered exactly
 // once, before the application calls Init.

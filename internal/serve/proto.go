@@ -384,13 +384,13 @@ func (b *Bridge) handle(p *des.Proc, pc *protoConn, line string) {
 			b.reply(pc, "err usage: wait <seconds>")
 			return
 		}
-		secs, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil || secs < 0 {
+		d, err := des.ParseSeconds(fields[1], p.Now())
+		if err != nil {
 			b.reply(pc, "err bad duration %q", fields[1])
 			return
 		}
-		p.Advance(des.Time(secs * float64(des.Second)))
-		b.reply(pc, "ok wait %gs (vt now %.3fs)", secs, p.Now().Seconds())
+		p.Advance(d)
+		b.reply(pc, "ok wait %gs (vt now %.3fs)", d.Seconds(), p.Now().Seconds())
 	case "jobs":
 		b.reply(pc, "ok jobs %s", strings.Join(b.sv.Jobs(), ","))
 	case "stats":

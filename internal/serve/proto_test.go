@@ -79,6 +79,13 @@ func TestProtoBridge(t *testing.T) {
 		}
 	}
 
+	// A wait that cannot advance the virtual clock is refused on its own
+	// connection; the bridge keeps serving it (the wait below).
+	for _, bad := range []string{"wait -1", "wait NaN", "wait inf", "wait 1e300"} {
+		if got := send(c1, r1, bad); !strings.HasPrefix(got, "err bad duration") {
+			t.Fatalf("%q reply %q", bad, got)
+		}
+	}
 	if got := send(c1, r1, "wait 1"); !strings.HasPrefix(got, "ok wait 1s") {
 		t.Fatalf("wait reply %q", got)
 	}

@@ -113,7 +113,7 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 
 func TestAnalyzeMatchesReferenceOnKernels(t *testing.T) {
 	for _, k := range equivKernels {
-		col := runKernel(t, k.app, k.args, k.procs, nil)
+		col := runKernel(t, k.app, k.args, k.procs, "")
 		if col.Len() == 0 {
 			t.Fatalf("%s collected no events", k.app)
 		}

@@ -31,26 +31,31 @@ var equivKernels = []struct {
 	{"umt98", map[string]int{"zones": 64, "angles": 8, "iters": 1}, 4},
 }
 
-// runKernel executes one kernel at Full instrumentation into col (nil: the
-// job's own verbatim collector) and returns the populated collector.
-func runKernel(t *testing.T, name string, args map[string]int, procs int, col *vt.Collector) *vt.Collector {
+// runKernel executes one kernel at Full instrumentation and returns the
+// job's populated collector, armed to spill to spillPath at 256 events
+// unless spillPath is empty.
+func runKernel(t *testing.T, name string, args map[string]int, procs int, spillPath string) *vt.Collector {
 	t.Helper()
 	app, err := apps.Get(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, err := guide.Build(app, guide.BuildOpts{StaticInstrument: true, TraceMPI: true, TraceOMP: true})
+	bin, err := guide.Build(app, guide.BuildOpts{StaticInstrument: true, TraceAPI: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := des.NewScheduler(53)
 	j, err := guide.Launch(s, machine.MustNew("ibm-power3"), bin, guide.LaunchOpts{
-		Procs:     procs,
-		Args:      args,
-		Collector: col,
+		Procs: procs,
+		Args:  args,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if spillPath != "" {
+		if err := j.Collector().SpillTo(spillPath, 256); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -121,7 +126,7 @@ func readBack(t *testing.T, write func(io.Writer) error) *vt.Collector {
 func TestCompactVGVEquivalence(t *testing.T) {
 	for _, k := range equivKernels {
 		t.Run(k.app, func(t *testing.T) {
-			mem := runKernel(t, k.app, k.args, k.procs, nil)
+			mem := runKernel(t, k.app, k.args, k.procs, "")
 			defer mem.Release()
 			want := renderAll(t, mem)
 			if mem.Len() == 0 {
@@ -131,12 +136,8 @@ func TestCompactVGVEquivalence(t *testing.T) {
 				t.Errorf("no suppression: %d encoded vs %d verbatim bytes", st.Bytes, st.VerbatimBytes())
 			}
 
-			spilling := vt.NewCollector()
+			spilling := runKernel(t, k.app, k.args, k.procs, filepath.Join(t.TempDir(), "equiv.spill"))
 			defer spilling.Release()
-			if err := spilling.SpillTo(filepath.Join(t.TempDir(), "equiv.spill"), 256); err != nil {
-				t.Fatal(err)
-			}
-			runKernel(t, k.app, k.args, k.procs, spilling)
 			if spilling.Spilled() == 0 {
 				t.Fatal("spill threshold never reached")
 			}

@@ -163,7 +163,7 @@ func TestSweep3dTimelineIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, err := guide.Build(app, guide.BuildOpts{StaticInstrument: true, TraceMPI: true})
+	bin, err := guide.Build(app, guide.BuildOpts{StaticInstrument: true, TraceAPI: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestUmt98RegionWiggleIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, err := guide.Build(app, guide.BuildOpts{StaticInstrument: true, TraceOMP: true})
+	bin, err := guide.Build(app, guide.BuildOpts{StaticInstrument: true, TraceAPI: true})
 	if err != nil {
 		t.Fatal(err)
 	}

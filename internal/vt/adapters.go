@@ -17,7 +17,7 @@ var _ mpi.Hooks = (*MPIAdapter)(nil)
 
 // Enter logs an APIEnter event for the wrapper call.
 func (a *MPIAdapter) Enter(m *mpi.Ctx, call string) {
-	if !a.C.ready || !a.C.traceMPI {
+	if !a.C.ready || !a.C.traceAPI {
 		return
 	}
 	t := m.Thread()
@@ -27,7 +27,7 @@ func (a *MPIAdapter) Enter(m *mpi.Ctx, call string) {
 
 // Exit logs an APIExit event for the wrapper call.
 func (a *MPIAdapter) Exit(m *mpi.Ctx, call string) {
-	if !a.C.ready || !a.C.traceMPI {
+	if !a.C.ready || !a.C.traceAPI {
 		return
 	}
 	t := m.Thread()
@@ -37,7 +37,7 @@ func (a *MPIAdapter) Exit(m *mpi.Ctx, call string) {
 
 // MsgSend logs an outgoing message event (peer and byte count).
 func (a *MPIAdapter) MsgSend(m *mpi.Ctx, dst, tag, bytes int) {
-	if !a.C.ready || !a.C.traceMPI {
+	if !a.C.ready || !a.C.traceAPI {
 		return
 	}
 	t := m.Thread()
@@ -47,7 +47,7 @@ func (a *MPIAdapter) MsgSend(m *mpi.Ctx, dst, tag, bytes int) {
 
 // MsgRecv logs a completed receive event.
 func (a *MPIAdapter) MsgRecv(m *mpi.Ctx, src, tag, bytes int) {
-	if !a.C.ready || !a.C.traceMPI {
+	if !a.C.ready || !a.C.traceAPI {
 		return
 	}
 	t := m.Thread()
@@ -80,7 +80,7 @@ func (a *OMPAdapter) regionID(name string) int32 { return a.C.FuncDef("$omp$" + 
 
 // RegionFork logs the region fork on the master thread.
 func (a *OMPAdapter) RegionFork(master *proc.Thread, region string) {
-	if !a.C.ready || !a.C.traceOMP {
+	if !a.C.ready || !a.C.traceAPI {
 		return
 	}
 	master.Charge(apiLogCycles)
@@ -89,7 +89,7 @@ func (a *OMPAdapter) RegionFork(master *proc.Thread, region string) {
 
 // RegionEnter logs a team member entering the region body.
 func (a *OMPAdapter) RegionEnter(t *proc.Thread, region string, id int) {
-	if !a.C.ready || !a.C.traceOMP {
+	if !a.C.ready || !a.C.traceAPI {
 		return
 	}
 	t.Charge(apiLogCycles)
@@ -98,7 +98,7 @@ func (a *OMPAdapter) RegionEnter(t *proc.Thread, region string, id int) {
 
 // RegionExit logs a team member leaving the region body.
 func (a *OMPAdapter) RegionExit(t *proc.Thread, region string, id int) {
-	if !a.C.ready || !a.C.traceOMP {
+	if !a.C.ready || !a.C.traceAPI {
 		return
 	}
 	t.Charge(apiLogCycles)
@@ -107,7 +107,7 @@ func (a *OMPAdapter) RegionExit(t *proc.Thread, region string, id int) {
 
 // RegionJoin logs the join on the master thread.
 func (a *OMPAdapter) RegionJoin(master *proc.Thread, region string) {
-	if !a.C.ready || !a.C.traceOMP {
+	if !a.C.ready || !a.C.traceAPI {
 		return
 	}
 	master.Charge(apiLogCycles)

@@ -37,8 +37,7 @@ type Ctx struct {
 	rank      int32
 	col       *Collector
 	cfg       *Config
-	traceMPI  bool
-	traceOMP  bool
+	traceAPI  bool
 	countOnly bool
 	flushAt   int
 	midFlush  int
@@ -86,10 +85,10 @@ type Options struct {
 	Config *Config
 	// Collector receives flushed events; required.
 	Collector *Collector
-	// TraceMPI enables MPI wrapper event logging.
-	TraceMPI bool
-	// TraceOMP enables Guidetrace parallel-region event logging.
-	TraceOMP bool
+	// TraceAPI enables runtime-API event logging: MPI wrapper events
+	// through MPIAdapter, Guidetrace parallel-region events through
+	// OMPAdapter.
+	TraceAPI bool
 	// CountOnly keeps all cost and statistics accounting but drops event
 	// payloads instead of buffering them — for large experiment sweeps
 	// where the trace itself is not inspected.
@@ -129,8 +128,7 @@ func NewCtx(opts Options) *Ctx {
 		rank:      int32(opts.Rank),
 		col:       opts.Collector,
 		cfg:       cfg,
-		traceMPI:  opts.TraceMPI,
-		traceOMP:  opts.TraceOMP,
+		traceAPI:  opts.TraceAPI,
 		countOnly: opts.CountOnly,
 		flushAt:   opts.FlushThreshold,
 		bufCap:    opts.BufferEvents,

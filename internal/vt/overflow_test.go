@@ -6,19 +6,7 @@ import (
 
 	"dynprof/internal/des"
 	"dynprof/internal/fault"
-	"dynprof/internal/machine"
-	"dynprof/internal/mpi"
 )
-
-func worldForAttach(t *testing.T, n int) *mpi.World {
-	t.Helper()
-	s := des.NewScheduler(11)
-	place, err := machine.Pack(machine.MustNew("ibm-power3"), n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mpi.NewWorld(s, place)
-}
 
 func overflowCtx(t *testing.T, cap int, policy fault.OverflowPolicy) (*Ctx, *Collector, *fault.Injector) {
 	t.Helper()
@@ -118,54 +106,4 @@ func TestOverflowDisableProbe(t *testing.T) {
 	if len(names) != 2 || !strings.Contains(names[0], "hot") || !strings.Contains(names[1], "cold") {
 		t.Errorf("fault log = %v, want one disable note per function", names)
 	}
-}
-
-// TestAttachBuildsPerRankCtxs: Attach gives every rank its own library
-// instance on a shared collector, with buffer options applied.
-func TestAttachRanks(t *testing.T) {
-	w := worldForAttach(t, 4)
-	att := Attach(w, WithConfigText("SYMBOL omp_* OFF"), WithTraceMPI(),
-		WithBuffer(64, fault.OverflowDropOldest))
-	if att.Size() != 4 {
-		t.Fatalf("attachment size = %d", att.Size())
-	}
-	seen := map[*Ctx]bool{}
-	for r := 0; r < 4; r++ {
-		c := att.Ctx(r)
-		if seen[c] {
-			t.Fatalf("rank %d shares a Ctx", r)
-		}
-		seen[c] = true
-		if c.Rank() != r || c.col != att.Collector() {
-			t.Errorf("rank %d miswired: rank=%d", r, c.Rank())
-		}
-		if c.bufCap != 64 || c.overflow != fault.OverflowDropOldest || !c.traceMPI {
-			t.Errorf("rank %d options not applied", r)
-		}
-		c.Initialize(nil)
-		if c.Active(c.FuncDef("omp_loop")) {
-			t.Errorf("rank %d config text not applied", r)
-		}
-	}
-}
-
-// TestAttachLocalOMP: a local attachment has one instance and OMP hooks.
-func TestAttachLocal(t *testing.T) {
-	att := AttachLocal(2, WithTraceOMP(), WithCountOnly())
-	if att.Size() != 1 {
-		t.Fatalf("local attachment size = %d", att.Size())
-	}
-	c := att.Ctx(0)
-	if !c.traceOMP || !c.countOnly || c.node != 2 {
-		t.Error("local options not applied")
-	}
-	if att.OMPHooks().C != c {
-		t.Error("OMP hooks bound to the wrong instance")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Bind on a local attachment must panic")
-		}
-	}()
-	att.Bind(0, nil)
 }

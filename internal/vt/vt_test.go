@@ -351,7 +351,7 @@ func runMPIWorld(t *testing.T, n int, col *Collector, cfg *Config,
 	vts := make([]*Ctx, n)
 	for r := 0; r < n; r++ {
 		r := r
-		vts[r] = NewCtx(Options{Rank: r, Config: cfg, Collector: col, TraceMPI: true})
+		vts[r] = NewCtx(Options{Rank: r, Config: cfg, Collector: col, TraceAPI: true})
 		img := image.NewBuilder(fmt.Sprintf("app.%d", r)).Build()
 		pr := proc.NewProcess(s, mach, fmt.Sprintf("rank%d", r), r, place.NodeOf(r), img)
 		pr.Start(func(th *proc.Thread) {
@@ -489,7 +489,7 @@ func TestOMPAdapterLogsRegions(t *testing.T) {
 	s := des.NewScheduler(5)
 	mach := machine.MustNew("ibm-power3")
 	col := NewCollector()
-	v := NewCtx(Options{Rank: 0, Collector: col, TraceOMP: true})
+	v := NewCtx(Options{Rank: 0, Collector: col, TraceAPI: true})
 	v.Initialize(nil)
 	pr := proc.NewProcess(s, mach, "omp", 0, 0, image.NewBuilder("omp").Build())
 	pr.Start(func(master *proc.Thread) {

@@ -60,13 +60,16 @@ go -C bench test ./...
 # configuration parser must hold exactly one rule per directive line it
 # accepts; the result journal's loader must ignore any newline-free torn
 # tail; VGV's analysis of any textual trace ReadTrace accepts must equal
-# its reference oracle's.
+# its reference oracle's; a dynprof script must never panic the tool or
+# the simulation, and is refused with ErrUnknownCommand only for a
+# command outside Table 1.
 fuzz FuzzReadTrace ./internal/vt/
 fuzz FuzzReadCompactTrace ./internal/vt/
 fuzz FuzzSpillReader ./internal/vt/
 fuzz FuzzParseConfig ./internal/vt/
 fuzz FuzzLoadJournal ./internal/exp/
 fuzz FuzzAnalyze ./internal/vgv/
+fuzz FuzzExec ./internal/core/
 
 # Race pass over the textual trace codec's block pipelines (a scanner
 # goroutine, GOMAXPROCS parse and format workers, in-order apply and
@@ -207,3 +210,9 @@ cmp "$smoke/p.vgv" "$smoke/p1.vgv"
 "$smoke/vgv" -trace "$smoke/p.vgv" > "$smoke/vgv_p.txt"
 GOMAXPROCS=1 "$smoke/vgv" -trace "$smoke/p.vgv" > "$smoke/vgv_p1.txt"
 cmp "$smoke/vgv_p.txt" "$smoke/vgv_p1.txt"
+
+# A wait the virtual clock cannot take is refused and the script carries
+# on: the run exits 0 and reports the bad duration.
+printf 'wait nan\nstart\nquit\n' | "$smoke/dynprof" -procs 4 - - "$smoke/tf5.txt" \
+    sweep3d nx=64 ny=4 nz=4 iters=1 > "$smoke/waitnan.txt"
+grep -q 'bad wait duration "nan"' "$smoke/waitnan.txt"
