@@ -17,7 +17,8 @@ import (
 	"sort"
 )
 
-// Defaults for Config fields left zero.
+// The controller's fixed shaping: its deadband, per-epoch action bounds
+// and re-insertion cooldown.
 const (
 	// DefaultHysteresis sets the deadband below the budget: probes are
 	// re-inserted only when overhead falls under Budget×(1−Hysteresis),
@@ -41,17 +42,6 @@ const ewmaAlpha = 0.5
 type Config struct {
 	// Budget is the target removable-overhead fraction, e.g. 0.05.
 	Budget float64
-	// Hysteresis is the deadband width as a fraction of Budget
-	// (0 = DefaultHysteresis).
-	Hysteresis float64
-	// MaxDeactivatePerEpoch bounds probes shed per epoch (0 = default).
-	MaxDeactivatePerEpoch int
-	// MaxReactivatePerEpoch bounds probes re-inserted per epoch
-	// (0 = default).
-	MaxReactivatePerEpoch int
-	// CooldownEpochs is the minimum epochs a probe stays deactivated
-	// before re-insertion (0 = default).
-	CooldownEpochs int
 	// EpochEvery folds this many sync-point crossings into one controller
 	// epoch (0 = 1). Consumed by the attached Runtime; the pure
 	// Controller sees only whole epochs.
@@ -63,34 +53,6 @@ func (c Config) epochEvery() int {
 		return 1
 	}
 	return c.EpochEvery
-}
-
-func (c Config) hysteresis() float64 {
-	if c.Hysteresis == 0 {
-		return DefaultHysteresis
-	}
-	return c.Hysteresis
-}
-
-func (c Config) maxDeactivate() int {
-	if c.MaxDeactivatePerEpoch == 0 {
-		return DefaultMaxDeactivate
-	}
-	return c.MaxDeactivatePerEpoch
-}
-
-func (c Config) maxReactivate() int {
-	if c.MaxReactivatePerEpoch == 0 {
-		return DefaultMaxReactivate
-	}
-	return c.MaxReactivatePerEpoch
-}
-
-func (c Config) cooldown() int {
-	if c.CooldownEpochs == 0 {
-		return DefaultCooldownEpochs
-	}
-	return c.CooldownEpochs
 }
 
 // Probe is one function's cost attribution for a single epoch, aggregated
@@ -197,7 +159,7 @@ func (c *Controller) Step(e Epoch) Decision {
 	}
 
 	budget := c.cfg.Budget
-	low := budget * (1 - c.cfg.hysteresis())
+	low := budget * (1 - DefaultHysteresis)
 	var d Decision
 	switch {
 	case over > budget:
@@ -215,7 +177,7 @@ func (c *Controller) Step(e Epoch) Decision {
 		})
 		projected := over
 		for _, p := range active {
-			if len(d.Deactivate) >= c.cfg.maxDeactivate() || projected <= budget {
+			if len(d.Deactivate) >= DefaultMaxDeactivate || projected <= budget {
 				break
 			}
 			if p.Cycles == 0 {
@@ -236,7 +198,7 @@ func (c *Controller) Step(e Epoch) Decision {
 			if p.Active || !shed {
 				continue // only re-insert what this controller shed
 			}
-			if c.epoch-shedAt < c.cfg.cooldown() {
+			if c.epoch-shedAt < DefaultCooldownEpochs {
 				continue
 			}
 			est := c.cost[p.Name]
@@ -253,7 +215,7 @@ func (c *Controller) Step(e Epoch) Decision {
 		})
 		projected := over
 		for _, cd := range cands {
-			if len(d.Reactivate) >= c.cfg.maxReactivate() {
+			if len(d.Reactivate) >= DefaultMaxReactivate {
 				break
 			}
 			if projected+cd.est > low {

@@ -124,7 +124,7 @@ func TestControllerReactivates(t *testing.T) {
 
 	// A probe the watermark can absorb does come back after cooldown.
 	p2 := newPlant(1_000_000, map[string]int64{"a": 60_000, "b": 20_000})
-	c2 := NewController(Config{Budget: 0.05, MaxDeactivatePerEpoch: 1})
+	c2 := NewController(Config{Budget: 0.05})
 	d = c2.Step(p2.epoch()) // 8% → sheds a
 	p2.apply(d)
 	if !reflect.DeepEqual(d.Deactivate, []string{"a"}) {

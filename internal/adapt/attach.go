@@ -7,6 +7,7 @@ import (
 	"dynprof/internal/des"
 	"dynprof/internal/dpcl"
 	"dynprof/internal/guide"
+	"dynprof/internal/machine"
 	"dynprof/internal/vt"
 )
 
@@ -18,11 +19,17 @@ import (
 // resulting changes for distribution at that same crossing.
 type Runtime struct {
 	ctl    *Controller
-	meter  *Meter
 	job    *guide.Job
+	mach   *machine.Config
 	stride int // sync crossings per controller epoch
 
 	crossings int // crossings since the last epoch boundary
+
+	// The epoch baseline, per rank: rank 0's clock, each rank's
+	// tool-suspended time and probe cost counters (nil before the first).
+	now  des.Time
+	susp []des.Time
+	cost [][]vt.ProbeCost
 
 	// Cumulative accounting over measured epochs, for Summary.
 	overheads   []float64
@@ -49,8 +56,8 @@ func Attach(p *des.Proc, ss *core.Session, cfg Config) (*Runtime, error) {
 	job := ss.Job()
 	rt := &Runtime{
 		ctl:    NewController(cfg),
-		meter:  NewMeter(job),
 		job:    job,
+		mach:   job.Processes()[0].Config(),
 		stride: cfg.epochEvery(),
 		// The first crossing ends an epoch at once: it takes the baseline.
 		crossings: cfg.epochEvery() - 1,
@@ -93,29 +100,56 @@ func (rt *Runtime) decide(dpcl.Event) []vt.Change {
 	return chs
 }
 
-// measure ends an epoch and aggregates its deltas across ranks into one
-// Epoch: every probe, in order of first appearance across (rank,
-// function id), Active as rank 0 sees it. It reports false for the first
+// measure ends an epoch, makes now the next one's baseline and aggregates
+// the epoch's per-rank probe counter deltas into one Epoch: every probe, in
+// order of first appearance across (rank, function id), Active as rank 0
+// sees it. Its Total is the useful cycles all ranks ran: elapsed time less
+// the time the tool held them suspended. It reports false for the first
 // epoch, which only takes the baseline.
 func (rt *Runtime) measure() (Epoch, bool) {
+	procs := rt.job.Processes()
+	ok := rt.cost != nil
+	if !ok {
+		rt.susp = make([]des.Time, len(procs))
+		rt.cost = make([][]vt.ProbeCost, len(procs))
+	}
 	var order []string
 	agg := make(map[string]*Probe)
-	total, ok := rt.meter.Next(func(rank int, d vt.ProbeCost) {
-		p, seen := agg[d.Name]
-		if !seen {
-			p = &Probe{Name: d.Name}
-			agg[d.Name] = p
-			order = append(order, d.Name)
+	var total int64
+	now := procs[0].Threads()[0].Now()
+	for rank, pr := range procs {
+		t := pr.Threads()[0]
+		susp := t.SuspendedTime()
+		snap := rt.job.VT(rank).CostSnapshot()
+		if ok {
+			elapsed := t.Now() - rt.now
+			total += rt.mach.TimeToCycles(elapsed - min(susp-rt.susp[rank], elapsed))
+			prev := rt.cost[rank]
+			for id, d := range snap {
+				if id < len(prev) {
+					d.Hits -= prev[id].Hits
+					d.Recorded -= prev[id].Recorded
+					d.Cycles -= prev[id].Cycles
+				}
+				p, seen := agg[d.Name]
+				if !seen {
+					p = &Probe{Name: d.Name}
+					agg[d.Name] = p
+					order = append(order, d.Name)
+				}
+				if rank == 0 {
+					p.Active = d.Active
+				}
+				p.Hits += d.Hits
+				p.Cycles += d.RemovableCycles()
+				rt.hits += d.Hits
+				rt.recorded += d.Recorded
+				rt.floorCycles += d.FloorCycles()
+			}
 		}
-		if rank == 0 {
-			p.Active = d.Active
-		}
-		p.Hits += d.Hits
-		p.Cycles += d.RemovableCycles()
-		rt.hits += d.Hits
-		rt.recorded += d.Recorded
-		rt.floorCycles += d.FloorCycles()
-	})
+		rt.susp[rank], rt.cost[rank] = susp, snap
+	}
+	rt.now = now
 	if !ok {
 		return Epoch{}, false
 	}

@@ -84,7 +84,3 @@ func AttachSessionWith(p *des.Proc, mach *machine.Config, job *guide.Job, acfg A
 	ss.readyAt = p.Now()
 	return ss, nil
 }
-
-// Detach disconnects an attached session, leaving active instrumentation
-// in place (the same semantics as the quit command).
-func (ss *Session) Detach(p *des.Proc) { ss.Quit(p) }

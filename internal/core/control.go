@@ -40,32 +40,10 @@ func NewControlMonitor(p *des.Proc, sys *dpcl.System, job *guide.Job) *ControlMo
 // Hits reports how many breakpoint stops the monitor has serviced.
 func (m *ControlMonitor) Hits() int { return m.hits }
 
-// ServeOne blocks until the next configuration_break stop, stages the
-// changes produced by decide on rank 0's library instance, and resumes the
-// target. decide may return nil to resume without changes. It returns
-// false if the target finished before another stop arrived.
-func (m *ControlMonitor) ServeOne(p *des.Proc, decide func(hit dpcl.Event) []vt.Change) bool {
-	if m.job.Done() {
-		return false
-	}
-	ev := p.Recv(m.cl.Events()).(dpcl.Event)
-	if ev.Kind != "breakpoint" {
-		panic(fmt.Sprintf("core: monitor got unexpected event %+v", ev))
-	}
-	m.hits++
-	if m.UserDelay > 0 {
-		p.Advance(m.UserDelay)
-	}
-	if chs := decide(ev); len(chs) > 0 {
-		m.job.VT(0).QueueChanges(chs)
-	}
-	m.cl.Resume(p, m.job.Processes())
-	return true
-}
-
-// Serve services breakpoint stops until the target finishes. decide is
-// called per stop as in ServeOne. Serve must run on its own simulation
-// process; it returns when the job completes.
+// Serve services breakpoint stops until the target finishes: at each
+// configuration_break stop it stages the changes decide returns (nil for
+// none) on rank 0's library instance and resumes the target. Serve must
+// run on its own simulation process; it returns when the job completes.
 func (m *ControlMonitor) Serve(p *des.Proc, decide func(hit dpcl.Event) []vt.Change) {
 	done := des.NewGate("monitor-done", false)
 	watcher := p.Scheduler().Spawn("monitor-watch", func(wp *des.Proc) {

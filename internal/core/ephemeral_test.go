@@ -161,7 +161,7 @@ func TestAttachToRunningJob(t *testing.T) {
 			return
 		}
 		p.Advance(500 * des.Millisecond)
-		attached.Detach(p)
+		attached.Quit(p)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

@@ -15,9 +15,6 @@ func NewGate(name string, open bool) *Gate { return &Gate{name: name, open: open
 // Open reports the gate's current state.
 func (g *Gate) Open() bool { return g.open }
 
-// Waiting reports how many Procs are currently blocked on the gate.
-func (g *Gate) Waiting() int { return len(g.waiters) }
-
 // Set opens or closes the gate. Opening it wakes every waiter. Waking only
 // schedules the waiter's resume, so the waiter slice is emptied in place
 // and its capacity kept for the next Await.
@@ -53,9 +50,6 @@ type Barrier struct {
 
 // NewBarrier creates a barrier for n parties.
 func NewBarrier(name string, n int) *Barrier { return &Barrier{name: name, n: n} }
-
-// Parties reports the number of parties the barrier synchronises.
-func (b *Barrier) Parties() int { return b.n }
 
 // Arrive blocks p until all n parties have arrived, then releases everyone.
 // The barrier immediately resets for reuse.

@@ -107,7 +107,7 @@ func (cl *Client) installReq(e *ledgerEntry, pr *proc.Process, errs *[]error) *r
 			return
 		}
 		id := img.NewSnippetID()
-		img.BindSnippet(id, probe.Name, e.mk(pr))
+		img.BindSnippet(id, e.mk(pr))
 		h, err := img.InsertProbe(s, probe.Kind, probe.Exit, id)
 		if err != nil {
 			if errs != nil {

@@ -131,11 +131,11 @@ func TestCrashedRankConfSyncTerminates(t *testing.T) {
 	}
 }
 
-// TestFaultSmoke runs one cell with every fault class enabled at once —
-// slow node, stall, lossy+slow control channel, mid-run rank crash and a
-// tight trace buffer — end to end through the Dynamic policy (daemons,
-// retry path, instrumentation, degradation). Guarded by -short so quick
-// edit loops stay fast; verify.sh runs it explicitly.
+// TestFaultSmoke runs one cell with the data-path fault classes enabled at
+// once — slow node, stall, lossy+slow control channel and a mid-run rank
+// crash — end to end through the Dynamic policy (daemons, retry path,
+// instrumentation, degradation). Guarded by -short so quick edit loops
+// stay fast; verify.sh runs it explicitly.
 func TestFaultSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault smoke is not a -short test")
@@ -147,8 +147,6 @@ func TestFaultSmoke(t *testing.T) {
 		CtrlLossProb:    0.1,
 		CtrlDelayFactor: 2,
 		DetectTimeout:   30 * des.Millisecond,
-		TraceBufEvents:  64,
-		Overflow:        fault.OverflowDropOldest,
 	}
 	res, err := Run(RunSpec{
 		App:     "smg98",

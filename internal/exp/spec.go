@@ -360,15 +360,11 @@ type HybridResult struct {
 
 func (r HybridResult) stats() (des.Time, uint64, []fault.Event) { return r.Elapsed, 0, r.Faults }
 
-// RunHybrid executes one hybrid cell: dynprof spawns Sppm, optionally
-// plants the confsync safe point, starts the target and detaches.
-func RunHybrid(spec HybridSpec) (HybridResult, error) {
-	return runHybridCell(spec, des.Budget{})
-}
-
-// runHybridCell is RunHybrid with a DES budget attached. An aborted run
-// (budget trip, proc panic) tears the dynprof session down host-side so
-// the failure report still carries its fault stream.
+// runHybridCell executes one hybrid cell under a DES budget: dynprof
+// spawns Sppm, optionally plants the confsync safe point, starts the
+// target and detaches. An aborted run (budget trip, proc panic) tears the
+// dynprof session down host-side so the failure report still carries its
+// fault stream.
 func runHybridCell(spec HybridSpec, bud des.Budget) (HybridResult, error) {
 	spec = spec.norm()
 	res := HybridResult{CPUs: spec.CPUs}

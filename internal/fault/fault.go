@@ -1,8 +1,8 @@
 // Package fault defines the deterministic fault-injection layer of the
 // simulated cluster: a declarative Plan of what goes wrong (per-node clock
 // slowdown, transient node stalls, control-message delay and loss on the
-// DPCL daemon path, rank crashes at virtual times, trace-buffer pressure)
-// and an Injector that turns the plan into seed-driven decisions and a
+// DPCL daemon path, rank crashes and daemon crashes at virtual times) and
+// an Injector that turns the plan into seed-driven decisions and a
 // structured event log at run time.
 //
 // The package holds only data and decision logic; the machine, proc, mpi,
@@ -19,40 +19,6 @@ import (
 
 	"dynprof/internal/des"
 )
-
-// OverflowPolicy selects how the instrumentation library degrades when a
-// per-thread trace buffer fills mid-run — the mitigation space the paper
-// motivates (trace data grows at megabytes per second per processor and
-// overwhelms collection long before a 1000+ CPU run completes).
-type OverflowPolicy int
-
-const (
-	// OverflowFlushEarly drains the full buffer to the collector mid-run,
-	// charging the writing thread for the I/O (the postmortem model's
-	// fallback).
-	OverflowFlushEarly OverflowPolicy = iota
-	// OverflowDropOldest discards the oldest buffered event to admit the
-	// new one, keeping a bounded sliding window of the most recent events.
-	OverflowDropOldest
-	// OverflowDisableProbe deactivates the recording symbol that overflowed
-	// the buffer — the paper's own mitigation: dynamically switch off
-	// instrumentation that produces too much data.
-	OverflowDisableProbe
-)
-
-// String names the policy for keys and logs.
-func (o OverflowPolicy) String() string {
-	switch o {
-	case OverflowFlushEarly:
-		return "flush-early"
-	case OverflowDropOldest:
-		return "drop-oldest"
-	case OverflowDisableProbe:
-		return "disable-probe"
-	default:
-		return fmt.Sprintf("overflow(%d)", int(o))
-	}
-}
 
 // Slowdown scales one node's processor clock: every cycle on the node
 // takes Factor times as long (thermal throttling, a failing DIMM being
@@ -114,31 +80,6 @@ func (c DaemonCrash) RestartDelay() des.Time {
 	return c.Restart
 }
 
-// CtrlOutage blacks out the whole DPCL control network for a window of
-// virtual time: every control message (request or acknowledgement) sent
-// during [At, At+Duration) is lost. Deterministic — no probability draw —
-// so outages compose with CtrlLossProb without perturbing its RNG stream.
-type CtrlOutage struct {
-	At       des.Time
-	Duration des.Time
-}
-
-// End reports the first instant after the outage.
-func (o CtrlOutage) End() des.Time { return o.At + o.Duration }
-
-// LinkDrop severs one tool client's link to the session server for a
-// window of virtual time: the serve layer suspends the session under its
-// lease instead of evicting it, and the client resumes by session token
-// when the link returns. User "" matches every client.
-type LinkDrop struct {
-	User     string
-	At       des.Time
-	Duration des.Time
-}
-
-// End reports the first instant after the drop.
-func (l LinkDrop) End() des.Time { return l.At + l.Duration }
-
 // Plan declares every fault injected into one simulated run. The zero
 // value is the fault-free ideal machine; IsZero reports it and every
 // consumer bypasses the fault path entirely for it.
@@ -155,12 +96,6 @@ type Plan struct {
 	// DaemonCrashes kills per-node communication daemons at virtual times;
 	// each is respawned after its restart delay with a new incarnation.
 	DaemonCrashes []DaemonCrash
-	// CtrlOutages blacks out the control network for windows of virtual
-	// time (every control message in the window is lost).
-	CtrlOutages []CtrlOutage
-	// LinkDrops severs tool-client links to the session server for windows
-	// of virtual time; leased sessions suspend and resume instead of dying.
-	LinkDrops []LinkDrop
 	// CtrlLossProb is the probability, per DPCL control message (request
 	// or acknowledgement), that the message is silently lost. Lost
 	// requests are retried by the client with exponential backoff.
@@ -171,12 +106,6 @@ type Plan struct {
 	// DetectTimeout overrides how long survivors wait before degrading a
 	// collective around a dead rank (0 = DefaultDetectTimeout).
 	DetectTimeout des.Time
-	// TraceBufEvents bounds each thread's in-memory trace buffer to this
-	// many events; Overflow picks the degradation policy when it fills.
-	// 0 leaves buffers unbounded (the paper's postmortem model).
-	TraceBufEvents int
-	// Overflow is the trace-buffer mitigation policy.
-	Overflow OverflowPolicy
 }
 
 // IsZero reports whether the plan injects nothing. A nil plan is zero.
@@ -185,9 +114,8 @@ func (pl *Plan) IsZero() bool {
 		return true
 	}
 	return len(pl.Slowdowns) == 0 && len(pl.Stalls) == 0 && len(pl.Crashes) == 0 &&
-		len(pl.DaemonCrashes) == 0 && len(pl.CtrlOutages) == 0 && len(pl.LinkDrops) == 0 &&
-		pl.CtrlLossProb == 0 && pl.CtrlDelayFactor == 0 && pl.DetectTimeout == 0 &&
-		pl.TraceBufEvents == 0
+		len(pl.DaemonCrashes) == 0 && pl.CtrlLossProb == 0 && pl.CtrlDelayFactor == 0 &&
+		pl.DetectTimeout == 0
 }
 
 // MovesTimeOnly reports whether the plan can only move an application's
@@ -199,9 +127,8 @@ func (pl *Plan) MovesTimeOnly() bool {
 	if pl.IsZero() {
 		return true
 	}
-	return len(pl.Crashes) == 0 && len(pl.DaemonCrashes) == 0 && len(pl.CtrlOutages) == 0 &&
-		len(pl.LinkDrops) == 0 && pl.CtrlLossProb == 0 && pl.DetectTimeout == 0 &&
-		pl.TraceBufEvents == 0
+	return len(pl.Crashes) == 0 && len(pl.DaemonCrashes) == 0 && pl.CtrlLossProb == 0 &&
+		pl.DetectTimeout == 0
 }
 
 // Validate rejects plans that would corrupt virtual time or probability
@@ -231,16 +158,6 @@ func (pl *Plan) Validate() error {
 			return fmt.Errorf("fault: daemon crash on node %d at %v (restart %v) is not schedulable", c.Node, c.At, c.Restart)
 		}
 	}
-	for _, o := range pl.CtrlOutages {
-		if o.At < 0 || o.Duration < 0 {
-			return fmt.Errorf("fault: control outage has negative window (at %v for %v)", o.At, o.Duration)
-		}
-	}
-	for _, l := range pl.LinkDrops {
-		if l.At < 0 || l.Duration < 0 {
-			return fmt.Errorf("fault: link drop for %q has negative window (at %v for %v)", l.User, l.At, l.Duration)
-		}
-	}
 	if pl.CtrlLossProb < 0 || pl.CtrlLossProb > 1 {
 		return fmt.Errorf("fault: control-message loss probability %.3f outside [0,1]", pl.CtrlLossProb)
 	}
@@ -249,9 +166,6 @@ func (pl *Plan) Validate() error {
 	}
 	if pl.DetectTimeout < 0 {
 		return fmt.Errorf("fault: detect timeout %v is negative", pl.DetectTimeout)
-	}
-	if pl.TraceBufEvents < 0 {
-		return fmt.Errorf("fault: trace buffer bound %d is negative", pl.TraceBufEvents)
 	}
 	return nil
 }
@@ -303,22 +217,6 @@ func (pl *Plan) CrashesOn(node int) []DaemonCrash {
 
 // HasDaemonCrashes reports whether any daemon crash is planned.
 func (pl *Plan) HasDaemonCrashes() bool { return pl != nil && len(pl.DaemonCrashes) > 0 }
-
-// DropsFor returns the link drops matching a tool user (drops with User ""
-// match everyone), sorted by time.
-func (pl *Plan) DropsFor(user string) []LinkDrop {
-	if pl == nil {
-		return nil
-	}
-	var out []LinkDrop
-	for _, l := range pl.LinkDrops {
-		if l.User == "" || l.User == user {
-			out = append(out, l)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
 
 // DelayFactor resolves the effective control-delay scale (0 means 1).
 func (pl *Plan) DelayFactor() float64 {
@@ -386,21 +284,6 @@ func (pl *Plan) Key() string {
 	for _, c := range dcrash {
 		fmt.Fprintf(&b, "dcrash:%d@%d+%d;", c.Node, int64(c.At), int64(c.RestartDelay()))
 	}
-	outages := append([]CtrlOutage(nil), pl.CtrlOutages...)
-	sort.Slice(outages, func(i, j int) bool { return outages[i].At < outages[j].At })
-	for _, o := range outages {
-		fmt.Fprintf(&b, "outage:%d+%d;", int64(o.At), int64(o.Duration))
-	}
-	drops := append([]LinkDrop(nil), pl.LinkDrops...)
-	sort.Slice(drops, func(i, j int) bool {
-		if drops[i].User != drops[j].User {
-			return drops[i].User < drops[j].User
-		}
-		return drops[i].At < drops[j].At
-	})
-	for _, l := range drops {
-		fmt.Fprintf(&b, "drop:%s@%d+%d;", l.User, int64(l.At), int64(l.Duration))
-	}
 	if pl.CtrlLossProb != 0 {
 		fmt.Fprintf(&b, "loss:%g;", pl.CtrlLossProb)
 	}
@@ -409,9 +292,6 @@ func (pl *Plan) Key() string {
 	}
 	if pl.DetectTimeout != 0 {
 		fmt.Fprintf(&b, "detect:%d;", int64(pl.DetectTimeout))
-	}
-	if pl.TraceBufEvents != 0 {
-		fmt.Fprintf(&b, "buf:%d/%s;", pl.TraceBufEvents, pl.Overflow)
 	}
 	b.WriteString("}")
 	return b.String()

@@ -71,10 +71,6 @@ func TestPlanKeyCanonical(t *testing.T) {
 	if !strings.HasPrefix(a.Key(), "faults{") {
 		t.Errorf("key %q missing faults{ prefix", a.Key())
 	}
-	loss := &Plan{CtrlLossProb: 0.25, TraceBufEvents: 64, Overflow: OverflowDropOldest}
-	if !strings.Contains(loss.Key(), "loss:0.25") || !strings.Contains(loss.Key(), "buf:64/drop-oldest") {
-		t.Errorf("key %q missing loss/buffer folds", loss.Key())
-	}
 }
 
 func TestValidate(t *testing.T) {
@@ -85,7 +81,6 @@ func TestValidate(t *testing.T) {
 		{CtrlLossProb: 1.5},
 		{CtrlDelayFactor: -1},
 		{DetectTimeout: -des.Second},
-		{TraceBufEvents: -4},
 	}
 	for i, pl := range bad {
 		if err := pl.Validate(); err == nil {
@@ -174,5 +169,37 @@ func TestInjectorLog(t *testing.T) {
 	merged := MergeEvents(evs, []Event{{At: 1500 * des.Millisecond, Kind: KindDegrade, Node: -1, Rank: -1}})
 	if len(merged) != 3 || merged[1].Kind != KindDegrade {
 		t.Errorf("merge not time-sorted: %+v", merged)
+	}
+}
+
+// TestPlanKeyPinned pins Key's bytes for one plan per field and one plan
+// that sets them all: spec keys and journal records embed these strings.
+func TestPlanKeyPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		plan Plan
+		want string
+	}{
+		{"slowdowns", Plan{Slowdowns: []Slowdown{{Node: 3, Factor: 1.5}, {Node: 1, Factor: 2}}}, "faults{slow:1*2;slow:3*1.5;}"},
+		{"stalls", Plan{Stalls: []Stall{{Node: 2, At: des.Second, Duration: 50 * des.Millisecond}, {Node: 0, At: 3 * des.Second, Duration: des.Millisecond}}}, "faults{stall:0@3000000000+1000000;stall:2@1000000000+50000000;}"},
+		{"crashes", Plan{Crashes: []Crash{{Rank: 5, At: 2 * des.Second}, {Rank: 1, At: des.Second}}}, "faults{crash:1@1000000000;crash:5@2000000000;}"},
+		{"daemon-crashes", Plan{DaemonCrashes: []DaemonCrash{{Node: 1, At: des.Second}, {Node: 0, At: 2 * des.Second, Restart: 10 * des.Millisecond}}}, "faults{dcrash:0@2000000000+10000000;dcrash:1@1000000000+40000000;}"},
+		{"loss", Plan{CtrlLossProb: 0.25}, "faults{loss:0.25;}"},
+		{"delay", Plan{CtrlDelayFactor: 4}, "faults{delay:4;}"},
+		{"detect", Plan{DetectTimeout: 100 * des.Millisecond}, "faults{detect:100000000;}"},
+		{"all", Plan{
+			Slowdowns:       []Slowdown{{Node: 1, Factor: 3}},
+			Stalls:          []Stall{{Node: 1, At: des.Second, Duration: 50 * des.Millisecond}},
+			Crashes:         []Crash{{Rank: 2, At: des.Second}},
+			DaemonCrashes:   []DaemonCrash{{Node: 0, At: 500 * des.Millisecond}},
+			CtrlLossProb:    0.1,
+			CtrlDelayFactor: 2.5,
+			DetectTimeout:   des.Second,
+		}, "faults{slow:1*3;stall:1@1000000000+50000000;crash:2@1000000000;dcrash:0@500000000+40000000;loss:0.1;delay:2.5;detect:1000000000;}"},
+	}
+	for _, c := range cases {
+		if got := c.plan.Key(); got != c.want {
+			t.Errorf("%s: Key() = %q, want %q", c.name, got, c.want)
+		}
 	}
 }

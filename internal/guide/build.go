@@ -121,9 +121,6 @@ func fnByRegion(img *image.Image, syms []*image.Symbol) []int32 {
 // App returns the compiled application.
 func (bin *Binary) App() *App { return bin.app }
 
-// Opts returns the build options the binary was compiled with.
-func (bin *Binary) Opts() BuildOpts { return bin.opts }
-
 // Instrumented reports whether the compiler inserted static subroutine
 // instrumentation.
 func (bin *Binary) Instrumented() bool { return bin.opts.StaticInstrument }
@@ -142,8 +139,8 @@ func (bin *Binary) loadImage(v *vt.Ctx) *image.Image {
 			continue
 		}
 		fid := v.FuncDef(f.Name)
-		img.BindSnippet(ids.begin, "VT_begin:"+f.Name, v.BeginSnippet(fid))
-		img.BindSnippet(ids.end, "VT_end:"+f.Name, v.EndSnippet(fid))
+		img.BindSnippet(ids.begin, v.BeginSnippet(fid))
+		img.BindSnippet(ids.end, v.EndSnippet(fid))
 	}
 	return img
 }

@@ -75,37 +75,6 @@ func TestSlowdownStretchesJob(t *testing.T) {
 	}
 }
 
-// TestBufferOverflowInJob: a tiny fault-capped trace buffer overflows
-// under full instrumentation and lands on the job's fault stream.
-func TestBufferOverflowInJob(t *testing.T) {
-	bin, err := Build(toyMPIApp(), BuildOpts{StaticInstrument: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := runFaultedJob(t, bin, 2, &fault.Plan{
-		TraceBufEvents: 4,
-		Overflow:       fault.OverflowDropOldest,
-	})
-	// Per rank 18 enter/exit events into a 4-slot buffer.
-	if n := j.Collector().Len(); n != 2*4 {
-		t.Errorf("collector kept %d events, want 8 (two capped buffers)", n)
-	}
-	var overflows int
-	for _, ev := range j.Faults() {
-		if ev.Kind == fault.KindOverflow {
-			overflows++
-		}
-	}
-	if overflows == 0 {
-		t.Error("no trace-overflow events on the fault stream")
-	}
-	for r := 0; r < 2; r++ {
-		if j.VT(r).Overflows() == 0 {
-			t.Errorf("rank %d saw no overflows", r)
-		}
-	}
-}
-
 // TestFaultFreeJobHasNoInjector: zero-plan machines stay on the exact
 // pre-fault path.
 func TestFaultFreeJobHasNoInjector(t *testing.T) {

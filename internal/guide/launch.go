@@ -155,22 +155,18 @@ func (j *Job) scheduleFaults() {
 
 // vtOptions configures the library instance of the process on node that
 // runs as rank: the binary's linked configuration and API tracing, the
-// launch's count-only mode and the fault plan's trace-buffer cap, all on
-// the job's collector.
+// launch's count-only mode and the job's fault injector, all on the job's
+// collector.
 func (j *Job) vtOptions(rank, node int) vt.Options {
-	o := vt.Options{
+	return vt.Options{
 		Rank:      rank,
 		Config:    j.bin.opts.Config,
 		Collector: j.col,
 		TraceAPI:  j.bin.opts.TraceAPI,
 		CountOnly: j.countOnly,
+		Faults:    j.inj,
 		Node:      node,
 	}
-	if j.inj != nil {
-		plan := j.inj.Plan()
-		o.BufferEvents, o.Overflow, o.Faults = plan.TraceBufEvents, plan.Overflow, j.inj
-	}
-	return o
 }
 
 func (j *Job) launchMPI(n int, args map[string]int) error {

@@ -13,7 +13,7 @@ func TestRunawayJumpDetected(t *testing.T) {
 	img := buildTestImage(t)
 	a := img.MustLookup("alpha")
 	id := img.NewSnippetID()
-	img.BindSnippet(id, "s", func(ctx ExecCtx) {})
+	img.BindSnippet(id, func(ctx ExecCtx) {})
 	h, err := img.InsertProbe(a, EntryPoint, 0, id)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func TestFreedTrampolineExecutionDetected(t *testing.T) {
 	img := buildTestImage(t)
 	a := img.MustLookup("alpha")
 	id := img.NewSnippetID()
-	img.BindSnippet(id, "s", func(ctx ExecCtx) {})
+	img.BindSnippet(id, func(ctx ExecCtx) {})
 	h, err := img.InsertProbe(a, EntryPoint, 0, id)
 	if err != nil {
 		t.Fatal(err)

@@ -82,7 +82,6 @@ type Image struct {
 	textEnd   Addr
 
 	snippets      map[int64]Snippet
-	snippetNames  map[int64]string
 	nextSnippetID int64
 
 	tramps map[Addr]*baseTramp // keyed by patched probe-point address
@@ -181,12 +180,11 @@ func (img *Image) NewSnippetID() int64 {
 // BindSnippet associates id with an executable snippet. Loading a binary
 // into a process binds per-process closures (e.g. calls into that
 // process's VT library instance) to the ids the compiler emitted.
-func (img *Image) BindSnippet(id int64, name string, fn Snippet) {
+func (img *Image) BindSnippet(id int64, fn Snippet) {
 	if fn == nil {
 		panic("image: BindSnippet with nil snippet")
 	}
 	img.snippets[id] = fn
-	img.snippetNames[id] = name
 	img.mutated()
 }
 
@@ -195,9 +193,6 @@ func (img *Image) Snippet(id int64) (Snippet, bool) {
 	fn, ok := img.snippets[id]
 	return fn, ok
 }
-
-// SnippetName reports the name bound to a snippet id (for traces/tests).
-func (img *Image) SnippetName(id int64) string { return img.snippetNames[id] }
 
 // Clone produces an identical, independent copy of the image: the per-rank
 // address space of an MPI process. Snippet bindings are copied; callers
@@ -211,7 +206,6 @@ func (img *Image) Clone() *Image {
 		symByName:     img.symByName,
 		textEnd:       img.textEnd,
 		snippets:      make(map[int64]Snippet, len(img.snippets)),
-		snippetNames:  make(map[int64]string, len(img.snippetNames)),
 		nextSnippetID: img.nextSnippetID,
 		tramps:        make(map[Addr]*baseTramp, len(img.tramps)),
 		heapWords:     img.heapWords,
@@ -219,9 +213,6 @@ func (img *Image) Clone() *Image {
 	}
 	for id, fn := range img.snippets {
 		c.snippets[id] = fn
-	}
-	for id, n := range img.snippetNames {
-		c.snippetNames[id] = n
 	}
 	for at, t := range img.tramps {
 		tc := *t

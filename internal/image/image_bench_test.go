@@ -23,7 +23,7 @@ func BenchmarkTrampolineExecution(b *testing.B) {
 			}
 			img := bl.Build()
 			id := img.NewSnippetID()
-			img.BindSnippet(id, "s", func(ExecCtx) {})
+			img.BindSnippet(id, func(ExecCtx) {})
 			for i := 0; i < chain; i++ {
 				h, err := img.InsertProbe(sym, EntryPoint, 0, id)
 				if err != nil {
@@ -61,7 +61,7 @@ func BenchmarkProbeInsertRemove(b *testing.B) {
 	}
 	img := bl.Build()
 	id := img.NewSnippetID()
-	img.BindSnippet(id, "noop", func(ExecCtx) {})
+	img.BindSnippet(id, func(ExecCtx) {})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

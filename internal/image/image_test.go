@@ -107,7 +107,7 @@ func TestInsertProbeFiresSnippetWhenActive(t *testing.T) {
 	a := img.MustLookup("alpha")
 	fired := 0
 	id := img.NewSnippetID()
-	img.BindSnippet(id, "count", func(ctx ExecCtx) { fired++ })
+	img.BindSnippet(id, func(ctx ExecCtx) { fired++ })
 	h, err := img.InsertProbe(a, EntryPoint, 0, id)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestPatchedEntryCostsTrampolineOverhead(t *testing.T) {
 	img := buildTestImage(t)
 	a := img.MustLookup("alpha")
 	id := img.NewSnippetID()
-	img.BindSnippet(id, "noop", func(ctx ExecCtx) {})
+	img.BindSnippet(id, func(ctx ExecCtx) {})
 	pristine := img.ExecEntry(a, &fakeCtx{})
 	h, err := img.InsertProbe(a, EntryPoint, 0, id)
 	if err != nil {
@@ -154,7 +154,7 @@ func TestExitProbesPerReturnPoint(t *testing.T) {
 	b := img.MustLookup("beta")
 	var hits []int
 	id := img.NewSnippetID()
-	img.BindSnippet(id, "exit", func(ctx ExecCtx) { hits = append(hits, 1) })
+	img.BindSnippet(id, func(ctx ExecCtx) { hits = append(hits, 1) })
 	for e := 0; e < 3; e++ {
 		h, err := img.InsertProbe(b, ExitPoint, e, id)
 		if err != nil {
@@ -179,7 +179,7 @@ func TestMiniTrampolineChaining(t *testing.T) {
 	var order []string
 	mk := func(name string) int64 {
 		id := img.NewSnippetID()
-		img.BindSnippet(id, name, func(ctx ExecCtx) { order = append(order, name) })
+		img.BindSnippet(id, func(ctx ExecCtx) { order = append(order, name) })
 		return id
 	}
 	h1, _ := img.InsertProbe(a, EntryPoint, 0, mk("first"))
@@ -212,7 +212,7 @@ func TestRemoveLastProbeRestoresPristineImage(t *testing.T) {
 	pristineWord := img.Word(a.Entry)
 	pristineCost := img.ExecEntry(a, &fakeCtx{})
 	id := img.NewSnippetID()
-	img.BindSnippet(id, "s", func(ctx ExecCtx) {})
+	img.BindSnippet(id, func(ctx ExecCtx) {})
 	h, err := img.InsertProbe(a, EntryPoint, 0, id)
 	if err != nil {
 		t.Fatal(err)
@@ -262,8 +262,8 @@ func TestStaticSnippetsCompiledIn(t *testing.T) {
 	}
 	img := b.Build()
 	var log []string
-	img.BindSnippet(beginID, "vt_begin", func(ctx ExecCtx) { log = append(log, "begin") })
-	img.BindSnippet(endID, "vt_end", func(ctx ExecCtx) { log = append(log, "end") })
+	img.BindSnippet(beginID, func(ctx ExecCtx) { log = append(log, "begin") })
+	img.BindSnippet(endID, func(ctx ExecCtx) { log = append(log, "end") })
 	f := img.MustLookup("f")
 	img.ExecEntry(f, &fakeCtx{})
 	img.ExecExit(f, 1, &fakeCtx{})
@@ -282,7 +282,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	img := buildTestImage(t)
 	a := img.MustLookup("alpha")
 	id := img.NewSnippetID()
-	img.BindSnippet(id, "s", func(ctx ExecCtx) {})
+	img.BindSnippet(id, func(ctx ExecCtx) {})
 	clone := img.Clone()
 	if _, err := img.InsertProbe(a, EntryPoint, 0, id); err != nil {
 		t.Fatal(err)
@@ -306,7 +306,7 @@ func TestCloneIsIndependent(t *testing.T) {
 func TestPatchedSymbols(t *testing.T) {
 	img := buildTestImage(t)
 	id := img.NewSnippetID()
-	img.BindSnippet(id, "s", func(ctx ExecCtx) {})
+	img.BindSnippet(id, func(ctx ExecCtx) {})
 	if _, err := img.InsertProbe(img.MustLookup("beta"), ExitPoint, 1, id); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestChargeReachesContext(t *testing.T) {
 	img := buildTestImage(t)
 	a := img.MustLookup("alpha")
 	id := img.NewSnippetID()
-	img.BindSnippet(id, "chg", func(ctx ExecCtx) { ctx.Charge(123) })
+	img.BindSnippet(id, func(ctx ExecCtx) { ctx.Charge(123) })
 	h, _ := img.InsertProbe(a, EntryPoint, 0, id)
 	h.SetActive(true)
 	ctx := &fakeCtx{tid: 4, now: 9 * des.Second}
@@ -338,7 +338,7 @@ func TestPatchUnpatchRoundTripProperty(t *testing.T) {
 		a, b := img.MustLookup("alpha"), img.MustLookup("beta")
 		pristine := append([]isa.Word(nil), img.words...)
 		id := img.NewSnippetID()
-		img.BindSnippet(id, "s", func(ctx ExecCtx) {})
+		img.BindSnippet(id, func(ctx ExecCtx) {})
 		if len(points) > 24 {
 			points = points[:24]
 		}
@@ -422,7 +422,7 @@ func TestExitRegionsHaveOwnPrograms(t *testing.T) {
 	for e := 0; e < 3; e++ {
 		e := e
 		id := img.NewSnippetID()
-		img.BindSnippet(id, "exit", func(ctx ExecCtx) { log = append(log, e) })
+		img.BindSnippet(id, func(ctx ExecCtx) { log = append(log, e) })
 		h, err := img.InsertProbe(b, ExitPoint, e, id)
 		if err != nil {
 			t.Fatal(err)
@@ -472,7 +472,7 @@ func TestCloneStartsWithEmptyPrograms(t *testing.T) {
 		}
 	}
 	id := clone.NewSnippetID()
-	clone.BindSnippet(id, "s", func(ctx ExecCtx) {})
+	clone.BindSnippet(id, func(ctx ExecCtx) {})
 	h, err := clone.InsertProbe(a, EntryPoint, 0, id)
 	if err != nil {
 		t.Fatal(err)
@@ -497,7 +497,7 @@ func selfPatchImage(t *testing.T, other bool, patchAt int) (*Image, *[]string) {
 	log := new([]string)
 	bind := func(name string, fn func()) int64 {
 		id := img.NewSnippetID()
-		img.BindSnippet(id, name, func(ctx ExecCtx) {
+		img.BindSnippet(id, func(ctx ExecCtx) {
 			*log = append(*log, name)
 			if fn != nil {
 				fn()
@@ -561,7 +561,7 @@ func TestSetActiveOnRemovedProbeIsNoop(t *testing.T) {
 	img := buildTestImage(t)
 	a := img.MustLookup("alpha")
 	id := img.NewSnippetID()
-	img.BindSnippet(id, "s", func(ctx ExecCtx) {})
+	img.BindSnippet(id, func(ctx ExecCtx) {})
 	keep, _ := img.InsertProbe(a, EntryPoint, 0, id)
 	keep.SetActive(true)
 	h, _ := img.InsertProbe(a, EntryPoint, 0, id)

@@ -254,20 +254,6 @@ func (c *Ctx) Sendrecv(dst, sendTag, bytes int, payload any, src, recvTag int) M
 	return m
 }
 
-// Isend starts a non-blocking send. With the eager model the data is
-// buffered immediately, so the request completes as soon as the sender
-// overhead is charged.
-func (c *Ctx) Isend(dst, tag, bytes int, payload any) *Request {
-	c.ensureInit("MPI_Isend")
-	c.unrecordable("MPI_Isend")
-	var r *Request
-	c.wrap("MPI_Isend", func() {
-		c.send(dst, tag, bytes, payload)
-		r = &Request{c: c, kind: "isend", done: true}
-	})
-	return r
-}
-
 // Irecv posts a non-blocking receive.
 func (c *Ctx) Irecv(src, tag int) *Request {
 	c.ensureInit("MPI_Irecv")
@@ -290,20 +276,15 @@ func (c *Ctx) irecv(src, tag int) *Request {
 	} else {
 		c.w.maybeArmRecv(c.rank, rw)
 	}
-	return &Request{c: c, kind: "irecv", rw: rw}
+	return &Request{c: c, rw: rw}
 }
 
-// Wait blocks until the request completes and returns the received message
-// (zero Message for sends).
+// Wait blocks until the request completes and returns the received message.
 func (c *Ctx) Wait(r *Request) Message {
 	c.ensureInit("MPI_Wait")
 	var m Message
 	c.wrap("MPI_Wait", func() { m = c.wait(r) })
-	if r.seq == 0 {
-		c.unrecordable("MPI_Wait on a request not posted by MPI_Irecv")
-	} else {
-		c.record(tape.Op{Kind: tape.Wait, A: int64(c.irecvs - r.seq + 1), C: int64(m.Bytes)})
-	}
+	c.record(tape.Op{Kind: tape.Wait, A: int64(c.irecvs - r.seq + 1), C: int64(m.Bytes)})
 	return m
 }
 
@@ -314,33 +295,17 @@ func (c *Ctx) wait(r *Request) Message {
 	if r.done {
 		return r.msg
 	}
-	if r.kind == "irecv" {
-		c.t.Sync()
-		if !r.rw.gate.Open() {
-			c.t.Block(func(p *des.Proc) { p.Await(r.rw.gate) })
-		}
-		c.t.WorkTime(c.w.cfg.Net.RecvOverhead)
-		if c.hooks != nil {
-			c.hooks.MsgRecv(c, r.rw.got.Src, r.rw.got.Tag, r.rw.got.Bytes)
-		}
-		r.msg = r.rw.got.Message
-		r.done = true
-		return r.msg
+	c.t.Sync()
+	if !r.rw.gate.Open() {
+		c.t.Block(func(p *des.Proc) { p.Await(r.rw.gate) })
 	}
-	panic("mpi: wait on unknown request kind " + r.kind)
-}
-
-// Waitall completes all requests, returning received messages in order.
-func (c *Ctx) Waitall(reqs []*Request) []Message {
-	c.ensureInit("MPI_Waitall")
-	c.unrecordable("MPI_Waitall")
-	ms := make([]Message, len(reqs))
-	c.wrap("MPI_Waitall", func() {
-		for i, r := range reqs {
-			ms[i] = c.wait(r)
-		}
-	})
-	return ms
+	c.t.WorkTime(c.w.cfg.Net.RecvOverhead)
+	if c.hooks != nil {
+		c.hooks.MsgRecv(c, r.rw.got.Src, r.rw.got.Tag, r.rw.got.Bytes)
+	}
+	r.msg = r.rw.got.Message
+	r.done = true
+	return r.msg
 }
 
 // Barrier synchronises all ranks, releasing everyone log2(P) hops after
@@ -389,31 +354,6 @@ func (c *Ctx) Bcast(root, bytes int, val any) any {
 	return out
 }
 
-// ReduceF64 reduces each rank's v with op at root. ok reports whether the
-// caller is the root (and thus result is meaningful).
-func (c *Ctx) ReduceF64(o Op, root int, v float64) (result float64, ok bool) {
-	c.ensureInit("MPI_Reduce")
-	c.unrecordable("MPI_Reduce")
-	var out any
-	c.wrap("MPI_Reduce", func() {
-		out = c.enterCollective("reduce", root, 8, v, func(op *collectiveOp, w *World) {
-			acc := accumulateF64(op, o)
-			hop := w.hopCost(op.bytes)
-			rootDep := op.maxArrival() + des.Time(logCeil(op.n))*hop
-			for i := range op.depart {
-				if i == op.root {
-					op.depart[i] = rootDep
-					op.results[i] = acc
-				} else {
-					op.depart[i] = op.arrival[i] + hop
-					op.results[i] = 0.0
-				}
-			}
-		})
-	})
-	return out.(float64), c.rank == root
-}
-
 // AllreduceF64 reduces each rank's v with op and returns the result on
 // every rank.
 func (c *Ctx) AllreduceF64(o Op, v float64) float64 {
@@ -431,40 +371,6 @@ func (c *Ctx) AllreduceF64(o Op, v float64) float64 {
 		})
 	})
 	return out.(float64)
-}
-
-// AllreduceF64s reduces element-wise vectors of equal length on all ranks.
-func (c *Ctx) AllreduceF64s(o Op, v []float64) []float64 {
-	c.ensureInit("MPI_Allreduce")
-	c.unrecordable("vector MPI_Allreduce")
-	var out any
-	c.wrap("MPI_Allreduce", func() {
-		out = c.enterCollective("allreduce", 0, 8*len(v), CopyF64s(v), func(op *collectiveOp, w *World) {
-			var acc []float64
-			for i := 0; i < op.n; i++ {
-				if !op.present[i] {
-					continue
-				}
-				vi := op.contrib[i].([]float64)
-				if acc == nil {
-					acc = CopyF64s(vi)
-					continue
-				}
-				if len(vi) != len(acc) {
-					panic(fmt.Sprintf("mpi: allreduce length mismatch: %d vs %d", len(vi), len(acc)))
-				}
-				for k := range acc {
-					acc[k] = o.combine(acc[k], vi[k])
-				}
-			}
-			floor := op.maxArrival() + 2*des.Time(logCeil(op.n))*w.hopCost(op.bytes)
-			for i := range op.depart {
-				op.depart[i] = floor
-				op.results[i] = acc
-			}
-		})
-	})
-	return out.([]float64)
 }
 
 // Gather collects every rank's value at root (bytes is the per-rank wire

@@ -105,13 +105,13 @@ func (w *World) releaseRecv(dst int, rw *recvWait) {
 	rw.gate.Set(true)
 }
 
-// Request is a non-blocking operation handle.
+// Request is a non-blocking receive's handle.
 type Request struct {
 	c    *Ctx
-	kind string // "isend" or "irecv"
 	done bool
 	// seq numbers the request among the rank's Irecvs, modulo 2^32 (0
-	// for other requests); 32 bits keep Request in its size class.
+	// for Sendrecv's internal receive); 32 bits keep Request in its size
+	// class.
 	seq uint32
 	rw  *recvWait
 	msg Message

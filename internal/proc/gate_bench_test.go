@@ -60,7 +60,7 @@ func BenchmarkCallGate(b *testing.B) {
 // insert patches a probe running fn at sym's entry or first exit.
 func insert(b *testing.B, img *image.Image, sym *image.Symbol, kind image.PointKind, fn image.Snippet, active bool) {
 	id := img.NewSnippetID()
-	img.BindSnippet(id, "probe", fn)
+	img.BindSnippet(id, fn)
 	h, err := img.InsertProbe(sym, kind, 0, id)
 	if err != nil {
 		b.Fatal(err)

@@ -69,9 +69,9 @@ func TestNestedCallsFireProbesInOrder(t *testing.T) {
 		n := n
 		sym := img.MustLookup(n)
 		idB := img.NewSnippetID()
-		img.BindSnippet(idB, "b", func(ctx image.ExecCtx) { events = append(events, "enter "+n) })
+		img.BindSnippet(idB, func(ctx image.ExecCtx) { events = append(events, "enter "+n) })
 		idE := img.NewSnippetID()
-		img.BindSnippet(idE, "e", func(ctx image.ExecCtx) { events = append(events, "exit "+n) })
+		img.BindSnippet(idE, func(ctx image.ExecCtx) { events = append(events, "exit "+n) })
 		hb, err := img.InsertProbe(sym, image.EntryPoint, 0, idB)
 		if err != nil {
 			t.Fatal(err)
@@ -241,7 +241,7 @@ func TestExitRotationCoversAllExits(t *testing.T) {
 	for e := 0; e < 3; e++ {
 		e := e
 		id := img.NewSnippetID()
-		img.BindSnippet(id, "x", func(ctx image.ExecCtx) { seen[e] = true })
+		img.BindSnippet(id, func(ctx image.ExecCtx) { seen[e] = true })
 		h, err := img.InsertProbe(sym, image.ExitPoint, e, id)
 		if err != nil {
 			t.Fatal(err)
@@ -268,7 +268,7 @@ func TestInstrCyclesAccounting(t *testing.T) {
 	img := testImage(t, "f")
 	sym := img.MustLookup("f")
 	id := img.NewSnippetID()
-	img.BindSnippet(id, "s", func(ctx image.ExecCtx) { ctx.Charge(500) })
+	img.BindSnippet(id, func(ctx image.ExecCtx) { ctx.Charge(500) })
 	h, _ := img.InsertProbe(sym, image.EntryPoint, 0, id)
 	h.SetActive(true)
 	pr := NewProcess(s, cfg, "p", 0, 0, img)

@@ -8,11 +8,7 @@
 // argues for, applied to the paper's per-node super/comm daemon structure.
 package serve
 
-import (
-	"sort"
-
-	"dynprof/internal/des"
-)
+import "dynprof/internal/des"
 
 // FairSched arbitrates communication-daemon service time between the users
 // sharing each node, in virtual time. It implements dpcl.ServeGate: every
@@ -81,16 +77,6 @@ func (f *FairSched) Served(user string) int { return f.served[user] }
 
 // WaitTime reports user's accumulated virtual queueing delay.
 func (f *FairSched) WaitTime(user string) des.Time { return f.waits[user] }
-
-// Users lists every user that has been served, sorted.
-func (f *FairSched) Users() []string {
-	users := make([]string, 0, len(f.served))
-	for u := range f.served {
-		users = append(users, u)
-	}
-	sort.Strings(users)
-	return users
-}
 
 func (f *FairSched) lane(node int) *lane {
 	ln, ok := f.lanes[node]

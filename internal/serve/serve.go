@@ -33,10 +33,8 @@ type Quota struct {
 	// MaxTraceBytes bounds the trace volume the session's probes generate.
 	MaxTraceBytes int64
 	// MaxCtrlPerSec bounds the session's control-operation rate (token
-	// bucket in virtual time; CtrlBurst tokens of burst).
+	// bucket in virtual time, one token deep).
 	MaxCtrlPerSec float64
-	// CtrlBurst is the token-bucket depth (defaults to 1 when rate-limited).
-	CtrlBurst int
 }
 
 // Config parameterises a Server.
@@ -53,9 +51,9 @@ type Config struct {
 	DefaultQuota Quota
 	// Lease enables leased sessions: a session whose client link drops is
 	// suspended for this grace window instead of being torn down, and a
-	// reconnecting client resumes it (probes, quotas, and adaptive state
-	// intact) by session token. Control operations and heartbeats renew the
-	// lease; a suspended session whose lease expires is evicted through the
+	// reconnecting client resumes it (probes and quotas intact) by session
+	// token. Control operations and heartbeats renew the lease; a
+	// suspended session whose lease expires is evicted through the
 	// ordinary eviction path. Zero disables leasing (dropped links close
 	// their sessions immediately, the pre-lease behaviour).
 	Lease des.Time
@@ -329,8 +327,8 @@ func (sv *Server) Open(p *des.Proc, user, jobName string, quota *Quota) (*Sessio
 }
 
 // SuspendSession parks a session whose client link dropped: the session
-// keeps its probes, quotas, and adaptive state, its lease is renewed to a
-// full grace window, and an expiry watcher is armed. The watcher is armed
+// keeps its probes and quotas, its lease is renewed to a full grace
+// window, and an expiry watcher is armed. The watcher is armed
 // only here — connected sessions schedule no lease events — so a leased
 // server that never loses a link runs the exact event sequence of an
 // unleased one. No-op when leasing is disabled or the session is already
@@ -346,8 +344,8 @@ func (sv *Server) SuspendSession(sn *Session) {
 }
 
 // ResumeSession re-binds a reconnecting client to its suspended session by
-// token: the session resumes with probes, quotas, and adaptive state
-// intact, and a fresh lease. Evicted sessions report why (errors.Is
+// token: the session resumes with probes and quotas intact, and a fresh
+// lease. Evicted sessions report why (errors.Is
 // ErrEvicted); unknown tokens, closed sessions, and sessions that were
 // never suspended are errors.
 func (sv *Server) ResumeSession(token string) (*Session, error) {

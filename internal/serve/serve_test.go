@@ -267,7 +267,7 @@ func TestProbeQuotaEviction(t *testing.T) {
 // evicted with a rate reason.
 func TestRateQuotaEviction(t *testing.T) {
 	s, sv, done := newTestServer(t, 13, serve.Config{
-		DefaultQuota: serve.Quota{MaxCtrlPerSec: 0.1, CtrlBurst: 1},
+		DefaultQuota: serve.Quota{MaxCtrlPerSec: 0.1},
 	}, 1)
 	var sn *serve.Session
 	s.Spawn("chatty", func(p *des.Proc) {

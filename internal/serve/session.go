@@ -27,10 +27,6 @@ type Session struct {
 	traceEvents int64
 	samples     []des.Time
 
-	// adaptive is the attached controller state (nil unless the tenant
-	// called EnableAdaptive).
-	adaptive *adaptive
-
 	evicted     bool
 	evictReason string
 	closed      bool
@@ -50,9 +46,6 @@ func (sn *Session) User() string { return sn.user }
 
 // Job returns the registry job the session instruments.
 func (sn *Session) Job() *Job { return sn.jb }
-
-// Core exposes the underlying core session (nil before attach completes).
-func (sn *Session) Core() *core.Session { return sn.ss }
 
 // Evicted reports whether the session has been evicted, and why.
 func (sn *Session) Evicted() (bool, string) { return sn.evicted, sn.evictReason }
@@ -105,18 +98,10 @@ func (sn *Session) takeToken(now des.Time) bool {
 	if sn.quota.MaxCtrlPerSec <= 0 {
 		return true
 	}
-	burst := float64(sn.quota.CtrlBurst)
-	if burst < 1 {
-		burst = 1
-	}
 	if !sn.filled {
-		sn.tokens = burst
-		sn.filled = true
+		sn.tokens, sn.filled = 1, true
 	} else {
-		sn.tokens += (now - sn.lastRefill).Seconds() * sn.quota.MaxCtrlPerSec
-		if sn.tokens > burst {
-			sn.tokens = burst
-		}
+		sn.tokens = min(1, sn.tokens+(now-sn.lastRefill).Seconds()*sn.quota.MaxCtrlPerSec)
 	}
 	sn.lastRefill = now
 	if sn.tokens < 1 {

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
+	"dynprof/internal/des"
 	"dynprof/internal/fault"
 )
 
@@ -24,8 +26,8 @@ func oracleActive(c *Ctx) []bool {
 // generated histories and compares it with the full re-evaluation after
 // every accepted batch. Histories mix exact, prefix and bare "*" rules
 // with overlapping patterns and ON/OFF flips, FuncDef calls between
-// batches, probes OverflowDisableProbe switches off between syncs, and
-// batches naming unregistered functions, which must change nothing.
+// batches, and batches naming unregistered functions, which must change
+// nothing.
 func TestApplyChangesMatchesFullReevaluation(t *testing.T) {
 	names := []string{"smg_Relax", "smg_RelaxPlane", "smg_Restrict", "sppm_EOS", "sppm_Sweep", "umt_Main", "a", "ab", "abc"}
 	patterns := append(slices.Clone(names), "smg_*", "smg_Relax*", "sppm_*", "a*", "ab*", "*", "zz_*", "missing")
@@ -39,22 +41,17 @@ func TestApplyChangesMatchesFullReevaluation(t *testing.T) {
 			ch := change()
 			cfg.Set(ch.Pattern, ch.Active)
 		}
-		// A two-event buffer with nothing draining it: once it is full,
-		// every active probe that fires is disabled.
-		c := NewCtx(Options{Collector: NewCollector(), Config: cfg, BufferEvents: 2, Overflow: fault.OverflowDisableProbe})
+		c := NewCtx(Options{Collector: NewCollector(), Config: cfg})
 		c.Initialize(nil)
-		ec := &fakeEC{}
 		registered := 0
 		for step := 0; step < 40; step++ {
-			switch op := rng.Intn(5); {
+			switch op := rng.Intn(4); {
 			case op == 0 && registered < len(names):
 				id := c.FuncDef(names[registered])
 				registered++
 				if c.Active(id) != c.cfg.Active(c.FuncName(id)) {
 					t.Fatalf("seed %d: FuncDef(%s) active = %v against the rules", seed, c.FuncName(id), c.Active(id))
 				}
-			case op == 1 && registered > 0:
-				c.Begin(ec, int32(rng.Intn(registered)))
 			default:
 				batch := make([]Change, 1+rng.Intn(4))
 				for i := range batch {
@@ -82,6 +79,38 @@ func TestApplyChangesMatchesFullReevaluation(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// syncEC is a fakeEC that LocalSync can run on.
+type syncEC struct{ fakeEC }
+
+func (s *syncEC) Work(cycles int64) { s.Charge(cycles) }
+func (s *syncEC) Breakpoint(string) {}
+
+// TestRejectedSyncIsConfReject: a sync whose batch names an unregistered
+// function is logged once as a rejected confsync on the rank's node, and
+// the epoch still advances.
+func TestRejectedSyncIsConfReject(t *testing.T) {
+	inj := fault.NewInjector(&fault.Plan{CtrlDelayFactor: 2}, des.NewRNG(1))
+	c := NewCtx(Options{Rank: 2, Collector: NewCollector(), Faults: inj, Node: 3})
+	c.Initialize(nil)
+	f := c.FuncDef("f")
+	c.QueueChanges([]Change{{Pattern: "f", Active: false}, {Pattern: "missing", Active: false}})
+	gen := c.Generation()
+	if n := c.LocalSync(&syncEC{}); n != 2 {
+		t.Errorf("LocalSync drained %d changes, want 2", n)
+	}
+	if c.Generation() != gen+1 {
+		t.Errorf("generation %d after the sync, want %d", c.Generation(), gen+1)
+	}
+	if !c.Active(f) {
+		t.Error("a rejected batch switched f off")
+	}
+	evs := inj.Events()
+	if len(evs) != 1 || evs[0].Kind != fault.KindConfReject || evs[0].Node != 3 || evs[0].Rank != 2 ||
+		!strings.Contains(evs[0].Detail, "missing") {
+		t.Errorf("fault events = %+v, want one confsync-rejected event naming missing on node 3, rank 2", evs)
 	}
 }
 

@@ -73,8 +73,7 @@ func oracleCompactFile(batches [][]Event) ([]byte, CompactStats) {
 
 // TestChunkedCollectorMatchesOracles drives the chunk store through both
 // entry points — Append copying a caller's slice, and thread buffers whose
-// chained chunks the collector adopts, with OverflowDropOldest drops and
-// buffers reused across flushes — optionally under a random spill
+// chained chunks the collector adopts, reused across flushes — optionally under a random spill
 // threshold. The ordered view must equal a stable sort by At of the
 // insertion stream, and CompactStats and WriteCompactTrace must equal
 // encoding each batch as one contiguous slice.
@@ -100,23 +99,16 @@ func TestChunkedCollectorMatchesOracles(t *testing.T) {
 				continue
 			}
 			tb := &bufs[lanes[bi]]
-			var kept []Event
-			drops := rng.Intn(3) == 0
 			for _, e := range b {
 				tb.push(e)
-				kept = append(kept, e)
-				if drops && rng.Intn(4) == 0 {
-					tb.dropOldest()
-					kept = kept[1:]
-				}
 			}
-			if tb.n != len(kept) {
-				t.Fatalf("iter %d: thread buffer holds %d events, want %d", iter, tb.n, len(kept))
+			if tb.n != len(b) {
+				t.Fatalf("iter %d: thread buffer holds %d events, want %d", iter, tb.n, len(b))
 			}
 			col.appendThread(tb)
-			if len(kept) > 0 {
-				stream = append(stream, kept...)
-				received = append(received, kept)
+			if len(b) > 0 {
+				stream = append(stream, b...)
+				received = append(received, b)
 			}
 		}
 		for i := range bufs {
@@ -156,44 +148,6 @@ func TestChunkedCollectorMatchesOracles(t *testing.T) {
 		}
 		if got := writeCompact(t, col); !bytes.Equal(got, file) {
 			t.Fatalf("iter %d: WriteCompactTrace differs from the contiguous oracle", iter)
-		}
-		col.Release()
-	}
-}
-
-// TestThreadBufDropOldestKeepsNewest holds a capped buffer at its cap
-// across chunk boundaries: after every drop-and-push the buffer must hold
-// exactly the newest cap events, in order, in at most two chunks beyond
-// them — and a cap well below a chunk must never grow the buffer to one.
-func TestThreadBufDropOldestKeepsNewest(t *testing.T) {
-	for _, capEvents := range []int{1, 7, chunkEvents - 1, chunkEvents, chunkEvents + 3} {
-		var tb threadBuf
-		total := 3*chunkEvents + 11
-		for i := 0; i < total; i++ {
-			if tb.n == capEvents {
-				tb.dropOldest()
-			}
-			tb.push(Event{At: des.Time(i)})
-			if len(tb.full) > capEvents/chunkEvents+2 {
-				t.Fatalf("cap %d: %d chunks chained after %d events", capEvents, len(tb.full), i+1)
-			}
-			if capEvents < chunkEvents/4 && cap(tb.cur) > 4*capEvents+minBuf {
-				t.Fatalf("cap %d: buffer grew to %d events", capEvents, cap(tb.cur))
-			}
-		}
-		col := NewCollector()
-		col.appendThread(&tb)
-		got := col.Ordered().AppendTo(nil)
-		if len(got) != capEvents {
-			t.Fatalf("cap %d: kept %d events", capEvents, len(got))
-		}
-		for i, e := range got {
-			if want := des.Time(total - capEvents + i); e.At != want {
-				t.Fatalf("cap %d: event %d at %v, want %v", capEvents, i, e.At, want)
-			}
-		}
-		if cap(tb.cur) == chunkEvents {
-			freeChunk(tb.cur)
 		}
 		col.Release()
 	}

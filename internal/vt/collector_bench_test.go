@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"dynprof/internal/des"
-	"dynprof/internal/fault"
 )
 
 // mkBatch builds one rank's flush batch: times non-decreasing, as produced
@@ -129,27 +128,6 @@ func BenchmarkRecordFlush(b *testing.B) {
 				col.Release()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*threads*perThread), "ns/event")
-		})
-	}
-}
-
-// BenchmarkDropOldest measures recording into a full, capped thread
-// buffer under OverflowDropOldest: every event discards the oldest one.
-// The cost per event must not grow with the cap.
-func BenchmarkDropOldest(b *testing.B) {
-	for _, capEvents := range []int{64, 8192} {
-		b.Run(fmt.Sprintf("cap%d", capEvents), func(b *testing.B) {
-			b.ReportAllocs()
-			col := NewCollector()
-			defer col.Release()
-			c := NewCtx(Options{Rank: 0, Collector: col, BufferEvents: capEvents, Overflow: fault.OverflowDropOldest})
-			c.Initialize(nil)
-			id := c.FuncDef("f")
-			ec := &fakeEC{}
-			for i := 0; i < b.N; i++ {
-				ec.now++
-				c.Begin(ec, id)
-			}
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"dynprof/internal/des"
+	"dynprof/internal/fault"
 	"dynprof/internal/image"
 	"dynprof/internal/mpi"
 )
@@ -122,7 +123,7 @@ func (c *Ctx) endEpoch(t SyncPoint, chs []Change) {
 	}
 	t.Work(int64(len(chs)) * confApplyCyclesPerRule)
 	if err := c.ApplyChanges(chs); err != nil {
-		c.faultEvent(t, "confsync: "+err.Error())
+		c.inj.Record(t.Now(), fault.KindConfReject, c.node, int(c.rank), "confsync: "+err.Error())
 		c.gen++
 	}
 }

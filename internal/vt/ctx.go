@@ -24,9 +24,10 @@ const (
 	// deactivation table at VT initialisation.
 	initCycles = 1_500_000
 	// flushCyclesPerEvent prices writing one buffered event out when a
-	// per-thread buffer overflows mid-run — the data-pressure cost behind
-	// the paper's motivation that monitoring data grows at megabytes per
-	// second per processor and overwhelms collection.
+	// per-thread buffer reaches its flush threshold mid-run — the
+	// data-pressure cost behind the paper's motivation that monitoring
+	// data grows at megabytes per second per processor and overwhelms
+	// collection.
 	flushCyclesPerEvent = 220
 )
 
@@ -50,11 +51,8 @@ type Ctx struct {
 	buffers []threadBuf // by thread id
 	bytes   int
 
-	bufCap    int
-	overflow  fault.OverflowPolicy
-	inj       *fault.Injector
-	node      int
-	overflows int
+	inj  *fault.Injector
+	node int
 
 	gen     int64
 	pending []Change
@@ -64,11 +62,8 @@ type Ctx struct {
 
 // funcState is one registered function's activation and counters.
 type funcState struct {
-	// cfgOn is the activation the configuration rules derive; active,
-	// which Begin/End consult, may also have been switched off by
-	// overflow handling until the next sync.
-	cfgOn, active bool
-	calls         int64 // enter count (runtime statistics)
+	active bool  // the activation the configuration rules derive
+	calls  int64 // enter count (runtime statistics)
 	// Per-probe cost accounting: hits counts Begin/End firings regardless
 	// of activation (each pays at least the table lookup), recorded the
 	// events actually collected, and cycles every cycle the library charged
@@ -98,15 +93,8 @@ type Options struct {
 	// the writing thread for the I/O. Zero keeps everything buffered
 	// until Flush at termination (the paper's postmortem model).
 	FlushThreshold int
-	// BufferEvents models a fault-injected hard cap on each thread's
-	// trace buffer: when a buffer holds this many events and another
-	// arrives, the Overflow policy decides what gives. Zero means
-	// unbounded (no overflow faults).
-	BufferEvents int
-	// Overflow selects the policy applied when a capped buffer fills.
-	Overflow fault.OverflowPolicy
 	// Faults, when non-nil, receives a structured fault event each time
-	// a buffer overflows.
+	// a VT_confsync rejects its batch of changes.
 	Faults *fault.Injector
 	// Node is the node hosting the rank, for fault-event attribution.
 	Node int
@@ -131,8 +119,6 @@ func NewCtx(opts Options) *Ctx {
 		traceAPI:  opts.TraceAPI,
 		countOnly: opts.CountOnly,
 		flushAt:   opts.FlushThreshold,
-		bufCap:    opts.BufferEvents,
-		overflow:  opts.Overflow,
 		inj:       opts.Faults,
 		node:      opts.Node,
 		ids:       make(map[string]int32),
@@ -171,8 +157,7 @@ func (c *Ctx) FuncDef(name string) int32 {
 	id := int32(len(c.names))
 	c.ids[name] = id
 	c.names = append(c.names, name)
-	on := c.cfg.Active(name)
-	c.fns = append(c.fns, funcState{cfgOn: on, active: on})
+	c.fns = append(c.fns, funcState{active: c.cfg.Active(name)})
 	return id
 }
 
@@ -200,11 +185,7 @@ func (c *Ctx) Calls(id int32) int64 { return c.fns[id].calls }
 type threadBuf struct {
 	full [][]Event // full pooled chunks, oldest first
 	cur  []Event   // the piece being filled; a pooled chunk once cap is chunkEvents
-	// head counts events dropped from the front of the oldest piece
-	// (full[0], else cur) by OverflowDropOldest.
-	head      int
-	n         int  // events held
-	dropNoted bool // the drop-oldest fault was logged for this thread
+	n    int       // events held
 }
 
 // push appends e.
@@ -218,35 +199,15 @@ func (tb *threadBuf) push(e Event) {
 
 // grow makes room in cur for one more event.
 func (tb *threadBuf) grow() {
-	switch {
-	case len(tb.full) == 0 && tb.head > 0 && 2*tb.head >= len(tb.cur):
-		// Mostly dropped from the front: compact in place. The move is
-		// paid once per head drops, so dropping stays O(1) amortised.
-		k := copy(tb.cur, tb.cur[tb.head:])
-		tb.cur, tb.head = tb.cur[:k], 0
-	case cap(tb.cur) == chunkEvents:
-		if tb.full == nil {
-			tb.full = make([][]Event, 0, chainHint)
-		}
-		tb.full = append(tb.full, tb.cur)
-		tb.cur = newChunk()
-	default:
-		tb.cur, tb.head = grown(tb.cur[tb.head:]), 0
+	if cap(tb.cur) != chunkEvents {
+		tb.cur = grown(tb.cur)
+		return
 	}
-}
-
-// dropOldest discards the oldest buffered event.
-func (tb *threadBuf) dropOldest() {
-	tb.head++
-	tb.n--
-	switch {
-	case len(tb.full) > 0 && tb.head == len(tb.full[0]):
-		freeChunk(tb.full[0])
-		tb.full = append(tb.full[:0], tb.full[1:]...)
-		tb.head = 0
-	case len(tb.full) == 0 && tb.head == len(tb.cur):
-		tb.cur, tb.head = tb.cur[:0], 0
+	if tb.full == nil {
+		tb.full = make([][]Event, 0, chainHint)
 	}
+	tb.full = append(tb.full, tb.cur)
+	tb.cur = newChunk()
 }
 
 // buffer returns thread tid's buffer slot, extending the slot table.
@@ -265,9 +226,6 @@ func (c *Ctx) record(ec image.ExecCtx, k Kind, id int32, a, b int64) {
 	}
 	tid := ec.ThreadID()
 	tb := c.buffer(tid)
-	if c.bufCap > 0 && tb.n >= c.bufCap && !c.overflowed(ec, tb, int32(tid), k, id) {
-		return
-	}
 	tb.push(Event{At: ec.Now(), Rank: c.rank, TID: int32(tid), Kind: k, ID: id, A: a, B: b})
 	if c.flushAt > 0 && tb.n >= c.flushAt {
 		// Mid-run buffer flush: the thread pays for draining its own
@@ -281,53 +239,6 @@ func (c *Ctx) record(ec image.ExecCtx, k Kind, id int32, a, b int64) {
 // MidRunFlushes reports how many times a full buffer was drained before
 // program termination.
 func (c *Ctx) MidRunFlushes() int { return c.midFlush }
-
-// overflowed applies the configured overflow policy when thread tid's
-// buffer tb is full and the event (k, id) wants in. It reports whether the
-// arriving event should still be appended.
-func (c *Ctx) overflowed(ec image.ExecCtx, tb *threadBuf, tid int32, k Kind, id int32) bool {
-	c.overflows++
-	switch c.overflow {
-	case fault.OverflowFlushEarly:
-		// Drain the full buffer to the collector, charging the thread
-		// for the I/O, then let the new event start a fresh buffer.
-		n := tb.n
-		ec.Charge(int64(n) * flushCyclesPerEvent)
-		c.col.appendThread(tb)
-		c.midFlush++
-		c.faultEvent(ec, fmt.Sprintf("thread %d buffer full (%d events): flushed early", tid, n))
-		return true
-	case fault.OverflowDropOldest:
-		n := tb.n
-		tb.dropOldest()
-		if !tb.dropNoted {
-			tb.dropNoted = true
-			c.faultEvent(ec, fmt.Sprintf("thread %d buffer full (%d events): dropping oldest", tid, n+1))
-		}
-		return true
-	case fault.OverflowDisableProbe:
-		// Deactivate the offending probe so it stops producing data;
-		// events that have no probe to disable (message and region
-		// records) are discarded instead.
-		if (k == Enter || k == Exit) && id >= 0 && int(id) < len(c.fns) && c.fns[id].active {
-			c.fns[id].active = false
-			c.faultEvent(ec, fmt.Sprintf("thread %d buffer full: disabled probe %s", tid, c.names[id]))
-		}
-		return false
-	}
-	return true
-}
-
-// Overflows reports how many times a fault-capped buffer overflowed.
-func (c *Ctx) Overflows() int { return c.overflows }
-
-// faultEvent logs a trace-overflow fault on the injector, if any.
-func (c *Ctx) faultEvent(ec image.ExecCtx, detail string) {
-	if c.inj == nil {
-		return
-	}
-	c.inj.Record(ec.Now(), fault.KindOverflow, c.node, int(c.rank), detail)
-}
 
 // Begin is VT_begin: charge the table lookup; if the symbol is active,
 // record a timestamped Enter event.
@@ -379,9 +290,6 @@ func (c *Ctx) QueueChanges(chs []Change) {
 	c.pending = append(c.pending, chs...)
 }
 
-// PendingChanges reports how many updates are staged.
-func (c *Ctx) PendingChanges() int { return len(c.pending) }
-
 // UnknownFuncError reports configuration changes whose exact (wildcard-free)
 // patterns name no registered function. Such a change could never alter the
 // activation table; silently absorbing it hides controller and tool bugs.
@@ -401,9 +309,8 @@ func (e *UnknownFuncError) Error() string {
 // patterns (trailing '*') are exempt — they legitimately match functions
 // registered later.
 //
-// Only the batch's rules are applied, in order, to cfgOn; as the last
-// matching rule wins, this equals re-matching every rule ever set. active
-// then takes cfgOn, re-enabling probes overflow handling disabled.
+// Only the batch's rules are applied, in order; as the last matching rule
+// wins, this equals re-matching every rule ever set.
 func (c *Ctx) ApplyChanges(chs []Change) error {
 	var unknown []string
 	for _, ch := range chs {
@@ -421,17 +328,14 @@ func (c *Ctx) ApplyChanges(chs []Change) error {
 		c.cfg.Set(ch.Pattern, ch.Active)
 		prefix, ok := strings.CutSuffix(ch.Pattern, "*")
 		if !ok {
-			c.fns[c.ids[ch.Pattern]].cfgOn = ch.Active
+			c.fns[c.ids[ch.Pattern]].active = ch.Active
 			continue
 		}
 		for id, name := range c.names {
 			if strings.HasPrefix(name, prefix) {
-				c.fns[id].cfgOn = ch.Active
+				c.fns[id].active = ch.Active
 			}
 		}
-	}
-	for id := range c.fns {
-		c.fns[id].active = c.fns[id].cfgOn
 	}
 	c.gen++
 	return nil

@@ -199,30 +199,21 @@ func (col *Collector) Append(events []Event) {
 
 // appendThread appends a thread buffer's events as one batch and empties
 // the buffer. The pooled chunks the buffer chained become the store's own;
-// only a head piece left by OverflowDropOldest and the partly filled
-// current chunk are copied, and the current chunk stays with the thread
-// for reuse.
+// only the partly filled current chunk is copied, and it stays with the
+// thread for reuse.
 func (col *Collector) appendThread(tb *threadBuf) {
 	if tb.n == 0 {
 		return
 	}
-	start, cur := col.store.next(), tb.cur
+	start := col.store.next()
 	if len(tb.full) > 0 {
-		if first := tb.full[0]; tb.head > 0 {
-			col.store.copyIn(first[tb.head:])
-			freeChunk(first)
-		} else {
-			start = len(col.store) << chunkShift
-			col.store = append(col.store, first)
-		}
-		col.store = append(col.store, tb.full[1:]...)
-	} else {
-		cur = cur[tb.head:]
+		start = len(col.store) << chunkShift
+		col.store = append(col.store, tb.full...)
 	}
-	col.store.copyIn(cur)
+	col.store.copyIn(tb.cur)
 	col.addBatch(start, tb.n)
 	clear(tb.full)
-	tb.full, tb.cur, tb.head, tb.n = tb.full[:0], tb.cur[:0], 0, 0
+	tb.full, tb.cur, tb.n = tb.full[:0], tb.cur[:0], 0
 }
 
 // addBatch registers the n events stored from slot start to the store's

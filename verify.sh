@@ -104,8 +104,9 @@ run 'TestScale|TestSpill' -race ./internal/exp/ ./internal/vt/
 go test -race ./internal/serve/ ./cmd/dynprof/
 run TestTenants -race ./internal/exp/
 
-# End-to-end fault smoke (guarded by -short elsewhere): a run with every
-# fault class enabled must terminate via timeout degradation.
+# End-to-end fault smoke (guarded by -short elsewhere): a Dynamic run with
+# a slow node, a stall, a lossy and slow control channel and a mid-run
+# rank crash must terminate via timeout degradation.
 run TestFaultSmoke ./internal/exp/
 
 # Benchmark smoke: one iteration of every layer microbenchmark, so a
@@ -154,8 +155,8 @@ cmp "$smoke/scale1.txt" "$smoke/scale8.txt"
 GOMAXPROCS=1 "$smoke/experiments" -scale -max-cpus 1024 -shards 8 > "$smoke/scale8ser.txt"
 cmp "$smoke/scale8.txt" "$smoke/scale8ser.txt"
 
-# Race pass over the adaptive controller (pure unit tests plus the serve
-# integration already covered above) and the adapt/policy cells.
+# Race pass over the adaptive controller (pure unit tests) and the
+# adapt/policy cells, which run it attached to live sessions.
 go test -race ./internal/adapt/
 run 'TestAdaptConvergence|TestAdaptSpecKey|TestStaticPolicyKeys' -race ./internal/exp/
 
