@@ -51,7 +51,6 @@ func run() error {
 	machName := flag.String("machine", "ibm", "machine preset: ibm or ia32")
 	seed := flag.Uint64("seed", 2003, "simulation seed")
 	trace := flag.String("trace", "", "write the run's trace to this file")
-	traceCompact := flag.Bool("trace-compact", false, "write -trace in the compact binary format (vgv reads both) and print the trace's compact-encoding summary")
 	report := flag.Bool("report", false, "print a postmortem profile after the run")
 	budget := flag.Float64("budget", 0, "adaptive perturbation budget as a fraction (e.g. 0.05); 0 disables the controller")
 	epoch := flag.Int("epoch", 1, "adaptive mode: sync-point crossings per controller epoch")
@@ -90,7 +89,7 @@ func run() error {
 				MaxCtrlPerSec: *maxOps,
 			},
 			Output: os.Stdout,
-		}, *traceCompact, *seed, *procs, args)
+		}, *seed, *procs, args)
 	}
 	if len(args) < 4 {
 		return fmt.Errorf("usage: dynprof [flags] <stdin> <stdout> <timefile> <target> [key=val ...]")
@@ -216,22 +215,14 @@ func run() error {
 			sum.ActiveProbes, sum.TotalProbes, sum.Deactivated, sum.Reactivated)
 	}
 
-	if *traceCompact {
-		st := ss.Job().Collector().CompactStats()
-		fmt.Fprintf(out, "dynprof: compact trace: %d events in, %d records out (%d repeats), %d bytes stored, %d bytes saved (%.1fx)\n",
-			st.EventsIn, st.Records, st.Repeats, st.Bytes, st.Saved(), st.Ratio())
-	}
 	if *trace != "" {
+		printCompactSummary(out, ss.Job().Collector().CompactStats())
 		f, err := os.Create(*trace)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		write := ss.Job().Collector().WriteTrace
-		if *traceCompact {
-			write = ss.Job().Collector().WriteCompactTrace
-		}
-		if err := write(f); err != nil {
+		if err := ss.Job().Collector().WriteTrace(f); err != nil {
 			return err
 		}
 	}
@@ -246,9 +237,9 @@ func run() error {
 
 // serveJobs runs the multi-tenant session server: one synthetic resident
 // job per name, each on its own node range, serving the line protocol on
-// ln until a client issues shutdown. With compactSummary it reports the
-// jobs' combined trace compact-encoding counters at shutdown.
-func serveJobs(ln net.Listener, cfg serve.Config, compactSummary bool, seed uint64, procs int, jobs []string) error {
+// ln until a client issues shutdown. At shutdown it reports the jobs'
+// combined trace compact-encoding counters.
+func serveJobs(ln net.Listener, cfg serve.Config, seed uint64, procs int, jobs []string) error {
 	defer ln.Close()
 	if len(jobs) == 0 {
 		return fmt.Errorf("usage: dynprof -serve ADDR [flags] <job> [job ...]")
@@ -267,19 +258,22 @@ func serveJobs(ln net.Listener, cfg serve.Config, compactSummary bool, seed uint
 	fmt.Fprintf(os.Stderr,
 		"dynprof: served %d sessions (%d evicted, %d suspended, %d resumed, %d lease-expired); %d probe-state recoveries\n",
 		st.Admitted, st.Evicted, st.Suspended, st.Resumed, st.Expired, len(sv.Recoveries()))
-	if compactSummary {
-		var agg vt.CompactStats
-		for _, name := range sv.Jobs() {
-			cs := sv.Job(name).Guide().Collector().CompactStats()
-			agg.EventsIn += cs.EventsIn
-			agg.Records += cs.Records
-			agg.Repeats += cs.Repeats
-			agg.Bytes += cs.Bytes
-		}
-		fmt.Fprintf(os.Stderr, "dynprof: compact trace: %d events in, %d records out (%d repeats), %d bytes stored, %d bytes saved (%.1fx)\n",
-			agg.EventsIn, agg.Records, agg.Repeats, agg.Bytes, agg.Saved(), agg.Ratio())
+	var agg vt.CompactStats
+	for _, name := range sv.Jobs() {
+		cs := sv.Job(name).Guide().Collector().CompactStats()
+		agg.EventsIn += cs.EventsIn
+		agg.Records += cs.Records
+		agg.Repeats += cs.Repeats
+		agg.Bytes += cs.Bytes
 	}
+	printCompactSummary(os.Stderr, agg)
 	return err
+}
+
+// printCompactSummary reports a trace's compact-encoding counters.
+func printCompactSummary(w io.Writer, st vt.CompactStats) {
+	fmt.Fprintf(w, "dynprof: compact trace: %d events in, %d records out (%d repeats), %d bytes stored, %d bytes saved (%.1fx)\n",
+		st.EventsIn, st.Records, st.Repeats, st.Bytes, st.Saved(), st.Ratio())
 }
 
 // crashPlan derives an injected fault plan from the recovery flags: every

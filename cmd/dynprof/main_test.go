@@ -124,7 +124,7 @@ func TestServeSmoke(t *testing.T) {
 			MaxSessions:  4,
 			MaxQueue:     -1,
 			DefaultQuota: serve.Quota{MaxProbes: 8},
-		}, false, 2003, 4, []string{"smg98"})
+		}, 2003, 4, []string{"smg98"})
 	}()
 	c, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {

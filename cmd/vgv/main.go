@@ -1,7 +1,7 @@
 // Command vgv is the postmortem analysis tool: the stand-in for the
-// Vampir/GuideView GUI. It reads a trace file (written by cmd/asci or
-// cmd/dynprof, textual or compact binary — the format is sniffed) and
-// prints the time-line display and/or a per-function profile.
+// Vampir/GuideView GUI. It reads a trace file written by cmd/asci or
+// cmd/dynprof and prints the time-line display and/or a per-function
+// profile.
 //
 //	vgv -trace smg.vgv -timeline -width 100 -top 15
 package main
@@ -37,7 +37,7 @@ func run() error {
 		return err
 	}
 	defer f.Close()
-	col, err := vt.ReadTraceAuto(f)
+	col, err := vt.ReadTrace(f)
 	if err != nil {
 		return err
 	}

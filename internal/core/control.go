@@ -45,10 +45,8 @@ func (m *ControlMonitor) Hits() int { return m.hits }
 // none) on rank 0's library instance and resumes the target. Serve must
 // run on its own simulation process; it returns when the job completes.
 func (m *ControlMonitor) Serve(p *des.Proc, decide func(hit dpcl.Event) []vt.Change) {
-	done := des.NewGate("monitor-done", false)
 	watcher := p.Scheduler().Spawn("monitor-watch", func(wp *des.Proc) {
 		m.job.WaitAll(wp)
-		done.Set(true)
 		// Unblock the monitor if it is waiting for a stop that will
 		// never come.
 		m.cl.Events().Put(dpcl.Event{Kind: "job-done"})

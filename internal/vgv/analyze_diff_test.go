@@ -2,8 +2,10 @@ package vgv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -179,15 +181,75 @@ func TestWritersReportWriteErrors(t *testing.T) {
 	}
 }
 
-// FuzzAnalyze parses fuzzed text with vt.ReadTrace and, for every trace it
-// accepts, requires Analyze and RenderTimeline to agree with the reference
-// implementations. The seed corpus in testdata/fuzz/FuzzAnalyze covers
-// negative ranks and thread ids, ids at the int32 limits, orphan exits and
-// lanes that change on every event.
+// fuzzCollector builds FuzzAnalyze's collector from fuzz bytes: records
+// of a tag byte and zigzag varints. An even tag declares a function: rank,
+// id, and a name of as many bytes as the next varint says. An odd tag
+// appends an event: kind, time, rank, thread id, function id, A and B. The
+// events form one Append batch in record order. Input a trace file cannot
+// carry — a record cut short, or a rank, thread id, function id or message
+// peer outside int32 — builds nothing.
+func fuzzCollector(input []byte) (*vt.Collector, bool) {
+	funcs := make(map[int32]map[int32]string)
+	var evs []vt.Event
+	ok := true
+	next := func() int64 {
+		v, n := binary.Varint(input)
+		if n <= 0 {
+			ok = false
+			return 0
+		}
+		input = input[n:]
+		return v
+	}
+	next32 := func() int32 {
+		v := next()
+		if v < math.MinInt32 || v > math.MaxInt32 {
+			ok = false
+		}
+		return int32(v)
+	}
+	for ok && len(input) > 0 {
+		tag := input[0]
+		input = input[1:]
+		if tag%2 == 0 {
+			rank, id, n := next32(), next32(), next()
+			if !ok || n < 0 || n > int64(len(input)) {
+				return nil, false
+			}
+			if funcs[rank] == nil {
+				funcs[rank] = make(map[int32]string)
+			}
+			funcs[rank][id] = string(input[:n])
+			input = input[n:]
+			continue
+		}
+		e := vt.Event{Kind: vt.Kind(next())}
+		e.At, e.Rank, e.TID, e.ID, e.A, e.B = des.Time(next()), next32(), next32(), next32(), next(), next()
+		if (e.Kind == vt.MsgSend || e.Kind == vt.MsgRecv) && int64(int32(e.A)) != e.A {
+			ok = false
+		}
+		evs = append(evs, e)
+	}
+	if !ok {
+		return nil, false
+	}
+	col := vt.NewCollector()
+	for rank, table := range funcs {
+		col.AddFuncTable(rank, table)
+	}
+	col.Append(evs)
+	return col, true
+}
+
+// FuzzAnalyze builds a collector from fuzz bytes (fuzzCollector) and
+// requires Analyze and RenderTimeline to agree with the reference
+// implementations on it. The seed corpus in testdata/fuzz/FuzzAnalyze
+// covers negative ranks and thread ids, ids at the int32 limits, orphan
+// exits and lanes that change on every event.
 func FuzzAnalyze(f *testing.F) {
 	f.Fuzz(func(t *testing.T, input []byte) {
-		col, err := vt.ReadTrace(bytes.NewReader(input))
-		if err != nil {
+		col, ok := fuzzCollector(input)
+		if !ok {
 			return
 		}
 		defer col.Release()

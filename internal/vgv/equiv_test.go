@@ -2,8 +2,8 @@ package vgv
 
 import (
 	"bytes"
-	"io"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"dynprof/internal/apps"
@@ -15,10 +15,10 @@ import (
 
 // A trace has one in-memory representation (the collector's arena) and is
 // encoded in compact blocks only where it leaves memory, so the encoding
-// must be invisible to analysis: every VGV rendering — directly, after a
-// forced spill cycle, after a round trip through the binary trace file and
-// after one through the textual trace file — must be byte-identical. This
-// suite enforces that per kernel at Full instrumentation.
+// must be invisible to analysis: the ordered view and every VGV rendering —
+// directly, after a forced spill cycle and after a round trip through the
+// trace file — must be identical. This suite enforces that per kernel at
+// Full instrumentation.
 
 var equivKernels = []struct {
 	app   string
@@ -64,7 +64,7 @@ func runKernel(t *testing.T, name string, args map[string]int, procs int, spillP
 }
 
 // renderAll produces every VGV artifact of a trace: timeline, profile
-// report, call graph, communication matrix and the textual trace dump.
+// report, call graph, communication matrix and the trace file.
 func renderAll(t *testing.T, col *vt.Collector) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
@@ -97,11 +97,16 @@ func renderAll(t *testing.T, col *vt.Collector) map[string][]byte {
 	return out
 }
 
-// compareRenderings byte-compares every artifact, the raw trace dump
-// included: function-id assignment follows declaration order, so sibling
-// runs of the same deck produce identical ids and identical dumps.
-func compareRenderings(t *testing.T, label string, want, got map[string][]byte) {
+// compareRenderings byte-compares every artifact, the trace file included
+// (function-id assignment follows declaration order, so sibling runs of
+// the same deck produce identical ids and identical files), and requires
+// the same ordered events.
+func compareRenderings(t *testing.T, label string, wantCol, gotCol *vt.Collector, want map[string][]byte) {
 	t.Helper()
+	if !reflect.DeepEqual(wantCol.Ordered().AppendTo(nil), gotCol.Ordered().AppendTo(nil)) {
+		t.Errorf("%s: ordered view diverges", label)
+	}
+	got := renderAll(t, gotCol)
 	for artifact, w := range want {
 		if !bytes.Equal(w, got[artifact]) {
 			t.Errorf("%s: %s diverges from reference rendering", label, artifact)
@@ -109,18 +114,18 @@ func compareRenderings(t *testing.T, label string, want, got map[string][]byte) 
 	}
 }
 
-// readBack reads a trace file written by write back into a collector.
-func readBack(t *testing.T, write func(io.Writer) error) *vt.Collector {
+// readBack writes col's trace file and reads it back into a collector.
+func readBack(t *testing.T, col *vt.Collector) *vt.Collector {
 	t.Helper()
 	var file bytes.Buffer
-	if err := write(&file); err != nil {
+	if err := col.WriteTrace(&file); err != nil {
 		t.Fatal(err)
 	}
-	col, err := vt.ReadTraceAuto(&file)
+	back, err := vt.ReadTrace(&file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return col
+	return back
 }
 
 func TestCompactVGVEquivalence(t *testing.T) {
@@ -144,15 +149,11 @@ func TestCompactVGVEquivalence(t *testing.T) {
 			if err := spilling.SpillErr(); err != nil {
 				t.Fatal(err)
 			}
-			compareRenderings(t, "spilling", want, renderAll(t, spilling))
+			compareRenderings(t, "spilling", mem, spilling, want)
 
-			fromBinary := readBack(t, mem.WriteCompactTrace)
-			defer fromBinary.Release()
-			compareRenderings(t, "binary file", want, renderAll(t, fromBinary))
-
-			fromText := readBack(t, mem.WriteTrace)
-			defer fromText.Release()
-			compareRenderings(t, "text file", want, renderAll(t, fromText))
+			fromFile := readBack(t, mem)
+			defer fromFile.Release()
+			compareRenderings(t, "trace file", mem, fromFile, want)
 		})
 	}
 }

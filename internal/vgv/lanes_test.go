@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
 
 	"dynprof/internal/vt"
@@ -64,22 +63,16 @@ func TestIDTableBudget(t *testing.T) {
 // thread ids, function ids and peers sit near ±2³¹: the dense tables must
 // not grow toward them.
 func TestAnalyzeBoundsAllocationOnHugeIDs(t *testing.T) {
-	var b strings.Builder
-	for _, line := range []string{
-		"FUNC 2147483647 2147483646 top",
-		"EVT 1 2147483647 2147483646 enter 2147483646 0 0",
-		"EVT 2 -2147483648 -2147483647 enter -2147483648 0 0",
-		"EVT 3 2147483647 2147483646 send 0 2147483645 8",
-		"EVT 4 2147483647 2147483646 exit 2147483646 0 0",
-		"EVT 5 2147483000 2147483000 renter 0 0 0",
-		"EVT 6 2147483000 2147483000 rexit 0 0 0",
-	} {
-		b.WriteString(line + "\n")
-	}
-	col, err := vt.ReadTrace(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := vt.NewCollector()
+	col.AddFuncTable(math.MaxInt32, map[int32]string{math.MaxInt32 - 1: "top"})
+	col.Append([]vt.Event{
+		{At: 1, Rank: math.MaxInt32, TID: math.MaxInt32 - 1, Kind: vt.Enter, ID: math.MaxInt32 - 1},
+		{At: 2, Rank: math.MinInt32, TID: math.MinInt32 + 1, Kind: vt.Enter, ID: math.MinInt32},
+		{At: 3, Rank: math.MaxInt32, TID: math.MaxInt32 - 1, Kind: vt.MsgSend, A: math.MaxInt32 - 2, B: 8},
+		{At: 4, Rank: math.MaxInt32, TID: math.MaxInt32 - 1, Kind: vt.Exit, ID: math.MaxInt32 - 1},
+		{At: 5, Rank: 2147483000, TID: 2147483000, Kind: vt.RegionEnter},
+		{At: 6, Rank: 2147483000, TID: 2147483000, Kind: vt.RegionExit},
+	})
 	defer col.Release()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -11,14 +11,14 @@ import (
 // pooled, fixed-capacity event chunk. A thread buffer chains chunks once it
 // outgrows a small slice (ctx.go); Collector.Append adopts a batch's full
 // chunks instead of copying them, so the resident store is a list of owned
-// chunks that is never regrown (event.go); the text and binary readers and
+// chunks that is never regrown (event.go); the trace-file reader and
 // the spill decoder fill pooled chunks directly; and the time-ordered view
 // every reader shares is itself a list of chunks, merged once per collector
 // state.
 
 // chunkShift and chunkEvents size one pooled chunk: 4096 events, 160 KiB.
-// A text trace read back is batched one chunk per batch, so chunkEvents is
-// also the batch size of a trace with no boundaries of its own.
+// A trace file holds one frame of chunkEvents ordered events per chunk, and
+// its reader batches it the same way.
 const (
 	chunkShift  = 12
 	chunkEvents = 1 << chunkShift

@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
-	"strings"
 	"testing"
 
 	"dynprof/internal/des"
@@ -50,33 +49,42 @@ func genLaneBatches(rng *rand.Rand) (lanes []int, batches [][]Event) {
 	return lanes, batches
 }
 
-// oracleCompactFile is WriteCompactTrace's output for a collector with no
-// function tables holding batches, each encoded as one contiguous slice,
-// and the matching suppression counters.
-func oracleCompactFile(batches [][]Event) ([]byte, CompactStats) {
+// oracleStats are the suppression counters of batches, each encoded as
+// one contiguous slice.
+func oracleStats(batches [][]Event) CompactStats {
 	var st CompactStats
 	var enc encoder
-	total := 0
-	var frames []byte
 	for _, b := range batches {
-		block, recs, reps := enc.encodeBlock(nil, b)
+		block, recs, reps := enc.refEncodeBlock(nil, b)
 		st.add(len(b), len(block), recs, reps)
-		frames = binary.AppendUvarint(frames, uint64(len(b)))
-		frames = binary.AppendUvarint(frames, uint64(len(block)))
-		frames = append(frames, block...)
-		total += len(b)
 	}
+	return st
+}
+
+// oracleTraceFile is WriteTrace's output for a collector with no function
+// tables whose ordered view is ordered: the events cut into frames of
+// chunkEvents, each encoded by the reference encoder.
+func oracleTraceFile(ordered []Event) []byte {
 	file := append([]byte(traceMagic), CompactVersion, 0)
-	file = binary.AppendUvarint(file, uint64(total))
-	return append(file, frames...), st
+	file = binary.AppendUvarint(file, uint64(len(ordered)))
+	var enc encoder
+	for at := 0; at < len(ordered); at += chunkEvents {
+		frame := ordered[at:min(at+chunkEvents, len(ordered))]
+		block, _, _ := enc.refEncodeBlock(nil, frame)
+		file = binary.AppendUvarint(file, uint64(len(frame)))
+		file = binary.AppendUvarint(file, uint64(len(block)))
+		file = append(file, block...)
+	}
+	return file
 }
 
 // TestChunkedCollectorMatchesOracles drives the chunk store through both
 // entry points — Append copying a caller's slice, and thread buffers whose
 // chained chunks the collector adopts, reused across flushes — optionally under a random spill
 // threshold. The ordered view must equal a stable sort by At of the
-// insertion stream, and CompactStats and WriteCompactTrace must equal
-// encoding each batch as one contiguous slice.
+// insertion stream, CompactStats must equal encoding each batch as one
+// contiguous slice, and WriteTrace must equal encoding the sorted stream
+// in frames of chunkEvents.
 func TestChunkedCollectorMatchesOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for iter := 0; iter < 60; iter++ {
@@ -142,12 +150,11 @@ func TestChunkedCollectorMatchesOracles(t *testing.T) {
 			t.Fatalf("iter %d: a second Ordered call rebuilt the view", iter)
 		}
 
-		file, st := oracleCompactFile(received)
-		if got := col.CompactStats(); got != st {
+		if got, st := col.CompactStats(), oracleStats(received); got != st {
 			t.Fatalf("iter %d: CompactStats %+v, contiguous oracle %+v", iter, got, st)
 		}
-		if got := writeCompact(t, col); !bytes.Equal(got, file) {
-			t.Fatalf("iter %d: WriteCompactTrace differs from the contiguous oracle", iter)
+		if got := writeTrace(t, col); !bytes.Equal(got, oracleTraceFile(want)) {
+			t.Fatalf("iter %d: WriteTrace differs from the frame oracle", iter)
 		}
 		col.Release()
 	}
@@ -196,18 +203,22 @@ func TestCountOnlyCollectorHoldsNoChunk(t *testing.T) {
 	}
 }
 
-// TestReadTraceScanErrorReturnsNoCollector: a scan failure after events
-// were parsed (a line over the 1 MiB limit) must return only the error,
-// not a live collector holding pooled chunks.
+// TestReadTraceScanErrorReturnsNoCollector: a file cut short after whole
+// frames were decoded must return only the error, not a live collector
+// holding pooled chunks.
 func TestReadTraceScanErrorReturnsNoCollector(t *testing.T) {
-	in := "EVT 1 0 0 enter 0 0 0\nEVT 2 0 0 exit 0 0 0\n" + strings.Repeat("y", 1<<20+1)
-	col, err := ReadTrace(strings.NewReader(in))
-	if err == nil || col != nil {
-		t.Fatalf("got collector %v, error %v; want nil and an error", col != nil, err)
+	col := NewCollector()
+	defer col.Release()
+	col.Append(mkBatch(0, 0, 3*chunkEvents))
+	file := writeTrace(t, col)
+	back, err := ReadTrace(bytes.NewReader(file[:len(file)-1]))
+	var fe *FormatError
+	if !errors.As(err, &fe) || back != nil {
+		t.Fatalf("got collector %v, error %v; want nil and a *FormatError", back != nil, err)
 	}
 }
 
-// outOfRangeTrace is a binary trace file declaring one rank, 2^32+3, with
+// outOfRangeTrace is a trace file declaring one rank, 2^32+3, with
 // one function, id 2^32+7, named "f", and no events. Cast to int32 the
 // ids once loaded as rank 3 and function 7.
 func outOfRangeTrace(rank, id int64) []byte {
@@ -226,11 +237,11 @@ func TestReadCompactTraceRejectsOutOfRangeIDs(t *testing.T) {
 		"id":          outOfRangeTrace(0, 1<<31),
 	} {
 		var fe *FormatError
-		if col, err := ReadTraceAuto(bytes.NewReader(raw)); !errors.As(err, &fe) || col != nil {
+		if col, err := ReadTrace(bytes.NewReader(raw)); !errors.As(err, &fe) || col != nil {
 			t.Errorf("%s: got collector %v, error %v; want *FormatError", name, col != nil, err)
 		}
 	}
-	col, err := ReadTraceAuto(bytes.NewReader(outOfRangeTrace(1<<31-1, -1<<31)))
+	col, err := ReadTrace(bytes.NewReader(outOfRangeTrace(1<<31-1, -1<<31)))
 	if err != nil {
 		t.Fatalf("int32 extremes rejected: %v", err)
 	}

@@ -143,7 +143,8 @@ func benchDumpCollector() *Collector {
 	return col
 }
 
-// BenchmarkCollectorWriteTrace measures the dump path end to end.
+// BenchmarkCollectorWriteTrace measures writing the trace file end to end:
+// the ordered view cut into frames and each frame encoded.
 func BenchmarkCollectorWriteTrace(b *testing.B) {
 	b.ReportAllocs()
 	col := benchDumpCollector()
@@ -155,7 +156,7 @@ func BenchmarkCollectorWriteTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkReadTrace measures parsing BenchmarkCollectorWriteTrace's dump
+// BenchmarkReadTrace measures reading BenchmarkCollectorWriteTrace's file
 // back into a collector.
 func BenchmarkReadTrace(b *testing.B) {
 	b.ReportAllocs()
@@ -205,20 +206,31 @@ func BenchmarkCollectorSpill(b *testing.B) {
 	}
 }
 
-// BenchmarkCompactEncode measures the raw encoder on loop-shaped input:
-// ns/event and bytes/event of one block encode.
+// BenchmarkCompactEncode measures the raw encoder, ns/event and
+// bytes/event of one block encode, on loop-shaped input and on near
+// repeats, where most events have twins at several periods but few
+// matches run a whole period.
 func BenchmarkCompactEncode(b *testing.B) {
-	b.ReportAllocs()
-	evs := benchLoopBatch(4096)
-	var enc encoder
-	buf, _, _ := enc.encodeBlock(nil, evs)
-	b.SetBytes(int64(len(evs)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, _, _ = enc.encodeBlock(buf[:0], evs)
+	for _, in := range []struct {
+		name string
+		evs  []Event
+	}{
+		{"loop", benchLoopBatch(chunkEvents)},
+		{"near-repeat", nearRepeatBatch(0, chunkEvents)},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var enc encoder
+			buf, _, _ := enc.encodeBlock(nil, in.evs)
+			b.SetBytes(int64(len(in.evs)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf, _, _ = enc.encodeBlock(buf[:0], in.evs)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(len(buf))/float64(len(in.evs)), "bytes/event")
+		})
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(buf))/float64(len(evs)), "bytes/event")
 }
 
 // BenchmarkCompactDecode measures reconstruction of the same block.
@@ -235,20 +247,6 @@ func BenchmarkCompactDecode(b *testing.B) {
 		var err error
 		out, _, _, err = dec.block(block, len(evs), out[:0])
 		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCollectorWriteCompactTrace is the compact dump path against
-// BenchmarkCollectorWriteTrace's exact workload: every batch is encoded at
-// write time (text formatting vs block encoding).
-func BenchmarkCollectorWriteCompactTrace(b *testing.B) {
-	b.ReportAllocs()
-	col := benchDumpCollector()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := col.WriteCompactTrace(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

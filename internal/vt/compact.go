@@ -22,9 +22,10 @@ import (
 // repeat record instead of N verbatim events, with exact reconstruction on
 // decode.
 //
-// The encoding is applied where the trace leaves memory: spill files and
-// binary trace files hold one block per Collector Append batch, while the
-// collector itself keeps the verbatim chunk store (event.go, chunk.go).
+// The encoding is applied where the trace leaves memory: a spill file holds
+// one block per Collector Append batch, and a trace file one block per
+// chunkEvents events of the time-ordered view, while the collector itself
+// keeps the verbatim chunk store (event.go, chunk.go).
 //
 //	block   := op*                      (the event count travels out of band,
 //	                                     in the frame header)
@@ -82,7 +83,7 @@ const (
 // interpreted. Readers return it instead of silently misparsing records
 // written by a different format revision.
 type FormatError struct {
-	// What names the artifact: "spill file", "compact trace", "compact block".
+	// What names the artifact: "spill file", "trace file", "compact block".
 	What string
 	// Version is the unrecognised format version, or -1 for a structural
 	// (corruption) failure.
@@ -183,9 +184,24 @@ type encoder struct {
 	idIdx    []int32 // id -> dictionary index + 1; 0 = unassigned
 	assigned []int32 // ids assigned in the current block, for cheap reset
 	dictN    int
-	scratch  []byte  // block buffer reused by eachBlock
-	events   []Event // gathers a batch that spans chunks, for eachBlock
+	scratch  []byte  // block buffer reused by eachBlock and WriteTrace
+	events   []Event // gathers events that span chunks into one block
+
+	// The repeat detector's tables. head maps an event's (tuple, Δt) hash
+	// to the latest position holding it, and prev chains each position to
+	// the previous one with the same hash, so only earlier positions that
+	// can match are tried as periods. until[l] memoises the end of the
+	// latest elementwise match of period l. Positions are absolute: each
+	// block starts maxPattern+1 past the end of the one before, so entries
+	// left by earlier blocks lie beyond every period and need no reset.
+	head  [1 << hashBits]int
+	prev  [2 * maxPattern]int // ring over positions: all within maxPattern of the current one
+	until [maxPattern + 1]int
+	base  int // absolute position of the current block's first event
 }
+
+// hashBits sizes the repeat detector's hash table.
+const hashBits = 12
 
 // reset clears the per-block dictionary.
 func (e *encoder) reset() {
@@ -224,42 +240,76 @@ func matchRun(evs []Event, i, l int) int {
 	return k
 }
 
+// evHash hashes what evEq compares at position i into hashBits bits.
+func evHash(evs []Event, i int) int {
+	e := &evs[i]
+	h := uint64(deltaAt(evs, i))*0x9e3779b97f4a7c15 ^
+		uint64(e.A)*0xc2b2ae3d27d4eb4f ^
+		uint64(e.B)*0x165667b19e3779f9 ^
+		(uint64(uint32(e.Rank))<<32|uint64(uint32(e.TID)))*0xd6e8feb86659fd93 ^
+		(uint64(e.Kind)<<32|uint64(uint32(e.ID)))*0xff51afd7ed558ccd
+	h ^= h >> 29
+	return int(h * 0x94d049bb133111eb >> (64 - hashBits))
+}
+
+// insert enters block position i, whose hash is h, into the hash chains.
+func (e *encoder) insert(i, h int) {
+	pos := e.base + i
+	e.prev[pos%len(e.prev)] = e.head[h]
+	e.head[h] = pos
+}
+
+// period returns the repeat to encode at position i, whose hash is h: the
+// smallest period l with at least one full extra copy (a period-P loop is
+// caught at l == P; larger l only splinters it) and how far the match
+// runs, or zero for none. It tries the earlier positions with i's hash,
+// nearest first, and every period's match length is computed once per
+// match: inside an earlier match of period l, until[l]-i is the answer.
+func (e *encoder) period(evs []Event, i, h int) (l, run int) {
+	pos := e.base + i
+	for j := e.head[h]; pos-j <= min(i, maxPattern); j = e.prev[j%len(e.prev)] {
+		l := pos - j
+		if !evEq(evs, i, i-l) {
+			continue
+		}
+		r := e.until[l] - pos
+		if r <= 0 {
+			r = matchRun(evs, i, l)
+			e.until[l] = pos + r
+		}
+		if r >= l {
+			return l, r
+		}
+	}
+	return 0, 0
+}
+
 // encodeBlock appends one block encoding evs to dst, returning the grown
 // buffer and the op counts (records total, repeat records among them).
 func (e *encoder) encodeBlock(dst []byte, evs []Event) (out []byte, recs, reps int) {
 	e.reset()
+	e.base += maxPattern + 1
 	var prevAt des.Time
 	var prevRank, prevTid int32
 	for i := 0; i < len(evs); {
-		// Repeat detection: the smallest period with at least one full
-		// extra copy wins (a period-P loop is caught at l == P; larger l
-		// only splinters it).
-		maxL := i
-		if maxL > maxPattern {
-			maxL = maxPattern
-		}
-		bestL, run := 0, 0
-		for l := 1; l <= maxL; l++ {
-			if !evEq(evs, i, i-l) {
-				continue
-			}
-			if r := matchRun(evs, i, l); r >= l {
-				bestL, run = l, r
-				break
-			}
-		}
-		if bestL > 0 {
-			copies := run / bestL
+		h := evHash(evs, i)
+		if bestL, run := e.period(evs, i, h); bestL > 0 {
+			n := run / bestL * bestL
 			dst = append(dst, tagRepeat|byte(bestL))
-			dst = binary.AppendUvarint(dst, uint64(copies))
-			last := i + copies*bestL - 1
-			prevAt = evs[last].At
-			prevRank, prevTid = evs[last].Rank, evs[last].TID
-			i += copies * bestL
+			dst = binary.AppendUvarint(dst, uint64(n/bestL))
+			last := &evs[i+n-1]
+			prevAt, prevRank, prevTid = last.At, last.Rank, last.TID
+			// Only the repeat's last maxPattern positions can be periods
+			// of a later one.
+			for j := max(i, i+n-maxPattern); j < i+n; j++ {
+				e.insert(j, evHash(evs, j))
+			}
+			i += n
 			recs++
 			reps++
 			continue
 		}
+		e.insert(i, h)
 
 		ev := &evs[i]
 		tag := byte(0)
@@ -325,6 +375,7 @@ func (e *encoder) encodeBlock(dst []byte, evs []Event) (out []byte, recs, reps i
 		recs++
 		i++
 	}
+	e.base += len(evs)
 	return dst, recs, reps
 }
 
@@ -468,6 +519,11 @@ func (d *decoder) block(src []byte, count int, dst []Event) (out []Event, recs, 
 // into it; a larger one is decoded into *scratch, which the caller keeps
 // and reuses, and copied in. Either way c stays densely filled.
 func decodeInto(c *chain, dec *decoder, src []byte, count int, scratch *[]Event) error {
+	if len(*c) == 0 && count >= chunkEvents {
+		// A first block of a whole chunk starts the chain on a pooled
+		// chunk rather than on one grown by doubling from minBuf.
+		*c = append(make(chain, 0, chainHint), newChunk())
+	}
 	var err error
 	if last := c.room(); count <= cap(last)-len(last) {
 		(*c)[len(*c)-1], _, _, err = dec.block(src, count, last)
@@ -479,23 +535,41 @@ func decodeInto(c *chain, dec *decoder, src []byte, count int, scratch *[]Event)
 	return err
 }
 
-// Binary trace-file format (version 2): the compact counterpart of the
-// textual "# vgvtrace 1" format, readable by ReadCompactTrace and sniffed
-// by ReadTraceAuto.
+// Trace-file format (version 2), the one file WriteTrace writes and
+// ReadTrace reads:
 //
 //	"VGVC" version(1)
 //	uvarint nRanks { svarint rank, uvarint nFuncs { svarint id, uvarint len, name } }
 //	uvarint totalEvents
 //	frame* where frame := uvarint count, uvarint blockLen, block
+//
+// WriteTrace cuts the frames from the time-ordered view, chunkEvents
+// events each and only the last one shorter, so the file is a function of
+// the ordered events and the function tables alone.
 const traceMagic = "VGVC"
 
-// WriteCompactTrace writes the trace in the compact binary format, one
-// frame per Append batch: spilled frames are copied from the spill file,
-// resident batches are encoded here. Reading the file back reconstructs a
-// collector whose ordered view — and therefore every VGV rendering —
-// is byte-identical to the source's.
-func (col *Collector) WriteCompactTrace(w io.Writer) error {
-	bw := bufio.NewWriter(w)
+// legacyTextMagic opens the textual traces older builds wrote; ReadTrace
+// names them instead of reporting a bad magic.
+const legacyTextMagic = "# vgvtrace"
+
+// traceFormatError is a structural failure of a trace file.
+func traceFormatError(detail string) *FormatError {
+	return &FormatError{What: "trace file", Version: -1, Detail: detail}
+}
+
+// WriteTrace writes the trace file: the function tables, then the
+// time-ordered view (Ordered) as compact frames. A spilling collector's
+// disk prefix is decoded and merged like any view; a spill failure is
+// returned instead of writing a partial trace. Reading the file back
+// reconstructs a collector whose ordered view — and therefore every VGV
+// rendering — is identical to the source's, and writing that collector
+// again reproduces the file.
+func (col *Collector) WriteTrace(w io.Writer) error {
+	view := col.Ordered()
+	if err := col.SpillErr(); err != nil {
+		return err
+	}
+	bw := bufio.NewWriterSize(w, 64<<10)
 	bw.WriteString(traceMagic)
 	bw.WriteByte(CompactVersion)
 	var scratch [binary.MaxVarintLen64]byte
@@ -520,62 +594,87 @@ func (col *Collector) WriteCompactTrace(w io.Writer) error {
 		}
 	}
 
-	writeU(uint64(col.Len()))
-	if col.spill != nil && col.spill.count > 0 {
-		if err := col.spill.copyFrames(bw); err != nil {
+	writeU(uint64(view.Len()))
+	enc := encoderPool.Get().(*encoder)
+	defer encoderPool.Put(enc)
+	writeFrame := func(evs []Event) error {
+		enc.scratch, _, _ = enc.encodeBlock(enc.scratch[:0], evs)
+		writeU(uint64(len(evs)))
+		writeU(uint64(len(enc.scratch)))
+		_, err := bw.Write(enc.scratch)
+		return err
+	}
+	// A view chunk that starts a frame and holds a whole one is encoded in
+	// place; anything else is gathered into the encoder's event scratch.
+	frame := enc.events[:0]
+	for _, ch := range view.Chunks() {
+		for len(ch) > 0 {
+			if len(frame) == 0 && len(ch) >= chunkEvents {
+				if err := writeFrame(ch[:chunkEvents]); err != nil {
+					return err
+				}
+				ch = ch[chunkEvents:]
+				continue
+			}
+			k := min(chunkEvents-len(frame), len(ch))
+			frame, ch = append(frame, ch[:k]...), ch[k:]
+			if len(frame) == chunkEvents {
+				if err := writeFrame(frame); err != nil {
+					return err
+				}
+				frame = frame[:0]
+			}
+		}
+	}
+	enc.events = frame
+	if len(frame) > 0 {
+		if err := writeFrame(frame); err != nil {
 			return err
 		}
 	}
-	col.eachBlock(func(count int, block []byte, _, _ int) {
-		writeU(uint64(count))
-		writeU(uint64(len(block)))
-		bw.Write(block)
-	})
 	return bw.Flush()
 }
 
-// ReadCompactTrace parses a trace produced by WriteCompactTrace, appending
-// each decoded frame to the collector as one batch, so writing the result
-// with WriteCompactTrace reproduces the file. Frames are decoded straight
-// into the collector's chunks (see decodeInto). An unrecognised magic or
-// version, or a structurally impossible file, is rejected with
-// *FormatError.
-func ReadCompactTrace(r io.Reader) (*Collector, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	col, total, err := readCompactHeader(br)
+// ReadTrace parses a trace file written by WriteTrace, appending each
+// decoded frame to the collector as one batch; the frames of such a file
+// are in time order, so the collector is one timeline and its ordered view
+// is its own chunks. Frames are decoded straight into those chunks (see
+// decodeInto). A textual trace of an older build, an unrecognised magic or
+// version, or a structurally impossible file is rejected with
+// *FormatError; a failing reader's error is returned as itself. Buffers
+// grow only with the bytes the input holds, never with a count its header
+// claims.
+func ReadTrace(r io.Reader) (*Collector, error) {
+	src := &sourceReader{r: r}
+	br := bufio.NewReader(src)
+	var buf bytes.Buffer // a function name or a frame's block
+	col, total, err := readTraceHeader(br, &buf)
 	if err != nil {
-		return nil, err
+		return nil, src.failure(err)
 	}
-	corrupt := func(detail string) (*Collector, error) {
+	fail := func(err error) (*Collector, error) {
 		col.Release()
-		return nil, &FormatError{What: "compact trace", Version: -1, Detail: detail}
+		return nil, src.failure(err)
 	}
 	dec := decoderPool.Get().(*decoder)
 	defer decoderPool.Put(dec)
-	var frame bytes.Buffer
 	var scratch []Event
 	for decoded := uint64(0); decoded < total; {
 		count, err := binary.ReadUvarint(br)
 		if err != nil {
-			return corrupt("truncated frame header")
+			return fail(traceFormatError("truncated frame header"))
 		}
 		blen, err := binary.ReadUvarint(br)
 		if err != nil || count == 0 || count > total-decoded || count > math.MaxInt/maxEventBytes || blen > count*maxEventBytes {
-			return corrupt("bad frame header")
+			return fail(traceFormatError("bad frame header"))
 		}
-		// The buffer grows only as bytes arrive, so a length the input
-		// cannot back never turns into an allocation.
-		frame.Reset()
-		if _, err := io.CopyN(&frame, br, int64(blen)); err != nil {
-			return corrupt("truncated frame")
+		buf.Reset()
+		if _, err := io.CopyN(&buf, br, int64(blen)); err != nil {
+			return fail(traceFormatError("truncated frame"))
 		}
 		start := col.store.next()
-		if err := decodeInto(&col.store, dec, frame.Bytes(), int(count), &scratch); err != nil {
-			col.Release()
-			return nil, err
+		if err := decodeInto(&col.store, dec, buf.Bytes(), int(count), &scratch); err != nil {
+			return fail(err)
 		}
 		col.addBatch(start, int(count))
 		decoded += count
@@ -583,23 +682,52 @@ func ReadCompactTrace(r io.Reader) (*Collector, error) {
 	return col, nil
 }
 
-// readCompactHeader reads a binary trace file's header and function tables
-// into a fresh collector, returning it with the file's claimed event total.
-func readCompactHeader(br *bufio.Reader) (*Collector, uint64, error) {
+// sourceReader remembers the first error other than io.EOF its reader
+// returns, so that a trace cut short by a failing reader is reported with
+// that failure rather than as a truncated file.
+type sourceReader struct {
+	r   io.Reader
+	err error
+}
+
+func (s *sourceReader) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if err != nil && err != io.EOF && s.err == nil {
+		s.err = err
+	}
+	return n, err
+}
+
+// failure is the error to report for a read that stopped with err: the
+// reader's own failure if it had one, else err.
+func (s *sourceReader) failure(err error) error {
+	if s.err != nil {
+		return fmt.Errorf("vt: reading trace file: %w", s.err)
+	}
+	return err
+}
+
+// readTraceHeader reads a trace file's header and function tables into a
+// fresh collector, returning it with the file's claimed event total. buf
+// is scratch for the names.
+func readTraceHeader(br *bufio.Reader, buf *bytes.Buffer) (*Collector, uint64, error) {
+	if peek, _ := br.Peek(len(legacyTextMagic)); string(peek) == legacyTextMagic {
+		return nil, 0, traceFormatError("a textual trace (" + legacyTextMagic + "), which this build no longer reads")
+	}
 	var hdr [5]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, 0, &FormatError{What: "compact trace", Version: -1, Detail: "truncated header"}
+		return nil, 0, traceFormatError("truncated header")
 	}
 	if string(hdr[:4]) != traceMagic {
-		return nil, 0, &FormatError{What: "compact trace", Version: -1, Detail: "bad magic"}
+		return nil, 0, traceFormatError("bad magic")
 	}
 	if hdr[4] != CompactVersion {
-		return nil, 0, &FormatError{What: "compact trace", Version: int(hdr[4])}
+		return nil, 0, &FormatError{What: "trace file", Version: int(hdr[4])}
 	}
 	col := NewCollector()
 	corrupt := func(detail string) (*Collector, uint64, error) {
 		col.Release()
-		return nil, 0, &FormatError{What: "compact trace", Version: -1, Detail: detail}
+		return nil, 0, traceFormatError(detail)
 	}
 	nRanks, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -630,11 +758,11 @@ func readCompactHeader(br *bufio.Reader) (*Collector, uint64, error) {
 			if err != nil || nameLen > 1<<20 {
 				return corrupt("bad function name length")
 			}
-			name := make([]byte, nameLen)
-			if _, err := io.ReadFull(br, name); err != nil {
+			buf.Reset()
+			if _, err := io.CopyN(buf, br, int64(nameLen)); err != nil {
 				return corrupt("truncated function name")
 			}
-			table[int32(id)] = string(name)
+			table[int32(id)] = buf.String()
 		}
 	}
 	total, err := binary.ReadUvarint(br)
@@ -644,12 +772,7 @@ func readCompactHeader(br *bufio.Reader) (*Collector, uint64, error) {
 	return col, total, nil
 }
 
-// ReadTraceAuto reads a trace in either supported format, sniffing the
-// compact binary magic and falling back to the textual parser.
-func ReadTraceAuto(r io.Reader) (*Collector, error) {
-	br := bufio.NewReader(r)
-	if peek, err := br.Peek(len(traceMagic)); err == nil && string(peek) == traceMagic {
-		return ReadCompactTrace(br)
-	}
-	return ReadTrace(br)
-}
+// ReadTraceAuto reads a trace file.
+//
+// Deprecated: ReadTrace reads the one trace format.
+func ReadTraceAuto(r io.Reader) (*Collector, error) { return ReadTrace(r) }

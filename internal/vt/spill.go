@@ -3,7 +3,6 @@ package vt
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 )
 
@@ -222,17 +221,6 @@ func (s *spillSink) decodeAll() (chain, error) {
 		return all, &FormatError{What: "spill file", Version: -1, Detail: "trailing bytes after final frame"}
 	}
 	return all, nil
-}
-
-// copyFrames streams the spill payload — already framed — to w.
-func (s *spillSink) copyFrames(w io.Writer) error {
-	if err := s.checkHeader(); err != nil {
-		return err
-	}
-	if _, err := io.Copy(w, io.NewSectionReader(s.f, int64(spillHdrBytes), int64(s.bytes))); err != nil {
-		return fmt.Errorf("vt: spill: %w", err)
-	}
-	return nil
 }
 
 // close releases and deletes the spill file.

@@ -313,25 +313,25 @@ func TestTraceRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestReadTraceRejectsGarbage: input that is not a whole trace file is
+// rejected with a *FormatError and no collector.
 func TestReadTraceRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
+		"",
 		"BOGUS 1 2 3",
-		"EVT 1 2 3",
-		"EVT x 0 0 enter 0 0 0",
-		"EVT 1 0 0 notakind 0 0 0",
-		"FUNC 1 2",
-		// Ranks, thread ids and function ids are int32 on the wire too.
-		"FUNC 4294967296 0 main",
-		"FUNC 0 -2147483649 main",
-		"EVT 1 4294967296 0 enter 0 0 0",
-		"EVT 1 0 2147483648 enter 0 0 0",
-		"EVT 1 0 0 enter -4294967296 0 0",
+		"VGV",
+		"VGVC\x02",                         // no rank count
+		"VGVC\x02\x01\x00\x01",             // a function table cut short
+		"VGVC\x02\x01\x80\x80\x80\x80\x10", // a rank beyond int32
+		"VGVC\x02\x00\x01",                 // one event and no frame
+		"VGVC\x02\x00\x01\x00\x00",         // a frame of no events
+		"VGVC\x02\x00\x01\x01\x01\x00",     // a literal cut short
+		"VGVC\x02\x00\x01\x01\x02\x40\x00", // a literal cut short after its id
 	} {
-		_, err := ReadTrace(strings.NewReader("# vgvtrace 1\n" + bad + "\n"))
-		if err == nil {
-			t.Errorf("ReadTrace(%q) accepted", bad)
-		} else if !strings.Contains(err.Error(), "line 2:") {
-			t.Errorf("ReadTrace(%q) error %q lacks the line number", bad, err)
+		col, err := ReadTrace(strings.NewReader(bad))
+		var fe *FormatError
+		if !errors.As(err, &fe) || col != nil {
+			t.Errorf("ReadTrace(%q) = %v, %v; want a *FormatError", bad, col, err)
 		}
 	}
 }

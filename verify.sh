@@ -51,30 +51,29 @@ go test ./...
 # tests catch an API change that breaks it.
 go -C bench test ./...
 
-# Fuzz smokes: the textual trace parser must agree with its reference
-# oracle (same accepted inputs, errors and collectors) on mutated input;
-# the binary trace reader must reject bad input only with *FormatError and
-# round-trip whatever it accepts; the spill decoder must reject bad input
-# only with *FormatError, decode exactly the declared events into dense
-# chunks and allocate only what the input accounts for; the VT
-# configuration parser must hold exactly one rule per directive line it
-# accepts; the result journal's loader must ignore any newline-free torn
-# tail; VGV's analysis of any textual trace ReadTrace accepts must equal
-# its reference oracle's; a dynprof script must never panic the tool or
-# the simulation, and is refused with ErrUnknownCommand only for a
-# command outside Table 1.
+# Fuzz smokes: the trace-file reader must reject bad input only with
+# *FormatError and round-trip whatever it accepts; the compact encoder's
+# repeat detector must emit exactly its reference's bytes; the spill
+# decoder must reject bad input only with *FormatError, decode exactly the
+# declared events into dense chunks and allocate only what the input
+# accounts for; the VT configuration parser must hold exactly one rule per
+# directive line it accepts; the result journal's loader must ignore any
+# newline-free torn tail; VGV's analysis of any collector built from fuzz
+# bytes must equal its reference oracle's; a dynprof script must never
+# panic the tool or the simulation, and is refused with ErrUnknownCommand
+# only for a command outside Table 1.
 fuzz FuzzReadTrace ./internal/vt/
-fuzz FuzzReadCompactTrace ./internal/vt/
+fuzz FuzzEncodeBlock ./internal/vt/
 fuzz FuzzSpillReader ./internal/vt/
 fuzz FuzzParseConfig ./internal/vt/
 fuzz FuzzLoadJournal ./internal/exp/
 fuzz FuzzAnalyze ./internal/vgv/
 fuzz FuzzExec ./internal/core/
 
-# Race pass over the textual trace codec's block pipelines (a scanner
-# goroutine, GOMAXPROCS parse and format workers, in-order apply and
-# write, shutdown on error) and over VGV's analysis of what they read.
-run 'TestReadTrace|TestWriteTrace|TestTextCodec|TestAnalyze|TestCompactVGVEquivalence' \
+# Race pass over the trace-file round trip and VGV's analysis of what it
+# reads: the encoder, decoder and chunk pools are shared by every
+# goroutine that handles a trace.
+run 'TestReadTrace|TestWriteTrace|TestTraceFile|TestAnalyze' \
     -race ./internal/vt/ ./internal/vgv/
 
 # Short -race pass over the parallel cell runner.
@@ -170,7 +169,7 @@ run 'TestRecoverCell|TestRecoverStoreRoundTrip' -race ./internal/exp/
 # Race pass over the trace-compaction paths: the compact encoder/decoder,
 # the version-checked spill file, and the per-kernel VGV equivalence
 # suite.
-run 'TestCompact|TestSpillRejects|TestReadTraceAuto' \
+run 'TestCompact|TestSpillRejects' \
     -race ./internal/vt/ ./internal/vgv/ ./internal/exp/
 
 # Parallelism smokes: each on-demand sweep must render the same bytes at
@@ -186,34 +185,28 @@ for args in "-tenants -max-cpus 100" -adapt -recover -compact; do
     cmp "$smoke/$name.1.txt" "$smoke/$name.8.txt"
 done
 
-# Compact smoke: end to end through the CLIs, a run's compact binary trace
-# must decode to the same analysis bytes as the same run's textual trace
-# (vgv sniffs the format).
+# Trace smoke: end to end through the CLIs, the trace files dynprof and
+# asci write must analyse to the same vgv bytes on one host thread as on
+# all of them, and a run repeated on one host thread must write the same
+# file. The iters=20 deck makes the trace span several frames.
 go build -o "$smoke/dynprof" ./cmd/dynprof
+go build -o "$smoke/asci" ./cmd/asci
 go build -o "$smoke/vgv" ./cmd/vgv
-printf 'start\nquit\n' | "$smoke/dynprof" -procs 4 -trace "$smoke/v.vgv" \
-    - - "$smoke/tf1.txt" sweep3d nx=64 ny=4 nz=4 iters=1 > /dev/null
-printf 'start\nquit\n' | "$smoke/dynprof" -procs 4 -trace-compact \
-    -trace "$smoke/c.vgv" - - "$smoke/tf2.txt" sweep3d nx=64 ny=4 nz=4 iters=1 > /dev/null
-"$smoke/vgv" -trace "$smoke/v.vgv" > "$smoke/vgv_verbatim.txt"
-"$smoke/vgv" -trace "$smoke/c.vgv" > "$smoke/vgv_compact.txt"
-cmp "$smoke/vgv_verbatim.txt" "$smoke/vgv_compact.txt"
-# The textual codec and vgv run on GOMAXPROCS workers, so one host thread
-# must write the same trace file and render the same analysis bytes. The
-# iters=20 deck makes the trace span several read blocks and write chunks.
-GOMAXPROCS=1 "$smoke/vgv" -trace "$smoke/v.vgv" > "$smoke/vgv_serial.txt"
-cmp "$smoke/vgv_verbatim.txt" "$smoke/vgv_serial.txt"
 printf 'start\nquit\n' | "$smoke/dynprof" -procs 4 -trace "$smoke/p.vgv" \
-    - - "$smoke/tf3.txt" sweep3d nx=64 ny=4 nz=4 iters=20 > /dev/null
+    - - "$smoke/tf1.txt" sweep3d nx=64 ny=4 nz=4 iters=20 > /dev/null
 printf 'start\nquit\n' | GOMAXPROCS=1 "$smoke/dynprof" -procs 4 -trace "$smoke/p1.vgv" \
-    - - "$smoke/tf4.txt" sweep3d nx=64 ny=4 nz=4 iters=20 > /dev/null
+    - - "$smoke/tf2.txt" sweep3d nx=64 ny=4 nz=4 iters=20 > /dev/null
 cmp "$smoke/p.vgv" "$smoke/p1.vgv"
-"$smoke/vgv" -trace "$smoke/p.vgv" > "$smoke/vgv_p.txt"
-GOMAXPROCS=1 "$smoke/vgv" -trace "$smoke/p.vgv" > "$smoke/vgv_p1.txt"
-cmp "$smoke/vgv_p.txt" "$smoke/vgv_p1.txt"
+"$smoke/asci" -app sppm -policy Full -procs 4 -trace "$smoke/a.vgv" \
+    nx=6 ny=6 nz=6 steps=1 > /dev/null
+for tr in p a; do
+    "$smoke/vgv" -trace "$smoke/$tr.vgv" > "$smoke/vgv_$tr.txt"
+    GOMAXPROCS=1 "$smoke/vgv" -trace "$smoke/$tr.vgv" > "$smoke/vgv_$tr.1.txt"
+    cmp "$smoke/vgv_$tr.txt" "$smoke/vgv_$tr.1.txt"
+done
 
 # A wait the virtual clock cannot take is refused and the script carries
 # on: the run exits 0 and reports the bad duration.
-printf 'wait nan\nstart\nquit\n' | "$smoke/dynprof" -procs 4 - - "$smoke/tf5.txt" \
+printf 'wait nan\nstart\nquit\n' | "$smoke/dynprof" -procs 4 - - "$smoke/tf3.txt" \
     sweep3d nx=64 ny=4 nz=4 iters=1 > "$smoke/waitnan.txt"
 grep -q 'bad wait duration "nan"' "$smoke/waitnan.txt"
