@@ -555,44 +555,63 @@ func TestCompactReleaseRecycles(t *testing.T) {
 	}
 }
 
-// FuzzReadTrace requires the trace reader to reject bad input only
-// through *FormatError, never by panicking, and every accepted input to
-// survive a WriteTrace round trip with its ordered events intact. The seed
-// corpus (testdata/fuzz/FuzzReadTrace) holds files written from the test
-// fixtures, the crafted inputs above, and lines of the retired textual
-// format (garbage1-10), which are rejected like any other input that is
-// not a trace file.
+// checkReadTrace requires ReadTrace to reject input only through
+// *FormatError, never by panicking, and every accepted input to survive a
+// WriteTrace round trip with its ordered events intact.
+func checkReadTrace(t *testing.T, input []byte) {
+	// A valid file can describe more events than memory holds (a repeat
+	// record expands without limit), so the harness, not the reader,
+	// bounds the claimed total.
+	if hdr, total, err := readTraceHeader(bufio.NewReader(bytes.NewReader(input)), new(bytes.Buffer)); err == nil {
+		hdr.Release()
+		if total > 1<<16 {
+			t.Skip("claims more events than the harness decodes")
+		}
+	}
+	col, err := ReadTrace(bytes.NewReader(input))
+	if err != nil {
+		var fe *FormatError
+		if !errors.As(err, &fe) {
+			t.Fatalf("rejected with %T %v, want *FormatError", err, err)
+		}
+		return
+	}
+	defer col.Release()
+	var file bytes.Buffer
+	if err := col.WriteTrace(&file); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadTrace(&file)
+	if err != nil {
+		t.Fatalf("rewritten file rejected: %v", err)
+	}
+	defer back.Release()
+	if !reflect.DeepEqual(back.Ordered().AppendTo(nil), col.Ordered().AppendTo(nil)) {
+		t.Fatal("ordered events diverge across the WriteTrace round trip")
+	}
+}
+
+// FuzzReadCompactTrace fuzzes the binary reader from binary files: its
+// seed corpus (testdata/fuzz/FuzzReadCompactTrace) holds files written
+// from the test fixtures and the crafted inputs above, and every input
+// must pass checkReadTrace.
+func FuzzReadCompactTrace(f *testing.F) {
+	f.Fuzz(checkReadTrace)
+}
+
+// FuzzReadTrace fuzzes ReadTrace from the textual traces and text lines
+// that older builds read (testdata/fuzz/FuzzReadTrace): every input must
+// pass checkReadTrace, and one that opens like a textual trace must be
+// refused with the *FormatError that names the retired format.
 func FuzzReadTrace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, input []byte) {
-		// A valid file can describe more events than memory holds (a
-		// repeat record expands without limit), so the harness, not the
-		// reader, bounds the claimed total.
-		if hdr, total, err := readTraceHeader(bufio.NewReader(bytes.NewReader(input)), new(bytes.Buffer)); err == nil {
-			hdr.Release()
-			if total > 1<<16 {
-				t.Skip("claims more events than the harness decodes")
-			}
-		}
-		col, err := ReadTrace(bytes.NewReader(input))
-		if err != nil {
-			var fe *FormatError
-			if !errors.As(err, &fe) {
-				t.Fatalf("rejected with %T %v, want *FormatError", err, err)
-			}
+		checkReadTrace(t, input)
+		if !bytes.HasPrefix(input, []byte(legacyTextMagic)) {
 			return
 		}
-		defer col.Release()
-		var file bytes.Buffer
-		if err := col.WriteTrace(&file); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadTrace(&file)
-		if err != nil {
-			t.Fatalf("rewritten file rejected: %v", err)
-		}
-		defer back.Release()
-		if !reflect.DeepEqual(back.Ordered().AppendTo(nil), col.Ordered().AppendTo(nil)) {
-			t.Fatal("ordered events diverge across the WriteTrace round trip")
+		col, err := ReadTrace(bytes.NewReader(input))
+		if col != nil || err == nil || !strings.Contains(err.Error(), "textual trace") {
+			t.Fatalf("textual trace read as %v, %v; want the legacy-format error", col, err)
 		}
 	})
 }

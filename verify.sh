@@ -62,7 +62,7 @@ go -C bench test ./...
 # bytes must equal its reference oracle's; a dynprof script must never
 # panic the tool or the simulation, and is refused with ErrUnknownCommand
 # only for a command outside Table 1.
-fuzz FuzzReadTrace ./internal/vt/
+fuzz FuzzReadCompactTrace ./internal/vt/
 fuzz FuzzEncodeBlock ./internal/vt/
 fuzz FuzzSpillReader ./internal/vt/
 fuzz FuzzParseConfig ./internal/vt/
