@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynprof/internal/des"
+	"dynprof/internal/isa"
 	"dynprof/internal/machine"
 	"dynprof/internal/omp"
 	"dynprof/internal/proc"
@@ -150,7 +151,7 @@ func TestFullOffSlowerThanNoneButSilent(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := map[string]int{"iters": 400}
-	elapsed := func(bin *Binary) des.Time {
+	run := func(bin *Binary) *Job {
 		s := des.NewScheduler(21)
 		j, err := Launch(s, machine.MustNew("ibm-power3"), bin, LaunchOpts{Procs: 2, Args: args})
 		if err != nil {
@@ -159,21 +160,38 @@ func TestFullOffSlowerThanNoneButSilent(t *testing.T) {
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return j.MainElapsed()
+		return j
 	}
-	tFull, tOff, tNone := elapsed(full), elapsed(fullOff), elapsed(none)
+	jFull, jOff, jNone := run(full), run(fullOff), run(none)
+	tFull, tOff, tNone := jFull.MainElapsed(), jOff.MainElapsed(), jNone.MainElapsed()
 	if !(tFull > tOff && tOff > tNone) {
 		t.Fatalf("want Full > Full-Off > None, got %v %v %v", tFull, tOff, tNone)
 	}
 	// Full-Off must record no subroutine events.
-	s := des.NewScheduler(21)
-	j, _ := Launch(s, machine.MustNew("ibm-power3"), fullOff, LaunchOpts{Procs: 2, Args: args})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range j.Collector().Ordered().AppendTo(nil) {
+	for _, e := range jOff.Collector().Ordered().AppendTo(nil) {
 		if e.Kind == vt.Enter {
 			t.Fatal("Full-Off recorded an Enter event")
+		}
+	}
+	// Full-Off is bounded by the lookup floor, exactly: its only extra
+	// instrumentation over None is one compiled-in SnippetCall word per
+	// VT_begin/VT_end firing plus the library's table lookup behind it.
+	// Every toy function is called after MPI_Init, so each firing reached
+	// a ready library and counts one hit.
+	for r := 0; r < 2; r++ {
+		var floor, calls int64
+		for _, pc := range jOff.VT(r).CostSnapshot() {
+			floor += pc.FloorCycles()
+			calls += pc.Hits * isa.SnippetCall.Cycles()
+			if pc.Recorded != 0 || pc.Cycles != pc.FloorCycles() {
+				t.Fatalf("rank %d: Full-Off probe %s paid more than its floor: %+v", r, pc.Name, pc)
+			}
+		}
+		off := jOff.Processes()[r].Threads()[0].InstrCycles()
+		base := jNone.Processes()[r].Threads()[0].InstrCycles()
+		if off-base != floor+calls {
+			t.Fatalf("rank %d: Full-Off instr cycles %d - None %d = %d, want floor %d + snippet calls %d",
+				r, off, base, off-base, floor, calls)
 		}
 	}
 }
