@@ -20,6 +20,7 @@ import (
 	"dynprof/internal/machine"
 	"dynprof/internal/proc"
 	"dynprof/internal/tape"
+	"dynprof/internal/vt"
 )
 
 // CallbackTag identifies the DPCL_callback message the init-protocol
@@ -181,33 +182,32 @@ func (ss *Session) insertInitProtocol(p *des.Proc) error {
 	for i := range ss.spins {
 		ss.spins[i] = des.NewGate(fmt.Sprintf("dynvt-spin.%d", i), false)
 	}
-	probe, err := ss.cl.InstallProbe(p, ss.job.Processes(), symbol, image.ExitPoint, 0,
-		"init-callback", func(pr *proc.Process) image.Snippet {
-			rank := pr.Rank()
-			spin := ss.spins[rank]
-			if isMPI {
-				return func(ec image.ExecCtx) {
-					m := ss.job.World().Rank(rank)
-					t := m.Thread()
-					// MPI_Barrier: synchronise after every rank's MPI_Init.
-					m.Barrier()
-					// DPCL_callback: one message tells the instrumenter
-					// every process has reached the safe point.
-					if rank == 0 {
-						ss.cl.PostCallback(CallbackTag, rank)
-					}
-					// DYNVT_spin: hold until the instrumenter releases us.
-					t.Block(func(dp *des.Proc) { dp.Await(spin) })
-					// MPI_Barrier: re-synchronise, since the spin variable
-					// is reset with differing per-process delays.
-					m.Barrier()
-				}
-			}
+	probe, err := ss.cl.InstallProbe(p, ss.job.Processes(), symbol, image.ExitPoint, 0, func(pr *proc.Process) image.Snippet {
+		rank := pr.Rank()
+		spin := ss.spins[rank]
+		if isMPI {
 			return func(ec image.ExecCtx) {
-				ss.cl.PostCallback(CallbackTag, rank)
-				ss.job.Processes()[0].Threads()[0].Block(func(dp *des.Proc) { dp.Await(spin) })
+				m := ss.job.World().Rank(rank)
+				t := m.Thread()
+				// MPI_Barrier: synchronise after every rank's MPI_Init.
+				m.Barrier()
+				// DPCL_callback: one message tells the instrumenter
+				// every process has reached the safe point.
+				if rank == 0 {
+					ss.cl.PostCallback(CallbackTag, rank)
+				}
+				// DYNVT_spin: hold until the instrumenter releases us.
+				t.Block(func(dp *des.Proc) { dp.Await(spin) })
+				// MPI_Barrier: re-synchronise, since the spin variable
+				// is reset with differing per-process delays.
+				m.Barrier()
 			}
-		})
+		}
+		return func(ec image.ExecCtx) {
+			ss.cl.PostCallback(CallbackTag, rank)
+			ss.job.Processes()[0].Threads()[0].Block(func(dp *des.Proc) { dp.Await(spin) })
+		}
+	})
 	if err != nil {
 		return err
 	}
@@ -266,28 +266,20 @@ func (ss *Session) installFunc(p *des.Proc, f string) error {
 		fmt.Fprintf(ss.out, "dynprof: no such function: %s\n", f)
 		return fmt.Errorf("dynprof: no such function %q", f)
 	}
+	// The entry probe first, then one per exit: e = -1 is the entry.
 	var probes []*dpcl.Probe
-	entry, err := ss.cl.InstallProbe(p, procs, f, image.EntryPoint, 0, "VT_begin:"+f,
-		func(pr *proc.Process) image.Snippet {
-			v := ss.job.VT(ss.vtIndex(pr))
-			fid := v.FuncDef(f)
-			return ss.meter(v.BeginSnippet(fid))
+	for e := -1; e < len(sym.Exits); e++ {
+		kind, exit, snippet := image.EntryPoint, 0, vt.BeginSnippet
+		if e >= 0 {
+			kind, exit, snippet = image.ExitPoint, e, vt.EndSnippet
+		}
+		probe, err := ss.cl.InstallProbe(p, procs, f, kind, exit, func(pr *proc.Process) image.Snippet {
+			return ss.meter(snippet(ss.job.VT(ss.vtIndex(pr)).FuncDef(f)))
 		})
-	if err != nil {
-		return err
-	}
-	probes = append(probes, entry)
-	for e := 0; e < len(sym.Exits); e++ {
-		exit, err := ss.cl.InstallProbe(p, procs, f, image.ExitPoint, e, "VT_end:"+f,
-			func(pr *proc.Process) image.Snippet {
-				v := ss.job.VT(ss.vtIndex(pr))
-				fid := v.FuncDef(f)
-				return ss.meter(v.EndSnippet(fid))
-			})
 		if err != nil {
 			return err
 		}
-		probes = append(probes, exit)
+		probes = append(probes, probe)
 	}
 	for _, probe := range probes {
 		if err := ss.cl.Activate(p, probe); err != nil {

@@ -24,7 +24,7 @@ func BenchmarkInstallAck(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			t0 := p.Now()
-			probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, "noop", noop)
+			probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, noop)
 			if err != nil {
 				b.Error(err)
 				return

@@ -90,11 +90,10 @@ func TestInstallActivateFireRemove(t *testing.T) {
 		cl := r.sys.Connect("u")
 		cl.Attach(p, r.procs)
 		var err error
-		probe, err = cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, "count",
-			func(pr *proc.Process) image.Snippet {
-				rank := pr.Rank()
-				return func(ec image.ExecCtx) { fired[rank]++ }
-			})
+		probe, err = cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, func(pr *proc.Process) image.Snippet {
+			rank := pr.Rank()
+			return func(ec image.ExecCtx) { fired[rank]++ }
+		})
 		if err != nil {
 			t.Error(err)
 			return
@@ -134,7 +133,7 @@ func TestInstallProbeUnknownSymbol(t *testing.T) {
 	r.s.Spawn("tool", func(p *des.Proc) {
 		cl := r.sys.Connect("u")
 		cl.Attach(p, r.procs)
-		_, err := cl.InstallProbe(p, r.procs, "nosuch", image.EntryPoint, 0, "x",
+		_, err := cl.InstallProbe(p, r.procs, "nosuch", image.EntryPoint, 0,
 			func(pr *proc.Process) image.Snippet { return func(image.ExecCtx) {} })
 		if err == nil {
 			t.Error("install into unknown symbol succeeded")
@@ -154,15 +153,14 @@ func TestAsynchronousDeliverySkew(t *testing.T) {
 	r.s.Spawn("tool", func(p *des.Proc) {
 		cl := r.sys.Connect("u")
 		cl.Attach(p, r.procs)
-		probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, "ts",
-			func(pr *proc.Process) image.Snippet {
-				rank := pr.Rank()
-				return func(ec image.ExecCtx) {
-					if _, seen := firstFire[rank]; !seen {
-						firstFire[rank] = ec.Now()
-					}
+		probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, func(pr *proc.Process) image.Snippet {
+			rank := pr.Rank()
+			return func(ec image.ExecCtx) {
+				if _, seen := firstFire[rank]; !seen {
+					firstFire[rank] = ec.Now()
 				}
-			})
+			}
+		})
 		if err != nil {
 			t.Error(err)
 			return

@@ -46,7 +46,7 @@ func TestTotalLossTimesOutBounded(t *testing.T) {
 		cl := r.sys.Connect("u")
 		cl.Attach(p, r.procs)
 		t0 := p.Now()
-		_, installErr = cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, "count",
+		_, installErr = cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0,
 			func(pr *proc.Process) image.Snippet { return func(ec image.ExecCtx) {} })
 		took = p.Now() - t0
 	})
@@ -93,11 +93,10 @@ func TestPartialLossRecovers(t *testing.T) {
 	r.s.Spawn("tool", func(p *des.Proc) {
 		cl := r.sys.Connect("u")
 		cl.Attach(p, r.procs)
-		probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, "count",
-			func(pr *proc.Process) image.Snippet {
-				rank := pr.Rank()
-				return func(ec image.ExecCtx) { fired[rank]++ }
-			})
+		probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, func(pr *proc.Process) image.Snippet {
+			rank := pr.Rank()
+			return func(ec image.ExecCtx) { fired[rank]++ }
+		})
 		if err != nil {
 			t.Errorf("install under partial loss failed: %v", err)
 			return
@@ -127,7 +126,7 @@ func TestDelayFactorStretchesControl(t *testing.T) {
 			cl := r.sys.Connect("u")
 			cl.Attach(p, r.procs)
 			t0 := p.Now()
-			probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, "n",
+			probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0,
 				func(pr *proc.Process) image.Snippet { return func(ec image.ExecCtx) {} })
 			if err != nil {
 				t.Fatal(err)
@@ -188,7 +187,7 @@ func TestLateAcksNeverReachLaterTransactions(t *testing.T) {
 	r.s.Spawn("tool", func(p *des.Proc) {
 		cl := r.sys.Connect("u")
 		cl.Attach(p, r.procs)
-		probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, "n",
+		probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0,
 			func(pr *proc.Process) image.Snippet { return func(ec image.ExecCtx) {} })
 		if err != nil {
 			t.Error(err)

@@ -106,8 +106,7 @@ func (cl *Client) installReq(e *ledgerEntry, pr *proc.Process, errs *[]error) *r
 			}
 			return
 		}
-		id := img.NewSnippetID()
-		img.BindSnippet(id, e.mk(pr))
+		id := img.BindSnippet(e.mk(pr))
 		h, err := img.InsertProbe(s, probe.Kind, probe.Exit, id)
 		if err != nil {
 			if errs != nil {

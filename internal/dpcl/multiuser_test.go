@@ -110,10 +110,9 @@ func TestTwoUsersInstrumentIndependently(t *testing.T) {
 		cl := r.sys.Connect("alice")
 		cl.Attach(p, r.procs)
 		var err error
-		pa, err = cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, "alice-probe",
-			func(pr *proc.Process) image.Snippet {
-				return func(ec image.ExecCtx) { fired["alice"]++ }
-			})
+		pa, err = cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, func(pr *proc.Process) image.Snippet {
+			return func(ec image.ExecCtx) { fired["alice"]++ }
+		})
 		if err != nil {
 			t.Error(err)
 			return
@@ -129,10 +128,9 @@ func TestTwoUsersInstrumentIndependently(t *testing.T) {
 		cl := r.sys.Connect("bob")
 		cl.Attach(p, r.procs)
 		var err error
-		pb, err = cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, "bob-probe",
-			func(pr *proc.Process) image.Snippet {
-				return func(ec image.ExecCtx) { fired["bob"]++ }
-			})
+		pb, err = cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, func(pr *proc.Process) image.Snippet {
+			return func(ec image.ExecCtx) { fired["bob"]++ }
+		})
 		if err != nil {
 			t.Error(err)
 			return

@@ -73,11 +73,10 @@ func TestDaemonCrashReplayReconverges(t *testing.T) {
 				}
 			})
 		})
-		probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, "count",
-			func(pr *proc.Process) image.Snippet {
-				rank := pr.Rank()
-				return func(ec image.ExecCtx) { fired[rank]++ }
-			})
+		probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, func(pr *proc.Process) image.Snippet {
+			rank := pr.Rank()
+			return func(ec image.ExecCtx) { fired[rank]++ }
+		})
 		if err != nil {
 			t.Error(err)
 			return
@@ -149,7 +148,7 @@ func TestHealthyReplayIsNoOp(t *testing.T) {
 	r.s.Spawn("tool", func(p *des.Proc) {
 		cl := r.sys.Connect("u")
 		cl.Attach(p, r.procs)
-		probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, "count",
+		probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0,
 			func(pr *proc.Process) image.Snippet { return func(ec image.ExecCtx) {} })
 		if err != nil {
 			t.Error(err)
@@ -200,7 +199,7 @@ func TestGiveUpErrorTypedAndRollsBack(t *testing.T) {
 	r.s.Spawn("tool", func(p *des.Proc) {
 		cl := r.sys.Connect("u")
 		cl.Attach(p, r.procs)
-		_, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, "count",
+		_, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0,
 			func(pr *proc.Process) image.Snippet { return func(ec image.ExecCtx) {} })
 		if err == nil {
 			t.Error("install under total loss must fail")
@@ -237,7 +236,7 @@ func TestPartialLossRollback(t *testing.T) {
 		r.s.Spawn("tool", func(p *des.Proc) {
 			cl := r.sys.Connect("u")
 			cl.Attach(p, r.procs)
-			_, installErr = cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, "count",
+			_, installErr = cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0,
 				func(pr *proc.Process) image.Snippet { return func(ec image.ExecCtx) {} })
 		})
 		if err := r.s.Run(); err != nil {
@@ -268,7 +267,7 @@ func TestCrashDuringInstallReconverges(t *testing.T) {
 	r.s.Spawn("tool", func(p *des.Proc) {
 		cl := r.sys.Connect("u")
 		cl.Attach(p, r.procs)
-		probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, "count",
+		probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0,
 			func(pr *proc.Process) image.Snippet { return func(ec image.ExecCtx) {} })
 		if err != nil {
 			t.Errorf("install across crash: %v", err)

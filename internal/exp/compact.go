@@ -29,15 +29,13 @@ var compactApps = []string{"smg98", "sppm", "sweep3d", "umt98"}
 const DefaultCompactProcs = 4
 
 // CompactSpec describes one compact-figure cell: a Full-instrumentation
-// run of a kernel with the trace collected verbatim or suppressed.
+// run of a kernel whose trace is measured both verbatim and in the compact
+// encoding.
 type CompactSpec struct {
 	// App is the kernel name (apps registry).
 	App string
 	// Procs is the job size (0 = DefaultCompactProcs).
 	Procs int
-	// Compact measures the trace's compact encoding instead of its
-	// verbatim volume.
-	Compact bool
 	// Args overrides the application deck (nil = fig9Args' small deck).
 	Args map[string]int
 	// Machine is the simulated platform (nil = IBM Power3 preset).
@@ -63,8 +61,8 @@ func (s CompactSpec) norm() CompactSpec {
 // Key canonicalises the spec (defaults resolved first).
 func (s CompactSpec) Key() string {
 	n := s.norm()
-	return fmt.Sprintf("compact|%s|procs=%d|compact=%t|%s|seed=%d|%s%s",
-		n.App, n.Procs, n.Compact, n.Machine.Name, n.Seed, argsKey(n.Args), faultKey(n.Machine))
+	return fmt.Sprintf("compact|%s|procs=%d|%s|seed=%d|%s%s",
+		n.App, n.Procs, n.Machine.Name, n.Seed, argsKey(n.Args), faultKey(n.Machine))
 }
 
 func (s CompactSpec) runCell(bud des.Budget) (cellResult, error) { return runCompactCell(s, bud) }
@@ -75,18 +73,17 @@ func (CompactSpec) decode(b json.RawMessage) (cellResult, error) { return decode
 // function of the simulation (no host timings), so the figure stays
 // byte-identical at any parallelism and across resumes.
 type CompactResult struct {
-	App     string
-	Compact bool
+	App string
 	// Elapsed is the virtual completion time of the run's main process.
 	Elapsed des.Time
-	// TraceEvents and TraceBytes measure the collected trace volume:
-	// bytes are EventBytes per event verbatim, encoded payload bytes
-	// under suppression.
-	TraceEvents int
-	TraceBytes  int
-	// Records and Repeats count the encoded ops of a compact cell (zero
-	// verbatim): Records total, Repeats the parameterized repeat records
-	// among them.
+	// TraceEvents counts the collected trace events; TraceBytes is their
+	// verbatim volume (EventBytes per event) and EncodedBytes the payload
+	// of their compact encoding.
+	TraceEvents  int
+	TraceBytes   int
+	EncodedBytes int
+	// Records and Repeats count the encoded ops: Records total, Repeats
+	// the parameterized repeat records among them.
 	Records int
 	Repeats int
 }
@@ -96,24 +93,24 @@ func (r CompactResult) stats() (des.Time, uint64, []fault.Event) {
 	return r.Elapsed, uint64(r.TraceEvents), nil
 }
 
-// BytesPerEvent is the figure's plotted metric.
-func (r CompactResult) BytesPerEvent() float64 {
+// BytesPerEvent is the figure's plotted metric: trace bytes per event,
+// verbatim or encoded.
+func (r CompactResult) BytesPerEvent(encoded bool) float64 {
+	bytes := r.TraceBytes
+	if encoded {
+		bytes = r.EncodedBytes
+	}
 	if r.TraceEvents == 0 {
 		return 0
 	}
-	return float64(r.TraceBytes) / float64(r.TraceEvents)
-}
-
-// RunCompact executes one compact cell without a budget.
-func RunCompact(spec CompactSpec) (CompactResult, error) {
-	return runCompactCell(spec, des.Budget{})
+	return float64(bytes) / float64(r.TraceEvents)
 }
 
 // runCompactCell runs one kernel at Full instrumentation and measures the
-// trace volume in the requested representation.
+// trace volume in both representations.
 func runCompactCell(spec CompactSpec, bud des.Budget) (CompactResult, error) {
 	spec = spec.norm()
-	res := CompactResult{App: spec.App, Compact: spec.Compact}
+	res := CompactResult{App: spec.App}
 	app, err := apps.Get(spec.App)
 	if err != nil {
 		return res, err
@@ -121,42 +118,31 @@ func runCompactCell(spec CompactSpec, bud des.Budget) (CompactResult, error) {
 	opts := guide.LaunchOpts{Procs: spec.Procs, Args: spec.Args}
 	err = launchCell(spec.Seed, bud, spec.Machine, app, Full.BuildOpts(app), opts, func(j *guide.Job) error {
 		col := j.Collector()
+		st := col.CompactStats()
 		res.Elapsed, res.TraceEvents, res.TraceBytes = j.MainElapsed(), col.Len(), col.Bytes()
-		if spec.Compact {
-			st := col.CompactStats()
-			res.TraceBytes, res.Records, res.Repeats = st.Bytes, st.Records, st.Repeats
-		}
+		res.EncodedBytes, res.Records, res.Repeats = st.Bytes, st.Records, st.Repeats
 		return nil
 	})
 	return res, err
 }
 
-// planCompact enumerates the compact figure: bytes per trace event for the
-// verbatim and the suppressing collector, per kernel (x = 1-based kernel
-// index in compactApps order).
+// planCompact enumerates the compact figure: bytes per trace event stored
+// verbatim and compact-encoded, per kernel (x = 1-based kernel index in
+// compactApps order). Both series read the one run of each kernel.
 func planCompact(opts Options) (*figurePlan, error) {
 	plan := &figurePlan{fig: &Figure{
 		Title:  "Trace bytes per event at Full instrumentation",
 		XLabel: "Kernel",
 		YLabel: "Bytes/event",
+		Series: []Series{{Label: "verbatim"}, {Label: "compact"}},
 	}}
-	for si, mode := range []struct {
-		label   string
-		compact bool
-	}{
-		{"verbatim", false},
-		{"compact", true},
-	} {
-		plan.fig.Series = append(plan.fig.Series, Series{Label: mode.label})
+	for si, encoded := range []bool{false, true} {
 		for ki, app := range compactApps {
 			plan.cells = append(plan.cells, planCell{
 				series: si,
 				cpus:   ki + 1,
-				spec: CompactSpec{
-					App: app, Compact: mode.compact,
-					Machine: opts.Machine, Seed: opts.seed(),
-				},
-				value: func(v cellResult) float64 { return v.(CompactResult).BytesPerEvent() },
+				spec:   CompactSpec{App: app, Machine: opts.Machine, Seed: opts.seed()},
+				value:  func(v cellResult) float64 { return v.(CompactResult).BytesPerEvent(encoded) },
 			})
 		}
 	}

@@ -3,59 +3,40 @@ package exp
 import (
 	"bytes"
 	"crypto/sha256"
-	"strings"
 	"testing"
 
 	"dynprof/internal/des"
+	"dynprof/internal/vt"
 )
 
 // TestCompactSpecKey pins the canonical key: defaults resolved, every
-// discriminating field present, verbatim and compact cells distinct.
+// discriminating field present.
 func TestCompactSpecKey(t *testing.T) {
 	k := CompactSpec{App: "sweep3d"}.Key()
-	want := "compact|sweep3d|procs=4|compact=false|IBM Power3 SMP cluster (Colony)|seed=0|args{iters=1 nx=64 ny=4 nz=4}"
+	want := "compact|sweep3d|procs=4|IBM Power3 SMP cluster (Colony)|seed=0|args{iters=1 nx=64 ny=4 nz=4}"
 	if k != want {
 		t.Errorf("key = %q, want %q", k, want)
 	}
-	kc := CompactSpec{App: "sweep3d", Compact: true}.Key()
-	if kc == k {
-		t.Error("compact flag does not discriminate keys")
-	}
-	if !strings.Contains(kc, "compact=true") {
-		t.Errorf("compact key %q lacks compact=true", kc)
-	}
 }
 
-// TestCompactCell runs one kernel both ways and pins the suppression
-// contract: identical simulation (elapsed, event count), a >= 5x smaller
-// trace, and repeat records actually firing.
+// TestCompactCell runs one kernel and pins the suppression contract: the
+// verbatim volume is EventBytes per event, the encoding is >= 5x smaller,
+// and repeat records actually fire.
 func TestCompactCell(t *testing.T) {
-	verbatim, err := RunCompact(CompactSpec{App: "sweep3d"})
+	res, err := runCompactCell(CompactSpec{App: "sweep3d"}, des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, err := RunCompact(CompactSpec{App: "sweep3d", Compact: true})
-	if err != nil {
-		t.Fatal(err)
+	if res.TraceEvents == 0 || res.TraceBytes != res.TraceEvents*vt.EventBytes {
+		t.Fatalf("verbatim volume %d bytes for %d events", res.TraceBytes, res.TraceEvents)
 	}
-	if verbatim.Elapsed != compact.Elapsed {
-		t.Errorf("suppression perturbed the simulation: elapsed %v vs %v",
-			verbatim.Elapsed, compact.Elapsed)
+	if res.Records == 0 || res.Repeats == 0 {
+		t.Errorf("compact encoding found no redundancy: %+v", res)
 	}
-	if verbatim.TraceEvents == 0 || verbatim.TraceEvents != compact.TraceEvents {
-		t.Fatalf("event counts diverge: verbatim %d, compact %d",
-			verbatim.TraceEvents, compact.TraceEvents)
-	}
-	if verbatim.Records != 0 || verbatim.Repeats != 0 {
-		t.Errorf("verbatim cell reports encoder stats: %+v", verbatim)
-	}
-	if compact.Records == 0 || compact.Repeats == 0 {
-		t.Errorf("compact cell found no redundancy: %+v", compact)
-	}
-	ratio := verbatim.BytesPerEvent() / compact.BytesPerEvent()
-	if ratio < 5 {
+	verbatim, compact := res.BytesPerEvent(false), res.BytesPerEvent(true)
+	if ratio := verbatim / compact; ratio < 5 {
 		t.Errorf("suppression ratio %.2fx on sweep3d, want >= 5x (%.2f vs %.2f bytes/event)",
-			ratio, verbatim.BytesPerEvent(), compact.BytesPerEvent())
+			ratio, verbatim, compact)
 	}
 }
 
@@ -102,8 +83,8 @@ func TestCompactStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := CompactResult{App: "umt98", Compact: true, Elapsed: 7 * des.Second,
-		TraceEvents: 40000, TraceBytes: 5200, Records: 900, Repeats: 310}
+	want := CompactResult{App: "umt98", Elapsed: 7 * des.Second,
+		TraceEvents: 40000, TraceBytes: 960000, EncodedBytes: 5200, Records: 900, Repeats: 310}
 	if err := st.Put("compact|test", want); err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"dynprof/internal/des"
 	"dynprof/internal/fault"
+	"dynprof/internal/image"
 	"dynprof/internal/machine"
 	"dynprof/internal/vt"
 )
@@ -164,8 +165,9 @@ type scaleThread struct {
 	mach *machine.Config
 }
 
-func (t *scaleThread) ThreadID() int { return 0 }
-func (t *scaleThread) Now() des.Time { return t.p.Now() }
+func (t *scaleThread) ThreadID() int          { return 0 }
+func (t *scaleThread) Now() des.Time          { return t.p.Now() }
+func (t *scaleThread) Library() image.Library { return nil } // skeletons call vt.Ctx directly
 func (t *scaleThread) Charge(cycles int64) {
 	if cycles > 0 {
 		t.p.Advance(t.mach.CyclesToTime(cycles))

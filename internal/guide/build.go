@@ -25,19 +25,13 @@ type BuildOpts struct {
 	TraceAPI bool
 }
 
-// staticIDs holds the snippet ids the compiler reserved for one function's
-// compiled-in instrumentation.
-type staticIDs struct {
-	begin, end int64
-}
-
 // Binary is a compiled application: the pristine image template plus the
-// metadata the loader needs to bind per-process library instances.
+// metadata the loader needs. It is read-only once built, so it may be
+// launched any number of times, from several goroutines at once.
 type Binary struct {
 	app      *App
 	opts     BuildOpts
 	template *image.Image
-	static   map[string]staticIDs
 	syms     []*image.Symbol // by Fn; shared by every clone of template
 	fnOf     []int32         // by symbol Region: the Fn, or -1 (see tape.Tape.Start)
 }
@@ -77,7 +71,6 @@ func Build(app *App, opts BuildOpts) (*Binary, error) {
 		}
 	}
 
-	static := make(map[string]staticIDs, len(app.Funcs))
 	syms := make([]*image.Symbol, len(app.Funcs))
 	for i, f := range app.Funcs {
 		exits := f.Exits
@@ -86,10 +79,9 @@ func Build(app *App, opts BuildOpts) (*Binary, error) {
 		}
 		spec := image.FuncSpec{Name: f.Name, BodyWords: f.Size, Exits: exits}
 		if opts.StaticInstrument {
-			ids := staticIDs{begin: b.ReserveSnippetID(), end: b.ReserveSnippetID()}
-			static[f.Name] = ids
-			spec.EntrySnippets = []int64{ids.begin}
-			spec.ExitSnippets = []int64{ids.end}
+			// Function i is the i-th the loader registers (loadImage).
+			spec.EntrySnippets = []image.Snippet{vt.BeginSnippet(int32(i))}
+			spec.ExitSnippets = []image.Snippet{vt.EndSnippet(int32(i))}
 		}
 		sym, err := b.AddFunc(spec)
 		if err != nil {
@@ -98,7 +90,7 @@ func Build(app *App, opts BuildOpts) (*Binary, error) {
 		syms[i] = sym
 	}
 	img := b.Build()
-	return &Binary{app: app, opts: opts, template: img, static: static, syms: syms, fnOf: fnByRegion(img, syms)}, nil
+	return &Binary{app: app, opts: opts, template: img, syms: syms, fnOf: fnByRegion(img, syms)}, nil
 }
 
 // fnByRegion maps each symbol's entry Region to its function handle, -1
@@ -125,22 +117,15 @@ func (bin *Binary) App() *App { return bin.app }
 // instrumentation.
 func (bin *Binary) Instrumented() bool { return bin.opts.StaticInstrument }
 
-// loadImage clones the template for one process and binds the compiled-in
-// instrumentation snippets to the process's library instance, registering
-// each instrumented function with VT_funcdef as it is bound. Binding walks
-// the application's declared function order so VT function ids are
-// identical across processes and across runs (map order would permute
-// them, making trace dumps — and compact-encoded sizes — nondeterministic).
+// loadImage maps the binary into a process whose fresh library instance is
+// v: a clone of the template (see image.Image.Clone). Each instrumented
+// function is registered with VT_funcdef in declared order, so its id is
+// the one its compiled-in snippets carry, the same on every process.
 func (bin *Binary) loadImage(v *vt.Ctx) *image.Image {
-	img := bin.template.Clone()
-	for _, f := range bin.app.Funcs {
-		ids, ok := bin.static[f.Name]
-		if !ok {
-			continue
+	for i, f := range bin.app.Funcs {
+		if bin.opts.StaticInstrument && v.FuncDef(f.Name) != int32(i) {
+			panic("guide: VT function ids out of step with the compiled-in snippets")
 		}
-		fid := v.FuncDef(f.Name)
-		img.BindSnippet(ids.begin, v.BeginSnippet(fid))
-		img.BindSnippet(ids.end, v.EndSnippet(fid))
 	}
-	return img
+	return bin.template.Clone()
 }

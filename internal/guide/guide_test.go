@@ -360,3 +360,52 @@ func TestFuncTableHandles(t *testing.T) {
 		t.Fatalf("resolved %v", resolved)
 	}
 }
+
+// TestLaunchOneBinaryConcurrently: a Binary is read-only once built, so two
+// goroutines may launch and run it at once (run it under -race); each job
+// traces what a job of its own binary traces.
+func TestLaunchOneBinaryConcurrently(t *testing.T) {
+	build := func() *Binary {
+		bin, err := Build(toyMPIApp(), BuildOpts{StaticInstrument: true, TraceAPI: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bin
+	}
+	run := func(bin *Binary) ([]vt.Event, error) {
+		s := des.NewScheduler(21)
+		j, err := Launch(s, machine.MustNew("ibm-power3"), bin, LaunchOpts{Procs: 4})
+		if err != nil {
+			return nil, err
+		}
+		if err := s.Run(); err != nil {
+			return nil, err
+		}
+		return j.Collector().Ordered().AppendTo(nil), nil
+	}
+	want, err := run(build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := build()
+	var got [2][]vt.Event
+	var errs [2]error
+	done := make(chan int)
+	for g := range got {
+		go func() {
+			got[g], errs[g] = run(bin)
+			done <- g
+		}()
+	}
+	for range got {
+		<-done
+	}
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if fmt.Sprint(got[g]) != fmt.Sprint(want) {
+			t.Fatalf("job %d of a shared binary traced %d events, own binary %d or different ones", g, len(got[g]), len(want))
+		}
+	}
+}

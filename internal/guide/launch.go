@@ -183,6 +183,7 @@ func (j *Job) launchMPI(n int, args map[string]int) error {
 		j.vts = append(j.vts, v)
 		img := j.bin.loadImage(v)
 		pr := proc.NewProcess(j.s, j.mach, fmt.Sprintf("%s.%d", j.bin.app.Name, r), r, place.NodeOf(r), img)
+		pr.SetLibrary(v)
 		j.procs = append(j.procs, pr)
 		pr.Start(func(th *proc.Thread) {
 			th.Block(func(p *des.Proc) { p.Await(j.startGate) })
@@ -213,6 +214,7 @@ func (j *Job) launchOMP(threads int, args map[string]int) error {
 	j.vts = append(j.vts, v)
 	img := j.bin.loadImage(v)
 	pr := proc.NewProcess(j.s, j.mach, j.bin.app.Name, 0, 0, img)
+	pr.SetLibrary(v)
 	j.procs = append(j.procs, pr)
 	pr.Start(func(master *proc.Thread) {
 		master.Block(func(p *des.Proc) { p.Await(j.startGate) })

@@ -9,7 +9,7 @@ import (
 // FuncSpec describes one function to lay out in an image. The compiler
 // (package guide) translates an application's function table into specs;
 // static instrumentation appears as snippet calls compiled into the
-// prologue and epilogues.
+// prologue and epilogues, shared by every process loaded from the image.
 type FuncSpec struct {
 	// Name is the function's linkage name. Must be unique per image.
 	Name string
@@ -20,33 +20,33 @@ type FuncSpec struct {
 	BodyWords int
 	// Exits is the number of return points (at least 1).
 	Exits int
-	// EntrySnippets are snippet ids called in the prologue, after the
-	// entry probe slot — statically inserted instrumentation.
-	EntrySnippets []int64
-	// ExitSnippets are snippet ids called before each return.
-	ExitSnippets []int64
+	// EntrySnippets are called in the prologue, after the entry probe
+	// slot — statically inserted instrumentation.
+	EntrySnippets []Snippet
+	// ExitSnippets are called before each return.
+	ExitSnippets []Snippet
 }
 
 // Builder assembles an Image from function specs.
 type Builder struct {
-	name          string
-	words         []isa.Word
-	syms          []*Symbol
-	symByName     map[string]*Symbol
-	regions       int
-	nextSnippetID int64
+	name      string
+	words     []isa.Word
+	syms      []*Symbol
+	symByName map[string]*Symbol
+	regions   int
+	snippets  map[int64]Snippet
 }
 
 // NewBuilder starts building an image named name.
 func NewBuilder(name string) *Builder {
-	return &Builder{name: name, symByName: make(map[string]*Symbol)}
+	return &Builder{name: name, symByName: make(map[string]*Symbol), snippets: make(map[int64]Snippet)}
 }
 
-// ReserveSnippetID hands out a snippet id for the compiler to reference in
-// FuncSpec snippet lists; the loader binds the actual closure at load time.
-func (b *Builder) ReserveSnippetID() int64 {
-	b.nextSnippetID++
-	return b.nextSnippetID
+// call emits a SnippetCall word for fn under a fresh snippet id.
+func (b *Builder) call(fn Snippet) {
+	id := int64(len(b.snippets)) + 1
+	b.snippets[id] = fn
+	b.words = append(b.words, isa.Word{Op: isa.SnippetCall, Arg: id})
 }
 
 // AddFunc lays out one function and returns its symbol.
@@ -70,8 +70,8 @@ func (b *Builder) AddFunc(spec FuncSpec) (*Symbol, error) {
 	sym := &Symbol{Name: spec.Name, Region: b.regions, Entry: Addr(len(b.words))}
 	b.regions += 1 + spec.Exits
 	b.words = append(b.words, isa.Word{Op: isa.Nop}) // entry probe slot
-	for _, id := range spec.EntrySnippets {
-		b.words = append(b.words, isa.Word{Op: isa.SnippetCall, Arg: id})
+	for _, fn := range spec.EntrySnippets {
+		b.call(fn)
 	}
 	sym.BodyAt = Addr(len(b.words))
 	b.words = append(b.words, isa.Word{Op: isa.Body})
@@ -81,8 +81,8 @@ func (b *Builder) AddFunc(spec FuncSpec) (*Symbol, error) {
 	for e := 0; e < spec.Exits; e++ {
 		sym.Exits = append(sym.Exits, Addr(len(b.words)))
 		b.words = append(b.words, isa.Word{Op: isa.Nop}) // exit probe slot
-		for _, id := range spec.ExitSnippets {
-			b.words = append(b.words, isa.Word{Op: isa.SnippetCall, Arg: id})
+		for _, fn := range spec.ExitSnippets {
+			b.call(fn)
 		}
 		b.words = append(b.words, isa.Word{Op: isa.Ret})
 	}
@@ -92,17 +92,18 @@ func (b *Builder) AddFunc(spec FuncSpec) (*Symbol, error) {
 	return sym, nil
 }
 
-// Build finalises the image. The builder must not be reused afterwards.
+// Build finalises the image, compiled and shared (see Clone). The builder
+// must not be reused afterwards.
 func (b *Builder) Build() *Image {
-	return &Image{
+	img := &Image{
 		name:          b.name,
 		words:         b.words,
 		syms:          b.syms,
 		symByName:     b.symByName,
-		textEnd:       Addr(len(b.words)),
-		snippets:      make(map[int64]Snippet),
-		nextSnippetID: b.nextSnippetID,
-		tramps:        make(map[Addr]*baseTramp),
+		snippets:      b.snippets,
+		nextSnippetID: int64(len(b.snippets)),
 		progs:         make([]*regionProg, b.regions),
 	}
+	img.share()
+	return img
 }

@@ -55,7 +55,8 @@ func (img *Image) ExecExit(sym *Symbol, exitIndex int, ctx ExecCtx) int64 {
 // the image mid-replay (a dynamic-control safe point can suspend the thread
 // while probes are installed) invalidates the program's generation; the
 // remainder of the region is then interpreted from the snippet's resume
-// address, exactly as the plain interpreter would continue.
+// address, exactly as the plain interpreter would continue. A shared
+// image's programs are all current, so exec never writes to it.
 func (img *Image) exec(r int, at Addr, ctx ExecCtx, fname string) int64 {
 	p := img.progs[r]
 	if p == nil || p.gen != img.gen {
@@ -71,9 +72,10 @@ func (img *Image) exec(r int, at Addr, ctx ExecCtx, fname string) int64 {
 	return p.total
 }
 
-// compile interprets region r once while recording its program. If a
-// snippet mutates the image during the walk, the program keeps the stale
-// generation it started with and is never replayed.
+// compile interprets region r once while recording its program; with a nil
+// ctx it only records, firing no snippet. If a snippet mutates the image
+// during the walk, the program keeps the stale generation it started with
+// and is never replayed.
 func (img *Image) compile(r int, at Addr, ctx ExecCtx, fname string) int64 {
 	p := &regionProg{gen: img.gen}
 	p.total = img.walk(at, ctx, fname, p)
@@ -82,8 +84,9 @@ func (img *Image) compile(r int, at Addr, ctx ExecCtx, fname string) int64 {
 }
 
 // walk interprets words starting at `at` until a Body or Ret terminator,
-// recording each snippet call into p when p is non-nil. Words are read
-// live, so a snippet that mutates the image mid-walk is seen at once.
+// recording each snippet call into p when p is non-nil and firing it when
+// ctx is. Words are read live, so a snippet that mutates the image mid-walk
+// is seen at once.
 func (img *Image) walk(at Addr, ctx ExecCtx, fname string, p *regionProg) int64 {
 	var cycles int64
 	for step := 0; ; step++ {
@@ -98,14 +101,16 @@ func (img *Image) walk(at Addr, ctx ExecCtx, fname string, p *regionProg) int64 
 		case isa.Jmp:
 			at = Addr(w.Arg)
 		case isa.SnippetCall:
-			fn, ok := img.snippets[w.Arg]
-			if !ok {
+			fn := img.snippets[w.Arg]
+			if fn == nil {
 				panic(fmt.Sprintf("image %s: unbound snippet %d in %s", img.name, w.Arg, fname))
 			}
 			if p != nil {
 				p.steps = append(p.steps, progStep{fn: fn, resume: at + 1, prefix: cycles})
 			}
-			fn(ctx)
+			if ctx != nil {
+				fn(ctx)
+			}
 			at++
 		case isa.Illegal:
 			panic(fmt.Sprintf("image %s: illegal instruction at %d in %s (freed trampoline executed?)", img.name, at, fname))

@@ -7,7 +7,8 @@ package image
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"dynprof/internal/des"
 	"dynprof/internal/isa"
@@ -27,6 +28,17 @@ type ExecCtx interface {
 	// Charge adds instrumentation cycles to the thread's account, e.g.
 	// the cost of recording a trace event inside the VT library.
 	Charge(cycles int64)
+	// Library reports the executing process's instrumentation library
+	// (nil if none), through which one binary's compiled-in snippets
+	// serve every process loaded from it.
+	Library() Library
+}
+
+// Library is the VT_begin/VT_end interface of an instrumentation library
+// instance; vt.Ctx implements it.
+type Library interface {
+	Begin(ec ExecCtx, fn int32)
+	End(ec ExecCtx, fn int32)
 }
 
 // Snippet is a block of dynamically generated (or statically linked)
@@ -79,7 +91,6 @@ type Image struct {
 	words     []isa.Word
 	syms      []*Symbol
 	symByName map[string]*Symbol
-	textEnd   Addr
 
 	snippets      map[int64]Snippet
 	nextSnippetID int64
@@ -90,17 +101,45 @@ type Image struct {
 	// allocated (for trace/size accounting and tests).
 	heapWords int
 
-	// gen counts image mutations (patches, snippet rebinds); progs caches
-	// the compiled form of each executed probe region, indexed by region
-	// number and valid only while its recorded generation matches gen.
+	// gen counts image mutations (patches, snippet bindings); progs caches
+	// the compiled form of each probe region, indexed by region number
+	// and valid only while its recorded generation matches gen.
 	gen   uint64
 	progs []*regionProg
+
+	// shared marks words, snippets and progs as possibly referenced by
+	// other images: read-only, with every program current.
+	shared bool
 }
 
-// mutated invalidates every compiled region program. Called on any change
-// that could alter what an interpreter walk observes: word writes and
-// snippet (re)binding.
-func (img *Image) mutated() { img.gen++ }
+// mutate precedes any change an interpreter walk could observe (word
+// writes, snippet binding) and invalidates every compiled program. A
+// shared image first copies its state, with an empty program table.
+func (img *Image) mutate() {
+	if img.shared {
+		img.words = slices.Clone(img.words)
+		img.snippets = maps.Clone(img.snippets)
+		img.progs = make([]*regionProg, len(img.progs))
+		img.shared = false
+	}
+	img.gen++
+}
+
+// share compiles every region program and marks the image's state shared:
+// from then on its walks only read it, so any number of processes may run
+// and clone it concurrently.
+func (img *Image) share() {
+	if img.shared {
+		return
+	}
+	for _, s := range img.syms {
+		img.compile(s.Region, s.Entry, nil, s.Name)
+		for i, at := range s.Exits {
+			img.compile(s.Region+1+i, at, nil, s.Name)
+		}
+	}
+	img.shared = true
+}
 
 // baseTramp is the bookkeeping for one patched probe point: the base
 // trampoline plus its chain of mini-trampolines.
@@ -162,59 +201,28 @@ func (img *Image) MustLookup(name string) *Symbol {
 	return s
 }
 
-// SymbolNames returns all function names in address order.
-func (img *Image) SymbolNames() []string {
-	names := make([]string, len(img.syms))
-	for i, s := range img.syms {
-		names[i] = s.Name
-	}
-	return names
-}
-
-// NewSnippetID reserves a fresh snippet id.
-func (img *Image) NewSnippetID() int64 {
-	img.nextSnippetID++
-	return img.nextSnippetID
-}
-
-// BindSnippet associates id with an executable snippet. Loading a binary
-// into a process binds per-process closures (e.g. calls into that
-// process's VT library instance) to the ids the compiler emitted.
-func (img *Image) BindSnippet(id int64, fn Snippet) {
+// BindSnippet binds fn, the code a patcher generated for this process,
+// under a fresh snippet id and returns the id.
+func (img *Image) BindSnippet(fn Snippet) int64 {
 	if fn == nil {
 		panic("image: BindSnippet with nil snippet")
 	}
-	img.snippets[id] = fn
-	img.mutated()
+	img.mutate()
+	img.nextSnippetID++
+	img.snippets[img.nextSnippetID] = fn
+	return img.nextSnippetID
 }
 
-// Snippet returns the snippet bound to id.
-func (img *Image) Snippet(id int64) (Snippet, bool) {
-	fn, ok := img.snippets[id]
-	return fn, ok
-}
-
-// Clone produces an identical, independent copy of the image: the per-rank
-// address space of an MPI process. Snippet bindings are copied; callers
-// normally rebind per-process closures after cloning. Patches (trampolines)
-// are cloned too, though binaries are usually cloned pristine.
+// Clone produces an independent copy of the image, the address space of a
+// new process running the same binary. The two share words, snippets and
+// region programs until one is patched (see mutate), so a process no tool
+// touches costs only its header; cloning a shared image only reads it.
+// Trampoline bookkeeping is copied, though binaries are cloned pristine.
 func (img *Image) Clone() *Image {
-	c := &Image{
-		name:          img.name,
-		words:         append([]isa.Word(nil), img.words...),
-		syms:          img.syms, // immutable, shared
-		symByName:     img.symByName,
-		textEnd:       img.textEnd,
-		snippets:      make(map[int64]Snippet, len(img.snippets)),
-		nextSnippetID: img.nextSnippetID,
-		tramps:        make(map[Addr]*baseTramp, len(img.tramps)),
-		heapWords:     img.heapWords,
-		progs:         make([]*regionProg, len(img.progs)),
-	}
-	for id, fn := range img.snippets {
-		c.snippets[id] = fn
-	}
-	for at, t := range img.tramps {
+	img.share()
+	c := *img
+	c.tramps = maps.Clone(img.tramps) // nil for a pristine image
+	for at, t := range c.tramps {
 		tc := *t
 		tc.minis = make([]*mini, len(t.minis))
 		for i, m := range t.minis {
@@ -223,7 +231,7 @@ func (img *Image) Clone() *Image {
 		}
 		c.tramps[at] = &tc
 	}
-	return c
+	return &c
 }
 
 // alloc reserves n words of heap space and returns the base address.
@@ -288,6 +296,7 @@ func (img *Image) InsertProbe(sym *Symbol, kind PointKind, exitIndex int, snippe
 	if err != nil {
 		return nil, err
 	}
+	img.mutate()
 	t, ok := img.tramps[at]
 	if !ok {
 		t = img.buildBaseTrampoline(at)
@@ -297,7 +306,6 @@ func (img *Image) InsertProbe(sym *Symbol, kind PointKind, exitIndex int, snippe
 	img.words[m.at] = isa.Word{Op: isa.Nop} // inactive until SetActive(true)
 	t.minis = append(t.minis, m)
 	img.relinkChain(t)
-	img.mutated()
 	return &ProbeHandle{img: img, at: at, mini: m, sym: sym, kind: kind}, nil
 }
 
@@ -319,6 +327,9 @@ func (img *Image) buildBaseTrampoline(at Addr) *baseTramp {
 	img.words[base+3] = isa.Word{Op: isa.RestoreRegs}
 	img.words[base+4] = isa.Word{Op: isa.Jmp, Arg: int64(at) + 1}
 	img.words[at] = isa.Word{Op: isa.Jmp, Arg: int64(base)}
+	if img.tramps == nil {
+		img.tramps = make(map[Addr]*baseTramp)
+	}
 	img.tramps[at] = t
 	return t
 }
@@ -345,12 +356,12 @@ func (h *ProbeHandle) SetActive(active bool) {
 		return
 	}
 	h.mini.active = active
+	h.img.mutate()
 	if active {
 		h.img.words[h.mini.at] = isa.Word{Op: isa.SnippetCall, Arg: h.mini.snippet}
 	} else {
 		h.img.words[h.mini.at] = isa.Word{Op: isa.Nop}
 	}
-	h.img.mutated()
 }
 
 // Remove unlinks the probe's mini-trampoline from its chain. When the last
@@ -372,10 +383,10 @@ func (h *ProbeHandle) Remove() error {
 	if idx < 0 {
 		return fmt.Errorf("image %s: probe already removed from %s %s", h.img.name, h.sym.Name, h.kind)
 	}
+	h.img.mutate()
 	t.minis = append(t.minis[:idx], t.minis[idx+1:]...)
 	h.mini.removed = true
 	h.img.freeWords(h.mini.at, miniWords)
-	h.img.mutated()
 	if len(t.minis) == 0 {
 		h.img.words[t.at] = t.relocated
 		h.img.freeWords(t.base, baseWords)
@@ -398,21 +409,21 @@ func (img *Image) freeWords(at Addr, n int) {
 
 // Patched reports whether the probe point of sym is currently displaced.
 func (img *Image) Patched(sym *Symbol, kind PointKind, exitIndex int) bool {
+	return img.tramp(sym, kind, exitIndex) != nil
+}
+
+// tramp returns the trampoline displacing a probe point, nil if none.
+func (img *Image) tramp(sym *Symbol, kind PointKind, exitIndex int) *baseTramp {
 	at, err := probeAddr(sym, kind, exitIndex)
 	if err != nil {
-		return false
+		return nil
 	}
-	_, ok := img.tramps[at]
-	return ok
+	return img.tramps[at]
 }
 
 // ChainLen reports the number of mini-trampolines chained at a probe point.
 func (img *Image) ChainLen(sym *Symbol, kind PointKind, exitIndex int) int {
-	at, err := probeAddr(sym, kind, exitIndex)
-	if err != nil {
-		return 0
-	}
-	if t, ok := img.tramps[at]; ok {
+	if t := img.tramp(sym, kind, exitIndex); t != nil {
 		return len(t.minis)
 	}
 	return 0
@@ -423,12 +434,8 @@ func (img *Image) ChainLen(sym *Symbol, kind PointKind, exitIndex int) int {
 // must reconverge (addresses and snippet IDs of a reinstalled probe may
 // legitimately differ; its firing behaviour may not).
 func (img *Image) ActiveProbes(sym *Symbol, kind PointKind, exitIndex int) int {
-	at, err := probeAddr(sym, kind, exitIndex)
-	if err != nil {
-		return 0
-	}
 	n := 0
-	if t, ok := img.tramps[at]; ok {
+	if t := img.tramp(sym, kind, exitIndex); t != nil {
 		for _, m := range t.minis {
 			if m.active {
 				n++
@@ -436,24 +443,4 @@ func (img *Image) ActiveProbes(sym *Symbol, kind PointKind, exitIndex int) int {
 		}
 	}
 	return n
-}
-
-// PatchedSymbols lists the names of symbols with at least one live probe,
-// sorted for stable output.
-func (img *Image) PatchedSymbols() []string {
-	seen := make(map[string]bool)
-	for at := range img.tramps {
-		for _, s := range img.syms {
-			if at >= s.Entry && at < s.End {
-				seen[s.Name] = true
-				break
-			}
-		}
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -22,8 +22,7 @@ func BenchmarkTrampolineExecution(b *testing.B) {
 				b.Fatal(err)
 			}
 			img := bl.Build()
-			id := img.NewSnippetID()
-			img.BindSnippet(id, func(ExecCtx) {})
+			id := img.BindSnippet(func(ExecCtx) {})
 			for i := 0; i < chain; i++ {
 				h, err := img.InsertProbe(sym, EntryPoint, 0, id)
 				if err != nil {
@@ -60,8 +59,7 @@ func BenchmarkProbeInsertRemove(b *testing.B) {
 		syms[i] = sym
 	}
 	img := bl.Build()
-	id := img.NewSnippetID()
-	img.BindSnippet(id, func(ExecCtx) {})
+	id := img.BindSnippet(func(ExecCtx) {})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

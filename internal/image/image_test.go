@@ -14,11 +14,13 @@ type fakeCtx struct {
 	tid     int
 	now     des.Time
 	charged int64
+	lib     Library
 }
 
 func (c *fakeCtx) ThreadID() int       { return c.tid }
 func (c *fakeCtx) Now() des.Time       { return c.now }
 func (c *fakeCtx) Charge(cycles int64) { c.charged += cycles }
+func (c *fakeCtx) Library() Library    { return c.lib }
 
 func buildTestImage(t testing.TB) *Image {
 	t.Helper()
@@ -46,7 +48,7 @@ func TestBuilderLayout(t *testing.T) {
 	if img.Word(a.Entry).Op != isa.Nop || img.Word(a.BodyAt).Op != isa.Body {
 		t.Fatal("wrong opcodes at probe/body slots")
 	}
-	if got := len(img.SymbolNames()); got != 2 {
+	if got := len(img.Symbols()); got != 2 {
 		t.Fatalf("symbol count = %d", got)
 	}
 }
@@ -106,8 +108,7 @@ func TestInsertProbeFiresSnippetWhenActive(t *testing.T) {
 	img := buildTestImage(t)
 	a := img.MustLookup("alpha")
 	fired := 0
-	id := img.NewSnippetID()
-	img.BindSnippet(id, func(ctx ExecCtx) { fired++ })
+	id := img.BindSnippet(func(ctx ExecCtx) { fired++ })
 	h, err := img.InsertProbe(a, EntryPoint, 0, id)
 	if err != nil {
 		t.Fatal(err)
@@ -132,8 +133,7 @@ func TestInsertProbeFiresSnippetWhenActive(t *testing.T) {
 func TestPatchedEntryCostsTrampolineOverhead(t *testing.T) {
 	img := buildTestImage(t)
 	a := img.MustLookup("alpha")
-	id := img.NewSnippetID()
-	img.BindSnippet(id, func(ctx ExecCtx) {})
+	id := img.BindSnippet(func(ctx ExecCtx) {})
 	pristine := img.ExecEntry(a, &fakeCtx{})
 	h, err := img.InsertProbe(a, EntryPoint, 0, id)
 	if err != nil {
@@ -153,8 +153,7 @@ func TestExitProbesPerReturnPoint(t *testing.T) {
 	img := buildTestImage(t)
 	b := img.MustLookup("beta")
 	var hits []int
-	id := img.NewSnippetID()
-	img.BindSnippet(id, func(ctx ExecCtx) { hits = append(hits, 1) })
+	id := img.BindSnippet(func(ctx ExecCtx) { hits = append(hits, 1) })
 	for e := 0; e < 3; e++ {
 		h, err := img.InsertProbe(b, ExitPoint, e, id)
 		if err != nil {
@@ -178,8 +177,7 @@ func TestMiniTrampolineChaining(t *testing.T) {
 	a := img.MustLookup("alpha")
 	var order []string
 	mk := func(name string) int64 {
-		id := img.NewSnippetID()
-		img.BindSnippet(id, func(ctx ExecCtx) { order = append(order, name) })
+		id := img.BindSnippet(func(ctx ExecCtx) { order = append(order, name) })
 		return id
 	}
 	h1, _ := img.InsertProbe(a, EntryPoint, 0, mk("first"))
@@ -211,8 +209,7 @@ func TestRemoveLastProbeRestoresPristineImage(t *testing.T) {
 	a := img.MustLookup("alpha")
 	pristineWord := img.Word(a.Entry)
 	pristineCost := img.ExecEntry(a, &fakeCtx{})
-	id := img.NewSnippetID()
-	img.BindSnippet(id, func(ctx ExecCtx) {})
+	id := img.BindSnippet(func(ctx ExecCtx) {})
 	h, err := img.InsertProbe(a, EntryPoint, 0, id)
 	if err != nil {
 		t.Fatal(err)
@@ -251,19 +248,15 @@ func TestInsertProbeRequiresBoundSnippet(t *testing.T) {
 
 func TestStaticSnippetsCompiledIn(t *testing.T) {
 	b := NewBuilder("static")
-	beginID := b.ReserveSnippetID()
-	endID := b.ReserveSnippetID()
+	var log []string
 	if _, err := b.AddFunc(FuncSpec{
 		Name: "f", BodyWords: 2, Exits: 2,
-		EntrySnippets: []int64{beginID},
-		ExitSnippets:  []int64{endID},
+		EntrySnippets: []Snippet{func(ctx ExecCtx) { log = append(log, "begin") }},
+		ExitSnippets:  []Snippet{func(ctx ExecCtx) { log = append(log, "end") }},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	img := b.Build()
-	var log []string
-	img.BindSnippet(beginID, func(ctx ExecCtx) { log = append(log, "begin") })
-	img.BindSnippet(endID, func(ctx ExecCtx) { log = append(log, "end") })
 	f := img.MustLookup("f")
 	img.ExecEntry(f, &fakeCtx{})
 	img.ExecExit(f, 1, &fakeCtx{})
@@ -281,8 +274,7 @@ func TestStaticSnippetsCompiledIn(t *testing.T) {
 func TestCloneIsIndependent(t *testing.T) {
 	img := buildTestImage(t)
 	a := img.MustLookup("alpha")
-	id := img.NewSnippetID()
-	img.BindSnippet(id, func(ctx ExecCtx) {})
+	id := img.BindSnippet(func(ctx ExecCtx) {})
 	clone := img.Clone()
 	if _, err := img.InsertProbe(a, EntryPoint, 0, id); err != nil {
 		t.Fatal(err)
@@ -303,24 +295,29 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
+// TestPatchedSymbols: a probe displaces exactly its own probe point.
 func TestPatchedSymbols(t *testing.T) {
 	img := buildTestImage(t)
-	id := img.NewSnippetID()
-	img.BindSnippet(id, func(ctx ExecCtx) {})
+	id := img.BindSnippet(func(ctx ExecCtx) {})
 	if _, err := img.InsertProbe(img.MustLookup("beta"), ExitPoint, 1, id); err != nil {
 		t.Fatal(err)
 	}
-	got := img.PatchedSymbols()
-	if len(got) != 1 || got[0] != "beta" {
-		t.Fatalf("PatchedSymbols = %v", got)
+	for _, s := range img.Symbols() {
+		if img.Patched(s, EntryPoint, 0) {
+			t.Errorf("%s entry patched", s.Name)
+		}
+		for e := range s.Exits {
+			if got := img.Patched(s, ExitPoint, e); got != (s.Name == "beta" && e == 1) {
+				t.Errorf("%s exit %d patched = %v", s.Name, e, got)
+			}
+		}
 	}
 }
 
 func TestChargeReachesContext(t *testing.T) {
 	img := buildTestImage(t)
 	a := img.MustLookup("alpha")
-	id := img.NewSnippetID()
-	img.BindSnippet(id, func(ctx ExecCtx) { ctx.Charge(123) })
+	id := img.BindSnippet(func(ctx ExecCtx) { ctx.Charge(123) })
 	h, _ := img.InsertProbe(a, EntryPoint, 0, id)
 	h.SetActive(true)
 	ctx := &fakeCtx{tid: 4, now: 9 * des.Second}
@@ -337,8 +334,7 @@ func TestPatchUnpatchRoundTripProperty(t *testing.T) {
 		img := buildTestImage(t)
 		a, b := img.MustLookup("alpha"), img.MustLookup("beta")
 		pristine := append([]isa.Word(nil), img.words...)
-		id := img.NewSnippetID()
-		img.BindSnippet(id, func(ctx ExecCtx) {})
+		id := img.BindSnippet(func(ctx ExecCtx) {})
 		if len(points) > 24 {
 			points = points[:24]
 		}
@@ -421,8 +417,7 @@ func TestExitRegionsHaveOwnPrograms(t *testing.T) {
 	var log []int
 	for e := 0; e < 3; e++ {
 		e := e
-		id := img.NewSnippetID()
-		img.BindSnippet(id, func(ctx ExecCtx) { log = append(log, e) })
+		id := img.BindSnippet(func(ctx ExecCtx) { log = append(log, e) })
 		h, err := img.InsertProbe(b, ExitPoint, e, id)
 		if err != nil {
 			t.Fatal(err)
@@ -454,36 +449,59 @@ func TestExitRegionsHaveOwnPrograms(t *testing.T) {
 	}
 }
 
-// TestCloneStartsWithEmptyPrograms: a clone's program table is its own,
-// sized for every region and empty; running either image leaves the
-// other's programs alone.
-func TestCloneStartsWithEmptyPrograms(t *testing.T) {
-	img := buildTestImage(t)
-	a := img.MustLookup("alpha")
-	img.ExecEntry(a, &fakeCtx{})
-	compiled, gen := img.progs[a.Region], img.gen
-	clone := img.Clone()
-	if len(clone.progs) != len(img.progs) {
-		t.Fatalf("clone has %d program slots, original %d", len(clone.progs), len(img.progs))
-	}
-	for r, p := range clone.progs {
-		if p != nil {
-			t.Fatalf("clone region %d starts with a program", r)
+// TestCloneSharesTemplatePrograms: a built image has every region
+// compiled, and its pristine clones run those programs on its words
+// without writing either; a patched clone compiles its own programs on its
+// own words, leaving the template and its sibling clones as they were.
+func TestCloneSharesTemplatePrograms(t *testing.T) {
+	tmpl := buildTestImage(t)
+	a := tmpl.MustLookup("alpha")
+	progs := append([]*regionProg(nil), tmpl.progs...)
+	for r, p := range progs {
+		if p == nil || p.gen != tmpl.gen {
+			t.Fatalf("built image has no current program for region %d", r)
 		}
 	}
-	id := clone.NewSnippetID()
-	clone.BindSnippet(id, func(ctx ExecCtx) {})
-	h, err := clone.InsertProbe(a, EntryPoint, 0, id)
+	words, gen := append([]isa.Word(nil), tmpl.words...), tmpl.gen
+	pristine, patched := tmpl.Clone(), tmpl.Clone()
+	want := tmpl.walk(a.Entry, &fakeCtx{}, "alpha", nil)
+	if got := pristine.ExecEntry(a, &fakeCtx{}); got != want || !sharesState(pristine, tmpl) {
+		t.Fatalf("pristine clone: %d cycles (want %d), shares template %v", got, want, sharesState(pristine, tmpl))
+	}
+	fired := 0
+	id := patched.BindSnippet(func(ctx ExecCtx) { fired++ })
+	h, err := patched.InsertProbe(a, EntryPoint, 0, id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.SetActive(true)
-	clone.ExecEntry(a, &fakeCtx{})
-	if img.progs[a.Region] != compiled || img.gen != gen {
-		t.Fatal("running the patched clone touched the original's programs")
+	if got := patched.ExecEntry(a, &fakeCtx{}); got <= want || fired != 1 {
+		t.Fatalf("patched clone: %d cycles (pristine %d), probe fired %d times", got, want, fired)
 	}
-	if clone.progs[a.Region] == compiled {
-		t.Fatal("clone shares the original's program")
+	if sharesState(patched, tmpl) || patched.progs[a.Region] == progs[a.Region] {
+		t.Fatal("patched clone still runs the template's words or program")
+	}
+	for r, p := range tmpl.progs {
+		if p != progs[r] {
+			t.Fatalf("patching a clone replaced the template's program for region %d", r)
+		}
+	}
+	if tmpl.gen != gen || fmt.Sprint(tmpl.words) != fmt.Sprint(words) || tmpl.Patched(a, EntryPoint, 0) {
+		t.Fatal("patching a clone changed the template")
+	}
+	if !sharesState(pristine, tmpl) || pristine.ExecEntry(a, &fakeCtx{}) != want || fired != 1 {
+		t.Fatal("patching a clone changed its pristine sibling")
+	}
+	// A clone of the patched image shares its words in turn: turning the
+	// probe off in one leaves it firing in the other.
+	twin := patched.Clone()
+	twinWords := fmt.Sprint(twin.words)
+	h.SetActive(false)
+	twin.ExecEntry(a, &fakeCtx{})
+	patched.ExecEntry(a, &fakeCtx{})
+	if fired != 2 || fmt.Sprint(twin.words) != twinWords {
+		t.Fatalf("probe fired %d times across the twin and the deactivated original (want 2), twin words changed %v",
+			fired, fmt.Sprint(twin.words) != twinWords)
 	}
 }
 
@@ -496,8 +514,7 @@ func selfPatchImage(t *testing.T, other bool, patchAt int) (*Image, *[]string) {
 	a, b := img.MustLookup("alpha"), img.MustLookup("beta")
 	log := new([]string)
 	bind := func(name string, fn func()) int64 {
-		id := img.NewSnippetID()
-		img.BindSnippet(id, func(ctx ExecCtx) {
+		id := img.BindSnippet(func(ctx ExecCtx) {
 			*log = append(*log, name)
 			if fn != nil {
 				fn()
@@ -526,18 +543,70 @@ func selfPatchImage(t *testing.T, other bool, patchAt int) (*Image, *[]string) {
 	return img, log
 }
 
+// sharedPatchImage builds the test image with a compiled-in snippet in
+// alpha's prologue that, on its patchAt-th firing, makes the first patch
+// of the clone it returns: an active probe at alpha's entry, or at beta's
+// when other is set. The clone shares the template's words and programs
+// until then, so that patch lands in the middle of a replay. log records
+// the firings; the returned template and sibling clone are never patched.
+func sharedPatchImage(t *testing.T, other bool, patchAt int) (clone, tmpl, sibling *Image, log *[]string) {
+	log = new([]string)
+	fired := 0
+	patch := func(ctx ExecCtx) {
+		*log = append(*log, "static")
+		if fired++; fired != patchAt {
+			return
+		}
+		id := clone.BindSnippet(func(ExecCtx) { *log = append(*log, "probe") })
+		target := clone.MustLookup("alpha")
+		if other {
+			target = clone.MustLookup("beta")
+		}
+		h, err := clone.InsertProbe(target, EntryPoint, 0, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.SetActive(true)
+	}
+	b := NewBuilder("test")
+	if _, err := b.AddFunc(FuncSpec{Name: "alpha", BodyWords: 10, Exits: 1, EntrySnippets: []Snippet{patch}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.AddFunc(FuncSpec{Name: "beta", BodyWords: 4, Exits: 3}); err != nil {
+		t.Fatal(err)
+	}
+	tmpl = b.Build()
+	clone, sibling = tmpl.Clone(), tmpl.Clone()
+	return clone, tmpl, sibling, log
+}
+
 // TestMidReplayPatchFallsBack: a snippet that patches its own region, or
 // another one, in the middle of a replay (second firing) or of the walk
 // that compiles the region (first firing) leaves the walk exactly as the
 // plain interpreter would have it — same firings, same cycles — and the
-// next execution compiles afresh.
+// next execution compiles afresh. The same holds for a clone that still
+// shares its template's programs when a compiled-in snippet makes its
+// first patch mid-replay, and the template and sibling clone keep theirs.
 func TestMidReplayPatchFallsBack(t *testing.T) {
 	for _, tc := range []struct {
+		shared  bool
 		other   bool
 		patchAt int
-	}{{false, 1}, {false, 2}, {true, 1}, {true, 2}} {
-		got, gotLog := selfPatchImage(t, tc.other, tc.patchAt)
-		want, wantLog := selfPatchImage(t, tc.other, tc.patchAt)
+	}{{false, false, 1}, {false, false, 2}, {false, true, 1}, {false, true, 2},
+		{true, false, 1}, {true, false, 2}, {true, true, 1}, {true, true, 2}} {
+		var got, want, tmpl, sibling *Image
+		var gotLog, wantLog *[]string
+		if tc.shared {
+			got, tmpl, sibling, gotLog = sharedPatchImage(t, tc.other, tc.patchAt)
+			want, _, _, wantLog = sharedPatchImage(t, tc.other, tc.patchAt)
+		} else {
+			got, gotLog = selfPatchImage(t, tc.other, tc.patchAt)
+			want, wantLog = selfPatchImage(t, tc.other, tc.patchAt)
+		}
+		var progs []*regionProg
+		if tmpl != nil {
+			progs = append(progs, tmpl.progs...)
+		}
 		for i := 0; i < 4; i++ {
 			for _, name := range []string{"alpha", "beta"} {
 				sym := got.MustLookup(name)
@@ -551,6 +620,17 @@ func TestMidReplayPatchFallsBack(t *testing.T) {
 		if fmt.Sprint(*gotLog) != fmt.Sprint(*wantLog) {
 			t.Fatalf("%+v: fired %v, interpreter %v", tc, *gotLog, *wantLog)
 		}
+		if !tc.shared {
+			continue
+		}
+		if sharesState(got, tmpl) || !sharesState(sibling, tmpl) || len(tmpl.tramps) != 0 {
+			t.Fatalf("%+v: first patch did not copy the clone's state alone", tc)
+		}
+		for r, p := range tmpl.progs {
+			if p != progs[r] || p.gen != tmpl.gen {
+				t.Fatalf("%+v: template program for region %d replaced", tc, r)
+			}
+		}
 	}
 }
 
@@ -560,8 +640,7 @@ func TestMidReplayPatchFallsBack(t *testing.T) {
 func TestSetActiveOnRemovedProbeIsNoop(t *testing.T) {
 	img := buildTestImage(t)
 	a := img.MustLookup("alpha")
-	id := img.NewSnippetID()
-	img.BindSnippet(id, func(ctx ExecCtx) {})
+	id := img.BindSnippet(func(ctx ExecCtx) {})
 	keep, _ := img.InsertProbe(a, EntryPoint, 0, id)
 	keep.SetActive(true)
 	h, _ := img.InsertProbe(a, EntryPoint, 0, id)

@@ -64,7 +64,7 @@ func New(pr *proc.Process, master *proc.Thread, n int, hooks Hooks) *Runtime {
 	if n < 1 {
 		panic(fmt.Sprintf("omp: team of %d threads", n))
 	}
-	if master.ID() != 0 {
+	if master.ThreadID() != 0 {
 		panic("omp: master must be thread 0")
 	}
 	rt := &Runtime{
@@ -124,7 +124,7 @@ func (rt *Runtime) Parallel(master *proc.Thread, region string, body func(t *pro
 	if rt.shutdown {
 		panic("omp: Parallel after Shutdown")
 	}
-	if master.ID() != 0 {
+	if master.ThreadID() != 0 {
 		panic("omp: Parallel must be called from the master thread")
 	}
 	rt.inRegion = true

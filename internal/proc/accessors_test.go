@@ -22,8 +22,8 @@ func TestAccessors(t *testing.T) {
 		t.Fatal("fresh process suspended")
 	}
 	pr.Start(func(th *Thread) {
-		if th.ID() != 0 || th.ThreadID() != 0 {
-			t.Errorf("thread ids wrong: %d %d", th.ID(), th.ThreadID())
+		if th.ThreadID() != 0 {
+			t.Errorf("thread id %d, want 0", th.ThreadID())
 		}
 		if th.Process() != pr {
 			t.Error("Process() wrong")

@@ -22,12 +22,12 @@ func BenchmarkCallGate(b *testing.B) {
 	}{
 		{"pristine", func(*testing.B, *image.Image, *image.Symbol, *vt.Ctx) {}},
 		{"inactive-mini", func(b *testing.B, img *image.Image, sym *image.Symbol, v *vt.Ctx) {
-			insert(b, img, sym, image.EntryPoint, v.BeginSnippet(v.FuncDef(sym.Name)), false)
+			insert(b, img, sym, image.EntryPoint, vt.BeginSnippet(v.FuncDef(sym.Name)), false)
 		}},
 		{"active-begin-end", func(b *testing.B, img *image.Image, sym *image.Symbol, v *vt.Ctx) {
 			id := v.FuncDef(sym.Name)
-			insert(b, img, sym, image.EntryPoint, v.BeginSnippet(id), true)
-			insert(b, img, sym, image.ExitPoint, v.EndSnippet(id), true)
+			insert(b, img, sym, image.EntryPoint, vt.BeginSnippet(id), true)
+			insert(b, img, sym, image.ExitPoint, vt.EndSnippet(id), true)
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -42,6 +42,7 @@ func BenchmarkCallGate(b *testing.B) {
 			bc.patch(b, img, sym, v)
 			s := des.NewScheduler(1)
 			pr := proc.NewProcess(s, machine.MustNew("ibm-power3"), "bench", 0, 0, img)
+			pr.SetLibrary(v)
 			pr.Start(func(th *proc.Thread) {
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -59,8 +60,7 @@ func BenchmarkCallGate(b *testing.B) {
 
 // insert patches a probe running fn at sym's entry or first exit.
 func insert(b *testing.B, img *image.Image, sym *image.Symbol, kind image.PointKind, fn image.Snippet, active bool) {
-	id := img.NewSnippetID()
-	img.BindSnippet(id, fn)
+	id := img.BindSnippet(fn)
 	h, err := img.InsertProbe(sym, kind, 0, id)
 	if err != nil {
 		b.Fatal(err)

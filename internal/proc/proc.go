@@ -39,6 +39,7 @@ type Process struct {
 	rank int
 	node int
 	img  *image.Image
+	lib  image.Library
 	cfg  *machine.Config
 	s    *des.Scheduler
 
@@ -99,6 +100,9 @@ func (pr *Process) Node() int { return pr.node }
 
 // Image returns the process's address space.
 func (pr *Process) Image() *image.Image { return pr.img }
+
+// SetLibrary links the process's instrumentation library instance.
+func (pr *Process) SetLibrary(lib image.Library) { pr.lib = lib }
 
 // Config returns the machine configuration the process runs on.
 func (pr *Process) Config() *machine.Config { return pr.cfg }
@@ -279,14 +283,14 @@ type Thread struct {
 
 var _ image.ExecCtx = (*Thread)(nil)
 
-// ID reports the thread id within its process.
-func (t *Thread) ID() int { return t.id }
-
-// ThreadID implements image.ExecCtx.
+// ThreadID reports the thread id within its process (image.ExecCtx).
 func (t *Thread) ThreadID() int { return t.id }
 
 // Process returns the owning process.
 func (t *Thread) Process() *Process { return t.proc }
+
+// Library implements image.ExecCtx: the process's linked library.
+func (t *Thread) Library() image.Library { return t.proc.lib }
 
 // DES returns the underlying simulation process, for use by runtime layers
 // (MPI, OpenMP) that need to block the thread on simulation primitives.

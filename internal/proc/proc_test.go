@@ -68,10 +68,8 @@ func TestNestedCallsFireProbesInOrder(t *testing.T) {
 	for _, n := range []string{"outer", "inner"} {
 		n := n
 		sym := img.MustLookup(n)
-		idB := img.NewSnippetID()
-		img.BindSnippet(idB, func(ctx image.ExecCtx) { events = append(events, "enter "+n) })
-		idE := img.NewSnippetID()
-		img.BindSnippet(idE, func(ctx image.ExecCtx) { events = append(events, "exit "+n) })
+		idB := img.BindSnippet(func(ctx image.ExecCtx) { events = append(events, "enter "+n) })
+		idE := img.BindSnippet(func(ctx image.ExecCtx) { events = append(events, "exit "+n) })
 		hb, err := img.InsertProbe(sym, image.EntryPoint, 0, idB)
 		if err != nil {
 			t.Fatal(err)
@@ -240,8 +238,7 @@ func TestExitRotationCoversAllExits(t *testing.T) {
 	seen := make(map[int]bool)
 	for e := 0; e < 3; e++ {
 		e := e
-		id := img.NewSnippetID()
-		img.BindSnippet(id, func(ctx image.ExecCtx) { seen[e] = true })
+		id := img.BindSnippet(func(ctx image.ExecCtx) { seen[e] = true })
 		h, err := img.InsertProbe(sym, image.ExitPoint, e, id)
 		if err != nil {
 			t.Fatal(err)
@@ -267,8 +264,7 @@ func TestInstrCyclesAccounting(t *testing.T) {
 	cfg := machine.MustNew("ibm-power3")
 	img := testImage(t, "f")
 	sym := img.MustLookup("f")
-	id := img.NewSnippetID()
-	img.BindSnippet(id, func(ctx image.ExecCtx) { ctx.Charge(500) })
+	id := img.BindSnippet(func(ctx image.ExecCtx) { ctx.Charge(500) })
 	h, _ := img.InsertProbe(sym, image.EntryPoint, 0, id)
 	h.SetActive(true)
 	pr := NewProcess(s, cfg, "p", 0, 0, img)

@@ -79,7 +79,7 @@ func TestControlRoundTripAllocsNothing(t *testing.T) {
 		s.Spawn(user, func(p *des.Proc) {
 			cl := sys.Connect(user)
 			cl.Attach(p, procs)
-			probe, err := cl.InstallProbe(p, procs, "hot", image.EntryPoint, 0, "noop", noop)
+			probe, err := cl.InstallProbe(p, procs, "hot", image.EntryPoint, 0, noop)
 			if err != nil {
 				t.Error(err)
 				return

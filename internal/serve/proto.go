@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -18,7 +19,8 @@ const protoQuantum = 4096
 
 // protoReq is one command line read from a connection, handed to the
 // bridge loop by that connection's reader goroutine. eof marks the
-// connection's end of stream instead of a command.
+// connection's end of stream instead of a command; line is then a reply
+// still owed to the client, if any.
 type protoReq struct {
 	pc   *protoConn
 	line string
@@ -154,7 +156,9 @@ func (b *Bridge) accept() {
 
 // reader parses one connection's command stream. It serialises the
 // connection: after sending a command it waits for the handler's ack
-// before reading the next line.
+// before reading the next line. A line too long to scan ends the stream
+// like end of file, after an err reply; the rest of that line is read
+// first, so closing the connection does not reset it under the reply.
 func (b *Bridge) reader(pc *protoConn) {
 	sc := bufio.NewScanner(pc.c)
 	for sc.Scan() {
@@ -165,7 +169,16 @@ func (b *Bridge) reader(pc *protoConn) {
 		b.reqs <- protoReq{pc: pc, line: line}
 		<-pc.ack
 	}
-	b.reqs <- protoReq{pc: pc, eof: true}
+	end := protoReq{pc: pc, eof: true}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		for br := bufio.NewReader(pc.c); ; {
+			if _, err := br.ReadSlice('\n'); err != bufio.ErrBufferFull {
+				break
+			}
+		}
+		end.line = fmt.Sprintf("err line longer than %d bytes; closing the connection", bufio.MaxScanTokenSize-1)
+	}
+	b.reqs <- end
 }
 
 // dispatch spawns the handler Proc for one command (or connection EOF).
@@ -176,6 +189,9 @@ func (b *Bridge) dispatch(req protoReq) {
 	b.s.Spawn("proto", func(p *des.Proc) {
 		defer func() { b.completed++ }()
 		if req.eof {
+			if req.line != "" {
+				b.replyRaw(pc, req.line)
+			}
 			b.drop(p, pc)
 			return
 		}

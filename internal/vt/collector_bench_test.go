@@ -206,6 +206,33 @@ func BenchmarkCollectorSpill(b *testing.B) {
 	}
 }
 
+// BenchmarkSpillRead measures decoding a spill file back into chunks: 64
+// spilled batches of near-repeat events, 256 per batch, so the frames
+// carry real literals as well as repeats.
+func BenchmarkSpillRead(b *testing.B) {
+	b.ReportAllocs()
+	col := NewCollector()
+	defer col.Release()
+	if err := col.SpillTo(filepath.Join(b.TempDir(), "bench.spill"), 1); err != nil {
+		b.Fatal(err)
+	}
+	for i := int32(0); i < 64; i++ {
+		col.Append(nearRepeatBatch(i, 256))
+	}
+	if err := col.SpillErr(); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(col.spill.bytes))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		all, err := col.spill.decodeAll()
+		if err != nil {
+			b.Fatal(err)
+		}
+		all.release()
+	}
+}
+
 // BenchmarkCompactEncode measures the raw encoder, ns/event and
 // bytes/event of one block encode, on loop-shaped input and on near
 // repeats, where most events have twins at several periods but few

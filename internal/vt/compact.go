@@ -650,36 +650,72 @@ func ReadTrace(r io.Reader) (*Collector, error) {
 	var buf bytes.Buffer // a function name or a frame's block
 	col, total, err := readTraceHeader(br, &buf)
 	if err != nil {
-		return nil, src.failure(err)
+		return nil, src.failure("trace file", err)
 	}
 	fail := func(err error) (*Collector, error) {
 		col.Release()
-		return nil, src.failure(err)
+		return nil, src.failure("trace file", err)
 	}
+	if err := readFrames(br, total, "trace file", &buf, &col.store, col.addBatch); err != nil {
+		return fail(err)
+	}
+	return col, nil
+}
+
+// readFrames decodes a spill or trace file's frames (`uvarint count,
+// uvarint blockLen, block`, total events in all) from br into c, passing
+// each frame's first record index and count to added if non-nil; buf
+// holds blocks longer than br's buffer. A header is refused if its count
+// is zero, exceeds the events due or MaxInt/maxEventBytes, or its block
+// is longer than count events can encode. Errors name the file as what.
+func readFrames(br *bufio.Reader, total uint64, what string, buf *bytes.Buffer, c *chain, added func(start, count int)) error {
 	dec := decoderPool.Get().(*decoder)
 	defer decoderPool.Put(dec)
 	var scratch []Event
 	for decoded := uint64(0); decoded < total; {
 		count, err := binary.ReadUvarint(br)
 		if err != nil {
-			return fail(traceFormatError("truncated frame header"))
+			return &FormatError{What: what, Version: -1, Detail: "truncated frame header"}
 		}
 		blen, err := binary.ReadUvarint(br)
 		if err != nil || count == 0 || count > total-decoded || count > math.MaxInt/maxEventBytes || blen > count*maxEventBytes {
-			return fail(traceFormatError("bad frame header"))
+			return &FormatError{What: what, Version: -1, Detail: "bad frame header"}
 		}
-		buf.Reset()
-		if _, err := io.CopyN(&buf, br, int64(blen)); err != nil {
-			return fail(traceFormatError("truncated frame"))
+		block, err := nextBlock(br, int(blen), buf)
+		if err != nil {
+			return &FormatError{What: what, Version: -1, Detail: "truncated frame"}
 		}
-		start := col.store.next()
-		if err := decodeInto(&col.store, dec, buf.Bytes(), int(count), &scratch); err != nil {
-			return fail(err)
+		start := c.next()
+		if err := decodeInto(c, dec, block, int(count), &scratch); err != nil {
+			return err
 		}
-		col.addBatch(start, int(count))
+		if added != nil {
+			added(start, int(count))
+		}
 		decoded += count
 	}
-	return col, nil
+	return nil
+}
+
+// nextBlock consumes and returns the next n bytes of br: in place if they
+// fit its buffer (valid until br's next read), else copied into buf, which
+// grows only as the bytes arrive.
+func nextBlock(br *bufio.Reader, n int, buf *bytes.Buffer) ([]byte, error) {
+	if n <= br.Size() {
+		b, err := br.Peek(n)
+		br.Discard(len(b))
+		return b, err
+	}
+	buf.Reset()
+	for n > 0 {
+		b, err := br.Peek(min(n, br.Size()))
+		buf.Write(b)
+		br.Discard(len(b))
+		if n -= len(b); err != nil && n > 0 {
+			return nil, err
+		}
+	}
+	return buf.Bytes(), nil
 }
 
 // sourceReader remembers the first error other than io.EOF its reader
@@ -698,11 +734,11 @@ func (s *sourceReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// failure is the error to report for a read that stopped with err: the
-// reader's own failure if it had one, else err.
-func (s *sourceReader) failure(err error) error {
+// failure is the error to report for a read of the file named what that
+// stopped with err: the reader's own failure if it had one, else err.
+func (s *sourceReader) failure(what string, err error) error {
 	if s.err != nil {
-		return fmt.Errorf("vt: reading trace file: %w", s.err)
+		return fmt.Errorf("vt: reading %s: %w", what, s.err)
 	}
 	return err
 }

@@ -268,16 +268,16 @@ func (c *Ctx) probe(ec image.ExecCtx, k Kind, id int32) {
 	c.record(ec, k, id, 0, 0)
 }
 
-// BeginSnippet returns an instrumentation snippet calling Begin for id —
-// the payload dynprof places in mini-trampolines and the Guide compiler
-// compiles into prologues.
-func (c *Ctx) BeginSnippet(id int32) image.Snippet {
-	return func(ec image.ExecCtx) { c.Begin(ec, id) }
+// BeginSnippet returns a snippet calling VT_begin for id in the executing
+// process's library — what dynprof places in mini-trampolines and the
+// Guide compiler compiles into prologues.
+func BeginSnippet(id int32) image.Snippet {
+	return func(ec image.ExecCtx) { ec.Library().Begin(ec, id) }
 }
 
-// EndSnippet returns a snippet calling End for id.
-func (c *Ctx) EndSnippet(id int32) image.Snippet {
-	return func(ec image.ExecCtx) { c.End(ec, id) }
+// EndSnippet returns a snippet calling VT_end for id.
+func EndSnippet(id int32) image.Snippet {
+	return func(ec image.ExecCtx) { ec.Library().End(ec, id) }
 }
 
 // TraceBytes reports the bytes of trace data this rank has produced.

@@ -1,8 +1,11 @@
 package vt
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -184,41 +187,23 @@ func (s *spillSink) combined(col *Collector) (chain, []segRange, int) {
 	return all, segs, decoded
 }
 
-// decodeAll decodes the whole spill payload, walking its length-prefixed
-// frames, into densely filled pooled chunks. On failure the chunks decoded
-// so far are returned with the error, for the caller to release.
+// decodeAll decodes the spill payload's frames (readFrames) into densely
+// filled pooled chunks, streaming the file through at most 64 KiB. On
+// failure the chunks decoded so far are returned with the error, for the
+// caller to release.
 func (s *spillSink) decodeAll() (chain, error) {
 	if err := s.checkHeader(); err != nil {
 		return nil, err
 	}
-	payload := make([]byte, s.bytes)
-	if _, err := s.f.ReadAt(payload, int64(spillHdrBytes)); err != nil {
-		return nil, fmt.Errorf("vt: spill: %w", err)
-	}
-	dec := decoderPool.Get().(*decoder)
-	defer decoderPool.Put(dec)
+	src := &sourceReader{r: io.NewSectionReader(s.f, int64(spillHdrBytes), int64(s.bytes))}
+	br := bufio.NewReaderSize(src, min(s.bytes, 64<<10))
 	var all chain
-	var scratch []Event
-	decoded, p := 0, 0
-	for decoded < s.count {
-		count, n := binary.Uvarint(payload[p:])
-		if n <= 0 {
-			return all, &FormatError{What: "spill file", Version: -1, Detail: "truncated frame header"}
-		}
-		p += n
-		blen, n := binary.Uvarint(payload[p:])
-		if n <= 0 || count == 0 || count > uint64(s.count-decoded) || blen > uint64(len(payload)-p-n) {
-			return all, &FormatError{What: "spill file", Version: -1, Detail: "bad frame header"}
-		}
-		p += n
-		if err := decodeInto(&all, dec, payload[p:p+int(blen)], int(count), &scratch); err != nil {
-			return all, err
-		}
-		p += int(blen)
-		decoded += int(count)
+	var buf bytes.Buffer
+	if err := readFrames(br, uint64(s.count), "spill file", &buf, &all, nil); err != nil {
+		return all, src.failure("spill file", err)
 	}
-	if p != len(payload) {
-		return all, &FormatError{What: "spill file", Version: -1, Detail: "trailing bytes after final frame"}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return all, src.failure("spill file", &FormatError{What: "spill file", Version: -1, Detail: "trailing bytes after final frame"})
 	}
 	return all, nil
 }

@@ -20,11 +20,13 @@ type fakeEC struct {
 	tid     int
 	now     des.Time
 	charged int64
+	lib     image.Library
 }
 
-func (c *fakeEC) ThreadID() int    { return c.tid }
-func (c *fakeEC) Now() des.Time    { return c.now }
-func (c *fakeEC) Charge(cyc int64) { c.charged += cyc }
+func (c *fakeEC) ThreadID() int          { return c.tid }
+func (c *fakeEC) Now() des.Time          { return c.now }
+func (c *fakeEC) Charge(cyc int64)       { c.charged += cyc }
+func (c *fakeEC) Library() image.Library { return c.lib }
 
 func newTestCtx(cfg *Config) (*Ctx, *Collector) {
 	col := NewCollector()
@@ -219,9 +221,9 @@ func TestApplyChangesUnknownFunc(t *testing.T) {
 func TestSnippetsCallLibrary(t *testing.T) {
 	c, col := newTestCtx(nil)
 	id := c.FuncDef("f")
-	b := c.BeginSnippet(id)
-	e := c.EndSnippet(id)
-	ec := &fakeEC{}
+	b := BeginSnippet(id)
+	e := EndSnippet(id)
+	ec := &fakeEC{lib: c}
 	b(ec)
 	e(ec)
 	c.Flush()

@@ -61,7 +61,9 @@ go -C bench test ./...
 # newline-free torn tail; VGV's analysis of any collector built from fuzz
 # bytes must equal its reference oracle's; a dynprof script must never
 # panic the tool or the simulation, and is refused with ErrUnknownCommand
-# only for a command outside Table 1.
+# only for a command outside Table 1; any client bytes sent to the session
+# server's line protocol get exactly one ok or err reply per command, and
+# never panic it.
 fuzz FuzzReadCompactTrace ./internal/vt/
 fuzz FuzzEncodeBlock ./internal/vt/
 fuzz FuzzSpillReader ./internal/vt/
@@ -69,12 +71,19 @@ fuzz FuzzParseConfig ./internal/vt/
 fuzz FuzzLoadJournal ./internal/exp/
 fuzz FuzzAnalyze ./internal/vgv/
 fuzz FuzzExec ./internal/core/
+fuzz FuzzBridge ./internal/serve/
 
 # Race pass over the trace-file round trip and VGV's analysis of what it
 # reads: the encoder, decoder and chunk pools are shared by every
 # goroutine that handles a trace.
 run 'TestReadTrace|TestWriteTrace|TestTraceFile|TestAnalyze' \
     -race ./internal/vt/ ./internal/vgv/
+
+# Race pass over shared binary images: one guide.Binary launched from two
+# goroutines at once, whose ranks run the template's words, snippets and
+# region programs until a probe copies one rank's image.
+run 'TestLaunchOneBinaryConcurrently|TestJobRanksShareBinary|TestCloneSharesTemplatePrograms|TestMidReplayPatchFallsBack' \
+    -race ./internal/guide/ ./internal/image/
 
 # Short -race pass over the parallel cell runner.
 run 'TestParallel|TestCellCache|TestRunner' -race ./internal/exp/
