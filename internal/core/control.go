@@ -96,22 +96,23 @@ func (ss *Session) InsertConfSyncAt(p *des.Proc, fn string) error {
 // while the target is quiescent.
 func (ss *Session) installConfSyncAt(p *des.Proc, fn string) error {
 	isMPI := ss.bin.App().Lang.IsMPI()
-	probe, err := ss.cl.InstallProbe(p, ss.job.Processes(), fn, image.EntryPoint, 0, func(pr *proc.Process) image.Snippet {
-		rank := pr.Rank()
-		v := ss.job.VT(rank)
-		if !isMPI {
-			return func(ec image.ExecCtx) {
-				// Only the master thread drives the epoch; worker
-				// threads crossing the same point pass through.
-				if ec.ThreadID() == 0 {
-					v.LocalSync(ec.(vt.SyncPoint))
+	probe, err := ss.cl.InstallProbe(p, ss.job.Processes(), fn, image.EntryPoint, 0,
+		func(pr *proc.Process) image.Snippet {
+			rank := pr.Rank()
+			v := ss.job.VT(rank)
+			if !isMPI {
+				return func(ec image.ExecCtx) {
+					// Only the master thread drives the epoch; worker
+					// threads crossing the same point pass through.
+					if ec.ThreadID() == 0 {
+						v.LocalSync(ec.(vt.SyncPoint))
+					}
 				}
 			}
-		}
-		return func(ec image.ExecCtx) {
-			v.ConfSync(ss.job.World().Rank(rank), false, nil)
-		}
-	})
+			return func(ec image.ExecCtx) {
+				v.ConfSync(ss.job.World().Rank(rank), false, nil)
+			}
+		})
 	if err != nil {
 		return err
 	}

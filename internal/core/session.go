@@ -182,32 +182,33 @@ func (ss *Session) insertInitProtocol(p *des.Proc) error {
 	for i := range ss.spins {
 		ss.spins[i] = des.NewGate(fmt.Sprintf("dynvt-spin.%d", i), false)
 	}
-	probe, err := ss.cl.InstallProbe(p, ss.job.Processes(), symbol, image.ExitPoint, 0, func(pr *proc.Process) image.Snippet {
-		rank := pr.Rank()
-		spin := ss.spins[rank]
-		if isMPI {
-			return func(ec image.ExecCtx) {
-				m := ss.job.World().Rank(rank)
-				t := m.Thread()
-				// MPI_Barrier: synchronise after every rank's MPI_Init.
-				m.Barrier()
-				// DPCL_callback: one message tells the instrumenter
-				// every process has reached the safe point.
-				if rank == 0 {
-					ss.cl.PostCallback(CallbackTag, rank)
+	probe, err := ss.cl.InstallProbe(p, ss.job.Processes(), symbol, image.ExitPoint, 0,
+		func(pr *proc.Process) image.Snippet {
+			rank := pr.Rank()
+			spin := ss.spins[rank]
+			if isMPI {
+				return func(ec image.ExecCtx) {
+					m := ss.job.World().Rank(rank)
+					t := m.Thread()
+					// MPI_Barrier: synchronise after every rank's MPI_Init.
+					m.Barrier()
+					// DPCL_callback: one message tells the instrumenter
+					// every process has reached the safe point.
+					if rank == 0 {
+						ss.cl.PostCallback(CallbackTag, rank)
+					}
+					// DYNVT_spin: hold until the instrumenter releases us.
+					t.Block(func(dp *des.Proc) { dp.Await(spin) })
+					// MPI_Barrier: re-synchronise, since the spin variable
+					// is reset with differing per-process delays.
+					m.Barrier()
 				}
-				// DYNVT_spin: hold until the instrumenter releases us.
-				t.Block(func(dp *des.Proc) { dp.Await(spin) })
-				// MPI_Barrier: re-synchronise, since the spin variable
-				// is reset with differing per-process delays.
-				m.Barrier()
 			}
-		}
-		return func(ec image.ExecCtx) {
-			ss.cl.PostCallback(CallbackTag, rank)
-			ss.job.Processes()[0].Threads()[0].Block(func(dp *des.Proc) { dp.Await(spin) })
-		}
-	})
+			return func(ec image.ExecCtx) {
+				ss.cl.PostCallback(CallbackTag, rank)
+				ss.job.Processes()[0].Threads()[0].Block(func(dp *des.Proc) { dp.Await(spin) })
+			}
+		})
 	if err != nil {
 		return err
 	}

@@ -90,10 +90,11 @@ func TestInstallActivateFireRemove(t *testing.T) {
 		cl := r.sys.Connect("u")
 		cl.Attach(p, r.procs)
 		var err error
-		probe, err = cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, func(pr *proc.Process) image.Snippet {
-			rank := pr.Rank()
-			return func(ec image.ExecCtx) { fired[rank]++ }
-		})
+		probe, err = cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0,
+			func(pr *proc.Process) image.Snippet {
+				rank := pr.Rank()
+				return func(ec image.ExecCtx) { fired[rank]++ }
+			})
 		if err != nil {
 			t.Error(err)
 			return
@@ -153,14 +154,15 @@ func TestAsynchronousDeliverySkew(t *testing.T) {
 	r.s.Spawn("tool", func(p *des.Proc) {
 		cl := r.sys.Connect("u")
 		cl.Attach(p, r.procs)
-		probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, func(pr *proc.Process) image.Snippet {
-			rank := pr.Rank()
-			return func(ec image.ExecCtx) {
-				if _, seen := firstFire[rank]; !seen {
-					firstFire[rank] = ec.Now()
+		probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0,
+			func(pr *proc.Process) image.Snippet {
+				rank := pr.Rank()
+				return func(ec image.ExecCtx) {
+					if _, seen := firstFire[rank]; !seen {
+						firstFire[rank] = ec.Now()
+					}
 				}
-			}
-		})
+			})
 		if err != nil {
 			t.Error(err)
 			return

@@ -93,10 +93,11 @@ func TestPartialLossRecovers(t *testing.T) {
 	r.s.Spawn("tool", func(p *des.Proc) {
 		cl := r.sys.Connect("u")
 		cl.Attach(p, r.procs)
-		probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, func(pr *proc.Process) image.Snippet {
-			rank := pr.Rank()
-			return func(ec image.ExecCtx) { fired[rank]++ }
-		})
+		probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0,
+			func(pr *proc.Process) image.Snippet {
+				rank := pr.Rank()
+				return func(ec image.ExecCtx) { fired[rank]++ }
+			})
 		if err != nil {
 			t.Errorf("install under partial loss failed: %v", err)
 			return

@@ -110,9 +110,10 @@ func TestTwoUsersInstrumentIndependently(t *testing.T) {
 		cl := r.sys.Connect("alice")
 		cl.Attach(p, r.procs)
 		var err error
-		pa, err = cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, func(pr *proc.Process) image.Snippet {
-			return func(ec image.ExecCtx) { fired["alice"]++ }
-		})
+		pa, err = cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0,
+			func(pr *proc.Process) image.Snippet {
+				return func(ec image.ExecCtx) { fired["alice"]++ }
+			})
 		if err != nil {
 			t.Error(err)
 			return
@@ -128,9 +129,10 @@ func TestTwoUsersInstrumentIndependently(t *testing.T) {
 		cl := r.sys.Connect("bob")
 		cl.Attach(p, r.procs)
 		var err error
-		pb, err = cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, func(pr *proc.Process) image.Snippet {
-			return func(ec image.ExecCtx) { fired["bob"]++ }
-		})
+		pb, err = cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0,
+			func(pr *proc.Process) image.Snippet {
+				return func(ec image.ExecCtx) { fired["bob"]++ }
+			})
 		if err != nil {
 			t.Error(err)
 			return

@@ -42,8 +42,11 @@ func (probe *Probe) targets(buf []*proc.Process) []*proc.Process {
 // did install are rolled back, so a failed install never leaves the probe
 // half-staged.
 func (cl *Client) InstallProbe(p *des.Proc, procs []*proc.Process,
-	sym string, kind image.PointKind, exit int, mk func(pr *proc.Process) image.Snippet) (*Probe, error) {
-	probe := &Probe{Sym: sym, Kind: kind, Exit: exit, hands: make(map[*proc.Process]*image.ProbeHandle, len(procs))}
+	sym string, kind image.PointKind, exit int,
+	mk func(pr *proc.Process) image.Snippet) (*Probe, error) {
+
+	probe := &Probe{Sym: sym, Kind: kind, Exit: exit,
+		hands: make(map[*proc.Process]*image.ProbeHandle, len(procs))}
 	e := cl.addLedger(probe, mk, procs)
 	var errs []error
 	pending := cl.sys.reqBuf.take()

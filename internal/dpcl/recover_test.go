@@ -73,10 +73,11 @@ func TestDaemonCrashReplayReconverges(t *testing.T) {
 				}
 			})
 		})
-		probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0, func(pr *proc.Process) image.Snippet {
-			rank := pr.Rank()
-			return func(ec image.ExecCtx) { fired[rank]++ }
-		})
+		probe, err := cl.InstallProbe(p, r.procs, "hot", image.EntryPoint, 0,
+			func(pr *proc.Process) image.Snippet {
+				rank := pr.Rank()
+				return func(ec image.ExecCtx) { fired[rank]++ }
+			})
 		if err != nil {
 			t.Error(err)
 			return

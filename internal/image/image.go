@@ -269,12 +269,6 @@ type ProbeHandle struct {
 	kind PointKind
 }
 
-// Sym reports the symbol the probe instruments.
-func (h *ProbeHandle) Sym() *Symbol { return h.sym }
-
-// Kind reports whether this is an entry or exit probe.
-func (h *ProbeHandle) Kind() PointKind { return h.kind }
-
 // Active reports whether the probe currently fires when executed.
 func (h *ProbeHandle) Active() bool { return h.mini.active }
 
