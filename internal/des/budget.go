@@ -77,6 +77,15 @@ func (s *Scheduler) exhausted() bool {
 	return false
 }
 
+// horizon caps a loop's limit at the virtual budget: a loop executes no
+// event past MaxVirtual, so MaxVirtual+1 bounds it when that is sooner.
+func (b Budget) horizon(limit Time) Time {
+	if b.MaxVirtual > 0 && b.MaxVirtual < limit-1 {
+		return b.MaxVirtual + 1
+	}
+	return limit
+}
+
 // livelocked terminates an over-budget run: it aborts every parked Proc so
 // no goroutines leak and returns the structured diagnosis.
 func (s *Scheduler) livelocked() *LivelockError {

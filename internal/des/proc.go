@@ -135,11 +135,24 @@ func (p *Proc) Now() Time { return p.s.now }
 
 // Advance blocks p for d of virtual time, modelling computation or delay.
 // Advance(0) yields to other runnable Procs at the same timestamp.
+//
+// When p's wake-up would be the next event the running loop executes
+// (runsNext), Advance executes that event in place instead of parking:
+// it takes the seq, clock and event and step counts the loop would have,
+// and returns to p without two coroutine switches and a queue round trip.
 func (p *Proc) Advance(d Time) {
 	if d < 0 {
 		panic("des: Advance with negative duration")
 	}
-	p.s.resumeAfter(d, p)
+	s := p.s
+	if t := s.now + d; s.runsNext(t, p) {
+		s.seq++
+		s.now = t
+		s.executed++
+		p.steps++
+		return
+	}
+	s.resumeAfter(d, p)
 	p.park("advance", "")
 }
 

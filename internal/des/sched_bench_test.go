@@ -82,7 +82,9 @@ func BenchmarkSchedulerMixed(b *testing.B) {
 
 // BenchmarkProcSwitch measures the full context-switch round trip of one
 // Proc step: schedule the resume event, hand control to the Proc
-// goroutine, and take it back when the Proc parks again.
+// goroutine, and take it back when the Proc parks again. Two Procs advance
+// in lockstep, so every wake-up has the other's queued ahead of it and no
+// Advance runs in place; one op is one Advance by either Proc.
 func BenchmarkProcSwitch(b *testing.B) {
 	for _, d := range []Time{0, 1} {
 		name := "advance0"
@@ -92,17 +94,50 @@ func BenchmarkProcSwitch(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			s := NewScheduler(1)
-			s.Spawn("bench", func(p *Proc) {
-				for i := 0; i < b.N; i++ {
-					p.Advance(d)
-				}
-			})
+			n := 0
+			for _, name := range []string{"a", "b"} {
+				s.Spawn(name, func(p *Proc) {
+					for ; n < b.N; n++ {
+						p.Advance(d)
+					}
+				})
+			}
 			b.ResetTimer()
 			if err := s.Run(); err != nil {
 				b.Fatal(err)
 			}
 		})
 	}
+}
+
+// BenchmarkAdvanceInPlace measures Advances whose wake-up is the next
+// event, which run in place without a coroutine switch. chain is one Proc
+// advancing alone (one op is one Advance); wavefront1 is the one-shard
+// wavefront, where each hop's Advance runs in place and the hop's Recv
+// parks (one op is one hop). Compare BenchmarkProcSwitch and
+// BenchmarkClusterWavefront.
+func BenchmarkAdvanceInPlace(b *testing.B) {
+	b.Run("chain", func(b *testing.B) {
+		b.ReportAllocs()
+		s := NewScheduler(1)
+		s.Spawn("chain", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				p.Advance(1)
+			}
+		})
+		b.ResetTimer()
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("wavefront1", func(b *testing.B) {
+		b.ReportAllocs()
+		c := wavefront(1, 1, b.N)
+		b.ResetTimer()
+		if err := c.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
 }
 
 // BenchmarkProcPingPong measures two Procs handing a token back and forth

@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -157,6 +158,12 @@ type Scheduler struct {
 	fatal    *ProcPanicError
 	running  *Proc // the Proc being resumed, nil in event context
 
+	// horizon bounds the wake-ups Advance may run in place (see
+	// runsNext): the running loop would pop an event at t only if
+	// t < horizon. Zero, the value outside a loop and under a DrainUntil
+	// predicate, turns the in-place path off.
+	horizon Time
+
 	// Sharding state (see shard.go). All three are zero for a standalone
 	// Scheduler, whose behaviour is completely unchanged.
 	cluster *Cluster
@@ -261,6 +268,20 @@ func (s *Scheduler) popNext() event {
 	return s.ring.pop()
 }
 
+// runsNext reports whether an event that resumes the running Proc p at t
+// would be the very next event the running loop executes: not in the past
+// (which schedule rejects), before the loop's horizon, ahead of every
+// queued event by (at, seq) — a new event takes the largest seq, so the
+// ring must be empty and the heap root strictly later — and with nothing
+// that makes the loop stop or tear down first (Stop, a fatal panic, the
+// event budget, a kill).
+func (s *Scheduler) runsNext(t Time, p *Proc) bool {
+	return s.now <= t && t < s.horizon && s.ring.n == 0 &&
+		(s.heap.len() == 0 || s.heap.a[0].at > t) &&
+		!s.stopped && s.fatal == nil && !p.killed &&
+		(s.budget.MaxEvents == 0 || s.executed < s.budget.MaxEvents)
+}
+
 // Stop makes Run return after the current event completes. Parked Procs are
 // aborted so their coroutines finish.
 func (s *Scheduler) Stop() { s.stopped = true }
@@ -324,8 +345,13 @@ func (s *Scheduler) Drain() error { return s.DrainUntil(nil) }
 // DrainUntil is Drain with an early-exit predicate: after each event, if
 // done is non-nil and returns true, DrainUntil returns immediately with the
 // queue and Procs intact. Used to run the simulation just far enough for
-// one request to complete.
+// one request to complete. Under a predicate no Advance runs in place
+// (runsNext), so done is consulted after every event.
 func (s *Scheduler) DrainUntil(done func() bool) error {
+	if done == nil {
+		s.horizon = s.budget.horizon(math.MaxInt64)
+		defer func() { s.horizon = 0 }()
+	}
 	for s.pending() > 0 && !s.stopped {
 		if s.exhausted() {
 			return s.livelocked()

@@ -174,6 +174,8 @@ func (s *Scheduler) Cast(to int, d Time, fn func()) {
 // but reporting fatal Proc panics instead of raising them, since it runs
 // on a worker goroutine.
 func (s *Scheduler) runWindow(limit Time) windowStatus {
+	s.horizon = s.budget.horizon(limit)
+	defer func() { s.horizon = 0 }()
 	for s.pending() > 0 && !s.stopped {
 		if s.budget.MaxEvents > 0 && s.executed >= s.budget.MaxEvents {
 			return windowStatus{over: true}

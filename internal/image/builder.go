@@ -102,6 +102,7 @@ func (b *Builder) Build() *Image {
 		symByName:     b.symByName,
 		snippets:      b.snippets,
 		nextSnippetID: int64(len(b.snippets)),
+		builtSnippets: int64(len(b.snippets)),
 		progs:         make([]*regionProg, b.regions),
 	}
 	img.share()

@@ -94,6 +94,9 @@ type Image struct {
 
 	snippets      map[int64]Snippet
 	nextSnippetID int64
+	// builtSnippets is the number of snippets compiled into the binary,
+	// ids 1..builtSnippets; they stay bound for the image's life.
+	builtSnippets int64
 
 	tramps map[Addr]*baseTramp // keyed by patched probe-point address
 
@@ -202,7 +205,9 @@ func (img *Image) MustLookup(name string) *Symbol {
 }
 
 // BindSnippet binds fn, the code a patcher generated for this process,
-// under a fresh snippet id and returns the id.
+// under a fresh snippet id and returns the id. The binding lasts until the
+// last probe inserted with it is removed, so a long-lived process that
+// tools patch over and over keeps only the snippets its probes still call.
 func (img *Image) BindSnippet(fn Snippet) int64 {
 	if fn == nil {
 		panic("image: BindSnippet with nil snippet")
@@ -211,6 +216,25 @@ func (img *Image) BindSnippet(fn Snippet) int64 {
 	img.nextSnippetID++
 	img.snippets[img.nextSnippetID] = fn
 	return img.nextSnippetID
+}
+
+// releaseSnippet unbinds snippet id, which a removed mini-trampoline
+// called, unless it was compiled into the binary or a live mini still
+// calls it: one id may be inserted at several points. An image holds
+// few probes, so counting the references by a walk over its chains
+// costs less than keeping a count per binding.
+func (img *Image) releaseSnippet(id int64) {
+	if id <= img.builtSnippets {
+		return
+	}
+	for _, t := range img.tramps {
+		for _, m := range t.minis {
+			if m.snippet == id {
+				return
+			}
+		}
+	}
+	delete(img.snippets, id)
 }
 
 // Clone produces an independent copy of the image, the address space of a
@@ -358,9 +382,10 @@ func (h *ProbeHandle) SetActive(active bool) {
 	}
 }
 
-// Remove unlinks the probe's mini-trampoline from its chain. When the last
-// mini at a probe point is removed, the original instruction is restored at
-// the probe point and the base trampoline is freed: the function reverts to
+// Remove unlinks the probe's mini-trampoline from its chain and releases
+// its snippet binding if no other probe calls it. When the last mini at a
+// probe point is removed, the original instruction is restored at the
+// probe point and the base trampoline is freed: the function reverts to
 // its pristine, zero-overhead form.
 func (h *ProbeHandle) Remove() error {
 	t, ok := h.img.tramps[h.at]
@@ -385,9 +410,10 @@ func (h *ProbeHandle) Remove() error {
 		h.img.words[t.at] = t.relocated
 		h.img.freeWords(t.base, baseWords)
 		delete(h.img.tramps, h.at)
-		return nil
+	} else {
+		h.img.relinkChain(t)
 	}
-	h.img.relinkChain(t)
+	h.img.releaseSnippet(h.mini.snippet)
 	return nil
 }
 

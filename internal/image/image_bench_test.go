@@ -43,10 +43,11 @@ func BenchmarkTrampolineExecution(b *testing.B) {
 }
 
 // BenchmarkProbeInsertRemove measures patch/unpatch round trips on a
-// 199-function image, the size of smg98's: one op activates and removes
-// an entry probe on each of 62 functions spread over the image (as many
-// as smg98's default subset), dynprof's per-function insertion cost on the
-// host side.
+// 199-function image, the size of smg98's: one op binds, activates and
+// removes an entry probe on each of 62 functions spread over the image (as
+// many as smg98's default subset), dynprof's per-function insertion cost on
+// the host side. Each probe binds its own snippet, as a DPCL install does,
+// and its removal releases the binding.
 func BenchmarkProbeInsertRemove(b *testing.B) {
 	const funcs, patched = 199, 62
 	bl := NewBuilder("smg98-sized")
@@ -59,11 +60,12 @@ func BenchmarkProbeInsertRemove(b *testing.B) {
 		syms[i] = sym
 	}
 	img := bl.Build()
-	id := img.BindSnippet(func(ExecCtx) {})
+	snippet := func(ExecCtx) {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k := 0; k < patched; k++ {
+			id := img.BindSnippet(snippet)
 			h, err := img.InsertProbe(syms[k*funcs/patched], EntryPoint, 0, id)
 			if err != nil {
 				b.Fatal(err)

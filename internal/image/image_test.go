@@ -657,3 +657,49 @@ func TestSetActiveOnRemovedProbeIsNoop(t *testing.T) {
 		t.Fatal("SetActive on a removed probe changed the image")
 	}
 }
+
+// TestInsertRemoveCyclesReleaseSnippets: a long-lived process patched over
+// and over keeps only the snippets its live probes call. One id bound at
+// two points stays bound until both probes are gone, and 1,000 insert and
+// remove cycles leave the snippet table at its built size.
+func TestInsertRemoveCyclesReleaseSnippets(t *testing.T) {
+	b := NewBuilder("test")
+	if _, err := b.AddFunc(FuncSpec{Name: "alpha", BodyWords: 4, Exits: 1,
+		EntrySnippets: []Snippet{func(ExecCtx) {}}}); err != nil {
+		t.Fatal(err)
+	}
+	img := b.Build().Clone()
+	a := img.MustLookup("alpha")
+	built := len(img.snippets)
+	fired := 0
+	for i := 0; i < 1000; i++ {
+		id := img.BindSnippet(func(ExecCtx) { fired++ })
+		entry, err := img.InsertProbe(a, EntryPoint, 0, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exit, err := img.InsertProbe(a, ExitPoint, 0, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry.SetActive(true)
+		exit.SetActive(true)
+		if err := entry.Remove(); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := img.snippets[id]; !ok {
+			t.Fatalf("cycle %d: snippet released while the exit probe still calls it", i)
+		}
+		img.ExecExit(a, 0, &fakeCtx{})
+		if err := exit.Remove(); err != nil {
+			t.Fatal(err)
+		}
+		img.ExecEntry(a, &fakeCtx{})
+	}
+	if fired != 1000 {
+		t.Errorf("exit probes fired %d times, want 1000", fired)
+	}
+	if len(img.snippets) != built {
+		t.Errorf("after 1000 cycles: %d snippets bound, built with %d", len(img.snippets), built)
+	}
+}

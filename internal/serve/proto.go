@@ -7,6 +7,7 @@ import (
 	"net"
 	"strconv"
 	"strings"
+	"sync"
 
 	"dynprof/internal/des"
 )
@@ -39,18 +40,96 @@ type seqState struct {
 }
 
 // protoConn is the bridge's per-connection state. The reader goroutine
-// only reads from c and sends on the bridge's request channel; everything
-// else (including every write to c) happens on the bridge loop goroutine,
-// one command at a time — the reader waits on ack before reading the next
-// line, so a connection never has two commands in flight.
+// only reads from c and sends on the bridge's request channel, and the
+// writer goroutine only writes the queued reply lines to c and closes it;
+// everything else happens on the bridge loop goroutine, one command at a
+// time — the reader waits on ack before reading the next line, so a
+// connection never has two commands in flight. The bridge loop only
+// queues replies, so a client that writes its next line before reading a
+// reply stalls its own connection, not the simulation.
 type protoConn struct {
 	c   net.Conn
-	w   *bufio.Writer
 	ack chan struct{}
 	sn  *Session
 	seq seqState
 	// rec, when non-nil, captures the next reply line for seq caching.
 	rec *string
+
+	// mu guards out and closing, shared with the writer goroutine, which
+	// wake signals. closing asks the writer to close c once everything
+	// queued before it is written; lines queued after it are dropped.
+	mu      sync.Mutex
+	out     []string
+	closing bool
+	wake    chan struct{}
+}
+
+// newProtoConn wraps c and starts its writer goroutine.
+func newProtoConn(c net.Conn) *protoConn {
+	pc := &protoConn{c: c, ack: make(chan struct{}, 1), wake: make(chan struct{}, 1)}
+	go pc.write()
+	return pc
+}
+
+// send queues one reply line for the writer. Handlers reply through
+// Bridge.reply, which also captures the line for seq caching.
+func (pc *protoConn) send(line string) {
+	pc.mu.Lock()
+	if !pc.closing {
+		pc.out = append(pc.out, line)
+	}
+	pc.mu.Unlock()
+	pc.signal()
+}
+
+// close asks the writer to close the connection after the queued replies.
+func (pc *protoConn) close() {
+	pc.mu.Lock()
+	pc.closing = true
+	pc.mu.Unlock()
+	pc.signal()
+}
+
+// closed reports whether the connection is closing: its reader stops.
+func (pc *protoConn) closed() bool {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return pc.closing
+}
+
+func (pc *protoConn) signal() {
+	select {
+	case pc.wake <- struct{}{}:
+	default:
+	}
+}
+
+// write is the connection's writer goroutine: it writes queued lines in
+// order, flushing after each batch, until the connection closes. A failed
+// write closes the connection at once: the client is gone, so later
+// replies are dropped and the reader ends the stream.
+func (pc *protoConn) write() {
+	w := bufio.NewWriter(pc.c)
+	var batch []string
+	for range pc.wake {
+		pc.mu.Lock()
+		batch, pc.out = pc.out, batch[:0]
+		closing := pc.closing
+		pc.mu.Unlock()
+		for _, line := range batch {
+			w.WriteString(line)
+			w.WriteByte('\n')
+		}
+		err := w.Flush()
+		clear(batch)
+		if err != nil {
+			pc.close()
+		}
+		if closing || err != nil {
+			pc.c.Close()
+			return
+		}
+	}
 }
 
 // Bridge serves the dynprof line protocol on top of a Server: one
@@ -149,14 +228,14 @@ func (b *Bridge) accept() {
 		if err != nil {
 			return
 		}
-		pc := &protoConn{c: c, w: bufio.NewWriter(c), ack: make(chan struct{}, 1)}
-		go b.reader(pc)
+		go b.reader(newProtoConn(c))
 	}
 }
 
 // reader parses one connection's command stream. It serialises the
 // connection: after sending a command it waits for the handler's ack
-// before reading the next line. A line too long to scan ends the stream
+// before reading the next line, and reads none after a command that
+// closed the connection (quit). A line too long to scan ends the stream
 // like end of file, after an err reply; the rest of that line is read
 // first, so closing the connection does not reset it under the reply.
 func (b *Bridge) reader(pc *protoConn) {
@@ -168,6 +247,9 @@ func (b *Bridge) reader(pc *protoConn) {
 		}
 		b.reqs <- protoReq{pc: pc, line: line}
 		<-pc.ack
+		if pc.closed() {
+			break
+		}
 	}
 	end := protoReq{pc: pc, eof: true}
 	if errors.Is(sc.Err(), bufio.ErrTooLong) {
@@ -190,7 +272,7 @@ func (b *Bridge) dispatch(req protoReq) {
 		defer func() { b.completed++ }()
 		if req.eof {
 			if req.line != "" {
-				b.replyRaw(pc, req.line)
+				pc.send(req.line)
 			}
 			b.drop(p, pc)
 			return
@@ -213,17 +295,18 @@ func (b *Bridge) drop(p *des.Proc, pc *protoConn) {
 		}
 		pc.sn = nil
 	}
-	pc.c.Close()
+	pc.close()
 	delete(b.conns, pc)
 }
 
 // shutdown tears the host side down after the last handler finishes: no
-// new connections, every live connection closed, and a drainer to unblock
-// readers still sending on the request channel.
+// new connections, every live connection closed once its queued replies
+// are written, and a drainer to unblock readers still sending on the
+// request channel.
 func (b *Bridge) shutdown() {
 	b.ln.Close()
 	for pc := range b.conns {
-		pc.c.Close()
+		pc.close()
 	}
 	go func() {
 		for req := range b.reqs {
@@ -239,15 +322,7 @@ func (b *Bridge) reply(pc *protoConn, format string, args ...any) {
 	if pc.rec != nil {
 		*pc.rec = line
 	}
-	fmt.Fprintf(pc.w, "%s\n", line)
-	pc.w.Flush()
-}
-
-// replyRaw writes a pre-formatted reply line without seq capture (used to
-// replay a cached reply for a duplicate sequence number).
-func (b *Bridge) replyRaw(pc *protoConn, line string) {
-	fmt.Fprintf(pc.w, "%s\n", line)
-	pc.w.Flush()
+	pc.send(line)
 }
 
 // seqFor picks the sequence state a connection's commands check against:
@@ -284,7 +359,7 @@ func (b *Bridge) handle(p *des.Proc, pc *protoConn, line string) {
 		}
 		st := pc.seqFor()
 		if seq == st.last {
-			b.replyRaw(pc, st.reply)
+			pc.send(st.reply) // a cached reply replays without seq capture
 			return
 		}
 		if seq < st.last {
@@ -419,7 +494,7 @@ func (b *Bridge) handle(p *des.Proc, pc *protoConn, line string) {
 			pc.sn = nil
 		}
 		b.reply(pc, "ok quit")
-		pc.c.Close()
+		pc.close()
 	case "shutdown":
 		b.quit = true
 		b.sv.Shutdown()

@@ -6,6 +6,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"dynprof/internal/des"
 	"dynprof/internal/machine"
@@ -234,4 +235,47 @@ func TestProtoSeqAndResume(t *testing.T) {
 	if st.Suspended != 1 || st.Resumed != 1 || st.Evicted != 0 {
 		t.Errorf("stats = %+v", st)
 	}
+}
+
+// TestProtoPipelinedCommands: a client may write its next command before
+// reading the reply to the last one. Over a synchronous pipe, a reply
+// written from the simulation loop would block it until the client reads,
+// while the client blocks writing: the bridge queues replies instead, so
+// this client's commands all run, another connection is served meanwhile,
+// and each command gets its one reply, in order.
+func TestProtoPipelinedCommands(t *testing.T) {
+	ln, errc := startBridge(t)
+	c, err := ln.dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	cmds := []string{"open alice smg", "insert smg_relax", "list"}
+	for _, cmd := range cmds {
+		if _, err := fmt.Fprintln(c, cmd); err != nil {
+			t.Fatalf("pipelining %q: %v", cmd, err)
+		}
+	}
+
+	other, err := ln.dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	other.SetDeadline(time.Now().Add(10 * time.Second))
+	fmt.Fprintln(other, "jobs")
+	if got, err := bufio.NewReader(other).ReadString('\n'); got != "ok jobs smg\n" {
+		t.Fatalf("other connection's jobs reply %q (%v)", got, err)
+	}
+
+	r := bufio.NewReader(c)
+	want := []string{"ok open alice job smg token ", "ok insert 1 function(s)\n", "ok list smg_relax\n"}
+	for i, w := range want {
+		got, err := r.ReadString('\n')
+		if err != nil || !strings.HasPrefix(got, w) {
+			t.Fatalf("reply %d to %q: %q (%v), want prefix %q", i, cmds[i], got, err, w)
+		}
+	}
+	shutdown(t, ln, errc)
 }

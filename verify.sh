@@ -63,7 +63,10 @@ go -C bench test ./...
 # panic the tool or the simulation, and is refused with ErrUnknownCommand
 # only for a command outside Table 1; any client bytes sent to the session
 # server's line protocol get exactly one ok or err reply per command, and
-# never panic it.
+# never panic it; a random graph of Procs that advance, cast and receive
+# runs the same with Advances in place as parked, the same on a one-shard
+# Cluster as on a Scheduler, with the same finish times on k shards, and
+# identically at host parallelism 1 and 2.
 fuzz FuzzReadCompactTrace ./internal/vt/
 fuzz FuzzEncodeBlock ./internal/vt/
 fuzz FuzzSpillReader ./internal/vt/
@@ -72,6 +75,7 @@ fuzz FuzzLoadJournal ./internal/exp/
 fuzz FuzzAnalyze ./internal/vgv/
 fuzz FuzzExec ./internal/core/
 fuzz FuzzBridge ./internal/serve/
+fuzz FuzzClusterGraph ./internal/des/
 
 # Race pass over the trace-file round trip and VGV's analysis of what it
 # reads: the encoder, decoder and chunk pools are shared by every
