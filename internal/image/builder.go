@@ -34,18 +34,18 @@ type Builder struct {
 	syms      []*Symbol
 	symByName map[string]*Symbol
 	regions   int
-	snippets  map[int64]Snippet
+	snippets  []Snippet // compiled-in snippet id i is snippets[i-1]
 }
 
 // NewBuilder starts building an image named name.
 func NewBuilder(name string) *Builder {
-	return &Builder{name: name, symByName: make(map[string]*Symbol), snippets: make(map[int64]Snippet)}
+	return &Builder{name: name, symByName: make(map[string]*Symbol)}
 }
 
 // call emits a SnippetCall word for fn under a fresh snippet id.
 func (b *Builder) call(fn Snippet) {
-	id := int64(len(b.snippets)) + 1
-	b.snippets[id] = fn
+	b.snippets = append(b.snippets, fn)
+	id := int64(len(b.snippets))
 	b.words = append(b.words, isa.Word{Op: isa.SnippetCall, Arg: id})
 }
 
@@ -100,9 +100,8 @@ func (b *Builder) Build() *Image {
 		words:         b.words,
 		syms:          b.syms,
 		symByName:     b.symByName,
-		snippets:      b.snippets,
+		built:         b.snippets,
 		nextSnippetID: int64(len(b.snippets)),
-		builtSnippets: int64(len(b.snippets)),
 		progs:         make([]*regionProg, b.regions),
 	}
 	img.share()

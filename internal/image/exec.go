@@ -101,7 +101,7 @@ func (img *Image) walk(at Addr, ctx ExecCtx, fname string, p *regionProg) int64 
 		case isa.Jmp:
 			at = Addr(w.Arg)
 		case isa.SnippetCall:
-			fn := img.snippets[w.Arg]
+			fn := img.snippet(w.Arg)
 			if fn == nil {
 				panic(fmt.Sprintf("image %s: unbound snippet %d in %s", img.name, w.Arg, fname))
 			}

@@ -92,11 +92,13 @@ type Image struct {
 	syms      []*Symbol
 	symByName map[string]*Symbol
 
-	snippets      map[int64]Snippet
+	// built holds the snippets compiled into the binary, id i at
+	// built[i-1]; they stay bound for the image's life and every image
+	// of the binary shares them. bound holds the snippets patchers bound
+	// since (BindSnippet), ids above len(built).
+	built         []Snippet
+	bound         map[int64]boundSnippet
 	nextSnippetID int64
-	// builtSnippets is the number of snippets compiled into the binary,
-	// ids 1..builtSnippets; they stay bound for the image's life.
-	builtSnippets int64
 
 	tramps map[Addr]*baseTramp // keyed by patched probe-point address
 
@@ -110,7 +112,7 @@ type Image struct {
 	gen   uint64
 	progs []*regionProg
 
-	// shared marks words, snippets and progs as possibly referenced by
+	// shared marks words, bound snippets and progs as possibly referenced by
 	// other images: read-only, with every program current.
 	shared bool
 }
@@ -121,7 +123,7 @@ type Image struct {
 func (img *Image) mutate() {
 	if img.shared {
 		img.words = slices.Clone(img.words)
-		img.snippets = maps.Clone(img.snippets)
+		img.bound = maps.Clone(img.bound)
 		img.progs = make([]*regionProg, len(img.progs))
 		img.shared = false
 	}
@@ -204,37 +206,54 @@ func (img *Image) MustLookup(name string) *Symbol {
 	return s
 }
 
+// boundSnippet is a snippet bound by a patcher and the number of live
+// probes that call it.
+type boundSnippet struct {
+	fn   Snippet
+	refs int
+}
+
+// snippet returns the snippet bound under id, or nil.
+func (img *Image) snippet(id int64) Snippet {
+	if id >= 1 && id <= int64(len(img.built)) {
+		return img.built[id-1]
+	}
+	return img.bound[id].fn
+}
+
 // BindSnippet binds fn, the code a patcher generated for this process,
-// under a fresh snippet id and returns the id. The binding lasts until the
-// last probe inserted with it is removed, so a long-lived process that
-// tools patch over and over keeps only the snippets its probes still call.
+// under a fresh snippet id and returns the id. The probes inserted with
+// the id own the binding: it lasts until the last of them is removed, or
+// ends at once if the InsertProbe that would have been its first fails, so
+// a long-lived process that tools patch over and over keeps only the
+// snippets its probes still call.
 func (img *Image) BindSnippet(fn Snippet) int64 {
 	if fn == nil {
 		panic("image: BindSnippet with nil snippet")
 	}
 	img.mutate()
 	img.nextSnippetID++
-	img.snippets[img.nextSnippetID] = fn
+	if img.bound == nil {
+		img.bound = make(map[int64]boundSnippet)
+	}
+	img.bound[img.nextSnippetID] = boundSnippet{fn: fn}
 	return img.nextSnippetID
 }
 
-// releaseSnippet unbinds snippet id, which a removed mini-trampoline
-// called, unless it was compiled into the binary or a live mini still
-// calls it: one id may be inserted at several points. An image holds
-// few probes, so counting the references by a walk over its chains
-// costs less than keeping a count per binding.
-func (img *Image) releaseSnippet(id int64) {
-	if id <= img.builtSnippets {
+// refSnippet adds delta to the count of live probes calling snippet id
+// and unbinds a bound snippet no probe calls any more; one id may be
+// inserted at several points. Compiled-in snippets are not counted.
+func (img *Image) refSnippet(id int64, delta int) {
+	b, ok := img.bound[id]
+	if !ok {
 		return
 	}
-	for _, t := range img.tramps {
-		for _, m := range t.minis {
-			if m.snippet == id {
-				return
-			}
-		}
+	img.mutate()
+	if b.refs += delta; b.refs > 0 {
+		img.bound[id] = b
+	} else {
+		delete(img.bound, id)
 	}
-	delete(img.snippets, id)
 }
 
 // Clone produces an independent copy of the image, the address space of a
@@ -305,15 +324,18 @@ func (h *ProbeHandle) Removed() bool { return h.mini.removed }
 // the original word and bracketing it with register save/restore), and the
 // probe's snippet is placed in a new mini-trampoline appended to the
 // point's chain. The probe starts inactive; activate it with SetActive,
-// mirroring DPCL's separate install and activate steps.
+// mirroring DPCL's separate install and activate steps. An insert that
+// fails releases a snippet binding no probe calls yet (see BindSnippet).
 func (img *Image) InsertProbe(sym *Symbol, kind PointKind, exitIndex int, snippetID int64) (*ProbeHandle, error) {
-	if _, ok := img.snippets[snippetID]; !ok {
+	if img.snippet(snippetID) == nil {
 		return nil, fmt.Errorf("image %s: snippet %d not bound", img.name, snippetID)
 	}
 	at, err := probeAddr(sym, kind, exitIndex)
 	if err != nil {
+		img.refSnippet(snippetID, 0)
 		return nil, err
 	}
+	img.refSnippet(snippetID, 1)
 	img.mutate()
 	t, ok := img.tramps[at]
 	if !ok {
@@ -413,7 +435,7 @@ func (h *ProbeHandle) Remove() error {
 	} else {
 		h.img.relinkChain(t)
 	}
-	h.img.releaseSnippet(h.mini.snippet)
+	h.img.refSnippet(h.mini.snippet, -1)
 	return nil
 }
 

@@ -77,3 +77,50 @@ func BenchmarkProbeInsertRemove(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkProbeRemoveMany measures tearing down a fully patched image, as
+// a session close or a recovery does: one op binds and inserts an entry
+// probe and every exit probe on all 199 functions of an smg98-sized image,
+// each with its own snippet, then removes them all while the rest are
+// still live. The release of a binding must not grow with the number of
+// live probes.
+func BenchmarkProbeRemoveMany(b *testing.B) {
+	const funcs = 199
+	bl := NewBuilder("smg98-sized")
+	syms := make([]*Symbol, funcs)
+	for i := range syms {
+		sym, err := bl.AddFunc(FuncSpec{Name: fmt.Sprintf("f%03d", i), BodyWords: 8 + i%32, Exits: 1 + i%3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		syms[i] = sym
+	}
+	img := bl.Build()
+	snippet := func(ExecCtx) {}
+	var hs []*ProbeHandle
+	insert := func(sym *Symbol, kind PointKind, exit int) {
+		h, err := img.InsertProbe(sym, kind, exit, img.BindSnippet(snippet))
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.SetActive(true)
+		hs = append(hs, h)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hs = hs[:0]
+		for _, sym := range syms {
+			insert(sym, EntryPoint, 0)
+			for e := range sym.Exits {
+				insert(sym, ExitPoint, e)
+			}
+		}
+		for _, h := range hs {
+			if err := h.Remove(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(hs)), "probes")
+}

@@ -660,8 +660,9 @@ func TestSetActiveOnRemovedProbeIsNoop(t *testing.T) {
 
 // TestInsertRemoveCyclesReleaseSnippets: a long-lived process patched over
 // and over keeps only the snippets its live probes call. One id bound at
-// two points stays bound until both probes are gone, and 1,000 insert and
-// remove cycles leave the snippet table at its built size.
+// two points stays bound until both probes are gone, an id whose first
+// insert fails is released at once, and 1,000 insert and remove cycles
+// leave the snippet table at its built size.
 func TestInsertRemoveCyclesReleaseSnippets(t *testing.T) {
 	b := NewBuilder("test")
 	if _, err := b.AddFunc(FuncSpec{Name: "alpha", BodyWords: 4, Exits: 1,
@@ -670,7 +671,6 @@ func TestInsertRemoveCyclesReleaseSnippets(t *testing.T) {
 	}
 	img := b.Build().Clone()
 	a := img.MustLookup("alpha")
-	built := len(img.snippets)
 	fired := 0
 	for i := 0; i < 1000; i++ {
 		id := img.BindSnippet(func(ExecCtx) { fired++ })
@@ -687,7 +687,7 @@ func TestInsertRemoveCyclesReleaseSnippets(t *testing.T) {
 		if err := entry.Remove(); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := img.snippets[id]; !ok {
+		if _, ok := img.bound[id]; !ok {
 			t.Fatalf("cycle %d: snippet released while the exit probe still calls it", i)
 		}
 		img.ExecExit(a, 0, &fakeCtx{})
@@ -695,11 +695,18 @@ func TestInsertRemoveCyclesReleaseSnippets(t *testing.T) {
 			t.Fatal(err)
 		}
 		img.ExecEntry(a, &fakeCtx{})
+		bad := img.BindSnippet(func(ExecCtx) {})
+		if _, err := img.InsertProbe(a, ExitPoint, 7, bad); err == nil {
+			t.Fatal("out-of-range exit accepted")
+		}
+		if _, ok := img.bound[bad]; ok {
+			t.Fatalf("cycle %d: a failed insert left its snippet bound", i)
+		}
 	}
 	if fired != 1000 {
 		t.Errorf("exit probes fired %d times, want 1000", fired)
 	}
-	if len(img.snippets) != built {
-		t.Errorf("after 1000 cycles: %d snippets bound, built with %d", len(img.snippets), built)
+	if len(img.bound) != 0 {
+		t.Errorf("after 1000 cycles: %d snippets still bound", len(img.bound))
 	}
 }

@@ -1,5 +1,9 @@
 package serve
 
+// ProtoBacklog is the number of replies a connection may owe its client
+// before the bridge stops reading its commands.
+const ProtoBacklog = protoBacklog
+
 // LaneEntries reports, for node's lane, the number of requests queued by
 // each user holding an entry, and the number of slots in the rotation
 // (entries plus drained slots not yet retired).

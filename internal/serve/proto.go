@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"dynprof/internal/des"
 )
@@ -18,14 +19,27 @@ import (
 // arriving on other connections.
 const protoQuantum = 4096
 
+// protoBacklog is how many replies may wait for a connection's writer
+// before its reader stops reading commands: a client that pipelines
+// commands without reading the replies holds at most this many in the
+// server, besides the one being written and the one the reader holds.
+const protoBacklog = 16
+
 // protoReq is one command line read from a connection, handed to the
 // bridge loop by that connection's reader goroutine. eof marks the
-// connection's end of stream instead of a command; line is then a reply
-// still owed to the client, if any.
+// connection's end of stream instead of a command.
 type protoReq struct {
 	pc   *protoConn
 	line string
 	eof  bool
+}
+
+// protoReply is a command's one reply line, handed back to the reader on
+// ack; last closes the connection after it (quit). A zero reply, from a
+// command drained at shutdown, writes nothing.
+type protoReply struct {
+	line string
+	last bool
 }
 
 // seqState is one command stream's request-sequence state: the highest
@@ -40,96 +54,22 @@ type seqState struct {
 }
 
 // protoConn is the bridge's per-connection state. The reader goroutine
-// only reads from c and sends on the bridge's request channel, and the
-// writer goroutine only writes the queued reply lines to c and closes it;
-// everything else happens on the bridge loop goroutine, one command at a
-// time — the reader waits on ack before reading the next line, so a
-// connection never has two commands in flight. The bridge loop only
-// queues replies, so a client that writes its next line before reading a
-// reply stalls its own connection, not the simulation.
+// reads commands from c and sends them on the bridge's request channel;
+// its writer goroutine writes the replies to c. Everything else happens on
+// the bridge loop goroutine, one command at a time: the reader waits for
+// the handler's reply on ack before reading the next line, so a connection
+// never has two commands in flight. The bridge loop never writes to c, so
+// a client that does not read its replies stalls its own connection, not
+// the simulation.
 type protoConn struct {
 	c   net.Conn
-	ack chan struct{}
+	ack chan protoReply
 	sn  *Session
 	seq seqState
-	// rec, when non-nil, captures the next reply line for seq caching.
+	// out is the reply of the command in flight; rec, when non-nil,
+	// captures it for seq caching.
+	out protoReply
 	rec *string
-
-	// mu guards out and closing, shared with the writer goroutine, which
-	// wake signals. closing asks the writer to close c once everything
-	// queued before it is written; lines queued after it are dropped.
-	mu      sync.Mutex
-	out     []string
-	closing bool
-	wake    chan struct{}
-}
-
-// newProtoConn wraps c and starts its writer goroutine.
-func newProtoConn(c net.Conn) *protoConn {
-	pc := &protoConn{c: c, ack: make(chan struct{}, 1), wake: make(chan struct{}, 1)}
-	go pc.write()
-	return pc
-}
-
-// send queues one reply line for the writer. Handlers reply through
-// Bridge.reply, which also captures the line for seq caching.
-func (pc *protoConn) send(line string) {
-	pc.mu.Lock()
-	if !pc.closing {
-		pc.out = append(pc.out, line)
-	}
-	pc.mu.Unlock()
-	pc.signal()
-}
-
-// close asks the writer to close the connection after the queued replies.
-func (pc *protoConn) close() {
-	pc.mu.Lock()
-	pc.closing = true
-	pc.mu.Unlock()
-	pc.signal()
-}
-
-// closed reports whether the connection is closing: its reader stops.
-func (pc *protoConn) closed() bool {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.closing
-}
-
-func (pc *protoConn) signal() {
-	select {
-	case pc.wake <- struct{}{}:
-	default:
-	}
-}
-
-// write is the connection's writer goroutine: it writes queued lines in
-// order, flushing after each batch, until the connection closes. A failed
-// write closes the connection at once: the client is gone, so later
-// replies are dropped and the reader ends the stream.
-func (pc *protoConn) write() {
-	w := bufio.NewWriter(pc.c)
-	var batch []string
-	for range pc.wake {
-		pc.mu.Lock()
-		batch, pc.out = pc.out, batch[:0]
-		closing := pc.closing
-		pc.mu.Unlock()
-		for _, line := range batch {
-			w.WriteString(line)
-			w.WriteByte('\n')
-		}
-		err := w.Flush()
-		clear(batch)
-		if err != nil {
-			pc.close()
-		}
-		if closing || err != nil {
-			pc.c.Close()
-			return
-		}
-	}
 }
 
 // Bridge serves the dynprof line protocol on top of a Server: one
@@ -148,6 +88,9 @@ type Bridge struct {
 	completed int
 	quit      bool
 	conns     map[*protoConn]bool
+	// live counts the accept goroutine and the connections' readers, the
+	// senders on reqs.
+	live sync.WaitGroup
 }
 
 // NewBridge wraps sv's scheduler and ln in a protocol bridge; call Serve
@@ -167,6 +110,7 @@ func NewBridge(sv *Server, ln net.Listener) *Bridge {
 // simulation's verdict. It must be called from the goroutine that owns
 // the scheduler.
 func (b *Bridge) Serve() error {
+	b.live.Add(1)
 	go b.accept()
 	for {
 		if b.quit && b.spawned == b.completed {
@@ -223,22 +167,31 @@ func (b *Bridge) ingest(block bool) bool {
 
 // accept runs the listener, one reader goroutine per connection.
 func (b *Bridge) accept() {
+	defer b.live.Done()
 	for {
 		c, err := b.ln.Accept()
 		if err != nil {
 			return
 		}
-		go b.reader(newProtoConn(c))
+		b.live.Add(1)
+		go b.reader(&protoConn{c: c, ack: make(chan protoReply, 1)})
 	}
 }
 
 // reader parses one connection's command stream. It serialises the
-// connection: after sending a command it waits for the handler's ack
-// before reading the next line, and reads none after a command that
-// closed the connection (quit). A line too long to scan ends the stream
-// like end of file, after an err reply; the rest of that line is read
-// first, so closing the connection does not reset it under the reply.
+// connection: after sending a command it waits for the handler's reply
+// before reading the next line, and hands the reply to the connection's
+// writer; once protoBacklog replies wait to be written, it stops reading
+// until the client reads. It reads nothing after a command that closed
+// the connection (quit). A line too long to scan ends the stream like end
+// of file, after an err reply; the rest of that line is read first, so
+// closing the connection does not reset it under the reply. The end of
+// stream goes to the bridge only once every reply is written.
 func (b *Bridge) reader(pc *protoConn) {
+	defer b.live.Done()
+	out := make(chan string, protoBacklog)
+	written := make(chan struct{})
+	go pc.write(out, written)
 	sc := bufio.NewScanner(pc.c)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -246,21 +199,44 @@ func (b *Bridge) reader(pc *protoConn) {
 			continue
 		}
 		b.reqs <- protoReq{pc: pc, line: line}
-		<-pc.ack
-		if pc.closed() {
+		r := <-pc.ack
+		if r.line != "" {
+			out <- r.line
+		}
+		if r.last {
 			break
 		}
 	}
-	end := protoReq{pc: pc, eof: true}
 	if errors.Is(sc.Err(), bufio.ErrTooLong) {
 		for br := bufio.NewReader(pc.c); ; {
 			if _, err := br.ReadSlice('\n'); err != bufio.ErrBufferFull {
 				break
 			}
 		}
-		end.line = fmt.Sprintf("err line longer than %d bytes; closing the connection", bufio.MaxScanTokenSize-1)
+		out <- fmt.Sprintf("err line longer than %d bytes; closing the connection", bufio.MaxScanTokenSize-1)
 	}
-	b.reqs <- end
+	close(out)
+	<-written
+	b.reqs <- protoReq{pc: pc, eof: true}
+}
+
+// write is a connection's writer goroutine: it writes and flushes the
+// reply lines out carries, one at a time and in order, and closes written
+// once out is closed. A failed write means the client is gone: it closes
+// the connection, which ends the reader, and discards the later replies.
+func (pc *protoConn) write(out <-chan string, written chan<- struct{}) {
+	defer close(written)
+	w := bufio.NewWriter(pc.c)
+	for line := range out {
+		w.WriteString(line)
+		w.WriteByte('\n')
+		if err := w.Flush(); err != nil {
+			pc.c.Close()
+			for range out {
+			}
+			return
+		}
+	}
 }
 
 // dispatch spawns the handler Proc for one command (or connection EOF).
@@ -271,14 +247,13 @@ func (b *Bridge) dispatch(req protoReq) {
 	b.s.Spawn("proto", func(p *des.Proc) {
 		defer func() { b.completed++ }()
 		if req.eof {
-			if req.line != "" {
-				pc.send(req.line)
-			}
 			b.drop(p, pc)
 			return
 		}
 		b.handle(p, pc, req.line)
-		pc.ack <- struct{}{}
+		r := pc.out
+		pc.out = protoReply{}
+		pc.ack <- r
 	})
 }
 
@@ -295,24 +270,33 @@ func (b *Bridge) drop(p *des.Proc, pc *protoConn) {
 		}
 		pc.sn = nil
 	}
-	pc.close()
+	pc.c.Close()
 	delete(b.conns, pc)
 }
 
 // shutdown tears the host side down after the last handler finishes: no
-// new connections, every live connection closed once its queued replies
-// are written, and a drainer to unblock readers still sending on the
-// request channel.
+// new connections, and no more commands read from live ones. Each reader
+// ends its stream once its replies are written, and a drainer answers
+// what readers still send on the request channel: a command gets no reply
+// and stops its connection's reading, an end of stream closes the
+// connection. The request channel closes once every reader is gone.
 func (b *Bridge) shutdown() {
 	b.ln.Close()
 	for pc := range b.conns {
-		pc.close()
+		pc.c.SetReadDeadline(time.Unix(1, 0))
 	}
 	go func() {
+		b.live.Wait()
+		close(b.reqs)
+	}()
+	go func() {
 		for req := range b.reqs {
-			if !req.eof {
-				req.pc.ack <- struct{}{}
+			if req.eof {
+				req.pc.c.Close()
+				continue
 			}
+			req.pc.c.SetReadDeadline(time.Unix(1, 0))
+			req.pc.ack <- protoReply{}
 		}
 	}()
 }
@@ -322,7 +306,7 @@ func (b *Bridge) reply(pc *protoConn, format string, args ...any) {
 	if pc.rec != nil {
 		*pc.rec = line
 	}
-	pc.send(line)
+	pc.out.line = line
 }
 
 // seqFor picks the sequence state a connection's commands check against:
@@ -359,7 +343,7 @@ func (b *Bridge) handle(p *des.Proc, pc *protoConn, line string) {
 		}
 		st := pc.seqFor()
 		if seq == st.last {
-			pc.send(st.reply) // a cached reply replays without seq capture
+			pc.out.line = st.reply // a cached reply replays without seq capture
 			return
 		}
 		if seq < st.last {
@@ -494,7 +478,7 @@ func (b *Bridge) handle(p *des.Proc, pc *protoConn, line string) {
 			pc.sn = nil
 		}
 		b.reply(pc, "ok quit")
-		pc.close()
+		pc.out.last = true
 	case "shutdown":
 		b.quit = true
 		b.sv.Shutdown()

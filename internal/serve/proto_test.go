@@ -3,7 +3,9 @@ package serve_test
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -240,9 +242,10 @@ func TestProtoSeqAndResume(t *testing.T) {
 // TestProtoPipelinedCommands: a client may write its next command before
 // reading the reply to the last one. Over a synchronous pipe, a reply
 // written from the simulation loop would block it until the client reads,
-// while the client blocks writing: the bridge queues replies instead, so
-// this client's commands all run, another connection is served meanwhile,
-// and each command gets its one reply, in order.
+// while the client blocks writing: the bridge hands replies to the
+// connection's writer instead, so this client's commands all run, another
+// connection is served meanwhile, and each command gets its one reply, in
+// order.
 func TestProtoPipelinedCommands(t *testing.T) {
 	ln, errc := startBridge(t)
 	c, err := ln.dial()
@@ -278,4 +281,84 @@ func TestProtoPipelinedCommands(t *testing.T) {
 		}
 	}
 	shutdown(t, ln, errc)
+}
+
+// TestProtoBacklogBounded: a client that pipelines commands and never
+// reads the replies stalls only its own connection, and the server holds
+// a bounded number of its replies: once protoBacklog replies wait in the
+// queue, one in the writer and one in the reader, the bridge reads no
+// more of its commands. Each command it did read gets its reply, in
+// order, once the client reads.
+func TestProtoBacklogBounded(t *testing.T) {
+	ln, errc := startBridge(t)
+	c, err := ln.dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const bound = serve.ProtoBacklog + 2
+	sent := 0
+	for ; sent < 4*serve.ProtoBacklog; sent++ {
+		c.SetWriteDeadline(time.Now().Add(time.Second))
+		if _, err := fmt.Fprintln(c, "jobs"); err != nil {
+			break
+		}
+	}
+	if sent > bound {
+		t.Fatalf("the bridge read %d commands from a client that reads no replies, want at most %d", sent, bound)
+	}
+
+	other, err := ln.dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	fmt.Fprintln(other, "stats")
+	if got, err := bufio.NewReader(other).ReadString('\n'); !strings.HasPrefix(got, "ok stats") {
+		t.Fatalf("other connection's stats reply %q (%v)", got, err)
+	}
+
+	r := bufio.NewReader(c)
+	for i := 0; i < sent; i++ {
+		if got, err := r.ReadString('\n'); got != "ok jobs smg\n" {
+			t.Fatalf("reply %d of %d: %q (%v)", i, sent, got, err)
+		}
+	}
+	shutdown(t, ln, errc)
+}
+
+// TestProtoShutdownLeavesNoGoroutines: after shutdown, a connection that
+// was served is closed, and once the clients that stayed idle through it
+// disconnect, none of the bridge's goroutines is left.
+func TestProtoShutdownLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ln, errc := startBridge(t)
+	idle, err := ln.dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := ln.dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(served)
+	fmt.Fprintln(served, "jobs")
+	if got, err := r.ReadString('\n'); got != "ok jobs smg\n" {
+		t.Fatalf("jobs reply %q (%v)", got, err)
+	}
+	shutdown(t, ln, errc)
+	if rest, err := r.ReadString('\n'); err != io.EOF {
+		t.Fatalf("served connection still open after shutdown: %q, %v", rest, err)
+	}
+	idle.Close()
+	served.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before the bridge, %d after it and its clients are gone:\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
