@@ -18,6 +18,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -113,22 +114,14 @@ func run() error {
 		return err
 	}
 
-	var script io.Reader = os.Stdin
-	var scriptText string
-	if scriptPath != "-" {
-		b, err := os.ReadFile(scriptPath)
-		if err != nil {
-			return err
-		}
-		scriptText = string(b)
-		script = strings.NewReader(scriptText)
+	var script []byte
+	if scriptPath == "-" {
+		script, err = io.ReadAll(os.Stdin)
 	} else {
-		b, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			return err
-		}
-		scriptText = string(b)
-		script = strings.NewReader(scriptText)
+		script, err = os.ReadFile(scriptPath)
+	}
+	if err != nil {
+		return err
 	}
 
 	out := io.Writer(os.Stdout)
@@ -141,7 +134,7 @@ func run() error {
 		out = f
 	}
 
-	files, err := loadScriptFiles(scriptText)
+	files, err := loadScriptFiles(string(script))
 	if err != nil {
 		return err
 	}
@@ -172,7 +165,7 @@ func run() error {
 				return
 			}
 		}
-		sessErr = ss.RunScript(p, script)
+		sessErr = ss.RunScript(p, bytes.NewReader(script))
 	})
 	if err := s.Run(); err != nil {
 		return err
@@ -319,22 +312,26 @@ func parseDeck(kvs []string) (map[string]int, error) {
 func loadScriptFiles(script string) (map[string]string, error) {
 	files := make(map[string]string)
 	for _, line := range strings.Split(script, "\n") {
-		fields := strings.Fields(strings.TrimSpace(line))
+		fields := strings.Fields(line)
 		if len(fields) < 2 {
 			continue
 		}
-		switch fields[0] {
-		case "insert-file", "if", "remove-file", "rf":
-			for _, name := range fields[1:] {
-				if _, done := files[name]; done {
-					continue
-				}
-				b, err := os.ReadFile(name)
-				if err != nil {
-					return nil, err
-				}
-				files[name] = string(b)
+		cmd := fields[0]
+		if full, ok := core.Shortcuts[cmd]; ok {
+			cmd = full
+		}
+		if cmd != "insert-file" && cmd != "remove-file" {
+			continue
+		}
+		for _, name := range fields[1:] {
+			if _, done := files[name]; done {
+				continue
 			}
+			b, err := os.ReadFile(name)
+			if err != nil {
+				return nil, err
+			}
+			files[name] = string(b)
 		}
 	}
 	return files, nil

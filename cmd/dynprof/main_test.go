@@ -38,14 +38,18 @@ func TestLoadScriptFiles(t *testing.T) {
 	if err := os.WriteFile(sub, []byte("fn_a\nfn_b\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	files, err := loadScriptFiles("start\ninsert-file " + sub + "\nif " + sub + "\nquit\n")
+	drop := filepath.Join(dir, "drop.txt")
+	if err := os.WriteFile(drop, []byte("fn_b\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	files, err := loadScriptFiles("start\ninsert-file " + sub + "\nif " + sub + "\nrf " + drop + "\nquit\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if files[sub] != "fn_a\nfn_b\n" {
+	if files[sub] != "fn_a\nfn_b\n" || files[drop] != "fn_b\n" {
 		t.Fatalf("files = %v", files)
 	}
-	if len(files) != 1 {
+	if len(files) != 2 {
 		t.Fatalf("duplicate reference loaded twice: %v", files)
 	}
 	if _, err := loadScriptFiles("insert-file /no/such/file.txt"); err == nil {

@@ -89,18 +89,21 @@ func (b Budget) horizon(limit Time) Time {
 // livelocked terminates an over-budget run: it aborts every parked Proc so
 // no goroutines leak and returns the structured diagnosis.
 func (s *Scheduler) livelocked() *LivelockError {
-	err := &LivelockError{Events: s.executed, Virtual: s.now, Hot: s.hotProcs(3)}
+	err := &LivelockError{Events: s.executed, Virtual: s.now, Hot: hotProcs(s)}
 	s.abortAll()
 	return err
 }
 
-// hotProcs ranks Procs by resume count, busiest first (ties by name), and
-// returns at most n entries with non-zero activity.
-func (s *Scheduler) hotProcs(n int) []ProcLoad {
-	loads := make([]ProcLoad, 0, len(s.procs))
-	for _, p := range s.procs {
-		if p.steps > 0 {
-			loads = append(loads, ProcLoad{Proc: p.name, Steps: p.steps})
+// hotProcs ranks the Procs of the given schedulers by resume count,
+// busiest first (ties by name), and returns at most three entries with
+// non-zero activity.
+func hotProcs(shards ...*Scheduler) []ProcLoad {
+	var loads []ProcLoad
+	for _, s := range shards {
+		for _, p := range s.procs {
+			if p.steps > 0 {
+				loads = append(loads, ProcLoad{Proc: p.name, Steps: p.steps})
+			}
 		}
 	}
 	sort.Slice(loads, func(i, j int) bool {
@@ -109,8 +112,8 @@ func (s *Scheduler) hotProcs(n int) []ProcLoad {
 		}
 		return loads[i].Proc < loads[j].Proc
 	})
-	if len(loads) > n {
-		loads = loads[:n]
+	if len(loads) > 3 {
+		loads = loads[:3]
 	}
 	return loads
 }

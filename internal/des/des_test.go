@@ -179,24 +179,6 @@ func TestMailboxMultipleWaitersServedInOrder(t *testing.T) {
 	}
 }
 
-func TestTryRecv(t *testing.T) {
-	s := NewScheduler(1)
-	mb := NewMailbox(s, "mb")
-	s.Spawn("p", func(p *Proc) {
-		if _, ok := p.TryRecv(mb); ok {
-			t.Error("TryRecv on empty mailbox reported ok")
-		}
-		mb.Put(9)
-		v, ok := p.TryRecv(mb)
-		if !ok || v.(int) != 9 {
-			t.Errorf("TryRecv = %v, %v", v, ok)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestMailboxReleasesDeliveredValues: the queue's backing array does not
 // keep a delivered value alive, a drained queue reuses its slot, and a
 // timed-out waiter leaves no stale pointer behind.
@@ -210,7 +192,7 @@ func TestMailboxReleasesDeliveredValues(t *testing.T) {
 		mb.Put(3)
 		backing := mb.queue[:cap(mb.queue)]
 		p.Recv(mb)
-		p.TryRecv(mb)
+		p.Recv(mb)
 		p.RecvTimeout(mb, Microsecond)
 		for i, v := range backing {
 			if v != nil {

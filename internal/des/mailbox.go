@@ -120,12 +120,3 @@ func (p *Proc) RecvTimeout(m *Mailbox, d Time) (v any, ok bool) {
 	}
 	return nil, false
 }
-
-// TryRecv returns a queued message without blocking; ok is false if the
-// mailbox is empty.
-func (p *Proc) TryRecv(m *Mailbox) (v any, ok bool) {
-	if len(m.queue) == 0 {
-		return nil, false
-	}
-	return m.pop(), true
-}

@@ -321,6 +321,23 @@ func (e *DeadlockError) Error() string {
 		len(e.Blocked), strings.Join(e.Blocked, ", "))
 }
 
+// deadlock reports the started non-daemon Procs of the given schedulers
+// that have not finished, as a *DeadlockError (nil when there are none).
+func deadlock(shards ...*Scheduler) error {
+	var blocked []string
+	for _, s := range shards {
+		for _, p := range s.procs {
+			if !p.done && p.started && !p.daemon {
+				blocked = append(blocked, p.blockedReport())
+			}
+		}
+	}
+	if len(blocked) == 0 {
+		return nil
+	}
+	return &DeadlockError{Blocked: blocked}
+}
+
 // Run executes events until the queue is empty or Stop is called. It
 // returns a *DeadlockError if Procs remain blocked with no pending events,
 // a *LivelockError if the scheduler's Budget is exhausted first, and nil
@@ -381,20 +398,12 @@ func (s *Scheduler) DrainUntil(done func() bool) error {
 // non-daemon Procs that were still blocked with nothing left to wake them
 // (unless Stop was called, which makes blocked Procs expected).
 func (s *Scheduler) Finish() error {
-	var blocked []string
-	for _, p := range s.procs {
-		if !p.done && p.started && !p.daemon {
-			blocked = append(blocked, p.blockedReport())
-		}
-	}
+	err := deadlock(s)
 	s.abortAll()
 	if s.stopped {
 		return nil
 	}
-	if len(blocked) > 0 {
-		return &DeadlockError{Blocked: blocked}
-	}
-	return nil
+	return err
 }
 
 // Executed reports the number of events executed so far.

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -222,20 +221,9 @@ func (c *Cluster) Run() error {
 			return err
 		}
 	}
-
-	var blocked []string
-	for _, s := range c.shards {
-		for _, p := range s.procs {
-			if !p.done && p.started && !p.daemon {
-				blocked = append(blocked, p.blockedReport())
-			}
-		}
-	}
+	err := deadlock(c.shards...)
 	c.abortAll()
-	if len(blocked) > 0 {
-		return &DeadlockError{Blocked: blocked}
-	}
-	return nil
+	return err
 }
 
 // earliest reports the time of the earliest pending event on any shard;
@@ -363,21 +351,7 @@ func (c *Cluster) runRound(limit Time) {
 // diagnosis: total events, the latest shard clock, and the hottest Procs
 // across all shards.
 func (c *Cluster) livelocked() *LivelockError {
-	err := &LivelockError{Events: c.Executed(), Virtual: c.MaxNow()}
-	var loads []ProcLoad
-	for _, s := range c.shards {
-		loads = append(loads, s.hotProcs(3)...)
-	}
-	sort.Slice(loads, func(i, j int) bool {
-		if loads[i].Steps != loads[j].Steps {
-			return loads[i].Steps > loads[j].Steps
-		}
-		return loads[i].Proc < loads[j].Proc
-	})
-	if len(loads) > 3 {
-		loads = loads[:3]
-	}
-	err.Hot = loads
+	err := &LivelockError{Events: c.Executed(), Virtual: c.MaxNow(), Hot: hotProcs(c.shards...)}
 	c.abortAll()
 	return err
 }

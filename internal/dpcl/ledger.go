@@ -185,9 +185,6 @@ func (cl *Client) noteRestart(node int, nd *commDaemon) {
 // Tools typically spawn a repair process that calls Reconcile.
 func (cl *Client) SetRestartNotify(fn func(node int)) { cl.onRestart = fn }
 
-// Stale reports whether any attached node awaits reconciliation.
-func (cl *Client) Stale() bool { return len(cl.stale) > 0 }
-
 // Replays reports how many per-node ledger replays this client has run.
 func (cl *Client) Replays() int { return cl.replays }
 
@@ -230,23 +227,12 @@ func (cl *Client) Reconcile(p *des.Proc) (int, error) {
 	}
 }
 
-// ReplayLedger replays the client's full desired probe state against one
-// node's daemon, regardless of staleness. Against a healthy daemon this
-// is a strict no-op on target images: install replays dedup on their
-// original tokens and activation replays find probes already in the
-// desired state. On a fault-free system the ledger cannot have diverged,
-// so the replay is skipped entirely.
-func (cl *Client) ReplayLedger(p *des.Proc, node int) (int, error) {
-	if cl.sys.inj == nil {
-		return 0, nil
-	}
-	return cl.replayNode(p, node)
-}
-
 // replayNode suspends the node's targets, re-posts every ledger entry's
 // installs (stable tokens) and desired activation, and resumes. The
 // suspend window mirrors the original install path: probe state never
-// changes under a running target.
+// changes under a running target. Against a healthy daemon a replay is a
+// strict no-op on target images: install replays dedup on their original
+// tokens and activation replays find probes already in the desired state.
 func (cl *Client) replayNode(p *des.Proc, node int) (int, error) {
 	if _, attached := cl.byNode[node]; !attached {
 		// The client disconnected (evicted or quit) between the restart

@@ -163,7 +163,7 @@ func TestHealthyReplayIsNoOp(t *testing.T) {
 		for _, pr := range r.procs {
 			before[pr] = snapshot(pr)
 		}
-		n, err := cl.ReplayLedger(p, 0)
+		n, err := cl.replayNode(p, 0)
 		if err != nil {
 			t.Errorf("replay: %v", err)
 		}
@@ -212,7 +212,7 @@ func TestGiveUpErrorTypedAndRollsBack(t *testing.T) {
 		} else if gu.Kind != "install" || gu.Attempts != retryAttempts {
 			t.Errorf("GiveUpError = %+v", gu)
 		}
-		if cl.Stale() {
+		if len(cl.stale) > 0 {
 			t.Error("loss without crashes must not mark nodes stale")
 		}
 	})

@@ -48,9 +48,6 @@ type AdaptSpec struct {
 	// Budget is the target removable-overhead fraction
 	// (0 = DefaultAdaptBudget).
 	Budget float64
-	// Epoch folds this many sync crossings into one controller epoch
-	// (0 = 1).
-	Epoch int
 	// CPUs is the number of MPI ranks or OpenMP threads
 	// (0 = DefaultAdaptCPUs).
 	CPUs int
@@ -68,9 +65,6 @@ func (s AdaptSpec) norm() AdaptSpec {
 	if s.Budget == 0 {
 		s.Budget = DefaultAdaptBudget
 	}
-	if s.Epoch == 0 {
-		s.Epoch = 1
-	}
 	if s.CPUs == 0 {
 		s.CPUs = DefaultAdaptCPUs
 	}
@@ -83,11 +77,12 @@ func (s AdaptSpec) norm() AdaptSpec {
 	return s
 }
 
-// Key canonicalises the spec (defaults resolved first).
+// Key canonicalises the spec (defaults resolved first). Every cell folds
+// one sync crossing into each controller epoch.
 func (s AdaptSpec) Key() string {
 	n := s.norm()
-	return fmt.Sprintf("adapt|%s|budget=%g|epoch=%d|cpus=%d|%s|%s|seed=%d%s",
-		n.App, n.Budget, n.Epoch, n.CPUs, n.Machine.Name, argsKey(n.Args), n.Seed, faultKey(n.Machine))
+	return fmt.Sprintf("adapt|%s|budget=%g|epoch=1|cpus=%d|%s|%s|seed=%d%s",
+		n.App, n.Budget, n.CPUs, n.Machine.Name, argsKey(n.Args), n.Seed, faultKey(n.Machine))
 }
 
 func (s AdaptSpec) runCell(bud des.Budget) (cellResult, error) { return runAdaptCell(s, bud, nil) }
@@ -141,16 +136,11 @@ type AdaptResult struct {
 
 func (r AdaptResult) stats() (des.Time, uint64, []fault.Event) { return r.Elapsed, r.Events, r.Faults }
 
-// RunAdapt executes one adaptive cell.
-func RunAdapt(spec AdaptSpec) (AdaptResult, error) {
-	return runAdaptCell(spec, des.Budget{}, nil)
-}
-
-// runAdaptCell is RunAdapt with a DES budget attached, recording into or
-// replaying from the application's tape tp (nil: live): a dynprof session
-// over a fully instrumented target, with the adapt controller attached
-// before start. An aborted run (budget trip, proc panic) tears the session
-// down host-side.
+// runAdaptCell executes one adaptive cell under a DES budget, recording
+// into or replaying from the application's tape tp (nil: live): a dynprof
+// session over a fully instrumented target, with the adapt controller
+// attached before start. An aborted run (budget trip, proc panic) tears
+// the session down host-side.
 func runAdaptCell(spec AdaptSpec, bud des.Budget, tp *tape.Tape) (AdaptResult, error) {
 	spec = spec.norm()
 	res := AdaptResult{App: spec.App, Budget: spec.Budget, CPUs: spec.CPUs}
@@ -169,7 +159,7 @@ func runAdaptCell(spec AdaptSpec, bud des.Budget, tp *tape.Tape) (AdaptResult, e
 	}
 	var rt *adapt.Runtime
 	body := func(p *des.Proc, ss *core.Session) (err error) {
-		if rt, err = adapt.Attach(p, ss, adapt.Config{Budget: spec.Budget, EpochEvery: spec.Epoch}); err != nil {
+		if rt, err = adapt.Attach(p, ss, adapt.Config{Budget: spec.Budget}); err != nil {
 			return err
 		}
 		ss.Start(p)

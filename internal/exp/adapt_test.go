@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"math"
 	"testing"
+
+	"dynprof/internal/des"
 )
 
 // adaptFigureHash renders the adapt figure at the given parallelism and
@@ -47,7 +49,7 @@ func TestAdaptFigureDeterminism(t *testing.T) {
 // achieved removable overhead must land within ±1 percentage point of the
 // budget, with a nonzero retained-event fraction.
 func TestAdaptConvergence(t *testing.T) {
-	res, err := RunAdapt(AdaptSpec{App: "smg98", Budget: 0.05, Seed: DefaultSeed})
+	res, err := runAdaptCell(AdaptSpec{App: "smg98", Budget: 0.05, Seed: DefaultSeed}, des.Budget{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestAdaptAllKernels(t *testing.T) {
 		t.Skip("four-kernel adapt sweep skipped in -short mode")
 	}
 	for _, app := range []string{"smg98", "sppm", "sweep3d", "umt98"} {
-		res, err := RunAdapt(AdaptSpec{App: app, Budget: 0.05, Seed: DefaultSeed})
+		res, err := runAdaptCell(AdaptSpec{App: app, Budget: 0.05, Seed: DefaultSeed}, des.Budget{}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
@@ -93,7 +95,7 @@ func TestAdaptAllKernels(t *testing.T) {
 // and an explicit-default spec share one cell.
 func TestAdaptSpecKey(t *testing.T) {
 	zero := AdaptSpec{App: "smg98"}
-	full := AdaptSpec{App: "smg98", Budget: DefaultAdaptBudget, Epoch: 1, CPUs: DefaultAdaptCPUs}
+	full := AdaptSpec{App: "smg98", Budget: DefaultAdaptBudget, CPUs: DefaultAdaptCPUs}
 	if zero.Key() != full.Key() {
 		t.Fatalf("zero-spec key %q != explicit-default key %q", zero.Key(), full.Key())
 	}
@@ -121,7 +123,7 @@ func TestStaticPolicyKeys(t *testing.T) {
 // naming an unknown function is rejected atomically with a typed error
 // instead of being silently absorbed.
 func TestApplyChangesUnknownFunc(t *testing.T) {
-	res, err := RunAdapt(AdaptSpec{App: "smg98", Budget: 0.05, Seed: DefaultSeed})
+	res, err := runAdaptCell(AdaptSpec{App: "smg98", Budget: 0.05, Seed: DefaultSeed}, des.Budget{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

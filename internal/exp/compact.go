@@ -25,19 +25,15 @@ import (
 // order; the point's x coordinate is the kernel's 1-based index here.
 var compactApps = []string{"smg98", "sppm", "sweep3d", "umt98"}
 
-// DefaultCompactProcs is the job size used when none is requested.
-const DefaultCompactProcs = 4
+// compactProcs is the job size of every compact cell.
+const compactProcs = 4
 
 // CompactSpec describes one compact-figure cell: a Full-instrumentation
 // run of a kernel whose trace is measured both verbatim and in the compact
 // encoding.
 type CompactSpec struct {
-	// App is the kernel name (apps registry).
+	// App is the kernel name (apps registry); it runs fig9Args' small deck.
 	App string
-	// Procs is the job size (0 = DefaultCompactProcs).
-	Procs int
-	// Args overrides the application deck (nil = fig9Args' small deck).
-	Args map[string]int
 	// Machine is the simulated platform (nil = IBM Power3 preset).
 	Machine *machine.Config
 	// Seed fixes the simulation seed (used literally; 0 is valid).
@@ -46,12 +42,6 @@ type CompactSpec struct {
 
 // norm fills in the documented defaults.
 func (s CompactSpec) norm() CompactSpec {
-	if s.Procs == 0 {
-		s.Procs = DefaultCompactProcs
-	}
-	if s.Args == nil {
-		s.Args = fig9Args[s.App]
-	}
 	if s.Machine == nil {
 		s.Machine = machine.MustNew("ibm-power3")
 	}
@@ -62,7 +52,7 @@ func (s CompactSpec) norm() CompactSpec {
 func (s CompactSpec) Key() string {
 	n := s.norm()
 	return fmt.Sprintf("compact|%s|procs=%d|%s|seed=%d|%s%s",
-		n.App, n.Procs, n.Machine.Name, n.Seed, argsKey(n.Args), faultKey(n.Machine))
+		n.App, compactProcs, n.Machine.Name, n.Seed, argsKey(fig9Args[n.App]), faultKey(n.Machine))
 }
 
 func (s CompactSpec) runCell(bud des.Budget) (cellResult, error) { return runCompactCell(s, bud) }
@@ -115,7 +105,7 @@ func runCompactCell(spec CompactSpec, bud des.Budget) (CompactResult, error) {
 	if err != nil {
 		return res, err
 	}
-	opts := guide.LaunchOpts{Procs: spec.Procs, Args: spec.Args}
+	opts := guide.LaunchOpts{Procs: compactProcs, Args: fig9Args[spec.App]}
 	err = launchCell(spec.Seed, bud, spec.Machine, app, Full.BuildOpts(app), opts, func(j *guide.Job) error {
 		col := j.Collector()
 		st := col.CompactStats()

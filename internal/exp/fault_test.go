@@ -106,11 +106,11 @@ func TestCrashedRankConfSyncTerminates(t *testing.T) {
 		Crashes:       []fault.Crash{{Rank: 2, At: 3 * des.Millisecond}},
 		DetectTimeout: 10 * des.Millisecond,
 	}
-	res, err := RunConfSync(ConfSyncSpec{
+	res, err := runConfSyncCell(ConfSyncSpec{
 		Machine: machine.MustNew("ibm-power3").WithFaultPlan(plan),
 		CPUs:    8,
 		Seed:    5,
-	})
+	}, des.Budget{})
 	if err != nil {
 		t.Fatalf("crashed-rank confsync run failed: %v", err)
 	}

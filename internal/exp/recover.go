@@ -21,28 +21,28 @@ import (
 // windows cost, and how much collateral latency the recovery traffic adds
 // to control operations that themselves succeeded.
 
-// Defaults for RecoverSpec's zero fields.
+// The recover workload. Only the daemon MTBF varies across the sweep.
 const (
-	// DefaultRecoverSessions is the tool-session population per cell.
-	DefaultRecoverSessions = 64
-	// DefaultRecoverJobs is the resident-job registry size (one node each).
-	// Two sessions per job: enough co-tenancy that repairs contend, not so
+	// recoverSessions is the tool-session population per cell.
+	recoverSessions = 64
+	// recoverJobs is the resident-job registry size (one node each). Two
+	// sessions per job: enough co-tenancy that repairs contend, not so
 	// much that every crash wave freezes the job in serialized replays.
-	DefaultRecoverJobs = 32
-	// DefaultRecoverProcs is each resident job's rank count.
-	DefaultRecoverProcs = 4
-	// DefaultRecoverOps is the insert/remove pairs per session on its
+	recoverJobs = 32
+	// recoverProcs is each resident job's rank count.
+	recoverProcs = 4
+	// recoverOps is the insert/remove operations per session on its
 	// working function (the held function stays installed throughout).
-	DefaultRecoverOps = 4
-	// DefaultRecoverDropPct is the control-message loss percentage mixed in
-	// with the crashes, so retransmission and fencing interact (set
-	// DropPct < 0 for crashes only).
-	DefaultRecoverDropPct = 5
-	// DefaultRecoverMTBF is the per-node daemon mean time between crashes.
-	DefaultRecoverMTBF = 5 * des.Second
-	// DefaultRecoverHorizon is the virtual time at which sessions detach
+	recoverOps = 4
+	// recoverDropPct is the control-message loss percentage mixed in with
+	// the crashes, so retransmission and fencing interact.
+	recoverDropPct = 5
+	// recoverHorizon is the virtual time at which sessions detach
 	// (crashes stop shortly before, so final replays complete).
-	DefaultRecoverHorizon = 30 * des.Second
+	recoverHorizon = 30 * des.Second
+	// DefaultRecoverMTBF is the per-node daemon mean time between crashes
+	// of a RecoverSpec with a zero MTBF.
+	DefaultRecoverMTBF = 5 * des.Second
 )
 
 // recoverMTBFSecs is the daemon-MTBF sweep of the recover figure.
@@ -59,19 +59,6 @@ type RecoverSpec struct {
 	// daemons crash at k*MTBF (staggered per node), k = 1, 2, ...
 	// (0 = DefaultRecoverMTBF).
 	MTBF des.Time
-	// Sessions is the tool-session population (0 = DefaultRecoverSessions).
-	Sessions int
-	// Jobs is the resident-job registry size (0 = DefaultRecoverJobs).
-	Jobs int
-	// ProcsPerJob is each resident job's rank count (0 = DefaultRecoverProcs).
-	ProcsPerJob int
-	// Ops is the insert/remove pairs per session (0 = DefaultRecoverOps).
-	Ops int
-	// DropPct is the control-message loss percentage layered over the
-	// crashes (0 = DefaultRecoverDropPct; < 0 disables loss).
-	DropPct int
-	// Horizon is the virtual detach time (0 = DefaultRecoverHorizon).
-	Horizon des.Time
 	// Machine is the simulated platform (nil = the IBM Power3 cluster); its
 	// own fault plan, if any, is replaced by the cell's derived plan.
 	Machine *machine.Config
@@ -84,28 +71,6 @@ func (s RecoverSpec) norm() RecoverSpec {
 	if s.MTBF == 0 {
 		s.MTBF = DefaultRecoverMTBF
 	}
-	if s.Sessions == 0 {
-		s.Sessions = DefaultRecoverSessions
-	}
-	if s.Jobs == 0 {
-		s.Jobs = DefaultRecoverJobs
-	}
-	if s.ProcsPerJob == 0 {
-		s.ProcsPerJob = DefaultRecoverProcs
-	}
-	if s.Ops == 0 {
-		s.Ops = DefaultRecoverOps
-	}
-	s.Ops = (s.Ops + 1) &^ 1
-	if s.DropPct == 0 {
-		s.DropPct = DefaultRecoverDropPct
-	}
-	if s.DropPct < 0 {
-		s.DropPct = 0
-	}
-	if s.Horizon == 0 {
-		s.Horizon = DefaultRecoverHorizon
-	}
 	if s.Machine == nil {
 		s.Machine = machine.MustNew("ibm-power3")
 	}
@@ -113,12 +78,12 @@ func (s RecoverSpec) norm() RecoverSpec {
 }
 
 // Key canonicalises the spec (defaults resolved first). The derived crash
-// plan is fully determined by the listed fields, so it needs no fragment
-// of its own.
+// plan is fully determined by the MTBF and the workload constants, so it
+// needs no fragment of its own.
 func (s RecoverSpec) Key() string {
 	n := s.norm()
 	return fmt.Sprintf("recover|mtbf=%d|sessions=%d|jobs=%d|procs=%d|ops=%d|drop=%d|horizon=%d|%s|seed=%d",
-		n.MTBF, n.Sessions, n.Jobs, n.ProcsPerJob, n.Ops, n.DropPct, n.Horizon,
+		n.MTBF, recoverSessions, recoverJobs, recoverProcs, recoverOps, recoverDropPct, recoverHorizon,
 		n.Machine.Name, n.Seed)
 }
 
@@ -173,11 +138,6 @@ func (r RecoverResult) stats() (des.Time, uint64, []fault.Event) {
 	return r.Elapsed, r.Events, r.Faults
 }
 
-// RunRecover executes one recover cell without a budget.
-func RunRecover(spec RecoverSpec) (RecoverResult, error) {
-	return runRecoverCell(spec, des.Budget{})
-}
-
 // runRecoverWorkload executes the session workload on one server, with
 // the machine carrying plan (nil: fault-free). Sessions arrive inside the
 // tenant window, install one held function (the ledger state that crash
@@ -186,7 +146,7 @@ func RunRecover(spec RecoverSpec) (RecoverResult, error) {
 // give-ups bow out; everything else must succeed.
 func runRecoverWorkload(spec RecoverSpec, plan *fault.Plan, bud des.Budget) (*tenantLoad, error) {
 	cfg := serve.Config{Machine: spec.Machine.WithFaultPlan(plan)}
-	pop := tenantPop{kind: "recover", jobs: spec.Jobs, procs: spec.ProcsPerJob, sessions: spec.Sessions}
+	pop := tenantPop{kind: "recover", jobs: recoverJobs, procs: recoverProcs, sessions: recoverSessions}
 	return tenantCell(spec.Seed, bud, cfg, pop, func(p *des.Proc, i int, sn *serve.Session) (bool, error) {
 		// An op that itself triggers the eviction returns the control-path
 		// give-up error, not ErrEvicted — so classify by session state.
@@ -197,12 +157,12 @@ func runRecoverWorkload(spec RecoverSpec, plan *fault.Plan, bud des.Budget) (*te
 			return fmt.Errorf("exp: recover %s %s: %w", sn.User(), what, err)
 		}
 		hot := sn.Job().Hot()
-		held := hot[i/spec.Jobs%len(hot)]
-		work := hot[(i/spec.Jobs+1)%len(hot)]
+		held := hot[i/recoverJobs%len(hot)]
+		work := hot[(i/recoverJobs+1)%len(hot)]
 		if err := sn.Insert(p, held); err != nil {
 			return false, failed("hold", err)
 		}
-		for op := 0; op < spec.Ops; op += 2 {
+		for op := 0; op < recoverOps; op += 2 {
 			p.Advance(tenantThink)
 			if err := sn.Insert(p, work); err != nil {
 				return false, failed("insert", err)
@@ -213,8 +173,8 @@ func runRecoverWorkload(spec RecoverSpec, plan *fault.Plan, bud des.Budget) (*te
 			}
 		}
 		// Hold the installed function across the remaining crash waves.
-		if now := p.Now(); now < spec.Horizon {
-			p.Advance(spec.Horizon - now)
+		if now := p.Now(); now < recoverHorizon {
+			p.Advance(recoverHorizon - now)
 		}
 		ev, _ := sn.Evicted()
 		return !ev, nil
@@ -223,12 +183,12 @@ func runRecoverWorkload(spec RecoverSpec, plan *fault.Plan, bud des.Budget) (*te
 
 // recoverPlan derives the cell's fault plan: every node hosting a resident
 // job crashes at k*MTBF (staggered per node) until two seconds before the
-// horizon — leaving the last wave room to replay — with DropPct
+// horizon — leaving the last wave room to replay — with recoverDropPct
 // control-message loss layered on top.
 func recoverPlan(spec RecoverSpec) *fault.Plan {
-	plan := &fault.Plan{CtrlLossProb: float64(spec.DropPct) / 100}
-	for n := 0; n < spec.Jobs; n++ {
-		for at := spec.MTBF; at <= spec.Horizon-2*des.Second; at += spec.MTBF {
+	plan := &fault.Plan{CtrlLossProb: float64(recoverDropPct) / 100}
+	for n := 0; n < recoverJobs; n++ {
+		for at := spec.MTBF; at <= recoverHorizon-2*des.Second; at += spec.MTBF {
 			plan.DaemonCrashes = append(plan.DaemonCrashes,
 				fault.DaemonCrash{Node: n, At: at + des.Time(n)*recoverStagger})
 		}
@@ -240,10 +200,7 @@ func recoverPlan(spec RecoverSpec) *fault.Plan {
 // crash plan, then its fault-free twin, and the comparison metrics.
 func runRecoverCell(spec RecoverSpec, bud des.Budget) (RecoverResult, error) {
 	spec = spec.norm()
-	res := RecoverResult{Sessions: spec.Sessions}
-	if spec.Sessions <= 0 {
-		return res, fmt.Errorf("exp: recover cell needs at least one session, got %d", spec.Sessions)
-	}
+	res := RecoverResult{Sessions: recoverSessions}
 	faulted, err := runRecoverWorkload(spec, recoverPlan(spec), bud)
 	if err != nil {
 		return res, err

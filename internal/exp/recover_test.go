@@ -14,7 +14,7 @@ import (
 // and co-tenant latency does not regress by more than the recovery
 // traffic can explain.
 func TestRecoverCell(t *testing.T) {
-	res, err := RunRecover(RecoverSpec{MTBF: 5 * des.Second, Seed: DefaultSeed})
+	res, err := runRecoverCell(RecoverSpec{MTBF: 5 * des.Second, Seed: DefaultSeed}, des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

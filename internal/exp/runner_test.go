@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dynprof/internal/des"
 	"dynprof/internal/machine"
 )
 
@@ -199,7 +200,7 @@ func TestSpecKeys(t *testing.T) {
 		t.Errorf("args not canonicalised: %q", a.Key())
 	}
 	// ConfSync defaults resolve before keying.
-	if (ConfSyncSpec{CPUs: 8}).Key() != (ConfSyncSpec{CPUs: 8, Reps: DefaultConfSyncReps, NFuncs: DefaultConfSyncFuncs}).Key() {
+	if (ConfSyncSpec{CPUs: 8}).Key() != (ConfSyncSpec{CPUs: 8, Machine: machine.MustNew("ibm-power3")}).Key() {
 		t.Error("ConfSyncSpec zero values and explicit defaults must share a key")
 	}
 	if (ConfSyncSpec{CPUs: 8}).Key() == (ConfSyncSpec{CPUs: 8, WriteStats: true}).Key() {
@@ -212,17 +213,16 @@ func TestSpecKeys(t *testing.T) {
 }
 
 // TestConfSyncSpecDefaults: the zero spec resolves to the documented
-// canonical arguments (16 reps against a 64-entry function table on the
-// IBM machine) — spelling them out explicitly must not change the run.
+// canonical arguments (the IBM machine) — spelling them out explicitly
+// must not change the run.
 func TestConfSyncSpecDefaults(t *testing.T) {
-	viaSpec, err := RunConfSync(ConfSyncSpec{CPUs: 4})
+	viaSpec, err := runConfSyncCell(ConfSyncSpec{CPUs: 4}, des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := RunConfSync(ConfSyncSpec{
-		CPUs: 4, Reps: DefaultConfSyncReps, NFuncs: DefaultConfSyncFuncs,
-		Machine: machine.MustNew("ibm-power3"), Seed: DefaultSeed,
-	})
+	explicit, err := runConfSyncCell(ConfSyncSpec{
+		CPUs: 4, Machine: machine.MustNew("ibm-power3"), Seed: DefaultSeed,
+	}, des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,12 +34,13 @@ import (
 const (
 	// DefaultScaleShards is the shard count used when none is requested.
 	DefaultScaleShards = 8
-	// DefaultScaleIters is the number of solver iterations per cell.
-	DefaultScaleIters = 4
 	// DefaultSpillThreshold is the per-shard resident event count that
 	// triggers a spill when a spill directory is configured.
 	DefaultSpillThreshold = 16384
 )
+
+// scaleIters is the number of solver iterations per cell.
+const scaleIters = 4
 
 // scaleFlushThreshold bounds each rank's in-library event buffer: small
 // enough that mid-run flushes feed the shard collectors continuously
@@ -65,8 +66,6 @@ type ScaleSpec struct {
 	// count is part of the spec's identity: fixed (seed, shards) runs are
 	// bit-identical, and Elapsed is additionally shard-count-invariant.
 	Shards int
-	// Iters is the number of solver iterations (0 = DefaultScaleIters).
-	Iters int
 	// Machine is the simulated platform. Nil selects the IBM Power3
 	// preset grown to hold Ranks (the preset's 144 nodes cap at 1152
 	// ranks; scale sweeps need more nodes, not a different machine).
@@ -92,9 +91,6 @@ type ScaleSpec struct {
 func (s ScaleSpec) norm() ScaleSpec {
 	if s.Shards == 0 {
 		s.Shards = DefaultScaleShards
-	}
-	if s.Iters == 0 {
-		s.Iters = DefaultScaleIters
 	}
 	if s.Machine == nil {
 		s.Machine = scaleMachine(s.Ranks)
@@ -126,7 +122,7 @@ func scaleMachine(ranks int) *machine.Config {
 func (s ScaleSpec) Key() string {
 	n := s.norm()
 	return fmt.Sprintf("scale|%s|ranks=%d|shards=%d|iters=%d|%s|seed=%d%s",
-		n.App, n.Ranks, n.Shards, n.Iters, n.Machine.Name, n.Seed, faultKey(n.Machine))
+		n.App, n.Ranks, n.Shards, scaleIters, n.Machine.Name, n.Seed, faultKey(n.Machine))
 }
 
 func (s ScaleSpec) runCell(bud des.Budget) (cellResult, error) { return runScaleCell(s, bud) }
@@ -251,12 +247,12 @@ const (
 // smg98ScaleMain is the Smg98 skeleton: per iteration a residual pass,
 // a halo exchange with the ring neighbours and a global allreduce (the
 // multigrid solver's convergence check).
-func smg98ScaleMain(p *des.Proc, net *scaleNet, vc *vt.Ctx, ec *scaleThread, r, iters int) {
+func smg98ScaleMain(p *des.Proc, net *scaleNet, vc *vt.Ctx, ec *scaleThread, r int) {
 	vc.Initialize(ec)
 	idResidual := vc.FuncDef("smg_Residual")
 	idHalo := vc.FuncDef("smg_HaloExchange")
 	n := net.ranks
-	for it := 0; it < iters; it++ {
+	for it := 0; it < scaleIters; it++ {
 		vc.Begin(ec, idResidual)
 		ec.Charge(smgResidualCycles)
 		vc.End(ec, idResidual)
@@ -284,11 +280,11 @@ func smg98ScaleMain(p *des.Proc, net *scaleNet, vc *vt.Ctx, ec *scaleThread, r, 
 // sweep3dScaleMain is the Sweep3d skeleton: per iteration a forward and a
 // backward pipelined wavefront along the rank line, the paper kernel's
 // characteristic dependence chain.
-func sweep3dScaleMain(p *des.Proc, net *scaleNet, vc *vt.Ctx, ec *scaleThread, r, iters int) {
+func sweep3dScaleMain(p *des.Proc, net *scaleNet, vc *vt.Ctx, ec *scaleThread, r int) {
 	vc.Initialize(ec)
 	idSweep := vc.FuncDef("sweep_Octant")
 	n := net.ranks
-	for it := 0; it < iters; it++ {
+	for it := 0; it < scaleIters; it++ {
 		// Forward wavefront: rank r waits on r-1.
 		if r > 0 {
 			net.recv(p, r, chanHalo)
@@ -319,7 +315,7 @@ func sweep3dScaleMain(p *des.Proc, net *scaleNet, vc *vt.Ctx, ec *scaleThread, r
 func runScaleCell(spec ScaleSpec, bud des.Budget) (ScaleResult, error) {
 	spec = spec.norm()
 	res := ScaleResult{App: spec.App, Ranks: spec.Ranks}
-	var main func(p *des.Proc, net *scaleNet, vc *vt.Ctx, ec *scaleThread, r, iters int)
+	var main func(p *des.Proc, net *scaleNet, vc *vt.Ctx, ec *scaleThread, r int)
 	switch spec.App {
 	case "smg98":
 		main = smg98ScaleMain
@@ -363,7 +359,7 @@ func runScaleCell(spec ScaleSpec, bud des.Budget) (ScaleResult, error) {
 		cols[i] = vt.NewCollector()
 		if spec.SpillDir != "" {
 			path := filepath.Join(spec.SpillDir, fmt.Sprintf("scale_%s_r%d_s%d_i%d_seed%d.shard%d.spill",
-				spec.App, spec.Ranks, spec.Shards, spec.Iters, spec.Seed, i))
+				spec.App, spec.Ranks, spec.Shards, scaleIters, spec.Seed, i))
 			if err := cols[i].SpillTo(path, spec.SpillThreshold); err != nil {
 				return res, err
 			}
@@ -397,7 +393,7 @@ func runScaleCell(spec ScaleSpec, bud des.Budget) (ScaleResult, error) {
 		})
 		s.Spawn(fmt.Sprintf("rank%d", r), func(p *des.Proc) {
 			ec := &scaleThread{p: p, mach: spec.Machine}
-			main(p, net, vc, ec, r, spec.Iters)
+			main(p, net, vc, ec, r)
 			finishes[r] = p.Now()
 		})
 	}

@@ -167,7 +167,7 @@ func TestScaleSpecKeyDefaults(t *testing.T) {
 	implicit := ScaleSpec{App: "smg98", Ranks: 2048}
 	explicit := ScaleSpec{
 		App: "smg98", Ranks: 2048,
-		Shards: DefaultScaleShards, Iters: DefaultScaleIters,
+		Shards:  DefaultScaleShards,
 		Machine: scaleMachine(2048), Seed: 0,
 	}
 	if implicit.Key() != explicit.Key() {

@@ -32,11 +32,11 @@ func faultKey(m *machine.Config) string {
 // figure of the paper is regenerated with this seed unless overridden.
 const DefaultSeed uint64 = 2003
 
-// Defaults for ConfSyncSpec's zero fields (the Figure 8 probe shape:
-// "averaged over 16 calls" against a 64-entry function table).
+// The Figure 8 probe shape: "averaged over 16 calls" against a 64-entry
+// function table.
 const (
-	DefaultConfSyncReps  = 16
-	DefaultConfSyncFuncs = 64
+	confSyncReps  = 16
+	confSyncFuncs = 64
 )
 
 // cellSpec is the common shape of a runnable experiment descriptor: every
@@ -189,18 +189,14 @@ func runSpecCell(spec RunSpec, bud des.Budget, tp *tape.Tape) (Result, error) {
 }
 
 // ConfSyncSpec describes one VT_confsync probe cell (Figure 8): the mean
-// cost over Reps repetitions of calling ConfSync on a CPUs-rank world,
-// with or without staged configuration changes and with or without the
-// runtime-statistics dump.
+// cost over confSyncReps repetitions of calling ConfSync on a CPUs-rank
+// world, with or without staged configuration changes and with or without
+// the runtime-statistics dump.
 type ConfSyncSpec struct {
 	// Machine is the simulated platform (nil = the IBM Power3 cluster).
 	Machine *machine.Config
 	// CPUs is the MPI world size.
 	CPUs int
-	// Reps is the number of ConfSync calls averaged (0 = DefaultConfSyncReps).
-	Reps int
-	// NFuncs is the size of the populated function table (0 = DefaultConfSyncFuncs).
-	NFuncs int
 	// Changes is the number of configuration changes staged per repetition
 	// (0 = none, the "No Change" variant).
 	Changes int
@@ -215,21 +211,14 @@ func (s ConfSyncSpec) norm() ConfSyncSpec {
 	if s.Machine == nil {
 		s.Machine = machine.MustNew("ibm-power3")
 	}
-	if s.Reps == 0 {
-		s.Reps = DefaultConfSyncReps
-	}
-	if s.NFuncs == 0 {
-		s.NFuncs = DefaultConfSyncFuncs
-	}
 	return s
 }
 
-// Key canonicalises the spec (defaults resolved first, so a zero Reps and
-// an explicit DefaultConfSyncReps share one execution).
+// Key canonicalises the spec (defaults resolved first).
 func (s ConfSyncSpec) Key() string {
 	n := s.norm()
 	return fmt.Sprintf("confsync|cpus=%d|reps=%d|nfuncs=%d|changes=%d|stats=%t|%s|seed=%d%s",
-		n.CPUs, n.Reps, n.NFuncs, n.Changes, n.WriteStats, n.Machine.Name, n.Seed, faultKey(n.Machine))
+		n.CPUs, confSyncReps, confSyncFuncs, n.Changes, n.WriteStats, n.Machine.Name, n.Seed, faultKey(n.Machine))
 }
 
 func (s ConfSyncSpec) runCell(bud des.Budget) (cellResult, error) { return runConfSyncCell(s, bud) }
@@ -248,12 +237,7 @@ type ConfSyncResult struct {
 // stats reports the per-call Mean as the cell's simulated time.
 func (r ConfSyncResult) stats() (des.Time, uint64, []fault.Event) { return r.Mean, 0, r.Faults }
 
-// RunConfSync executes one VT_confsync probe cell.
-func RunConfSync(spec ConfSyncSpec) (ConfSyncResult, error) {
-	return runConfSyncCell(spec, des.Budget{})
-}
-
-// runConfSyncCell is RunConfSync with a DES budget attached.
+// runConfSyncCell executes one VT_confsync probe cell under a DES budget.
 func runConfSyncCell(spec ConfSyncSpec, bud des.Budget) (ConfSyncResult, error) {
 	spec = spec.norm()
 	res := ConfSyncResult{CPUs: spec.CPUs}
@@ -269,17 +253,17 @@ func runConfSyncCell(spec ConfSyncSpec, bud des.Budget) (ConfSyncResult, error) 
 		c.MPI.Init()
 		// Populate the library with a realistic function table and some
 		// statistics content.
-		for i := 0; i < spec.NFuncs; i++ {
+		for i := 0; i < confSyncFuncs; i++ {
 			id := c.VT.FuncDef(fmt.Sprintf("func_%03d", i))
 			c.VT.Begin(c.T, id)
 			c.VT.End(c.T, id)
 		}
-		for rep := 0; rep < spec.Reps; rep++ {
+		for rep := 0; rep < confSyncReps; rep++ {
 			c.Call(compute, func() { c.T.Work(400_000) })
 			if c.MPI.Rank() == 0 && spec.Changes > 0 {
 				chs := make([]vt.Change, spec.Changes)
 				for i := range chs {
-					chs[i] = vt.Change{Pattern: fmt.Sprintf("func_%03d", (rep+i)%spec.NFuncs), Active: rep%2 == 0}
+					chs[i] = vt.Change{Pattern: fmt.Sprintf("func_%03d", (rep+i)%confSyncFuncs), Active: rep%2 == 0}
 				}
 				c.VT.QueueChanges(chs)
 			}
@@ -298,14 +282,14 @@ func runConfSyncCell(spec ConfSyncSpec, bud des.Budget) (ConfSyncResult, error) 
 		if !j.Done() {
 			return fmt.Errorf("exp: confsync probe did not finish")
 		}
-		res.Mean, res.Faults = total/des.Time(spec.Reps), j.Faults()
+		res.Mean, res.Faults = total/confSyncReps, j.Faults()
 		return nil
 	})
 	return res, err
 }
 
-// defaultHybridArgs is the Section 5.1 hybrid deck: a short Sppm run.
-var defaultHybridArgs = map[string]int{"nx": 8, "ny": 8, "nz": 8, "steps": 6}
+// hybridArgs is the Section 5.1 hybrid deck: a short Sppm run.
+var hybridArgs = map[string]int{"nx": 8, "ny": 8, "nz": 8, "steps": 6}
 
 // HybridSpec describes one Section 5.1 hybrid cell: an Sppm run whose
 // VT_confsync safe points are (optionally) inserted dynamically by
@@ -317,8 +301,6 @@ type HybridSpec struct {
 	CPUs int
 	// Machine is the simulated platform (nil = the IBM Power3 cluster).
 	Machine *machine.Config
-	// Args overrides the hybrid deck (nil = the short Sppm deck).
-	Args map[string]int
 	// Seed fixes all simulated asynchrony (used literally; 0 is valid).
 	Seed uint64
 }
@@ -330,9 +312,6 @@ func (s HybridSpec) norm() HybridSpec {
 	if s.Machine == nil {
 		s.Machine = machine.MustNew("ibm-power3")
 	}
-	if s.Args == nil {
-		s.Args = defaultHybridArgs
-	}
 	return s
 }
 
@@ -340,7 +319,7 @@ func (s HybridSpec) norm() HybridSpec {
 func (s HybridSpec) Key() string {
 	n := s.norm()
 	return fmt.Sprintf("hybrid|points=%t|cpus=%d|%s|%s|seed=%d%s",
-		n.WithPoints, n.CPUs, n.Machine.Name, argsKey(n.Args), n.Seed, faultKey(n.Machine))
+		n.WithPoints, n.CPUs, n.Machine.Name, argsKey(hybridArgs), n.Seed, faultKey(n.Machine))
 }
 
 func (s HybridSpec) runCell(bud des.Budget) (cellResult, error) { return runHybridCell(s, bud) }
@@ -376,7 +355,7 @@ func runHybridCell(spec HybridSpec, bud des.Budget) (HybridResult, error) {
 		Machine:   spec.Machine,
 		App:       app,
 		Procs:     spec.CPUs,
-		Args:      spec.Args,
+		Args:      hybridArgs,
 		CountOnly: true,
 	}
 	body := func(p *des.Proc, ss *core.Session) error {

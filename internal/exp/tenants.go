@@ -27,13 +27,14 @@ const (
 	DefaultTenantJobs = 16
 	// DefaultTenantProcs is each resident job's rank count.
 	DefaultTenantProcs = 4
-	// DefaultTenantOps is the number of control operations (insert/remove
-	// pairs) a well-behaved session issues.
-	DefaultTenantOps = 4
 	// DefaultTenantAbusePct is the percentage of sessions that exceed
 	// their probe quota and are evicted (set AbusePct < 0 for none).
 	DefaultTenantAbusePct = 2
 )
+
+// tenantOps is the number of control operations (insert and remove) a
+// well-behaved session issues.
+const tenantOps = 4
 
 // tenantWindow is the virtual arrival window of the whole session
 // population: a cell with more sessions has a proportionally higher
@@ -60,15 +61,10 @@ type TenantsSpec struct {
 	Jobs int
 	// ProcsPerJob is each resident job's rank count (0 = DefaultTenantProcs).
 	ProcsPerJob int
-	// Ops is the number of insert/remove operations per well-behaved
-	// session (0 = DefaultTenantOps; rounded up to even).
-	Ops int
 	// MaxInFlight caps concurrently admitted sessions (0 = max(64,
-	// Sessions/8)); arrivals past the cap queue for admission.
+	// Sessions/8)); arrivals past the cap wait in an unbounded admission
+	// queue.
 	MaxInFlight int
-	// QueueSlots bounds the admission queue (0 = unbounded; > 0 rejects
-	// arrivals past that many waiters).
-	QueueSlots int
 	// AbusePct is the percentage of sessions that exceed their probe
 	// quota (0 = DefaultTenantAbusePct; < 0 disables abuse).
 	AbusePct int
@@ -86,10 +82,6 @@ func (s TenantsSpec) norm() TenantsSpec {
 	if s.ProcsPerJob == 0 {
 		s.ProcsPerJob = DefaultTenantProcs
 	}
-	if s.Ops == 0 {
-		s.Ops = DefaultTenantOps
-	}
-	s.Ops = (s.Ops + 1) &^ 1
 	if s.MaxInFlight == 0 {
 		s.MaxInFlight = s.Sessions / 8
 		if s.MaxInFlight < 64 {
@@ -108,11 +100,12 @@ func (s TenantsSpec) norm() TenantsSpec {
 	return s
 }
 
-// Key canonicalises the spec (defaults resolved first).
+// Key canonicalises the spec (defaults resolved first). queue=0 names the
+// unbounded admission queue every cell runs with.
 func (s TenantsSpec) Key() string {
 	n := s.norm()
-	return fmt.Sprintf("tenants|sessions=%d|jobs=%d|procs=%d|ops=%d|inflight=%d|queue=%d|abuse=%d|%s|seed=%d%s",
-		n.Sessions, n.Jobs, n.ProcsPerJob, n.Ops, n.MaxInFlight, n.QueueSlots, n.AbusePct,
+	return fmt.Sprintf("tenants|sessions=%d|jobs=%d|procs=%d|ops=%d|inflight=%d|queue=0|abuse=%d|%s|seed=%d%s",
+		n.Sessions, n.Jobs, n.ProcsPerJob, tenantOps, n.MaxInFlight, n.AbusePct,
 		n.Machine.Name, n.Seed, faultKey(n.Machine))
 }
 
@@ -148,11 +141,6 @@ type TenantsResult struct {
 
 func (r TenantsResult) stats() (des.Time, uint64, []fault.Event) { return r.Elapsed, r.Events, nil }
 
-// RunTenants executes one tenants cell without a budget.
-func RunTenants(spec TenantsSpec) (TenantsResult, error) {
-	return runTenantsCell(spec, des.Budget{})
-}
-
 // percentile returns the sorted sample at index ⌊(n−1)·pct/100⌋ (0 for
 // no samples). This rounds down between ranks, so it is not the
 // nearest-rank percentile: for n=4 and pct=95 it returns index 2, where
@@ -173,14 +161,10 @@ func runTenantsCell(spec TenantsSpec, bud des.Budget) (TenantsResult, error) {
 	if spec.Sessions <= 0 {
 		return res, fmt.Errorf("exp: tenants cell needs at least one session, got %d", spec.Sessions)
 	}
-	queue := spec.QueueSlots
-	if queue == 0 {
-		queue = -1
-	}
 	cfg := serve.Config{
 		Machine:      spec.Machine,
 		MaxSessions:  spec.MaxInFlight,
-		MaxQueue:     queue,
+		MaxQueue:     -1,
 		DefaultQuota: tenantQuota,
 	}
 	pop := tenantPop{kind: "tenants", jobs: spec.Jobs, procs: spec.ProcsPerJob, sessions: spec.Sessions}
@@ -200,7 +184,7 @@ func runTenantsCell(spec TenantsSpec, bud des.Budget) (TenantsResult, error) {
 			}
 			return false, nil
 		}
-		for op := 0; op < spec.Ops; op += 2 {
+		for op := 0; op < tenantOps; op += 2 {
 			f := hot[(i+op/2)%len(hot)]
 			if err := sn.Insert(p, f); err != nil {
 				return false, fmt.Errorf("exp: tenants %s insert: %w", sn.User(), err)

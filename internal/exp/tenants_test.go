@@ -20,11 +20,11 @@ var tenantsTestSpec = TenantsSpec{
 // TestTenantsDeterminism pins that a tenants cell is a pure function of
 // its spec: two executions produce identical results, field for field.
 func TestTenantsDeterminism(t *testing.T) {
-	a, err := RunTenants(tenantsTestSpec)
+	a, err := runTenantsCell(tenantsTestSpec, des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTenants(tenantsTestSpec)
+	b, err := runTenantsCell(tenantsTestSpec, des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestTenantsDeterminism(t *testing.T) {
 // accounted for, the tight admission limit queued arrivals, the abusers
 // were evicted, and the percentiles are ordered.
 func TestTenantsCell(t *testing.T) {
-	r, err := RunTenants(tenantsTestSpec)
+	r, err := runTenantsCell(tenantsTestSpec, des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestTenantsFigureParallelismInvariance(t *testing.T) {
 // latency distribution where it was without any abusers — the fair
 // scheduler bounds the blast radius.
 func TestTenantsEvictionNeutrality(t *testing.T) {
-	clean, err := RunTenants(TenantsSpec{Sessions: 100, AbusePct: -1, Seed: 2003})
+	clean, err := runTenantsCell(TenantsSpec{Sessions: 100, AbusePct: -1, Seed: 2003}, des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	abused, err := RunTenants(TenantsSpec{Sessions: 100, AbusePct: 2, Seed: 2003})
+	abused, err := runTenantsCell(TenantsSpec{Sessions: 100, AbusePct: 2, Seed: 2003}, des.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

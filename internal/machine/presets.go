@@ -3,42 +3,36 @@ package machine
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"dynprof/internal/des"
 	"dynprof/internal/fault"
 )
 
-// The preset registry maps short stable identifiers to machine builders.
-// New is the package's front door: look a preset up by id, then refine it
-// with functional options. The registry is extensible so downstream tools
-// can Register site-specific clusters next to the paper's two platforms.
+// The preset table maps short stable identifiers to the builders of the
+// paper's two platforms. New is the package's front door: look a preset
+// up by id, then refine it with functional options.
 var (
-	presetMu sync.RWMutex
-	presets  = map[string]func() *Config{
+	presets = map[string]func() *Config{
 		"ibm-power3": ibmPower3,
 		"ia32-linux": ia32Linux,
 	}
 	aliases = map[string]string{"ibm": "ibm-power3", "ia32": "ia32-linux"}
 )
 
-// New builds a machine from a registered preset refined by options:
+// New builds a machine from a preset refined by options:
 //
 //	mach, err := machine.New("ibm-power3",
 //		machine.WithNodes(64),
 //		machine.WithFaults(plan))
 //
 // The short aliases "ibm" and "ia32" name the two paper platforms.
-// Unknown preset ids fail with the registered set listed. Options apply
-// in order to a fresh copy of the preset; the registry entry is never
-// mutated.
+// Unknown preset ids fail with the preset ids listed. Options apply in
+// order to a fresh copy of the preset.
 func New(id string, opts ...Option) (*Config, error) {
-	presetMu.RLock()
 	build, ok := presets[id]
 	if !ok {
 		build, ok = presets[aliases[id]]
 	}
-	presetMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("machine: unknown preset %q (have %v)", id, Presets())
 	}
@@ -61,27 +55,14 @@ func MustNew(id string, opts ...Option) *Config {
 	return cfg
 }
 
-// Presets lists the registered preset ids in sorted order.
+// Presets lists the preset ids in sorted order.
 func Presets() []string {
-	presetMu.RLock()
-	defer presetMu.RUnlock()
 	ids := make([]string, 0, len(presets))
 	for id := range presets {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// Register adds (or replaces) a preset. The builder must return a fresh
-// Config on every call.
-func Register(id string, build func() *Config) {
-	if id == "" || build == nil {
-		panic("machine: Register needs a preset id and a builder")
-	}
-	presetMu.Lock()
-	presets[id] = build
-	presetMu.Unlock()
 }
 
 // validate rejects configurations no simulation could run on.

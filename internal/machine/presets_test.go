@@ -94,25 +94,6 @@ func TestNewValidates(t *testing.T) {
 	}
 }
 
-func TestRegister(t *testing.T) {
-	Register("test-mini", func() *Config {
-		return &Config{Name: "mini", Nodes: 2, CPUsPerNode: 2, ClockHz: 1e9}
-	})
-	m := MustNew("test-mini", WithNodes(4))
-	if m.Nodes != 4 || m.Name != "mini" {
-		t.Errorf("registered preset not usable: %+v", m)
-	}
-	found := false
-	for _, id := range Presets() {
-		if id == "test-mini" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("Presets() = %v missing test-mini", Presets())
-	}
-}
-
 func TestWithFaultsZeroPlanIsFree(t *testing.T) {
 	var nilPlan *fault.Plan
 	a := MustNew("ibm-power3", WithFaults(nilPlan))

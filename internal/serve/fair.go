@@ -3,7 +3,7 @@
 // instrument at once. It layers three policies over the single-tool core:
 // admission control (sessions past a concurrency limit queue or are
 // rejected), per-session quotas (probes, trace bytes, control-op rate), and
-// weighted round-robin scheduling of daemon service time so one chatty
+// round-robin scheduling of daemon service time so one chatty
 // tenant cannot starve the others — the shared-daemon economics ScALPEL
 // argues for, applied to the paper's per-node super/comm daemon structure.
 package serve
@@ -13,19 +13,16 @@ import "dynprof/internal/des"
 // FairSched arbitrates communication-daemon service time between the users
 // sharing each node, in virtual time. It implements dpcl.ServeGate: every
 // costed daemon-side action on a node passes through one per-node lane,
-// and when the lane is contended, waiting requests are served in weighted
-// round-robin order over users — a user with weight w gets up to w
-// consecutive requests per turn. Within a user, requests stay FIFO.
+// and when the lane is contended, waiting requests are served in
+// round-robin order over users, one request per turn. Within a user,
+// requests stay FIFO.
 //
 // In steady state Serve allocates nothing: gates and user queues are
 // recycled through free lists, and the rotation is rotated in place.
 type FairSched struct {
-	weights map[string]int
-	lanes   map[int]*lane
-	served  map[string]int
-	waits   map[string]des.Time
-	gates   []*des.Gate  // closed gates ready for reuse
-	spare   []*userQueue // retired, empty user queues ready for reuse
+	lanes map[int]*lane
+	gates []*des.Gate  // closed gates ready for reuse
+	spare []*userQueue // retired, empty user queues ready for reuse
 }
 
 // lane is one node's service queue. A user has an entry in q exactly while
@@ -37,7 +34,6 @@ type lane struct {
 	busy bool
 	rr   []*userQueue          // round-robin order of user slots
 	q    map[string]*userQueue // the slot of each user with queued work
-	left int                   // requests remaining in rr[0]'s quantum
 }
 
 // userQueue is one user's FIFO of waiting requests on a lane.
@@ -46,37 +42,10 @@ type userQueue struct {
 	gates []*des.Gate
 }
 
-// NewFairSched creates a scheduler; every user starts with weight 1.
+// NewFairSched creates a scheduler.
 func NewFairSched() *FairSched {
-	return &FairSched{
-		weights: make(map[string]int),
-		lanes:   make(map[int]*lane),
-		served:  make(map[string]int),
-		waits:   make(map[string]des.Time),
-	}
+	return &FairSched{lanes: make(map[int]*lane)}
 }
-
-// SetWeight grants user up to w consecutive requests per round-robin turn
-// (w < 1 is treated as 1).
-func (f *FairSched) SetWeight(user string, w int) {
-	if w < 1 {
-		w = 1
-	}
-	f.weights[user] = w
-}
-
-func (f *FairSched) weight(user string) int {
-	if w := f.weights[user]; w > 0 {
-		return w
-	}
-	return 1
-}
-
-// Served reports how many requests have been served for user.
-func (f *FairSched) Served(user string) int { return f.served[user] }
-
-// WaitTime reports user's accumulated virtual queueing delay.
-func (f *FairSched) WaitTime(user string) des.Time { return f.waits[user] }
 
 func (f *FairSched) lane(node int) *lane {
 	ln, ok := f.lanes[node]
@@ -95,16 +64,13 @@ func (f *FairSched) Serve(p *des.Proc, node int, user, kind string, cost des.Tim
 	if ln.busy {
 		g := f.gate()
 		f.enqueue(ln, user, g)
-		t0 := p.Now()
 		p.Await(g)
-		f.waits[user] += p.Now() - t0
 		g.Set(false) // pick has dequeued it; nobody else holds it now
 		f.gates = append(f.gates, g)
 	} else {
 		ln.busy = true
 	}
 	p.Advance(cost)
-	f.served[user]++
 	f.pick(ln)
 }
 
@@ -158,7 +124,8 @@ func (f *FairSched) newQueue(user string) *userQueue {
 	return uq
 }
 
-// pick hands the lane to the next request in WRR order, or marks it idle.
+// pick hands the lane to the next request in round-robin order, or marks
+// it idle.
 func (f *FairSched) pick(ln *lane) {
 	for len(ln.rr) > 0 {
 		head := ln.rr[0]
@@ -167,20 +134,15 @@ func (f *FairSched) pick(ln *lane) {
 			ln.rr = popFront(ln.rr)
 			head.user = ""
 			f.spare = append(f.spare, head)
-			ln.left = 0
 			continue
 		}
-		if ln.left <= 0 {
-			ln.left = f.weight(head.user)
-		}
-		ln.left--
 		g := head.gates[0]
 		head.gates = popFront(head.gates)
 		if len(head.gates) == 0 {
 			delete(ln.q, head.user)
 		}
-		if n := len(ln.rr); ln.left <= 0 && n > 1 {
-			// Quantum spent: rotate the user to the back of the ring.
+		if n := len(ln.rr); n > 1 {
+			// Turn taken: rotate the user to the back of the ring.
 			copy(ln.rr, ln.rr[1:])
 			ln.rr[n-1] = head
 		}

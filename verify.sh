@@ -48,7 +48,9 @@ test -z "$(gofmt -l .)"
 go test ./...
 
 # The benchmark module (bench/) imports internal/exp from outside: its own
-# tests catch an API change that breaks it.
+# tests catch an API change that breaks it. The root go vet skips it, being
+# a module of its own, so it is vetted here.
+go -C bench vet ./...
 go -C bench test ./...
 
 # Fuzz smokes: the trace-file reader must reject bad input only with
