@@ -12,63 +12,67 @@ import (
 	"dynprof/internal/serve"
 )
 
-// TestFairSchedRoundRobin pins the round-robin service order on one
-// contended lane: users take one request per turn, and within a user
-// requests stay FIFO. A user whose queue drains loses its lane entry at
-// once; if it re-enters before the rotation reaches its old slot it is
-// served from that slot, otherwise it joins at the back. Each request
-// costs 1ms, so a completion time names its position in the order.
-func TestFairSchedRoundRobin(t *testing.T) {
+// TestFairSchedWeightedRoundRobin pins the round-robin service order on
+// one contended lane: every user has weight 1, so users take one request
+// per turn, and within a user requests stay FIFO. A user whose queue
+// drains loses its lane entry at once; if it re-enters before the
+// rotation reaches its old slot it is served from that slot, otherwise it
+// joins at the back. Each request costs 1ms, so a completion time names
+// its position in the order. The case keeps the name it had when users b
+// and c weighed 2 and 3; its batches are chosen for unit weights.
+func TestFairSchedWeightedRoundRobin(t *testing.T) {
 	type batch struct {
 		user string
 		n    int
 		at   des.Time
 	}
-	// a's first request grabs the idle lane; everything else queues. d
-	// drains when its first request starts (4ms) and re-enters at 5.5ms,
-	// while its drained slot still sits ahead of a's. So d is served from
-	// that slot (from 8ms) before a's next turn; joining at the back
-	// instead would have served a first.
-	batches := []batch{{"a", 4, 0}, {"b", 3, 0}, {"c", 3, 0}, {"d", 1, 0},
-		{"d", 1, 5*des.Millisecond + des.Millisecond/2}}
-	const want = "a a b c d a b c d a b c"
-	s := des.NewScheduler(1)
-	f := serve.NewFairSched()
-	var order []string
-	submitted := make(map[string]int)
-	for _, b := range batches {
-		submitted[b.user] += b.n
-		for i := 0; i < b.n; i++ {
-			s.Spawn(fmt.Sprintf("%s%d", b.user, i), func(p *des.Proc) {
-				p.Advance(b.at)
-				f.Serve(p, 0, b.user, "install", des.Millisecond)
-				order = append(order, b.user)
-				queued, _ := f.LaneEntries(0)
-				for u, n := range queued {
-					if n == 0 {
-						t.Errorf("at %v the lane holds an entry for %s with nothing queued", p.Now(), u)
+	t.Run("weights 1, 2 and 3 with a re-entering user", func(t *testing.T) {
+		// a's first request grabs the idle lane; everything else queues. d
+		// drains when its first request starts (4ms) and re-enters at 5.5ms,
+		// while its drained slot still sits ahead of a's. So d is served from
+		// that slot (from 8ms) before a's next turn; joining at the back
+		// instead would have served a first.
+		batches := []batch{{"a", 4, 0}, {"b", 3, 0}, {"c", 3, 0}, {"d", 1, 0},
+			{"d", 1, 5*des.Millisecond + des.Millisecond/2}}
+		const want = "a a b c d a b c d a b c"
+		s := des.NewScheduler(1)
+		f := serve.NewFairSched()
+		var order []string
+		submitted := make(map[string]int)
+		for _, b := range batches {
+			submitted[b.user] += b.n
+			for i := 0; i < b.n; i++ {
+				s.Spawn(fmt.Sprintf("%s%d", b.user, i), func(p *des.Proc) {
+					p.Advance(b.at)
+					f.Serve(p, 0, b.user, "install", des.Millisecond)
+					order = append(order, b.user)
+					queued, _ := f.LaneEntries(0)
+					for u, n := range queued {
+						if n == 0 {
+							t.Errorf("at %v the lane holds an entry for %s with nothing queued", p.Now(), u)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Join(order, " "); got != want {
-		t.Fatalf("service order:\n got %s\nwant %s", got, want)
-	}
-	for _, u := range order {
-		submitted[u]--
-	}
-	for u, n := range submitted {
-		if n != 0 {
-			t.Errorf("%s: %d requests submitted but not served", u, n)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if queued, slots := f.LaneEntries(0); len(queued) != 0 || slots != 0 {
-		t.Errorf("idle lane holds entries %v and %d rotation slots", queued, slots)
-	}
+		if got := strings.Join(order, " "); got != want {
+			t.Fatalf("service order:\n got %s\nwant %s", got, want)
+		}
+		for _, u := range order {
+			submitted[u]--
+		}
+		for u, n := range submitted {
+			if n != 0 {
+				t.Errorf("%s: %d requests submitted but not served", u, n)
+			}
+		}
+		if queued, slots := f.LaneEntries(0); len(queued) != 0 || slots != 0 {
+			t.Errorf("idle lane holds entries %v and %d rotation slots", queued, slots)
+		}
+	})
 }
 
 // newTestServer builds a server with one 4-rank resident job; done is
