@@ -3,6 +3,7 @@ package vgv
 import (
 	"fmt"
 	"io"
+	"math/big"
 	"sort"
 
 	"dynprof/internal/des"
@@ -145,7 +146,15 @@ func refAnalyze(col *vt.Collector) *Profile {
 	return p
 }
 
-// refRenderTimeline is the reference RenderTimeline.
+// interval is one [from, to] span of a reference time-line lane, drawn in
+// glyph kind.
+type interval struct {
+	from, to des.Time
+	kind     byte
+}
+
+// refRenderTimeline is the reference RenderTimeline: it keeps every lane's
+// intervals and draws them after the scan.
 func refRenderTimeline(col *vt.Collector, w io.Writer, width int) error {
 	if width < 10 {
 		width = 10
@@ -231,21 +240,21 @@ func refRenderTimeline(col *vt.Collector, w io.Writer, width int) error {
 		return keys[i].tid < keys[j].tid
 	})
 
-	span := end - start
+	// Exact unsigned offsets: end-start, and an offset times width, can
+	// pass 2⁶³.
+	span := new(big.Int).Sub(big.NewInt(int64(end)), big.NewInt(int64(start)))
+	if span.Sign() < 0 {
+		span.SetInt64(1) // a one-instant trace at MaxInt64: end wrapped
+	}
 	bucket := func(t des.Time) int {
-		b := int(int64(t-start) * int64(width) / int64(span))
-		if b >= width {
-			b = width - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		return b
+		b := new(big.Int).Sub(big.NewInt(int64(t)), big.NewInt(int64(start)))
+		b.Mul(b, big.NewInt(int64(width))).Quo(b, span)
+		return int(min(b.Int64(), int64(width-1)))
 	}
 	priority := map[rune]int{glyphIdle: 0, glyphFunc: 1, glyphAPI: 2, glyphRegion: 3}
 
 	fmt.Fprintf(w, "time-line %v .. %v (%d columns, %v/column)\n",
-		start, end, width, span/des.Time(width))
+		start, end, width, des.Time(new(big.Int).Quo(span, big.NewInt(int64(width))).Int64()))
 	for _, k := range keys {
 		row := make([]rune, width)
 		for i := range row {

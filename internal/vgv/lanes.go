@@ -114,3 +114,12 @@ func (t *laneTable[L, R]) get(e *vt.Event) (*L, *R) {
 	t.lastLane, t.lastRank = &t.lanes[l], &rank.state
 	return t.lastLane, t.lastRank
 }
+
+// laneOwner returns which of parts workers handles e's lane. A lane's
+// analysis depends only on its own events, so any partition gives the same
+// result; a multiplicative hash of rank + tid spreads consecutive ranks or
+// threads evenly, with no division per event.
+func laneOwner(e *vt.Event, parts int) int {
+	h := (uint32(e.Rank) + uint32(e.TID)) * 0x9e3779b9
+	return int(uint64(h) * uint64(parts) >> 32)
+}

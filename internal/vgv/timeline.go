@@ -1,11 +1,14 @@
 package vgv
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 
 	"dynprof/internal/des"
+	"dynprof/internal/par"
 	"dynprof/internal/vt"
 )
 
@@ -24,13 +27,8 @@ const (
 // then plain function bars.
 var glyphPriority = [128]int8{glyphIdle: 0, glyphFunc: 1, glyphAPI: 2, glyphRegion: 3}
 
-// interval is one [from, to) span with a category.
-type interval struct {
-	from, to des.Time
-	kind     byte
-}
-
-// timelineLane is one lane's open-interval depths and finished intervals.
+// timelineLane is one lane's open-interval depths and its row, drawn as
+// each interval closes.
 type timelineLane struct {
 	funcDepth   int
 	funcFrom    des.Time
@@ -38,11 +36,45 @@ type timelineLane struct {
 	apiFrom     des.Time
 	regionDepth int
 	regionFrom  des.Time
-	ivs         []interval
+	row         []byte // nil until the lane's first interval closes
+}
+
+// timeline is one RenderTimeline worker's state: the lanes it owns and the
+// column scale they are drawn at.
+type timeline struct {
+	lanes *laneTable[timelineLane, struct{}]
+	start des.Time
+	span  uint64 // end - start, taken unsigned: it can pass 2⁶³
+	width int
+}
+
+// bucket returns the column of time t, in [start, end]. The offset from
+// start is taken unsigned and its product with width in 128 bits, since
+// both can pass 2⁶³.
+func (tl *timeline) bucket(t des.Time) int {
+	hi, lo := bits.Mul64(uint64(t)-uint64(tl.start), uint64(tl.width))
+	q, _ := bits.Div64(hi, lo, tl.span)
+	return min(int(q), tl.width-1)
+}
+
+// draw marks the interval [from, to] of ls in glyph where glyph outranks
+// what the columns show. The marks commute, so intervals may be drawn in
+// any order.
+func (tl *timeline) draw(ls *timelineLane, from, to des.Time, glyph byte) {
+	if ls.row == nil {
+		ls.row = bytes.Repeat([]byte{glyphIdle}, tl.width)
+	}
+	for b := tl.bucket(from); b <= tl.bucket(to); b++ {
+		if glyphPriority[glyph] > glyphPriority[ls.row[b]] {
+			ls.row[b] = glyph
+		}
+	}
 }
 
 // RenderTimeline draws the trace as an ASCII time-line, one row per
-// (rank, thread) lane, width columns wide.
+// (rank, thread) lane, width columns wide. The lanes are partitioned
+// across par.Workers() workers (laneOwner), each drawing its own lanes'
+// rows; the rows are then printed in (rank, tid) order.
 func RenderTimeline(col *vt.Collector, w io.Writer, width int) error {
 	if width < 10 {
 		width = 10
@@ -56,13 +88,60 @@ func RenderTimeline(col *vt.Collector, w io.Writer, width int) error {
 	if end == start {
 		end = start + 1
 	}
+	span := uint64(end) - uint64(start)
 
-	// Build per-lane interval sets from the event stream.
-	lanes := newLaneTable[timelineLane, struct{}](view.Len())
+	type row struct {
+		key   laneKey
+		glyph []byte
+	}
+	parts := make([][]row, par.Workers())
+	par.Do(len(parts), func(part int) {
+		tl := &timeline{lanes: newLaneTable[timelineLane, struct{}](view.Len()), start: start, span: span, width: width}
+		tl.scan(view, part, len(parts))
+		rows := make([]row, len(tl.lanes.keys))
+		for l := range rows {
+			ls := &tl.lanes.lanes[l]
+			if ls.row == nil {
+				ls.row = bytes.Repeat([]byte{glyphIdle}, width)
+			}
+			rows[l] = row{tl.lanes.keys[l], ls.row}
+		}
+		parts[part] = rows
+	})
+	var rows []row
+	for _, p := range parts {
+		rows = append(rows, p...)
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		a, b := rows[i].key, rows[j].key
+		if a.rank != b.rank {
+			return a.rank < b.rank
+		}
+		return a.tid < b.tid
+	})
+
+	ew := &errWriter{w: w}
+	ew.printf("time-line %v .. %v (%d columns, %v/column)\n",
+		start, end, width, des.Time(span/uint64(width)))
+	for _, r := range rows {
+		ew.printf("r%02d/t%02d |%s|\n", r.key.rank, r.key.tid, r.glyph)
+	}
+	ew.printf("legend: %c function  %c MPI  %c OpenMP region (wiggle)  %c idle\n",
+		glyphFunc, glyphAPI, glyphRegion, glyphIdle)
+	return ew.err
+}
+
+// scan draws the lanes worker part of parts owns (laneOwner) from the
+// view: a lane's function, MPI and region intervals run from the
+// outermost enter of their kind to its matching exit.
+func (tl *timeline) scan(view vt.View, part, parts int) {
 	for _, events := range view.Chunks() {
 		for i := range events {
 			e := &events[i]
-			ls, _ := lanes.get(e)
+			if laneOwner(e, parts) != part {
+				continue
+			}
+			ls, _ := tl.lanes.get(e)
 			switch e.Kind {
 			case vt.Enter:
 				if ls.funcDepth == 0 {
@@ -73,7 +152,7 @@ func RenderTimeline(col *vt.Collector, w io.Writer, width int) error {
 				if ls.funcDepth > 0 {
 					ls.funcDepth--
 					if ls.funcDepth == 0 {
-						ls.ivs = append(ls.ivs, interval{ls.funcFrom, e.At, glyphFunc})
+						tl.draw(ls, ls.funcFrom, e.At, glyphFunc)
 					}
 				}
 			case vt.APIEnter:
@@ -85,7 +164,7 @@ func RenderTimeline(col *vt.Collector, w io.Writer, width int) error {
 				if ls.apiDepth > 0 {
 					ls.apiDepth--
 					if ls.apiDepth == 0 {
-						ls.ivs = append(ls.ivs, interval{ls.apiFrom, e.At, glyphAPI})
+						tl.draw(ls, ls.apiFrom, e.At, glyphAPI)
 					}
 				}
 			case vt.RegionEnter:
@@ -97,57 +176,10 @@ func RenderTimeline(col *vt.Collector, w io.Writer, width int) error {
 				if ls.regionDepth > 0 {
 					ls.regionDepth--
 					if ls.regionDepth == 0 {
-						ls.ivs = append(ls.ivs, interval{ls.regionFrom, e.At, glyphRegion})
+						tl.draw(ls, ls.regionFrom, e.At, glyphRegion)
 					}
 				}
 			}
 		}
 	}
-
-	rows := make([]int, len(lanes.keys))
-	for l := range rows {
-		rows[l] = l
-	}
-	keys := lanes.keys
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := keys[rows[i]], keys[rows[j]]
-		if a.rank != b.rank {
-			return a.rank < b.rank
-		}
-		return a.tid < b.tid
-	})
-
-	span := end - start
-	bucket := func(t des.Time) int {
-		b := int(int64(t-start) * int64(width) / int64(span))
-		if b >= width {
-			b = width - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		return b
-	}
-
-	ew := &errWriter{w: w}
-	ew.printf("time-line %v .. %v (%d columns, %v/column)\n",
-		start, end, width, span/des.Time(width))
-	row := make([]byte, width)
-	for _, l := range rows {
-		for i := range row {
-			row[i] = glyphIdle
-		}
-		for _, iv := range lanes.lanes[l].ivs {
-			lo, hi := bucket(iv.from), bucket(iv.to)
-			for b := lo; b <= hi; b++ {
-				if glyphPriority[iv.kind] > glyphPriority[row[b]] {
-					row[b] = iv.kind
-				}
-			}
-		}
-		ew.printf("r%02d/t%02d |%s|\n", keys[l].rank, keys[l].tid, row)
-	}
-	ew.printf("legend: %c function  %c MPI  %c OpenMP region (wiggle)  %c idle\n",
-		glyphFunc, glyphAPI, glyphRegion, glyphIdle)
-	return ew.err
 }

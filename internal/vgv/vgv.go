@@ -8,11 +8,14 @@
 package vgv
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"dynprof/internal/des"
+	"dynprof/internal/par"
 	"dynprof/internal/vt"
 )
 
@@ -92,18 +95,20 @@ type rankState struct {
 	peers idTable
 }
 
-// analyzer is Analyze's working state. Function names are interned once
-// per (rank, id), so stacks, aggregates and call edges key on ints; ids
-// that resolve to the same name share one index, as the name-keyed
-// profile requires.
+// analyzer is one Analyze worker's state: the lanes it owns (laneOwner)
+// and their aggregates. Function names are interned once per (rank, id),
+// so stacks, aggregates and call edges key on ints; ids that resolve to
+// the same name share one index, as the name-keyed profile requires.
 type analyzer struct {
-	col     *vt.Collector
-	lanes   *laneTable[stackLane, rankState]
-	byName  map[string]int32
-	stats   []FuncStat // by interned name; Calls > 0 marks a profiled function
-	callers []idTable  // by interned callee: interned caller -> index into edges
-	edges   []CallEdge
-	comm    []CommEdge
+	col        *vt.Collector
+	lanes      *laneTable[stackLane, rankState]
+	byName     map[string]int32
+	stats      []FuncStat // by interned name; Calls > 0 marks a profiled function
+	callers    []idTable  // by interned callee: interned caller -> index into edges
+	edges      []CallEdge
+	comm       []CommEdge
+	msgs       MsgStat
+	unbalanced int
 }
 
 // intern returns name's index, adding it on first sight.
@@ -168,68 +173,73 @@ func (a *analyzer) send(rs *rankState, e *vt.Event) {
 	a.comm[i].Bytes += e.B
 }
 
-// Analyze computes the profile of a collected trace.
+// Analyze computes the profile of a collected trace. The lanes are
+// partitioned across par.Workers() workers (laneOwner), each scanning the
+// ordered view for its own lanes' events; their per-name stats, call edges
+// and communication edges are then folded by key and put in the total
+// orders below, so the profile is the same on any number of workers.
 func Analyze(col *vt.Collector) *Profile {
 	view := col.Ordered()
 	p := &Profile{}
-	a := &analyzer{
-		col:    col,
-		lanes:  newLaneTable[stackLane, rankState](view.Len()),
-		byName: make(map[string]int32),
-	}
-	a.intern("(root)")
-
 	p.Start, p.End = view.Span()
-	for _, events := range view.Chunks() {
-		for i := range events {
-			e := &events[i]
-			ls, rs := a.lanes.get(e)
-			switch e.Kind {
-			case vt.Enter, vt.APIEnter:
-				ls.stack = append(ls.stack, frame{fn: a.fn(rs, e), enterAt: e.At})
-			case vt.Exit, vt.APIExit:
-				s := ls.stack
-				if len(s) == 0 || s[len(s)-1].fn != a.fn(rs, e) {
-					// Orphan exit: instrumentation appeared mid-call, or the
-					// matching enter predates the probe's insertion.
-					p.Unbalanced++
-					continue
-				}
-				f := s[len(s)-1]
-				ls.stack = s[:len(s)-1]
-				a.closeFrame(ls, f, e.At)
-			case vt.MsgSend:
-				p.Msgs.Sends++
-				p.Msgs.Bytes += e.B
-				a.send(rs, e)
-			case vt.MsgRecv:
-				p.Msgs.Recvs++
+	as := make([]*analyzer, par.Workers())
+	par.Do(len(as), func(w int) {
+		a := &analyzer{
+			col:    col,
+			lanes:  newLaneTable[stackLane, rankState](view.Len()),
+			byName: make(map[string]int32),
+		}
+		a.intern("(root)")
+		a.scan(view, w, len(as), p.End)
+		as[w] = a
+	})
+
+	var ranks []int32
+	for _, a := range as {
+		p.Msgs.Sends += a.msgs.Sends
+		p.Msgs.Recvs += a.msgs.Recvs
+		p.Msgs.Bytes += a.msgs.Bytes
+		p.Unbalanced += a.unbalanced
+		for _, st := range a.stats {
+			if st.Calls > 0 {
+				p.Funcs = append(p.Funcs, st)
 			}
 		}
-	}
-	// Close frames left open at trace end (probe removed before exit, or
-	// the program ended inside the function). Lanes are independent and
-	// the aggregates are sums, so lane order does not matter.
-	for l := range a.lanes.lanes {
-		ls := &a.lanes.lanes[l]
-		for s := ls.stack; len(s) > 0; s = ls.stack {
-			p.Unbalanced++
-			ls.stack = s[:len(s)-1]
-			a.closeFrame(ls, s[len(s)-1], p.End)
+		p.CallGraph = append(p.CallGraph, a.edges...)
+		p.Comm = append(p.Comm, a.comm...)
+		for _, k := range a.lanes.keys {
+			ranks = append(ranks, k.rank)
 		}
+		p.Threads += len(a.lanes.keys)
 	}
-	for _, st := range a.stats {
-		if st.Calls > 0 {
-			p.Funcs = append(p.Funcs, st)
-		}
-	}
+	// Workers share names, call edges, communication edges and ranks, but
+	// never a lane: fold each by its key.
+	p.Funcs = fold(p.Funcs, func(a, b FuncStat) int { return cmp.Compare(a.Name, b.Name) },
+		func(dst *FuncStat, src FuncStat) {
+			dst.Calls += src.Calls
+			dst.Inclusive += src.Inclusive
+			dst.Exclusive += src.Exclusive
+		})
+	p.CallGraph = fold(p.CallGraph, func(a, b CallEdge) int {
+		return cmp.Or(cmp.Compare(a.Caller, b.Caller), cmp.Compare(a.Callee, b.Callee))
+	}, func(dst *CallEdge, src CallEdge) {
+		dst.Calls += src.Calls
+		dst.Time += src.Time
+	})
+	p.Comm = fold(p.Comm, func(a, b CommEdge) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	}, func(dst *CommEdge, src CommEdge) {
+		dst.Msgs += src.Msgs
+		dst.Bytes += src.Bytes
+	})
+	p.Ranks = len(fold(ranks, cmp.Compare[int32], func(*int32, int32) {}))
+
 	sort.Slice(p.Funcs, func(i, j int) bool {
 		if p.Funcs[i].Exclusive != p.Funcs[j].Exclusive {
 			return p.Funcs[i].Exclusive > p.Funcs[j].Exclusive
 		}
 		return p.Funcs[i].Name < p.Funcs[j].Name
 	})
-	p.CallGraph = a.edges
 	sort.Slice(p.CallGraph, func(i, j int) bool {
 		if p.CallGraph[i].Time != p.CallGraph[j].Time {
 			return p.CallGraph[i].Time > p.CallGraph[j].Time
@@ -239,7 +249,6 @@ func Analyze(col *vt.Collector) *Profile {
 		}
 		return p.CallGraph[i].Callee < p.CallGraph[j].Callee
 	})
-	p.Comm = a.comm
 	sort.Slice(p.Comm, func(i, j int) bool {
 		if p.Comm[i].Bytes != p.Comm[j].Bytes {
 			return p.Comm[i].Bytes > p.Comm[j].Bytes
@@ -249,9 +258,69 @@ func Analyze(col *vt.Collector) *Profile {
 		}
 		return p.Comm[i].To < p.Comm[j].To
 	})
-	p.Ranks = len(a.lanes.ranks)
-	p.Threads = len(a.lanes.lanes)
 	return p
+}
+
+// fold sorts xs by key and merges each run of elements with equal keys
+// into its first with add, returning the merged prefix of xs.
+func fold[T any](xs []T, key func(a, b T) int, add func(dst *T, src T)) []T {
+	slices.SortFunc(xs, key)
+	out := xs[:0]
+	for _, x := range xs {
+		if n := len(out); n > 0 && key(out[n-1], x) == 0 {
+			add(&out[n-1], x)
+			continue
+		}
+		out = append(out, x)
+	}
+	return out
+}
+
+// scan runs worker w of parts over the view: it analyses the events of
+// the lanes it owns, then closes the frames they leave open at end, the
+// trace's last time.
+func (a *analyzer) scan(view vt.View, w, parts int, end des.Time) {
+	for _, events := range view.Chunks() {
+		for i := range events {
+			e := &events[i]
+			if laneOwner(e, parts) != w {
+				continue
+			}
+			ls, rs := a.lanes.get(e)
+			switch e.Kind {
+			case vt.Enter, vt.APIEnter:
+				ls.stack = append(ls.stack, frame{fn: a.fn(rs, e), enterAt: e.At})
+			case vt.Exit, vt.APIExit:
+				s := ls.stack
+				if len(s) == 0 || s[len(s)-1].fn != a.fn(rs, e) {
+					// Orphan exit: instrumentation appeared mid-call, or the
+					// matching enter predates the probe's insertion.
+					a.unbalanced++
+					continue
+				}
+				f := s[len(s)-1]
+				ls.stack = s[:len(s)-1]
+				a.closeFrame(ls, f, e.At)
+			case vt.MsgSend:
+				a.msgs.Sends++
+				a.msgs.Bytes += e.B
+				a.send(rs, e)
+			case vt.MsgRecv:
+				a.msgs.Recvs++
+			}
+		}
+	}
+	// Close frames left open at trace end (probe removed before exit, or
+	// the program ended inside the function). Lanes are independent and
+	// the aggregates are sums, so lane order does not matter.
+	for l := range a.lanes.lanes {
+		ls := &a.lanes.lanes[l]
+		for s := ls.stack; len(s) > 0; s = ls.stack {
+			a.unbalanced++
+			ls.stack = s[:len(s)-1]
+			a.closeFrame(ls, s[len(s)-1], end)
+		}
+	}
 }
 
 // WriteCallGraph renders the dynamic call graph, heaviest edges first

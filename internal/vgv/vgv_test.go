@@ -146,6 +146,42 @@ func TestTimelineShowsWiggleForRegions(t *testing.T) {
 	}
 }
 
+// TestTimelineHugeSpans draws traces whose span times the width, or whose
+// span itself, passes 2⁶³: the columns must be the exact ones, as in a
+// trace of small times.
+func TestTimelineHugeSpans(t *testing.T) {
+	const t61, t62 = des.Time(1) << 61, des.Time(1) << 62
+	cases := []struct {
+		name   string
+		at     [4]des.Time // one call, then an instant call at the end
+		row    string
+		column string // the span per column
+	}{
+		// Columns 0–9 and 19; the int64 product wrapped to column 0 alone.
+		{"product past 2^63", [4]des.Time{0, t61 - 1, t62, t62}, "##########.........#", "230584300.921s"},
+		// A span of 2⁶³: end-start itself wrapped.
+		{"span of 2^63", [4]des.Time{-t62, 0, t62, t62}, "###########........#", "461168601.843s"},
+	}
+	for _, c := range cases {
+		col := mkTrace([]vt.Event{
+			{At: c.at[0], Kind: vt.Enter}, {At: c.at[1], Kind: vt.Exit},
+			{At: c.at[2], Kind: vt.Enter}, {At: c.at[3], Kind: vt.Exit},
+		}, map[int32]string{0: "f"})
+		var buf bytes.Buffer
+		if err := RenderTimeline(col, &buf, 20); err != nil {
+			t.Fatal(err)
+		}
+		if want := "r00/t00 |" + c.row + "|"; !strings.Contains(buf.String(), want) {
+			t.Errorf("%s: time-line\n%s\nwant row %s", c.name, buf.String(), want)
+		}
+		if !strings.Contains(buf.String(), "(20 columns, "+c.column+"/column)") {
+			t.Errorf("%s: time-line\n%s\nwant %s per column", c.name, buf.String(), c.column)
+		}
+		checkMatchesReference(t, c.name, col)
+		col.Release()
+	}
+}
+
 func TestTimelineEmptyTrace(t *testing.T) {
 	var buf bytes.Buffer
 	if err := RenderTimeline(vt.NewCollector(), &buf, 40); err != nil {

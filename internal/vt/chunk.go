@@ -2,9 +2,11 @@ package vt
 
 import (
 	"math"
+	"sort"
 	"sync"
 
 	"dynprof/internal/des"
+	"dynprof/internal/par"
 )
 
 // This file holds the unit every layer of the trace path keeps events in: a
@@ -244,16 +246,153 @@ type mergeKey struct {
 
 func (a mergeKey) less(b mergeKey) bool { return a.at < b.at || (a.at == b.at && a.seg < b.seg) }
 
-// mergeSegs k-way merges time-sorted segments of c into fresh pooled
-// chunks, keyed on (At, segment index). Segments tile the chain in
-// insertion order, so the segment index orders ties exactly as the
-// insertion index would, and the result is the stable time order of the
-// insertion-ordered stream.
+// mergeParts k-way merges the time-sorted segments of c (total events)
+// into fresh pooled chunks, keyed on (At, segment index), on up to
+// par.Workers() parts at once. Segments tile the chain in insertion order,
+// so the segment index orders ties exactly as the insertion index would,
+// and the result is the stable time order of the insertion-ordered stream.
+//
+// The merged order is cut at exact rank splitters: part p holds the events
+// of ranks [bound(p), bound(p+1)), every bound but the last a multiple of
+// chunkEvents, and each segment gives the part one sub-range, the events
+// of those ranks (rankCuts). Merging a part's sub-ranges on the same key
+// yields that stretch of the global order, so the parts' chunks, written
+// side by side into one chunk list, are exactly the chunks one merge would
+// make: all full but the last.
+func mergeParts(c chain, segs []segRange, total int) chain {
+	chunks := (total + chunkMask) >> chunkShift
+	parts := min(par.Workers(), chunks)
+	bound := func(p int) int { return min(chunks*p/parts<<chunkShift, total) }
+	idx := make([]segIndex, len(segs))
+	for s, seg := range segs {
+		idx[s] = indexSeg(c, seg)
+	}
+	// sub[p][s] is segment s's sub-range in part p, in slots.
+	sub := make([][]segRange, parts)
+	lo := make([]int, len(segs)) // slot where each segment's part starts
+	for s, seg := range segs {
+		lo[s] = seg.start
+	}
+	for p := range parts {
+		sub[p] = make([]segRange, len(segs))
+		hi := rankCuts(idx, bound(p+1), total)
+		for s := range segs {
+			sub[p][s] = segRange{lo[s], hi[s]}
+		}
+		lo = hi
+	}
+	out := make(chain, chunks)
+	par.Do(parts, func(p int) {
+		first, last := bound(p)>>chunkShift, (bound(p+1)+chunkMask)>>chunkShift
+		mergeSegs(c, sub[p], out[first:first:last])
+	})
+	return out
+}
+
+// segIndex finds a time-sorted segment's events by rank within it.
+type segIndex struct {
+	pieces [][]Event // the segment's non-empty pieces, in order
+	slots  []int     // slot of each piece's first event
+	ranks  []int     // rank of each piece's first event, then the event count
+	end    int       // the segment's end slot
+}
+
+func indexSeg(c chain, seg segRange) segIndex {
+	x := segIndex{end: seg.end, ranks: []int{0}}
+	for ci := seg.start >> chunkShift; ci<<chunkShift < seg.end; ci++ {
+		if base, p := c.piece(ci, seg.start, seg.end); len(p) > 0 {
+			x.pieces = append(x.pieces, p)
+			x.slots = append(x.slots, base)
+			x.ranks = append(x.ranks, x.ranks[len(x.ranks)-1]+len(p))
+		}
+	}
+	return x
+}
+
+// len reports the segment's event count.
+func (x *segIndex) len() int { return x.ranks[len(x.ranks)-1] }
+
+// below counts the segment's events earlier than t, or no later than t if
+// orEqual.
+func (x *segIndex) below(t des.Time, orEqual bool) int {
+	past := func(at des.Time) bool { return at > t || (!orEqual && at == t) }
+	pi := sort.Search(len(x.pieces), func(i int) bool { p := x.pieces[i]; return past(p[len(p)-1].At) })
+	if pi == len(x.pieces) {
+		return x.len()
+	}
+	p := x.pieces[pi]
+	return x.ranks[pi] + sort.Search(len(p), func(j int) bool { return past(p[j].At) })
+}
+
+// slot returns the slot of the segment's event of rank q, or its end slot
+// when q is the event count.
+func (x *segIndex) slot(q int) int {
+	if q == x.len() {
+		return x.end
+	}
+	pi := sort.Search(len(x.pieces), func(i int) bool { return x.ranks[i+1] > q })
+	return x.slots[pi] + q - x.ranks[pi]
+}
+
+// rankCuts returns, for each segment, the slot of its first event at merged
+// rank r or later: the first r events of the merge in (At, segment index)
+// order are those before the cuts. total is the segments' event count.
+func rankCuts(idx []segIndex, r, total int) []int {
+	cuts := make([]int, len(idx))
+	if r == total {
+		for s := range idx {
+			cuts[s] = idx[s].end
+		}
+		return cuts
+	}
+	// The event of rank r has the least time t with more than r events no
+	// later than t; it lies between the earliest and latest event.
+	lo, hi := des.Time(math.MaxInt64), des.Time(math.MinInt64)
+	for s := range idx {
+		x := &idx[s]
+		if len(x.pieces) > 0 {
+			last := x.pieces[len(x.pieces)-1]
+			lo, hi = min(lo, x.pieces[0][0].At), max(hi, last[len(last)-1].At)
+		}
+	}
+	for lo < hi {
+		mid := lo + des.Time((uint64(hi)-uint64(lo))/2)
+		n := 0
+		for s := range idx {
+			n += idx[s].below(mid, true)
+		}
+		if n > r {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	// Every event earlier than t comes first; the rest of the r are ties
+	// at t, taken in segment order.
+	counts := make([]int, len(idx))
+	need := r
+	for s := range idx {
+		counts[s] = idx[s].below(lo, false)
+		need -= counts[s]
+	}
+	for s := range idx {
+		take := min(need, idx[s].below(lo, true)-counts[s])
+		counts[s] += take
+		need -= take
+		cuts[s] = idx[s].slot(counts[s])
+	}
+	return cuts
+}
+
+// mergeSegs k-way merges time-sorted segments of c, keyed on (At, segment
+// index), appending the merged events to out in fresh pooled chunks, all
+// full but the last. out's capacity must hold those chunks. An empty
+// segment (start == end) takes part in no comparison.
 //
 // The merge is a tournament (loser) tree over the cursors: each event
 // costs one comparison per tree level, against two per level for a binary
 // heap's sift-down.
-func mergeSegs(c chain, segs []segRange, total int) chain {
+func mergeSegs(c chain, segs []segRange, out chain) chain {
 	k := len(segs)
 	curs := make([]mergeCursor, k)
 	keys := make([]mergeKey, k)
@@ -261,7 +400,7 @@ func mergeSegs(c chain, segs []segRange, total int) chain {
 		m := &curs[si]
 		m.ci, m.end = s.start>>chunkShift-1, s.end
 		keys[si] = mergeKey{at: math.MaxInt64, seg: k + si}
-		if m.advance(c) {
+		if s.start < s.end && m.advance(c) {
 			m.ev = m.ev[s.start&chunkMask:] // the first piece starts mid-chunk
 			keys[si] = mergeKey{at: m.ev[0].At, seg: si}
 		}
@@ -283,18 +422,21 @@ func mergeSegs(c chain, segs []segRange, total int) chain {
 	if k > 1 {
 		tree[0] = win[1]
 	}
-	out := make(chain, 0, (total+chunkMask)>>chunkShift)
-	dst, j := newChunk()[:chunkEvents], 0
+	var dst []Event
+	j := 0
 	for {
 		w := tree[0]
 		if keys[w].seg >= k {
 			break
 		}
+		if j == 0 {
+			dst = newChunk()[:chunkEvents]
+		}
 		m := &curs[w]
 		dst[j] = m.ev[0]
 		if j++; j == chunkEvents {
 			out = append(out, dst)
-			dst, j = newChunk()[:chunkEvents], 0
+			j = 0
 		}
 		if m.ev = m.ev[1:]; len(m.ev) > 0 || m.advance(c) {
 			keys[w].at = m.ev[0].At
@@ -312,8 +454,6 @@ func mergeSegs(c chain, segs []segRange, total int) chain {
 	}
 	if j > 0 {
 		out = append(out, dst[:j])
-	} else {
-		freeChunk(dst)
 	}
 	return out
 }

@@ -132,22 +132,49 @@ func BenchmarkRecordFlush(b *testing.B) {
 	}
 }
 
-// benchDumpCollector is the dump benchmarks' input: 8 ranks of 2048
-// events each, with a two-entry function table per rank.
+// benchDumpCollector is the trace-path benchmarks' input: 16 ranks of
+// 16384 near-repeat events (nearRepeatBatch), each rank's timeline handed
+// over in 16 flush batches with the ranks' batches interleaved, as a
+// collector receives them. That is 64 frames over 256 time-sorted
+// segments, enough that -cpu 1,2 shows each stage's speed-up.
 func benchDumpCollector() *Collector {
+	const ranks, batches, perRank = 16, 16, 16 * chunkEvents
 	col := NewCollector()
-	for r := 0; r < 8; r++ {
-		col.AddFuncTable(int32(r), map[int32]string{0: "main", 1: "solve"})
-		col.Append(mkBatch(int32(r), 0, 2048))
+	timelines := make([][]Event, ranks)
+	for r := range timelines {
+		col.AddFuncTable(int32(r), map[int32]string{1: "solve", 2: "halo"})
+		timelines[r] = nearRepeatBatch(int32(r), perRank)
+	}
+	for b := 0; b < batches; b++ {
+		for _, tl := range timelines {
+			col.Append(tl[b*perRank/batches : (b+1)*perRank/batches])
+		}
 	}
 	return col
 }
 
-// BenchmarkCollectorWriteTrace measures writing the trace file end to end:
-// the ordered view cut into frames and each frame encoded.
+// BenchmarkCollectorOrdered measures the k-way merge that builds the
+// ordered view of benchDumpCollector's 256 segments.
+func BenchmarkCollectorOrdered(b *testing.B) {
+	b.ReportAllocs()
+	col := benchDumpCollector()
+	defer col.Release()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		col.viewOwn.release()
+		col.viewOK = false
+		col.Ordered()
+	}
+}
+
+// BenchmarkCollectorWriteTrace measures writing the trace file: the
+// ordered view cut into frames and each frame encoded (the merged view is
+// built once, before timing; BenchmarkCollectorOrdered times the merge).
 func BenchmarkCollectorWriteTrace(b *testing.B) {
 	b.ReportAllocs()
 	col := benchDumpCollector()
+	defer col.Release()
+	col.Ordered()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := col.WriteTrace(io.Discard); err != nil {
@@ -161,9 +188,11 @@ func BenchmarkCollectorWriteTrace(b *testing.B) {
 func BenchmarkReadTrace(b *testing.B) {
 	b.ReportAllocs()
 	var dump bytes.Buffer
-	if err := benchDumpCollector().WriteTrace(&dump); err != nil {
+	col := benchDumpCollector()
+	if err := col.WriteTrace(&dump); err != nil {
 		b.Fatal(err)
 	}
+	col.Release()
 	b.SetBytes(int64(dump.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"dynprof/internal/des"
+	"dynprof/internal/par"
 )
 
 // This file implements the collector's online redundancy-suppression layer
@@ -136,11 +137,13 @@ func (st CompactStats) Ratio() float64 {
 	return float64(st.VerbatimBytes()) / float64(st.Bytes)
 }
 
-// Pools recycling the encoder (dictionary map and block scratch included)
-// and the decoder scratch across collectors.
+// Pools recycling the encoder (dictionary map and block scratch included),
+// the decoder scratch and the block buffers of the trace-file pipelines
+// across collectors.
 var (
 	encoderPool = sync.Pool{New: func() any { return new(encoder) }}
 	decoderPool = sync.Pool{New: func() any { return new(decoder) }}
+	blockPool   = sync.Pool{New: func() any { return new([]byte) }}
 )
 
 // CompactStats returns the suppression counters of the trace's compact
@@ -184,8 +187,8 @@ type encoder struct {
 	idIdx    []int32 // id -> dictionary index + 1; 0 = unassigned
 	assigned []int32 // ids assigned in the current block, for cheap reset
 	dictN    int
-	scratch  []byte  // block buffer reused by eachBlock and WriteTrace
-	events   []Event // gathers events that span chunks into one block
+	scratch  []byte  // block buffer reused by eachBlock
+	events   []Event // gathers a batch or frame that spans chunks into one block
 
 	// The repeat detector's tables. head maps an event's (tuple, Δt) hash
 	// to the latest position holding it, and prev chains each position to
@@ -514,27 +517,6 @@ func (d *decoder) block(src []byte, count int, dst []Event) (out []Event, recs, 
 	return dst, recs, reps, nil
 }
 
-// decodeInto decodes one block of count events onto the end of c. A block
-// that fits the last chunk's free room (see chain.room) is decoded straight
-// into it; a larger one is decoded into *scratch, which the caller keeps
-// and reuses, and copied in. Either way c stays densely filled.
-func decodeInto(c *chain, dec *decoder, src []byte, count int, scratch *[]Event) error {
-	if len(*c) == 0 && count >= chunkEvents {
-		// A first block of a whole chunk starts the chain on a pooled
-		// chunk rather than on one grown by doubling from minBuf.
-		*c = append(make(chain, 0, chainHint), newChunk())
-	}
-	var err error
-	if last := c.room(); count <= cap(last)-len(last) {
-		(*c)[len(*c)-1], _, _, err = dec.block(src, count, last)
-		return err
-	}
-	if *scratch, _, _, err = dec.block(src, count, (*scratch)[:0]); err == nil {
-		c.copyIn(*scratch)
-	}
-	return err
-}
-
 // Trace-file format (version 2), the one file WriteTrace writes and
 // ReadTrace reads:
 //
@@ -595,127 +577,215 @@ func (col *Collector) WriteTrace(w io.Writer) error {
 	}
 
 	writeU(uint64(view.Len()))
-	enc := encoderPool.Get().(*encoder)
-	defer encoderPool.Put(enc)
-	writeFrame := func(evs []Event) error {
-		enc.scratch, _, _ = enc.encodeBlock(enc.scratch[:0], evs)
-		writeU(uint64(len(evs)))
-		writeU(uint64(len(enc.scratch)))
-		_, err := bw.Write(enc.scratch)
+	// Frames are encoded on the workers, each with its own pooled
+	// encoder, into the block buffer of their pipeline slot, and written
+	// in frame order.
+	frames := view.frames()
+	encs := make([]*encoder, par.Workers())
+	for w := range encs {
+		encs[w] = encoderPool.Get().(*encoder)
+		defer encoderPool.Put(encs[w])
+	}
+	blocks := make([]*[]byte, 2*len(encs))
+	for s := range blocks {
+		blocks[s] = blockPool.Get().(*[]byte)
+		defer blockPool.Put(blocks[s])
+	}
+	err := par.Pipeline(len(encs),
+		func(i, _ int) (bool, error) { return i < len(frames), nil },
+		func(i, slot, w int) error {
+			enc, evs := encs[w], frames[i][0]
+			if len(frames[i]) > 1 {
+				// A frame that spans view chunks is gathered first.
+				enc.events = enc.events[:0]
+				for _, p := range frames[i] {
+					enc.events = append(enc.events, p...)
+				}
+				evs = enc.events
+			}
+			*blocks[slot], _, _ = enc.encodeBlock((*blocks[slot])[:0], evs)
+			return nil
+		},
+		func(i, slot int) error {
+			writeU(uint64(frameLen(frames[i])))
+			writeU(uint64(len(*blocks[slot])))
+			_, err := bw.Write(*blocks[slot])
+			return err
+		})
+	if err != nil {
 		return err
 	}
-	// A view chunk that starts a frame and holds a whole one is encoded in
-	// place; anything else is gathered into the encoder's event scratch.
-	frame := enc.events[:0]
-	for _, ch := range view.Chunks() {
-		for len(ch) > 0 {
-			if len(frame) == 0 && len(ch) >= chunkEvents {
-				if err := writeFrame(ch[:chunkEvents]); err != nil {
-					return err
-				}
-				ch = ch[chunkEvents:]
-				continue
-			}
-			k := min(chunkEvents-len(frame), len(ch))
-			frame, ch = append(frame, ch[:k]...), ch[k:]
-			if len(frame) == chunkEvents {
-				if err := writeFrame(frame); err != nil {
-					return err
-				}
-				frame = frame[:0]
-			}
-		}
-	}
-	enc.events = frame
-	if len(frame) > 0 {
-		if err := writeFrame(frame); err != nil {
-			return err
-		}
-	}
 	return bw.Flush()
+}
+
+// frames cuts the view into the trace file's frames, chunkEvents events
+// each and only the last one shorter, each given as the view pieces it
+// spans: one piece when a view chunk holds the whole frame, as every full
+// chunk of a merged view does.
+func (v View) frames() [][][]Event {
+	var frames [][][]Event
+	var frame [][]Event
+	n := 0
+	for _, ch := range v.chunks {
+		for len(ch) > 0 {
+			k := min(chunkEvents-n, len(ch))
+			frame, n, ch = append(frame, ch[:k]), n+k, ch[k:]
+			if n == chunkEvents {
+				frames, frame, n = append(frames, frame), nil, 0
+			}
+		}
+	}
+	if n > 0 {
+		frames = append(frames, frame)
+	}
+	return frames
+}
+
+// frameLen reports the events of a frame given as pieces.
+func frameLen(frame [][]Event) int {
+	n := 0
+	for _, p := range frame {
+		n += len(p)
+	}
+	return n
 }
 
 // ReadTrace parses a trace file written by WriteTrace, appending each
 // decoded frame to the collector as one batch; the frames of such a file
 // are in time order, so the collector is one timeline and its ordered view
-// is its own chunks. Frames are decoded straight into those chunks (see
-// decodeInto). A textual trace of an older build, an unrecognised magic or
-// version, or a structurally impossible file is rejected with
-// *FormatError; a failing reader's error is returned as itself. Buffers
-// grow only with the bytes the input holds, never with a count its header
-// claims.
+// is its own chunks. Frames are decoded on the workers straight into the
+// chunks the collector adopts (see readFrames). A textual trace of an
+// older build, an unrecognised magic or version, or a structurally
+// impossible file is rejected with *FormatError; a failing reader's error
+// is returned as itself. Buffers grow only with the bytes the input holds,
+// never with a count its header claims.
 func ReadTrace(r io.Reader) (*Collector, error) {
 	src := &sourceReader{r: r}
 	br := bufio.NewReader(src)
-	var buf bytes.Buffer // a function name or a frame's block
+	var buf bytes.Buffer // a function name
 	col, total, err := readTraceHeader(br, &buf)
 	if err != nil {
 		return nil, src.failure("trace file", err)
 	}
-	fail := func(err error) (*Collector, error) {
+	if err := readFrames(src, br, total, "trace file", &col.store, col.addBatch); err != nil {
 		col.Release()
-		return nil, src.failure("trace file", err)
-	}
-	if err := readFrames(br, total, "trace file", &buf, &col.store, col.addBatch); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	return col, nil
 }
 
-// readFrames decodes a spill or trace file's frames (`uvarint count,
-// uvarint blockLen, block`, total events in all) from br into c, passing
-// each frame's first record index and count to added if non-nil; buf
-// holds blocks longer than br's buffer. A header is refused if its count
-// is zero, exceeds the events due or MaxInt/maxEventBytes, or its block
-// is longer than count events can encode. Errors name the file as what.
-func readFrames(br *bufio.Reader, total uint64, what string, buf *bytes.Buffer, c *chain, added func(start, count int)) error {
-	dec := decoderPool.Get().(*decoder)
-	defer decoderPool.Put(dec)
-	var scratch []Event
-	for decoded := uint64(0); decoded < total; {
-		count, err := binary.ReadUvarint(br)
-		if err != nil {
-			return &FormatError{What: what, Version: -1, Detail: "truncated frame header"}
-		}
-		blen, err := binary.ReadUvarint(br)
-		if err != nil || count == 0 || count > total-decoded || count > math.MaxInt/maxEventBytes || blen > count*maxEventBytes {
-			return &FormatError{What: what, Version: -1, Detail: "bad frame header"}
-		}
-		block, err := nextBlock(br, int(blen), buf)
-		if err != nil {
-			return &FormatError{What: what, Version: -1, Detail: "truncated frame"}
-		}
-		start := c.next()
-		if err := decodeInto(c, dec, block, int(count), &scratch); err != nil {
-			return err
-		}
-		if added != nil {
-			added(start, int(count))
-		}
-		decoded += count
-	}
-	return nil
+// frameJob is one frame in readFrames' pipeline.
+type frameJob struct {
+	count   int
+	direct  bool    // decoded into a pooled chunk the chain adopts as it is
+	block   *[]byte // the frame's block bytes, from blockPool
+	readErr error   // the source's failure, if any, once the block was read
+	out     []Event // the decoded events
+	scratch []Event // decodes a frame that is not direct
 }
 
-// nextBlock consumes and returns the next n bytes of br: in place if they
-// fit its buffer (valid until br's next read), else copied into buf, which
-// grows only as the bytes arrive.
-func nextBlock(br *bufio.Reader, n int, buf *bytes.Buffer) ([]byte, error) {
-	if n <= br.Size() {
-		b, err := br.Peek(n)
-		br.Discard(len(b))
-		return b, err
+// readFrames decodes a spill or trace file's frames (`uvarint count,
+// uvarint blockLen, block`, total events in all) from br, which reads src,
+// onto the end of c, passing each frame's first slot and count to added if
+// non-nil. One walker reads the headers and blocks in order; a header is
+// refused if its count is zero, exceeds the events due or
+// MaxInt/maxEventBytes, or its block is longer than count events can
+// encode. The workers decode the blocks. A frame that starts a chunk and
+// fits one is decoded straight into a fresh pooled chunk, which the chain
+// adopts as it is; any other frame is decoded into scratch and copied in,
+// so c stays densely filled. (A first frame shorter than a chunk is copied
+// too, so a small trace starts on a small chunk; see chain.room.) The
+// error returned is the one a frame-by-frame walk would meet first,
+// wrapped in the source's own failure as of that point
+// (sourceReader.failure); errors name the file as what.
+func readFrames(src *sourceReader, br *bufio.Reader, total uint64, what string, c *chain, added func(start, count int)) error {
+	decs := make([]*decoder, par.Workers())
+	for w := range decs {
+		decs[w] = decoderPool.Get().(*decoder)
+		defer decoderPool.Put(decs[w])
 	}
-	buf.Reset()
+	jobs := make([]frameJob, 2*len(decs))
+	for s := range jobs {
+		jobs[s].block = blockPool.Get().(*[]byte)
+		defer blockPool.Put(jobs[s].block)
+	}
+	decoded, next := uint64(0), c.next() // next: the slot the next frame lands on
+	return par.Pipeline(len(decs),
+		func(_, slot int) (bool, error) {
+			if decoded == total {
+				return false, nil
+			}
+			count, err := binary.ReadUvarint(br)
+			if err != nil {
+				return false, src.failure(what, &FormatError{What: what, Version: -1, Detail: "truncated frame header"})
+			}
+			blen, err := binary.ReadUvarint(br)
+			if err != nil || count == 0 || count > total-decoded || count > math.MaxInt/maxEventBytes || blen > count*maxEventBytes {
+				return false, src.failure(what, &FormatError{What: what, Version: -1, Detail: "bad frame header"})
+			}
+			j := &jobs[slot]
+			if err := readBlock(br, int(blen), j.block); err != nil {
+				return false, src.failure(what, &FormatError{What: what, Version: -1, Detail: "truncated frame"})
+			}
+			j.count, j.readErr = int(count), src.err
+			j.direct = next&chunkMask == 0 && count <= chunkEvents && (next > 0 || count == chunkEvents)
+			decoded += count
+			next += int(count)
+			return true, nil
+		},
+		func(_, slot, w int) error {
+			j := &jobs[slot]
+			j.out = j.scratch[:0]
+			if j.direct {
+				j.out = newChunk()
+			}
+			var err error
+			if j.out, _, _, err = decs[w].block(*j.block, j.count, j.out); err != nil {
+				if j.direct {
+					freeChunk(j.out)
+				}
+				j.out = nil
+				return readFailure(j.readErr, what, err)
+			}
+			if !j.direct {
+				j.scratch = j.out
+			}
+			return nil
+		},
+		func(_, slot int) error {
+			j := &jobs[slot]
+			start := c.next()
+			if cap(*c) == 0 && j.count >= chunkEvents {
+				// A first frame of a chunk or more starts the chain on a
+				// pooled chunk rather than on one grown from minBuf.
+				*c = make(chain, 0, chainHint)
+			}
+			if j.direct {
+				*c = append(*c, j.out)
+			} else {
+				c.copyIn(j.out)
+			}
+			j.out = nil
+			if added != nil {
+				added(start, j.count)
+			}
+			return nil
+		})
+}
+
+// readBlock consumes the next n bytes of br into *buf, which grows only as
+// the bytes arrive.
+func readBlock(br *bufio.Reader, n int, buf *[]byte) error {
+	*buf = (*buf)[:0]
 	for n > 0 {
 		b, err := br.Peek(min(n, br.Size()))
-		buf.Write(b)
+		*buf = append(*buf, b...)
 		br.Discard(len(b))
 		if n -= len(b); err != nil && n > 0 {
-			return nil, err
+			return err
 		}
 	}
-	return buf.Bytes(), nil
+	return nil
 }
 
 // sourceReader remembers the first error other than io.EOF its reader
@@ -736,9 +806,13 @@ func (s *sourceReader) Read(p []byte) (int, error) {
 
 // failure is the error to report for a read of the file named what that
 // stopped with err: the reader's own failure if it had one, else err.
-func (s *sourceReader) failure(what string, err error) error {
-	if s.err != nil {
-		return fmt.Errorf("vt: reading %s: %w", what, s.err)
+func (s *sourceReader) failure(what string, err error) error { return readFailure(s.err, what, err) }
+
+// readFailure is the error to report for a read that stopped with err
+// when the reader had failed with readErr (nil if it had not).
+func readFailure(readErr error, what string, err error) error {
+	if readErr != nil {
+		return fmt.Errorf("vt: reading %s: %w", what, readErr)
 	}
 	return err
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -536,6 +537,101 @@ func TestReadTraceStopsOnReadError(t *testing.T) {
 	}
 }
 
+// atWorkers runs fn with GOMAXPROCS at n, so that the trace path runs on n
+// workers whatever the host's core count.
+func atWorkers(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// traceFrames returns the offset of each frame header of a trace file and
+// of the block that follows it.
+func traceFrames(t *testing.T, file []byte) (headers, blocks []int) {
+	t.Helper()
+	r := bytes.NewReader(file)
+	br := bufio.NewReader(r)
+	col, total, err := readTraceHeader(br, new(bytes.Buffer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col.Release()
+	at := func() int { return len(file) - r.Len() - br.Buffered() }
+	for n := uint64(0); n < total; {
+		headers = append(headers, at())
+		count, _ := binary.ReadUvarint(br)
+		blen, _ := binary.ReadUvarint(br)
+		blocks = append(blocks, at())
+		br.Discard(int(blen))
+		n += count
+	}
+	return headers, blocks
+}
+
+// TestReadTraceFirstError damages a trace file of 20 frames and requires
+// ReadTrace to fail at any worker count with the error a frame-by-frame
+// walk meets first: a corrupt block in frame 2 is reported even though
+// the walker may already have met the bad header of frame 5, a truncated
+// file or a failing reader further on.
+func TestReadTraceFirstError(t *testing.T) {
+	col := NewCollector()
+	defer col.Release()
+	fillNearRepeats(col)
+	full := writeTrace(t, col)
+	headers, blocks := traceFrames(t, full)
+	if len(headers) < 6 {
+		t.Fatalf("%d frames, want at least 6", len(headers))
+	}
+	damaged := func(block2, header5 bool) []byte {
+		f := bytes.Clone(full)
+		if block2 {
+			f[blocks[2]] = tagRepeat | 1 // a repeat with no history
+		}
+		if header5 {
+			f[headers[5]] = 0 // a frame of no events
+		}
+		return f
+	}
+	inputs := map[string]func() io.Reader{
+		"block 2 and header 5": func() io.Reader { return bytes.NewReader(damaged(true, true)) },
+		"header 5":             func() io.Reader { return bytes.NewReader(damaged(false, true)) },
+		"block 2, cut in frame 7": func() io.Reader {
+			return bytes.NewReader(damaged(true, false)[:blocks[7]+10])
+		},
+		"block 2, reader failing in frame 7": func() io.Reader {
+			return &failingReader{r: bytes.NewReader(damaged(true, false)), n: blocks[7] + 10}
+		},
+		"block 2, reader failing in frame 3": func() io.Reader {
+			return &failingReader{r: bytes.NewReader(damaged(true, false)), n: blocks[3] + 10}
+		},
+	}
+	for name, input := range inputs {
+		var want string
+		for _, workers := range []int{1, 2, 3, 4} {
+			var back *Collector
+			var err error
+			atWorkers(workers, func() { back, err = ReadTrace(input()) })
+			if err == nil || back != nil {
+				t.Fatalf("%s, %d workers: ReadTrace = %v, %v; want an error", name, workers, back, err)
+			}
+			if workers == 1 {
+				want = err.Error()
+			} else if err.Error() != want {
+				t.Fatalf("%s, %d workers: %v; one worker: %s", name, workers, err, want)
+			}
+		}
+	}
+	var fe *FormatError
+	var err error
+	atWorkers(4, func() { _, err = ReadTrace(bytes.NewReader(damaged(true, true))) })
+	if !errors.As(err, &fe) || fe.What != "compact block" || fe.Detail != "repeat record out of range" {
+		t.Fatalf("frame 2's corrupt block before frame 5's bad header: got %v", err)
+	}
+	atWorkers(4, func() { _, err = ReadTrace(bytes.NewReader(damaged(false, true))) })
+	if !errors.As(err, &fe) || fe.What != "trace file" || fe.Detail != "bad frame header" {
+		t.Fatalf("frame 5's bad header alone: got %v", err)
+	}
+}
+
 // TestCompactReleaseRecycles verifies the arena and the encoder return to
 // the pools: a release/new cycle at steady state must not grow the heap
 // per iteration.
@@ -556,8 +652,9 @@ func TestCompactReleaseRecycles(t *testing.T) {
 }
 
 // checkReadTrace requires ReadTrace to reject input only through
-// *FormatError, never by panicking, and every accepted input to survive a
-// WriteTrace round trip with its ordered events intact.
+// *FormatError, never by panicking, with the error text a one-worker read
+// gives, and every accepted input to read as at one worker and to survive
+// a WriteTrace round trip with its ordered events intact.
 func checkReadTrace(t *testing.T, input []byte) {
 	// A valid file can describe more events than memory holds (a repeat
 	// record expands without limit), so the harness, not the reader,
@@ -569,14 +666,28 @@ func checkReadTrace(t *testing.T, input []byte) {
 		}
 	}
 	col, err := ReadTrace(bytes.NewReader(input))
+	var one *Collector
+	var oneErr error
+	atWorkers(1, func() { one, oneErr = ReadTrace(bytes.NewReader(input)) })
 	if err != nil {
 		var fe *FormatError
 		if !errors.As(err, &fe) {
 			t.Fatalf("rejected with %T %v, want *FormatError", err, err)
 		}
+		if oneErr == nil || oneErr.Error() != err.Error() {
+			t.Fatalf("rejected with %v; one worker: %v", err, oneErr)
+		}
 		return
 	}
 	defer col.Release()
+	if oneErr != nil {
+		t.Fatalf("accepted; one worker rejected it with %v", oneErr)
+	}
+	defer one.Release()
+	if one.Len() != col.Len() || one.CompactStats() != col.CompactStats() ||
+		!reflect.DeepEqual(one.Ordered().AppendTo(nil), col.Ordered().AppendTo(nil)) {
+		t.Fatal("the read differs from a one-worker read")
+	}
 	var file bytes.Buffer
 	if err := col.WriteTrace(&file); err != nil {
 		t.Fatal(err)

@@ -262,7 +262,7 @@ func (col *Collector) rebuildView() {
 		if decoded > 0 {
 			total += col.spill.count
 		}
-		col.viewOwn = mergeSegs(all, segs, total)
+		col.viewOwn = mergeParts(all, segs, total)
 		col.view = View{chunks: col.viewOwn, n: total}
 		all = all[:decoded]
 		all.release()

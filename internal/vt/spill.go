@@ -2,7 +2,6 @@ package vt
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -188,7 +187,7 @@ func (s *spillSink) combined(col *Collector) (chain, []segRange, int) {
 }
 
 // decodeAll decodes the spill payload's frames (readFrames) into densely
-// filled pooled chunks, streaming the file through at most 64 KiB. On
+// filled chunks, streaming the file through at most 64 KiB. On
 // failure the chunks decoded so far are returned with the error, for the
 // caller to release.
 func (s *spillSink) decodeAll() (chain, error) {
@@ -198,9 +197,8 @@ func (s *spillSink) decodeAll() (chain, error) {
 	src := &sourceReader{r: io.NewSectionReader(s.f, int64(spillHdrBytes), int64(s.bytes))}
 	br := bufio.NewReaderSize(src, min(s.bytes, 64<<10))
 	var all chain
-	var buf bytes.Buffer
-	if err := readFrames(br, uint64(s.count), "spill file", &buf, &all, nil); err != nil {
-		return all, src.failure("spill file", err)
+	if err := readFrames(src, br, uint64(s.count), "spill file", &all, nil); err != nil {
+		return all, err
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return all, src.failure("spill file", &FormatError{What: "spill file", Version: -1, Detail: "trailing bytes after final frame"})

@@ -81,9 +81,11 @@ fuzz FuzzClusterGraph ./internal/des/
 
 # Race pass over the trace-file round trip and VGV's analysis of what it
 # reads: the encoder, decoder and chunk pools are shared by every
-# goroutine that handles a trace.
-run 'TestReadTrace|TestWriteTrace|TestTraceFile|TestAnalyze' \
-    -race ./internal/vt/ ./internal/vgv/
+# goroutine that handles a trace, and the merge, WriteTrace, ReadTrace,
+# Analyze and RenderTimeline each split into GOMAXPROCS workers
+# (internal/par), which TestTraceRoundTripAnyWorkers sets to 1-4.
+run 'TestReadTrace|TestWriteTrace|TestTraceFile|TestAnalyze|TestTraceRoundTripAnyWorkers|TestTimeline|TestPipeline|TestDo' \
+    -race ./internal/vt/ ./internal/vgv/ ./internal/par/
 
 # Race pass over shared binary images: one guide.Binary launched from two
 # goroutines at once, whose ranks run the template's words, snippets and
@@ -200,24 +202,27 @@ for args in "-tenants -max-cpus 100" -adapt -recover -compact; do
     cmp "$smoke/$name.1.txt" "$smoke/$name.8.txt"
 done
 
-# Trace smoke: end to end through the CLIs, the trace files dynprof and
-# asci write must analyse to the same vgv bytes on one host thread as on
-# all of them, and a run repeated on one host thread must write the same
-# file. The iters=20 deck makes the trace span several frames.
+# Trace smoke: end to end through the CLIs, dynprof must write the same
+# trace file on 1, 2 and 4 host threads, and that file and the one asci
+# writes must analyse to the same vgv bytes on 1, 2 and 4. The iters=20
+# deck makes the trace span several frames.
 go build -o "$smoke/dynprof" ./cmd/dynprof
 go build -o "$smoke/asci" ./cmd/asci
 go build -o "$smoke/vgv" ./cmd/vgv
-printf 'start\nquit\n' | "$smoke/dynprof" -procs 4 -trace "$smoke/p.vgv" \
-    - - "$smoke/tf1.txt" sweep3d nx=64 ny=4 nz=4 iters=20 > /dev/null
-printf 'start\nquit\n' | GOMAXPROCS=1 "$smoke/dynprof" -procs 4 -trace "$smoke/p1.vgv" \
-    - - "$smoke/tf2.txt" sweep3d nx=64 ny=4 nz=4 iters=20 > /dev/null
-cmp "$smoke/p.vgv" "$smoke/p1.vgv"
+for n in 1 2 4; do
+    printf 'start\nquit\n' | GOMAXPROCS=$n "$smoke/dynprof" -procs 4 -trace "$smoke/p$n.vgv" \
+        - - "$smoke/tf$n.txt" sweep3d nx=64 ny=4 nz=4 iters=20 > /dev/null
+done
+cmp "$smoke/p1.vgv" "$smoke/p2.vgv"
+cmp "$smoke/p1.vgv" "$smoke/p4.vgv"
 "$smoke/asci" -app sppm -policy Full -procs 4 -trace "$smoke/a.vgv" \
     nx=6 ny=6 nz=6 steps=1 > /dev/null
-for tr in p a; do
-    "$smoke/vgv" -trace "$smoke/$tr.vgv" > "$smoke/vgv_$tr.txt"
-    GOMAXPROCS=1 "$smoke/vgv" -trace "$smoke/$tr.vgv" > "$smoke/vgv_$tr.1.txt"
-    cmp "$smoke/vgv_$tr.txt" "$smoke/vgv_$tr.1.txt"
+for tr in p1 a; do
+    for n in 1 2 4; do
+        GOMAXPROCS=$n "$smoke/vgv" -trace "$smoke/$tr.vgv" > "$smoke/vgv_$tr.$n.txt"
+    done
+    cmp "$smoke/vgv_$tr.1.txt" "$smoke/vgv_$tr.2.txt"
+    cmp "$smoke/vgv_$tr.1.txt" "$smoke/vgv_$tr.4.txt"
 done
 
 # A wait the virtual clock cannot take is refused and the script carries
