@@ -64,11 +64,10 @@ func main() {
 	// livelocks, is retried once, and lands as a typed CellFailure with
 	// a NaN hole — the sweep still completes and renders.
 	failing := exp.NewRunner(exp.Options{
-		Parallelism:  4,
-		Budget:       des.Budget{MaxEvents: 2_000},
-		CellTimeout:  10 * time.Second,
-		MaxAttempts:  2,
-		RetryBackoff: time.Millisecond,
+		Parallelism: 4,
+		Budget:      des.Budget{MaxEvents: 2_000},
+		CellTimeout: 10 * time.Second,
+		MaxAttempts: 2,
 		OnCell: func(ev exp.CellEvent) {
 			if ev.Failed {
 				fmt.Printf("  cell %-16s %3d%%  FAILED (%s, %d attempts)\n",

@@ -1,6 +1,7 @@
 package sweep3d
 
 import (
+	"errors"
 	"testing"
 
 	"dynprof/internal/des"
@@ -71,12 +72,10 @@ func TestSingleRankRefused(t *testing.T) {
 	if _, err := guide.Launch(s, machine.MustNew("ibm-power3"), bin, guide.LaunchOpts{Procs: 1, Args: tinyArgs}); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("single-rank sweep3d should panic (paper: it does not run on 1 CPU)")
-		}
-	}()
-	_ = s.Run()
+	var pp *des.ProcPanicError
+	if err := s.Run(); !errors.As(err, &pp) {
+		t.Errorf("single-rank sweep3d should panic (paper: it does not run on 1 CPU): Run returned %v", err)
+	}
 }
 
 // TestTransportProducesPositiveConvergingFlux drives the solver directly.

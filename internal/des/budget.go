@@ -65,18 +65,6 @@ func (e *LivelockError) Error() string {
 	return msg
 }
 
-// exhausted reports whether the budget forbids executing the next pending
-// event (the head of the queue).
-func (s *Scheduler) exhausted() bool {
-	if s.budget.MaxEvents > 0 && s.executed >= s.budget.MaxEvents {
-		return true
-	}
-	if s.budget.MaxVirtual > 0 && s.nextAt() > s.budget.MaxVirtual {
-		return true
-	}
-	return false
-}
-
 // horizon caps a loop's limit at the virtual budget: a loop executes no
 // event past MaxVirtual, so MaxVirtual+1 bounds it when that is sooner.
 func (b Budget) horizon(limit Time) Time {
@@ -86,11 +74,17 @@ func (b Budget) horizon(limit Time) Time {
 	return limit
 }
 
-// livelocked terminates an over-budget run: it aborts every parked Proc so
-// no goroutines leak and returns the structured diagnosis.
-func (s *Scheduler) livelocked() *LivelockError {
-	err := &LivelockError{Events: s.executed, Virtual: s.now, Hot: hotProcs(s)}
-	s.abortAll()
+// livelocked terminates an over-budget run of the given schedulers with
+// its diagnosis: the events executed across them, the latest clock among
+// them and their hottest Procs. It aborts every parked Proc so no
+// goroutines leak.
+func livelocked(shards ...*Scheduler) *LivelockError {
+	err := &LivelockError{Hot: hotProcs(shards...)}
+	for _, s := range shards {
+		err.Events += s.executed
+		err.Virtual = max(err.Virtual, s.now)
+	}
+	abortAll(shards...)
 	return err
 }
 

@@ -82,7 +82,7 @@ func TestBudgetZeroIsUnlimited(t *testing.T) {
 }
 
 // TestProcPanicErrorTyped: a Proc panic reaches the Run caller as a
-// *ProcPanicError carrying the original value and a stack that names the
+// returned *ProcPanicError carrying the original value and a stack that names the
 // panic site, not a flattened string.
 func TestProcPanicErrorTyped(t *testing.T) {
 	s := NewScheduler(1)
@@ -90,26 +90,23 @@ func TestProcPanicErrorTyped(t *testing.T) {
 		p.Advance(Microsecond)
 		panicInHelper()
 	})
-	defer func() {
-		r := recover()
-		pp, ok := r.(*ProcPanicError)
-		if !ok {
-			t.Fatalf("recovered %T (%v), want *ProcPanicError", r, r)
-		}
-		if pp.Proc != "bad" {
-			t.Errorf("Proc = %q, want \"bad\"", pp.Proc)
-		}
-		if pp.Value != "boom" {
-			t.Errorf("Value = %v, want the original panic value \"boom\"", pp.Value)
-		}
-		if !strings.Contains(string(pp.Stack), "panicInHelper") {
-			t.Errorf("Stack does not name the panic site:\n%s", pp.Stack)
-		}
-		if !strings.Contains(pp.Error(), `proc "bad"`) || strings.Contains(pp.Error(), "panicInHelper") {
-			t.Errorf("Error() = %q: want proc name, no stack", pp.Error())
-		}
-	}()
-	_ = s.Run()
+	err := s.Run()
+	var pp *ProcPanicError
+	if !errors.As(err, &pp) {
+		t.Fatalf("Run returned %T (%v), want *ProcPanicError", err, err)
+	}
+	if pp.Proc != "bad" {
+		t.Errorf("Proc = %q, want \"bad\"", pp.Proc)
+	}
+	if pp.Value != "boom" {
+		t.Errorf("Value = %v, want the original panic value \"boom\"", pp.Value)
+	}
+	if !strings.Contains(string(pp.Stack), "panicInHelper") {
+		t.Errorf("Stack does not name the panic site:\n%s", pp.Stack)
+	}
+	if !strings.Contains(pp.Error(), `proc "bad"`) || strings.Contains(pp.Error(), "panicInHelper") {
+		t.Errorf("Error() = %q: want proc name, no stack", pp.Error())
+	}
 }
 
 // panicInHelper gives the captured stack a recognisable frame.

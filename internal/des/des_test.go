@@ -1,6 +1,7 @@
 package des
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -373,12 +374,10 @@ func TestProcPanicPropagates(t *testing.T) {
 		p.Advance(Microsecond)
 		panic("boom")
 	})
-	defer func() {
-		if recover() == nil {
-			t.Error("panic in proc did not propagate to Run")
-		}
-	}()
-	_ = s.Run()
+	var pp *ProcPanicError
+	if err := s.Run(); !errors.As(err, &pp) {
+		t.Errorf("panic in proc did not propagate to Run: %v", err)
+	}
 }
 
 func TestSpawnFromProc(t *testing.T) {

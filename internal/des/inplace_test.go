@@ -184,7 +184,7 @@ func TestInPlaceKilledProcParks(t *testing.T) {
 }
 
 // TestInPlaceAfterFatalPanic: a Proc whose Kill makes the victim panic
-// while it unwinds parks at its next Advance, so the loop re-raises the
+// while it unwinds parks at its next Advance, so the loop returns the
 // victim's panic before the killer runs on.
 func TestInPlaceAfterFatalPanic(t *testing.T) {
 	s := NewScheduler(1)
@@ -199,14 +199,9 @@ func TestInPlaceAfterFatalPanic(t *testing.T) {
 		p.Advance(Microsecond)
 		ranOn = true
 	})
-	func() {
-		defer func() {
-			if pp, ok := recover().(*ProcPanicError); !ok || pp.Proc != "victim" {
-				t.Errorf("recovered %v, want the victim's *ProcPanicError", pp)
-			}
-		}()
-		s.Run()
-	}()
+	if pp, ok := s.Run().(*ProcPanicError); !ok || pp.Proc != "victim" {
+		t.Errorf("Run returned %v, want the victim's *ProcPanicError", pp)
+	}
 	if ranOn || s.Now() != Microsecond || s.Executed() != 3 {
 		t.Errorf("killer ran on %v, now %v, executed %d; want false, 1us, 3", ranOn, s.Now(), s.Executed())
 	}
@@ -221,13 +216,10 @@ func TestInPlaceOverflowPanics(t *testing.T) {
 		p.Advance(Microsecond)
 		p.Advance(math.MaxInt64)
 	})
-	defer func() {
-		pp, ok := recover().(*ProcPanicError)
-		if !ok || !strings.Contains(fmt.Sprint(pp.Value), "before now") || s.Now() != Microsecond {
-			t.Errorf("recovered %v at %v, want a scheduled-in-the-past panic at 1us", pp, s.Now())
-		}
-	}()
-	s.Run()
+	pp, ok := s.Run().(*ProcPanicError)
+	if !ok || !strings.Contains(fmt.Sprint(pp.Value), "before now") || s.Now() != Microsecond {
+		t.Errorf("Run returned %v at %v, want a scheduled-in-the-past panic at 1us", pp, s.Now())
+	}
 }
 
 // TestInPlaceDrainUntilPerEvent: under a DrainUntil predicate the loop

@@ -37,9 +37,9 @@ func spinners(s *Scheduler, n int) {
 // coroutine, so the host goroutine count returns to its baseline. A
 // coroutine that is never resumed to completion would leak silently.
 func TestNoGoroutineLeak(t *testing.T) {
-	recoverPanic := func(t *testing.T) {
-		if _, ok := recover().(*ProcPanicError); !ok {
-			t.Error("want a re-raised *ProcPanicError")
+	wantPanic := func(t *testing.T, err error) {
+		if _, ok := err.(*ProcPanicError); !ok {
+			t.Errorf("Run returned %v, want a *ProcPanicError", err)
 		}
 	}
 	cases := []struct {
@@ -102,9 +102,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 				p.Advance(3 * Microsecond)
 				panic("boom")
 			})
-			defer recoverPanic(t)
-			s.Run()
-			t.Error("Run returned normally")
+			wantPanic(t, s.Run())
 		}},
 		{"kill", func(t *testing.T) {
 			base := runtime.NumGoroutine()
@@ -130,9 +128,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 				p.Advance(5 * Microsecond)
 				panic("boom")
 			})
-			defer recoverPanic(t)
-			c.Run()
-			t.Error("Run returned normally")
+			wantPanic(t, c.Run())
 		}},
 		{"cluster-deadlock", func(t *testing.T) {
 			c := NewCluster(4, Microsecond, 1, WithHostParallelism(2))

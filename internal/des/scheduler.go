@@ -171,7 +171,7 @@ type Scheduler struct {
 	outbox  []castMsg
 }
 
-// ProcPanicError is the typed value Run panics with when a Proc panics: it
+// ProcPanicError is the error Run returns when a Proc panics: it
 // preserves the original panic value and the panicking goroutine's stack
 // instead of flattening both into a formatted string, so supervising
 // harnesses can classify the failure and report the real fault site.
@@ -340,9 +340,9 @@ func deadlock(shards ...*Scheduler) error {
 
 // Run executes events until the queue is empty or Stop is called. It
 // returns a *DeadlockError if Procs remain blocked with no pending events,
-// a *LivelockError if the scheduler's Budget is exhausted first, and nil
-// otherwise. A panic raised inside a Proc is re-raised here as a typed
-// *ProcPanicError carrying the original panic value and stack.
+// a *LivelockError if the scheduler's Budget is exhausted first, a
+// *ProcPanicError carrying the original panic value and stack if a Proc
+// panicked, and nil otherwise.
 func (s *Scheduler) Run() error {
 	if err := s.Drain(); err != nil {
 		return err
@@ -353,10 +353,11 @@ func (s *Scheduler) Run() error {
 // Drain executes events until the queue is empty or Stop is called, leaving
 // the simulation intact: parked Procs stay parked and more events may be
 // scheduled afterwards (from host code between drains — an interactive
-// bridge pumping one command at a time). Only budget exhaustion returns an
-// error, and that error is terminal: livelocked() has already aborted every
-// Proc. Deadlock detection is deferred to Finish, because Procs blocked at
-// the end of a drain may legitimately be woken by a later drain.
+// bridge pumping one command at a time). Only budget exhaustion and a Proc
+// panic return an error, and that error is terminal: every Proc has
+// already been aborted. Deadlock detection is deferred to Finish, because
+// Procs blocked at the end of a drain may legitimately be woken by a later
+// drain.
 func (s *Scheduler) Drain() error { return s.DrainUntil(nil) }
 
 // DrainUntil is Drain with an early-exit predicate: after each event, if
@@ -365,13 +366,52 @@ func (s *Scheduler) Drain() error { return s.DrainUntil(nil) }
 // one request to complete. Under a predicate no Advance runs in place
 // (runsNext), so done is consulted after every event.
 func (s *Scheduler) DrainUntil(done func() bool) error {
+	switch s.run(noLimit, done) {
+	case overEvents, overVirtual:
+		return livelocked(s)
+	case fatal:
+		abortAll(s)
+		return s.fatal
+	}
+	return nil
+}
+
+// noLimit is the limit of a loop that no window bounds.
+const noLimit Time = math.MaxInt64
+
+// loopStatus is why the event loop returned.
+type loopStatus uint8
+
+const (
+	drained     loopStatus = iota // the queue is empty, or Stop was called
+	paused                        // the next event is at or past the limit, or done returned true
+	overEvents                    // the budget's MaxEvents were executed
+	overVirtual                   // the next event is past the budget's MaxVirtual
+	fatal                         // a Proc panicked; s.fatal holds it
+)
+
+// run is the event loop: it executes events in (at, seq) order strictly
+// before limit until one of its exits (loopStatus) and leaves the queue
+// and Procs as they stand. After each event, a non-nil done may pause the
+// loop; without one, Advance may run its wake-up in place below the
+// loop's horizon. Only a loop with a limit or a virtual budget looks at
+// the next event's time.
+func (s *Scheduler) run(limit Time, done func() bool) loopStatus {
 	if done == nil {
-		s.horizon = s.budget.horizon(math.MaxInt64)
+		s.horizon = s.budget.horizon(limit)
 		defer func() { s.horizon = 0 }()
 	}
+	timed := limit != noLimit || s.budget.MaxVirtual > 0
 	for s.pending() > 0 && !s.stopped {
-		if s.exhausted() {
-			return s.livelocked()
+		if s.budget.MaxEvents > 0 && s.executed >= s.budget.MaxEvents {
+			return overEvents
+		}
+		if timed {
+			if next := s.nextAt(); s.budget.MaxVirtual > 0 && next > s.budget.MaxVirtual {
+				return overVirtual
+			} else if next >= limit {
+				return paused
+			}
 		}
 		ev := s.popNext()
 		s.now = ev.at
@@ -382,15 +422,13 @@ func (s *Scheduler) DrainUntil(done func() bool) error {
 			ev.fn()
 		}
 		if s.fatal != nil {
-			f := s.fatal
-			s.abortAll()
-			panic(f)
+			return fatal
 		}
 		if done != nil && done() {
-			return nil
+			return paused
 		}
 	}
-	return nil
+	return drained
 }
 
 // Finish tears the simulation down after a final Drain: every parked Proc
@@ -399,7 +437,7 @@ func (s *Scheduler) DrainUntil(done func() bool) error {
 // (unless Stop was called, which makes blocked Procs expected).
 func (s *Scheduler) Finish() error {
 	err := deadlock(s)
-	s.abortAll()
+	abortAll(s)
 	if s.stopped {
 		return nil
 	}
@@ -409,15 +447,17 @@ func (s *Scheduler) Finish() error {
 // Executed reports the number of events executed so far.
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
-// abortAll resumes every unfinished Proc with its killed flag set so it
-// unwinds and its coroutine finishes. Used on the Stop, deadlock,
-// budget-exhaustion and fatal-panic paths (the last re-raising the Proc's
-// *ProcPanicError after teardown) so the process does not leak goroutines.
-func (s *Scheduler) abortAll() {
-	for _, p := range s.procs {
-		for !p.done {
-			p.killed = true
-			s.resume(p)
+// abortAll resumes every unfinished Proc of the given schedulers with its
+// killed flag set so it unwinds and its coroutine finishes. Used on the
+// Stop, deadlock, budget-exhaustion and fatal-panic paths so the process
+// does not leak goroutines.
+func abortAll(shards ...*Scheduler) {
+	for _, s := range shards {
+		for _, p := range s.procs {
+			for !p.done {
+				p.killed = true
+				s.resume(p)
+			}
 		}
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
+
+	"dynprof/internal/par"
 )
 
 // This file implements conservative parallel discrete-event simulation: a
@@ -33,12 +33,6 @@ type castMsg struct {
 	fn  func()
 }
 
-// windowStatus is one shard's report for one round.
-type windowStatus struct {
-	fatal *ProcPanicError
-	over  bool
-}
-
 // Cluster drives a set of shard Schedulers through windowed rounds. Create
 // one with NewCluster, spawn Procs on the individual shards (Shard), and
 // call Run. Procs must only touch their own shard's Scheduler; the only
@@ -49,11 +43,15 @@ type Cluster struct {
 	budget    Budget
 	workers   int
 
-	// Round scratch, reused across rounds: the shards with work in the
-	// current window, their window reports, and the casts to deliver.
+	// Round scratch, reused across rounds: the current window's limit,
+	// the shards with work before it, their loop statuses, and the casts
+	// to deliver. window runs busy shard i's window; it is bound once so
+	// that a round allocates no closure.
+	limit  Time
 	busy   []*Scheduler
-	status []windowStatus
+	status []loopStatus
 	casts  []castMsg
+	window func(i int)
 }
 
 // ClusterOption configures a Cluster at construction time.
@@ -92,7 +90,8 @@ func NewCluster(shards int, lookahead Time, seed uint64, opts ...ClusterOption) 
 	root := NewRNG(seed)
 	c.shards = make([]*Scheduler, shards)
 	c.busy = make([]*Scheduler, 0, shards)
-	c.status = make([]windowStatus, shards)
+	c.status = make([]loopStatus, shards)
+	c.window = func(i int) { c.status[i] = c.busy[i].run(c.limit, nil) }
 	for i := range c.shards {
 		s := NewScheduler(root.Uint64(), WithBudget(c.budget))
 		s.cluster = c
@@ -108,9 +107,6 @@ func (c *Cluster) Shards() int { return len(c.shards) }
 // Shard returns shard i's Scheduler.
 func (c *Cluster) Shard(i int) *Scheduler { return c.shards[i] }
 
-// Lookahead reports the conservative lookahead the cluster was built with.
-func (c *Cluster) Lookahead() Time { return c.lookahead }
-
 // Executed reports the total number of events executed across all shards.
 func (c *Cluster) Executed() uint64 {
 	var n uint64
@@ -118,18 +114,6 @@ func (c *Cluster) Executed() uint64 {
 		n += s.executed
 	}
 	return n
-}
-
-// MaxNow reports the latest shard clock — the virtual time the simulation
-// as a whole has reached.
-func (c *Cluster) MaxNow() Time {
-	var m Time
-	for _, s := range c.shards {
-		if s.now > m {
-			m = s.now
-		}
-	}
-	return m
 }
 
 // ShardID reports which shard this Scheduler is. A Scheduler outside any
@@ -168,48 +152,11 @@ func (s *Scheduler) Cast(to int, d Time, fn func()) {
 	s.outbox = append(s.outbox, castMsg{to: to, at: s.now + d, src: s.shardID, idx: len(s.outbox), fn: fn})
 }
 
-// runWindow executes the shard's events strictly before limit, mirroring
-// the serial Run loop (same pop order, same per-event budget discipline)
-// but reporting fatal Proc panics instead of raising them, since it runs
-// on a worker goroutine.
-func (s *Scheduler) runWindow(limit Time) windowStatus {
-	s.horizon = s.budget.horizon(limit)
-	defer func() { s.horizon = 0 }()
-	for s.pending() > 0 && !s.stopped {
-		if s.budget.MaxEvents > 0 && s.executed >= s.budget.MaxEvents {
-			return windowStatus{over: true}
-		}
-		next := s.nextAt()
-		if next >= limit {
-			return windowStatus{}
-		}
-		if s.budget.MaxVirtual > 0 && next > s.budget.MaxVirtual {
-			// Beyond the virtual horizon: leave the event queued and let
-			// the barrier decide. Another shard may still have earlier
-			// work, exactly as a single global queue would keep serving
-			// earlier events.
-			return windowStatus{}
-		}
-		ev := s.popNext()
-		s.now = ev.at
-		s.executed++
-		if ev.proc != nil {
-			s.step(ev.proc)
-		} else {
-			ev.fn()
-		}
-		if s.fatal != nil {
-			return windowStatus{fatal: s.fatal}
-		}
-	}
-	return windowStatus{}
-}
-
 // Run executes the cluster to completion. The contract matches
 // Scheduler.Run: nil on a clean drain or Stop, *DeadlockError if Procs
 // remain blocked across the cluster, *LivelockError when the budget is
-// exhausted, and a re-raised *ProcPanicError if a Proc panicked (after
-// every shard has been torn down). Results are bit-for-bit identical for
+// exhausted, and the *ProcPanicError of a Proc that panicked (after every
+// shard has been torn down). Results are bit-for-bit identical for
 // a fixed seed and shard count, regardless of host parallelism.
 func (c *Cluster) Run() error {
 	for {
@@ -222,7 +169,7 @@ func (c *Cluster) Run() error {
 		}
 	}
 	err := deadlock(c.shards...)
-	c.abortAll()
+	abortAll(c.shards...)
 	return err
 }
 
@@ -240,18 +187,20 @@ func (c *Cluster) earliest() (t0 Time, ok bool) {
 // round runs the window that starts at t0 and then the barrier that ends
 // it. end reports that the run is over, with err as Run's result.
 func (c *Cluster) round(t0 Time) (end bool, err error) {
-	if c.budget.MaxVirtual > 0 && t0 > c.budget.MaxVirtual {
-		return true, c.livelocked()
-	}
-	if c.budget.MaxEvents > 0 && c.Executed() >= c.budget.MaxEvents {
-		return true, c.livelocked()
+	if c.budget.MaxVirtual > 0 && t0 > c.budget.MaxVirtual ||
+		c.budget.MaxEvents > 0 && c.Executed() >= c.budget.MaxEvents {
+		return true, livelocked(c.shards...)
 	}
 
 	// Every cast generated during the round is at >= t0 + lookahead, so
 	// events before that limit are causally closed: shards may execute
-	// them in parallel. Only shards with work before the limit need to
-	// run; a shard holding casts made outside any round joins them so its
-	// outbox is delivered at this barrier.
+	// them in parallel, each on one host worker; rounds are separated by
+	// par.For's return, so shard state needs no locking. Only shards with
+	// work before the limit need to run; a shard holding casts made
+	// outside any round joins them so its outbox is delivered at this
+	// barrier. A window leaves MaxVirtual to the next barrier: another
+	// shard may still have earlier work, exactly as a single global queue
+	// would keep serving earlier events.
 	limit := t0 + c.lookahead
 	c.busy = c.busy[:0]
 	for _, s := range c.shards {
@@ -259,7 +208,16 @@ func (c *Cluster) round(t0 Time) (end bool, err error) {
 			c.busy = append(c.busy, s)
 		}
 	}
-	c.runRound(limit)
+	// Nearly every round of a wavefront has one busy shard. Its window is
+	// called directly: going through par.For and the bound window
+	// function cost the one-shard wavefront about a tenth of its time per
+	// hop (BenchmarkAdvanceInPlace/wavefront1).
+	if len(c.busy) == 1 {
+		c.status[0] = c.busy[0].run(limit, nil)
+	} else {
+		c.limit = limit
+		par.For(c.workers, len(c.busy), c.window)
+	}
 
 	// Deliver the round's casts in deterministic (at, src, idx) order,
 	// assigning fresh seqs on the destination shard. Every shard holding
@@ -279,22 +237,20 @@ func (c *Cluster) round(t0 Time) (end bool, err error) {
 		m.fn = nil
 	}
 
-	// busy is in shard order, so the lowest shard's panic is re-raised.
+	// busy is in shard order, so the lowest shard's panic is returned.
 	res := c.status[:len(c.busy)]
-	for i := range res {
-		if f := res[i].fatal; f != nil {
-			c.abortAll()
-			panic(f)
+	for i, st := range res {
+		if st == fatal {
+			abortAll(c.shards...)
+			return true, c.busy[i].fatal
 		}
 	}
-	for i := range res {
-		if res[i].over {
-			return true, c.livelocked()
-		}
+	if slices.Contains(res, overEvents) {
+		return true, livelocked(c.shards...)
 	}
 	for _, s := range c.shards {
 		if s.stopped {
-			c.abortAll()
+			abortAll(c.shards...)
 			return true, nil
 		}
 	}
@@ -312,53 +268,4 @@ func castOrder(a, b castMsg) int {
 		return cmp.Compare(a.src, b.src)
 	}
 	return cmp.Compare(a.idx, b.idx)
-}
-
-// runRound executes one window on every busy shard, recording shard
-// busy[i]'s report in status[i]. With at most one busy shard, or one host
-// worker, the windows run on the calling goroutine; otherwise they are
-// spread over the host workers. Each shard is touched by exactly one
-// worker per round and rounds are separated by the WaitGroup barrier, so
-// shard state needs no locking.
-func (c *Cluster) runRound(limit Time) {
-	busy, res := c.busy, c.status[:len(c.busy)]
-	workers := min(c.workers, len(busy))
-	if workers <= 1 {
-		for i, s := range busy {
-			res[i] = s.runWindow(limit)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(busy) {
-					return
-				}
-				res[i] = busy[i].runWindow(limit)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// livelocked terminates an over-budget cluster run with an aggregate
-// diagnosis: total events, the latest shard clock, and the hottest Procs
-// across all shards.
-func (c *Cluster) livelocked() *LivelockError {
-	err := &LivelockError{Events: c.Executed(), Virtual: c.MaxNow(), Hot: hotProcs(c.shards...)}
-	c.abortAll()
-	return err
-}
-
-// abortAll tears down every shard's Procs so no goroutines leak.
-func (c *Cluster) abortAll() {
-	for _, s := range c.shards {
-		s.abortAll()
-	}
 }

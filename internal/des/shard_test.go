@@ -1,6 +1,7 @@
 package des
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -121,18 +122,13 @@ func TestCastBelowLookaheadPanics(t *testing.T) {
 	c.Shard(0).Spawn("fast", func(p *Proc) {
 		p.Scheduler().Cast(1, Microsecond, func() {})
 	})
-	defer func() {
-		r := recover()
-		pe, ok := r.(*ProcPanicError)
-		if !ok {
-			t.Fatalf("want *ProcPanicError, got %v", r)
-		}
-		if !strings.Contains(fmt.Sprint(pe.Value), "below lookahead") {
-			t.Errorf("panic value %v lacks lookahead context", pe.Value)
-		}
-	}()
-	c.Run()
-	t.Fatal("no panic")
+	var pe *ProcPanicError
+	if err := c.Run(); !errors.As(err, &pe) {
+		t.Fatalf("want *ProcPanicError, got %v", err)
+	}
+	if !strings.Contains(fmt.Sprint(pe.Value), "below lookahead") {
+		t.Errorf("panic value %v lacks lookahead context", pe.Value)
+	}
 }
 
 func TestCastOnUnshardedScheduler(t *testing.T) {
@@ -239,18 +235,13 @@ func TestClusterProcPanicTearsDownAllShards(t *testing.T) {
 			}
 		})
 	}
-	defer func() {
-		r := recover()
-		pe, ok := r.(*ProcPanicError)
-		if !ok {
-			t.Fatalf("want *ProcPanicError, got %v", r)
-		}
-		if pe.Proc != "p1" || pe.Value != "boom" {
-			t.Errorf("wrong panic attribution: %+v", pe)
-		}
-	}()
-	c.Run()
-	t.Fatal("no panic")
+	var pe *ProcPanicError
+	if err := c.Run(); !errors.As(err, &pe) {
+		t.Fatalf("want *ProcPanicError, got %v", err)
+	}
+	if pe.Proc != "p1" || pe.Value != "boom" {
+		t.Errorf("wrong panic attribution: %+v", pe)
+	}
 }
 
 func TestClusterStop(t *testing.T) {
@@ -337,7 +328,7 @@ func BenchmarkClusterRing(b *testing.B) {
 // per-round status slice, no sort swapper, no worker goroutines.
 func TestSingleBusyRoundAllocatesNothing(t *testing.T) {
 	c := wavefront(8, 2, 0)
-	defer c.abortAll()
+	defer abortAll(c.shards...)
 	round := func() {
 		t0, ok := c.earliest()
 		if !ok {
@@ -421,7 +412,7 @@ func mixedTrace(t *testing.T, workers int) (trace []string, single, multi int) {
 		}
 	}
 	ring[0].Put(0)
-	defer c.abortAll()
+	defer abortAll(c.shards...)
 	for {
 		t0, ok := c.earliest()
 		if !ok {

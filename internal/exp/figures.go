@@ -87,11 +87,9 @@ type Options struct {
 	CellTimeout time.Duration
 	// MaxAttempts bounds execution attempts per cell for retryable
 	// failures (livelock, timeout); panics and model errors always fail
-	// fast. 0 or 1 means a single attempt.
+	// fast. 0 or 1 means a single attempt. A retry waits 10 ms of host
+	// time, doubled per further attempt up to 1 s.
 	MaxAttempts int
-	// RetryBackoff is the base host delay before a retry, doubled per
-	// subsequent attempt; 0 selects DefaultRetryBackoff.
-	RetryBackoff time.Duration
 	// Budget bounds each cell's DES run (zero = unlimited). Exhaustion
 	// surfaces as a retryable livelock failure carrying the hottest
 	// Procs of the runaway simulation.

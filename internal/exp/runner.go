@@ -9,6 +9,7 @@ import (
 
 	"dynprof/internal/des"
 	"dynprof/internal/fault"
+	"dynprof/internal/par"
 )
 
 // Metrics is a snapshot of a Runner's cumulative counters.
@@ -216,7 +217,7 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 	}
 
 	// Execute: drain the unique jobs, grouped by application tuple,
-	// through the bounded pool.
+	// on the Runner's workers (par.For).
 	groups := groupJobs(jobs)
 	workers := min(r.parallelism(), len(groups))
 	var storeErr error
@@ -233,24 +234,7 @@ func (r *Runner) runPlans(plans []*figurePlan) ([]*Figure, error) {
 			prog(dn, total, served)
 		}
 	}
-	if len(groups) > 0 {
-		groupCh := make(chan cellGroup)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for g := range groupCh {
-					r.runGroup(g, cellDone)
-				}
-			}()
-		}
-		for _, g := range groups {
-			groupCh <- g
-		}
-		close(groupCh)
-		wg.Wait()
-	}
+	par.For(workers, len(groups), func(i int) { r.runGroup(groups[i], cellDone) })
 	// A broken store means resume would silently lose results the user
 	// asked to persist: fail the sweep loudly.
 	if storeErr != nil {

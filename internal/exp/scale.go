@@ -398,7 +398,7 @@ func runScaleCell(spec ScaleSpec, bud des.Budget) (ScaleResult, error) {
 		})
 	}
 
-	if err := runClusterScheduler(cluster); err != nil {
+	if err := cluster.Run(); err != nil {
 		return res, err
 	}
 	for _, t := range finishes {
@@ -416,21 +416,6 @@ func runScaleCell(spec ScaleSpec, bud des.Budget) (ScaleResult, error) {
 		res.SpilledEvents += col.Spilled()
 	}
 	return res, nil
-}
-
-// runClusterScheduler is runScheduler for sharded cells: it drives the
-// cluster and converts a re-raised Proc panic into an error return.
-func runClusterScheduler(c *des.Cluster) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			pp, ok := r.(*des.ProcPanicError)
-			if !ok {
-				panic(r)
-			}
-			err = pp
-		}
-	}()
-	return c.Run()
 }
 
 // planScale enumerates the scale figure: the virtual completion time of

@@ -119,9 +119,9 @@ func Retryable(err error) bool {
 	return c == CauseLivelock || c == CauseTimeout
 }
 
-// DefaultRetryBackoff is the base host delay before the second attempt
-// when Options.RetryBackoff is zero. Subsequent attempts double it.
-const DefaultRetryBackoff = 10 * time.Millisecond
+// retryBackoffBase is the host delay before the second attempt.
+// Subsequent attempts double it.
+const retryBackoffBase = 10 * time.Millisecond
 
 // maxRetryBackoff caps the exponential growth.
 const maxRetryBackoff = time.Second
@@ -135,12 +135,9 @@ func (o Options) maxAttempts() int {
 }
 
 // retryBackoff is the host delay before attempt+1, growing exponentially
-// from the base and capped at maxRetryBackoff.
-func (o Options) retryBackoff(attempt int) time.Duration {
-	d := o.RetryBackoff
-	if d <= 0 {
-		d = DefaultRetryBackoff
-	}
+// from retryBackoffBase and capped at maxRetryBackoff.
+func retryBackoff(attempt int) time.Duration {
+	d := retryBackoffBase
 	for i := 1; i < attempt && d < maxRetryBackoff; i++ {
 		d *= 2
 	}
@@ -155,22 +152,13 @@ func (o Options) retryBackoff(attempt int) time.Duration {
 // events a cell executed.
 var ranScheduler atomic.Pointer[func(*des.Scheduler)]
 
-// runScheduler drives one cell's scheduler, converting the typed
-// *des.ProcPanicError a Proc panic is re-raised as into an ordinary error
-// return; any other panic keeps unwinding (superviseCell catches it).
-func runScheduler(s *des.Scheduler) (err error) {
-	defer func() {
-		if f := ranScheduler.Load(); f != nil {
-			(*f)(s)
-		}
-		if r := recover(); r != nil {
-			pp, ok := r.(*des.ProcPanicError)
-			if !ok {
-				panic(r)
-			}
-			err = pp
-		}
-	}()
+// runScheduler drives one cell's scheduler. A Proc panic comes back as a
+// *des.ProcPanicError; a panic raised in event context, outside any Proc,
+// unwinds to superviseCell.
+func runScheduler(s *des.Scheduler) error {
+	if f := ranScheduler.Load(); f != nil {
+		defer (*f)(s)
+	}
 	return s.Run()
 }
 
@@ -218,6 +206,6 @@ func superviseCell(run func(des.Budget) (cellResult, error), opts Options) (val 
 		if err == nil || !Retryable(err) || attempts >= limit {
 			return val, err, attempts
 		}
-		time.Sleep(opts.retryBackoff(attempts))
+		time.Sleep(retryBackoff(attempts))
 	}
 }

@@ -133,10 +133,9 @@ func TestSupervisedLivelockRetryDeterminism(t *testing.T) {
 		// at zero for both parallelism levels.
 		plan := supervisedPlan(flakyTestApp("flaky"), healthyTestApp("steady"))
 		r := NewRunner(Options{
-			Parallelism:  parallelism,
-			Budget:       des.Budget{MaxEvents: 50_000},
-			MaxAttempts:  2,
-			RetryBackoff: time.Millisecond,
+			Parallelism: parallelism,
+			Budget:      des.Budget{MaxEvents: 50_000},
+			MaxAttempts: 2,
 		})
 		fig, err := runHandPlan(r, plan)
 		if err != nil {
@@ -173,7 +172,7 @@ func TestSupervisedLivelockRetryDeterminism(t *testing.T) {
 func TestSupervisedPanicFailureDeterminism(t *testing.T) {
 	run := func(parallelism int) (*Figure, Metrics, string) {
 		plan := supervisedPlan(panicTestApp("explodes"), healthyTestApp("steady"))
-		r := NewRunner(Options{Parallelism: parallelism, MaxAttempts: 3, RetryBackoff: time.Millisecond})
+		r := NewRunner(Options{Parallelism: parallelism, MaxAttempts: 3})
 		fig, err := runHandPlan(r, plan)
 		if err != nil {
 			t.Fatal(err)
@@ -234,11 +233,10 @@ func TestSupervisedSweepAcceptance(t *testing.T) {
 		Parallelism: 4,
 		// The budget must trip a spinning simulation long before the
 		// host watchdog does, so the two causes stay distinct.
-		Budget:       des.Budget{MaxEvents: 5_000},
-		CellTimeout:  watchdog,
-		MaxAttempts:  2,
-		RetryBackoff: time.Millisecond,
-		OnCell:       func(ev CellEvent) { evs = append(evs, ev) },
+		Budget:      des.Budget{MaxEvents: 5_000},
+		CellTimeout: watchdog,
+		MaxAttempts: 2,
+		OnCell:      func(ev CellEvent) { evs = append(evs, ev) },
 	})
 	fig, err := runHandPlan(r, plan)
 	if err != nil {
@@ -326,24 +324,24 @@ func TestFailureClassification(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffPolicy: the backoff grows exponentially from the base
-// and saturates at the cap; attempt bounds resolve to at least one.
+// TestRetryBackoffPolicy: the backoff grows exponentially from
+// retryBackoffBase and saturates at the cap; attempt bounds resolve to at
+// least one.
 func TestRetryBackoffPolicy(t *testing.T) {
-	o := Options{RetryBackoff: 10 * time.Millisecond}
 	for attempt, want := range map[int]time.Duration{
-		1: 10 * time.Millisecond,
-		2: 20 * time.Millisecond,
-		3: 40 * time.Millisecond,
+		1: retryBackoffBase,
+		2: 2 * retryBackoffBase,
+		3: 4 * retryBackoffBase,
 	} {
-		if got := o.retryBackoff(attempt); got != want {
+		if got := retryBackoff(attempt); got != want {
 			t.Errorf("backoff(attempt %d) = %v, want %v", attempt, got, want)
 		}
 	}
-	if got := o.retryBackoff(30); got != maxRetryBackoff {
-		t.Errorf("backoff(30) = %v, want the %v cap", got, maxRetryBackoff)
+	if retryBackoffBase != 10*time.Millisecond {
+		t.Errorf("retryBackoffBase = %v, want 10ms", retryBackoffBase)
 	}
-	if got := (Options{}).retryBackoff(1); got != DefaultRetryBackoff {
-		t.Errorf("zero-option backoff = %v, want DefaultRetryBackoff %v", got, DefaultRetryBackoff)
+	if got := retryBackoff(30); got != maxRetryBackoff {
+		t.Errorf("backoff(30) = %v, want the %v cap", got, maxRetryBackoff)
 	}
 	if got := (Options{}).maxAttempts(); got != 1 {
 		t.Errorf("zero-option maxAttempts = %d, want 1", got)

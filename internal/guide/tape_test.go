@@ -92,14 +92,7 @@ func TestCorruptTapeFailsWithMismatch(t *testing.T) {
 			bad.Track(i).Append(op)
 		}
 	}
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err, _ = r.(error)
-			}
-		}()
-		return runTaped(t, "sppm", 2, guide.LaunchOpts{Tape: bad})
-	}()
+	err := runTaped(t, "sppm", 2, guide.LaunchOpts{Tape: bad})
 	var me *tape.MismatchError
 	if !errors.As(err, &me) {
 		t.Fatalf("corrupt replay: got %v, want a *tape.MismatchError", err)

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -252,12 +253,10 @@ func TestCollectiveMismatchPanics(t *testing.T) {
 			}
 		})
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched collectives did not panic")
-		}
-	}()
-	_ = s.Run()
+	var pp *des.ProcPanicError
+	if err := s.Run(); !errors.As(err, &pp) {
+		t.Errorf("mismatched collectives did not panic: Run returned %v", err)
+	}
 }
 
 // countingHooks records wrapper activity.
@@ -327,12 +326,10 @@ func TestCallsBeforeInitPanic(t *testing.T) {
 		c.t = th
 		c.Send(1, 0, 8, nil) // no Init: must panic
 	})
-	defer func() {
-		if recover() == nil {
-			t.Error("Send before Init did not panic")
-		}
-	}()
-	_ = s.Run()
+	var pp *des.ProcPanicError
+	if err := s.Run(); !errors.As(err, &pp) {
+		t.Errorf("Send before Init did not panic: Run returned %v", err)
+	}
 }
 
 // Property: Allreduce(Sum) over arbitrary per-rank values equals the

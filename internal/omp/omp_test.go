@@ -1,6 +1,7 @@
 package omp
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -198,12 +199,10 @@ func TestNestedParallelPanics(t *testing.T) {
 			}
 		})
 	})
-	defer func() {
-		if recover() == nil {
-			t.Error("nested parallel did not panic")
-		}
-	}()
-	_ = s.Run()
+	var pp *des.ProcPanicError
+	if err := s.Run(); !errors.As(err, &pp) {
+		t.Errorf("nested parallel did not panic: Run returned %v", err)
+	}
 }
 
 func TestSuspendBetweenRegions(t *testing.T) {

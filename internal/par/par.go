@@ -1,26 +1,40 @@
-// Package par runs the post-run stages of the trace path — merging,
-// encoding, decoding and analysing a trace — on every host core. Each
-// stage has one code path: on one worker it runs the same code with one
-// part, and its output never depends on how many workers ran it.
+// Package par spreads host work over goroutines: the post-run stages of
+// the trace path (merging, encoding, decoding and analysing a trace), the
+// shards of a des.Cluster round and the Runner's cell groups. Each user
+// has one code path: on one worker it runs the same code inline, and its
+// output never depends on how many workers ran it.
 package par
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Workers is the number of workers a stage splits into: GOMAXPROCS.
 func Workers() int { return runtime.GOMAXPROCS(0) }
 
-// Do calls fn(0), ..., fn(n-1), each on its own goroutine, and returns
-// once all have returned.
-func Do(n int, fn func(i int)) {
+// For calls fn(0), ..., fn(n-1) on min(workers, n) goroutines, which
+// claim the indices in order, and returns once every call has returned.
+// With one worker or one index the calls run in order on the calling
+// goroutine, which starts none.
+func For(workers, n int, fn func(i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := range n {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := range n {
+	wg.Add(workers)
+	for range workers {
 		go func() {
 			defer wg.Done()
-			fn(i)
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
 		}()
 	}
 	wg.Wait()

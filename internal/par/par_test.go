@@ -7,14 +7,41 @@ import (
 	"testing"
 )
 
-// TestDo: every index runs exactly once.
-func TestDo(t *testing.T) {
-	for _, n := range []int{1, 2, 7} {
-		ran := make([]atomic.Int32, n)
-		Do(n, func(i int) { ran[i].Add(1) })
-		for i := range ran {
-			if got := ran[i].Load(); got != 1 {
-				t.Fatalf("Do(%d): index %d ran %d times", n, i, got)
+// TestFor: every index runs exactly once, on at most workers goroutines
+// at a time; with one worker or one index the calls run in order on the
+// calling goroutine.
+func TestFor(t *testing.T) {
+	for _, workers := range []int{0, 1, 2, 3} {
+		for _, n := range []int{0, 1, 2, 7} {
+			ran := make([]atomic.Int32, n)
+			var busy, peak atomic.Int32
+			var order []int
+			For(workers, n, func(i int) {
+				b := busy.Add(1)
+				for p := peak.Load(); b > p && !peak.CompareAndSwap(p, b); p = peak.Load() {
+				}
+				ran[i].Add(1)
+				if workers <= 1 || n == 1 {
+					order = append(order, i)
+				}
+				busy.Add(-1)
+			})
+			for i := range ran {
+				if got := ran[i].Load(); got != 1 {
+					t.Fatalf("For(%d, %d): index %d ran %d times", workers, n, i, got)
+				}
+			}
+			if p := int(peak.Load()); p > max(workers, 1) {
+				t.Errorf("For(%d, %d): %d calls at once", workers, n, p)
+			}
+			if (workers <= 1 || n == 1) && len(order) != n {
+				t.Errorf("For(%d, %d): inline calls ran in order %v", workers, n, order)
+			}
+			for i, got := range order {
+				if got != i {
+					t.Errorf("For(%d, %d): inline calls ran in order %v", workers, n, order)
+					break
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"errors"
 	"testing"
 
 	"dynprof/internal/des"
@@ -74,10 +75,8 @@ func TestNegativeWorkPanics(t *testing.T) {
 	s := des.NewScheduler(1)
 	pr := NewProcess(s, machine.MustNew("ibm-power3"), "p", 0, 0, testImage(t, "f"))
 	pr.Start(func(th *Thread) { th.Work(-1) })
-	defer func() {
-		if recover() == nil {
-			t.Error("negative work did not panic")
-		}
-	}()
-	_ = s.Run()
+	var pp *des.ProcPanicError
+	if err := s.Run(); !errors.As(err, &pp) {
+		t.Errorf("negative work did not panic: Run returned %v", err)
+	}
 }

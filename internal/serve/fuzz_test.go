@@ -56,11 +56,12 @@ func (l *pipeListener) dial() (net.Conn, error) {
 }
 
 // startBridge serves a leased Server with one resident 2-rank job "smg"
-// over a pipe listener; it returns the listener and Serve's result.
-func startBridge(t *testing.T) (*pipeListener, <-chan error) {
+// over a pipe listener, on a scheduler configured by opts; it returns the
+// listener and Serve's result.
+func startBridge(t *testing.T, opts ...des.Option) (*pipeListener, <-chan error) {
 	t.Helper()
 	ln := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
-	s := des.NewScheduler(7)
+	s := des.NewScheduler(7, opts...)
 	sv := serve.New(s, serve.Config{Machine: machine.MustNew("ibm-power3"), Lease: 30 * des.Second})
 	if _, err := sv.RegisterResident("smg", 2, nil); err != nil {
 		t.Fatal(err)

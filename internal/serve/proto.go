@@ -67,9 +67,11 @@ type protoConn struct {
 	sn  *Session
 	seq seqState
 	// out is the reply of the command in flight; rec, when non-nil,
-	// captures it for seq caching.
-	out protoReply
-	rec *string
+	// captures it for seq caching. inflight is set while the reader waits
+	// for that command's ack.
+	out      protoReply
+	rec      *string
+	inflight bool
 }
 
 // Bridge serves the dynprof line protocol on top of a Server: one
@@ -107,14 +109,31 @@ func NewBridge(sv *Server, ln net.Listener) *Bridge {
 
 // Serve accepts connections and processes commands until a client issues
 // shutdown, then runs the resident jobs to completion and returns the
-// simulation's verdict. It must be called from the goroutine that owns
-// the scheduler.
+// simulation's verdict. A run the scheduler aborts (a budget trip or a
+// Proc panic) ends Serve at once with the scheduler's error. Either way
+// the host side is shut down before Serve returns. It must be called from
+// the goroutine that owns the scheduler.
 func (b *Bridge) Serve() error {
 	b.live.Add(1)
 	go b.accept()
+	err := b.pump()
+	b.shutdown()
+	if err != nil {
+		return err
+	}
+	if err := b.s.Drain(); err != nil {
+		return err
+	}
+	return b.s.Finish()
+}
+
+// pump runs the simulation against the connections' commands until a
+// client issues shutdown and every handler has finished, or the
+// scheduler aborts the run.
+func (b *Bridge) pump() error {
 	for {
 		if b.quit && b.spawned == b.completed {
-			break
+			return nil
 		}
 		// Ingest every immediately-available command; block only when the
 		// simulation cannot progress without external input.
@@ -130,16 +149,11 @@ func (b *Bridge) Serve() error {
 			// waiting on other connections. Block for the next command.
 			req, ok := <-b.reqs
 			if !ok {
-				break
+				return nil
 			}
 			b.dispatch(req)
 		}
 	}
-	b.shutdown()
-	if err := b.s.Drain(); err != nil {
-		return err
-	}
-	return b.s.Finish()
 }
 
 // ingest dispatches queued commands without blocking; when block is set
@@ -244,6 +258,7 @@ func (b *Bridge) dispatch(req protoReq) {
 	pc := req.pc
 	b.conns[pc] = true
 	b.spawned++
+	pc.inflight = !req.eof
 	b.s.Spawn("proto", func(p *des.Proc) {
 		defer func() { b.completed++ }()
 		if req.eof {
@@ -253,6 +268,7 @@ func (b *Bridge) dispatch(req protoReq) {
 		b.handle(p, pc, req.line)
 		r := pc.out
 		pc.out = protoReply{}
+		pc.inflight = false
 		pc.ack <- r
 	})
 }
@@ -274,16 +290,22 @@ func (b *Bridge) drop(p *des.Proc, pc *protoConn) {
 	delete(b.conns, pc)
 }
 
-// shutdown tears the host side down after the last handler finishes: no
-// new connections, and no more commands read from live ones. Each reader
-// ends its stream once its replies are written, and a drainer answers
-// what readers still send on the request channel: a command gets no reply
-// and stops its connection's reading, an end of stream closes the
-// connection. The request channel closes once every reader is gone.
+// shutdown tears the host side down after the last handler finishes, or
+// after the scheduler aborted the handlers: no new connections, and no
+// more commands read from live ones. A command whose handler was aborted
+// gets no reply. Each reader ends its stream once its replies are
+// written, and a drainer answers what readers still send on the request
+// channel: a command gets no reply and stops its connection's reading, an
+// end of stream closes the connection. The request channel closes once
+// every reader is gone.
 func (b *Bridge) shutdown() {
 	b.ln.Close()
 	for pc := range b.conns {
 		pc.c.SetReadDeadline(time.Unix(1, 0))
+		if pc.inflight {
+			pc.inflight = false
+			pc.ack <- protoReply{}
+		}
 	}
 	go func() {
 		b.live.Wait()

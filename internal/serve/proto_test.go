@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -357,6 +358,44 @@ func TestProtoShutdownLeavesNoGoroutines(t *testing.T) {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
 			t.Fatalf("%d goroutines before the bridge, %d after it and its clients are gone:\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestProtoAbortLeavesNoGoroutines: when the scheduler aborts the run in
+// the middle of a command (here its event budget runs out), Serve returns
+// the scheduler's error and still shuts the host side down: the command
+// gets no reply, its connection is closed, and once the client is gone
+// none of the bridge's goroutines is left.
+func TestProtoAbortLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ln, errc := startBridge(t, des.WithBudget(des.Budget{MaxEvents: 5}))
+	c, err := ln.dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintln(c, "open alice smg")
+	var ll *des.LivelockError
+	select {
+	case err := <-errc:
+		if !errors.As(err, &ll) {
+			t.Fatalf("Serve returned %v, want a *des.LivelockError", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return after the budget ran out")
+	}
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if rest, err := bufio.NewReader(c).ReadString('\n'); err != io.EOF {
+		t.Fatalf("aborted command's connection still open: %q, %v", rest, err)
+	}
+	c.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before the bridge, %d after it aborted and its client is gone:\n%s",
 				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)

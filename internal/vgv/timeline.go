@@ -2,13 +2,13 @@ package vgv
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"dynprof/internal/des"
-	"dynprof/internal/par"
 	"dynprof/internal/vt"
 )
 
@@ -39,8 +39,8 @@ type timelineLane struct {
 	row         []byte // nil until the lane's first interval closes
 }
 
-// timeline is one RenderTimeline worker's state: the lanes it owns and the
-// column scale they are drawn at.
+// timeline is RenderTimeline's state: the lanes and the column scale they
+// are drawn at.
 type timeline struct {
 	lanes *laneTable[timelineLane, struct{}]
 	start des.Time
@@ -72,9 +72,9 @@ func (tl *timeline) draw(ls *timelineLane, from, to des.Time, glyph byte) {
 }
 
 // RenderTimeline draws the trace as an ASCII time-line, one row per
-// (rank, thread) lane, width columns wide. The lanes are partitioned
-// across par.Workers() workers (laneOwner), each drawing its own lanes'
-// rows; the rows are then printed in (rank, tid) order.
+// (rank, thread) lane, width columns wide, in (rank, tid) order. It is one
+// scan of the ordered view on the calling goroutine: a second worker would
+// have to read every event as well to find its own lanes'.
 func RenderTimeline(col *vt.Collector, w io.Writer, width int) error {
 	if width < 10 {
 		width = 10
@@ -90,57 +90,39 @@ func RenderTimeline(col *vt.Collector, w io.Writer, width int) error {
 	}
 	span := uint64(end) - uint64(start)
 
-	type row struct {
-		key   laneKey
-		glyph []byte
+	tl := &timeline{lanes: newLaneTable[timelineLane, struct{}](view.Len()), start: start, span: span, width: width}
+	tl.scan(view)
+	order := make([]int, len(tl.lanes.keys))
+	for l := range order {
+		order[l] = l
 	}
-	parts := make([][]row, par.Workers())
-	par.Do(len(parts), func(part int) {
-		tl := &timeline{lanes: newLaneTable[timelineLane, struct{}](view.Len()), start: start, span: span, width: width}
-		tl.scan(view, part, len(parts))
-		rows := make([]row, len(tl.lanes.keys))
-		for l := range rows {
-			ls := &tl.lanes.lanes[l]
-			if ls.row == nil {
-				ls.row = bytes.Repeat([]byte{glyphIdle}, width)
-			}
-			rows[l] = row{tl.lanes.keys[l], ls.row}
-		}
-		parts[part] = rows
-	})
-	var rows []row
-	for _, p := range parts {
-		rows = append(rows, p...)
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i].key, rows[j].key
-		if a.rank != b.rank {
-			return a.rank < b.rank
-		}
-		return a.tid < b.tid
+	keys := tl.lanes.keys
+	slices.SortFunc(order, func(i, j int) int {
+		return cmp.Or(cmp.Compare(keys[i].rank, keys[j].rank), cmp.Compare(keys[i].tid, keys[j].tid))
 	})
 
 	ew := &errWriter{w: w}
 	ew.printf("time-line %v .. %v (%d columns, %v/column)\n",
 		start, end, width, des.Time(span/uint64(width)))
-	for _, r := range rows {
-		ew.printf("r%02d/t%02d |%s|\n", r.key.rank, r.key.tid, r.glyph)
+	for _, l := range order {
+		row := tl.lanes.lanes[l].row
+		if row == nil {
+			row = bytes.Repeat([]byte{glyphIdle}, width)
+		}
+		ew.printf("r%02d/t%02d |%s|\n", keys[l].rank, keys[l].tid, row)
 	}
 	ew.printf("legend: %c function  %c MPI  %c OpenMP region (wiggle)  %c idle\n",
 		glyphFunc, glyphAPI, glyphRegion, glyphIdle)
 	return ew.err
 }
 
-// scan draws the lanes worker part of parts owns (laneOwner) from the
-// view: a lane's function, MPI and region intervals run from the
-// outermost enter of their kind to its matching exit.
-func (tl *timeline) scan(view vt.View, part, parts int) {
+// scan draws every lane from the view: a lane's function, MPI and region
+// intervals run from the outermost enter of their kind to its matching
+// exit.
+func (tl *timeline) scan(view vt.View) {
 	for _, events := range view.Chunks() {
 		for i := range events {
 			e := &events[i]
-			if laneOwner(e, parts) != part {
-				continue
-			}
 			ls, _ := tl.lanes.get(e)
 			switch e.Kind {
 			case vt.Enter:

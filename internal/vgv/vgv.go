@@ -183,7 +183,7 @@ func Analyze(col *vt.Collector) *Profile {
 	p := &Profile{}
 	p.Start, p.End = view.Span()
 	as := make([]*analyzer, par.Workers())
-	par.Do(len(as), func(w int) {
+	par.For(len(as), len(as), func(w int) {
 		a := &analyzer{
 			col:    col,
 			lanes:  newLaneTable[stackLane, rankState](view.Len()),

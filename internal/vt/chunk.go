@@ -282,7 +282,7 @@ func mergeParts(c chain, segs []segRange, total int) chain {
 		lo = hi
 	}
 	out := make(chain, chunks)
-	par.Do(parts, func(p int) {
+	par.For(parts, parts, func(p int) {
 		first, last := bound(p)>>chunkShift, (bound(p+1)+chunkMask)>>chunkShift
 		mergeSegs(c, sub[p], out[first:first:last])
 	})

@@ -1,6 +1,6 @@
 #!/bin/sh
 # verify.sh — the repository's tier-1 gate plus race passes over every
-# layer with real host concurrency: exp.Runner's worker pool, des.Cluster's
+# layer with real host concurrency: exp.Runner's cell workers, des.Cluster's
 # window workers (which resume Procs from whichever worker claims a shard),
 # the session server's connection readers and the fault machinery, followed
 # by byte-identity smokes of the CLIs. Within one Scheduler, the DES stays
@@ -36,10 +36,12 @@ run() {
     go test -run "$re" "$@"
 }
 
-# fuzz NAME PKG: ten seconds of the fuzz target NAME.
+# fuzz NAME PKG: ten seconds of the fuzz target NAME. Minimising a new
+# input is bounded to one second, so a target cannot spend its ten
+# seconds minimising at 0 execs/s.
 fuzz() {
     names "^$1\$" "$2"
-    go test -run '^$' -fuzz "^$1\$" -fuzztime 10s "$2"
+    go test -run '^$' -fuzz "^$1\$" -fuzztime 10s -fuzzminimizetime 1s "$2"
 }
 
 go build ./...
@@ -65,10 +67,12 @@ go -C bench test ./...
 # panic the tool or the simulation, and is refused with ErrUnknownCommand
 # only for a command outside Table 1; any client bytes sent to the session
 # server's line protocol get exactly one ok or err reply per command, and
-# never panic it; a random graph of Procs that advance, cast and receive
-# runs the same with Advances in place as parked, the same on a one-shard
-# Cluster as on a Scheduler, with the same finish times on k shards, and
-# identically at host parallelism 1 and 2.
+# never panic it; a random graph of Procs that advance, cast, receive
+# (with or without a timeout) and panic, under an optional event or
+# virtual-time budget, runs the same and ends with the same error with
+# Advances in place as parked, the same on a one-shard Cluster as on a
+# Scheduler, with the same finish times on k shards, and identically at
+# host parallelism 1 and 2.
 fuzz FuzzReadCompactTrace ./internal/vt/
 fuzz FuzzEncodeBlock ./internal/vt/
 fuzz FuzzSpillReader ./internal/vt/
@@ -81,10 +85,10 @@ fuzz FuzzClusterGraph ./internal/des/
 
 # Race pass over the trace-file round trip and VGV's analysis of what it
 # reads: the encoder, decoder and chunk pools are shared by every
-# goroutine that handles a trace, and the merge, WriteTrace, ReadTrace,
-# Analyze and RenderTimeline each split into GOMAXPROCS workers
-# (internal/par), which TestTraceRoundTripAnyWorkers sets to 1-4.
-run 'TestReadTrace|TestWriteTrace|TestTraceFile|TestAnalyze|TestTraceRoundTripAnyWorkers|TestTimeline|TestPipeline|TestDo' \
+# goroutine that handles a trace, and the merge, WriteTrace, ReadTrace and
+# Analyze each split into GOMAXPROCS workers (internal/par), which
+# TestTraceRoundTripAnyWorkers sets to 1-4.
+run 'TestReadTrace|TestWriteTrace|TestTraceFile|TestAnalyze|TestTraceRoundTripAnyWorkers|TestTimeline|TestPipeline|TestFor' \
     -race ./internal/vt/ ./internal/vgv/ ./internal/par/
 
 # Race pass over shared binary images: one guide.Binary launched from two
@@ -109,14 +113,19 @@ run TestControlMonitor -race ./internal/core/
 
 # Race pass over the whole DES package: des.Cluster's window workers are
 # real host concurrency, and Kill, abort and panic teardown must stay
-# race-free when Procs are resumed from different workers. Then the scale
-# cells driving the cluster, including the spilling trace collectors.
+# race-free when Procs are resumed from different workers; FuzzClusterGraph's
+# seeds (panics, RecvTimeouts and budgets among them) run here at host
+# parallelism 2. Then the scale cells driving the cluster, including the
+# spilling trace collectors.
+names 'FuzzClusterGraph|TestNoGoroutineLeak' ./internal/des/
 go test -race ./internal/des/
 run 'TestScale|TestSpill' -race ./internal/exp/ ./internal/vt/
 
 # Race pass over the multi-tenant session server: the protocol bridge's
 # per-connection reader goroutines are real host concurrency against the
-# DES loop, as is the CLI serve smoke.
+# DES loop, as is the CLI serve smoke. It includes the bridge's shutdown
+# after a clean run and after an aborted one.
+names 'TestProtoShutdownLeavesNoGoroutines|TestProtoAbortLeavesNoGoroutines' ./internal/serve/
 go test -race ./internal/serve/ ./cmd/dynprof/
 run TestTenants -race ./internal/exp/
 
